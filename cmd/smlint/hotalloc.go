@@ -29,10 +29,12 @@ package main
 //
 // Beyond those structural rules, hotFuncs names individual functions in
 // otherwise-unpoliced packages that profiling showed on the per-consumer
-// path: the parallel encode pool's per-consumer encoder in colstore and
-// the PAR fast path's series reconstruction in exec. Listed functions
-// get the kernel treatment; listed Next methods get the cursor
-// treatment.
+// path: the parallel encode pool's per-consumer encoder in colstore,
+// the PAR fast path's series reconstruction in exec and the 3-line
+// plan's per-consumer fit in threeline (its selection kernel,
+// stats.SelectQuantilePair, is covered by internal/stats being hot as a
+// whole). Listed functions get the kernel treatment; listed Next methods
+// get the cursor treatment.
 //
 // Scope is deliberate: only the kernel packages and the named hot
 // functions are held to this standard. Orchestration and reporting code
@@ -94,6 +96,7 @@ func runHotalloc(p *Pass) {
 var hotFuncs = map[string][]string{
 	"/internal/engine/colstore/": {"encodeConsumer"},
 	"/internal/exec/":            {"summaryAssemblyCursor.Next", "summaryAssemblyCursor.assemble"},
+	"/internal/threeline/":       {"Plan.Compute", "Plan.percentilePoints"},
 }
 
 // hotFuncNames resolves the hotFuncs entries that apply to pkg path.

@@ -86,6 +86,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{hotallocAnalyzer, "hotalloc/internal/incr", true},
 		{hotallocAnalyzer, "hotalloc/internal/engine/colstore", true},
 		{hotallocAnalyzer, "hotalloc/internal/exec", true},
+		{hotallocAnalyzer, "hotalloc/internal/threeline", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name+"/"+tc.dir, func(t *testing.T) {

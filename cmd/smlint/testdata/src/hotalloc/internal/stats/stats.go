@@ -52,3 +52,13 @@ func closures(xs []float64) float64 {
 	}
 	return total
 }
+
+// The T1 selection kernel needs no entry in hotFuncs: it lives in
+// internal/stats, where every function is policed.
+func SelectQuantilePair(xs []float64, qLo, qHi float64) (lo, hi float64) {
+	var ranks []int
+	for _, q := range []float64{qLo, qHi} {
+		ranks = append(ranks, int(q*float64(len(xs)-1))) // want "append to ranks grows an un-capped slice"
+	}
+	return xs[ranks[0]], xs[ranks[1]]
+}

@@ -262,8 +262,10 @@ func RunReference(d *timeseries.Dataset, spec Spec) (*Results, error) {
 			out.Histograms = append(out.Histograms, r)
 		}
 	case TaskThreeLine:
+		plan := threeline.NewPlan(d.Temperature, threeline.DefaultConfig())
+		var sc threeline.Scratch
 		for _, s := range d.Series {
-			r, err := threeline.Compute(s, d.Temperature)
+			r, _, err := plan.Compute(s, &sc)
 			if err != nil {
 				return nil, err
 			}
@@ -318,18 +320,23 @@ func RunParallel(ctx context.Context, d *timeseries.Dataset, spec Spec) (*Result
 	n := len(d.Series)
 	out := &Results{Task: spec.Task}
 
+	// 3-line shares one plan; every worker slot has its own scratch.
+	var plan *threeline.Plan
+	var scratch []threeline.Scratch
 	switch spec.Task {
 	case TaskHistogram:
 		out.Histograms = make([]*histogram.Result, n)
 	case TaskThreeLine:
 		out.ThreeLines = make([]*threeline.Result, n)
+		plan = threeline.NewPlan(d.Temperature, threeline.DefaultConfig())
+		scratch = make([]threeline.Scratch, spec.Workers)
 	case TaskPAR:
 		out.Profiles = make([]*par.Result, n)
 	default:
 		return nil, fmt.Errorf("core: unknown task %v", spec.Task)
 	}
 
-	if err := sched.Run(n, runParallelBlock, spec.Workers, func(_, lo, hi int) error {
+	if err := sched.Run(n, runParallelBlock, spec.Workers, func(w, lo, hi int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -343,7 +350,7 @@ func RunParallel(ctx context.Context, d *timeseries.Dataset, spec Spec) (*Result
 				}
 				out.Histograms[i] = r
 			case TaskThreeLine:
-				r, err := threeline.Compute(s, d.Temperature)
+				r, _, err := plan.Compute(s, &scratch[w])
 				if err != nil {
 					return err
 				}

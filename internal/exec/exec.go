@@ -318,6 +318,17 @@ func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results,
 	out := &core.Results{Task: spec.Task, Phases: ph}
 	cn := &contain{policy: spec.FailPolicy}
 
+	// 3-line bins the shared temperature year once for the whole run;
+	// the workers fit every consumer against this one plan.
+	var plan *threeline.Plan
+	if spec.Task == core.TaskThreeLine {
+		start = time.Now()
+		plan = threeline.NewPlan(temp, threeline.DefaultConfig())
+		d := time.Since(start)
+		ph.Compute.Wall += d
+		ph.T1Quantiles += d
+	}
+
 	// Compressed-domain fast path: the histogram task over a source that
 	// publishes per-block summaries skips decoding blocks whose min and
 	// max share a bucket. Results are bit-identical to the cursor
@@ -360,7 +371,7 @@ func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results,
 				core.BindContext(cur, ctx)
 			}
 			if len(curs) >= 2 {
-				if err := runPrefetch(ctx, curs, temp, spec, workers, out, cn); err != nil {
+				if err := runPrefetch(ctx, curs, temp, plan, spec, workers, out, cn); err != nil {
 					return nil, err
 				}
 				cn.finish(out)
@@ -369,7 +380,7 @@ func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results,
 			if len(curs) == 1 {
 				cur := curs[0]
 				defer func() { _ = cur.Close() }()
-				if err := runStreaming(ctx, cur, temp, spec, workers, out, cn); err != nil {
+				if err := runStreaming(ctx, cur, temp, plan, spec, workers, out, cn); err != nil {
 					return nil, err
 				}
 				cn.finish(out)
@@ -394,7 +405,7 @@ func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results,
 		cn.finish(out)
 		return out, nil
 	}
-	if err := runStreaming(ctx, cur, temp, spec, workers, out, cn); err != nil {
+	if err := runStreaming(ctx, cur, temp, plan, spec, workers, out, cn); err != nil {
 		return nil, err
 	}
 	cn.finish(out)
@@ -509,7 +520,7 @@ func screenDataset(ctx context.Context, ds *timeseries.Dataset, cn *contain) (*t
 
 // runStreaming is the per-consumer path: extract a block of series,
 // compute the kernel over workers, emit in cursor order, repeat.
-func runStreaming(ctx context.Context, cur core.Cursor, temp *timeseries.Temperature, spec core.Spec, workers int, out *core.Results, cn *contain) error {
+func runStreaming(ctx context.Context, cur core.Cursor, temp *timeseries.Temperature, plan *threeline.Plan, spec core.Spec, workers int, out *core.Results, cn *contain) error {
 	switch spec.Task {
 	case core.TaskHistogram, core.TaskThreeLine, core.TaskPAR:
 	default:
@@ -518,8 +529,9 @@ func runStreaming(ctx context.Context, cur core.Cursor, temp *timeseries.Tempera
 	ph := out.Phases
 	block := blockFor(workers)
 	buf := make([]*timeseries.Series, 0, block)
-	// Per-worker 3-line sub-phase accumulators (summed at the end so the
-	// compute fan-out stays write-disjoint).
+	// Per-worker 3-line scratch buffers and sub-phase accumulators (summed
+	// at the end so the compute fan-out stays write-disjoint).
+	scr := make([]threeline.Scratch, workers)
 	tims := make([]threeline.Timing, workers)
 	for {
 		buf = buf[:0]
@@ -532,7 +544,7 @@ func runStreaming(ctx context.Context, cur core.Cursor, temp *timeseries.Tempera
 		ph.Extract.Rows += int64(len(buf))
 		ph.Extract.Bytes += seriesBytes(buf)
 		if len(buf) > 0 {
-			if err := computeBlock(buf, temp, spec, workers, out, tims, cn); err != nil {
+			if err := computeBlock(buf, temp, plan, spec, workers, out, scr, tims, cn); err != nil {
 				return err
 			}
 		}
@@ -585,13 +597,13 @@ func safeBuckets(s *timeseries.Series, buckets int) (r *histogram.Result, err er
 	return histogram.ComputeBuckets(s, buckets)
 }
 
-func safeThreeLine(s *timeseries.Series, temp *timeseries.Temperature) (r *threeline.Result, tm threeline.Timing, err error) {
+func safeThreeLine(s *timeseries.Series, plan *threeline.Plan, sc *threeline.Scratch) (r *threeline.Result, tm threeline.Timing, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &core.ConsumerError{ID: s.ID, Err: core.NewPanicError(v)}
 		}
 	}()
-	return threeline.ComputeTimed(s, temp, threeline.DefaultConfig())
+	return plan.Compute(s, sc)
 }
 
 func safePAR(s *timeseries.Series, temp *timeseries.Temperature, order int) (r *par.Result, err error) {
@@ -604,8 +616,9 @@ func safePAR(s *timeseries.Series, temp *timeseries.Temperature, order int) (r *
 }
 
 // computeBlock runs the per-consumer kernel over one extracted block and
-// appends the surviving results in block order.
-func computeBlock(buf []*timeseries.Series, temp *timeseries.Temperature, spec core.Spec, workers int, out *core.Results, tims []threeline.Timing, cn *contain) error {
+// appends the surviving results in block order. plan is the run's 3-line
+// plan (nil for the other tasks); scr and tims have one slot per worker.
+func computeBlock(buf []*timeseries.Series, temp *timeseries.Temperature, plan *threeline.Plan, spec core.Spec, workers int, out *core.Results, scr []threeline.Scratch, tims []threeline.Timing, cn *contain) error {
 	ph := out.Phases
 	n := len(buf)
 	start := time.Now()
@@ -634,7 +647,7 @@ func computeBlock(buf []*timeseries.Series, temp *timeseries.Temperature, spec c
 				}
 				hists[i] = r
 			case core.TaskThreeLine:
-				r, tm, err := safeThreeLine(s, temp)
+				r, tm, err := safeThreeLine(s, plan, &scr[w])
 				if err != nil {
 					if err := cn.computeErr(s.ID, err); err != nil {
 						return err

@@ -63,7 +63,7 @@ type computedBlock struct {
 // runPrefetch drives the overlapped pipeline over the partition cursors.
 // It takes ownership of every cursor in curs and closes them all, and
 // returns only after every goroutine it started has exited.
-func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Temperature, spec core.Spec, workers int, out *core.Results, cn *contain) error {
+func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Temperature, plan *threeline.Plan, spec core.Spec, workers int, out *core.Results, cn *contain) error {
 	switch spec.Task {
 	case core.TaskHistogram, core.TaskThreeLine, core.TaskPAR:
 	default:
@@ -165,6 +165,7 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Tempe
 
 	computeBusy := make([]time.Duration, workers)
 	computeRows := make([]int64, workers)
+	scr := make([]threeline.Scratch, workers)
 	tims := make([]threeline.Timing, workers)
 	var (
 		computed   []computedBlock
@@ -194,7 +195,7 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Tempe
 				default:
 				}
 				t0 := time.Now()
-				cb, err := computeBlockSerial(blk, temp, spec, &tims[w], cn)
+				cb, err := computeBlockSerial(blk, temp, plan, spec, &scr[w], &tims[w], cn)
 				computeBusy[w] += time.Since(t0)
 				if err != nil {
 					fail(err)
@@ -269,8 +270,9 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Tempe
 // calling worker goroutine. Parallelism comes from multiple workers
 // holding different blocks, not from fan-out within a block. Kernel
 // errors and panics follow the fail policy: quarantined consumers leave
-// nil slots in the computed block.
-func computeBlockSerial(blk prefetchBlock, temp *timeseries.Temperature, spec core.Spec, tim *threeline.Timing, cn *contain) (computedBlock, error) {
+// nil slots in the computed block. plan, sc and tim are as in
+// computeBlock, sc and tim being the calling worker's own slots.
+func computeBlockSerial(blk prefetchBlock, temp *timeseries.Temperature, plan *threeline.Plan, spec core.Spec, sc *threeline.Scratch, tim *threeline.Timing, cn *contain) (computedBlock, error) {
 	cb := computedBlock{part: blk.part, seq: blk.seq}
 	switch spec.Task {
 	case core.TaskHistogram:
@@ -288,7 +290,7 @@ func computeBlockSerial(blk prefetchBlock, temp *timeseries.Temperature, spec co
 	case core.TaskThreeLine:
 		cb.lines = make([]*threeline.Result, len(blk.series))
 		for i, s := range blk.series {
-			r, tm, err := safeThreeLine(s, temp)
+			r, tm, err := safeThreeLine(s, plan, sc)
 			if err != nil {
 				if err := cn.computeErr(s.ID, err); err != nil {
 					return cb, err

@@ -59,7 +59,7 @@ func runPARSummaries(ctx context.Context, ss core.SummarySource, temp *timeserie
 	cur := &summaryAssemblyCursor{sc: sc, ph: ph}
 	defer func() { _ = cur.Close() }()
 	core.BindContext(cur, ctx)
-	return runStreaming(ctx, cur, temp, spec, workers, out, cn)
+	return runStreaming(ctx, cur, temp, nil, spec, workers, out, cn)
 }
 
 // summaryAssemblyCursor adapts a SummaryCursor to core.Cursor by

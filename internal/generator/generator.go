@@ -133,8 +133,10 @@ func New(seedData *timeseries.Dataset, cfg Config) (*Generator, error) {
 
 	// Step 3: 3-line gradients for every seed consumer.
 	grads := make([]gradients, len(seedData.Series))
+	plan := threeline.NewPlan(seedData.Temperature, threeline.DefaultConfig())
+	var sc threeline.Scratch
 	for i, s := range seedData.Series {
-		r, err := threeline.Compute(s, seedData.Temperature)
+		r, _, err := plan.Compute(s, &sc)
 		if err != nil {
 			return nil, fmt.Errorf("generator: 3-line on seed consumer %d: %w", s.ID, err)
 		}

@@ -348,6 +348,48 @@ func TestThreeLineSkipsWhenPointsUnchanged(t *testing.T) {
 	}
 }
 
+// A reading at a NaN or infinite temperature joins no bin, in the
+// maintained bins as in the batch fit: the maintained 3-line model is the
+// batch model of the same series, which is the model of the series
+// without those hours.
+func TestThreeLineIgnoresNonFiniteTemperatures(t *testing.T) {
+	const days = 30
+	ds := genDataset(t, 2, days)
+	temps := append([]float64(nil), ds.Temperature.Values...)
+	ds = &timeseries.Dataset{Series: ds.Series, Temperature: &timeseries.Temperature{Values: temps}}
+	// Enough of them that, binned, they would pass MinBinPoints.
+	for i, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for k := 0; k < 6; k++ {
+			temps[5+i+37*k] = bad
+		}
+	}
+	a := New(Config{})
+	for h := 0; h < days*timeseries.HoursPerDay; h++ {
+		for _, r := range readingsForHour(ds, h) {
+			a.applyThreeLine(r.ID, r.Consumption, r.Temperature)
+		}
+	}
+	for _, s := range ds.Series {
+		want, err := threeline.Compute(s, ds.Temperature)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.ThreeLine(s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.TempMin < -60 || got.TempMax > 60 {
+			t.Errorf("household %d: temperature range [%g, %g] includes a bin of non-finite hours", s.ID, got.TempMin, got.TempMax)
+		}
+		if !stats.ExactEqual(got.TempMin, want.TempMin) || !stats.ExactEqual(got.TempMax, want.TempMax) ||
+			!approxOrBothInf(got.HeatingGradient, want.HeatingGradient) ||
+			!approxOrBothInf(got.CoolingGradient, want.CoolingGradient) ||
+			!approxOrBothInf(got.BaseLoad, want.BaseLoad) {
+			t.Errorf("household %d: maintained %+v, batch %+v", s.ID, got, want)
+		}
+	}
+}
+
 // TestConsumeContractErrors exercises the validation paths.
 func TestConsumeContractErrors(t *testing.T) {
 	a := New(Config{})

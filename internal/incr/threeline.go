@@ -36,7 +36,10 @@ func (a *Analytics) applyThreeLine(id timeseries.ID, v, t float64) {
 		st = &tlState{bins: make(map[int][]float64)}
 		a.tl[id] = st
 	}
-	b := threeline.BinIndex(t, a.cfg.ThreeLine.BinWidth)
+	b, ok := threeline.BinIndex(t, a.cfg.ThreeLine.BinWidth)
+	if !ok {
+		return // a non-finite temperature has no bin, as in the batch path
+	}
 	st.bins[b] = insertSorted(st.bins[b], v)
 	st.stale = true
 }

@@ -153,3 +153,110 @@ func TestQuantileSortedAgreesWithQuantile(t *testing.T) {
 		}
 	}
 }
+
+// selectDraw is one input to the selection kernel: n values from a
+// small alphabet (so ranks land inside runs of duplicates), with NaNs and
+// both infinities mixed in when special is set. No negative zero: -0 and
+// +0 compare equal, so a sort may leave them in either order and no
+// kernel can promise the bit the sort happened to pick.
+func selectDraw(rng *rand.Rand, n int, special bool) []float64 {
+	xs := make([]float64, n)
+	levels := 1 + rng.Intn(2*n+1)
+	for i := range xs {
+		xs[i] = float64(rng.Intn(levels)) / 1000
+		if special {
+			switch rng.Intn(12) {
+			case 0:
+				xs[i] = math.NaN()
+			case 1:
+				xs[i] = math.Inf(1)
+			case 2:
+				xs[i] = math.Inf(-1)
+			}
+		}
+	}
+	return xs
+}
+
+// SelectQuantilePair must return the bits that a full sort followed by
+// QuantileSorted returns, for every length around the small-slice
+// cutoff, every kind of value, and levels at and between the ends.
+func TestSelectQuantilePairMatchesSortBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	levels := []float64{0, 0.1, 0.25, 0.5, 0.9, 0.999, 1}
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + rng.Intn(3*selectSmall)
+		if trial%10 == 0 {
+			n = 1 + rng.Intn(2000)
+		}
+		xs := selectDraw(rng, n, trial%3 == 0)
+		qLo, qHi := levels[rng.Intn(len(levels))], levels[rng.Intn(len(levels))]
+		if trial%4 == 0 {
+			qLo, qHi = rng.Float64(), rng.Float64()
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		wantLo, wantHi := quantileSorted(sorted, qLo), quantileSorted(sorted, qHi)
+		in := append([]float64(nil), xs...)
+		gotLo, gotHi := SelectQuantilePair(xs, qLo, qHi)
+		if math.Float64bits(gotLo) != math.Float64bits(wantLo) || math.Float64bits(gotHi) != math.Float64bits(wantHi) {
+			t.Fatalf("trial %d: n=%d q=(%g, %g): got (%v, %v), want (%v, %v)\ninput %v",
+				trial, n, qLo, qHi, gotLo, gotHi, wantLo, wantHi, in)
+		}
+		// The kernel only permutes.
+		sort.Float64s(xs)
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(sorted[i]) {
+				t.Fatalf("trial %d: kernel changed the multiset at sorted rank %d", trial, i)
+			}
+		}
+	}
+}
+
+// Inputs that starve a median-of-three quickselect (sorted, reversed,
+// organ pipe, constant) must still come out right; the depth bound turns
+// the bad cases into a sort.
+func TestSelectQuantilePairHostileOrders(t *testing.T) {
+	const n = 5000
+	shapes := map[string]func(i int) float64{
+		"ascending":  func(i int) float64 { return float64(i) },
+		"descending": func(i int) float64 { return float64(n - i) },
+		"organ pipe": func(i int) float64 { return float64(min(i, n-i)) },
+		"constant":   func(int) float64 { return 7 },
+		"sawtooth":   func(i int) float64 { return float64(i % 3) },
+	}
+	for name, at := range shapes {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = at(i)
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		lo, hi := SelectQuantilePair(xs, 0.1, 0.9)
+		if lo != quantileSorted(sorted, 0.1) || hi != quantileSorted(sorted, 0.9) {
+			t.Errorf("%s: got (%v, %v), want (%v, %v)", name, lo, hi,
+				quantileSorted(sorted, 0.1), quantileSorted(sorted, 0.9))
+		}
+	}
+	// The fallback itself, reached directly.
+	xs := selectDraw(rand.New(rand.NewSource(5)), 300, false)
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	selectRanks(xs, 0, []int{30, 31, 269}, 0)
+	for _, r := range []int{30, 31, 269} {
+		if xs[r] != sorted[r] {
+			t.Errorf("depth 0: rank %d holds %v, want %v", r, xs[r], sorted[r])
+		}
+	}
+}
+
+func TestSelectQuantilePairDoesNotAllocate(t *testing.T) {
+	src := selectDraw(rand.New(rand.NewSource(3)), 400, true)
+	xs := make([]float64, len(src))
+	if n := testing.AllocsPerRun(50, func() {
+		copy(xs, src)
+		SelectQuantilePair(xs, 0.1, 0.9)
+	}); n != 0 {
+		t.Errorf("SelectQuantilePair allocates %v times per call, want 0", n)
+	}
+}

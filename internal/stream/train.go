@@ -19,12 +19,14 @@ func TrainProfiles(ds *timeseries.Dataset, sigmaMult float64) (map[timeseries.ID
 		sigmaMult = 4
 	}
 	out := make(map[timeseries.ID]Profile, len(ds.Series))
+	plan := threeline.NewPlan(ds.Temperature, threeline.DefaultConfig())
+	var sc threeline.Scratch
 	for _, s := range ds.Series {
 		pr, err := par.Compute(s, ds.Temperature)
 		if err != nil {
 			return nil, err
 		}
-		tl, err := threeline.Compute(s, ds.Temperature)
+		tl, _, err := plan.Compute(s, &sc)
 		if err != nil {
 			return nil, err
 		}

@@ -2,9 +2,28 @@ package threeline
 
 import (
 	"math"
+	"sort"
 
 	"github.com/smartmeter/smartbench/internal/stats"
 )
+
+// percentilePointsNaive is phase T1 the obvious way: bin the readings by
+// temperature into a map, one append per reading, sort every bin in
+// full, read the percentiles off the sorted bins. It is the oracle for
+// Plan.percentilePoints (the bit-for-bit property test) and the baseline
+// of BenchmarkT1Naive.
+func percentilePointsNaive(readings, temps []float64, cfg Config) (xs, lows, highs []float64) {
+	bins := make(map[int][]float64)
+	for i, r := range readings {
+		if b, ok := BinIndex(temps[i], cfg.BinWidth); ok {
+			bins[b] = append(bins[b], r)
+		}
+	}
+	for _, v := range bins {
+		sort.Float64s(v)
+	}
+	return PointsFromSortedBins(bins, cfg)
+}
 
 // fitSegmentedNaive is the textbook implementation of the breakpoint
 // search: for every candidate pair it refits all three segments with

@@ -19,7 +19,7 @@ func TestFitSegmentedMatchesNaiveQuick(t *testing.T) {
 			xs[i] = float64(i) + 0.5
 			ys[i] = rng.NormFloat64()*2 + float64(i%7)
 		}
-		fast := fitSegmented(xs, ys, 3, 0.2)
+		fast := fitSegmented(newSegFitter(xs), ys, 3, 0.2)
 		naive := fitSegmentedNaive(xs, ys, 3, 0.2)
 		if fast.Degenerate != naive.Degenerate {
 			return false
@@ -44,7 +44,7 @@ func TestFitSegmentedMatchesNaiveQuick(t *testing.T) {
 func TestFitSegmentedMatchesNaiveDegenerate(t *testing.T) {
 	xs := []float64{0.5, 1.5, 2.5}
 	ys := []float64{1, 2, 3}
-	fast := fitSegmented(xs, ys, 3, 0.2)
+	fast := fitSegmented(newSegFitter(xs), ys, 3, 0.2)
 	naive := fitSegmentedNaive(xs, ys, 3, 0.2)
 	if !fast.Degenerate || !naive.Degenerate {
 		t.Fatal("expected degenerate models")
@@ -60,7 +60,7 @@ func BenchmarkFitSegmentedPrefixSum(b *testing.B) {
 	xs, ys := ablationCurve(50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fitSegmented(xs, ys, 3, 0.2)
+		fitSegmented(newSegFitter(xs), ys, 3, 0.2)
 	}
 }
 

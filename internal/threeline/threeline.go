@@ -16,6 +16,21 @@
 // The slopes of the left and right 90th-percentile segments are the
 // heating and cooling gradients; the lowest point of the 10th-percentile
 // model is the household's base load.
+//
+// Every consumer of a run is fitted against the same temperature year,
+// so phase T1 is split in two. A Plan (plan.go), built once per
+// temperature series and Config, owns everything that depends on the
+// temperatures alone: the bin of every hour, which bins are populated
+// enough to count, a permutation that lists the hours bin by bin, the
+// bin centres and their prefix sums. Plan.Compute does the per-consumer
+// rest (gather the readings in plan order, select each bin's percentiles
+// without sorting it, fit) in buffers the caller lends it through a
+// Scratch, and allocates only the Result. Compute and ComputeTimed are
+// "build a plan, use it once"; callers with a dataset build one plan and
+// keep one Scratch per goroutine.
+//
+// An hour whose temperature is NaN or +-Inf belongs to no bin (BinIndex
+// reports it): the fit is the fit over the series without those hours.
 package threeline
 
 import (
@@ -157,30 +172,18 @@ func Compute(s *timeseries.Series, temp *timeseries.Temperature) (*Result, error
 	return r, err
 }
 
-// ComputeTimed fits the 3-line model and reports per-phase timings.
+// ComputeTimed fits the 3-line model and reports per-phase timings. It
+// builds a Plan for this one call and counts that under T1; a caller
+// with more than one series on the same temperatures should build the
+// Plan itself.
 func ComputeTimed(s *timeseries.Series, temp *timeseries.Temperature, cfg Config) (*Result, Timing, error) {
-	cfg.fillDefaults()
-	var tm Timing
-	if len(s.Readings) != len(temp.Values) {
-		return nil, tm, fmt.Errorf("threeline: consumer %d has %d readings but %d temperatures",
-			s.ID, len(s.Readings), len(temp.Values))
-	}
-	if len(s.Readings) == 0 {
-		return nil, tm, fmt.Errorf("%w: consumer %d is empty", ErrInsufficientData, s.ID)
-	}
-
-	// Phase T1: per-temperature-bin percentiles.
 	start := time.Now()
-	xs, lows, highs := percentilePoints(s.Readings, temp.Values, cfg)
-	tm.T1Quantiles = time.Since(start)
-
-	// Phases T2 + T3 on the extracted point set.
-	res, t2, t3, err := fitPointsPhased(s.ID, xs, lows, highs, cfg)
-	tm.T2Regression, tm.T3Adjust = t2, t3
-	if err != nil {
-		return nil, tm, err
-	}
-	return res, tm, nil
+	p := NewPlan(temp, cfg)
+	build := time.Since(start)
+	var sc Scratch
+	r, tm, err := p.Compute(s, &sc)
+	tm.T1Quantiles += build
+	return r, tm, err
 }
 
 // FitPoints runs phases T2 (segmented least squares) and T3 (continuity
@@ -190,19 +193,22 @@ func ComputeTimed(s *timeseries.Series, temp *timeseries.Temperature, cfg Config
 // (internal/incr), which tracks the bins itself and only calls here
 // when the point set actually changed.
 func FitPoints(id timeseries.ID, xs, lows, highs []float64, cfg Config) (*Result, error) {
-	res, _, _, err := fitPointsPhased(id, xs, lows, highs, cfg)
+	cfg.fillDefaults()
+	res, _, _, err := fitPoints(id, newSegFitter(xs), lows, highs, cfg)
 	return res, err
 }
 
-func fitPointsPhased(id timeseries.ID, xs, lows, highs []float64, cfg Config) (*Result, time.Duration, time.Duration, error) {
-	cfg.fillDefaults()
+// fitPoints is T2 and T3 over the fitter's point set; cfg has its
+// defaults filled.
+func fitPoints(id timeseries.ID, f *segFitter, lows, highs []float64, cfg Config) (*Result, time.Duration, time.Duration, error) {
+	xs := f.x
 	if len(xs) < 2 {
 		return nil, 0, 0, fmt.Errorf("%w: consumer %d has %d populated temperature bins",
 			ErrInsufficientData, id, len(xs))
 	}
 	start := time.Now()
-	high := fitSegmented(xs, highs, cfg.MinSegmentPoints, cfg.MinOuterSpanFrac)
-	low := fitSegmented(xs, lows, cfg.MinSegmentPoints, cfg.MinOuterSpanFrac)
+	high := fitSegmented(f, highs, cfg.MinSegmentPoints, cfg.MinOuterSpanFrac)
+	low := fitSegmented(f, lows, cfg.MinSegmentPoints, cfg.MinOuterSpanFrac)
 	t2 := time.Since(start)
 	start = time.Now()
 	high.makeContinuous()
@@ -223,9 +229,11 @@ func fitPointsPhased(id timeseries.ID, xs, lows, highs []float64, cfg Config) (*
 
 // ComputeAll runs the task for every series in the dataset.
 func ComputeAll(d *timeseries.Dataset) ([]*Result, error) {
+	p := NewPlan(d.Temperature, DefaultConfig())
+	var sc Scratch
 	out := make([]*Result, 0, len(d.Series))
 	for _, s := range d.Series {
-		r, err := Compute(s, d.Temperature)
+		r, _, err := p.Compute(s, &sc)
 		if err != nil {
 			return nil, err
 		}
@@ -234,25 +242,22 @@ func ComputeAll(d *timeseries.Dataset) ([]*Result, error) {
 	return out, nil
 }
 
-// BinIndex returns the temperature bin a reading at temperature t falls
-// into for the given bin width.
-func BinIndex(t, binWidth float64) int {
-	return int(math.Floor(t / binWidth))
+// BinIndex returns the temperature bin an hour at temperature t falls
+// into for the given bin width, and false when it falls into none: a
+// NaN or +-Inf temperature has no bin (converting it to an integer is
+// implementation-defined in Go: amd64 answers MinInt64, arm64 0), so
+// such an hour takes no part in the fit. Every binning in the
+// repository goes through here.
+func BinIndex(t, binWidth float64) (int, bool) {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return 0, false
+	}
+	return int(math.Floor(t / binWidth)), true
 }
 
-// percentilePoints bins readings by temperature and returns, for each
-// sufficiently populated bin in ascending temperature order, the bin
-// center and the low/high consumption percentiles.
-func percentilePoints(readings, temps []float64, cfg Config) (xs, lows, highs []float64) {
-	bins := make(map[int][]float64)
-	for i, r := range readings {
-		b := BinIndex(temps[i], cfg.BinWidth)
-		bins[b] = append(bins[b], r)
-	}
-	for _, v := range bins {
-		sort.Float64s(v)
-	}
-	return PointsFromSortedBins(bins, cfg)
+// binCentre is the x of the percentile point of bin k.
+func binCentre(k int, binWidth float64) float64 {
+	return (float64(k) + 0.5) * binWidth
 }
 
 // PointsFromSortedBins extracts the phase-T1 percentile point set from
@@ -277,7 +282,7 @@ func PointsFromSortedBins(bins map[int][]float64, cfg Config) (xs, lows, highs [
 		v := bins[k]
 		lo, _ := stats.QuantileSorted(v, cfg.LowQ)
 		hi, _ := stats.QuantileSorted(v, cfg.HighQ)
-		xs = append(xs, (float64(k)+0.5)*cfg.BinWidth)
+		xs = append(xs, binCentre(k, cfg.BinWidth))
 		lows = append(lows, lo)
 		highs = append(highs, hi)
 	}
@@ -285,30 +290,48 @@ func PointsFromSortedBins(bins map[int][]float64, cfg Config) (xs, lows, highs [
 }
 
 // segFitter computes least-squares fits and SSE over index ranges of a
-// fixed (x, y) point set in O(1) per range using prefix sums.
+// fixed (x, y) point set in O(1) per range using prefix sums. The x side
+// is fixed when the fitter is made (a Plan shares one across all its
+// consumers); setY points it at a y curve.
 type segFitter struct {
-	x, y                  []float64
-	sx, sy, sxx, sxy, syy []float64 // prefix sums, len n+1
+	x            []float64
+	sx, sxx      []float64 // prefix sums over x, len n+1
+	sy, sxy, syy []float64 // prefix sums involving y, len n+1, filled by setY
 }
 
-func newSegFitter(x, y []float64) *segFitter {
+// newSegFitter allocates a fitter over the points' x values.
+func newSegFitter(x []float64) *segFitter {
 	n := len(x)
 	f := &segFitter{
-		x: x, y: y,
-		sx:  make([]float64, n+1),
+		x:   x,
 		sy:  make([]float64, n+1),
-		sxx: make([]float64, n+1),
 		sxy: make([]float64, n+1),
 		syy: make([]float64, n+1),
 	}
-	for i := 0; i < n; i++ {
-		f.sx[i+1] = f.sx[i] + x[i]
-		f.sy[i+1] = f.sy[i] + y[i]
-		f.sxx[i+1] = f.sxx[i] + x[i]*x[i]
-		f.sxy[i+1] = f.sxy[i] + x[i]*y[i]
-		f.syy[i+1] = f.syy[i] + y[i]*y[i]
-	}
+	f.sx, f.sxx = xPrefixSums(x)
 	return f
+}
+
+// xPrefixSums returns the prefix sums of x and x*x.
+func xPrefixSums(x []float64) (sx, sxx []float64) {
+	sx = make([]float64, len(x)+1)
+	sxx = make([]float64, len(x)+1)
+	for i, v := range x {
+		sx[i+1] = sx[i] + v
+		sxx[i+1] = sxx[i] + v*v
+	}
+	return sx, sxx
+}
+
+// setY makes y (one value per x) the curve that fit reads.
+func (f *segFitter) setY(y []float64) {
+	x, sy, sxy, syy := f.x[:len(y)], f.sy[:len(y)+1], f.sxy[:len(y)+1], f.syy[:len(y)+1]
+	sy[0], sxy[0], syy[0] = 0, 0, 0
+	for i, v := range y {
+		sy[i+1] = sy[i] + v
+		sxy[i+1] = sxy[i] + x[i]*v
+		syy[i+1] = syy[i] + v*v
+	}
 }
 
 // fit returns the OLS line over points [lo, hi) and its SSE. If the x
@@ -345,9 +368,10 @@ func (f *segFitter) fit(lo, hi int) (stats.Line, float64) {
 // three per-segment OLS fits, requiring minSeg points per segment. When
 // the point set is too small for three segments it falls back to a single
 // line (degenerate model).
-func fitSegmented(xs, ys []float64, minSeg int, minSpanFrac float64) Model {
+func fitSegmented(f *segFitter, ys []float64, minSeg int, minSpanFrac float64) Model {
+	xs := f.x
 	n := len(xs)
-	f := newSegFitter(xs, ys)
+	f.setY(ys)
 	if n < 3*minSeg {
 		line, sse := f.fit(0, n)
 		return Model{

@@ -208,7 +208,8 @@ func TestSegFitterMatchesDirectSSE(t *testing.T) {
 		xs[i] = float64(i)
 		ys[i] = 3*xs[i] + 2 + rng.NormFloat64()
 	}
-	f := newSegFitter(xs, ys)
+	f := newSegFitter(xs)
+	f.setY(ys)
 	for _, rg := range [][2]int{{0, n}, {5, 20}, {10, 13}} {
 		line, sse := f.fit(rg[0], rg[1])
 		// Direct SSE.
@@ -226,7 +227,8 @@ func TestSegFitterMatchesDirectSSE(t *testing.T) {
 func TestSegFitterConstantX(t *testing.T) {
 	xs := []float64{2, 2, 2, 2}
 	ys := []float64{1, 3, 5, 7}
-	f := newSegFitter(xs, ys)
+	f := newSegFitter(xs)
+	f.setY(ys)
 	line, sse := f.fit(0, 4)
 	if line.Slope != 0 || line.Intercept != 4 {
 		t.Errorf("constant-x fit = %+v", line)

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # check.sh is the single verification entrypoint for the repo: build,
-# vet, the repo-native smlint analyzers, then the full test suite under
-# the race detector. CI runs exactly this script; run it locally before
-# sending a PR.
+# vet, the repo-native smlint analyzers, the full test suite under the
+# race detector, then the benchmark module's own vet and tests. CI runs
+# exactly this script; run it locally before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,5 +43,14 @@ go test -race -run 'Recovery|Crash|WAL' ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+# bench/ is a module of its own, so none of the ./... above reaches it.
+# Its tests run both workloads end to end at -scale tiny and hold every
+# task's results to core.RunReference bit for bit (TestGateCatchesOneBit
+# proves the gate can fail), so a kernel change that breaks the
+# benchmark's correctness gate fails here and not first in the pipeline.
+echo "== go vet -C bench ./... && go test -C bench ./... (benchmark module + its correctness gate)"
+go vet -C bench ./...
+go test -C bench ./...
 
 echo "check.sh: all green"
