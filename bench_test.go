@@ -875,10 +875,10 @@ func BenchmarkScaleupPagedHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleupPagedPAR measures the compressed-domain PAR fast
-// path: per-hour sum lanes in the block headers reconstruct most
-// consumers' series without touching the compressed payloads, then the
-// unchanged PAR kernel runs bit-identically over the result.
+// BenchmarkScaleupPagedPAR measures PAR over the paged segments: the
+// ordinary cursors decode every block (PAR has no compressed-domain
+// path since PR 19) and the planned kernel (par.Plan, one per run) fits
+// each consumer.
 func BenchmarkScaleupPagedPAR(b *testing.B) {
 	n, days := scaleupSize()
 	dir, raw, _, _ := buildScaleupSegments(b, n, days, scaleupEncoders())

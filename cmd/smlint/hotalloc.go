@@ -30,11 +30,11 @@ package main
 // Beyond those structural rules, hotFuncs names individual functions in
 // otherwise-unpoliced packages that profiling showed on the per-consumer
 // path: the parallel encode pool's per-consumer encoder in colstore,
-// the PAR fast path's series reconstruction in exec and the 3-line
-// plan's per-consumer fit in threeline (its selection kernel,
-// stats.SelectQuantilePair, is covered by internal/stats being hot as a
-// whole). Listed functions get the kernel treatment; listed Next methods
-// get the cursor treatment.
+// the 3-line plan's per-consumer fit in threeline (its selection
+// kernel, stats.SelectQuantilePair, is covered by internal/stats being
+// hot as a whole) and the PAR plan's per-consumer fit in par with the
+// helpers that hold its loops. Listed functions get the kernel
+// treatment.
 //
 // Scope is deliberate: only the kernel packages and the named hot
 // functions are held to this standard. Orchestration and reporting code
@@ -77,11 +77,7 @@ func runHotalloc(p *Pass) {
 				continue
 			}
 			if named[funcKey(fd)] {
-				if fd.Name.Name == "Next" {
-					checkHotFunc(p, fd, fd.Body)
-				} else {
-					checkHotFunc(p, fd, nil)
-				}
+				checkHotFunc(p, fd, nil)
 			}
 		}
 	}
@@ -95,7 +91,7 @@ func runHotalloc(p *Pass) {
 // kernels.
 var hotFuncs = map[string][]string{
 	"/internal/engine/colstore/": {"encodeConsumer"},
-	"/internal/exec/":            {"summaryAssemblyCursor.Next", "summaryAssemblyCursor.assemble"},
+	"/internal/par/":             {"Plan.Compute", "Scratch.accumulate", "Scratch.fit", "Scratch.solve", "lagSums", "rSquared", "profile", "transpose"},
 	"/internal/threeline/":       {"Plan.Compute", "Plan.percentilePoints"},
 }
 

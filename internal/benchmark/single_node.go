@@ -240,12 +240,9 @@ func Phases(opts Options) (*Report, error) {
 	rep := &Report{
 		ID:      "phases",
 		Title:   "Pipeline phase breakdown (cold start)",
-		Columns: []string{"engine", "task", "extract", "compute", "emit", "rows", "MB extracted", "summary blocks", "MB stored", "MB raw"},
+		Columns: []string{"engine", "task", "extract", "compute", "emit", "rows", "MB extracted", "MB stored", "MB raw"},
 		Notes: []string{
 			"expected shape: extract dominates cold runs; colstore's binary decode smallest",
-			"summary blocks is the fraction of stored blocks the compressed-domain PAR",
-			"fast path consumed without decoding (colstore only; other engines keep no",
-			"block summaries and report n/a)",
 			"MB stored vs MB raw is the engine-native storage footprint against the",
 			"uncompressed matrix; their ratio is the storage compression factor (colstore",
 			"segments are delta/XOR compressed, file engines report no native storage)",
@@ -279,24 +276,11 @@ func Phases(opts Options) (*Report, error) {
 			}
 			p := res.Phases
 			rep.AddRow(e.name, fmt.Sprint(task), fmtDur(p.Extract.Wall), fmtDur(p.Compute.Wall), fmtDur(p.Emit.Wall),
-				fmt.Sprint(p.Extract.Rows), fmtMB(p.Extract.Bytes), fmtBlockFraction(p),
+				fmt.Sprint(p.Extract.Rows), fmtMB(p.Extract.Bytes),
 				fmtMB(st.StorageBytes), fmtMB(st.RawBytes))
 		}
 	}
 	return rep, nil
-}
-
-// fmtBlockFraction renders the compressed-domain fast paths' block
-// provenance: how many stored blocks were consumed summary-only out of
-// all blocks the run touched. Runs that never took a fast path report
-// n/a.
-func fmtBlockFraction(p *core.Phases) string {
-	total := p.SummaryBlocks + p.DecodedBlocks
-	if total == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%d/%d (%.0f%%)", p.SummaryBlocks, total,
-		100*float64(p.SummaryBlocks)/float64(total))
 }
 
 // Fig7 regenerates Figure 7: single-threaded cold-start execution time

@@ -272,8 +272,10 @@ func RunReference(d *timeseries.Dataset, spec Spec) (*Results, error) {
 			out.ThreeLines = append(out.ThreeLines, r)
 		}
 	case TaskPAR:
+		plan := par.NewPlan(d.Temperature, spec.Order)
+		var sc par.Scratch
 		for _, s := range d.Series {
-			r, err := par.ComputeOrder(s, d.Temperature, spec.Order)
+			r, err := plan.Compute(s, &sc)
 			if err != nil {
 				return nil, err
 			}
@@ -320,9 +322,12 @@ func RunParallel(ctx context.Context, d *timeseries.Dataset, spec Spec) (*Result
 	n := len(d.Series)
 	out := &Results{Task: spec.Task}
 
-	// 3-line shares one plan; every worker slot has its own scratch.
+	// 3-line and PAR share one plan; every worker slot has its own
+	// scratch.
 	var plan *threeline.Plan
 	var scratch []threeline.Scratch
+	var parPlan *par.Plan
+	var parScratch []par.Scratch
 	switch spec.Task {
 	case TaskHistogram:
 		out.Histograms = make([]*histogram.Result, n)
@@ -332,6 +337,8 @@ func RunParallel(ctx context.Context, d *timeseries.Dataset, spec Spec) (*Result
 		scratch = make([]threeline.Scratch, spec.Workers)
 	case TaskPAR:
 		out.Profiles = make([]*par.Result, n)
+		parPlan = par.NewPlan(d.Temperature, spec.Order)
+		parScratch = make([]par.Scratch, spec.Workers)
 	default:
 		return nil, fmt.Errorf("core: unknown task %v", spec.Task)
 	}
@@ -356,7 +363,7 @@ func RunParallel(ctx context.Context, d *timeseries.Dataset, spec Spec) (*Result
 				}
 				out.ThreeLines[i] = r
 			case TaskPAR:
-				r, err := par.ComputeOrder(s, d.Temperature, spec.Order)
+				r, err := parPlan.Compute(s, &parScratch[w])
 				if err != nil {
 					return err
 				}

@@ -129,3 +129,17 @@ func TestRunParallelPropagatesErrors(t *testing.T) {
 		t.Error("want error from worker")
 	}
 }
+
+// A dataset without a temperature series is refused like one whose
+// temperatures have the wrong length: the plans read a nil series as an
+// empty year. PAR used to dereference it.
+func TestRunReferenceWithoutTemperature(t *testing.T) {
+	ds := dataset(t, 2, 10)
+	ds.Temperature = nil
+	for _, task := range []Task{TaskThreeLine, TaskPAR} {
+		_, err := RunReference(ds, Spec{Task: task})
+		if err == nil || !strings.Contains(err.Error(), "240 readings but 0 temperatures") {
+			t.Errorf("%v: err = %v, want the length refusal", task, err)
+		}
+	}
+}

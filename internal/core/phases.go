@@ -39,11 +39,11 @@ type Phases struct {
 	T2Regression time.Duration
 	T3Adjust     time.Duration
 
-	// SummaryBlocks and DecodedBlocks count stored blocks consumed by a
-	// compressed-domain fast path: SummaryBlocks were satisfied from
-	// header summaries/lanes alone, DecodedBlocks needed the full float
-	// decode. Both stay zero when no fast path ran; their ratio is the
-	// summary-only fraction the scale experiments report.
+	// SummaryBlocks and DecodedBlocks count stored blocks consumed by
+	// the histogram task's compressed-domain fast path: SummaryBlocks
+	// were satisfied from header summaries alone, DecodedBlocks needed
+	// the full float decode. Both stay zero when the fast path did not
+	// run, which is every other task.
 	SummaryBlocks int64
 	DecodedBlocks int64
 }

@@ -17,10 +17,10 @@ type BlockStats struct {
 	// NaNs is the number of NaN readings in the block. Compressed-domain
 	// fast paths must decode any block with NaNs > 0 (or fall back
 	// entirely) to preserve NaN-propagation semantics.
-	NaNs int
-	Min  float64
-	Max  float64
-	Sum  float64
+	NaNs  int
+	Min   float64
+	Max   float64
+	Sum   float64
 	SumSq float64
 	// Flags carries the block-structure facts recorded at encode time.
 	Flags BlockFlags
@@ -33,8 +33,8 @@ type BlockFlags uint32
 
 const (
 	// BlockHourLanes: the block stores per-hour sum lanes (and, when
-	// BlockHourPeriodic, a 24-value pattern) retrievable via
-	// SummaryCursor.HourLanes. Never set on a block with NaNs.
+	// BlockHourPeriodic, a 24-value pattern) after its values. Never set
+	// on a block with NaNs. No reader consumes the lanes today.
 	BlockHourLanes BlockFlags = 1 << iota
 	// BlockConstant: every value in the block shares one bit pattern,
 	// equal to the summary Min — the block reconstructs as a fill.
@@ -44,17 +44,6 @@ const (
 	// stored 24-value pattern.
 	BlockHourPeriodic
 )
-
-// HourLanes is the per-hour reduction of one block on the implicit
-// hourly grid. Sums accumulate in row order with first-assignment
-// semantics (a lane holding one value carries its exact bit pattern);
-// Counts are the lane populations; Pattern is the 24-value tile of a
-// BlockHourPeriodic block and nil/unused otherwise.
-type HourLanes struct {
-	Sums    [24]float64
-	Counts  [24]int32
-	Pattern [24]float64
-}
 
 // SummarySource is implemented by engines whose storage keeps per-block
 // statistics alongside the compressed payloads. The exec layer uses it
@@ -83,11 +72,6 @@ type SummaryCursor interface {
 	// must hold at least the block's Count values. The decoded floats
 	// are bit-identical to what the row cursors produce.
 	DecodeBlock(b int, dst []float64) error
-	// HourLanes loads the per-hour lanes of block b of the current
-	// consumer into dst and reports whether the block stores them
-	// (i.e. its stats carry BlockHourLanes). When false, dst is left
-	// unspecified and the caller must decode instead.
-	HourLanes(b int, dst *HourLanes) (bool, error)
 	// Close releases the cursor. It is idempotent.
 	Close() error
 }

@@ -257,29 +257,6 @@ func (s *summaryCursor) DecodeBlock(b int, dst []float64) error {
 	return err
 }
 
-func (s *summaryCursor) HourLanes(b int, dst *core.HourLanes) (bool, error) {
-	if s.closed {
-		return false, fmt.Errorf("colstore: HourLanes on closed summary cursor")
-	}
-	c := s.i - 1
-	if c < 0 || c >= s.st.consumers {
-		return false, fmt.Errorf("colstore: HourLanes before NextSummary")
-	}
-	if b < 0 || b >= s.st.blockCount {
-		return false, fmt.Errorf("colstore: HourLanes: block %d out of range", b)
-	}
-	h := s.st.hdr(c, b)
-	if core.BlockFlags(h.flags)&core.BlockHourLanes == 0 {
-		return false, nil
-	}
-	var err error
-	s.scratch, err = s.st.readBlockLanes(c, b, s.scratch, dst)
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 func (s *summaryCursor) Close() error {
 	s.closed = true
 	s.scratch = nil

@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/smartmeter/smartbench/internal/colcodec"
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/par"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
@@ -148,12 +150,47 @@ func TestParallelEncodeMatchesDecode(t *testing.T) {
 	}
 }
 
+// hourLanes is a stored block's lane section: the per-hour sums, and the
+// 24-value tile of a BlockHourPeriodic block.
+type hourLanes struct {
+	Sums, Pattern [24]float64
+}
+
+// readBlockLanes decodes the lane section of block b of consumer c. No
+// engine code reads the lanes any more, the writer still stores them
+// (the format is v3 byte for byte), so the test that pins what is
+// written keeps its own reader.
+func readBlockLanes(t *testing.T, st *segStore, c, b int) (hourLanes, bool) {
+	t.Helper()
+	var dst hourLanes
+	h := st.hdr(c, b)
+	if core.BlockFlags(h.flags)&core.BlockHourLanes == 0 {
+		return dst, false
+	}
+	off := st.payloadBase(c) + int64(h.payloadOff) + int64(h.tsLen) + int64(h.valLen)
+	raw, err := st.read(off, int(h.laneLen), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums, used, err := colcodec.DecodeValues(raw, dst.Sums[:0])
+	if err != nil || len(sums) != 24 {
+		t.Fatalf("consumer %d block %d: lane sums: %d values, %v", c, b, len(sums), err)
+	}
+	if core.BlockFlags(h.flags)&core.BlockHourPeriodic != 0 {
+		pat, _, err := colcodec.DecodeValues(raw[used:], dst.Pattern[:0])
+		if err != nil || len(pat) != 24 {
+			t.Fatalf("consumer %d block %d: lane pattern: %d values, %v", c, b, len(pat), err)
+		}
+	}
+	return dst, true
+}
+
 // TestSummaryLanesMatchDecodedReduction is the lane-correctness
 // property test: for every stored block, across block sizes that are
-// sub-day, day-aligned and misaligned, quantized and not, the lanes
-// the cursor returns must equal the first-assignment per-hour
-// reduction of the decoded block — and blocks without lanes must be
-// exactly the NaN-bearing ones.
+// sub-day, day-aligned and misaligned, quantized and not, the stored
+// lanes must equal the first-assignment per-hour reduction of the
+// decoded block — and blocks without lanes must be exactly the
+// NaN-bearing ones.
 func TestSummaryLanesMatchDecodedReduction(t *testing.T) {
 	n := 24*7 + 5 // ragged tail so the last block straddles
 	temp := make([]float64, n)
@@ -175,8 +212,7 @@ func TestSummaryLanesMatchDecodedReduction(t *testing.T) {
 				t.Fatal(err)
 			}
 			dst := make([]float64, blockRows)
-			var lanes core.HourLanes
-			for {
+			for c := 0; ; c++ {
 				_, blocks, err := cur.NextSummary()
 				if err == io.EOF {
 					break
@@ -185,10 +221,7 @@ func TestSummaryLanesMatchDecodedReduction(t *testing.T) {
 					t.Fatal(err)
 				}
 				for b, bs := range blocks {
-					ok, err := cur.HourLanes(b, &lanes)
-					if err != nil {
-						t.Fatal(err)
-					}
+					lanes, ok := readBlockLanes(t, e.store, c, b)
 					if ok != (bs.NaNs == 0) {
 						t.Fatalf("blockRows=%d quant=%v block %d: lanes=%v with %d NaNs", blockRows, quant, b, ok, bs.NaNs)
 					}
@@ -203,7 +236,6 @@ func TestSummaryLanesMatchDecodedReduction(t *testing.T) {
 						continue
 					}
 					var sums [24]float64
-					var counts [24]int32
 					var seen [24]bool
 					for i, v := range blk {
 						h := (bs.Start + i) % 24
@@ -212,17 +244,12 @@ func TestSummaryLanesMatchDecodedReduction(t *testing.T) {
 						} else {
 							sums[h] += v
 						}
-						counts[h]++
 					}
 					for h := 0; h < 24; h++ {
 						if math.Float64bits(lanes.Sums[h]) != math.Float64bits(sums[h]) {
 							t.Fatalf("blockRows=%d quant=%v block %d lane %d: sum bits %016x want %016x",
 								blockRows, quant, b, h,
 								math.Float64bits(lanes.Sums[h]), math.Float64bits(sums[h]))
-						}
-						if lanes.Counts[h] != counts[h] {
-							t.Fatalf("blockRows=%d block %d lane %d: count %d want %d",
-								blockRows, b, h, lanes.Counts[h], counts[h])
 						}
 					}
 					if bs.Flags&core.BlockConstant != 0 {
@@ -282,45 +309,149 @@ func TestEncodePoolErrorSticky(t *testing.T) {
 	}
 }
 
-// TestPARFastPathMatchesReference is the end-to-end check for the
-// compressed-domain PAR path: a real segment file with day-aligned
-// blocks, the engine's Run (which routes through the exec fast path),
-// compared bit-for-bit against the decoded reference oracle — and the
-// phase counters must show every block was consumed summary-only.
-func TestPARFastPathMatchesReference(t *testing.T) {
+// parTestDataset is a PAR-shaped dataset (whole days, temperatures
+// aligned) holding, beside ordinary consumers, the ones the stored
+// format treats specially: a bit-constant consumer (BlockConstant), an
+// hour-periodic one (BlockHourPeriodic tiles), a NaN carrier (blocks
+// without lanes), and one that is flat for half the year.
+func parTestDataset(t *testing.T, days int) *timeseries.Dataset {
+	t.Helper()
+	ds, err := seed.Generate(seed.Config{Consumers: 4, Days: days, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(ds.Series[0].Readings)
+	flat, tile, nan, mixed := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	copy(nan, ds.Series[1].Readings)
+	nan[13], nan[n-2] = math.NaN(), math.NaN()
+	for i := range flat {
+		flat[i] = 1.25
+		tile[i] = 0.2 + 0.05*float64(i%24)
+		mixed[i] = 0.5
+	}
+	copy(mixed[n/2:], ds.Series[2].Readings[n/2:])
+	for i, r := range [][]float64{flat, tile, nan, mixed} {
+		ds.Series = append(ds.Series, &timeseries.Series{ID: timeseries.ID(900 + i), Readings: r})
+	}
+	return ds
+}
+
+// pagedOver writes series against temp into a fresh segment with that
+// block size and opens it paged under a budget of a few blocks.
+func pagedOver(t *testing.T, temp []float64, series []*timeseries.Series, blockRows int) *Engine {
+	t.Helper()
 	dir := t.TempDir()
-	ds := buildSegments(t, dir, 6, 30, 24)
-	e := New(dir)
-	if _, err := e.OpenExisting(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = e.Release() }()
-	got, err := e.Run(core.Spec{Task: core.TaskPAR})
+	w, err := NewSegmentWriter(filepath.Join(dir, SegmentFileName), temp, WithBlockRows(blockRows))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.RunReference(ds, core.Spec{Task: core.TaskPAR}.WithDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Profiles) != len(want.Profiles) {
-		t.Fatalf("%d profiles, want %d", len(got.Profiles), len(want.Profiles))
-	}
-	for i, w := range want.Profiles {
-		g := got.Profiles[i]
-		if g.ID != w.ID {
-			t.Fatalf("profile %d: ID %d vs %d", i, g.ID, w.ID)
+	for _, s := range series {
+		if err := w.Append(s.ID, s.Readings); err != nil {
+			t.Fatal(err)
 		}
-		for h := range w.Profile {
-			if math.Float64bits(g.Profile[h]) != math.Float64bits(w.Profile[h]) {
-				t.Fatalf("consumer %d hour %d: %v want %v", g.ID, h, g.Profile[h], w.Profile[h])
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e := pagedEngine(t, dir, 4*8*int64(min(blockRows, len(temp))))
+	t.Cleanup(func() { _ = e.Release() })
+	return e
+}
+
+// TestPARPagedMatchesReference holds PAR over a paged segment to
+// core.RunReference bit for bit, serial and overlapped, across sub-day,
+// day-aligned, misaligned and whole-series blocks. The flat, periodic
+// and NaN consumers are the ones a compressed-domain PAR path used to
+// rebuild from block headers; they now come through the ordinary
+// cursors like everyone else, and must keep coming out right.
+func TestPARPagedMatchesReference(t *testing.T) {
+	ds := parTestDataset(t, 30)
+	want, err := core.RunReference(ds, core.Spec{Task: core.TaskPAR})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blockRows := range []int{1, 7, 24, 64, 1 << 20} {
+		e := pagedOver(t, ds.Temperature.Values, ds.Series, blockRows)
+		for _, workers := range []int{1, 4} {
+			got, err := e.Run(core.Spec{Task: core.TaskPAR, Workers: workers})
+			if err != nil {
+				t.Fatalf("blockRows=%d workers=%d: %v", blockRows, workers, err)
+			}
+			if len(got.Profiles) != len(want.Profiles) {
+				t.Fatalf("blockRows=%d workers=%d: %d profiles, want %d", blockRows, workers, len(got.Profiles), len(want.Profiles))
+			}
+			for i, w := range want.Profiles {
+				if !sameProfileBits(got.Profiles[i], w) {
+					t.Fatalf("blockRows=%d workers=%d consumer %d:\n got %+v\nwant %+v", blockRows, workers, w.ID, got.Profiles[i], w)
+				}
+			}
+			if ph := got.Phases; ph.SummaryBlocks != 0 || ph.DecodedBlocks != 0 {
+				t.Fatalf("blockRows=%d workers=%d: summary/decoded blocks = %d/%d; PAR has no summary path", blockRows, workers, ph.SummaryBlocks, ph.DecodedBlocks)
 			}
 		}
 	}
-	ph := got.Phases
-	blocks := int64(6 * 30) // 24-row blocks over NaN-free data: all lane-reconstructed
-	if ph.SummaryBlocks != blocks || ph.DecodedBlocks != 0 {
-		t.Fatalf("summary/decoded blocks = %d/%d, want %d/0", ph.SummaryBlocks, ph.DecodedBlocks, blocks)
+}
+
+// sameProfileBits compares two PAR results bit for bit; the NaN carrier
+// legitimately produces NaNs, which == cannot accept.
+func sameProfileBits(a, b *par.Result) bool {
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+	}
+	if a.ID != b.ID {
+		return false
+	}
+	for h := range a.Hours {
+		am, bm := a.Hours[h], b.Hours[h]
+		if !same(a.Profile[h], b.Profile[h]) || am.Fallback != bm.Fallback || !same(am.TempCoef, bm.TempCoef) ||
+			!same(am.Intercept, bm.Intercept) || !same(am.R2, bm.R2) || len(am.ARCoef) != len(bm.ARCoef) {
+			return false
+		}
+		for j := range am.ARCoef {
+			if !same(am.ARCoef[j], bm.ARCoef[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestPARPagedErrorsMatchReference checks that what PAR refuses, it
+// refuses in the reference's words whatever the block size and worker
+// count: a year too short for the order, and series that are not whole
+// days. Every consumer of a segment has the segment's length, so every
+// one is refused; a serial run must report the first, an overlapped run
+// reports whichever its workers reach first.
+func TestPARPagedErrorsMatchReference(t *testing.T) {
+	short := parTestDataset(t, 7)
+	ragged := parTestDataset(t, 10)
+	ragged.Temperature.Values = ragged.Temperature.Values[:10*24-5]
+	for _, s := range ragged.Series {
+		s.Readings = s.Readings[:10*24-5]
+	}
+	for name, ds := range map[string]*timeseries.Dataset{"short": short, "ragged": ragged} {
+		var first string
+		refusals := map[string]bool{}
+		for i, s := range ds.Series {
+			one := &timeseries.Dataset{Series: []*timeseries.Series{s}, Temperature: ds.Temperature}
+			_, err := core.RunReference(one, core.Spec{Task: core.TaskPAR})
+			if err == nil {
+				t.Fatalf("%s: the reference accepted consumer %d", name, s.ID)
+			}
+			if i == 0 {
+				first = err.Error()
+			}
+			refusals[err.Error()] = true
+		}
+		for _, blockRows := range []int{1, 7, 24, 64, 1 << 20} {
+			e := pagedOver(t, ds.Temperature.Values, ds.Series, blockRows)
+			for _, workers := range []int{1, 4} {
+				_, err := e.Run(core.Spec{Task: core.TaskPAR, Workers: workers})
+				if err == nil || !refusals[err.Error()] || (workers == 1 && err.Error() != first) {
+					t.Fatalf("%s blockRows=%d workers=%d: error %v, want %q", name, blockRows, workers, err, first)
+				}
+			}
+		}
 	}
 }
 

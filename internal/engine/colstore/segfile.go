@@ -629,44 +629,6 @@ func (st *segStore) readBlockTs(c, b int, scratch []byte, dst []int64) ([]int64,
 	return out, scratch, nil
 }
 
-// readBlockLanes loads block b of consumer c's per-hour lane section
-// into dst, deriving the lane counts from the block geometry. The
-// caller must have checked the header carries BlockHourLanes.
-func (st *segStore) readBlockLanes(c, b int, scratch []byte, dst *core.HourLanes) ([]byte, error) {
-	h := st.hdr(c, b)
-	off := st.payloadBase(c) + int64(h.payloadOff) + int64(h.tsLen) + int64(h.valLen)
-	raw, err := st.read(off, int(h.laneLen), scratch)
-	if err != nil {
-		return scratch, err
-	}
-	if st.img == nil {
-		scratch = raw
-	}
-	sums, used, err := colcodec.DecodeValues(raw, dst.Sums[:0])
-	if err != nil || len(sums) != 24 {
-		return scratch, fmt.Errorf("%w: lane sums (consumer %d block %d)", errCorrupt, st.ids[c], b)
-	}
-	if core.BlockFlags(h.flags)&core.BlockHourPeriodic != 0 {
-		pat, _, err := colcodec.DecodeValues(raw[used:], dst.Pattern[:0])
-		if err != nil || len(pat) != 24 {
-			return scratch, fmt.Errorf("%w: lane pattern (consumer %d block %d)", errCorrupt, st.ids[c], b)
-		}
-	} else {
-		dst.Pattern = [24]float64{}
-	}
-	// Counts are implicit in (start, count) on the hourly grid: every
-	// lane holds count/24 rows, and the first count%24 hours after
-	// start hold one more.
-	base := int32(h.count / 24)
-	for hh := range dst.Counts {
-		dst.Counts[hh] = base
-	}
-	for i := 0; i < int(h.count%24); i++ {
-		dst.Counts[(int(h.start)+i)%24]++
-	}
-	return scratch, nil
-}
-
 // decodeConsumerInto decodes consumer c's full series into dst (length
 // st.n) and returns the possibly-grown scratch buffer.
 func (st *segStore) decodeConsumerInto(c int, dst []float64, scratch []byte) ([]byte, error) {

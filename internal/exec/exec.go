@@ -317,17 +317,21 @@ func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results,
 
 	out := &core.Results{Task: spec.Task, Phases: ph}
 	cn := &contain{policy: spec.FailPolicy}
-
-	// 3-line bins the shared temperature year once for the whole run;
-	// the workers fit every consumer against this one plan.
-	var plan *threeline.Plan
-	if spec.Task == core.TaskThreeLine {
-		start = time.Now()
-		plan = threeline.NewPlan(temp, threeline.DefaultConfig())
-		d := time.Since(start)
-		ph.Compute.Wall += d
-		ph.T1Quantiles += d
+	k, err := newKernel(spec, temp, workers, ph)
+	if err != nil {
+		return nil, err
 	}
+	if err := dispatch(ctx, src, temp, k, workers, out, cn); err != nil {
+		return nil, err
+	}
+	k.bookTimings(ph)
+	cn.finish(out)
+	return out, nil
+}
+
+// dispatch picks the path a run takes and runs it.
+func dispatch(ctx context.Context, src Source, temp *timeseries.Temperature, k *kernel, workers int, out *core.Results, cn *contain) error {
+	spec, ph := k.spec, out.Phases
 
 	// Compressed-domain fast path: the histogram task over a source that
 	// publishes per-block summaries skips decoding blocks whose min and
@@ -336,23 +340,7 @@ func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results,
 	// wrappers don't forward SummarySource, so chaos runs keep
 	// exercising the generic path.
 	if ss, ok := summaryHistogramApplies(src, spec); ok {
-		if err := runHistogramSummaries(ctx, ss, spec, out); err != nil {
-			return nil, err
-		}
-		cn.finish(out)
-		return out, nil
-	}
-
-	// Compressed-domain PAR fast path: assemble series from block
-	// headers (constant fills, single-day lane sums, periodic tiles),
-	// decoding only the blocks the headers cannot reconstruct, and run
-	// the unchanged PAR kernel over them (see summary_par.go).
-	if ss, ok := summaryPARApplies(src, spec); ok {
-		if err := runPARSummaries(ctx, ss, temp, spec, workers, out, cn); err != nil {
-			return nil, err
-		}
-		cn.finish(out)
-		return out, nil
+		return runHistogramSummaries(ctx, ss, k, out)
 	}
 
 	// Overlapped extraction: streaming task + >1 worker + engine exposes
@@ -361,55 +349,39 @@ func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results,
 	// cursor; an empty one to the plain NewCursor path.
 	if spec.Task != core.TaskSimilarity && workers > 1 && spec.Prefetch != core.PrefetchOff {
 		if ps, ok := src.(core.PartitionedSource); ok {
-			start = time.Now()
+			start := time.Now()
 			curs, err := ps.NewCursors(workers)
 			ph.Extract.Wall += time.Since(start)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			for _, cur := range curs {
 				core.BindContext(cur, ctx)
 			}
 			if len(curs) >= 2 {
-				if err := runPrefetch(ctx, curs, temp, plan, spec, workers, out, cn); err != nil {
-					return nil, err
-				}
-				cn.finish(out)
-				return out, nil
+				return runPrefetch(ctx, curs, k, workers, out, cn)
 			}
 			if len(curs) == 1 {
 				cur := curs[0]
 				defer func() { _ = cur.Close() }()
-				if err := runStreaming(ctx, cur, temp, plan, spec, workers, out, cn); err != nil {
-					return nil, err
-				}
-				cn.finish(out)
-				return out, nil
+				return runStreaming(ctx, cur, k, workers, out, cn)
 			}
 		}
 	}
 
-	start = time.Now()
+	start := time.Now()
 	cur, err := src.NewCursor()
 	ph.Extract.Wall += time.Since(start)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	core.BindContext(cur, ctx)
 	defer func() { _ = cur.Close() }()
 
 	if spec.Task == core.TaskSimilarity {
-		if err := runSimilarity(ctx, cur, temp, spec, workers, out, cn); err != nil {
-			return nil, err
-		}
-		cn.finish(out)
-		return out, nil
+		return runSimilarity(ctx, cur, temp, spec, workers, out, cn)
 	}
-	if err := runStreaming(ctx, cur, temp, plan, spec, workers, out, cn); err != nil {
-		return nil, err
-	}
-	cn.finish(out)
-	return out, nil
+	return runStreaming(ctx, cur, k, workers, out, cn)
 }
 
 // runSimilarity materializes the cursor (extract) and runs the blocked
@@ -518,21 +490,135 @@ func screenDataset(ctx context.Context, ds *timeseries.Dataset, cn *contain) (*t
 	return &timeseries.Dataset{Series: series, Temperature: ds.Temperature}, nil
 }
 
+// kernel is what one run computes per consumer: the task with its
+// parameters, the plans built once from the shared temperature year,
+// and a scratch and a timing slot per worker, so that workers never
+// share a write.
+type kernel struct {
+	spec core.Spec
+
+	line    *threeline.Plan
+	lineScr []threeline.Scratch
+	tims    []threeline.Timing // 3-line sub-phases, summed by bookTimings
+
+	par    *par.Plan
+	parScr []par.Scratch
+}
+
+// fitted is one consumer's result: the field of the run's task, or none
+// for a quarantined consumer.
+type fitted struct {
+	hist *histogram.Result
+	line *threeline.Result
+	prof *par.Result
+}
+
+// newKernel prepares the run's kernel for workers slots. 3-line and PAR
+// go through the shared temperature year once for the whole run here;
+// that time is compute time (and T1 time for 3-line).
+func newKernel(spec core.Spec, temp *timeseries.Temperature, workers int, ph *core.Phases) (*kernel, error) {
+	k := &kernel{spec: spec}
+	start := time.Now()
+	switch spec.Task {
+	case core.TaskHistogram, core.TaskSimilarity:
+		return k, nil
+	case core.TaskThreeLine:
+		k.line = threeline.NewPlan(temp, threeline.DefaultConfig())
+		k.lineScr = make([]threeline.Scratch, workers)
+		k.tims = make([]threeline.Timing, workers)
+	case core.TaskPAR:
+		k.par = par.NewPlan(temp, spec.Order)
+		k.parScr = make([]par.Scratch, workers)
+	default:
+		return nil, fmt.Errorf("exec: unknown task %v", spec.Task)
+	}
+	d := time.Since(start)
+	ph.Compute.Wall += d
+	if k.line != nil {
+		ph.T1Quantiles += d
+	}
+	return k, nil
+}
+
+// compute runs the kernel for one consumer on worker slot w. A panic
+// inside it (the similarity tile-index and stats matrix invariants
+// panic on malformed shapes) becomes a per-consumer error carrying the
+// stack, so the fail policy can quarantine the consumer instead of
+// losing the run.
+func (k *kernel) compute(w int, s *timeseries.Series) (r fitted, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &core.ConsumerError{ID: s.ID, Err: core.NewPanicError(v)}
+		}
+	}()
+	switch k.spec.Task {
+	case core.TaskHistogram:
+		r.hist, err = histogram.ComputeBuckets(s, k.spec.Buckets)
+	case core.TaskThreeLine:
+		var tm threeline.Timing
+		if r.line, tm, err = k.line.Compute(s, &k.lineScr[w]); err == nil {
+			k.tims[w].T1Quantiles += tm.T1Quantiles
+			k.tims[w].T2Regression += tm.T2Regression
+			k.tims[w].T3Adjust += tm.T3Adjust
+		}
+	case core.TaskPAR:
+		r.prof, err = k.par.Compute(s, &k.parScr[w])
+	}
+	return r, err
+}
+
+// computeRange runs the kernel over series in order on worker slot w and
+// stores the results in res, index for index. Kernel errors and panics
+// follow the fail policy: a quarantined consumer leaves its slot empty.
+func (k *kernel) computeRange(w int, series []*timeseries.Series, res []fitted, cn *contain) error {
+	for i, s := range series {
+		r, err := k.compute(w, s)
+		if err != nil {
+			if err := cn.computeErr(s.ID, err); err != nil {
+				return err
+			}
+			continue
+		}
+		res[i] = r
+	}
+	return nil
+}
+
+// bookTimings moves the workers' 3-line sub-phase times onto the phases.
+func (k *kernel) bookTimings(ph *core.Phases) {
+	for _, tm := range k.tims {
+		ph.T1Quantiles += tm.T1Quantiles
+		ph.T2Regression += tm.T2Regression
+		ph.T3Adjust += tm.T3Adjust
+	}
+}
+
+// emit appends the results of the consumers that have one, in order,
+// and returns their number.
+func emit(out *core.Results, res []fitted) int {
+	n := 0
+	for _, r := range res {
+		switch {
+		case r.hist != nil:
+			out.Histograms = append(out.Histograms, r.hist)
+		case r.line != nil:
+			out.ThreeLines = append(out.ThreeLines, r.line)
+		case r.prof != nil:
+			out.Profiles = append(out.Profiles, r.prof)
+		default:
+			continue
+		}
+		n++
+	}
+	return n
+}
+
 // runStreaming is the per-consumer path: extract a block of series,
 // compute the kernel over workers, emit in cursor order, repeat.
-func runStreaming(ctx context.Context, cur core.Cursor, temp *timeseries.Temperature, plan *threeline.Plan, spec core.Spec, workers int, out *core.Results, cn *contain) error {
-	switch spec.Task {
-	case core.TaskHistogram, core.TaskThreeLine, core.TaskPAR:
-	default:
-		return fmt.Errorf("exec: unknown task %v", spec.Task)
-	}
+func runStreaming(ctx context.Context, cur core.Cursor, k *kernel, workers int, out *core.Results, cn *contain) error {
 	ph := out.Phases
 	block := blockFor(workers)
 	buf := make([]*timeseries.Series, 0, block)
-	// Per-worker 3-line scratch buffers and sub-phase accumulators (summed
-	// at the end so the compute fan-out stays write-disjoint).
-	scr := make([]threeline.Scratch, workers)
-	tims := make([]threeline.Timing, workers)
 	for {
 		buf = buf[:0]
 		start := time.Now()
@@ -543,21 +629,26 @@ func runStreaming(ctx context.Context, cur core.Cursor, temp *timeseries.Tempera
 		}
 		ph.Extract.Rows += int64(len(buf))
 		ph.Extract.Bytes += seriesBytes(buf)
-		if len(buf) > 0 {
-			if err := computeBlock(buf, temp, plan, spec, workers, out, scr, tims, cn); err != nil {
-				return err
-			}
+
+		// Compute fans the block out over the workers; emit keeps block
+		// order.
+		start = time.Now()
+		res := make([]fitted, len(buf))
+		err = sched.Run(len(buf), 1, workers, func(w, lo, hi int) error {
+			return k.computeRange(w, buf[lo:hi], res[lo:hi], cn)
+		})
+		ph.Compute.Wall += time.Since(start)
+		ph.Compute.Rows += int64(len(buf))
+		if err != nil {
+			return err
 		}
+		start = time.Now()
+		ph.Emit.Rows += int64(emit(out, res))
+		ph.Emit.Wall += time.Since(start)
 		if drained {
-			break
+			return nil
 		}
 	}
-	for _, tm := range tims {
-		ph.T1Quantiles += tm.T1Quantiles
-		ph.T2Regression += tm.T2Regression
-		ph.T3Adjust += tm.T3Adjust
-	}
-	return nil
 }
 
 // fill pulls up to block computable series off the cursor, retrying and
@@ -581,125 +672,6 @@ func fill(ctx context.Context, cur core.Cursor, buf *[]*timeseries.Series, block
 		*buf = append(*buf, s)
 	}
 	return false, nil
-}
-
-// Per-kernel panic guards: a panic inside one consumer's kernel (the
-// similarity tile-index and stats matrix invariants panic on malformed
-// shapes) becomes a per-consumer error carrying the stack, so the fail
-// policy can quarantine the consumer instead of losing the run.
-
-func safeBuckets(s *timeseries.Series, buckets int) (r *histogram.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &core.ConsumerError{ID: s.ID, Err: core.NewPanicError(v)}
-		}
-	}()
-	return histogram.ComputeBuckets(s, buckets)
-}
-
-func safeThreeLine(s *timeseries.Series, plan *threeline.Plan, sc *threeline.Scratch) (r *threeline.Result, tm threeline.Timing, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &core.ConsumerError{ID: s.ID, Err: core.NewPanicError(v)}
-		}
-	}()
-	return plan.Compute(s, sc)
-}
-
-func safePAR(s *timeseries.Series, temp *timeseries.Temperature, order int) (r *par.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &core.ConsumerError{ID: s.ID, Err: core.NewPanicError(v)}
-		}
-	}()
-	return par.ComputeOrder(s, temp, order)
-}
-
-// computeBlock runs the per-consumer kernel over one extracted block and
-// appends the surviving results in block order. plan is the run's 3-line
-// plan (nil for the other tasks); scr and tims have one slot per worker.
-func computeBlock(buf []*timeseries.Series, temp *timeseries.Temperature, plan *threeline.Plan, spec core.Spec, workers int, out *core.Results, scr []threeline.Scratch, tims []threeline.Timing, cn *contain) error {
-	ph := out.Phases
-	n := len(buf)
-	start := time.Now()
-	var hists []*histogram.Result
-	var lines []*threeline.Result
-	var profs []*par.Result
-	switch spec.Task {
-	case core.TaskHistogram:
-		hists = make([]*histogram.Result, n)
-	case core.TaskThreeLine:
-		lines = make([]*threeline.Result, n)
-	case core.TaskPAR:
-		profs = make([]*par.Result, n)
-	}
-	err := sched.Run(n, 1, workers, func(w, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			s := buf[i]
-			switch spec.Task {
-			case core.TaskHistogram:
-				r, err := safeBuckets(s, spec.Buckets)
-				if err != nil {
-					if err := cn.computeErr(s.ID, err); err != nil {
-						return err
-					}
-					continue
-				}
-				hists[i] = r
-			case core.TaskThreeLine:
-				r, tm, err := safeThreeLine(s, plan, &scr[w])
-				if err != nil {
-					if err := cn.computeErr(s.ID, err); err != nil {
-						return err
-					}
-					continue
-				}
-				tims[w].T1Quantiles += tm.T1Quantiles
-				tims[w].T2Regression += tm.T2Regression
-				tims[w].T3Adjust += tm.T3Adjust
-				lines[i] = r
-			case core.TaskPAR:
-				r, err := safePAR(s, temp, spec.Order)
-				if err != nil {
-					if err := cn.computeErr(s.ID, err); err != nil {
-						return err
-					}
-					continue
-				}
-				profs[i] = r
-			}
-		}
-		return nil
-	})
-	ph.Compute.Wall += time.Since(start)
-	ph.Compute.Rows += int64(n)
-	if err != nil {
-		return err
-	}
-
-	start = time.Now()
-	emitted := 0
-	for _, r := range hists {
-		if r != nil {
-			out.Histograms = append(out.Histograms, r)
-			emitted++
-		}
-	}
-	for _, r := range lines {
-		if r != nil {
-			out.ThreeLines = append(out.ThreeLines, r)
-			emitted++
-		}
-	}
-	for _, r := range profs {
-		if r != nil {
-			out.Profiles = append(out.Profiles, r)
-			emitted++
-		}
-	}
-	ph.Emit.Wall += time.Since(start)
-	ph.Emit.Rows += int64(emitted)
-	return nil
 }
 
 // seriesBytes approximates the decoded payload of a series slice (8

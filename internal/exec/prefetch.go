@@ -2,15 +2,11 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/smartmeter/smartbench/internal/core"
-	"github.com/smartmeter/smartbench/internal/histogram"
-	"github.com/smartmeter/smartbench/internal/par"
-	"github.com/smartmeter/smartbench/internal/threeline"
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
@@ -51,27 +47,17 @@ type prefetchBlock struct {
 }
 
 // computedBlock is one block's kernel output, tagged with its origin for
-// the deterministic reorder in emit. Quarantined consumers leave nil
+// the deterministic reorder in emit. Quarantined consumers leave empty
 // slots.
 type computedBlock struct {
 	part, seq int
-	hists     []*histogram.Result
-	lines     []*threeline.Result
-	profs     []*par.Result
+	res       []fitted
 }
 
 // runPrefetch drives the overlapped pipeline over the partition cursors.
 // It takes ownership of every cursor in curs and closes them all, and
 // returns only after every goroutine it started has exited.
-func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Temperature, plan *threeline.Plan, spec core.Spec, workers int, out *core.Results, cn *contain) error {
-	switch spec.Task {
-	case core.TaskHistogram, core.TaskThreeLine, core.TaskPAR:
-	default:
-		for _, c := range curs {
-			_ = c.Close()
-		}
-		return fmt.Errorf("exec: unknown task %v", spec.Task)
-	}
+func runPrefetch(ctx context.Context, curs []core.Cursor, k *kernel, workers int, out *core.Results, cn *contain) error {
 	ph := out.Phases
 	nparts := len(curs)
 	block := blockFor(workers)
@@ -165,8 +151,6 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Tempe
 
 	computeBusy := make([]time.Duration, workers)
 	computeRows := make([]int64, workers)
-	scr := make([]threeline.Scratch, workers)
-	tims := make([]threeline.Timing, workers)
 	var (
 		computed   []computedBlock
 		computedMu sync.Mutex
@@ -194,8 +178,11 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Tempe
 					continue
 				default:
 				}
+				// Parallelism comes from workers holding different blocks,
+				// not from fan-out within a block.
 				t0 := time.Now()
-				cb, err := computeBlockSerial(blk, temp, plan, spec, &scr[w], &tims[w], cn)
+				res := make([]fitted, len(blk.series))
+				err := k.computeRange(w, blk.series, res, cn)
 				computeBusy[w] += time.Since(t0)
 				if err != nil {
 					fail(err)
@@ -203,7 +190,7 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Tempe
 				}
 				computeRows[w] += int64(len(blk.series))
 				computedMu.Lock()
-				computed = append(computed, cb)
+				computed = append(computed, computedBlock{part: blk.part, seq: blk.seq, res: res})
 				computedMu.Unlock()
 			}
 		}(w)
@@ -226,9 +213,6 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Tempe
 	for w := 0; w < workers; w++ {
 		ph.Compute.Wall += computeBusy[w]
 		ph.Compute.Rows += computeRows[w]
-		ph.T1Quantiles += tims[w].T1Quantiles
-		ph.T2Regression += tims[w].T2Regression
-		ph.T3Adjust += tims[w].T3Adjust
 	}
 
 	start := time.Now()
@@ -239,21 +223,7 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Tempe
 		return computed[i].seq < computed[j].seq
 	})
 	for _, cb := range computed {
-		for _, r := range cb.hists {
-			if r != nil {
-				out.Histograms = append(out.Histograms, r)
-			}
-		}
-		for _, r := range cb.lines {
-			if r != nil {
-				out.ThreeLines = append(out.ThreeLines, r)
-			}
-		}
-		for _, r := range cb.profs {
-			if r != nil {
-				out.Profiles = append(out.Profiles, r)
-			}
-		}
+		emit(out, cb.res)
 	}
 	// Partition-major concatenation is already ascending for engines with
 	// ID-contiguous shards (file, row, column stores); the cluster
@@ -264,58 +234,6 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Tempe
 	ph.Emit.Wall += time.Since(start)
 	ph.Emit.Rows += int64(out.Count())
 	return nil
-}
-
-// computeBlockSerial runs the per-consumer kernel over one block on the
-// calling worker goroutine. Parallelism comes from multiple workers
-// holding different blocks, not from fan-out within a block. Kernel
-// errors and panics follow the fail policy: quarantined consumers leave
-// nil slots in the computed block. plan, sc and tim are as in
-// computeBlock, sc and tim being the calling worker's own slots.
-func computeBlockSerial(blk prefetchBlock, temp *timeseries.Temperature, plan *threeline.Plan, spec core.Spec, sc *threeline.Scratch, tim *threeline.Timing, cn *contain) (computedBlock, error) {
-	cb := computedBlock{part: blk.part, seq: blk.seq}
-	switch spec.Task {
-	case core.TaskHistogram:
-		cb.hists = make([]*histogram.Result, len(blk.series))
-		for i, s := range blk.series {
-			r, err := safeBuckets(s, spec.Buckets)
-			if err != nil {
-				if err := cn.computeErr(s.ID, err); err != nil {
-					return cb, err
-				}
-				continue
-			}
-			cb.hists[i] = r
-		}
-	case core.TaskThreeLine:
-		cb.lines = make([]*threeline.Result, len(blk.series))
-		for i, s := range blk.series {
-			r, tm, err := safeThreeLine(s, plan, sc)
-			if err != nil {
-				if err := cn.computeErr(s.ID, err); err != nil {
-					return cb, err
-				}
-				continue
-			}
-			tim.T1Quantiles += tm.T1Quantiles
-			tim.T2Regression += tm.T2Regression
-			tim.T3Adjust += tm.T3Adjust
-			cb.lines[i] = r
-		}
-	case core.TaskPAR:
-		cb.profs = make([]*par.Result, len(blk.series))
-		for i, s := range blk.series {
-			r, err := safePAR(s, temp, spec.Order)
-			if err != nil {
-				if err := cn.computeErr(s.ID, err); err != nil {
-					return cb, err
-				}
-				continue
-			}
-			cb.profs[i] = r
-		}
-	}
-	return cb, nil
 }
 
 // sortResultsByID restores ascending household-ID order — the order the

@@ -28,7 +28,7 @@ import (
 // per-consumer extraction faults through the normal cursor pipeline,
 // and fault wrappers deliberately do not forward SummarySource. Any
 // consumer with NaNs, non-finite extrema or no rows falls back to a
-// full decode through the same safeBuckets kernel the pipeline uses, so
+// full decode through the same guarded kernel the pipeline uses, so
 // results AND errors stay bit-identical to the decoded-oracle path.
 //
 // Living in exec rather than the engine keeps the enginelayering rule
@@ -46,8 +46,8 @@ func summaryHistogramApplies(src Source, spec core.Spec) (core.SummarySource, bo
 // runHistogramSummaries executes the histogram task over block
 // summaries. Result order is ascending household ID, same as every
 // other path.
-func runHistogramSummaries(ctx context.Context, ss core.SummarySource, spec core.Spec, out *core.Results) error {
-	ph := out.Phases
+func runHistogramSummaries(ctx context.Context, ss core.SummarySource, k *kernel, out *core.Results) error {
+	spec, ph := k.spec, out.Phases
 	start := time.Now()
 	sc, err := ss.NewSummaryCursor()
 	ph.Extract.Wall += time.Since(start)
@@ -96,15 +96,15 @@ func runHistogramSummaries(ctx context.Context, ss core.SummarySource, spec core
 			ph.Extract.Bytes += int64(8 * n)
 			series = timeseries.Series{ID: id, Readings: full}
 			start = time.Now()
-			r, err := safeBuckets(&series, spec.Buckets)
+			r, err := k.compute(0, &series)
 			ph.Compute.Wall += time.Since(start)
 			ph.Compute.Rows++
 			if err != nil {
 				return err // FailFast: first failure aborts the run
 			}
 			// The reused decode buffer must not escape into results.
-			r.Histogram = cloneHistogram(r.Histogram)
-			emitHistogram(out, r)
+			r.hist.Histogram = cloneHistogram(r.hist.Histogram)
+			emitHistogram(out, r.hist)
 			continue
 		}
 

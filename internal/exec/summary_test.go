@@ -51,49 +51,9 @@ func (c *memSummaryCursor) NextSummary() (timeseries.ID, []core.BlockStats, erro
 		blocks = append(blocks, core.BlockStats{
 			Start: start, Count: sum.Count, NaNs: sum.NaNs,
 			Min: sum.Min, Max: sum.Max, Sum: sum.Sum, SumSq: sum.SumSq,
-			Flags: memBlockFlags(start, s.Readings[start:end]),
 		})
 	}
 	return s.ID, blocks, nil
-}
-
-// memBlockFlags mirrors the segment encoder's flag policy: lanes on
-// every NaN-free block, Constant when bit-constant, and a stored
-// pattern only for aligned multi-day tilings that are not constant.
-func memBlockFlags(start int, blk []float64) core.BlockFlags {
-	var ls colcodec.LaneSummary
-	if !colcodec.SummarizeHours(start, blk, &ls) {
-		return 0
-	}
-	f := core.BlockHourLanes
-	if ls.Constant {
-		f |= core.BlockConstant
-	} else if ls.Periodic && len(blk) > 24 {
-		f |= core.BlockHourPeriodic
-	}
-	return f
-}
-
-func (c *memSummaryCursor) HourLanes(b int, dst *core.HourLanes) (bool, error) {
-	s := c.ds.Series[c.i]
-	start := b * c.blockRows
-	end := start + c.blockRows
-	if end > len(s.Readings) {
-		end = len(s.Readings)
-	}
-	blk := s.Readings[start:end]
-	var ls colcodec.LaneSummary
-	if !colcodec.SummarizeHours(start, blk, &ls) {
-		return false, nil
-	}
-	dst.Sums = ls.Sums
-	dst.Counts = ls.Counts
-	if ls.Periodic && !ls.Constant && len(blk) > 24 {
-		dst.Pattern = ls.Pattern
-	} else {
-		dst.Pattern = [24]float64{}
-	}
-	return true, nil
 }
 
 func (c *memSummaryCursor) DecodeBlock(b int, dst []float64) error {

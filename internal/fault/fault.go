@@ -35,6 +35,7 @@ package fault
 import (
 	"errors"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"github.com/smartmeter/smartbench/internal/core"
@@ -122,6 +123,11 @@ type Config struct {
 	// successful series per cursor with a permanent ErrTruncated error.
 	// With partition cursors the count is per partition.
 	TruncateAfter int
+
+	// Calls, when not nil, counts the Next calls of every cursor under
+	// this config, each at its start: a test reads it at some event and
+	// again at the end to bound what a pipeline started in between.
+	Calls *atomic.Int64
 }
 
 func (c Config) tries() int {

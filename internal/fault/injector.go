@@ -118,6 +118,9 @@ func (c *Cursor) ctxErr() error {
 // Next implements core.Cursor, delaying, failing, corrupting, or
 // serving according to the consumer's drawn fault.
 func (c *Cursor) Next() (*timeseries.Series, error) {
+	if c.cfg.Calls != nil {
+		c.cfg.Calls.Add(1)
+	}
 	if err := c.ctxErr(); err != nil {
 		return nil, err
 	}

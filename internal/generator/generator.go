@@ -115,8 +115,10 @@ func New(seedData *timeseries.Dataset, cfg Config) (*Generator, error) {
 
 	// Step 1: PAR daily profiles for every seed consumer.
 	profiles := make([][]float64, len(seedData.Series))
+	parPlan := par.NewPlan(seedData.Temperature, par.DefaultOrder)
+	var parScratch par.Scratch
 	for i, s := range seedData.Series {
-		r, err := par.Compute(s, seedData.Temperature)
+		r, err := parPlan.Compute(s, &parScratch)
 		if err != nil {
 			return nil, fmt.Errorf("generator: PAR on seed consumer %d: %w", s.ID, err)
 		}

@@ -197,32 +197,3 @@ func TestARCapturesPersistence(t *testing.T) {
 		}
 	}
 }
-
-// TestComputeOrderAllocs is the allocation-regression test for the PAR
-// hot loop: the per-hour temperature/consumption column buffers are
-// hoisted out of the 24-iteration loop and reused, saving 46
-// allocations per consumer. Measured at 174 allocs/run after the
-// hoist; the bound sits below the 220 the un-hoisted loop costs, so
-// reintroducing per-hour buffers fails this test.
-func TestComputeOrderAllocs(t *testing.T) {
-	var act [timeseries.HoursPerDay]float64
-	for h := range act {
-		act[h] = 0.5 + 0.3*math.Sin(2*math.Pi*float64(h)/24)
-	}
-	s, temp := syntheticHabit(act, 0.05, 60, 0.02, 11)
-	if _, err := ComputeOrder(s, temp, DefaultOrder); err != nil {
-		t.Fatal(err)
-	}
-	var runErr error
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := ComputeOrder(s, temp, DefaultOrder); err != nil {
-			runErr = err
-		}
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if allocs > 200 {
-		t.Errorf("ComputeOrder allocates %v times per run, want <= 200 (hour buffers un-hoisted?)", allocs)
-	}
-}

@@ -148,33 +148,48 @@ func (m *Matrix) Solve(b []float64) ([]float64, error) {
 	a := m.Clone()
 	x := make([]float64, n)
 	copy(x, b)
+	if col, best, ok := SolveInPlace(a.Data, x); !ok {
+		return nil, fmt.Errorf("%w: pivot %g at column %d", ErrSingular, best, col)
+	}
+	return x, nil
+}
 
+// SolveInPlace is Solve without the copies and without an allocation:
+// a holds the n x n system row-major, n = len(x), and x the right-hand
+// side. On return a is eliminated and x holds the solution. A column
+// whose largest available pivot is below 1e-12 stops the elimination;
+// it is reported with that pivot and ok false, and a and x are then
+// left half eliminated.
+func SolveInPlace(a, x []float64) (col int, pivot float64, ok bool) {
+	n := len(x)
+	a = a[:n*n]
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		pivot := col
-		best := math.Abs(a.At(col, col))
+		best := math.Abs(a[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.At(r, col)); v > best {
+			if v := math.Abs(a[r*n+col]); v > best {
 				best, pivot = v, r
 			}
 		}
 		if best < 1e-12 {
-			return nil, fmt.Errorf("%w: pivot %g at column %d", ErrSingular, best, col)
+			return col, best, false
 		}
+		cr := a[col*n : (col+1)*n]
 		if pivot != col {
-			pr, cr := a.Row(pivot), a.Row(col)
+			pr := a[pivot*n : (pivot+1)*n]
 			for j := range pr {
 				pr[j], cr[j] = cr[j], pr[j]
 			}
 			x[pivot], x[col] = x[col], x[pivot]
 		}
-		inv := 1 / a.At(col, col)
+		inv := 1 / cr[col]
 		for r := col + 1; r < n; r++ {
-			f := a.At(r, col) * inv
+			rr := a[r*n : (r+1)*n]
+			f := rr[col] * inv
 			if IsZero(f) {
 				continue
 			}
-			rr, cr := a.Row(r), a.Row(col)
 			for j := col; j < n; j++ {
 				rr[j] -= f * cr[j]
 			}
@@ -183,14 +198,14 @@ func (m *Matrix) Solve(b []float64) ([]float64, error) {
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
-		ri := a.Row(i)
+		ri := a[i*n : (i+1)*n]
 		s := x[i]
 		for j := i + 1; j < n; j++ {
 			s -= ri[j] * x[j]
 		}
 		x[i] = s / ri[i]
 	}
-	return x, nil
+	return 0, 0, true
 }
 
 // MaxAbsDiff returns the largest absolute element-wise difference between

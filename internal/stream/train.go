@@ -21,8 +21,10 @@ func TrainProfiles(ds *timeseries.Dataset, sigmaMult float64) (map[timeseries.ID
 	out := make(map[timeseries.ID]Profile, len(ds.Series))
 	plan := threeline.NewPlan(ds.Temperature, threeline.DefaultConfig())
 	var sc threeline.Scratch
+	parPlan := par.NewPlan(ds.Temperature, par.DefaultOrder)
+	var parScratch par.Scratch
 	for _, s := range ds.Series {
-		pr, err := par.Compute(s, ds.Temperature)
+		pr, err := parPlan.Compute(s, &parScratch)
 		if err != nil {
 			return nil, err
 		}

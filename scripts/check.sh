@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check.sh is the single verification entrypoint for the repo: build,
 # vet, the repo-native smlint analyzers, the full test suite under the
-# race detector, then the benchmark module's own vet and tests. CI runs
-# exactly this script; run it locally before sending a PR.
+# race detector, the PAR kernel's fuzz and benchmark smoke, then the
+# benchmark module's own vet and tests. CI runs exactly this script; run
+# it locally before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +44,15 @@ go test -race -run 'Recovery|Crash|WAL' ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+# The planned PAR kernel against the textbook one it replaced: a short
+# coverage-guided pass beyond the property test's draws (bit for bit, no
+# panic), and one iteration of each PAR benchmark so that they keep
+# compiling and running.
+echo "== go test -fuzz FuzzPlannedPARMatchesNaive -fuzztime 10s ./internal/par (planned PAR == naive)"
+go test -run '^$' -fuzz 'FuzzPlannedPARMatchesNaive' -fuzztime 10s ./internal/par
+echo "== go test -bench PAR -benchtime 1x ./internal/par"
+go test -run xxx -bench 'PAR' -benchtime 1x ./internal/par
 
 # bench/ is a module of its own, so none of the ./... above reaches it.
 # Its tests run both workloads end to end at -scale tiny and hold every
