@@ -56,7 +56,6 @@ func runExperiments(args []string) error {
 	scaleName := fs.String("scale", "default", "workload scale: small or default")
 	workdir := fs.String("workdir", "", "working directory (default: a temp dir)")
 	seed := fs.Int64("seed", 42, "data generation seed")
-	prefetchName := fs.String("prefetch", "auto", "extraction prefetcher: auto (overlap when eligible) or off (serial extraction)")
 	policyName := fs.String("failpolicy", "failfast", "per-consumer failure policy: failfast, quarantine or repair")
 	timeout := fs.Duration("timeout", 0, "per-run deadline (0 = none), e.g. 30s")
 	memBudgetStr := fs.String("membudget", "", "column-store decoded-block cache cap, e.g. 256MiB or 1GiB (default: unbudgeted in-core)")
@@ -90,16 +89,7 @@ func runExperiments(args []string) error {
 	default:
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
-	var prefetch core.PrefetchMode
-	switch *prefetchName {
-	case "auto":
-		prefetch = core.PrefetchAuto
-	case "off":
-		prefetch = core.PrefetchOff
-	default:
-		return fmt.Errorf("unknown prefetch mode %q (want auto or off)", *prefetchName)
-	}
-	policy, err := parseFailPolicy(*policyName)
+	policy, err := core.ParseFailPolicy(*policyName)
 	if err != nil {
 		return err
 	}
@@ -133,7 +123,6 @@ func runExperiments(args []string) error {
 			WorkDir:    filepath.Join(dir, e.ID),
 			Scale:      scale,
 			Seed:       *seed,
-			Prefetch:   prefetch,
 			FailPolicy: policy,
 			Timeout:    *timeout,
 			MemBudget:  memBudget,
@@ -163,11 +152,6 @@ func parseMemBudget(s string) (int64, error) {
 	return v, nil
 }
 
-// parseFailPolicy maps the -failpolicy flag to a core.FailPolicy.
-func parseFailPolicy(name string) (core.FailPolicy, error) {
-	return core.ParseFailPolicy(name)
-}
-
 func usage() {
 	fmt.Fprint(os.Stderr, `smbench - smart meter analytics benchmark (EDBT 2015 reproduction)
 
@@ -177,7 +161,6 @@ commands:
       -scale small|default   workload size (default: default)
       -workdir DIR           keep generated data here
       -seed N                data generation seed
-      -prefetch auto|off     overlapped extraction (default: auto; off pins the serial path)
       -failpolicy P          per-consumer failure policy: failfast (default), quarantine, repair
       -timeout D             per-run deadline, e.g. 30s (default: none)
       -membudget SIZE        cap the column store's decoded-block cache, e.g. 256MiB;

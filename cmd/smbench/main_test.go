@@ -2,8 +2,6 @@ package main
 
 import (
 	"testing"
-
-	"github.com/smartmeter/smartbench/internal/core"
 )
 
 func TestRunList(t *testing.T) {
@@ -24,6 +22,7 @@ func TestRunValidation(t *testing.T) {
 		{"run", "unknown-experiment"},
 		{"run", "-failpolicy", "bogus", "fig4"},
 		{"run", "-timeout", "-3s", "fig4"},
+		{"run", "-prefetch", "off", "fig4"},
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {
@@ -38,22 +37,6 @@ func TestRunOneExperimentSmallScale(t *testing.T) {
 	}
 	if err := run([]string{"run", "-scale", "small", "-workdir", t.TempDir(), "table1"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParseFailPolicy(t *testing.T) {
-	for name, want := range map[string]core.FailPolicy{
-		"failfast":   core.FailFast,
-		"quarantine": core.Quarantine,
-		"repair":     core.Repair,
-	} {
-		got, err := parseFailPolicy(name)
-		if err != nil || got != want {
-			t.Errorf("parseFailPolicy(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := parseFailPolicy("maybe"); err == nil {
-		t.Error("parseFailPolicy(maybe): want error")
 	}
 }
 

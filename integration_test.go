@@ -84,32 +84,22 @@ func TestAllEnginesAgree(t *testing.T) {
 			t.Fatalf("%s load: %v", e.Name(), err)
 		}
 	}
-	// Each task runs twice per engine: once with the prefetcher free to
-	// overlap extraction over partitioned cursors, once pinned to the
-	// serial path. Both must match the single-threaded reference — the
-	// reorder stage makes the overlapped path indistinguishable from
-	// serial in its output.
-	modes := []struct {
-		name     string
-		prefetch core.PrefetchMode
-	}{
-		{"prefetch", core.PrefetchAuto},
-		{"serial", core.PrefetchOff},
-	}
+	// Each task runs per engine at one worker (the inline loop) and at
+	// four (the pipeline). Both must match the single-threaded reference.
 	for _, task := range core.Tasks {
 		want, err := core.RunReference(ref, core.Spec{Task: task, K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range modes {
-			spec := core.Spec{Task: task, K: 3, Workers: 4, Prefetch: m.prefetch}
+		for _, workers := range []int{1, 4} {
+			spec := core.Spec{Task: task, K: 3, Workers: workers}
 			for _, e := range engines {
 				got, err := e.Run(spec)
 				if err != nil {
-					t.Fatalf("%s %v (%s): %v", e.Name(), task, m.name, err)
+					t.Fatalf("%s %v (W=%d): %v", e.Name(), task, workers, err)
 				}
 				if got.Count() != want.Count() {
-					t.Fatalf("%s %v (%s): count %d vs %d", e.Name(), task, m.name, got.Count(), want.Count())
+					t.Fatalf("%s %v (W=%d): count %d vs %d", e.Name(), task, workers, got.Count(), want.Count())
 				}
 				assertResultsEqual(t, e.Name(), got, want)
 			}

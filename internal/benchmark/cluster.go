@@ -76,7 +76,7 @@ func Fig11(opts Options) (*Report, error) {
 			if _, err := colE.Load(srcs.unpartRPL); err != nil {
 				return nil, err
 			}
-			dCol, err := timeEngine(&opts, colE, core.Spec{Task: task, Workers: 8, Prefetch: opts.Prefetch})
+			dCol, err := timeEngine(&opts, colE, core.Spec{Task: task, Workers: 8})
 			if err != nil {
 				return nil, err
 			}
@@ -86,11 +86,11 @@ func Fig11(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task, Prefetch: opts.Prefetch})
+			dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task})
 			if err != nil {
 				return nil, err
 			}
-			dHive, err := timeEngine(&opts, hive, core.Spec{Task: task, Prefetch: opts.Prefetch})
+			dHive, err := timeEngine(&opts, hive, core.Spec{Task: task})
 			if err != nil {
 				return nil, err
 			}
@@ -129,15 +129,15 @@ func Fig12(opts Options) (*Report, error) {
 		return nil, err
 	}
 	for _, task := range core.Tasks {
-		dCol, err := timeEngine(&opts, colE, core.Spec{Task: task, Workers: 8, Prefetch: opts.Prefetch})
+		dCol, err := timeEngine(&opts, colE, core.Spec{Task: task, Workers: 8})
 		if err != nil {
 			return nil, err
 		}
-		dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task, Prefetch: opts.Prefetch})
+		dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task})
 		if err != nil {
 			return nil, err
 		}
-		dHive, err := timeEngine(&opts, hive, core.Spec{Task: task, Prefetch: opts.Prefetch})
+		dHive, err := timeEngine(&opts, hive, core.Spec{Task: task})
 		if err != nil {
 			return nil, err
 		}
@@ -175,11 +175,11 @@ func formatExecTimes(opts Options, id, title string, write func(n int) (*meterda
 			if err != nil {
 				return nil, err
 			}
-			dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task, Prefetch: opts.Prefetch})
+			dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task})
 			if err != nil {
 				return nil, fmt.Errorf("%s %v spark: %w", id, task, err)
 			}
-			dHive, err := timeEngine(&opts, hive, core.Spec{Task: task, Prefetch: opts.Prefetch})
+			dHive, err := timeEngine(&opts, hive, core.Spec{Task: task})
 			if err != nil {
 				return nil, fmt.Errorf("%s %v hive: %w", id, task, err)
 			}
@@ -252,11 +252,11 @@ func nodeSweep(opts Options, id, title string, src *meterdata.Source, hiveOpts [
 			return nil, err
 		}
 		for _, task := range tasks {
-			dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task, Prefetch: opts.Prefetch})
+			dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task})
 			if err != nil {
 				return nil, err
 			}
-			dHive, err := timeEngine(&opts, hive, core.Spec{Task: task, Prefetch: opts.Prefetch})
+			dHive, err := timeEngine(&opts, hive, core.Spec{Task: task})
 			if err != nil {
 				return nil, err
 			}
@@ -316,12 +316,12 @@ func Fig15(opts Options) (*Report, error) {
 			}
 			cluster := fsys.Cluster()
 			cluster.ResetStats()
-			if _, err := opts.run(spark, core.Spec{Task: task, Prefetch: opts.Prefetch}); err != nil {
+			if _, err := opts.run(spark, core.Spec{Task: task}); err != nil {
 				return nil, err
 			}
 			sparkMem := cluster.Stats().PeakMemory()
 			cluster.ResetStats()
-			if _, err := opts.run(hive, core.Spec{Task: task, Prefetch: opts.Prefetch}); err != nil {
+			if _, err := opts.run(hive, core.Spec{Task: task}); err != nil {
 				return nil, err
 			}
 			hiveMem := cluster.Stats().PeakMemory()
@@ -382,11 +382,11 @@ func Fig18(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task, Prefetch: opts.Prefetch})
+			dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task})
 			if err != nil {
 				return nil, err
 			}
-			dUDTF, err := timeEngine(&opts, hiveUDTF, core.Spec{Task: task, Prefetch: opts.Prefetch})
+			dUDTF, err := timeEngine(&opts, hiveUDTF, core.Spec{Task: task})
 			if err != nil {
 				return nil, err
 			}
@@ -394,7 +394,7 @@ func Fig18(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			dUDAF, err := timeEngine(&opts, hiveUDAF, core.Spec{Task: task, Prefetch: opts.Prefetch})
+			dUDAF, err := timeEngine(&opts, hiveUDAF, core.Spec{Task: task})
 			if err != nil {
 				return nil, err
 			}
@@ -456,7 +456,7 @@ func TaskSweep(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, err := timeEngine(&opts, hive, core.Spec{Task: core.TaskThreeLine, Prefetch: opts.Prefetch})
+		d, err := timeEngine(&opts, hive, core.Spec{Task: core.TaskThreeLine})
 		if err != nil {
 			return nil, err
 		}

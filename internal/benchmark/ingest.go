@@ -116,7 +116,7 @@ func Ingest(opts Options) (*Report, error) {
 			}
 			lagStart := time.Now()
 			res, epoch, err := exec.RunSnapshot(context.Background(), e.eng,
-				core.Spec{Task: core.TaskHistogram, Workers: ingestWriters, Prefetch: opts.Prefetch})
+				core.Spec{Task: core.TaskHistogram, Workers: ingestWriters})
 			if err != nil {
 				cancel()
 				return nil, fmt.Errorf("ingest %s wal=%s: %w", e.name, mode.name, err)

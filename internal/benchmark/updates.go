@@ -91,7 +91,7 @@ func Updates(opts Options) (*Report, error) {
 		}
 		// Verify the appended data is visible: every consumer's series
 		// grew by one day.
-		res, err := opts.run(e.eng, core.Spec{Task: core.TaskHistogram, Prefetch: opts.Prefetch})
+		res, err := opts.run(e.eng, core.Spec{Task: core.TaskHistogram})
 		if err != nil {
 			return nil, err
 		}

@@ -22,7 +22,6 @@ import (
 	"github.com/smartmeter/smartbench/internal/histogram"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/par"
-	"github.com/smartmeter/smartbench/internal/sched"
 	"github.com/smartmeter/smartbench/internal/similarity"
 	"github.com/smartmeter/smartbench/internal/threeline"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -61,22 +60,6 @@ func (t Task) String() string {
 	}
 }
 
-// PrefetchMode selects how the execution pipeline drives extraction.
-type PrefetchMode int
-
-const (
-	// PrefetchAuto (the zero value) lets the pipeline overlap extraction
-	// with compute whenever the engine exposes disjoint partition
-	// cursors (PartitionedSource), the task streams per-consumer, and
-	// more than one worker is in play; otherwise extraction stays
-	// serial.
-	PrefetchAuto PrefetchMode = iota
-	// PrefetchOff forces the serial single-cursor extract path — the
-	// A/B baseline for the overlapped pipeline (scripts/bench.sh,
-	// BENCH_extract.json) and the `smbench -prefetch=off` escape hatch.
-	PrefetchOff
-)
-
 // Spec parameterizes a task execution.
 type Spec struct {
 	Task Task
@@ -89,10 +72,6 @@ type Spec struct {
 	// Workers is the intra-engine parallelism degree; 0 or 1 means
 	// single-threaded (paper §5.3.3 vs §5.3.4).
 	Workers int
-	// Prefetch gates the overlapped extraction path (PrefetchAuto
-	// overlaps when possible; PrefetchOff pins the serial extract).
-	// Either way results are bit-identical to RunReference.
-	Prefetch PrefetchMode
 	// FailPolicy selects per-consumer failure containment (see the
 	// FailPolicy constants). The zero value FailFast keeps the
 	// pre-containment semantics: any error aborts the run.
@@ -289,90 +268,6 @@ func RunReference(d *timeseries.Dataset, spec Spec) (*Results, error) {
 		out.Similar = rs
 	default:
 		return nil, fmt.Errorf("core: unknown task %v", spec.Task)
-	}
-	return out, nil
-}
-
-// runParallelBlock is the number of consumers a RunParallel worker
-// claims per scheduler pull. One consumer per claim balances best: a
-// single PAR fit dwarfs the cost of an atomic counter increment.
-const runParallelBlock = 1
-
-// RunParallel is RunReference with the per-consumer tasks dynamically
-// scheduled over spec.Workers goroutines (the similarity task already
-// honours Workers internally): workers pull consumer blocks off a
-// shared counter (internal/sched) rather than owning static ranges, so
-// an uneven split cannot strand a straggler. Result order matches
-// d.Series order. Cancelling ctx stops further claims; the first
-// worker to observe the cancellation returns ctx's error.
-//
-// Engines no longer call this — their Run goes through the cursor
-// pipeline in internal/exec — but it is kept as the pre-pipeline
-// harness baseline: tests pin parallel output against it, and the
-// pipeline-vs-legacy benchmark (scripts/bench.sh, BENCH_pipeline.json)
-// measures the pipeline's overhead relative to it.
-func RunParallel(ctx context.Context, d *timeseries.Dataset, spec Spec) (*Results, error) {
-	spec = spec.WithDefaults()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if spec.Workers <= 1 || spec.Task == TaskSimilarity {
-		return RunReference(d, spec)
-	}
-	n := len(d.Series)
-	out := &Results{Task: spec.Task}
-
-	// 3-line and PAR share one plan; every worker slot has its own
-	// scratch.
-	var plan *threeline.Plan
-	var scratch []threeline.Scratch
-	var parPlan *par.Plan
-	var parScratch []par.Scratch
-	switch spec.Task {
-	case TaskHistogram:
-		out.Histograms = make([]*histogram.Result, n)
-	case TaskThreeLine:
-		out.ThreeLines = make([]*threeline.Result, n)
-		plan = threeline.NewPlan(d.Temperature, threeline.DefaultConfig())
-		scratch = make([]threeline.Scratch, spec.Workers)
-	case TaskPAR:
-		out.Profiles = make([]*par.Result, n)
-		parPlan = par.NewPlan(d.Temperature, spec.Order)
-		parScratch = make([]par.Scratch, spec.Workers)
-	default:
-		return nil, fmt.Errorf("core: unknown task %v", spec.Task)
-	}
-
-	if err := sched.Run(n, runParallelBlock, spec.Workers, func(w, lo, hi int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for i := lo; i < hi; i++ {
-			s := d.Series[i]
-			switch spec.Task {
-			case TaskHistogram:
-				r, err := histogram.ComputeBuckets(s, spec.Buckets)
-				if err != nil {
-					return err
-				}
-				out.Histograms[i] = r
-			case TaskThreeLine:
-				r, _, err := plan.Compute(s, &scratch[w])
-				if err != nil {
-					return err
-				}
-				out.ThreeLines[i] = r
-			case TaskPAR:
-				r, err := parPlan.Compute(s, &parScratch[w])
-				if err != nil {
-					return err
-				}
-				out.Profiles[i] = r
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

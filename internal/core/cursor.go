@@ -18,6 +18,15 @@ import (
 // bit-identical result order the integration tests pin. A Cursor is not
 // safe for concurrent use; the pipeline drives it from a single
 // goroutine.
+//
+// A yielded series stays valid: once Next has returned a
+// *timeseries.Series, the cursor never writes to it or to its Readings
+// again, through later Next calls and Close. At more than one worker
+// the pipeline holds up to two blocks of series per cursor and one per
+// worker while the cursor keeps advancing, so a cursor that decodes into
+// a buffer must take a fresh one per series rather than recycle it. (A
+// replay after Reset may decode the same values into the same buffers;
+// nothing resets a cursor while holding series from it.)
 type Cursor interface {
 	// Next returns the next consumer's series, or io.EOF when the cursor
 	// is exhausted (or closed).

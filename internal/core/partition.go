@@ -8,18 +8,20 @@ package core
 // are bulk-loaded in household order), the column store by consumer
 // segment groups, and the cluster engines by RDD partition / DFS split.
 //
-// The execution pipeline (internal/exec) uses it to overlap extraction
-// with compute: one decode goroutine per partition cursor feeds a
-// bounded channel of series blocks that compute workers drain.
+// The execution pipeline (internal/exec) uses it, at more than one
+// worker, to extract in parallel as well as overlapped with compute: one
+// decode goroutine per partition cursor feeds a bounded channel of
+// series blocks that compute workers drain. A source without it is
+// drained by one decode goroutine over its NewCursor.
 type PartitionedSource interface {
 	// NewCursors opens up to max independent cursors that jointly cover
 	// the loaded dataset exactly once: partitions are pairwise disjoint
 	// and the union of their household IDs equals the full cursor's ID
 	// set. Each returned cursor honours the Cursor contract within its
 	// partition (ascending IDs, EOF stability, Reset replay, idempotent
-	// Close). Implementations may return fewer than max cursors — a
-	// single cursor tells the caller to fall back to the serial path —
-	// but never more, and max must be >= 1.
+	// Close). Implementations may return fewer than max cursors — one
+	// when the storage cannot be split, none when it is empty — but
+	// never more, and max must be >= 1.
 	//
 	// The cursors may be driven concurrently, one goroutine per cursor;
 	// Close on each is required regardless of how far it was drained.

@@ -5,13 +5,11 @@ import "time"
 // PhaseStat describes one stage of the execution pipeline for a single
 // Run: how long it took and how much data moved through it.
 type PhaseStat struct {
-	// Wall is the stage's accumulated busy time: on the serial path the
-	// stages alternate on one goroutine, so it equals elapsed wall
-	// clock; under the overlapped prefetch path it is the sum of the
-	// per-goroutine busy-time accumulators of the stage's extract or
-	// compute goroutines, gathered after the joins. Busy sums stay
-	// truthful under overlap — the stages run concurrently, so their
-	// summed busy time can (and should) exceed the Run's elapsed time.
+	// Wall is the stage's busy time, summed over the goroutines that
+	// ran it. At one worker a single goroutine alternates between the
+	// stages, so it is elapsed wall clock; at more, the extract and
+	// compute goroutines run concurrently, so the stages' summed busy
+	// time can (and should) exceed the Run's elapsed time.
 	Wall time.Duration
 	// Rows is the number of consumer series the stage handled.
 	Rows int64
@@ -48,10 +46,9 @@ type Phases struct {
 	DecodedBlocks int64
 }
 
-// Total returns the summed busy time of all three stages. On the
-// serial path this equals the Run's elapsed time; under overlapped
-// extraction it is an upper bound on it (work done concurrently counts
-// once per goroutine).
+// Total returns the summed busy time of all three stages. At one
+// worker it never exceeds the Run's elapsed time; at more it can, since
+// work done concurrently counts once per goroutine.
 func (p *Phases) Total() time.Duration {
 	return p.Extract.Wall + p.Compute.Wall + p.Emit.Wall
 }

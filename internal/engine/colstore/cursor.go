@@ -90,7 +90,7 @@ func (c *flatCursor) SizeHint() (int, bool) { return c.st.consumers, true }
 // consumer segments [lo, hi) — a partition cursor. Each partition owns
 // its own flat buffer so concurrent decode goroutines never share a
 // write target, and unlike the full cursor it never installs the
-// decoded dataset on the engine (that cache is the serial path's and
+// decoded dataset on the engine (that cache is the full cursor's and
 // Warm's job; installing from racing partitions would need
 // synchronization for no benefit).
 type flatRangeCursor struct {

@@ -98,4 +98,14 @@ func TestSegmentCursorInstallsDecoded(t *testing.T) {
 	if got := len(e.decoded.Series); got != 4 {
 		t.Fatalf("cached dataset has %d series, want 4", got)
 	}
+
+	// A cold one-worker run drains that same cursor on the calling
+	// goroutine, so it leaves the engine warm too.
+	e.decoded = nil
+	if _, err := e.Run(core.Spec{Task: core.TaskThreeLine, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if e.decoded == nil || len(e.decoded.Series) != 4 {
+		t.Fatal("a cold one-worker run did not leave the decoded dataset on the engine")
+	}
 }

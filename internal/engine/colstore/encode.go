@@ -10,8 +10,7 @@ import (
 
 // encodePool fans per-consumer block encoding out over a fixed worker
 // pool while keeping file writes in appended order, so a pool-encoded
-// segment is byte-identical to a serial one. The shape is the same
-// deterministic-reorder discipline the exec prefetcher uses:
+// segment is byte-identical to a serial one:
 //
 //	Append → copy readings → jobs ──► workers (quantize + encodeConsumer)
 //	                                     │

@@ -194,7 +194,7 @@ func (e *Engine) NewCursor() (core.Cursor, error) {
 // construction), and consumer-ID ranges of the shared big-file index
 // for an unpartitioned reading-per-line source. An unpartitioned
 // series-per-line source is one sequential read, so it yields a single
-// cursor — the serial fallback.
+// cursor.
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("filestore: NewCursors: max must be >= 1, got %d", max)

@@ -257,7 +257,7 @@ func seriesFromValues(values []interface{}) ([]*timeseries.Series, error) {
 // cursor runs its own map-only job over its shard on first Next; the
 // temperature broadcast is shared and happens once. The UDAF plan
 // funnels through a cluster-wide shuffle into one reduce output stream,
-// so it (like single-file inputs) falls back to a single cursor.
+// so it (like single-file inputs) yields a single cursor.
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("mapreduce: NewCursors: max must be >= 1, got %d", max)

@@ -212,7 +212,8 @@ func (j *sharedJob) release() {
 // RDD partitions of the shared extraction job. Households are
 // hash-partitioned across the RDD (or grouped per input file), so each
 // cursor's ID set is disjoint from the others' but their ranges
-// interleave — the pipeline's reorder stage restores global order.
+// interleave — the pipeline's final sort by household ID restores global
+// order.
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("rdd: NewCursors: max must be >= 1, got %d", max)

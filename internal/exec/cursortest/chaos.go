@@ -340,10 +340,7 @@ func chaosDrain(t *testing.T, cur *fault.Cursor) (served []snapshot, failed []ti
 			continue
 		}
 		attempts = 0
-		served = append(served, snapshot{
-			id:       s.ID,
-			readings: append([]float64(nil), s.Readings...),
-		})
+		served = append(served, snap(s))
 	}
 }
 

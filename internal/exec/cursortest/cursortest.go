@@ -1,8 +1,9 @@
 // Package cursortest is a conformance suite for core.Cursor
 // implementations. Every engine's cursor is run through the same
 // checks: it exhausts to io.EOF and stays exhausted, Reset replays the
-// identical sequence, Close is idempotent, and a partial read followed
-// by Close leaks neither goroutines nor file descriptors.
+// identical sequence, a series it has yielded is never written again,
+// Close is idempotent, and a partial read followed by Close leaks
+// neither goroutines nor file descriptors.
 //
 // RunPartitioned is the companion suite for core.PartitionedSource: the
 // partition cursors must be pairwise disjoint, their union must equal
@@ -26,10 +27,40 @@ import (
 )
 
 // snapshot is one drained series, with readings copied out so a
-// replay's buffer reuse cannot alias the first pass.
+// replay's buffer reuse cannot alias the first pass. src is the series
+// as the cursor yielded it.
 type snapshot struct {
 	id       timeseries.ID
 	readings []float64
+	src      *timeseries.Series
+}
+
+func snap(s *timeseries.Series) snapshot {
+	return snapshot{id: s.ID, readings: append([]float64(nil), s.Readings...), src: s}
+}
+
+// sameSeries fails the test unless got holds the same households with
+// the same readings, bit for bit, as want.
+func sameSeries(t *testing.T, what string, got, want []snapshot) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d series, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].id != want[i].id {
+			t.Fatalf("%s: series %d has ID %d, want %d", what, i, got[i].id, want[i].id)
+		}
+		if len(got[i].readings) != len(want[i].readings) {
+			t.Fatalf("%s: series %d has %d readings, want %d",
+				what, i, len(got[i].readings), len(want[i].readings))
+		}
+		for j := range want[i].readings {
+			if !stats.ExactEqual(got[i].readings[j], want[i].readings[j]) {
+				t.Fatalf("%s: series %d reading %d is %v, want %v",
+					what, i, j, got[i].readings[j], want[i].readings[j])
+			}
+		}
+	}
 }
 
 // Run exercises one cursor implementation. open must return a fresh
@@ -64,25 +95,28 @@ func Run(t *testing.T, open func(t *testing.T) core.Cursor) {
 		if err := cur.Reset(); err != nil {
 			t.Fatalf("Reset: %v", err)
 		}
-		second := drain(t, cur)
-		if len(first) != len(second) {
-			t.Fatalf("replay yielded %d series, first pass %d", len(second), len(first))
+		sameSeries(t, "replay", drain(t, cur), first)
+	})
+
+	// The pipeline holds yielded series while the cursor advances, so a
+	// cursor that recycled a row buffer would corrupt a run at more than
+	// one worker. drain copies at yield time; the pointers kept beside
+	// the copies show what the cursor did to the originals afterwards.
+	t.Run("YieldedSeriesStayValid", func(t *testing.T) {
+		cur := open(t)
+		yielded := drain(t, cur)
+		now := func() []snapshot {
+			out := make([]snapshot, len(yielded))
+			for i, y := range yielded {
+				out[i] = snap(y.src)
+			}
+			return out
 		}
-		for i := range first {
-			if first[i].id != second[i].id {
-				t.Fatalf("series %d: replay ID %d, first pass %d", i, second[i].id, first[i].id)
-			}
-			if len(first[i].readings) != len(second[i].readings) {
-				t.Fatalf("series %d: replay has %d readings, first pass %d",
-					i, len(second[i].readings), len(first[i].readings))
-			}
-			for j := range first[i].readings {
-				if !stats.ExactEqual(first[i].readings[j], second[i].readings[j]) {
-					t.Fatalf("series %d reading %d: replay %v, first pass %v",
-						i, j, second[i].readings[j], first[i].readings[j])
-				}
-			}
+		sameSeries(t, "yielded series after EOF", now(), yielded)
+		if err := cur.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
 		}
+		sameSeries(t, "yielded series after Close", now(), yielded)
 	})
 
 	t.Run("CloseIdempotent", func(t *testing.T) {
@@ -264,10 +298,7 @@ func drain(t *testing.T, cur core.Cursor) []snapshot {
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}
-		out = append(out, snapshot{
-			id:       s.ID,
-			readings: append([]float64(nil), s.Readings...),
-		})
+		out = append(out, snap(s))
 	}
 }
 

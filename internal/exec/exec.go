@@ -6,26 +6,24 @@
 // The split of responsibilities mirrors the paper's cost anatomy
 // (Figure 6): the *engine* owns extraction — its native decode path,
 // exposed as a cursor — while the pipeline owns task dispatch, worker
-// fan-out (internal/sched), and deterministic result assembly. Engines
-// therefore shrink to Load + NewCursor + capabilities; none of them
-// re-implements task switching.
+// fan-out, and deterministic result assembly. Engines therefore shrink
+// to Load + NewCursor + capabilities; none of them re-implements task
+// switching.
 //
-// Per-consumer tasks stream: the pipeline pulls a small block of series
-// off the cursor (extract), fans the task kernel out over workers
-// (compute), and appends the block's results in cursor order (emit).
-// Blocks keep a partitioned file engine's memory flat (Figure 8) while
-// still feeding enough work per scheduling round. The whole-dataset
+// The worker count alone picks how a per-consumer task runs. With one
+// worker (the paper's single-threaded runs, §5.3.3) everything happens
+// on the calling goroutine: pull a small block of series off the cursor
+// (extract), run the kernel over it (compute), append the results
+// (emit), repeat — the stages alternate, so their times add up to the
+// run's. With more (§5.3.4) the run is a pipeline (prefetch.go): one
+// decode goroutine per cursor — the source's disjoint partitions when
+// it is a core.PartitionedSource, its one cursor otherwise — fills a
+// bounded channel of blocks that the workers drain, and the results are
+// put in household-ID order once, at the end. Blocks keep a streaming
+// engine's memory flat (Figure 8) either way. The whole-dataset
 // similarity task instead materializes the cursor once and runs the
 // blocked kernel; a warm engine's DatasetCursor short-circuits that
 // materialization so the dataset's cached flat-matrix packing survives.
-//
-// When the engine also implements core.PartitionedSource and the spec
-// asks for more than one worker, streaming tasks take the overlapped
-// path instead (prefetch.go): decode goroutines drain disjoint
-// partition cursors into a bounded block channel that compute workers
-// consume, phase times become per-goroutine busy sums, and a reorder
-// stage keyed by household ID keeps results bit-identical to the serial
-// path. core.PrefetchOff pins the serial path for A/B runs.
 //
 // # Failure containment
 //
@@ -61,7 +59,6 @@ import (
 	"github.com/smartmeter/smartbench/internal/histogram"
 	"github.com/smartmeter/smartbench/internal/impute"
 	"github.com/smartmeter/smartbench/internal/par"
-	"github.com/smartmeter/smartbench/internal/sched"
 	"github.com/smartmeter/smartbench/internal/similarity"
 	"github.com/smartmeter/smartbench/internal/threeline"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -84,8 +81,8 @@ type ParallelHinter interface {
 	ParallelHint() int
 }
 
-// NewDatasetSource adapts an in-memory dataset to Source. Tests and the
-// pipeline-vs-legacy benchmark use it as the minimal engine.
+// NewDatasetSource adapts an in-memory dataset to Source: the minimal
+// engine, and one that is not partitioned.
 func NewDatasetSource(ds *timeseries.Dataset) Source { return datasetSource{ds: ds} }
 
 type datasetSource struct{ ds *timeseries.Dataset }
@@ -96,10 +93,10 @@ func (s datasetSource) Temperature() (*timeseries.Temperature, error) {
 	return s.ds.Temperature, nil
 }
 
-// blockFor sizes the extract block: enough rows to keep every worker
-// busy for a few scheduler pulls, small enough that a streaming cursor
-// (the partitioned file engine, the row store) holds only a bounded
-// number of decoded series at a time.
+// blockFor sizes the extract block: large enough that handing one to a
+// worker costs little beside computing it, small enough that a streaming
+// cursor (the partitioned file engine, the row store) holds only a
+// bounded number of decoded series at a time.
 func blockFor(workers int) int {
 	b := 4 * workers
 	if b < 16 {
@@ -143,8 +140,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // contain carries one run's failure-containment state: the policy and
 // the quarantined consumers. add is safe for concurrent use (the
-// overlapped path's decode goroutines and compute workers share one
-// collector).
+// pipeline's decode goroutines and compute workers share one collector).
 type contain struct {
 	policy core.FailPolicy
 
@@ -284,11 +280,10 @@ func Run(src Source, spec core.Spec) (*core.Results, error) {
 
 // RunContext executes one task from the source's cursor through the
 // instrumented three-stage pipeline. Result order is ascending
-// household ID — the order the Cursor contract fixes for serial
-// extraction and the order core.RunReference produces — so engines stay
-// bit-identical to the oracle on both the serial and the overlapped
-// path. Cancelling ctx stops the run promptly with every pipeline
-// goroutine joined and every cursor closed.
+// household ID — the order the Cursor contract fixes and the order
+// core.RunReference produces — so engines stay bit-identical to the
+// oracle at every worker count. Cancelling ctx stops the run promptly
+// with every pipeline goroutine joined and every cursor closed.
 func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results, error) {
 	requested := spec.Workers
 	spec = spec.WithDefaults()
@@ -329,66 +324,60 @@ func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results,
 	return out, nil
 }
 
-// dispatch picks the path a run takes and runs it.
+// dispatch picks the path a run takes and runs it. Each path opens and
+// closes its own cursors.
 func dispatch(ctx context.Context, src Source, temp *timeseries.Temperature, k *kernel, workers int, out *core.Results, cn *contain) error {
-	spec, ph := k.spec, out.Phases
-
-	// Compressed-domain fast path: the histogram task over a source that
+	if k.spec.Task == core.TaskSimilarity {
+		return runSimilarity(ctx, src, temp, k.spec, workers, out, cn)
+	}
+	// Compressed-domain path: the histogram task over a source that
 	// publishes per-block summaries skips decoding blocks whose min and
-	// max share a bucket. Results are bit-identical to the cursor
-	// pipeline (see summary.go for the argument); fault-injecting
-	// wrappers don't forward SummarySource, so chaos runs keep
-	// exercising the generic path.
-	if ss, ok := summaryHistogramApplies(src, spec); ok {
+	// max share a bucket. Results are bit-identical to the cursor paths
+	// (see summary.go for the argument); fault-injecting wrappers don't
+	// forward SummarySource, so chaos runs keep exercising the cursors.
+	if ss, ok := summaryHistogramApplies(src, k.spec); ok {
 		return runHistogramSummaries(ctx, ss, k, out)
 	}
-
-	// Overlapped extraction: streaming task + >1 worker + engine exposes
-	// disjoint partitions + the spec didn't pin the serial path. A
-	// single-partition answer falls back to the serial loop over that
-	// cursor; an empty one to the plain NewCursor path.
-	if spec.Task != core.TaskSimilarity && workers > 1 && spec.Prefetch != core.PrefetchOff {
-		if ps, ok := src.(core.PartitionedSource); ok {
-			start := time.Now()
-			curs, err := ps.NewCursors(workers)
-			ph.Extract.Wall += time.Since(start)
-			if err != nil {
-				return err
-			}
-			for _, cur := range curs {
-				core.BindContext(cur, ctx)
-			}
-			if len(curs) >= 2 {
-				return runPrefetch(ctx, curs, k, workers, out, cn)
-			}
-			if len(curs) == 1 {
-				cur := curs[0]
-				defer func() { _ = cur.Close() }()
-				return runStreaming(ctx, cur, k, workers, out, cn)
-			}
-		}
+	if workers == 1 {
+		return runStreaming(ctx, src, k, out, cn)
 	}
+	return runPrefetch(ctx, src, k, workers, out, cn)
+}
 
+// openCursors opens the cursors that between them cover the source,
+// bound to ctx, and books the time to extraction: up to max disjoint
+// partitions when max > 1 and the source has them (it may answer with
+// one, or with none when it is empty), otherwise its one cursor.
+func openCursors(ctx context.Context, src Source, max int, ph *core.Phases) (curs []core.Cursor, err error) {
 	start := time.Now()
-	cur, err := src.NewCursor()
+	if ps, ok := src.(core.PartitionedSource); ok && max > 1 {
+		curs, err = ps.NewCursors(max)
+	} else {
+		curs = make([]core.Cursor, 1)
+		curs[0], err = src.NewCursor()
+	}
 	ph.Extract.Wall += time.Since(start)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	core.BindContext(cur, ctx)
-	defer func() { _ = cur.Close() }()
-
-	if spec.Task == core.TaskSimilarity {
-		return runSimilarity(ctx, cur, temp, spec, workers, out, cn)
+	for _, cur := range curs {
+		core.BindContext(cur, ctx)
 	}
-	return runStreaming(ctx, cur, k, workers, out, cn)
+	return curs, nil
 }
 
 // runSimilarity materializes the cursor (extract) and runs the blocked
 // all-pairs kernel (compute); emit is the assignment of the merged
 // top-k lists.
-func runSimilarity(ctx context.Context, cur core.Cursor, temp *timeseries.Temperature, spec core.Spec, workers int, out *core.Results, cn *contain) error {
+func runSimilarity(ctx context.Context, src Source, temp *timeseries.Temperature, spec core.Spec, workers int, out *core.Results, cn *contain) error {
 	ph := out.Phases
+	curs, err := openCursors(ctx, src, 1, ph)
+	if err != nil {
+		return err
+	}
+	cur := curs[0]
+	defer func() { _ = cur.Close() }()
+
 	start := time.Now()
 	ds, err := materialize(ctx, cur, temp, cn)
 	ph.Extract.Wall += time.Since(start)
@@ -440,21 +429,8 @@ func materialize(ctx context.Context, cur core.Cursor, temp *timeseries.Temperat
 			series = make([]*timeseries.Series, 0, n)
 		}
 	}
-	for {
-		s, err := cn.next(ctx, cur)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if s == nil {
-			continue // quarantined
-		}
-		if s = cn.screen(s); s == nil {
-			continue
-		}
-		series = append(series, s)
+	if _, err := fill(ctx, cur, &series, math.MaxInt, cn); err != nil {
+		return nil, err
 	}
 	return &timeseries.Dataset{Series: series, Temperature: temp}, nil
 }
@@ -613,11 +589,19 @@ func emit(out *core.Results, res []fitted) int {
 	return n
 }
 
-// runStreaming is the per-consumer path: extract a block of series,
-// compute the kernel over workers, emit in cursor order, repeat.
-func runStreaming(ctx context.Context, cur core.Cursor, k *kernel, workers int, out *core.Results, cn *contain) error {
+// runStreaming is the per-consumer path at one worker: extract a block
+// of series, compute it, emit it, repeat, all on the calling goroutine,
+// so the three stages' times add up to the run's elapsed time.
+func runStreaming(ctx context.Context, src Source, k *kernel, out *core.Results, cn *contain) error {
 	ph := out.Phases
-	block := blockFor(workers)
+	curs, err := openCursors(ctx, src, 1, ph)
+	if err != nil {
+		return err
+	}
+	cur := curs[0]
+	defer func() { _ = cur.Close() }()
+
+	block := blockFor(1)
 	buf := make([]*timeseries.Series, 0, block)
 	for {
 		buf = buf[:0]
@@ -630,13 +614,9 @@ func runStreaming(ctx context.Context, cur core.Cursor, k *kernel, workers int, 
 		ph.Extract.Rows += int64(len(buf))
 		ph.Extract.Bytes += seriesBytes(buf)
 
-		// Compute fans the block out over the workers; emit keeps block
-		// order.
 		start = time.Now()
 		res := make([]fitted, len(buf))
-		err = sched.Run(len(buf), 1, workers, func(w, lo, hi int) error {
-			return k.computeRange(w, buf[lo:hi], res[lo:hi], cn)
-		})
+		err = k.computeRange(0, buf, res, cn)
 		ph.Compute.Wall += time.Since(start)
 		ph.Compute.Rows += int64(len(buf))
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
@@ -42,6 +43,34 @@ func TestRunMatchesReference(t *testing.T) {
 			})
 		}
 	}
+
+	// Several runs at once over one shared dataset, the shape a serving
+	// layer would produce: every goroutine of every run must treat the
+	// dataset as read-only (go test -race checks that).
+	t.Run("four_callers_one_dataset", func(t *testing.T) {
+		spec := core.Spec{Task: core.TaskHistogram, Workers: 4}
+		want, err := core.RunReference(ds, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		got := make([]*core.Results, 4)
+		errs := make([]error, 4)
+		for c := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[c], errs[c] = Run(NewDatasetSource(ds), spec)
+			}()
+		}
+		wg.Wait()
+		for c := range got {
+			if errs[c] != nil {
+				t.Fatalf("caller %d: %v", c, errs[c])
+			}
+			compareResults(t, got[c], want)
+		}
+	})
 }
 
 // compareResults checks bit-identical agreement with the reference.
@@ -60,10 +89,7 @@ func TestRunPopulatesPhases(t *testing.T) {
 	if ph == nil {
 		t.Fatal("Phases == nil")
 	}
-	if ph.Extract.Rows != 5 || ph.Compute.Rows != 5 || ph.Emit.Rows != 5 {
-		t.Errorf("row counters = %d/%d/%d, want 5/5/5",
-			ph.Extract.Rows, ph.Compute.Rows, ph.Emit.Rows)
-	}
+	checkRows(t, ph, 5)
 	wantBytes := int64(5 * 20 * 24 * 8)
 	if ph.Extract.Bytes != wantBytes {
 		t.Errorf("extract bytes = %d, want %d", ph.Extract.Bytes, wantBytes)

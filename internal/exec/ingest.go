@@ -100,8 +100,8 @@ func (in *Ingestor) deliver(ctx context.Context, stage string, f func([]core.Rea
 // append-driven engine, without pausing ingestion: concurrent Appends
 // land in epochs the snapshot cursor never observes. The snapshot's
 // epoch is returned so callers can tag results with their freshness.
-// The extraction is serial (snapshots expose one cursor); Spec.Workers
-// still parallelizes compute.
+// A snapshot exposes one cursor, so at Spec.Workers > 1 one decode
+// goroutine feeds all the workers.
 func RunSnapshot(ctx context.Context, app core.Appender, spec core.Spec) (*core.Results, core.Epoch, error) {
 	cur, epoch, err := app.Snapshot()
 	if err != nil {

@@ -1,70 +1,63 @@
 package exec
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/histogram"
+	"github.com/smartmeter/smartbench/internal/par"
+	"github.com/smartmeter/smartbench/internal/threeline"
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
-// This file is the overlapped extraction path: when an engine exposes
-// disjoint partition cursors (core.PartitionedSource) and the spec asks
-// for more than one worker on a streaming task, Run hands the cursors to
-// runPrefetch instead of the serial loop. One decode goroutine per
-// partition drains its cursor into a bounded channel of series blocks;
-// compute workers consume blocks as they land, so decode and kernel time
-// overlap instead of alternating. A reorder stage keyed by household ID
-// restores cursor order, keeping every engine bit-identical to
-// core.RunReference.
+// This file is the per-consumer path at more than one worker. One decode
+// goroutine per cursor — the source's disjoint partitions when it is a
+// core.PartitionedSource, its one cursor over everything otherwise —
+// drains it into a bounded channel of series blocks; compute workers
+// consume blocks as they land, so decode and kernel time overlap instead
+// of alternating. The results are put in household-ID order at the end,
+// keeping every engine bit-identical to core.RunReference.
 //
-// Memory stays flat: the channel holds at most two blocks per partition
-// (double buffering — one being filled, one in flight), so a fully
-// backed-up pipeline pins O(partitions × block) series, the same order
-// of residency as the serial path's single block times the worker count.
+// Memory stays flat: the channel holds at most two blocks per cursor
+// (double buffering — one being filled, one in flight) and each worker
+// one more, so a fully backed-up pipeline pins O((cursors + workers) ×
+// block) series. A cursor keeps every series it has yielded intact (the
+// core.Cursor contract), so the blocks in flight stay valid while their
+// cursor advances.
 //
-// Phase accounting moves from the serial stopwatch to per-goroutine
-// busy-time accumulators: each decode goroutine owns one slot of the
-// extract accumulators, each worker one slot of the compute
-// accumulators, and the sums are gathered only after the WaitGroup
-// joins. Under overlap the summed busy time legitimately exceeds the
-// Run's elapsed wall clock — that surplus is the measured overlap.
+// Phase accounting is per-goroutine busy time: each decode goroutine
+// owns one slot of the extract accumulators, each worker one slot of the
+// compute accumulators, and the sums are gathered only after the
+// WaitGroup joins. Under overlap the summed busy time legitimately
+// exceeds the Run's elapsed wall clock — that surplus is the measured
+// overlap.
 //
 // Failure containment composes with the overlap: each decode goroutine
-// runs the same retry/quarantine/repair logic as the serial fill (the
-// shared contain collector is mutex-guarded), a panic in a decode
-// goroutine or compute worker is recovered into the shared error slot
-// instead of killing the process, and cancelling the run context closes
-// the stop channel path so every goroutine parks out promptly.
+// runs the same retry/quarantine/repair logic as the one-worker loop's
+// fill (the shared contain collector is mutex-guarded), a panic in a
+// decode goroutine or compute worker is recovered into the shared error
+// slot instead of killing the process, and cancelling the run context
+// closes the stop channel path so every goroutine parks out promptly.
 
-// prefetchBlock is one extracted block in flight from a partition's
-// decode goroutine to the compute workers.
-type prefetchBlock struct {
-	part, seq int
-	series    []*timeseries.Series
-}
-
-// computedBlock is one block's kernel output, tagged with its origin for
-// the deterministic reorder in emit. Quarantined consumers leave empty
-// slots.
-type computedBlock struct {
-	part, seq int
-	res       []fitted
-}
-
-// runPrefetch drives the overlapped pipeline over the partition cursors.
-// It takes ownership of every cursor in curs and closes them all, and
-// returns only after every goroutine it started has exited.
-func runPrefetch(ctx context.Context, curs []core.Cursor, k *kernel, workers int, out *core.Results, cn *contain) error {
+// runPrefetch drives the pipeline over the source's cursors. It closes
+// every cursor it opened, and returns only after every goroutine it
+// started has exited.
+func runPrefetch(ctx context.Context, src Source, k *kernel, workers int, out *core.Results, cn *contain) error {
 	ph := out.Phases
+	curs, err := openCursors(ctx, src, workers, ph)
+	if err != nil {
+		return err
+	}
 	nparts := len(curs)
 	block := blockFor(workers)
 
 	// Double-buffered and backpressured: a decode goroutine that gets two
 	// blocks ahead of compute parks on the send instead of decoding on.
-	blocks := make(chan prefetchBlock, 2*nparts)
+	blocks := make(chan []*timeseries.Series, 2*nparts)
 	stop := make(chan struct{})
 	var (
 		failOnce sync.Once
@@ -98,9 +91,7 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, k *kernel, workers int
 	// Per-goroutine accumulators: slot p belongs to decode goroutine p,
 	// slot w to compute worker w. No slot is shared, so the writes need
 	// no locks; the sums below happen after the joins.
-	extractBusy := make([]time.Duration, nparts)
-	extractRows := make([]int64, nparts)
-	extractBytes := make([]int64, nparts)
+	extract := make([]core.PhaseStat, nparts)
 
 	var extractWG sync.WaitGroup
 	for p, cur := range curs {
@@ -116,24 +107,22 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, k *kernel, workers int
 					fail(core.NewPanicError(v))
 				}
 			}()
-			seq := 0
 			for {
 				// Fresh buffer per block: the previous one is owned by
 				// whichever worker picked it up.
 				buf := make([]*timeseries.Series, 0, block)
 				t0 := time.Now()
 				drained, err := fill(ctx, cur, &buf, block, cn)
-				extractBusy[p] += time.Since(t0)
+				extract[p].Wall += time.Since(t0)
 				if err != nil {
 					fail(err)
 					return
 				}
-				extractRows[p] += int64(len(buf))
-				extractBytes[p] += seriesBytes(buf)
+				extract[p].Rows += int64(len(buf))
+				extract[p].Bytes += seriesBytes(buf)
 				if len(buf) > 0 {
 					select {
-					case blocks <- prefetchBlock{part: p, seq: seq, series: buf}:
-						seq++
+					case blocks <- buf:
 					case <-stop:
 						return
 					}
@@ -149,13 +138,9 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, k *kernel, workers int
 		close(blocks)
 	}()
 
-	computeBusy := make([]time.Duration, workers)
-	computeRows := make([]int64, workers)
-	var (
-		computed   []computedBlock
-		computedMu sync.Mutex
-		computeWG  sync.WaitGroup
-	)
+	compute := make([]core.PhaseStat, workers)
+	computed := make([][]fitted, workers) // per worker, in the order it finished them
+	var computeWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		computeWG.Add(1)
 		go func(w int) {
@@ -181,17 +166,15 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, k *kernel, workers int
 				// Parallelism comes from workers holding different blocks,
 				// not from fan-out within a block.
 				t0 := time.Now()
-				res := make([]fitted, len(blk.series))
-				err := k.computeRange(w, blk.series, res, cn)
-				computeBusy[w] += time.Since(t0)
+				res := make([]fitted, len(blk))
+				err := k.computeRange(w, blk, res, cn)
+				compute[w].Wall += time.Since(t0)
 				if err != nil {
 					fail(err)
 					continue
 				}
-				computeRows[w] += int64(len(blk.series))
-				computedMu.Lock()
-				computed = append(computed, computedBlock{part: blk.part, seq: blk.seq, res: res})
-				computedMu.Unlock()
+				compute[w].Rows += int64(len(blk))
+				computed[w] = append(computed[w], res...)
 			}
 		}(w)
 	}
@@ -205,31 +188,23 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, k *kernel, workers int
 		return firstErr
 	}
 
-	for p := 0; p < nparts; p++ {
-		ph.Extract.Wall += extractBusy[p]
-		ph.Extract.Rows += extractRows[p]
-		ph.Extract.Bytes += extractBytes[p]
+	for _, e := range extract {
+		ph.Extract.Wall += e.Wall
+		ph.Extract.Rows += e.Rows
+		ph.Extract.Bytes += e.Bytes
 	}
-	for w := 0; w < workers; w++ {
-		ph.Compute.Wall += computeBusy[w]
-		ph.Compute.Rows += computeRows[w]
+	for _, c := range compute {
+		ph.Compute.Wall += c.Wall
+		ph.Compute.Rows += c.Rows
 	}
 
+	// Workers finish blocks in no particular order, and the cluster
+	// engines' hash partitions interleave anyway: one sort by household ID
+	// restores the reference order for everyone.
 	start := time.Now()
-	sort.Slice(computed, func(i, j int) bool {
-		if computed[i].part != computed[j].part {
-			return computed[i].part < computed[j].part
-		}
-		return computed[i].seq < computed[j].seq
-	})
-	for _, cb := range computed {
-		emit(out, cb.res)
+	for _, res := range computed {
+		emit(out, res)
 	}
-	// Partition-major concatenation is already ascending for engines with
-	// ID-contiguous shards (file, row, column stores); the cluster
-	// engines hand out hash partitions whose ID ranges interleave, so the
-	// reorder keyed by household ID restores the reference order for
-	// everyone. IsSorted keeps the common case a single cheap pass.
 	sortResultsByID(out)
 	ph.Emit.Wall += time.Since(start)
 	ph.Emit.Rows += int64(out.Count())
@@ -237,27 +212,15 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, k *kernel, workers int
 }
 
 // sortResultsByID restores ascending household-ID order — the order the
-// Cursor contract fixes for serial extraction and core.RunReference
-// produces.
+// Cursor contract fixes and core.RunReference produces. IDs are unique,
+// so the order is total.
 func sortResultsByID(out *core.Results) {
 	switch out.Task {
 	case core.TaskHistogram:
-		rs := out.Histograms
-		less := func(i, j int) bool { return rs[i].ID < rs[j].ID }
-		if !sort.SliceIsSorted(rs, less) {
-			sort.Slice(rs, less)
-		}
+		slices.SortFunc(out.Histograms, func(a, b *histogram.Result) int { return cmp.Compare(a.ID, b.ID) })
 	case core.TaskThreeLine:
-		rs := out.ThreeLines
-		less := func(i, j int) bool { return rs[i].ID < rs[j].ID }
-		if !sort.SliceIsSorted(rs, less) {
-			sort.Slice(rs, less)
-		}
+		slices.SortFunc(out.ThreeLines, func(a, b *threeline.Result) int { return cmp.Compare(a.ID, b.ID) })
 	case core.TaskPAR:
-		rs := out.Profiles
-		less := func(i, j int) bool { return rs[i].ID < rs[j].ID }
-		if !sort.SliceIsSorted(rs, less) {
-			sort.Slice(rs, less)
-		}
+		slices.SortFunc(out.Profiles, func(a, b *par.Result) int { return cmp.Compare(a.ID, b.ID) })
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -97,63 +98,96 @@ func TestPrefetchMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPrefetchOffPinsSerial checks the escape hatch: with PrefetchOff
-// the pipeline must not even ask for partitions.
-func TestPrefetchOffPinsSerial(t *testing.T) {
-	ds := makeDataset(t, 6, 20)
-	var cursorCalls, partCalls int
-	src := partitionedSource{ds: ds, cursorCalls: &cursorCalls, partCalls: &partCalls}
-	spec := core.Spec{Task: core.TaskThreeLine, Workers: 4, Prefetch: core.PrefetchOff}
-	got, err := Run(src, spec)
-	if err != nil {
-		t.Fatal(err)
+// checkRows requires exact per-stage row counters.
+func checkRows(t *testing.T, ph *core.Phases, want int64) {
+	t.Helper()
+	if ph.Extract.Rows != want || ph.Compute.Rows != want || ph.Emit.Rows != want {
+		t.Errorf("row counters = %d/%d/%d, want %d each",
+			ph.Extract.Rows, ph.Compute.Rows, ph.Emit.Rows, want)
 	}
-	if partCalls != 0 {
-		t.Errorf("NewCursors called %d times under PrefetchOff, want 0", partCalls)
-	}
-	if cursorCalls != 1 {
-		t.Errorf("NewCursor called %d times, want 1", cursorCalls)
-	}
-	want, err := core.RunReference(ds, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, got, want)
 }
 
-// TestPrefetchSerialFallbacks covers the paths that must not take the
-// overlapped pipeline: one worker, a single-partition answer, and the
-// similarity task.
-func TestPrefetchSerialFallbacks(t *testing.T) {
+// TestOneWorkerRunsInline pins what Workers: 1 promises: the run never
+// asks for partitions, and because extract, compute and emit alternate on
+// the calling goroutine, their summed busy time cannot exceed the wall
+// time around Run.
+func TestOneWorkerRunsInline(t *testing.T) {
+	ds := makeDataset(t, 12, 30)
+	var partCalls int
+	for name, src := range map[string]Source{
+		"plain":       NewDatasetSource(ds),
+		"partitioned": partitionedSource{ds: ds, partCalls: &partCalls},
+	} {
+		for _, task := range streamingTasks {
+			t.Run(fmt.Sprintf("%s_%v", name, task), func(t *testing.T) {
+				spec := core.Spec{Task: task, Workers: 1}
+				start := time.Now()
+				got, err := Run(src, spec)
+				elapsed := time.Since(start)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if partCalls != 0 {
+					t.Errorf("NewCursors called %d times with one worker, want 0", partCalls)
+				}
+				if total := got.Phases.Total(); total > elapsed {
+					t.Errorf("Phases.Total() = %v exceeds the run's %v", total, elapsed)
+				}
+				checkRows(t, got.Phases, 12)
+				want, err := core.RunReference(ds, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareResults(t, got, want)
+			})
+		}
+	}
+}
+
+// TestPrefetchAnyCursorCount: at Workers > 1 the pipeline runs whatever
+// the source hands it — one partition, none, or the one cursor of a
+// source that is not partitioned — and similarity never asks for
+// partitions.
+func TestPrefetchAnyCursorCount(t *testing.T) {
 	ds := makeDataset(t, 6, 20)
+	empty := &timeseries.Dataset{Temperature: ds.Temperature}
 
-	t.Run("one_worker", func(t *testing.T) {
-		var partCalls int
-		src := partitionedSource{ds: ds, partCalls: &partCalls}
-		if _, err := Run(src, core.Spec{Task: core.TaskHistogram, Workers: 1}); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name        string
+		ds          *timeseries.Dataset
+		partitioned bool
+	}{
+		{"single_partition", ds, true},
+		{"empty_answer", empty, true},
+		{"not_partitioned", ds, false},
+	} {
+		for _, task := range streamingTasks {
+			t.Run(fmt.Sprintf("%s_%v", tc.name, task), func(t *testing.T) {
+				var cursorCalls, partCalls int
+				var src Source = partitionedSource{ds: tc.ds, maxParts: 1, cursorCalls: &cursorCalls, partCalls: &partCalls}
+				wantCursor, wantPart := 0, 1
+				if !tc.partitioned {
+					src = struct{ Source }{src} // hides NewCursors
+					wantCursor, wantPart = 1, 0
+				}
+				spec := core.Spec{Task: task, Workers: 4}
+				got, err := Run(src, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cursorCalls != wantCursor || partCalls != wantPart {
+					t.Errorf("NewCursor/NewCursors called %d/%d times, want %d/%d",
+						cursorCalls, partCalls, wantCursor, wantPart)
+				}
+				checkRows(t, got.Phases, int64(len(tc.ds.Series)))
+				want, err := core.RunReference(tc.ds, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareResults(t, got, want)
+			})
 		}
-		if partCalls != 0 {
-			t.Errorf("NewCursors called %d times with one worker, want 0", partCalls)
-		}
-	})
-
-	t.Run("single_partition", func(t *testing.T) {
-		var cursorCalls int
-		src := partitionedSource{ds: ds, maxParts: 1, cursorCalls: &cursorCalls}
-		got, err := Run(src, core.Spec{Task: core.TaskPAR, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cursorCalls != 0 {
-			t.Errorf("NewCursor called %d times when a partition cursor exists, want 0", cursorCalls)
-		}
-		want, err := core.RunReference(ds, core.Spec{Task: core.TaskPAR, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResults(t, got, want)
-	})
+	}
 
 	t.Run("similarity", func(t *testing.T) {
 		var partCalls int
@@ -181,10 +215,7 @@ func TestPrefetchPhaseAccounting(t *testing.T) {
 	if ph == nil {
 		t.Fatal("Phases == nil")
 	}
-	if ph.Extract.Rows != consumers || ph.Compute.Rows != consumers || ph.Emit.Rows != consumers {
-		t.Errorf("row counters = %d/%d/%d, want %d each",
-			ph.Extract.Rows, ph.Compute.Rows, ph.Emit.Rows, consumers)
-	}
+	checkRows(t, ph, consumers)
 	wantBytes := int64(consumers * days * 24 * 8)
 	if ph.Extract.Bytes != wantBytes {
 		t.Errorf("extract bytes = %d, want %d", ph.Extract.Bytes, wantBytes)
@@ -224,14 +255,14 @@ func (c *failingCursor) Reset() error { c.i = 0; return nil }
 func (c *failingCursor) Close() error { return nil }
 
 // failingPartSource hands out one healthy partition and one that errors
-// after a few rows.
+// after a few rows; its one cursor over everything errors too.
 type failingPartSource struct {
 	ds     *timeseries.Dataset
 	failAt int
 }
 
 func (s failingPartSource) NewCursor() (core.Cursor, error) {
-	return core.NewDatasetCursor(s.ds), nil
+	return &failingCursor{series: s.ds.Series, failAt: s.failAt}, nil
 }
 
 func (s failingPartSource) Temperature() (*timeseries.Temperature, error) {
@@ -253,10 +284,12 @@ func (s failingPartSource) NewCursors(max int) ([]core.Cursor, error) {
 func TestPrefetchErrorPropagates(t *testing.T) {
 	ds := makeDataset(t, 10, 20)
 	for _, failAt := range []int{0, 1, 3} {
-		src := failingPartSource{ds: ds, failAt: failAt}
-		_, err := Run(src, core.Spec{Task: core.TaskHistogram, Workers: 4})
-		if !errors.Is(err, errBoom) {
-			t.Fatalf("failAt=%d: err = %v, want errBoom", failAt, err)
+		parts := failingPartSource{ds: ds, failAt: failAt}
+		for name, src := range map[string]Source{"partitions": parts, "one_cursor": struct{ Source }{parts}} {
+			_, err := Run(src, core.Spec{Task: core.TaskHistogram, Workers: 4})
+			if !errors.Is(err, errBoom) {
+				t.Fatalf("%s, failAt=%d: err = %v, want errBoom", name, failAt, err)
+			}
 		}
 	}
 }

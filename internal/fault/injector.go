@@ -21,7 +21,7 @@ type Source interface {
 // configured faults. It satisfies exec.Source, and it forwards
 // core.PartitionedSource when the wrapped source supports it (each
 // partition cursor injects independently; fault decisions stay per-ID,
-// so the injured set is identical on the serial and overlapped paths).
+// so the injured set is identical at every worker count).
 type Injector struct {
 	src Source
 	cfg Config
@@ -47,7 +47,7 @@ func (in *Injector) NewCursor() (core.Cursor, error) {
 
 // NewCursors implements core.PartitionedSource by wrapping each
 // underlying partition cursor. A source without partition support
-// yields a single wrapped cursor — the pipeline's serial fallback.
+// yields a single wrapped cursor.
 func (in *Injector) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("fault: NewCursors: max must be >= 1, got %d", max)

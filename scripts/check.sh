@@ -17,14 +17,14 @@ echo "== go run ./cmd/smlint ./..."
 go run ./cmd/smlint ./...
 
 # The execution layer and the engines under it are the concurrency
-# hot spots (the prefetcher's extract/compute goroutine fan-out, the
+# hot spots (the pipeline's extract/compute goroutine fan-out, the
 # partition cursors' shared state — refcounted indexes, latched buffer
 # pools, shared RDD jobs — and block scheduling); surface a race there
 # as its own failure before the full suite runs. Engine layering (and
 # every other analyzer) is covered by the single smlint sweep above —
 # ./... includes ./internal/engine/..., so a second invocation would
 # only repeat the same findings.
-echo "== go test -race ./internal/exec/... ./internal/engine/... (prefetcher + partition cursors)"
+echo "== go test -race ./internal/exec/... ./internal/engine/... (one-worker loop, pipeline + partition cursors)"
 go test -race ./internal/exec/... ./internal/engine/...
 
 # Chaos conformance: every engine cursor under injected faults and
