@@ -19,11 +19,10 @@ import (
 	"github.com/smartmeter/smartbench/internal/benchmark"
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/distsim"
+	"github.com/smartmeter/smartbench/internal/engine/cluster"
 	"github.com/smartmeter/smartbench/internal/engine/colstore"
 	"github.com/smartmeter/smartbench/internal/engine/dfs"
 	"github.com/smartmeter/smartbench/internal/engine/filestore"
-	"github.com/smartmeter/smartbench/internal/engine/mapreduce"
-	"github.com/smartmeter/smartbench/internal/engine/rdd"
 	"github.com/smartmeter/smartbench/internal/engine/rowstore"
 	"github.com/smartmeter/smartbench/internal/exec"
 	"github.com/smartmeter/smartbench/internal/fault"
@@ -425,14 +424,14 @@ func BenchmarkFig10Speedup(b *testing.B) {
 
 func newBenchCluster(b *testing.B, nodes int) *dfs.FS {
 	b.Helper()
-	cluster, err := distsim.New(distsim.Config{
+	sim, err := distsim.New(distsim.Config{
 		Nodes: nodes, SlotsPerNode: 4,
 		TransferLatency: 20 * time.Microsecond, BytesPerSecond: 1 << 31,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	fsys, err := dfs.New(cluster, dfs.WithBlockSize(128<<10))
+	fsys, err := dfs.New(sim, dfs.WithBlockSize(128<<10))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -450,8 +449,8 @@ func BenchmarkFig11ClusterVsC(b *testing.B) {
 		b.Fatal(err)
 	}
 	fsys := newBenchCluster(b, 4)
-	hive := mapreduce.New(fsys)
-	spark := rdd.New(fsys)
+	hive := cluster.NewHive(fsys, 0, false)
+	spark := cluster.NewSpark(fsys)
 	if _, err := hive.Load(srcSPL); err != nil {
 		b.Fatal(err)
 	}
@@ -475,12 +474,13 @@ func BenchmarkFig11ClusterVsC(b *testing.B) {
 	}
 }
 
-// benchClusterFormat runs one task on Spark and Hive for a given source.
-func benchClusterFormat(b *testing.B, src *meterdata.Source, hiveOpts ...mapreduce.Option) {
+// benchClusterFormat runs one task on Spark and Hive for a given source;
+// hiveShuffle forces Hive onto the shuffle plan (Figure 18's UDAF).
+func benchClusterFormat(b *testing.B, src *meterdata.Source, hiveShuffle bool) {
 	b.Helper()
 	fsys := newBenchCluster(b, 4)
-	hive := mapreduce.New(fsys, hiveOpts...)
-	spark := rdd.New(fsys)
+	hive := cluster.NewHive(fsys, 0, hiveShuffle)
+	spark := cluster.NewSpark(fsys)
 	if _, err := hive.Load(src); err != nil {
 		b.Fatal(err)
 	}
@@ -502,11 +502,11 @@ func benchClusterFormat(b *testing.B, src *meterdata.Source, hiveOpts ...mapredu
 }
 
 func BenchmarkFig13Format1(b *testing.B) {
-	benchClusterFormat(b, writeSources(b, meterdata.FormatReadingPerLine, false))
+	benchClusterFormat(b, writeSources(b, meterdata.FormatReadingPerLine, false), false)
 }
 
 func BenchmarkFig16Format2(b *testing.B) {
-	benchClusterFormat(b, writeSources(b, meterdata.FormatSeriesPerLine, false))
+	benchClusterFormat(b, writeSources(b, meterdata.FormatSeriesPerLine, false), false)
 }
 
 func BenchmarkFig18Format3(b *testing.B) {
@@ -516,10 +516,10 @@ func BenchmarkFig18Format3(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("udtf", func(b *testing.B) {
-		benchClusterFormat(b, src, mapreduce.WithStyle(mapreduce.StyleUDTF))
+		benchClusterFormat(b, src, false)
 	})
 	b.Run("udaf", func(b *testing.B) {
-		benchClusterFormat(b, src, mapreduce.WithStyle(mapreduce.StyleUDAF))
+		benchClusterFormat(b, src, true)
 	})
 }
 
@@ -529,7 +529,7 @@ func BenchmarkFig14NodeSweep(b *testing.B) {
 	src := writeSources(b, meterdata.FormatReadingPerLine, false)
 	for _, nodes := range []int{2, 4, 8} {
 		fsys := newBenchCluster(b, nodes)
-		hive := mapreduce.New(fsys)
+		hive := cluster.NewHive(fsys, 0, false)
 		if _, err := hive.Load(src); err != nil {
 			b.Fatal(err)
 		}

@@ -2,13 +2,13 @@ package main
 
 // refbalanceAnalyzer enforces the repo's paired acquire/release
 // disciplines on every control-flow path: Dataset.Flat → ReleaseFlat,
-// rdd Persist → Unpersist, the rowstore buffer pool's fetch/allocate →
+// the rowstore buffer pool's and the colstore pager's fetch/allocate →
 // unpin. The pairs live in a small table, so a new resource is one
 // line. Two shapes exist:
 //
 //   - receiver-tracked: the acquire pins state on its receiver
-//     (ds.Persist()); the same receiver must reach the release
-//     (ds.Unpersist()) or escape to an owner. Acquires on parameters
+//     (ds.Flat()); the same receiver must reach the release
+//     (ds.ReleaseFlat()) or escape to an owner. Acquires on parameters
 //     and captured variables are exempt — the caller owns those.
 //   - value-tracked: the acquire returns the resource
 //     (fr, err := bp.fetch(page)); the returned value must reach the
@@ -38,7 +38,7 @@ import (
 
 var refbalanceAnalyzer = &Analyzer{
 	Name: "refbalance",
-	Doc:  "flags acquire calls (Flat, Persist, fetch, allocate) whose paired release does not cover every path",
+	Doc:  "flags acquire calls (Flat, fetch, allocate) whose paired release does not cover every path",
 	Run:  runRefbalance,
 }
 
@@ -58,7 +58,6 @@ type refPair struct {
 // refPairs is the discipline table. Adding a resource is one line.
 var refPairs = []refPair{
 	{acquire: "Flat", release: "ReleaseFlat", ownerSuffix: "internal/timeseries.Dataset"},
-	{acquire: "Persist", release: "Unpersist", ownerSuffix: "internal/engine/rdd.Dataset"},
 	{acquire: "fetch", release: "unpin", valueTracked: true, ownerSuffix: "internal/engine/rowstore.bufferPool"},
 	{acquire: "allocate", release: "unpin", valueTracked: true, ownerSuffix: "internal/engine/rowstore.bufferPool"},
 	{acquire: "fetch", release: "unpin", valueTracked: true, ownerSuffix: "internal/engine/colstore.pager"},

@@ -27,11 +27,10 @@ import (
 
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/distsim"
+	"github.com/smartmeter/smartbench/internal/engine/cluster"
 	"github.com/smartmeter/smartbench/internal/engine/colstore"
 	"github.com/smartmeter/smartbench/internal/engine/dfs"
 	"github.com/smartmeter/smartbench/internal/engine/filestore"
-	"github.com/smartmeter/smartbench/internal/engine/mapreduce"
-	"github.com/smartmeter/smartbench/internal/engine/rdd"
 	"github.com/smartmeter/smartbench/internal/engine/rowstore"
 	"github.com/smartmeter/smartbench/internal/impute"
 	"github.com/smartmeter/smartbench/internal/meterdata"
@@ -245,18 +244,18 @@ func makeEngine(name string, memBudget int64, walOn bool, walPolicy wal.SyncPoli
 		e := colstore.New(dir, opts...)
 		return e, func() { _ = e.Release(); _ = os.RemoveAll(dir) }, nil
 	case "spark", "hive":
-		cluster, err := distsim.New(distsim.DefaultConfig())
+		sim, err := distsim.New(distsim.DefaultConfig())
 		if err != nil {
 			return nil, noop, err
 		}
-		fsys, err := dfs.New(cluster)
+		fsys, err := dfs.New(sim)
 		if err != nil {
 			return nil, noop, err
 		}
 		if name == "spark" {
-			return rdd.New(fsys), noop, nil
+			return cluster.NewSpark(fsys), noop, nil
 		}
-		return mapreduce.New(fsys), noop, nil
+		return cluster.NewHive(fsys, 0, false), noop, nil
 	default:
 		return nil, noop, fmt.Errorf("unknown engine %q", name)
 	}

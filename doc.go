@@ -5,8 +5,8 @@
 // platforms (Matlab, PostgreSQL/MADLib, the "System C" main-memory
 // column store, Spark and Hive) built on pure-Go substrates — a slotted
 // heap/B+tree row store, a binary columnar store, and a simulated
-// cluster with an HDFS-like file system, a MapReduce engine and an
-// RDD engine.
+// cluster with an HDFS-like file system and one cluster engine run under
+// a Spark and a Hive profile.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for the paper-versus-measured record of every

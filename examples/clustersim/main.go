@@ -14,9 +14,8 @@ import (
 
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/distsim"
+	"github.com/smartmeter/smartbench/internal/engine/cluster"
 	"github.com/smartmeter/smartbench/internal/engine/dfs"
-	"github.com/smartmeter/smartbench/internal/engine/mapreduce"
-	"github.com/smartmeter/smartbench/internal/engine/rdd"
 	"github.com/smartmeter/smartbench/internal/generator"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
@@ -75,7 +74,7 @@ func run() error {
 }
 
 func compare(src *meterdata.Source) error {
-	cluster, err := distsim.New(distsim.Config{
+	sim, err := distsim.New(distsim.Config{
 		Nodes: 8, SlotsPerNode: 4,
 		TransferLatency: 50 * time.Microsecond,
 		BytesPerSecond:  1 << 30,
@@ -83,12 +82,12 @@ func compare(src *meterdata.Source) error {
 	if err != nil {
 		return err
 	}
-	fsys, err := dfs.New(cluster, dfs.WithBlockSize(128<<10))
+	fsys, err := dfs.New(sim, dfs.WithBlockSize(128<<10))
 	if err != nil {
 		return err
 	}
-	hive := mapreduce.New(fsys)
-	spark := rdd.New(fsys)
+	hive := cluster.NewHive(fsys, 0, false)
+	spark := cluster.NewSpark(fsys)
 	if _, err := hive.Load(src); err != nil {
 		return err
 	}
@@ -101,14 +100,14 @@ func compare(src *meterdata.Source) error {
 	for _, task := range core.Tasks {
 		row := fmt.Sprintf("  %-10s", task)
 		for _, eng := range []core.Engine{spark, hive} {
-			cluster.ResetStats()
+			sim.ResetStats()
 			start := time.Now()
 			res, err := eng.Run(core.Spec{Task: task, K: 5})
 			if err != nil {
 				return err
 			}
 			elapsed := time.Since(start)
-			st := cluster.Stats()
+			st := sim.Stats()
 			row += fmt.Sprintf("  %-12s %-14s %-12s",
 				elapsed.Round(time.Millisecond),
 				fmt.Sprintf("%.1f MiB", float64(st.BytesMoved)/(1<<20)),

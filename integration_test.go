@@ -12,11 +12,10 @@ import (
 
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/distsim"
+	"github.com/smartmeter/smartbench/internal/engine/cluster"
 	"github.com/smartmeter/smartbench/internal/engine/colstore"
 	"github.com/smartmeter/smartbench/internal/engine/dfs"
 	"github.com/smartmeter/smartbench/internal/engine/filestore"
-	"github.com/smartmeter/smartbench/internal/engine/mapreduce"
-	"github.com/smartmeter/smartbench/internal/engine/rdd"
 	"github.com/smartmeter/smartbench/internal/engine/rowstore"
 	"github.com/smartmeter/smartbench/internal/generator"
 	"github.com/smartmeter/smartbench/internal/meterdata"
@@ -54,14 +53,14 @@ func buildWorkload(t *testing.T) (*meterdata.Source, *timeseries.Dataset) {
 
 func allFiveEngines(t *testing.T) []core.Engine {
 	t.Helper()
-	cluster, err := distsim.New(distsim.Config{
+	sim, err := distsim.New(distsim.Config{
 		Nodes: 4, SlotsPerNode: 4,
 		TransferLatency: 10 * time.Microsecond, BytesPerSecond: 1 << 33,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys, err := dfs.New(cluster, dfs.WithBlockSize(64<<10))
+	fsys, err := dfs.New(sim, dfs.WithBlockSize(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +70,8 @@ func allFiveEngines(t *testing.T) []core.Engine {
 		filestore.New(filestore.WithSplitDir(t.TempDir() + "/split")),
 		rowE,
 		colstore.New(t.TempDir()),
-		rdd.New(fsys),
-		mapreduce.New(fsys),
+		cluster.NewSpark(fsys),
+		cluster.NewHive(fsys, 0, false),
 	}
 }
 

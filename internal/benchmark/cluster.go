@@ -6,33 +6,25 @@ import (
 	"time"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/engine/cluster"
 	"github.com/smartmeter/smartbench/internal/engine/colstore"
 	"github.com/smartmeter/smartbench/internal/engine/dfs"
-	"github.com/smartmeter/smartbench/internal/engine/mapreduce"
-	"github.com/smartmeter/smartbench/internal/engine/rdd"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 )
 
-// clusterPair builds a fresh cluster with a Hive and a Spark engine
-// loaded from the given source.
-func clusterPair(nodes int, src *meterdata.Source, hiveOpts []mapreduce.Option) (*dfs.FS, *mapreduce.Engine, *rdd.Engine, error) {
-	cluster, err := newCluster(nodes)
-	if err != nil {
+// sparkAndHive loads the source into both profiles of the cluster
+// engine, sharing one fresh figure cluster of the given size.
+func sparkAndHive(nodes int, src *meterdata.Source) (fsys *dfs.FS, spark, hive *cluster.Engine, err error) {
+	if fsys, err = newCluster(nodes); err != nil {
 		return nil, nil, nil, err
 	}
-	fsys, err := dfs.New(cluster, dfs.WithBlockSize(256<<10))
-	if err != nil {
-		return nil, nil, nil, err
+	spark, hive = cluster.NewSpark(fsys), cluster.NewHive(fsys, 0, false)
+	for _, e := range []*cluster.Engine{spark, hive} {
+		if _, err := e.Load(src); err != nil {
+			return nil, nil, nil, err
+		}
 	}
-	hive := mapreduce.New(fsys, hiveOpts...)
-	spark := rdd.New(fsys)
-	if _, err := hive.Load(src); err != nil {
-		return nil, nil, nil, err
-	}
-	if _, err := spark.Load(src); err != nil {
-		return nil, nil, nil, err
-	}
-	return fsys, hive, spark, nil
+	return fsys, spark, hive, nil
 }
 
 // timeEngine times one cold task run on an engine, routed through
@@ -45,6 +37,20 @@ func timeEngine(opts *Options, e core.Engine, spec core.Spec) (time.Duration, er
 		_, err := opts.run(e, spec)
 		return err
 	})
+}
+
+// timeEngines times one cold run of the task on each engine in turn,
+// leaving Workers unset so the cluster engines use every task slot.
+func timeEngines(opts *Options, task core.Task, engines ...core.Engine) ([]time.Duration, error) {
+	out := make([]time.Duration, len(engines))
+	for i, e := range engines {
+		d, err := timeEngine(opts, e, core.Spec{Task: task})
+		if err != nil {
+			return nil, fmt.Errorf("%v on %s: %w", task, e.Name(), err)
+		}
+		out[i] = d
+	}
+	return out, nil
 }
 
 // Fig11 regenerates Figure 11: the single-server column store versus
@@ -63,11 +69,7 @@ func Fig11(opts Options) (*Report, error) {
 		},
 	}
 	for _, task := range core.Tasks {
-		sweep := opts.Scale.Consumers
-		if task == core.TaskSimilarity {
-			sweep = opts.Scale.SimilarityConsumers
-		}
-		for _, n := range sweep {
+		for _, n := range opts.Scale.sizes(task) {
 			srcs, err := opts.makeSources(n, fmt.Sprintf("fig11-%v", task), true, false)
 			if err != nil {
 				return nil, err
@@ -82,19 +84,15 @@ func Fig11(opts Options) (*Report, error) {
 			}
 			// Cluster engines read the series-per-line layout (the format
 			// that performed best, §5.5).
-			_, hive, spark, err := clusterPair(nodes, srcs.unpartSPL, nil)
+			_, spark, hive, err := sparkAndHive(nodes, srcs.unpartSPL)
 			if err != nil {
 				return nil, err
 			}
-			dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task})
+			d, err := timeEngines(&opts, task, spark, hive)
 			if err != nil {
 				return nil, err
 			}
-			dHive, err := timeEngine(&opts, hive, core.Spec{Task: task})
-			if err != nil {
-				return nil, err
-			}
-			rep.AddRow(task.String(), fmt.Sprint(n), fmtDur(dCol), fmtDur(dSpark), fmtDur(dHive))
+			rep.AddRow(task.String(), fmt.Sprint(n), fmtDur(dCol), fmtDur(d[0]), fmtDur(d[1]))
 		}
 	}
 	return rep, nil
@@ -124,7 +122,7 @@ func Fig12(opts Options) (*Report, error) {
 	if _, err := colE.Load(srcs.unpartRPL); err != nil {
 		return nil, err
 	}
-	_, hive, spark, err := clusterPair(nodes, srcs.unpartSPL, nil)
+	_, spark, hive, err := sparkAndHive(nodes, srcs.unpartSPL)
 	if err != nil {
 		return nil, err
 	}
@@ -133,11 +131,7 @@ func Fig12(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task})
-		if err != nil {
-			return nil, err
-		}
-		dHive, err := timeEngine(&opts, hive, core.Spec{Task: task})
+		d, err := timeEngines(&opts, task, spark, hive)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +141,7 @@ func Fig12(opts Options) (*Report, error) {
 			}
 			return fmt.Sprintf("%.1f", float64(n)/d.Seconds()/float64(servers))
 		}
-		rep.AddRow(task.String(), perServer(dCol, 1), perServer(dSpark, nodes), perServer(dHive, nodes))
+		rep.AddRow(task.String(), perServer(dCol, 1), perServer(d[0], nodes), perServer(d[1], nodes))
 	}
 	return rep, nil
 }
@@ -162,28 +156,20 @@ func formatExecTimes(opts Options, id, title string, write func(n int) (*meterda
 		Columns: []string{"task", "consumers", "spark", "hive"},
 	}
 	for _, task := range core.Tasks {
-		sweep := opts.Scale.Consumers
-		if task == core.TaskSimilarity {
-			sweep = opts.Scale.SimilarityConsumers
-		}
-		for _, n := range sweep {
+		for _, n := range opts.Scale.sizes(task) {
 			src, err := write(n)
 			if err != nil {
 				return nil, err
 			}
-			_, hive, spark, err := clusterPair(nodes, src, nil)
+			_, spark, hive, err := sparkAndHive(nodes, src)
 			if err != nil {
 				return nil, err
 			}
-			dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task})
+			d, err := timeEngines(&opts, task, spark, hive)
 			if err != nil {
-				return nil, fmt.Errorf("%s %v spark: %w", id, task, err)
+				return nil, fmt.Errorf("%s: %w", id, err)
 			}
-			dHive, err := timeEngine(&opts, hive, core.Spec{Task: task})
-			if err != nil {
-				return nil, fmt.Errorf("%s %v hive: %w", id, task, err)
-			}
-			rep.AddRow(task.String(), fmt.Sprint(n), fmtDur(dSpark), fmtDur(dHive))
+			rep.AddRow(task.String(), fmt.Sprint(n), fmtDur(d[0]), fmtDur(d[1]))
 		}
 	}
 	return rep, nil
@@ -208,7 +194,7 @@ func Fig13(opts Options) (*Report, error) {
 		return nil, err
 	}
 	rep.Notes = append(rep.Notes,
-		"expected shape: spark faster on similarity (broadcast join); close elsewhere")
+		"expected shape: slower than format 2 (Figure 16) at every size, by a factor that grows with the data; the two profiles run the same stages, so they differ by spark's per-task dispatch charge and host noise")
 	return rep, nil
 }
 
@@ -237,37 +223,32 @@ func Fig16(opts Options) (*Report, error) {
 
 // nodeSweep regenerates the speedup figures (14, 17, 19): execution
 // time versus worker-node count, relative to the smallest cluster.
-func nodeSweep(opts Options, id, title string, src *meterdata.Source, hiveOpts []mapreduce.Option, tasks []core.Task) (*Report, error) {
+func nodeSweep(opts Options, id, title string, src *meterdata.Source, tasks []core.Task) (*Report, error) {
 	rep := &Report{
 		ID:      id,
 		Title:   title,
 		Columns: []string{"task", "nodes", "spark", "spark speedup", "hive", "hive speedup"},
 		Notes:   []string{"speedup is relative to the smallest node count (paper: relative to 4 nodes)"},
 	}
-	type base struct{ spark, hive time.Duration }
-	bases := map[core.Task]base{}
+	bases := map[core.Task][]time.Duration{}
 	for _, nodes := range opts.Scale.ClusterNodes {
-		_, hive, spark, err := clusterPair(nodes, src, hiveOpts)
+		_, spark, hive, err := sparkAndHive(nodes, src)
 		if err != nil {
 			return nil, err
 		}
 		for _, task := range tasks {
-			dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task})
-			if err != nil {
-				return nil, err
-			}
-			dHive, err := timeEngine(&opts, hive, core.Spec{Task: task})
+			d, err := timeEngines(&opts, task, spark, hive)
 			if err != nil {
 				return nil, err
 			}
 			b, ok := bases[task]
 			if !ok {
-				b = base{spark: dSpark, hive: dHive}
+				b = d
 				bases[task] = b
 			}
 			rep.AddRow(task.String(), fmt.Sprint(nodes),
-				fmtDur(dSpark), fmtSpeedup(b.spark, dSpark),
-				fmtDur(dHive), fmtSpeedup(b.hive, dHive))
+				fmtDur(d[0]), fmtSpeedup(b[0], d[0]),
+				fmtDur(d[1]), fmtSpeedup(b[1], d[1]))
 		}
 	}
 	return rep, nil
@@ -283,7 +264,7 @@ func Fig14(opts Options) (*Report, error) {
 		return nil, err
 	}
 	return nodeSweep(opts, "fig14", "Speedup with cluster size, data format 1",
-		srcs.unpartRPL, nil, core.Tasks)
+		srcs.unpartRPL, core.Tasks)
 }
 
 // Fig15 regenerates Figure 15: cluster memory consumption of Spark and
@@ -301,31 +282,24 @@ func Fig15(opts Options) (*Report, error) {
 		Notes:   []string{"expected shape: spark uses more memory than hive, gap grows with data size"},
 	}
 	for _, task := range []core.Task{core.TaskThreeLine, core.TaskPAR, core.TaskHistogram, core.TaskSimilarity} {
-		sweep := opts.Scale.Consumers
-		if task == core.TaskSimilarity {
-			sweep = opts.Scale.SimilarityConsumers
-		}
-		for _, n := range sweep {
+		for _, n := range opts.Scale.sizes(task) {
 			srcs, err := opts.makeSources(n, "fig15", false, false)
 			if err != nil {
 				return nil, err
 			}
-			fsys, hive, spark, err := clusterPair(nodes, srcs.unpartRPL, nil)
+			fsys, spark, hive, err := sparkAndHive(nodes, srcs.unpartRPL)
 			if err != nil {
 				return nil, err
 			}
-			cluster := fsys.Cluster()
-			cluster.ResetStats()
-			if _, err := opts.run(spark, core.Spec{Task: task}); err != nil {
-				return nil, err
+			var peak [2]int64
+			for i, e := range []*cluster.Engine{spark, hive} {
+				fsys.Cluster().ResetStats()
+				if _, err := opts.run(e, core.Spec{Task: task}); err != nil {
+					return nil, err
+				}
+				peak[i] = fsys.Cluster().Stats().PeakMemory()
 			}
-			sparkMem := cluster.Stats().PeakMemory()
-			cluster.ResetStats()
-			if _, err := opts.run(hive, core.Spec{Task: task}); err != nil {
-				return nil, err
-			}
-			hiveMem := cluster.Stats().PeakMemory()
-			rep.AddRow(task.String(), fmt.Sprint(n), fmtMB(sparkMem), fmtMB(hiveMem))
+			rep.AddRow(task.String(), fmt.Sprint(n), fmtMB(peak[0]), fmtMB(peak[1]))
 		}
 	}
 	return rep, nil
@@ -341,12 +315,12 @@ func Fig17(opts Options) (*Report, error) {
 		return nil, err
 	}
 	return nodeSweep(opts, "fig17", "Speedup with cluster size, data format 2 (map-only)",
-		srcs.unpartSPL, nil, core.Tasks)
+		srcs.unpartSPL, core.Tasks)
 }
 
 // Fig18 regenerates Figure 18: data format 3 — many whole-household
-// files — comparing Hive's UDTF (map-side aggregation) against Hive's
-// UDAF (reduce) and Spark, sweeping the file count.
+// files — comparing Hive's UDTF (map-side assembly) against Hive's UDAF
+// (the shuffle plan, forced) and Spark, sweeping the file count.
 func Fig18(opts Options) (*Report, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -357,7 +331,7 @@ func Fig18(opts Options) (*Report, error) {
 		Title:   "Execution times, data format 3 (whole-household files)",
 		Columns: []string{"task", "files", "spark", "hive UDTF", "hive UDAF"},
 		Notes: []string{
-			"expected shape: hive UDTF fastest (map-only); hive insensitive to file count; spark degrades as files grow",
+			"expected shape: the map-side plans (spark, hive UDTF) beat the shuffle plan (hive UDAF) at every file count, and speed up as files grow toward the slot count (a non-splittable file is one task); past it spark trails hive UDTF by its per-task dispatch charge",
 			"similarity is omitted, as in the paper (pairwise distances cannot be one UDTF pass)",
 		},
 	}
@@ -378,27 +352,21 @@ func Fig18(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			_, hiveUDTF, spark, err := clusterPair(nodes, src, []mapreduce.Option{mapreduce.WithStyle(mapreduce.StyleUDTF)})
+			// On grouped files the engines assemble map-side (Hive's UDTF)
+			// unless Hive is forced onto the shuffle plan (its UDAF).
+			fsys, spark, hiveUDTF, err := sparkAndHive(nodes, src)
 			if err != nil {
 				return nil, err
 			}
-			dSpark, err := timeEngine(&opts, spark, core.Spec{Task: task})
+			hiveUDAF := cluster.NewHive(fsys, 0, true)
+			if _, err := hiveUDAF.Load(src); err != nil {
+				return nil, err
+			}
+			d, err := timeEngines(&opts, task, spark, hiveUDTF, hiveUDAF)
 			if err != nil {
 				return nil, err
 			}
-			dUDTF, err := timeEngine(&opts, hiveUDTF, core.Spec{Task: task})
-			if err != nil {
-				return nil, err
-			}
-			_, hiveUDAF, _, err := clusterPair(nodes, src, []mapreduce.Option{mapreduce.WithStyle(mapreduce.StyleUDAF)})
-			if err != nil {
-				return nil, err
-			}
-			dUDAF, err := timeEngine(&opts, hiveUDAF, core.Spec{Task: task})
-			if err != nil {
-				return nil, err
-			}
-			rep.AddRow(task.String(), fmt.Sprint(files), fmtDur(dSpark), fmtDur(dUDTF), fmtDur(dUDAF))
+			rep.AddRow(task.String(), fmt.Sprint(files), fmtDur(d[0]), fmtDur(d[1]), fmtDur(d[2]))
 		}
 	}
 	return rep, nil
@@ -428,13 +396,11 @@ func Fig19(opts Options) (*Report, error) {
 	}
 	return nodeSweep(opts, "fig19",
 		fmt.Sprintf("Speedup with cluster size, data format 3 (%d files, UDTF)", files),
-		src, []mapreduce.Option{mapreduce.WithStyle(mapreduce.StyleUDTF)},
-		[]core.Task{core.TaskThreeLine, core.TaskPAR, core.TaskHistogram})
+		src, []core.Task{core.TaskThreeLine, core.TaskPAR, core.TaskHistogram})
 }
 
 // TaskSweep regenerates the paper's footnote 8 observation: Hive
-// benefits from more reduce tasks up to a point, while Spark is largely
-// insensitive to its partition count.
+// benefits from more reduce tasks up to a point.
 func TaskSweep(opts Options) (*Report, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -451,9 +417,12 @@ func TaskSweep(opts Options) (*Report, error) {
 		Notes:   []string{"expected shape: time falls as tasks grow toward the slot count, then flattens"},
 	}
 	for _, reducers := range []int{1, 2, nodes, nodes * 4} {
-		_, hive, _, err := clusterPair(nodes, srcs.unpartRPL,
-			[]mapreduce.Option{mapreduce.WithReducers(reducers)})
+		fsys, err := newCluster(nodes)
 		if err != nil {
+			return nil, err
+		}
+		hive := cluster.NewHive(fsys, reducers, false)
+		if _, err := hive.Load(srcs.unpartRPL); err != nil {
 			return nil, err
 		}
 		d, err := timeEngine(&opts, hive, core.Spec{Task: core.TaskThreeLine})

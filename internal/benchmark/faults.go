@@ -66,7 +66,7 @@ func Faults(opts Options) (*Report, error) {
 	}
 	nodes := maxInt(opts.Scale.ClusterNodes)
 	if nodes > 0 {
-		_, hive, spark, err := clusterPair(nodes, srcs.unpartRPL, nil)
+		_, spark, hive, err := sparkAndHive(nodes, srcs.unpartRPL)
 		if err != nil {
 			return nil, err
 		}

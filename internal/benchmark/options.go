@@ -8,6 +8,7 @@ import (
 
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/distsim"
+	"github.com/smartmeter/smartbench/internal/engine/dfs"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -93,6 +94,15 @@ type Scale struct {
 	FileCounts []int
 	// MatrixSize is the matrix multiplication micro-benchmark dimension.
 	MatrixSize int
+}
+
+// sizes is the data-size sweep for a task: similarity's cost is
+// quadratic, so it runs the smaller sweep when one is set.
+func (s Scale) sizes(task core.Task) []int {
+	if task == core.TaskSimilarity && len(s.SimilarityConsumers) > 0 {
+		return s.SimilarityConsumers
+	}
+	return s.Consumers
 }
 
 // SmallScale is the test-suite scale: seconds, not minutes.
@@ -189,10 +199,12 @@ func (o *Options) makeSources(n int, sub string, wantSPL, wantPart bool) (*sourc
 	return out, nil
 }
 
-// newCluster builds a simulated cluster with the given node count and a
-// fast but non-zero network.
-func newCluster(nodes int) (*distsim.Cluster, error) {
-	return distsim.New(distsim.Config{
+// newCluster builds the cluster every figure runs on, at the given node
+// count, and an empty DFS over it: a fast but non-zero network, and
+// blocks small enough that benchmark-sized files span several splits.
+// This is the one place the figures' cluster is configured.
+func newCluster(nodes int) (*dfs.FS, error) {
+	c, err := distsim.New(distsim.Config{
 		Nodes:           nodes,
 		SlotsPerNode:    4,
 		TransferLatency: 20 * time.Microsecond,
@@ -202,4 +214,8 @@ func newCluster(nodes int) (*distsim.Cluster, error) {
 		// 14/17/19) while keeping absolute run times in seconds.
 		ComputeBytesPerSecond: 8 << 20,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return dfs.New(c, dfs.WithBlockSize(256<<10))
 }

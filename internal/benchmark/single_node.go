@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/engine/cluster"
 	"github.com/smartmeter/smartbench/internal/engine/colstore"
-	"github.com/smartmeter/smartbench/internal/engine/dfs"
 	"github.com/smartmeter/smartbench/internal/engine/filestore"
-	"github.com/smartmeter/smartbench/internal/engine/mapreduce"
-	"github.com/smartmeter/smartbench/internal/engine/rdd"
 	"github.com/smartmeter/smartbench/internal/engine/rowstore"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/stats"
@@ -22,17 +20,13 @@ func Table1(opts Options) (*Report, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	cluster, err := newCluster(4)
-	if err != nil {
-		return nil, err
-	}
-	fsys, err := dfs.New(cluster)
+	fsys, err := newCluster(4)
 	if err != nil {
 		return nil, err
 	}
 	fileE, rowE, colE := singleNodeEngines(&opts, "table1")
 	defer rowE.Close()
-	engines := []core.Engine{fileE, rowE, colE, rdd.New(fsys), mapreduce.New(fsys)}
+	engines := []core.Engine{fileE, rowE, colE, cluster.NewSpark(fsys), cluster.NewHive(fsys, 0, false)}
 	rep := &Report{
 		ID:      "table1",
 		Title:   "Statistical functions built into the five tested platforms",
@@ -299,14 +293,7 @@ func Fig7(opts Options) (*Report, error) {
 		},
 	}
 	for _, task := range core.Tasks {
-		sweep := opts.Scale.Consumers
-		if task == core.TaskSimilarity {
-			sweep = opts.Scale.SimilarityConsumers
-			if len(sweep) == 0 {
-				sweep = opts.Scale.Consumers
-			}
-		}
-		for _, n := range sweep {
+		for _, n := range opts.Scale.sizes(task) {
 			srcs, err := opts.makeSources(n, fmt.Sprintf("fig7-%s", task), false, true)
 			if err != nil {
 				return nil, err

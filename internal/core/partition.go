@@ -6,7 +6,8 @@ package core
 // reading index by row ranges), the row store shards the heap by
 // contiguous household ranges (= contiguous page ranges, since tuples
 // are bulk-loaded in household order), the column store by consumer
-// segment groups, and the cluster engines by RDD partition / DFS split.
+// segment groups, and the cluster engine by result partition of its
+// extraction job (one per reduce task or per DFS split).
 //
 // The execution pipeline (internal/exec) uses it, at more than one
 // worker, to extract in parallel as well as overlapped with compute: one

@@ -11,8 +11,14 @@
 //     bytes/bandwidth of real wall-clock delay, so shuffle-bound jobs
 //     (data format 1) are measurably slower than map-only jobs (formats
 //     2 and 3), as in Figures 13-19;
-//   - per-node memory accounting, powering the Figure 15 comparison of
-//     Spark's and Hive's footprints.
+//   - per-node memory accounting (task working memory, and stage output
+//     that outlives its task via AllocNode/FreeNode), powering the
+//     Figure 15 comparison of Spark's and Hive's footprints;
+//   - the driver's serial cost of launching each task of a stage (RunCtx).
+//
+// Every modeled delay and every accounted byte is charged here, at the
+// rates of the one Config; the engines on top only say how many bytes
+// and which tasks.
 //
 // Delays are scaled down (configurable) so whole experiment suites run
 // in seconds while preserving the relative costs.
@@ -106,9 +112,6 @@ type Node struct {
 	memPeak atomic.Int64
 }
 
-// ID returns the node's index.
-func (n *Node) ID() int { return n.id }
-
 // New builds a cluster.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
@@ -143,18 +146,9 @@ type TaskCtx struct {
 	cluster *Cluster
 	node    *Node
 	held    int64
-	// ctx is the run's cancellation context (nil for Run without one);
-	// modeled sleeps in Compute and ReadBlock select on it.
+	// ctx is the run's cancellation context; modeled sleeps in Compute
+	// and ReadBlock select on it.
 	ctx context.Context
-}
-
-// Context returns the cancellation context the task runs under, never
-// nil. Task bodies with long real (not simulated) work should poll it.
-func (t *TaskCtx) Context() context.Context {
-	if t.ctx == nil {
-		return context.Background()
-	}
-	return t.ctx
 }
 
 // Node returns the node the task runs on.
@@ -166,10 +160,15 @@ func (t *TaskCtx) Alloc(bytes int64) {
 		return
 	}
 	t.held += bytes
-	used := t.node.memUsed.Add(bytes)
+	t.node.alloc(bytes)
+}
+
+// alloc adds bytes to the node's accounted memory and raises its peak.
+func (n *Node) alloc(bytes int64) {
+	used := n.memUsed.Add(bytes)
 	for {
-		peak := t.node.memPeak.Load()
-		if used <= peak || t.node.memPeak.CompareAndSwap(peak, used) {
+		peak := n.memPeak.Load()
+		if used <= peak || n.memPeak.CompareAndSwap(peak, used) {
 			break
 		}
 	}
@@ -215,12 +214,8 @@ func (t *TaskCtx) ReadBlock(replicaNodes []int, bytes int64) {
 	t.cluster.transfer(t.ctx, src, t.node.id, bytes)
 }
 
-// Transfer models moving bytes between two nodes (or from a node to the
-// driver with to < 0). Local "transfers" are free.
-func (c *Cluster) Transfer(from, to int, bytes int64) {
-	c.transfer(nil, from, to, bytes)
-}
-
+// transfer models moving bytes between two nodes (or between a node and
+// the driver, which is any negative index). Local "transfers" are free.
 func (c *Cluster) transfer(ctx context.Context, from, to int, bytes int64) {
 	if from == to {
 		return
@@ -232,30 +227,18 @@ func (c *Cluster) transfer(ctx context.Context, from, to int, bytes int64) {
 	SleepCtx(ctx, delay)
 }
 
-// Move describes one pending transfer for TransferConcurrent.
+// Move describes one pending transfer for TransferConcurrentCtx.
 type Move struct {
 	From, To int
 	Bytes    int64
 }
 
-// TransferConcurrent performs a batch of transfers in parallel, as a
+// TransferConcurrentCtx performs a batch of transfers in parallel, as a
 // real network would: the wall-clock cost is the slowest single
-// transfer, not the sum. Shuffles and broadcasts use this.
-func (c *Cluster) TransferConcurrent(moves []Move) {
-	c.TransferConcurrentCtx(nil, moves)
-}
-
-// TransferConcurrentCtx is TransferConcurrent under a cancellation
-// context: cancelled transfers stop sleeping (the byte accounting still
-// happens — the run is aborting anyway).
+// transfer, not the sum. Shuffles, broadcasts and collects use this.
+// Cancelled transfers stop sleeping (the byte accounting still happens;
+// the run is aborting anyway).
 func (c *Cluster) TransferConcurrentCtx(ctx context.Context, moves []Move) {
-	switch len(moves) {
-	case 0:
-		return
-	case 1:
-		c.transfer(ctx, moves[0].From, moves[0].To, moves[0].Bytes)
-		return
-	}
 	var wg sync.WaitGroup
 	for _, m := range moves {
 		if m.From == m.To {
@@ -270,20 +253,13 @@ func (c *Cluster) TransferConcurrentCtx(ctx context.Context, moves []Move) {
 	wg.Wait()
 }
 
-// AllocNode records long-lived memory held on a node beyond any single
-// task's lifetime (e.g. a cached RDD partition). Pair with FreeNode.
+// AllocNode records memory held on a node beyond any single task's
+// lifetime (a stage's output partition). Pair with FreeNode.
 func (c *Cluster) AllocNode(node int, bytes int64) {
 	if node < 0 || node >= len(c.nodes) || bytes <= 0 {
 		return
 	}
-	n := c.nodes[node]
-	used := n.memUsed.Add(bytes)
-	for {
-		peak := n.memPeak.Load()
-		if used <= peak || n.memPeak.CompareAndSwap(peak, used) {
-			break
-		}
-	}
+	c.nodes[node].alloc(bytes)
 }
 
 // FreeNode releases memory recorded with AllocNode.
@@ -329,23 +305,21 @@ func (c *Cluster) attemptFails() bool {
 	return c.failRng.Float64() < c.failRate
 }
 
-// Run executes the tasks across the cluster, honouring slot limits and
-// preferring data-local placement. Injected task failures (see
-// InjectFailures) are retried, speculatively avoiding the failed node;
-// errors returned by task bodies are permanent. Run returns the first
-// permanent error.
-func (c *Cluster) Run(tasks []Task) error {
-	return c.RunCtx(nil, tasks)
-}
-
-// RunCtx is Run under a cancellation context: tasks not yet started
-// when ctx fires are skipped, running tasks stop paying modeled delays,
-// and the first ctx error wins over task errors so callers see a clean
-// context.Canceled / DeadlineExceeded.
-func (c *Cluster) RunCtx(runCtx context.Context, tasks []Task) error {
+// RunCtx executes one stage's tasks across the cluster, honouring slot
+// limits and preferring data-local placement. dispatch is the driver's
+// cost of launching one task, paid serially for the whole stage before
+// any task starts (zero for a scheduler that charges none). Injected
+// task failures (see InjectFailures) are retried, speculatively avoiding
+// the failed node; errors returned by task bodies are permanent. Tasks
+// not yet started when ctx fires are skipped, running tasks stop paying
+// modeled delays, and the ctx error wins over task errors so callers see
+// a clean context.Canceled / DeadlineExceeded; otherwise RunCtx returns
+// the first permanent error.
+func (c *Cluster) RunCtx(ctx context.Context, dispatch time.Duration, tasks []Task) error {
 	if len(tasks) == 0 {
 		return nil
 	}
+	SleepCtx(ctx, time.Duration(len(tasks))*dispatch)
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(tasks))
 	for i := range tasks {
@@ -355,7 +329,7 @@ func (c *Cluster) RunCtx(runCtx context.Context, tasks []Task) error {
 			defer wg.Done()
 			pref := task.PreferredNodes
 			for attempt := 0; ; attempt++ {
-				if runCtx != nil && runCtx.Err() != nil {
+				if ctx.Err() != nil {
 					return
 				}
 				node := c.acquire(pref)
@@ -370,9 +344,9 @@ func (c *Cluster) RunCtx(runCtx context.Context, tasks []Task) error {
 					pref = without(pref, node.id)
 					continue
 				}
-				ctx := &TaskCtx{cluster: c, node: node, ctx: runCtx}
-				err := task.Fn(ctx)
-				ctx.Free(ctx.held)
+				tc := &TaskCtx{cluster: c, node: node, ctx: ctx}
+				err := task.Fn(tc)
+				tc.Free(tc.held)
 				node.slots <- struct{}{}
 				if err != nil {
 					errCh <- err
@@ -382,8 +356,8 @@ func (c *Cluster) RunCtx(runCtx context.Context, tasks []Task) error {
 		}()
 	}
 	wg.Wait()
-	if runCtx != nil && runCtx.Err() != nil {
-		return runCtx.Err()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	select {
 	case err := <-errCh:

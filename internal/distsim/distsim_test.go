@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -51,7 +52,7 @@ func TestRunExecutesAllTasks(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := c.Run(tasks); err != nil {
+	if err := c.RunCtx(context.Background(), 0, tasks); err != nil {
 		t.Fatal(err)
 	}
 	if count.Load() != 50 {
@@ -66,10 +67,10 @@ func TestRunPropagatesError(t *testing.T) {
 		{Fn: func(*TaskCtx) error { return nil }},
 		{Fn: func(*TaskCtx) error { return boom }},
 	}
-	if err := c.Run(tasks); err != boom {
+	if err := c.RunCtx(context.Background(), 0, tasks); err != boom {
 		t.Errorf("err = %v", err)
 	}
-	if err := c.Run(nil); err != nil {
+	if err := c.RunCtx(context.Background(), 0, nil); err != nil {
 		t.Errorf("empty run err = %v", err)
 	}
 }
@@ -92,7 +93,7 @@ func TestSlotLimitEnforced(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := c.Run(tasks); err != nil {
+	if err := c.RunCtx(context.Background(), 0, tasks); err != nil {
 		t.Fatal(err)
 	}
 	if peak.Load() > 6 {
@@ -116,7 +117,7 @@ func TestDataLocalityPreferred(t *testing.T) {
 			},
 		}
 	}
-	if err := c.Run(tasks); err != nil {
+	if err := c.RunCtx(context.Background(), 0, tasks); err != nil {
 		t.Fatal(err)
 	}
 	// With ample slots every task should land on its preferred node.
@@ -127,9 +128,11 @@ func TestDataLocalityPreferred(t *testing.T) {
 
 func TestTransferAccounting(t *testing.T) {
 	c := testCluster(t, 3, 1)
-	c.Transfer(0, 1, 1000)
-	c.Transfer(1, 1, 9999) // local: free
-	c.Transfer(2, 0, 500)
+	c.TransferConcurrentCtx(context.Background(), []Move{
+		{From: 0, To: 1, Bytes: 1000},
+		{From: 1, To: 1, Bytes: 9999}, // local: free
+		{From: 2, To: 0, Bytes: 500},
+	})
 	s := c.Stats()
 	if s.BytesMoved != 1500 || s.Transfers != 2 {
 		t.Errorf("stats = %+v", s)
@@ -150,7 +153,8 @@ func TestTransferTakesTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	c.Transfer(0, 1, 1<<18) // 256 KiB at 1 MiB/s = 250ms
+	// 256 KiB at 1 MiB/s = 250ms
+	c.TransferConcurrentCtx(context.Background(), []Move{{From: 0, To: 1, Bytes: 1 << 18}})
 	if d := time.Since(start); d < 200*time.Millisecond {
 		t.Errorf("transfer took %v, want >= 200ms", d)
 	}
@@ -158,7 +162,7 @@ func TestTransferTakesTime(t *testing.T) {
 
 func TestMemoryAccounting(t *testing.T) {
 	c := testCluster(t, 2, 1)
-	err := c.Run([]Task{{
+	err := c.RunCtx(context.Background(), 0, []Task{{
 		PreferredNodes: []int{0},
 		Fn: func(ctx *TaskCtx) error {
 			ctx.Alloc(1000)
@@ -202,7 +206,7 @@ func TestAllocFreeNode(t *testing.T) {
 
 func TestReadBlockLocality(t *testing.T) {
 	c := testCluster(t, 3, 1)
-	err := c.Run([]Task{{
+	err := c.RunCtx(context.Background(), 0, []Task{{
 		PreferredNodes: []int{0},
 		Fn: func(ctx *TaskCtx) error {
 			ctx.ReadBlock([]int{ctx.Node()}, 100)     // local
@@ -230,7 +234,7 @@ func TestInjectedFailuresAreRetried(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := c.Run(tasks); err != nil {
+	if err := c.RunCtx(context.Background(), 0, tasks); err != nil {
 		t.Fatalf("tasks lost despite retries: %v", err)
 	}
 	if count.Load() != 40 {
@@ -244,7 +248,7 @@ func TestInjectedFailuresAreRetried(t *testing.T) {
 func TestFailuresExhaustRetryBudget(t *testing.T) {
 	c := testCluster(t, 2, 1)
 	c.InjectFailures(1.0, 3, 2) // every attempt fails
-	err := c.Run([]Task{{Fn: func(*TaskCtx) error { return nil }}})
+	err := c.RunCtx(context.Background(), 0, []Task{{Fn: func(*TaskCtx) error { return nil }}})
 	if !errors.Is(err, ErrTaskLost) {
 		t.Errorf("err = %v, want ErrTaskLost", err)
 	}
@@ -255,7 +259,7 @@ func TestPermanentErrorsNotRetried(t *testing.T) {
 	c.InjectFailures(0, 5, 3)
 	var attempts atomic.Int64
 	boom := errors.New("boom")
-	err := c.Run([]Task{{Fn: func(*TaskCtx) error {
+	err := c.RunCtx(context.Background(), 0, []Task{{Fn: func(*TaskCtx) error {
 		attempts.Add(1)
 		return boom
 	}}})
@@ -276,7 +280,7 @@ func TestComputeChargesSimulatedTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	err = c.Run([]Task{{Fn: func(ctx *TaskCtx) error {
+	err = c.RunCtx(context.Background(), 0, []Task{{Fn: func(ctx *TaskCtx) error {
 		ctx.Compute(1 << 18) // 256 KiB at 1 MiB/s = 250ms
 		return nil
 	}}})
@@ -289,8 +293,35 @@ func TestComputeChargesSimulatedTime(t *testing.T) {
 	// Disabled rate is a no-op.
 	off := testCluster(t, 1, 1)
 	start = time.Now()
-	off.Run([]Task{{Fn: func(ctx *TaskCtx) error { ctx.Compute(1 << 30); return nil }}})
+	off.RunCtx(context.Background(), 0, []Task{{Fn: func(ctx *TaskCtx) error { ctx.Compute(1 << 30); return nil }}})
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Errorf("disabled compute slept %v", d)
+	}
+}
+
+// TestDispatchIsChargedAndCancellable: the driver's per-task launch cost
+// is paid serially before the stage starts, and like every modeled delay
+// it stops when the context does.
+func TestDispatchIsChargedAndCancellable(t *testing.T) {
+	c := testCluster(t, 2, 2)
+	tasks := make([]Task, 10)
+	for i := range tasks {
+		tasks[i] = Task{Fn: func(*TaskCtx) error { return nil }}
+	}
+	start := time.Now()
+	if err := c.RunCtx(context.Background(), 2*time.Millisecond, tasks); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < 20*time.Millisecond {
+		t.Errorf("stage took %v, want >= 20ms for 10 tasks at 2ms", d)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start = time.Now()
+	if err := c.RunCtx(ctx, time.Hour, tasks); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled stage: err = %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("cancelled stage still slept %v", d)
 	}
 }

@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -15,7 +16,7 @@ func fastConfig() Config {
 }
 
 // TestClusterRunRace is the race-regression test for the task scheduler
-// (distsim.go Run): every task body runs on its own goroutine, acquires
+// (distsim.go RunCtx): every task body runs on its own goroutine, acquires
 // node slots, bumps the atomic transfer/memory counters and reports
 // through a shared error channel.
 func TestClusterRunRace(t *testing.T) {
@@ -38,7 +39,7 @@ func TestClusterRunRace(t *testing.T) {
 			},
 		}
 	}
-	if err := c.Run(tasks); err != nil {
+	if err := c.RunCtx(context.Background(), 0, tasks); err != nil {
 		t.Fatal(err)
 	}
 	if got := ran.Load(); got != int64(len(tasks)) {
@@ -58,7 +59,7 @@ func TestClusterRunRetriesRace(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = Task{Fn: func(ctx *TaskCtx) error { return nil }}
 	}
-	if err := c.Run(tasks); err != nil {
+	if err := c.RunCtx(context.Background(), 0, tasks); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().TaskRetries == 0 {
@@ -77,7 +78,7 @@ func TestTransferConcurrentRace(t *testing.T) {
 	for i := range moves {
 		moves[i] = Move{From: i % c.Nodes(), To: (i + 1) % c.Nodes(), Bytes: 1 << 10}
 	}
-	c.TransferConcurrent(moves)
+	c.TransferConcurrentCtx(context.Background(), moves)
 	st := c.Stats()
 	if st.Transfers != int64(len(moves)) {
 		t.Errorf("transfers = %d, want %d", st.Transfers, len(moves))

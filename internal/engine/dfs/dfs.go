@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"github.com/smartmeter/smartbench/internal/distsim"
@@ -39,9 +38,7 @@ type FS struct {
 }
 
 type file struct {
-	name   string
 	blocks []Block
-	size   int64
 }
 
 // Block is one stored chunk of a file.
@@ -90,14 +87,16 @@ func New(cluster *distsim.Cluster, opts ...Option) (*FS, error) {
 // Write stores data as a new file, splitting into blocks on line
 // boundaries (so text records never straddle blocks, like HDFS text
 // input splits after record alignment). Overwrites any existing file.
+// It fails when no node is alive to hold a replica.
 func (fs *FS) Write(name string, data []byte) error {
 	if name == "" {
 		return fmt.Errorf("dfs: empty file name")
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f := &file{name: name, size: int64(len(data))}
-	for off := 0; off < len(data); {
+	f := &file{}
+	// An empty file still gets one (empty) block, so it yields a split.
+	for off := 0; off < len(data) || len(f.blocks) == 0; {
 		end := off + fs.blockSize
 		if end >= len(data) {
 			end = len(data)
@@ -107,80 +106,38 @@ func (fs *FS) Write(name string, data []byte) error {
 				end++
 			}
 		}
-		blk := Block{
+		nodes := fs.placeReplicas()
+		if len(nodes) == 0 {
+			return fmt.Errorf("dfs: write %s: no live node to place a block on", name)
+		}
+		f.blocks = append(f.blocks, Block{
 			Index: len(f.blocks),
 			Data:  append([]byte(nil), data[off:end]...),
-			Nodes: fs.placeReplicas(),
-		}
-		f.blocks = append(f.blocks, blk)
+			Nodes: nodes,
+		})
 		off = end
-	}
-	if len(data) == 0 {
-		f.blocks = append(f.blocks, Block{Index: 0, Nodes: fs.placeReplicas()})
 	}
 	fs.files[name] = f
 	return nil
 }
 
-// placeReplicas picks replica nodes round-robin (caller holds the lock).
+// placeReplicas picks up to replication live nodes round-robin, skipping
+// dead ones, so a block written after a node died never depends on it
+// (caller holds the lock). It returns none only when every node is dead.
 func (fs *FS) placeReplicas() []int {
+	n := fs.cluster.Nodes()
 	nodes := make([]int, 0, fs.replication)
-	for i := 0; i < fs.replication; i++ {
-		nodes = append(nodes, (fs.nextNode+i)%fs.cluster.Nodes())
+	for i := 0; i < n && len(nodes) < fs.replication; i++ {
+		if node := (fs.nextNode + i) % n; !fs.dead[node] {
+			nodes = append(nodes, node)
+		}
 	}
-	fs.nextNode = (fs.nextNode + 1) % fs.cluster.Nodes()
+	fs.nextNode = (fs.nextNode + 1) % n
 	return nodes
-}
-
-// Read returns a file's full contents (driver-side, no transfer cost).
-func (fs *FS) Read(name string) ([]byte, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, fmt.Errorf("dfs: file %q not found", name)
-	}
-	out := make([]byte, 0, f.size)
-	for _, b := range f.blocks {
-		out = append(out, b.Data...)
-	}
-	return out, nil
-}
-
-// Delete removes a file. Deleting a missing file is not an error.
-func (fs *FS) Delete(name string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	delete(fs.files, name)
-}
-
-// List returns all file names in sorted order.
-func (fs *FS) List() []string {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Size returns a file's length in bytes.
-func (fs *FS) Size(name string) (int64, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return 0, fmt.Errorf("dfs: file %q not found", name)
-	}
-	return f.size, nil
 }
 
 // Split is one unit of input handed to a map task.
 type Split struct {
-	// File is the source file name.
-	File string
 	// Blocks holds the split's data blocks in order.
 	Blocks []Block
 	// PreferredNodes are nodes holding replicas of the split's data.
@@ -194,15 +151,6 @@ func (s *Split) Bytes() int64 {
 		n += int64(len(b.Data))
 	}
 	return n
-}
-
-// Data concatenates the split's blocks.
-func (s *Split) Data() []byte {
-	out := make([]byte, 0, s.Bytes())
-	for _, b := range s.Blocks {
-		out = append(out, b.Data...)
-	}
-	return out
 }
 
 // Reader streams the split's blocks in order without concatenating them
@@ -262,34 +210,20 @@ func (fs *FS) Splits(names []string, splittable bool) ([]Split, error) {
 		if !ok {
 			return nil, fmt.Errorf("dfs: file %q not found", name)
 		}
-		if splittable {
-			for _, b := range f.blocks {
-				live := fs.liveReplicas(b.Nodes)
-				if len(live) == 0 {
-					return nil, fmt.Errorf("%w: %s block %d", ErrBlockLost, name, b.Index)
-				}
-				b.Nodes = live
-				out = append(out, Split{
-					File:           name,
-					Blocks:         []Block{b},
-					PreferredNodes: live,
-				})
+		blocks := make([]Block, len(f.blocks))
+		for i, b := range f.blocks {
+			b.Nodes = fs.liveReplicas(b.Nodes)
+			if len(b.Nodes) == 0 {
+				return nil, fmt.Errorf("%w: %s block %d", ErrBlockLost, name, b.Index)
 			}
-		} else {
-			blocks := make([]Block, len(f.blocks))
-			for i, b := range f.blocks {
-				live := fs.liveReplicas(b.Nodes)
-				if len(live) == 0 {
-					return nil, fmt.Errorf("%w: %s block %d", ErrBlockLost, name, b.Index)
-				}
-				b.Nodes = live
-				blocks[i] = b
-			}
-			var pref []int
-			if len(blocks) > 0 {
-				pref = blocks[0].Nodes
-			}
-			out = append(out, Split{File: name, Blocks: blocks, PreferredNodes: pref})
+			blocks[i] = b
+		}
+		if !splittable {
+			out = append(out, Split{Blocks: blocks, PreferredNodes: blocks[0].Nodes})
+			continue
+		}
+		for i := range blocks {
+			out = append(out, Split{Blocks: blocks[i : i+1], PreferredNodes: blocks[i].Nodes})
 		}
 	}
 	return out, nil

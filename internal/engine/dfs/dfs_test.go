@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -25,22 +26,38 @@ func testFS(t *testing.T, nodes int, opts ...Option) *FS {
 	return fs
 }
 
+// splitData reads one split's bytes through its Reader.
+func splitData(t *testing.T, s *Split) []byte {
+	t.Helper()
+	data, err := io.ReadAll(s.Reader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// readAll concatenates a file's block splits.
+func readAll(t *testing.T, fs *FS, name string) []byte {
+	t.Helper()
+	splits, err := fs.Splits([]string{name}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []byte
+	for i := range splits {
+		all = append(all, splitData(t, &splits[i])...)
+	}
+	return all
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	fs := testFS(t, 4, WithBlockSize(64))
 	data := []byte(strings.Repeat("line-one\nline-two\nline-three\n", 20))
 	if err := fs.Write("f.csv", data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Read("f.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
+	if !bytes.Equal(readAll(t, fs, "f.csv"), data) {
 		t.Error("round trip mismatch")
-	}
-	sz, err := fs.Size("f.csv")
-	if err != nil || sz != int64(len(data)) {
-		t.Errorf("size = %d, %v", sz, err)
 	}
 }
 
@@ -57,18 +74,14 @@ func TestBlocksSplitOnLineBoundaries(t *testing.T) {
 	if len(splits) < 2 {
 		t.Fatalf("expected multiple splits, got %d", len(splits))
 	}
-	for i, s := range splits {
-		d := s.Data()
+	for i := range splits {
+		d := splitData(t, &splits[i])
 		if len(d) > 0 && d[len(d)-1] != '\n' {
 			t.Errorf("split %d does not end on a line boundary: %q", i, d)
 		}
 	}
 	// Concatenation preserves content.
-	var all []byte
-	for _, s := range splits {
-		all = append(all, s.Data()...)
-	}
-	if !bytes.Equal(all, data) {
+	if !bytes.Equal(readAll(t, fs, "f"), data) {
 		t.Error("splits lost data")
 	}
 }
@@ -85,7 +98,7 @@ func TestNonSplittableFiles(t *testing.T) {
 	if len(splits) != 2 {
 		t.Fatalf("non-splittable: %d splits, want 2", len(splits))
 	}
-	if !bytes.Equal(splits[0].Data(), data) {
+	if !bytes.Equal(splitData(t, &splits[0]), data) {
 		t.Error("whole-file split mismatch")
 	}
 	if splits[0].Bytes() != int64(len(data)) {
@@ -109,29 +122,13 @@ func TestReplication(t *testing.T) {
 	}
 }
 
-func TestErrorsAndDelete(t *testing.T) {
+func TestErrors(t *testing.T) {
 	fs := testFS(t, 2)
 	if err := fs.Write("", []byte("x")); err == nil {
 		t.Error("empty name: want error")
 	}
-	if _, err := fs.Read("missing"); err == nil {
-		t.Error("missing read: want error")
-	}
-	if _, err := fs.Size("missing"); err == nil {
-		t.Error("missing size: want error")
-	}
 	if _, err := fs.Splits([]string{"missing"}, true); err == nil {
 		t.Error("missing splits: want error")
-	}
-	fs.Write("a", []byte("x\n"))
-	fs.Write("b", []byte("y\n"))
-	if got := fs.List(); len(got) != 2 || got[0] != "a" {
-		t.Errorf("list = %v", got)
-	}
-	fs.Delete("a")
-	fs.Delete("a") // idempotent
-	if got := fs.List(); len(got) != 1 || got[0] != "b" {
-		t.Errorf("after delete: %v", got)
 	}
 }
 
@@ -140,13 +137,11 @@ func TestEmptyFile(t *testing.T) {
 	if err := fs.Write("empty", nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Read("empty")
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty read = %q, %v", got, err)
-	}
-	splits, err := fs.Splits([]string{"empty"}, true)
-	if err != nil || len(splits) != 1 {
-		t.Errorf("empty splits = %d, %v", len(splits), err)
+	for _, splittable := range []bool{true, false} {
+		splits, err := fs.Splits([]string{"empty"}, splittable)
+		if err != nil || len(splits) != 1 || splits[0].Bytes() != 0 {
+			t.Errorf("splittable=%v: empty splits = %d, %v", splittable, len(splits), err)
+		}
 	}
 }
 
@@ -164,8 +159,7 @@ func TestOverwrite(t *testing.T) {
 	fs := testFS(t, 2)
 	fs.Write("f", []byte("old\n"))
 	fs.Write("f", []byte("new-contents\n"))
-	got, _ := fs.Read("f")
-	if string(got) != "new-contents\n" {
+	if got := readAll(t, fs, "f"); string(got) != "new-contents\n" {
 		t.Errorf("overwrite = %q", got)
 	}
 }

@@ -72,15 +72,6 @@ type Source interface {
 	Temperature() (*timeseries.Temperature, error)
 }
 
-// ParallelHinter is optionally implemented by sources whose natural
-// intra-task parallelism exceeds a single thread even when the spec does
-// not ask for workers — the cluster engines report their total task
-// slots, so node-count sweeps keep scaling compute. The hint applies
-// only when Spec.Workers is unset; an explicit worker count always wins.
-type ParallelHinter interface {
-	ParallelHint() int
-}
-
 // NewDatasetSource adapts an in-memory dataset to Source: the minimal
 // engine, and one that is not partitioned.
 func NewDatasetSource(ds *timeseries.Dataset) Source { return datasetSource{ds: ds} }
@@ -285,19 +276,11 @@ func Run(src Source, spec core.Spec) (*core.Results, error) {
 // oracle at every worker count. Cancelling ctx stops the run promptly
 // with every pipeline goroutine joined and every cursor closed.
 func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results, error) {
-	requested := spec.Workers
 	spec = spec.WithDefaults()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	workers := spec.Workers
-	if requested <= 0 {
-		if h, ok := src.(ParallelHinter); ok {
-			if n := h.ParallelHint(); n > workers {
-				workers = n
-			}
-		}
-	}
 
 	ph := &core.Phases{}
 	// Temperature comes first on every path so engine-side caching it

@@ -123,38 +123,6 @@ func TestRunUnknownTask(t *testing.T) {
 	}
 }
 
-// hintedSource wraps a Source with a fixed ParallelHint.
-type hintedSource struct {
-	Source
-	hint int
-	seen *int
-}
-
-func (h hintedSource) ParallelHint() int {
-	*h.seen++
-	return h.hint
-}
-
-func TestParallelHintOnlyWhenWorkersUnset(t *testing.T) {
-	ds := makeDataset(t, 4, 10)
-	var calls int
-	src := hintedSource{Source: NewDatasetSource(ds), hint: 8, seen: &calls}
-
-	if _, err := Run(src, core.Spec{Task: core.TaskHistogram}); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Error("hint not consulted for unset Workers")
-	}
-	calls = 0
-	if _, err := Run(src, core.Spec{Task: core.TaskHistogram, Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 0 {
-		t.Error("hint consulted despite explicit Workers")
-	}
-}
-
 func TestBlockFor(t *testing.T) {
 	for _, tc := range []struct{ workers, want int }{
 		{1, 16}, {2, 16}, {4, 16}, {8, 32}, {16, 64},

@@ -11,8 +11,8 @@ import (
 // aligned to the temperature year: every assembled series has exactly
 // tempLen readings, hours are bounds-checked, and missing hours stay
 // zero. It centralizes the temperature-alignment step every extract
-// path used to hand-roll (the file engine's index scan, the RDD
-// group-by assembly, the MapReduce UDAF/UDTF plans).
+// path used to hand-roll (the file engine's index scan, the cluster
+// engine's map-side and reduce-side assembly).
 type Assembler struct {
 	tempLen int
 	byID    map[timeseries.ID][]float64
