@@ -90,7 +90,7 @@ func (q *flowQuery) run(u *flowUnit, acquire ast.Stmt) *cfgNode {
 	}
 	return u.cfg.firstUnsatisfiedExit(start, func(n *cfgNode) pathVerdict {
 		return q.classify(n)
-	}, q.pruneErrGuard)
+	}, q.pruneNilGuard)
 }
 
 // classify scans the expressions a node evaluates for uses of the
@@ -224,12 +224,16 @@ func (q *flowQuery) argSettles(call *ast.CallExpr, id *ast.Ident) bool {
 	return true
 }
 
-// pruneErrGuard suppresses the error branch of `if err != nil` (and the
-// success branch of `if err == nil`'s else) for the acquisition's error
-// sibling: by convention the resource is not live when its constructor
-// errored.
-func (q *flowQuery) pruneErrGuard(n *cfgNode, succIdx int) bool {
-	if q.errObj == nil || !n.isIf {
+// pruneNilGuard suppresses the branches of a nil comparison on which no
+// resource is live. For the acquisition's error sibling that is the
+// error branch of `if err != nil` (and the else of `if err == nil`): by
+// convention the resource is not live when its constructor errored. For
+// the tracked variable itself it is the other way round — the else of
+// `if x != nil` and the body of `if x == nil` hold no resource — which
+// is what lets a pin carried across loop iterations be released under a
+// guard (`if fr != nil { bp.unpin(fr) }`) on page change and on exit.
+func (q *flowQuery) pruneNilGuard(n *cfgNode, succIdx int) bool {
+	if !n.isIf {
 		return false
 	}
 	ifStmt, ok := n.stmt.(*ast.IfStmt)
@@ -240,24 +244,31 @@ func (q *flowQuery) pruneErrGuard(n *cfgNode, succIdx int) bool {
 	if !ok {
 		return false
 	}
-	var errSide ast.Expr
+	var side ast.Expr
 	switch {
 	case isNilIdent(be.Y):
-		errSide = be.X
+		side = be.X
 	case isNilIdent(be.X):
-		errSide = be.Y
+		side = be.Y
 	default:
 		return false
 	}
-	id, ok := errSide.(*ast.Ident)
-	if !ok || q.p.Info.Uses[id] != q.errObj {
+	id, ok := side.(*ast.Ident)
+	if !ok || be.Op != token.NEQ && be.Op != token.EQL {
 		return false
 	}
-	switch be.Op {
-	case token.NEQ:
-		return succIdx == 0 // prune the err != nil (then) branch
-	case token.EQL:
-		return succIdx == 1 // prune the err == nil else branch
+	// nilBranch is the successor taken when the compared variable is nil.
+	nilBranch := 1
+	if be.Op == token.EQL {
+		nilBranch = 0
+	}
+	switch obj := q.p.Info.Uses[id]; {
+	case obj == nil:
+		return false
+	case obj == q.errObj:
+		return succIdx != nilBranch // no resource where err is set
+	case obj == q.obj:
+		return succIdx == nilBranch // no resource where the variable is nil
 	}
 	return false
 }

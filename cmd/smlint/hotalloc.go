@@ -30,6 +30,7 @@ package main
 // Beyond those structural rules, hotFuncs names individual functions in
 // otherwise-unpoliced packages that profiling showed on the per-consumer
 // path: the parallel encode pool's per-consumer encoder in colstore,
+// the row store's per-tuple read loop and its tuple decoder,
 // the 3-line plan's per-consumer fit in threeline (its selection
 // kernel, stats.SelectQuantilePair, is covered by internal/stats being
 // hot as a whole) and the PAR plan's per-consumer fit in par with the
@@ -91,6 +92,7 @@ func runHotalloc(p *Pass) {
 // kernels.
 var hotFuncs = map[string][]string{
 	"/internal/engine/colstore/": {"encodeConsumer"},
+	"/internal/engine/rowstore/": {"table.readSeriesInto", "table.decodeTuple"},
 	"/internal/par/":             {"Plan.Compute", "Scratch.accumulate", "Scratch.fit", "Scratch.solve", "lagSums", "rSquared", "profile", "transpose"},
 	"/internal/threeline/":       {"Plan.Compute", "Plan.percentilePoints"},
 }

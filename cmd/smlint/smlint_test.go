@@ -85,6 +85,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{hotallocAnalyzer, "hotalloc/internal/colcodec", true},
 		{hotallocAnalyzer, "hotalloc/internal/incr", true},
 		{hotallocAnalyzer, "hotalloc/internal/engine/colstore", true},
+		{hotallocAnalyzer, "hotalloc/internal/engine/rowstore", true},
 		{hotallocAnalyzer, "hotalloc/internal/par", true},
 		{hotallocAnalyzer, "hotalloc/internal/threeline", true},
 	}

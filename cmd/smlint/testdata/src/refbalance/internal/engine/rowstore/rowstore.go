@@ -99,3 +99,51 @@ func (w *wrapCursor) Reset() error {
 	w.closed = false
 	return w.inner.Reset()
 }
+
+// A pin carried across loop iterations: the frame of the previous page
+// stays pinned until the page changes, and is released under a nil
+// guard on the page change and after the loop. The guards' nil
+// branches hold no frame, so every path is balanced.
+func okCarriedPin(bp *bufferPool, pages []int) error {
+	var fr *frame
+	var err error
+	for _, p := range pages {
+		if fr == nil || fr.page != p {
+			if fr != nil {
+				bp.unpin(fr)
+			}
+			fr, err = bp.fetch(p)
+			if err != nil {
+				break
+			}
+		}
+	}
+	if fr != nil {
+		bp.unpin(fr)
+	}
+	return err
+}
+
+// The same loop with an early return that forgets the carried pin.
+func leakCarriedPin(bp *bufferPool, pages []int, stop int) error {
+	var fr *frame
+	var err error
+	for _, p := range pages {
+		if fr == nil || fr.page != p {
+			if fr != nil {
+				bp.unpin(fr)
+			}
+			fr, err = bp.fetch(p) // want "fr from fetch does not reach unpin"
+			if err != nil {
+				return err
+			}
+		}
+		if p == stop {
+			return nil
+		}
+	}
+	if fr != nil {
+		bp.unpin(fr)
+	}
+	return nil
+}

@@ -196,8 +196,8 @@ func (t *btree) insertInto(page PageID, k key, v TID) (splitResult, error) {
 		idx++
 	}
 	child := internalChild(data, idx)
-	// Unpin during recursion; re-fetch to apply a split. Single-threaded
-	// access makes this safe.
+	// Unpin during recursion; re-fetch to apply a split. Inserts run under
+	// the exclusive table latch, so nothing else touches the page between.
 	t.bp.unpin(fr, false)
 	res, err := t.insertInto(child, k, v)
 	if err != nil || !res.split {
@@ -313,20 +313,22 @@ func (t *btree) internalInsert(fr *frame, sep key, right PageID) (splitResult, e
 	return splitResult{newPage: id, sepKey: upKey, split: true}, nil
 }
 
-// seekLeaf descends to the leaf that may contain k and returns its page.
-func (t *btree) seekLeaf(k key) (PageID, error) {
+// seekLeaf descends to the leaf that may contain k and returns its page
+// and the index of its first entry >= k (the leaf's count if it has none).
+func (t *btree) seekLeaf(k key) (PageID, int, error) {
 	page := t.root
 	for {
 		fr, err := t.bp.fetch(page)
 		if err != nil {
-			return InvalidPage, err
+			return InvalidPage, 0, err
 		}
 		data := fr.data[:]
-		if nodeIsLeaf(data) {
-			t.bp.unpin(fr, false)
-			return page, nil
-		}
 		n := int(nodeCount(data))
+		if nodeIsLeaf(data) {
+			idx := lowerBound(n, k, func(i int) key { return leafKey(data, i) })
+			t.bp.unpin(fr, false)
+			return page, idx, nil
+		}
 		idx := lowerBound(n, k, func(i int) key { return internalKey(data, i) })
 		if idx < n && !k.less(internalKey(data, idx)) {
 			idx++
@@ -339,7 +341,7 @@ func (t *btree) seekLeaf(k key) (PageID, error) {
 
 // scanRange calls fn for every entry with lo <= key < hi, in key order.
 func (t *btree) scanRange(lo, hi key, fn func(k key, v TID) error) error {
-	page, err := t.seekLeaf(lo)
+	page, start, err := t.seekLeaf(lo)
 	if err != nil {
 		return err
 	}
@@ -350,7 +352,6 @@ func (t *btree) scanRange(lo, hi key, fn func(k key, v TID) error) error {
 		}
 		data := fr.data[:]
 		n := int(nodeCount(data))
-		start := lowerBound(n, lo, func(i int) key { return leafKey(data, i) })
 		for i := start; i < n; i++ {
 			k := leafKey(data, i)
 			if !k.less(hi) {
@@ -364,7 +365,7 @@ func (t *btree) scanRange(lo, hi key, fn func(k key, v TID) error) error {
 		}
 		next := leafNext(data)
 		t.bp.unpin(fr, false)
-		page = next
+		page, start = next, 0
 	}
 	return nil
 }

@@ -186,7 +186,7 @@ func TestBTreeSurvivesPoolPressure(t *testing.T) {
 	if count != n {
 		t.Fatalf("count = %d", count)
 	}
-	if bp.Misses == 0 {
+	if _, misses := bp.stats(); misses == 0 {
 		t.Error("expected pool misses under pressure")
 	}
 }

@@ -9,13 +9,11 @@ import (
 )
 
 // scanCursor extracts one consumer per Next with an index scan through
-// the buffer pool — the engine's native cold path. The buffer pool is
-// not thread-safe (one database connection in the paper), so every
-// tuple read goes through readSeriesShared's engine-level lock; with a
-// single cursor the lock is uncontended and extraction is effectively
-// serial, while partition cursors (rangeCursor) interleave their index
-// scans through the same pool the way concurrent connections share
-// shared_buffers.
+// the buffer pool — the engine's native cold path. Every read goes
+// through readSeriesShared, which holds the table latch shared for one
+// consumer: a single cursor is one connection, and partition cursors
+// (rangeCursor) run their index scans side by side through the same
+// pool the way concurrent connections share shared_buffers.
 type scanCursor struct {
 	e      *Engine
 	ctx    context.Context
@@ -32,7 +30,7 @@ func (c *scanCursor) Next() (*timeseries.Series, error) {
 	if c.closed || c.i >= len(c.e.ids) {
 		return nil, io.EOF
 	}
-	s, err := c.e.readSeriesShared(c.e.ids[c.i])
+	s, err := c.e.readSeriesShared(c.e.ids[c.i], basePrefix)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +56,7 @@ func (c *scanCursor) SizeHint() (int, bool) { return len(c.e.ids), true }
 // the sorted ID list falls into [lo, hi). Tuples are bulk-loaded in
 // ascending household order, so a contiguous ID range is a contiguous
 // heap-page range — partition cursors mostly touch disjoint pages and
-// contend only on the shared buffer pool latch.
+// meet only in the pool's short mutex, once per page.
 type rangeCursor struct {
 	e      *Engine
 	ctx    context.Context
@@ -76,7 +74,7 @@ func (c *rangeCursor) Next() (*timeseries.Series, error) {
 	if c.closed || c.lo+c.i >= c.hi {
 		return nil, io.EOF
 	}
-	s, err := c.e.readSeriesShared(c.e.ids[c.lo+c.i])
+	s, err := c.e.readSeriesShared(c.e.ids[c.lo+c.i], basePrefix)
 	if err != nil {
 		return nil, err
 	}

@@ -43,8 +43,8 @@ func syncDir(dir string) error {
 
 // Checkpoint folds every page dirtied since the last checkpoint into
 // the table file with an atomic rewrite and truncates the write-ahead
-// log. Safe to call concurrently with Append/Snapshot: it serializes
-// on the engine's extraction latch.
+// log. Safe to call concurrently with Append, Snapshot and any cursor:
+// it holds the table latch exclusively.
 func (e *Engine) Checkpoint() error {
 	e.readMu.Lock()
 	defer e.readMu.Unlock()
@@ -188,6 +188,8 @@ func (e *Engine) triggerCheckpoint() {
 // dead afterwards — recovery happens by opening a fresh engine over
 // the same directory.
 func (e *Engine) Crash() {
+	e.readMu.Lock()
+	defer e.readMu.Unlock()
 	if e.wlog != nil {
 		e.wlog.Drop()
 		e.wlog = nil
@@ -197,7 +199,7 @@ func (e *Engine) Crash() {
 	}
 	e.pf, e.bp, e.table = nil, nil, nil
 	e.cache = nil
-	e.temp = nil
+	e.temp.Store(nil)
 	e.live = nil
 	e.ckptAppended = 0
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/exec"
@@ -49,17 +50,22 @@ type Engine struct {
 	table *table
 	ids   []timeseries.ID
 	cache *timeseries.Dataset
-	temp  *timeseries.Temperature
+	// temp is the temperature column, published once by whichever reader
+	// decodes it first and cleared with the state it was read from.
+	temp atomic.Pointer[timeseries.Temperature]
 
-	// readMu serializes tuple extraction: the buffer pool and B+tree are
-	// not thread-safe, so concurrent partition cursors take this lock
-	// per readSeries — the analogue of connections contending on the
-	// shared buffer latch. heap.get copies tuple bytes out before
-	// unpinning, so nothing pool-owned escapes the critical section.
-	// Live ingestion (live.go) runs entirely under the same latch:
-	// Append holds it across a whole batch, so a snapshot (or any
-	// reader) observes batches atomically.
-	readMu sync.Mutex
+	// readMu is the table latch. Every cursor's Next holds it shared for
+	// one consumer, so extraction runs on as many cores as there are
+	// cursors; everything that changes pages, the tree's shape, live, pf
+	// or table (Append, Checkpoint, AppendDelta, Release, Close,
+	// ensureLive, Snapshot's capture) holds it exclusively. Pages and
+	// tree are therefore frozen while any reader is inside — the latch
+	// covers a live store's B+tree descent too, no crabbing — and a pin
+	// only keeps a frame from eviction. Append holds it across a whole
+	// batch, so a snapshot (or any reader) observes batches atomically.
+	// It is taken before the pool mutex, never the other way round, and
+	// the pool mutex is never held across a page read.
+	readMu sync.RWMutex
 
 	// live is the lazily built live-ingestion state (live.go), guarded
 	// by readMu.
@@ -225,7 +231,7 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 		e.ids = append(e.ids, s.ID)
 	}
 	e.cache = nil
-	e.temp = ds.Temperature
+	e.temp.Store(ds.Temperature)
 	return &core.LoadStats{
 		Consumers:    len(ds.Series),
 		Readings:     readings,
@@ -273,7 +279,7 @@ func (e *Engine) Open() error {
 	e.pf, e.bp, e.table = pf, bp, tb
 	e.ids = ids
 	e.cache = nil
-	e.temp = nil
+	e.temp.Store(nil)
 	return nil
 }
 
@@ -297,13 +303,15 @@ func (e *Engine) Warm() error {
 // write-ahead log armed, the pool's dirty pages cannot be written back
 // in place (no-steal), so a checkpoint folds them atomically first.
 func (e *Engine) Release() error {
+	e.readMu.Lock()
+	defer e.readMu.Unlock()
 	e.cache = nil
-	e.temp = nil
+	e.temp.Store(nil)
 	if e.bp == nil {
 		return nil
 	}
 	if e.walOn && e.wlog != nil {
-		if err := e.Checkpoint(); err != nil {
+		if err := e.checkpointLocked(); err != nil {
 			return err
 		}
 	}
@@ -314,6 +322,8 @@ func (e *Engine) Release() error {
 func (e *Engine) Close() error { return e.closeStorage() }
 
 func (e *Engine) closeStorage() error {
+	e.readMu.Lock()
+	defer e.readMu.Unlock()
 	if e.pf == nil {
 		return nil
 	}
@@ -323,9 +333,7 @@ func (e *Engine) closeStorage() error {
 		// atomically (no-steal pools must not flush in place) and
 		// truncate the log. On failure fall through to the plain flush —
 		// the log survives on disk and replays next open.
-		e.readMu.Lock()
 		first = e.checkpointLocked()
-		e.readMu.Unlock()
 	}
 	if err := e.bp.flush(); err != nil && first == nil {
 		first = err
@@ -341,7 +349,7 @@ func (e *Engine) closeStorage() error {
 	}
 	e.pf, e.bp, e.table = nil, nil, nil
 	e.cache = nil
-	e.temp = nil
+	e.temp.Store(nil)
 	e.live = nil
 	e.ckptAppended = 0
 	return first
@@ -350,17 +358,14 @@ func (e *Engine) closeStorage() error {
 // materialize extracts the full dataset from stored tuples.
 func (e *Engine) materialize() (*timeseries.Dataset, error) {
 	series := make([]*timeseries.Series, 0, len(e.ids))
-	var temp *timeseries.Temperature
 	for _, id := range e.ids {
-		s, t, err := e.table.readSeries(id)
+		s, err := e.readSeriesShared(id, basePrefix)
 		if err != nil {
 			return nil, err
 		}
 		series = append(series, s)
-		if temp == nil {
-			temp = t
-		}
 	}
+	temp := e.temp.Load()
 	if temp == nil {
 		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
 	}
@@ -369,8 +374,8 @@ func (e *Engine) materialize() (*timeseries.Dataset, error) {
 
 // Run implements core.Engine by handing the engine's cursor to the
 // shared execution pipeline. Cold runs extract each consumer with an
-// index scan and decode tuples one at a time; warm runs reuse the
-// in-memory arrays built by Warm.
+// index scan, a heap page at a time; warm runs reuse the in-memory
+// arrays built by Warm.
 func (e *Engine) Run(spec core.Spec) (*core.Results, error) {
 	return e.RunContext(context.Background(), spec)
 }
@@ -385,7 +390,7 @@ func (e *Engine) RunContext(ctx context.Context, spec core.Spec) (*core.Results,
 }
 
 // NewCursor implements core.Engine: in-memory arrays after Warm,
-// otherwise a serial index-scan cursor through the buffer pool.
+// otherwise one index-scan cursor through the buffer pool.
 func (e *Engine) NewCursor() (core.Cursor, error) {
 	if e.table == nil {
 		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
@@ -398,9 +403,11 @@ func (e *Engine) NewCursor() (core.Cursor, error) {
 
 // NewCursors implements core.PartitionedSource: contiguous household
 // ranges of the sorted ID list, which are contiguous heap-page ranges
-// because Load inserts tuples in household order. All range cursors
-// funnel through readSeriesShared, sharing the single buffer pool under
-// the engine's read lock.
+// because Load inserts tuples in household order. The range cursors
+// read concurrently through readSeriesShared, each holding the table
+// latch shared and at most two pins (a leaf and a heap page), so the
+// pool caps how many are handed out: a parallel run must not exhaust a
+// pool the serial run fits in.
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("rowstore: NewCursors: max must be >= 1, got %d", max)
@@ -419,6 +426,9 @@ func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 		}
 		return curs, nil
 	}
+	if max = min(max, e.poolPages/2); max < 1 {
+		max = 1
+	}
 	curs := make([]core.Cursor, 0, max)
 	for _, r := range core.PartitionRanges(len(e.ids), max) {
 		curs = append(curs, &rangeCursor{e: e, lo: r[0], hi: r[1]})
@@ -428,20 +438,39 @@ func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 
 var _ core.PartitionedSource = (*Engine)(nil)
 
+// basePrefix asks readSeriesShared for the published seriesLen prefix.
+const basePrefix = -1
+
 // readSeriesShared is the one extraction path every cursor uses: it
-// holds readMu across the index scan and tuple decode, and memoizes the
-// temperature column read alongside the first consumer.
-func (e *Engine) readSeriesShared(id timeseries.ID) (*timeseries.Series, error) {
-	e.readMu.Lock()
-	defer e.readMu.Unlock()
-	s, temp, err := e.table.readSeries(id)
-	if err != nil {
+// holds the table latch shared across one consumer's index scan and
+// tuple decode. A base read (upTo == basePrefix) returns the published
+// prefix — live-appended tuples beyond it (see live.go) are invisible
+// until a bulk AppendDelta or reload publishes a new length — and
+// decodes the temperature column alongside while the engine has none. A
+// snapshot read passes the household length it captured, so tuples
+// appended after the capture are skipped.
+func (e *Engine) readSeriesShared(id timeseries.ID, upTo int) (*timeseries.Series, error) {
+	e.readMu.RLock()
+	defer e.readMu.RUnlock()
+	tb := e.table
+	if tb == nil {
+		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
+	}
+	var temp []float64
+	if upTo == basePrefix {
+		upTo = tb.seriesLen
+		if e.temp.Load() == nil {
+			temp = make([]float64, upTo)
+		}
+	}
+	cons := make([]float64, upTo)
+	if err := tb.readSeriesInto(id, cons, temp); err != nil {
 		return nil, err
 	}
-	if e.temp == nil {
-		e.temp = temp
+	if temp != nil {
+		e.temp.CompareAndSwap(nil, &timeseries.Temperature{Values: temp})
 	}
-	return s, nil
+	return &timeseries.Series{ID: id, Readings: cons}, nil
 }
 
 // Temperature implements core.Engine. The temperature column is read
@@ -454,16 +483,16 @@ func (e *Engine) Temperature() (*timeseries.Temperature, error) {
 	if e.table == nil {
 		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
 	}
-	if e.temp != nil {
-		return e.temp, nil
+	if t := e.temp.Load(); t != nil {
+		return t, nil
 	}
 	if len(e.ids) == 0 {
 		return nil, fmt.Errorf("rowstore: table holds no households")
 	}
-	if _, err := e.readSeriesShared(e.ids[0]); err != nil {
+	if _, err := e.readSeriesShared(e.ids[0], basePrefix); err != nil {
 		return nil, err
 	}
-	return e.temp, nil
+	return e.temp.Load(), nil
 }
 
 // Layout returns the engine's physical schema.
@@ -471,10 +500,12 @@ func (e *Engine) Layout() Layout { return e.layout }
 
 // PoolStats returns buffer pool hit/miss counters for diagnostics.
 func (e *Engine) PoolStats() (hits, misses int64) {
+	e.readMu.RLock()
+	defer e.readMu.RUnlock()
 	if e.bp == nil {
 		return 0, 0
 	}
-	return e.bp.Hits, e.bp.Misses
+	return e.bp.stats()
 }
 
 var _ core.Engine = (*Engine)(nil)
@@ -484,6 +515,8 @@ var _ core.Engine = (*Engine)(nil)
 // trade-off). It refuses to run while live-ingested tuples exist (see
 // Append in live.go): delta hours would collide with live hours.
 func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
+	e.readMu.Lock()
+	defer e.readMu.Unlock()
 	if e.table == nil {
 		return fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
 	}
@@ -491,10 +524,7 @@ func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
 		// An unreplayed log may hold live tuples the length checks below
 		// cannot see; materialize the live state (replaying the log)
 		// before deciding the delta is collision-free.
-		e.readMu.Lock()
-		_, err := e.ensureLive()
-		e.readMu.Unlock()
-		if err != nil {
+		if _, err := e.ensureLive(); err != nil {
 			return err
 		}
 	}
@@ -518,7 +548,7 @@ func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
 	}
 	e.table.setSeriesLen(e.table.seriesLen + n)
 	e.cache = nil
-	e.temp = nil
+	e.temp.Store(nil)
 	e.live = nil // series lengths changed; rebuild lazily
 	if err := writeMeta(e.bp, metaPage{
 		layout:    e.table.layout,
@@ -535,8 +565,6 @@ func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
 	if e.walOn && e.wlog != nil {
 		// Bulk deltas never ride the log; a checkpoint makes them
 		// durable with the same atomic rewrite an Append fold uses.
-		e.readMu.Lock()
-		defer e.readMu.Unlock()
 		e.ckptAppended = 0
 		return e.checkpointLocked()
 	}

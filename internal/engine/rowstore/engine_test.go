@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
@@ -25,6 +26,16 @@ func writeSource(t *testing.T, consumers, days int) (*meterdata.Source, *timeser
 		t.Fatal(err)
 	}
 	return src, ds
+}
+
+// readSeries extracts one consumer's published prefix and the
+// temperature column beside it, the way a base cursor's first read does.
+func (tb *table) readSeries(id timeseries.ID) (*timeseries.Series, *timeseries.Temperature, error) {
+	cons, temp := make([]float64, tb.seriesLen), make([]float64, tb.seriesLen)
+	if err := tb.readSeriesInto(id, cons, temp); err != nil {
+		return nil, nil, err
+	}
+	return &timeseries.Series{ID: id, Readings: cons}, &timeseries.Temperature{Values: temp}, nil
 }
 
 func TestEngineLoadAndExtract(t *testing.T) {
@@ -195,22 +206,41 @@ func TestEngineRunWithoutLoad(t *testing.T) {
 	}
 }
 
+// TestEngineParallelRun: every task, on both layouts, at one, two and
+// four workers, is the reference run over the same text, bit for bit.
 func TestEngineParallelRun(t *testing.T) {
 	src, _ := writeSource(t, 6, 20)
-	e := New(t.TempDir())
-	defer e.Close()
-	if _, err := e.Load(src); err != nil {
-		t.Fatal(err)
-	}
-	seq, err := e.Run(core.Spec{Task: core.TaskPAR, Workers: 1})
+	ref, err := meterdata.ReadDataset(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par4, err := e.Run(core.Spec{Task: core.TaskPAR, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
+		e := New(t.TempDir(), WithLayout(layout))
+		defer e.Close()
+		if _, err := e.Load(src); err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range core.Tasks {
+			want, err := core.RunReference(ref, core.Spec{Task: task, K: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				if err := e.Release(); err != nil {
+					t.Fatal(err)
+				}
+				got, err := e.Run(core.Spec{Task: task, K: 3, Workers: workers})
+				if err != nil {
+					t.Fatalf("%v/%v/W%d: %v", layout, task, workers, err)
+				}
+				got.Phases = nil
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v/%v/W%d differs from the reference run", layout, task, workers)
+					compareResults(t, got, want)
+				}
+			}
+		}
 	}
-	compareResults(t, par4, seq)
 }
 
 func TestArrayLayoutUsesFewerTuples(t *testing.T) {

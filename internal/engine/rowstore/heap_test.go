@@ -151,7 +151,7 @@ func TestBufferPoolEvictionWriteback(t *testing.T) {
 		}
 		bp.unpin(fr, false)
 	}
-	if bp.Misses == 0 {
+	if _, misses := bp.stats(); misses == 0 {
 		t.Error("expected misses with pool of 2")
 	}
 }

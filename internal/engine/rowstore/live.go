@@ -12,19 +12,18 @@ import (
 )
 
 // Live ingestion (core.Appender). New readings become ordinary tuple
-// inserts through the same heap/B+tree machinery as the bulk loader —
-// page append behind the buffer-pool latch. The whole batch is applied
-// while holding readMu, the engine's single extraction latch, which
-// makes writers serial (deliberately contrasting colstore's sharded
-// tail: this engine models connections contending on a shared buffer
-// pool) and makes batches atomic with respect to snapshots and
-// readers for free.
+// inserts through the same heap/B+tree machinery as the bulk loader.
+// The whole batch is applied while holding readMu, the table latch,
+// exclusively, which makes writers serial (deliberately contrasting
+// colstore's sharded tail: this engine models one heap and one index
+// every writer appends to) and makes batches atomic with respect to
+// snapshots and readers, who hold the same latch shared, for free.
 //
 // Visibility. table.seriesLen is the published base length: NewCursor,
 // Run and Warm keep reading exactly the seriesLen prefix, so the base
 // view is stable while ingestion runs. Snapshot captures the
 // per-household live lengths and serves the full committed state
-// through truncating prefix reads (readSeriesUpTo), so a snapshot at
+// through truncating prefix reads (readSeriesShared), so a snapshot at
 // epoch E never observes a batch committed after E.
 //
 // Durability. Live tuples are real pages: every Append rewrites the
@@ -42,7 +41,7 @@ import (
 // like live delivery. See durable.go for the checkpoint protocol.
 
 // liveState tracks per-household committed lengths beyond the
-// published seriesLen. Guarded by Engine.readMu.
+// published seriesLen. Guarded by Engine.readMu, held exclusively.
 type liveState struct {
 	epoch    uint64
 	appended int64                    // tuples inserted through live Append this session
@@ -53,7 +52,7 @@ type liveState struct {
 }
 
 // ensureLive lazily builds the live state from the index. Callers hold
-// readMu.
+// readMu exclusively.
 func (e *Engine) ensureLive() (*liveState, error) {
 	if e.live != nil {
 		return e.live, nil
@@ -79,11 +78,10 @@ func (e *Engine) ensureLive() (*liveState, error) {
 	if maxLen > 0 {
 		// The longest household's tuples carry the full temperature
 		// column (every committed hour appears in at least that one).
-		_, temp, err := e.table.readSeriesInto(maxID, maxLen)
-		if err != nil {
+		ls.temp = make([]float64, maxLen)
+		if err := e.table.readSeriesInto(maxID, make([]float64, maxLen), ls.temp); err != nil {
 			return nil, err
 		}
-		ls.temp = temp
 	}
 	if e.walOn && e.wlog == nil {
 		// First touch after open: replay whatever the log holds on top
@@ -149,7 +147,7 @@ func (e *Engine) committedLen(id timeseries.ID) (hours int, nextSeq uint64, err 
 		if err != nil {
 			return 0, 0, err
 		}
-		start, count, err := chunkBounds(t)
+		_, start, count, err := chunkBounds(t)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -159,10 +157,10 @@ func (e *Engine) committedLen(id timeseries.ID) (hours int, nextSeq uint64, err 
 	}
 }
 
-// Append implements core.Appender. The batch is applied under readMu —
-// serial writers, atomic batches — with redelivered hours skipped, so
-// a retried batch applies exactly once. The meta page is rewritten per
-// batch for durability.
+// Append implements core.Appender. The batch is applied under the
+// exclusive table latch — serial writers, atomic batches — with
+// redelivered hours skipped, so a retried batch applies exactly once.
+// The meta page is rewritten per batch for durability.
 func (e *Engine) Append(batch []core.Reading) error {
 	e.readMu.Lock()
 	defer e.readMu.Unlock()
@@ -301,8 +299,9 @@ func (e *Engine) applyBatch(ls *liveState, batch []core.Reading) error {
 // Snapshot implements core.Appender: a read-isolated cursor over the
 // full committed state — published base plus live tuples — in
 // ascending household-ID order, with the epoch it was taken at. The
-// cursor re-reads tuples through the shared latch per Next, truncated
-// to the lengths captured here, so later appends are invisible to it.
+// cursor re-reads tuples under the shared table latch per Next,
+// truncated to the lengths captured here, so later appends are
+// invisible to it.
 func (e *Engine) Snapshot() (core.Cursor, core.Epoch, error) {
 	e.readMu.Lock()
 	defer e.readMu.Unlock()
@@ -348,13 +347,7 @@ func (c *rowSnapCursor) Next() (*timeseries.Series, error) {
 		return nil, io.EOF
 	}
 	id := c.ids[c.i]
-	c.e.readMu.Lock()
-	if c.e.table == nil {
-		c.e.readMu.Unlock()
-		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
-	}
-	s, err := c.e.table.readSeriesUpTo(id, c.lens[id])
-	c.e.readMu.Unlock()
+	s, err := c.e.readSeriesShared(id, c.lens[id])
 	if err != nil {
 		return nil, err
 	}

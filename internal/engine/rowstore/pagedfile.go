@@ -8,8 +8,9 @@
 //   - bulk CSV loading is the slowest of the single-node systems
 //     (Figure 4): every reading becomes a slotted tuple behind a buffer
 //     pool, and the index is built per row;
-//   - extracting one consumer's series costs an index scan plus
-//     tuple-at-a-time decoding (the MADLib overhead visible in Figure 7);
+//   - extracting one consumer's series costs an index scan plus a
+//     decode per tuple out of each pinned heap page (the MADLib overhead
+//     visible in Figure 7);
 //   - the alternative array layout — one row per consumer with all
 //     readings in an array column (Figure 9's Table 2) — removes most of
 //     that overhead, which §5.3.3 measures as a 1.4-1.7x speedup.
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 )
 
 // PageSize is the fixed page size (8 KiB, PostgreSQL's default).
@@ -66,9 +68,17 @@ func (pf *pagedFile) allocate() (PageID, error) {
 	return id, nil
 }
 
-func (pf *pagedFile) read(id PageID, buf []byte) error {
+// checkRead reports a page that lies past the end of the file.
+func (pf *pagedFile) checkRead(id PageID) error {
 	if id >= pf.nPages {
 		return fmt.Errorf("rowstore: read past end: page %d of %d", id, pf.nPages)
+	}
+	return nil
+}
+
+func (pf *pagedFile) read(id PageID, buf []byte) error {
+	if err := pf.checkRead(id); err != nil {
+		return err
 	}
 	if _, err := pf.f.ReadAt(buf[:PageSize], int64(id)*PageSize); err != nil && err != io.EOF {
 		return fmt.Errorf("rowstore: read page %d: %w", id, err)
@@ -100,19 +110,33 @@ func (pf *pagedFile) sync() error {
 // sizeBytes returns the current file size.
 func (pf *pagedFile) sizeBytes() int64 { return int64(pf.nPages) * PageSize }
 
-// frame is one buffer-pool slot.
+// frame is one buffer-pool slot. Everything but data is guarded by the
+// pool mutex; data belongs to whoever holds a pin (readers under the
+// shared table latch, one writer under the exclusive one).
 type frame struct {
 	id    PageID
 	data  [PageSize]byte
 	dirty bool
 	pins  int
+	// loading is set while the page is being read from the file; once
+	// it clears, data (or err, on a failed read) is final.
+	loading bool
+	err     error
 	// LRU chain.
 	prev, next *frame
 }
 
-// bufferPool caches pages of one pagedFile with LRU replacement.
-// It is not safe for concurrent use; the engine serializes access.
+// bufferPool caches pages of one pagedFile with LRU replacement. It is
+// safe for concurrent fetch/unpin: mu covers the frame map, the LRU
+// list, pin counts and the counters, and is never held across a page
+// read. A page being read sits in the map as loading, so a second
+// reader of the same page waits for that one read. Page contents carry
+// no latch of their own: the engine's table latch keeps writers out
+// while any reader holds a pin.
 type bufferPool struct {
+	mu sync.Mutex
+	// loaded is broadcast whenever a page read ends; it waits on mu.
+	loaded sync.Cond
 	pf     *pagedFile
 	frames map[PageID]*frame
 	cap    int
@@ -124,8 +148,8 @@ type bufferPool struct {
 	noSteal bool
 	// lruHead is the most recently used frame; lruTail the least.
 	lruHead, lruTail *frame
-	// Misses and Hits count page lookups for diagnostics.
-	Misses, Hits int64
+	// misses counts page reads, hits every other lookup.
+	misses, hits int64
 }
 
 // errPoolFull is returned when every frame is pinned.
@@ -135,7 +159,16 @@ func newBufferPool(pf *pagedFile, capacity int) *bufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &bufferPool{pf: pf, frames: make(map[PageID]*frame, capacity), cap: capacity}
+	bp := &bufferPool{pf: pf, frames: make(map[PageID]*frame, capacity), cap: capacity}
+	bp.loaded.L = &bp.mu
+	return bp
+}
+
+// stats returns the hit and miss counters.
+func (bp *bufferPool) stats() (hits, misses int64) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return bp.hits, bp.misses
 }
 
 func (bp *bufferPool) lruRemove(fr *frame) {
@@ -164,35 +197,65 @@ func (bp *bufferPool) lruPushFront(fr *frame) {
 }
 
 // fetch pins a page and returns its frame. The caller must unpin it.
+// A failed fetch leaves the pool as it found it: the page is checked
+// against the file's length before any frame is evicted for it, and a
+// read that fails afterwards withdraws its own frame and hands the one
+// error to every reader that waited on it.
 func (bp *bufferPool) fetch(id PageID) (*frame, error) {
+	bp.mu.Lock()
 	if fr, ok := bp.frames[id]; ok {
-		bp.Hits++
+		bp.hits++
 		fr.pins++
 		bp.lruRemove(fr)
 		bp.lruPushFront(fr)
+		for fr.loading {
+			bp.loaded.Wait()
+		}
+		err := fr.err
+		bp.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
 		return fr, nil
 	}
-	bp.Misses++
+	if err := bp.pf.checkRead(id); err != nil {
+		bp.mu.Unlock()
+		return nil, err
+	}
+	bp.misses++
 	fr, err := bp.victim()
+	if err != nil {
+		bp.mu.Unlock()
+		return nil, err
+	}
+	fr.id, fr.dirty, fr.pins, fr.loading = id, false, 1, true
+	bp.frames[id] = fr
+	bp.lruPushFront(fr)
+	bp.mu.Unlock()
+
+	err = bp.pf.read(id, fr.data[:])
+
+	bp.mu.Lock()
+	fr.loading = false
+	if err != nil {
+		// The frame is dropped, not reused, so err stays put for waiters.
+		fr.err = err
+		bp.lruRemove(fr)
+		delete(bp.frames, id)
+	}
+	bp.mu.Unlock()
+	bp.loaded.Broadcast()
 	if err != nil {
 		return nil, err
 	}
-	if err := bp.pf.read(id, fr.data[:]); err != nil {
-		// Return the frame to the pool unused.
-		bp.lruPushFront(fr)
-		bp.frames[fr.id] = fr
-		return nil, err
-	}
-	fr.id = id
-	fr.dirty = false
-	fr.pins = 1
-	bp.frames[id] = fr
-	bp.lruPushFront(fr)
 	return fr, nil
 }
 
-// allocate creates a new page and returns its pinned frame.
+// allocate creates a new page and returns its pinned frame. Only a
+// writer holding the table latch exclusively may call it.
 func (bp *bufferPool) allocate() (*frame, error) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	id, err := bp.pf.allocate()
 	if err != nil {
 		return nil, err
@@ -214,7 +277,10 @@ func (bp *bufferPool) allocate() (*frame, error) {
 
 // victim returns an empty frame, evicting the least recently used
 // unpinned page if the pool is at capacity. The returned frame is
-// detached from the map and LRU list.
+// detached from the map and LRU list. Callers hold mu. A dirty victim
+// is written back under it: dirty pages exist only while a writer holds
+// the table latch exclusively (every batch ends in a flush), so no
+// reader waits on that write.
 func (bp *bufferPool) victim() (*frame, error) {
 	if len(bp.frames) < bp.cap {
 		return &frame{}, nil
@@ -244,16 +310,21 @@ func (bp *bufferPool) victim() (*frame, error) {
 }
 
 func (bp *bufferPool) unpin(fr *frame, dirty bool) {
+	bp.mu.Lock()
 	if dirty {
 		fr.dirty = true
 	}
 	if fr.pins > 0 {
 		fr.pins--
 	}
+	bp.mu.Unlock()
 }
 
-// flush writes back every dirty page.
+// flush writes back every dirty page. Like reset it is a writer's
+// call, made under the exclusive table latch.
 func (bp *bufferPool) flush() error {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	for _, fr := range bp.frames {
 		if fr.dirty {
 			if err := bp.pf.write(fr.id, fr.data[:]); err != nil {
@@ -271,6 +342,8 @@ func (bp *bufferPool) reset() error {
 	if err := bp.flush(); err != nil {
 		return err
 	}
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	bp.frames = make(map[PageID]*frame, bp.cap)
 	bp.lruHead, bp.lruTail = nil, nil
 	return nil

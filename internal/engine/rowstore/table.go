@@ -86,26 +86,27 @@ func encodeArrayChunk(buf []byte, id timeseries.ID, startHour int, cons, temp []
 	return buf, nil
 }
 
-// decodeArrayChunk decodes a chunk tuple, appending into cons/temp at
-// the encoded start hour (the slices must already be sized).
-func decodeArrayChunk(t []byte, cons, temp []float64) (timeseries.ID, error) {
-	if len(t) < 16 {
-		return 0, fmt.Errorf("rowstore: chunk tuple of %d bytes", len(t))
+// decodeArrayChunk decodes a chunk tuple into cons and, when temp is
+// non-nil, temp at the encoded start hour (the slices must already be
+// sized).
+func decodeArrayChunk(t []byte, cons, temp []float64) error {
+	_, start, n, err := chunkBounds(t)
+	if err != nil {
+		return err
 	}
-	id := timeseries.ID(getU64(t, 0))
-	start := int(getU32(t, 8))
-	n := int(getU32(t, 12))
 	if len(t) != 16+n*16 {
-		return 0, fmt.Errorf("rowstore: chunk tuple size %d, want %d", len(t), 16+n*16)
+		return fmt.Errorf("rowstore: chunk tuple size %d, want %d", len(t), 16+n*16)
 	}
-	if start+n > len(cons) || start+n > len(temp) {
-		return 0, fmt.Errorf("rowstore: chunk [%d, %d) outside series of %d", start, start+n, len(cons))
+	if start+n > len(cons) || (temp != nil && start+n > len(temp)) {
+		return fmt.Errorf("rowstore: chunk [%d, %d) outside series of %d", start, start+n, len(cons))
 	}
 	for i := 0; i < n; i++ {
 		cons[start+i] = math.Float64frombits(getU64(t, 16+i*8))
+	}
+	for i := 0; temp != nil && i < n; i++ {
 		temp[start+i] = math.Float64frombits(getU64(t, 16+(n+i)*8))
 	}
-	return id, nil
+	return nil
 }
 
 // table is a stored relation: a heap file plus a B+tree on the
@@ -241,94 +242,116 @@ func (tb *table) appendReadings(id timeseries.ID, cons, temps []float64) error {
 // setSeriesLen records the new uniform series length after appends.
 func (tb *table) setSeriesLen(n int) { tb.seriesLen = n }
 
-// readSeries extracts one consumer via an index scan, decoding tuples
-// one at a time (the per-row cost the paper attributes to the DBMS).
-// It reads the published seriesLen prefix: live-appended tuples beyond
-// it (see live.go) are invisible to the base view until a bulk
-// AppendDelta or reload publishes a new length.
-func (tb *table) readSeries(id timeseries.ID) (*timeseries.Series, *timeseries.Temperature, error) {
-	cons, temp, err := tb.readSeriesInto(id, tb.seriesLen)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &timeseries.Series{ID: id, Readings: cons}, &timeseries.Temperature{Values: temp}, nil
-}
-
-// readSeriesUpTo extracts the first n hours of one consumer — the
-// snapshot cursors' truncating read: n is a household length captured
-// at snapshot time, so tuples appended after the capture are skipped.
-func (tb *table) readSeriesUpTo(id timeseries.ID, n int) (*timeseries.Series, error) {
-	cons, _, err := tb.readSeriesInto(id, n)
-	if err != nil {
-		return nil, err
-	}
-	return &timeseries.Series{ID: id, Readings: cons}, nil
-}
-
-// readSeriesInto scans one household's index range, decoding tuples
-// into n-hour consumption and temperature arrays. Tuples at or beyond
-// hour n terminate the scan: the index orders a household's tuples by
-// sequence, so everything after the first out-of-prefix tuple is also
-// out of prefix. An array chunk straddling n is an invariant breach —
-// chunks never span an append batch, and prefixes are only ever cut at
-// batch boundaries.
-func (tb *table) readSeriesInto(id timeseries.ID, n int) ([]float64, []float64, error) {
-	cons := make([]float64, n)
-	temp := make([]float64, n)
-	found := false
-	lo := key{ID: uint64(id), Seq: 0}
-	hi := key{ID: uint64(id) + 1, Seq: 0}
-	err := tb.index.scanRange(lo, hi, func(k key, v TID) error {
-		t, err := tb.heap.get(v)
+// readSeriesInto is the one read path: it walks one household's leaf
+// entries and decodes each tuple straight out of its pinned heap frame
+// into cons (the first len(cons) hours) and, when temp is non-nil, the
+// temperature column beside it. Consecutive TIDs mostly share a heap
+// page, so the page of the previous TID stays pinned until the TID's
+// page changes: one pool lookup per heap page, no copy and no
+// allocation per tuple. It reads the published prefix or a snapshot's
+// captured length alike: tuples at or beyond hour len(cons) end the
+// scan, because the index orders a household's tuples by sequence.
+// Callers hold the table latch, shared or exclusive.
+func (tb *table) readSeriesInto(id timeseries.ID, cons, temp []float64) error {
+	bp := tb.heap.bp
+	page, i, err := tb.index.seekLeaf(key{ID: uint64(id)})
+	var hp *frame // heap page of the previous TID
+	found, done := false, false
+	for err == nil && !done && page != InvalidPage {
+		var lf *frame
+		lf, err = bp.fetch(page)
 		if err != nil {
-			return err
+			break
 		}
-		found = true
-		switch tb.layout {
-		case LayoutRows:
-			_, hour, tv, cv, err := decodeRowTuple(t)
-			if err != nil {
-				return err
+		leaf := lf.data[:]
+		for n := int(nodeCount(leaf)); i < n && err == nil && !done; i++ {
+			k, tid := leafKey(leaf, i), leafVal(leaf, i)
+			if k.ID != uint64(id) {
+				done = true
+				break
 			}
-			if hour >= n {
-				return errStopScan
+			if hp == nil || hp.id != tid.Page {
+				if hp != nil {
+					bp.unpin(hp, false)
+				}
+				hp, err = bp.fetch(tid.Page)
+				if err != nil {
+					break
+				}
 			}
-			cons[hour], temp[hour] = cv, tv
-		case LayoutArrays:
-			start, count, err := chunkBounds(t)
-			if err != nil {
-				return err
-			}
-			if start >= n {
-				return errStopScan
-			}
-			if start+count > n {
-				return fmt.Errorf("rowstore: prefix of %d hours cuts chunk [%d, %d)", n, start, start+count)
-			}
-			_, err = decodeArrayChunk(t, cons, temp)
-			return err
+			found = true
+			done, err = tb.decodeTuple(hp.data[:], k, tid, cons, temp)
 		}
-		return nil
-	})
-	if err == errStopScan {
-		err = nil
+		page, i = leafNext(leaf), 0
+		bp.unpin(lf, false)
 	}
-	if err != nil {
-		return nil, nil, err
+	if hp != nil {
+		bp.unpin(hp, false)
 	}
-	if !found {
-		return nil, nil, fmt.Errorf("rowstore: household %d not found", id)
+	if err == nil && !found {
+		err = fmt.Errorf("rowstore: household %d not found", id)
 	}
-	return cons, temp, nil
+	return err
 }
 
-// chunkBounds decodes just the [start, start+count) hour range from a
-// LayoutArrays chunk tuple header.
-func chunkBounds(t []byte) (start, count int, err error) {
-	if len(t) < 16 {
-		return 0, 0, fmt.Errorf("rowstore: chunk tuple of %d bytes", len(t))
+// decodeTuple decodes the tuple at tid, a view into its pinned heap
+// page, into cons/temp, checking that it belongs to the household the
+// index entry k names. done reports a tuple at or beyond hour
+// len(cons). An array chunk straddling that hour is an invariant breach
+// — chunks never span an append batch, and prefixes are only ever cut at
+// batch boundaries.
+func (tb *table) decodeTuple(page []byte, k key, tid TID, cons, temp []float64) (done bool, err error) {
+	t, err := heapPageTuple(page, tid.Slot)
+	if err != nil {
+		return false, err
 	}
-	return int(getU32(t, 8)), int(getU32(t, 12)), nil
+	n := len(cons)
+	switch tb.layout {
+	case LayoutRows:
+		owner, hour, tv, cv, err := decodeRowTuple(t)
+		if err != nil || uint64(owner) != k.ID {
+			return false, tupleErr(err, k, tid, owner)
+		}
+		if hour >= n {
+			return true, nil
+		}
+		cons[hour] = cv
+		if temp != nil {
+			temp[hour] = tv
+		}
+	case LayoutArrays:
+		owner, start, count, err := chunkBounds(t)
+		if err != nil || uint64(owner) != k.ID {
+			return false, tupleErr(err, k, tid, owner)
+		}
+		if start >= n {
+			return true, nil
+		}
+		if start+count > n {
+			return false, fmt.Errorf("rowstore: prefix of %d hours cuts chunk [%d, %d)", n, start, start+count)
+		}
+		return false, decodeArrayChunk(t, cons, temp)
+	}
+	return false, nil
+}
+
+// tupleErr is a tuple's decode error or, without one, the error for an
+// index entry whose TID addresses another household's tuple.
+func tupleErr(err error, k key, tid TID, owner timeseries.ID) error {
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("rowstore: index entry (%d, %d) points at tuple (%d, %d) of household %d",
+		k.ID, k.Seq, tid.Page, tid.Slot, owner)
+}
+
+// chunkBounds decodes the household and the [start, start+count) hour
+// range from a LayoutArrays chunk tuple header.
+func chunkBounds(t []byte) (id timeseries.ID, start, count int, err error) {
+	if len(t) < 16 {
+		return 0, 0, 0, fmt.Errorf("rowstore: chunk tuple of %d bytes", len(t))
+	}
+	return timeseries.ID(getU64(t, 0)), int(getU32(t, 8)), int(getU32(t, 12)), nil
 }
 
 // distinctIDs returns every stored household ID in ascending order by

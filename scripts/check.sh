@@ -18,9 +18,10 @@ go run ./cmd/smlint ./...
 
 # The execution layer and the engines under it are the concurrency
 # hot spots (the pipeline's extract/compute goroutine fan-out, the
-# partition cursors' shared state — refcounted indexes, latched buffer
-# pools, shared cluster extraction jobs — and block scheduling); surface a race there
-# as its own failure before the full suite runs. Engine layering (and
+# partition cursors' shared state — refcounted indexes, the row store's
+# concurrent buffer pool under its shared table latch, shared cluster
+# extraction jobs — and block scheduling); surface a race there as its
+# own failure before the full suite runs. Engine layering (and
 # every other analyzer) is covered by the single smlint sweep above —
 # ./... includes ./internal/engine/..., so a second invocation would
 # only repeat the same findings.
