@@ -35,7 +35,11 @@ package main
 // kernel, stats.SelectQuantilePair, is covered by internal/stats being
 // hot as a whole) and the PAR plan's per-consumer fit in par with the
 // helpers that hold its loops. Listed functions get the kernel
-// treatment.
+// treatment. The codec's fixed-point unpacker and the histogram's
+// bucket-counting loop are listed too, although their packages are hot
+// as a whole today: every stored reading passes through the first and
+// every histogram through the second, so they stay policed by name
+// should the wholesale rule ever narrow.
 //
 // Scope is deliberate: only the kernel packages and the named hot
 // functions are held to this standard. Orchestration and reporting code
@@ -91,8 +95,10 @@ func runHotalloc(p *Pass) {
 // inner loops, so they are held to the same standard as the stats
 // kernels.
 var hotFuncs = map[string][]string{
+	"/internal/colcodec/":        {"decodeFixed", "unpackDeltas"},
 	"/internal/engine/colstore/": {"encodeConsumer"},
 	"/internal/engine/rowstore/": {"table.readSeriesInto", "table.decodeTuple"},
+	"/internal/stats/":           {"Histogram.AddAll"},
 	"/internal/par/":             {"Plan.Compute", "Scratch.accumulate", "Scratch.fit", "Scratch.solve", "lagSums", "rSquared", "profile", "transpose"},
 	"/internal/threeline/":       {"Plan.Compute", "Plan.percentilePoints"},
 }

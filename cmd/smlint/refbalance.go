@@ -1,10 +1,9 @@
 package main
 
 // refbalanceAnalyzer enforces the repo's paired acquire/release
-// disciplines on every control-flow path: Dataset.Flat → ReleaseFlat,
-// the rowstore buffer pool's and the colstore pager's fetch/allocate →
-// unpin. The pairs live in a small table, so a new resource is one
-// line. Two shapes exist:
+// disciplines on every control-flow path: Dataset.Flat → ReleaseFlat
+// and the rowstore buffer pool's fetch/allocate → unpin. The pairs live
+// in a small table, so a new resource is one line. Two shapes exist:
 //
 //   - receiver-tracked: the acquire pins state on its receiver
 //     (ds.Flat()); the same receiver must reach the release
@@ -60,7 +59,6 @@ var refPairs = []refPair{
 	{acquire: "Flat", release: "ReleaseFlat", ownerSuffix: "internal/timeseries.Dataset"},
 	{acquire: "fetch", release: "unpin", valueTracked: true, ownerSuffix: "internal/engine/rowstore.bufferPool"},
 	{acquire: "allocate", release: "unpin", valueTracked: true, ownerSuffix: "internal/engine/rowstore.bufferPool"},
-	{acquire: "fetch", release: "unpin", valueTracked: true, ownerSuffix: "internal/engine/colstore.pager"},
 }
 
 func runRefbalance(p *Pass) {

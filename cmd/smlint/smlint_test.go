@@ -78,7 +78,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{cursorleakAnalyzer, "cursorleak", true},
 		{refbalanceAnalyzer, "refbalance", true},
 		{refbalanceAnalyzer, "refbalance/internal/engine/rowstore", true},
-		{refbalanceAnalyzer, "refbalance/internal/engine/colstore", true},
 		{ctxflowAnalyzer, "ctxflow", true},
 		{hotallocAnalyzer, "hotalloc/internal/stats", true},
 		{hotallocAnalyzer, "hotalloc/internal/engine/fake", true},

@@ -35,3 +35,21 @@ func validate(vals []float64) error {
 	}
 	return nil
 }
+
+// The fixed-point unpacker runs once per stored reading: an error value
+// built per delta, or a buffer grown per delta, is what hotFuncs names
+// decodeFixed and unpackDeltas to keep out.
+func unpackDeltas(body []byte, dst []float64, w uint) error {
+	var errs []error
+	for j := range dst {
+		if int(uint(j)*w/8) >= len(body) {
+			errs = append(errs, fmt.Errorf("delta %d past the payload", j)) // want "fmt.Errorf allocates on every iteration" "append to errs grows an un-capped slice"
+			continue
+		}
+		dst[j] = float64(body[uint(j)*w/8])
+	}
+	if len(errs) > 0 {
+		return errs[0]
+	}
+	return nil
+}

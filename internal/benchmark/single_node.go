@@ -161,7 +161,10 @@ func Fig6(opts Options) (*Report, error) {
 		ID:      "fig6",
 		Title:   "Cold-start vs warm-start (3-line)",
 		Columns: []string{"engine", "cold", "warm", "T1 quantiles", "T2 regression", "T3 adjust"},
-		Notes:   []string{"expected shape: cold > warm everywhere; colstore smallest gap; T2 dominates"},
+		Notes: []string{
+			"expected shape: cold > warm everywhere; colstore smallest gap",
+			"(the paper has T2 dominating; here T1, one pass over every reading, outweighs the prefix-sum T2: EXPERIMENTS.md)",
+		},
 	}
 	fileE, rowE, colE := singleNodeEngines(&opts, "fig6")
 	defer rowE.Close()
@@ -236,7 +239,8 @@ func Phases(opts Options) (*Report, error) {
 		Title:   "Pipeline phase breakdown (cold start)",
 		Columns: []string{"engine", "task", "extract", "compute", "emit", "rows", "MB extracted", "MB stored", "MB raw"},
 		Notes: []string{
-			"expected shape: extract dominates cold runs; colstore's binary decode smallest",
+			"expected shape: extract dominates the text and row engines' cold runs; colstore's binary decode smallest,",
+			"at or below its kernel time",
 			"MB stored vs MB raw is the engine-native storage footprint against the",
 			"uncompressed matrix; their ratio is the storage compression factor (colstore",
 			"segments are delta/XOR compressed, file engines report no native storage)",
@@ -443,7 +447,12 @@ func Fig10(opts Options) (*Report, error) {
 		ID:      "fig10",
 		Title:   "Multi-core speedup (colstore, warm data)",
 		Columns: []string{"task", "workers", "time", "speedup"},
-		Notes:   []string{"expected shape: near-linear to the physical core count, then flattening"},
+		Notes: []string{
+			"expected shape: near-linear to the physical core count, then flattening",
+			"histogram rows run over block summaries, one goroutine per consumer range (a fail-fast histogram takes",
+			"the segment headers and decodes the straddling blocks even on a warm engine); the other tasks walk the",
+			"warm decoded columns",
+		},
 	}
 	eng := colstore.New(filepath.Join(opts.WorkDir, "fig10-colstore"))
 	if _, err := eng.Load(srcs.unpartRPL); err != nil {

@@ -440,6 +440,20 @@ func DecodeValues(payload []byte, dst []float64) ([]float64, int, error) {
 	return dst, hn + 1 + used, nil
 }
 
+// DecodeExact decodes a payload that must hold exactly len(dst) values
+// into dst. A payload whose count varint says anything else is refused
+// before a byte of it is decoded or allocated for: a store knows how
+// many rows a block holds and must not let the block's own bytes say
+// otherwise (a seven-byte payload can promise 2^31-1 values).
+func DecodeExact(payload []byte, dst []float64) error {
+	cnt, n := binary.Uvarint(payload)
+	if n <= 0 || cnt != uint64(len(dst)) {
+		return ErrCorrupt
+	}
+	_, _, err := DecodeValues(payload, dst[:0:len(dst)])
+	return err
+}
+
 func decodeFixed(b []byte, dst []float64) (int, error) {
 	if len(b) < 1 {
 		return 0, ErrCorrupt
@@ -478,18 +492,66 @@ func decodeFixed(b []byte, dst []float64) (int, error) {
 			}
 			continue
 		}
-		br := bitReader{b: b[off:]}
-		for ; i < end; i++ {
-			u, err := br.read(w)
-			if err != nil {
-				return 0, err
-			}
-			cur += unzigzag(u)
-			dst[i] = float64(cur) / p
+		// One bounds check per mini-batch, before anything of it is
+		// written: the batch is byte-aligned and ceil(m*w/8) bytes long.
+		need := ((end-i)*int(w) + 7) / 8
+		if len(b)-off < need {
+			return 0, ErrCorrupt
 		}
-		off += br.consumed()
+		var err error
+		if cur, err = unpackDeltas(b[off:], dst[i:end], w, cur, p); err != nil {
+			return 0, err
+		}
+		off += need
+		i = end
 	}
 	return off, nil
+}
+
+// unpackDeltas decodes len(dst) w-bit zigzag deltas packed LSB-first at
+// the start of body (1 <= w <= 64), accumulating from cur, and returns
+// the last integer. The caller has checked that body holds the batch.
+// Widths up to 56 bits take each delta with one unaligned little-endian
+// 64-bit load, a shift and a mask (a delta starts at most 7 bits into
+// its first byte, so 56 bits always fit the word) for as long as eight
+// readable bytes remain at the delta's first byte; body runs on past
+// the batch to the end of the payload, so that is every delta but the
+// last few of a payload. Those, and wider deltas, go through bitReader.
+func unpackDeltas(body []byte, dst []float64, w uint, cur int64, p float64) (int64, error) {
+	j := 0
+	if w <= 56 && len(body) >= 8 {
+		// Delta j starts at byte j*w/8; the load needs that to be at
+		// most len(body)-8.
+		fast := (8*(len(body)-7)-1)/int(w) + 1
+		if fast > len(dst) {
+			fast = len(dst)
+		}
+		mask := uint64(1)<<w - 1
+		bit := uint(0)
+		for ; j < fast; j++ {
+			u := binary.LittleEndian.Uint64(body[bit>>3:]) >> (bit & 7) & mask
+			cur += unzigzag(u)
+			dst[j] = float64(cur) / p
+			bit += w
+		}
+	}
+	if j == len(dst) {
+		return cur, nil
+	}
+	bit := uint(j) * w
+	br := bitReader{b: body[bit>>3:]}
+	if _, err := br.read32(bit & 7); err != nil {
+		return 0, err
+	}
+	for ; j < len(dst); j++ {
+		u, err := br.read(w)
+		if err != nil {
+			return 0, err
+		}
+		cur += unzigzag(u)
+		dst[j] = float64(cur) / p
+	}
+	return cur, nil
 }
 
 func decodeXOR(b []byte, dst []float64) (int, error) {

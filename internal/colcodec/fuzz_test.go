@@ -106,6 +106,11 @@ func FuzzDecodeValues(f *testing.F) {
 		if cnt, n := binary.Uvarint(payload); n > 0 && cnt > 1<<20 {
 			t.Skip()
 		}
+		// A fixed-mode body also goes to the byte-at-a-time oracle.
+		if cnt, n := binary.Uvarint(payload); n > 0 && n < len(payload) && payload[n] == modeFixed &&
+			cnt > 0 && cnt <= uint64(len(agreeBuf[0])) {
+			_, _ = agree(t, "fuzz", payload[n+1:], int(cnt))
+		}
 		vals, used, err := DecodeValues(payload, nil)
 		if err != nil {
 			return

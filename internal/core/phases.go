@@ -18,6 +18,14 @@ type PhaseStat struct {
 	Bytes int64
 }
 
+// Add folds o into s: the sum a run takes over its goroutines' private
+// accumulators once it has joined them.
+func (s *PhaseStat) Add(o PhaseStat) {
+	s.Wall += o.Wall
+	s.Rows += o.Rows
+	s.Bytes += o.Bytes
+}
+
 // Phases is the per-stage instrumentation attached to every Results by
 // the execution pipeline. The three stages mirror the paper's account of
 // where engine time goes: Extract is the engine-native decode (file

@@ -53,15 +53,24 @@ const (
 // data (fault injectors) must NOT forward this interface — the
 // summaries describe the stored bytes, not the perturbed stream.
 type SummarySource interface {
-	// NewSummaryCursor returns a cursor over per-consumer block
-	// summaries in ascending household-ID order. It is independent of
+	// NewSummaryCursors opens up to max independent cursors over
+	// per-consumer block summaries, partitioned the way
+	// PartitionedSource.NewCursors partitions rows: each cursor walks a
+	// contiguous range of consumers in ascending household-ID order,
+	// the ranges are pairwise disjoint, ascend with the slice index and
+	// jointly cover every consumer once. Fewer than max cursors may
+	// come back — one when the storage cannot be split, none when it is
+	// empty — but never more, and max must be >= 1. The cursors may be
+	// driven concurrently, one goroutine each, and are independent of
 	// any row cursors: reading summaries does not consume or disturb
-	// NewCursor/NewCursors streams.
-	NewSummaryCursor() (SummaryCursor, error)
+	// NewCursor/NewCursors streams. Close on each is required
+	// regardless of how far it was drained.
+	NewSummaryCursors(max int) ([]SummaryCursor, error)
 }
 
-// SummaryCursor walks consumers in ascending ID order, yielding block
-// headers, and can decode any block of the current consumer on demand.
+// SummaryCursor walks the consumers of its partition in ascending ID
+// order, yielding block headers, and can decode any block of the
+// current consumer on demand.
 type SummaryCursor interface {
 	// NextSummary returns the next consumer's ID and its block stats in
 	// row order. The returned slice is only valid until the next call.

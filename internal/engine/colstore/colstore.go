@@ -18,11 +18,12 @@
 // old contract: Warm decodes everything into one contiguous flat
 // matrix, a drained cold cursor installs the decoded dataset, the
 // similarity kernel adopts the buffer zero-copy. Paged mode (MemBudget
-// > 0) never materializes the matrix: cursors decode blocks on demand
-// through a shared fixed-budget pager with LRU eviction and refcount
-// pinning, so a dataset much larger than memory streams through the
-// same pipeline. Block headers carry min/max/sum/sumSq summaries that
-// the exec layer uses for compressed-domain fast paths.
+// > 0) never materializes the matrix: cursors decode blocks on demand,
+// straight into the rows they yield, beside a shared block cache that
+// keeps what fits a strict byte budget and evicts nothing (pager.go),
+// so a dataset much larger than memory streams through the same
+// pipeline. Block headers carry min/max/sum/sumSq summaries that the
+// exec layer uses for compressed-domain fast paths.
 package colstore
 
 import (
@@ -317,8 +318,8 @@ func (e *Engine) detach() {
 
 // Warm readies the engine for hot runs. In-core mode decodes every
 // column into one contiguous flat matrix ahead of time; paged mode
-// pre-fills the block cache up to its byte budget instead (the matrix
-// must never materialize).
+// fills the block cache, in scan order, with the blocks its byte budget
+// admits instead (the matrix must never materialize).
 func (e *Engine) Warm() error {
 	if err := e.ensureStorage(); err != nil {
 		return err
@@ -332,18 +333,17 @@ func (e *Engine) Warm() error {
 		return nil
 	}
 	var scratch []byte
+	buf := make([]float64, e.store.blockRows)
 	for c := 0; c < e.store.consumers; c++ {
 		for b := 0; b < e.store.blockCount; b++ {
-			_, _, resident := e.pager.Stats()
-			if resident >= e.budget {
-				return nil
+			count := int64(e.store.hdr(c, b).count)
+			if _, _, resident := e.pager.Stats(); resident+8*count > e.budget {
+				return nil // the next block would not be admitted
 			}
-			f, s, err := e.pager.fetch(c, b, scratch)
-			if err != nil {
+			var err error
+			if scratch, err = e.pager.read(c, b, buf[:count], scratch); err != nil {
 				return err
 			}
-			scratch = s
-			e.pager.unpin(f)
 		}
 	}
 	return nil
@@ -446,16 +446,34 @@ func (e *Engine) Temperature() (*timeseries.Temperature, error) {
 
 var _ core.Engine = (*Engine)(nil)
 
-// NewSummaryCursor implements core.SummarySource over the stored block
-// headers. It never touches the pager: summaries are resident metadata.
+// NewSummaryCursors implements core.SummarySource over the stored block
+// headers: contiguous consumer ranges, the ones NewCursors cuts. The
+// headers are resident metadata; a block a cursor is asked to decode is
+// read straight from the store, never through the block cache.
+func (e *Engine) NewSummaryCursors(max int) ([]core.SummaryCursor, error) {
+	if max < 1 {
+		return nil, fmt.Errorf("colstore: NewSummaryCursors: max must be >= 1, got %d", max)
+	}
+	if err := e.ensureStorage(); err != nil {
+		return nil, err
+	}
+	curs := make([]core.SummaryCursor, 0, max)
+	for _, r := range core.PartitionRanges(e.store.consumers, max) {
+		curs = append(curs, newSummaryCursor(e.store, r[0], r[1]))
+	}
+	return curs, nil
+}
+
+var _ core.SummarySource = (*Engine)(nil)
+
+// NewSummaryCursor is the one-partition form of NewSummaryCursors: the
+// same cursor over every consumer.
 func (e *Engine) NewSummaryCursor() (core.SummaryCursor, error) {
 	if err := e.ensureStorage(); err != nil {
 		return nil, err
 	}
-	return &summaryCursor{st: e.store}, nil
+	return newSummaryCursor(e.store, 0, e.store.consumers), nil
 }
-
-var _ core.SummarySource = (*Engine)(nil)
 
 // PagerStats reports block-cache hits, misses and resident decoded
 // bytes (all zero in in-core mode).

@@ -142,13 +142,13 @@ func (c *flatRangeCursor) Close() error {
 
 func (c *flatRangeCursor) SizeHint() (int, bool) { return c.hi - c.lo, true }
 
-// pagedCursor (budgeted mode) assembles one consumer row per Next from
-// the shared block cache: fetch pins a decoded block, the row copies
-// out of it, unpin releases it for eviction. Every row is a fresh
-// allocation — it must survive arbitrarily long in the compute phase
-// while the cache recycles frames underneath it. Partition cursors over
-// disjoint ranges share one pager, so the byte budget is global no
-// matter how many cursors the prefetcher opens.
+// pagedCursor (budgeted mode) assembles one consumer row per Next
+// through the shared block cache: a block the cache holds is copied
+// into the row, any other is decoded from the file straight into it
+// (pager.read). Every row is a fresh allocation that no cache frame
+// aliases — it must survive arbitrarily long in the compute phase.
+// Partition cursors over disjoint ranges share one pager, so the byte
+// budget is global no matter how many cursors the prefetcher opens.
 type pagedCursor struct {
 	p       *pager
 	ctx     context.Context
@@ -174,23 +174,17 @@ func (c *pagedCursor) Next() (*timeseries.Series, error) {
 	st := c.p.st
 	cons := c.lo + c.i
 	row := make([]float64, st.n)
-	for b := 0; b < st.blockCount; b++ {
-		f, scratch, err := c.p.fetch(cons, b, c.scratch)
-		if err != nil {
-			c.scratch = scratch
-			return nil, err
-		}
-		c.scratch = scratch
-		copy(row[f.start:f.start+len(f.vals)], f.vals)
-		c.p.unpin(f)
+	var err error
+	if c.scratch, err = c.p.readConsumer(cons, row, c.scratch); err != nil {
+		return nil, err
 	}
 	c.i++
 	return &timeseries.Series{ID: st.ids[cons], Readings: row}, nil
 }
 
 func (c *pagedCursor) Reset() error {
-	// Rows were handed out as fresh slices; rewinding re-fetches blocks
-	// (cache hits when the budget allowed them to stay resident).
+	// Rows were handed out as fresh slices; rewinding reads the blocks
+	// again (cache hits for those the budget had room to admit).
 	c.i = 0
 	c.closed = false
 	return nil
@@ -205,18 +199,24 @@ func (c *pagedCursor) Close() error {
 func (c *pagedCursor) SizeHint() (int, bool) { return c.hi - c.lo, true }
 
 // summaryCursor implements core.SummaryCursor over the resident block
-// headers, decoding individual blocks on demand for the exec layer's
-// compressed-domain fast paths.
+// headers of consumers [lo, hi), decoding individual blocks on demand
+// for the exec layer's compressed-domain fast paths. Cursors over
+// disjoint ranges share nothing but the read-only store.
 type summaryCursor struct {
 	st      *segStore
+	lo, hi  int
 	stats   []core.BlockStats
 	scratch []byte
-	i       int // next consumer
+	i       int // next consumer, from lo
 	closed  bool
 }
 
+func newSummaryCursor(st *segStore, lo, hi int) *summaryCursor {
+	return &summaryCursor{st: st, lo: lo, hi: hi, i: lo}
+}
+
 func (s *summaryCursor) NextSummary() (timeseries.ID, []core.BlockStats, error) {
-	if s.closed || s.i >= s.st.consumers {
+	if s.closed || s.i >= s.hi {
 		return 0, nil, io.EOF
 	}
 	if s.stats == nil {
@@ -245,7 +245,7 @@ func (s *summaryCursor) DecodeBlock(b int, dst []float64) error {
 		return fmt.Errorf("colstore: DecodeBlock on closed summary cursor")
 	}
 	c := s.i - 1
-	if c < 0 || c >= s.st.consumers {
+	if c < s.lo {
 		return fmt.Errorf("colstore: DecodeBlock before NextSummary")
 	}
 	if b < 0 || b >= s.st.blockCount {

@@ -384,8 +384,10 @@ func (e *Engine) Snapshot() (core.Cursor, core.Epoch, error) {
 var _ core.Appender = (*Engine)(nil)
 
 // snapCursor merges one base column with the captured tail per Next.
-// Rows are fresh allocations: they must outlive the cursor while the
-// pager recycles frames and writers keep appending.
+// Rows are fresh allocations, decoded into directly: they must outlive
+// the cursor while writers keep appending. pg is the pager captured
+// with st, so a snapshot taken before a checkpoint keeps reading the
+// retired store through the cache that belongs to it.
 type snapCursor struct {
 	st      *segStore
 	pg      *pager
@@ -414,42 +416,23 @@ func (c *snapCursor) Next() (*timeseries.Series, error) {
 			return nil, err
 		}
 	}
-	off := it.baseH
-	for b := range it.sealed {
-		vals, _, err := colcodec.DecodeValues(it.sealed[b].payload, row[off:off:off+dayHours])
-		if err != nil {
-			return nil, err
-		}
-		if len(vals) != dayHours {
-			return nil, fmt.Errorf("colstore: sealed day decoded to %d values", len(vals))
-		}
-		copy(row[off:off+dayHours], vals)
-		off += dayHours
+	if err := decodeTail(it.id, it.sealed, it.open, row[it.baseH:]); err != nil {
+		return nil, err
 	}
-	copy(row[off:], it.open)
 	c.i++
 	return &timeseries.Series{ID: it.id, Readings: row}, nil
 }
 
-// decodeBase reads one base consumer column through the pager in
-// budgeted mode, or out of the resident image otherwise.
+// decodeBase reads one base consumer column through the block cache in
+// budgeted mode, or out of the resident image otherwise. Either way
+// the blocks land in dst, the row's own memory.
 func (c *snapCursor) decodeBase(cons int, dst []float64) error {
-	if c.pg != nil {
-		st := c.pg.st
-		for b := 0; b < st.blockCount; b++ {
-			f, scratch, err := c.pg.fetch(cons, b, c.scratch)
-			if err != nil {
-				c.scratch = scratch
-				return err
-			}
-			c.scratch = scratch
-			copy(dst[f.start:f.start+len(f.vals)], f.vals)
-			c.pg.unpin(f)
-		}
-		return nil
-	}
 	var err error
-	c.scratch, err = c.st.decodeConsumerInto(cons, dst, c.scratch)
+	if c.pg != nil {
+		c.scratch, err = c.pg.readConsumer(cons, dst, c.scratch)
+	} else {
+		c.scratch, err = c.st.decodeConsumerInto(cons, dst, c.scratch)
+	}
 	return err
 }
 
@@ -708,18 +691,19 @@ func (lt *liveTail) assembleRow(st *segStore, it *ckptSeries, row []float64, scr
 	if it.ls == nil {
 		return row, scratch, nil
 	}
-	off := baseH
-	for b := range it.ls.sealed {
-		vals, _, err := colcodec.DecodeValues(it.ls.sealed[b].payload, row[off:off:off+dayHours])
-		if err != nil {
-			return row, scratch, err
+	return row, scratch, decodeTail(it.id, it.ls.sealed, it.ls.open, row[baseH:])
+}
+
+// decodeTail fills dst, the part of a household's row beyond its base
+// column, with its sealed days and then its open partial day. A sealed
+// day holds dayHours readings, whatever its payload says.
+func decodeTail(id timeseries.ID, sealed []sealedDay, open, dst []float64) error {
+	for b := range sealed {
+		if err := colcodec.DecodeExact(sealed[b].payload, dst[:dayHours]); err != nil {
+			return fmt.Errorf("colstore: household %d sealed day %d: %w", id, b, err)
 		}
-		if len(vals) != dayHours {
-			return row, scratch, fmt.Errorf("colstore: sealed day decoded to %d values", len(vals))
-		}
-		copy(row[off:off+dayHours], vals)
-		off += dayHours
+		dst = dst[dayHours:]
 	}
-	copy(row[off:], it.ls.open)
-	return row, scratch, nil
+	copy(dst, open)
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
@@ -298,4 +299,88 @@ func TestLiveSnapshotUnderMemBudget(t *testing.T) {
 			t.Fatalf("household %d: paged snapshot tail mismatch", id)
 		}
 	}
+}
+
+// TestSnapshotAfterCheckpointUnderMemBudget: a checkpoint swaps the
+// block cache out with the store it cached, so a snapshot taken after
+// it reads the new base, and one taken before it keeps reading the old
+// base through the cache that belongs to it.
+func TestSnapshotAfterCheckpointUnderMemBudget(t *testing.T) {
+	src, ds := writeSource(t, 3, 4)
+	dir := t.TempDir()
+	if _, err := New(dir).Load(src); err != nil {
+		t.Fatal(err)
+	}
+	e := New(dir, WithMemBudget(1<<20)) // room for every block: all of them are cached
+	if _, err := e.OpenExisting(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Release()
+	baseN := len(ds.Temperature.Values)
+	var ids []timeseries.ID
+	for _, s := range ds.Series {
+		ids = append(ids, s.ID)
+	}
+	for h := baseN; h < baseN+24; h++ {
+		if err := e.Append(hourBatch(ids, h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drainSnap(t, before) // fills the old store's cache
+	if err := before.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	oldPager := e.pager
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if e.pager == oldPager || e.pager.st != e.store {
+		t.Fatal("checkpoint kept the old store's block cache")
+	}
+	after, _, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer after.Close()
+	for name, rows := range map[string]map[timeseries.ID][]float64{"after": drainSnap(t, after), "before, replayed": drainSnap(t, before)} {
+		for _, id := range ids {
+			got := rows[id]
+			if len(got) != baseN+24 {
+				t.Fatalf("snapshot %s the checkpoint: household %d has %d hours, want %d", name, id, len(got), baseN+24)
+			}
+			for h := range got {
+				if got[h] != want[id][h] {
+					t.Fatalf("snapshot %s the checkpoint: household %d hour %d is %v, want %v", name, id, h, got[h], want[id][h])
+				}
+			}
+		}
+	}
+	before.Close()
+}
+
+// TestPagedSnapshotCursorConformance runs the cursor suite, which
+// includes that a yielded row is never written again, over snapshot
+// cursors whose base columns come through the block cache.
+func TestPagedSnapshotCursorConformance(t *testing.T) {
+	src, _ := writeSource(t, 4, 4)
+	dir := t.TempDir()
+	if _, err := New(dir).Load(src); err != nil {
+		t.Fatal(err)
+	}
+	e := New(dir, WithMemBudget(1<<12))
+	if _, err := e.OpenExisting(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Release()
+	cursortest.Run(t, func(t *testing.T) core.Cursor {
+		cur, _, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cur
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/colcodec"
@@ -86,32 +87,85 @@ func TestPagedMatchesInCoreBitIdentical(t *testing.T) {
 	}
 }
 
-func TestPagerEvictionRespectsBudget(t *testing.T) {
+// drainAll reads cur to io.EOF, calling each (when set) after every
+// row, and closes it.
+func drainAll(t *testing.T, cur core.Cursor, each func()) {
+	t.Helper()
+	defer cur.Close()
+	for {
+		if _, err := cur.Next(); err == io.EOF {
+			return
+		} else if err != nil {
+			t.Error(err)
+			return
+		}
+		if each != nil {
+			each()
+		}
+	}
+}
+
+// TestPagerBudgetIsStrictUnderPartitions drives eight partition cursors
+// at once over a cache of three blocks: resident bytes never exceed the
+// budget, not by one in-flight block per cursor, and since nothing is
+// evicted the second pass hits exactly the three blocks the first
+// admitted.
+func TestPagerBudgetIsStrictUnderPartitions(t *testing.T) {
 	dir := t.TempDir()
-	buildSegments(t, dir, 6, 20, 32)
+	buildSegments(t, dir, 16, 20, 32) // 16 consumers x 15 blocks of 32 rows
 	budget := int64(3 * 32 * 8)
 	e := pagedEngine(t, dir, budget)
 	for pass := 0; pass < 2; pass++ {
+		curs, err := e.NewCursors(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(curs) != 8 {
+			t.Fatalf("%d partitions, want 8", len(curs))
+		}
+		var wg sync.WaitGroup
+		for _, cur := range curs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				drainAll(t, cur, func() {
+					if _, _, resident := e.PagerStats(); resident > budget {
+						t.Errorf("resident %d exceeds budget %d mid-scan", resident, budget)
+					}
+				})
+			}()
+		}
+		wg.Wait()
+	}
+	hits, misses, resident := e.PagerStats()
+	if hits != 3 || misses != 2*16*15-3 || resident != budget {
+		t.Fatalf("hits=%d misses=%d resident=%d, want 3, %d and %d", hits, misses, resident, 2*16*15-3, budget)
+	}
+}
+
+// TestPagerSecondScanHitsWhatFirstAdmitted scans a store four times its
+// budget twice with one cursor: the first pass admits the first quarter
+// of the blocks (the scan ascends) and decodes the rest straight into
+// the rows; the second pass hits exactly that quarter and decodes the
+// other three again.
+func TestPagerSecondScanHitsWhatFirstAdmitted(t *testing.T) {
+	dir := t.TempDir()
+	buildSegments(t, dir, 8, 10, 60) // 8 consumers x 4 blocks of 60 rows
+	e := pagedEngine(t, dir, 8*60*8) // room for 8 of the 32 blocks
+	for pass, want := range [][2]int64{{0, 32}, {8, 32 + 24}} {
 		cur, err := e.NewCursor()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			if _, err := cur.Next(); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, resident := e.PagerStats(); resident > budget {
-				t.Fatalf("resident %d exceeds budget %d mid-scan", resident, budget)
-			}
+		drainAll(t, cur, nil)
+		if hits, misses, _ := e.PagerStats(); hits != want[0] || misses != want[1] {
+			t.Fatalf("after pass %d: hits=%d misses=%d, want %d and %d", pass+1, hits, misses, want[0], want[1])
 		}
-		cur.Close()
 	}
-	hits, misses, _ := e.PagerStats()
-	t.Logf("hits=%d misses=%d", hits, misses)
-	if misses <= int64(6*15) { // two passes over 6 consumers x 15 blocks can't fit in 3 frames
-		t.Fatalf("expected re-decodes under a thrashing budget, misses=%d", misses)
+	for key := range e.pager.frames {
+		if key.c > 1 {
+			t.Fatalf("block %v admitted: the first pass should have filled the cache from consumers 0 and 1", key)
+		}
 	}
 }
 
@@ -203,6 +257,28 @@ func TestPagedWarmPrefillsWithinBudget(t *testing.T) {
 	}
 }
 
+// TestPagedScanAfterWarmHitsWhatWarmAdmitted: Warm fills the cache up to
+// its budget, and the scan that follows finds those blocks there.
+func TestPagedScanAfterWarmHitsWhatWarmAdmitted(t *testing.T) {
+	dir := t.TempDir()
+	buildSegments(t, dir, 6, 20, 32) // 6 consumers x 15 blocks
+	e := pagedEngine(t, dir, 4*32*8)
+	if err := e.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses, _ := e.PagerStats(); hits != 0 || misses != 4 {
+		t.Fatalf("after Warm: hits=%d misses=%d, want 0 and 4", hits, misses)
+	}
+	cur, err := e.NewCursor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainAll(t, cur, nil)
+	if hits, misses, _ := e.PagerStats(); hits != 4 || misses != 4+(6*15-4) {
+		t.Fatalf("after the scan: hits=%d misses=%d, want 4 and %d", hits, misses, 4+(6*15-4))
+	}
+}
+
 func TestSegmentWriterQuantize(t *testing.T) {
 	dir := t.TempDir()
 	temp := []float64{1, 2, 3, 4}
@@ -281,6 +357,57 @@ func TestSummaryCursorMatchesDecode(t *testing.T) {
 	}
 	if _, _, err := sc.NextSummary(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
+	}
+}
+
+// TestSummaryPartitionConformance holds the engine's summary cursors to
+// the partition contract in both residency modes.
+func TestSummaryPartitionConformance(t *testing.T) {
+	dir := t.TempDir()
+	ds := buildSegments(t, dir, 7, 10, 64)
+	ids := make([]timeseries.ID, len(ds.Series))
+	for i, s := range ds.Series {
+		ids[i] = s.ID
+	}
+	inCore := New(dir)
+	if _, err := inCore.OpenExisting(); err != nil {
+		t.Fatal(err)
+	}
+	cursortest.RunSummaryPartitioned(t, inCore, ids)
+	cursortest.RunSummaryPartitioned(t, pagedEngine(t, dir, 2*64*8), ids)
+}
+
+// TestSummaryHistogramAtEveryWorkerCount: the histogram task, which the
+// column store answers from partitioned block summaries, is the
+// reference's bit for bit at one worker and at more than there are
+// consumers, and which blocks it decodes does not depend on how many
+// goroutines read them.
+func TestSummaryHistogramAtEveryWorkerCount(t *testing.T) {
+	dir := t.TempDir()
+	ds := buildSegments(t, dir, 7, 10, 64)
+	want, err := core.RunReference(ds, core.Spec{Task: core.TaskHistogram})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := pagedEngine(t, dir, 2*64*8)
+	var first *core.Phases
+	for _, workers := range []int{1, 2, 4, 8} {
+		got, err := e.Run(core.Spec{Task: core.TaskHistogram, Workers: workers})
+		if err != nil {
+			t.Fatalf("W=%d: %v", workers, err)
+		}
+		assertResultsIdentical(t, core.TaskHistogram, got, want)
+		ph := got.Phases
+		if first == nil {
+			first = ph
+			if ph.SummaryBlocks+ph.DecodedBlocks != 7*4 {
+				t.Fatalf("summary path did not see the 28 blocks: %+v", ph)
+			}
+		}
+		if ph.SummaryBlocks != first.SummaryBlocks || ph.DecodedBlocks != first.DecodedBlocks || ph.Extract.Rows != first.Extract.Rows {
+			t.Fatalf("W=%d: summary/decoded/rows %d/%d/%d, at W=1 %d/%d/%d", workers,
+				ph.SummaryBlocks, ph.DecodedBlocks, ph.Extract.Rows, first.SummaryBlocks, first.DecodedBlocks, first.Extract.Rows)
+		}
 	}
 }
 

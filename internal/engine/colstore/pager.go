@@ -1,158 +1,106 @@
 package colstore
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
+
+// The pager is the block cache of a paged engine. Every reader of it —
+// the paged cursors, a snapshot's base columns, Warm — is a full
+// ascending scan, and a scan over a store larger than the cache never
+// meets a block again before a least-recently-used cache has dropped it
+// (the hit counter of the LRU this replaced read zero on every task).
+// So the cache admits instead of evicting: a decoded block is kept
+// while it fits the byte budget and then stays until the engine
+// detaches or a checkpoint swaps the pager out with its store; once the
+// budget is spent, blocks are decoded straight into the reader's row
+// and not kept. A store that fits its budget is fully cached after one
+// pass; of a larger one, every later scan on the same attach hits the
+// blocks the first scan admitted. Nothing is evicted, so nothing needs
+// pinning, and the budget is strict: resident never exceeds it.
 
 // frameKey identifies one decoded block: consumer index x block index.
 type frameKey struct {
 	c, b int32
 }
 
-// blockFrame is one decoded block resident in the pager cache. pins is
-// the refcount latch: a pinned frame is never evicted, and callers must
-// pair every fetch with exactly one unpin (the same latch discipline
-// rowstore's buffer pool uses, enforced by smlint's refbalance pair).
-type blockFrame struct {
-	key        frameKey
-	start      int
-	vals       []float64
-	pins       int
-	prev, next *blockFrame // LRU list, most recent at head
-}
-
-// pager is the fixed byte-budget cache of decoded blocks shared by all
-// cursors of a paged engine. It is safe for concurrent use: partition
-// cursors decode in parallel under the prefetcher.
+// pager is safe for concurrent use: partition cursors decode in
+// parallel under the prefetcher. A frame is written before it enters
+// the map and never after, so readers copy out of it with no latch
+// beyond the map's mutex.
 type pager struct {
 	st     *segStore
 	budget int64
 
-	mu         sync.Mutex
-	frames     map[frameKey]*blockFrame
-	head, tail *blockFrame
-	resident   int64
-	hits       int64
-	misses     int64
+	mu       sync.Mutex
+	frames   map[frameKey][]float64
+	resident int64
+	hits     int64
+	misses   int64
 }
 
 func newPager(st *segStore, budget int64) *pager {
-	return &pager{st: st, budget: budget, frames: make(map[frameKey]*blockFrame)}
+	return &pager{st: st, budget: budget, frames: make(map[frameKey][]float64)}
 }
 
-// fetch returns a pinned frame holding decoded block b of consumer c,
-// decoding it from disk on a miss. The caller must copy what it needs
-// and then unpin the frame; frame.vals is invalid after unpin. scratch
-// is the caller's read buffer, returned possibly grown so each cursor
-// amortizes its own I/O allocation.
-func (p *pager) fetch(c, b int, scratch []byte) (*blockFrame, []byte, error) {
+// read fills dst, which must hold the block's rows, with block b of
+// consumer c: a copy of the cached frame on a hit; on a miss a decode
+// from the file straight into dst, of which the cache keeps a copy
+// while one fits the budget. dst is the caller's alone — it never
+// aliases a frame. scratch is the caller's read buffer, returned
+// possibly grown so each cursor amortizes its own I/O allocation.
+func (p *pager) read(c, b int, dst []float64, scratch []byte) ([]byte, error) {
 	key := frameKey{int32(c), int32(b)}
+	size := int64(8 * len(dst))
 	p.mu.Lock()
-	if f, ok := p.frames[key]; ok {
-		f.pins++
+	frame, hit := p.frames[key]
+	if hit {
 		p.hits++
-		p.moveFront(f)
-		p.mu.Unlock()
-		return f, scratch, nil
+	} else {
+		p.misses++
 	}
-	p.misses++
+	// resident only grows, so a block that does not fit now never will.
+	fits := p.resident+size <= p.budget
 	p.mu.Unlock()
+	if hit {
+		copy(dst, frame)
+		return scratch, nil
+	}
 
 	// Decode outside the lock: concurrent partition cursors miss on
 	// disjoint blocks, so serializing I/O+decode here would forfeit the
 	// prefetcher's overlap.
-	h := p.st.hdr(c, b)
-	vals := make([]float64, h.count)
-	scratch, err := p.st.readBlockVals(c, b, scratch, vals)
-	if err != nil {
-		return nil, scratch, err
+	scratch, err := p.st.readBlockVals(c, b, scratch, dst)
+	if err != nil || !fits {
+		return scratch, err
 	}
-
+	frame = append([]float64(nil), dst...)
 	p.mu.Lock()
-	if f, ok := p.frames[key]; ok {
-		// Another cursor decoded the same block while we were off the
-		// lock (rare: partitions are disjoint). Use the cached frame and
-		// drop ours.
-		f.pins++
-		p.moveFront(f)
-		p.mu.Unlock()
-		return f, scratch, nil
-	}
-	f := &blockFrame{key: key, start: int(h.start), vals: vals, pins: 1}
-	p.frames[key] = f
-	p.pushFront(f)
-	p.resident += int64(8 * len(vals))
-	p.evictLocked()
-	p.mu.Unlock()
-	return f, scratch, nil
-}
-
-// unpin releases one fetch reference.
-func (p *pager) unpin(f *blockFrame) {
-	p.mu.Lock()
-	f.pins--
-	if f.pins < 0 {
-		p.mu.Unlock()
-		panic(fmt.Sprintf("colstore: pager unpin below zero for block %v", f.key))
+	// Checked again under the lock: another cursor may have admitted
+	// this block (a snapshot beside a scan) or spent the budget since.
+	if _, dup := p.frames[key]; !dup && p.resident+size <= p.budget {
+		p.frames[key] = frame
+		p.resident += size
 	}
 	p.mu.Unlock()
+	return scratch, nil
 }
 
-// evictLocked walks the LRU tail, dropping unpinned frames until the
-// cache fits the budget. If every frame is pinned the budget overshoots
-// softly — pinned frames belong to in-flight Next calls, which unpin
-// within one row's work.
-func (p *pager) evictLocked() {
-	f := p.tail
-	for p.resident > p.budget && f != nil {
-		prev := f.prev
-		if f.pins == 0 {
-			p.unlink(f)
-			delete(p.frames, f.key)
-			p.resident -= int64(8 * len(f.vals))
+// readConsumer assembles consumer c's whole series in row, block by
+// block through read.
+func (p *pager) readConsumer(c int, row []float64, scratch []byte) ([]byte, error) {
+	for b := 0; b < p.st.blockCount; b++ {
+		h := p.st.hdr(c, b)
+		var err error
+		scratch, err = p.read(c, b, row[h.start:h.start+h.count], scratch)
+		if err != nil {
+			return scratch, err
 		}
-		f = prev
 	}
+	return scratch, nil
 }
 
 // Stats returns cache hit/miss counters and the resident decoded bytes.
+// A miss is a block decoded from the file, admitted or not.
 func (p *pager) Stats() (hits, misses, resident int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.hits, p.misses, p.resident
-}
-
-func (p *pager) pushFront(f *blockFrame) {
-	f.prev = nil
-	f.next = p.head
-	if p.head != nil {
-		p.head.prev = f
-	}
-	p.head = f
-	if p.tail == nil {
-		p.tail = f
-	}
-}
-
-func (p *pager) unlink(f *blockFrame) {
-	if f.prev != nil {
-		f.prev.next = f.next
-	} else {
-		p.head = f.next
-	}
-	if f.next != nil {
-		f.next.prev = f.prev
-	} else {
-		p.tail = f.prev
-	}
-	f.prev, f.next = nil, nil
-}
-
-func (p *pager) moveFront(f *blockFrame) {
-	if p.head == f {
-		return
-	}
-	p.unlink(f)
-	p.pushFront(f)
 }

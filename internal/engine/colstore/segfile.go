@@ -601,12 +601,11 @@ func (st *segStore) readBlockVals(c, b int, scratch []byte, dst []float64) ([]by
 	if st.img == nil {
 		scratch = raw
 	}
-	out, _, err := colcodec.DecodeValues(raw, dst[:0])
-	if err != nil {
-		return scratch, fmt.Errorf("colstore: consumer %d block %d: %w", st.ids[c], b, err)
-	}
-	if len(out) != int(h.count) {
-		return scratch, fmt.Errorf("%w: block row count", errCorrupt)
+	// The header says how many rows the block holds; the payload is not
+	// asked, so it can neither overrun the block's range of a row nor
+	// size an allocation.
+	if err := colcodec.DecodeExact(raw, dst[:h.count]); err != nil {
+		return scratch, fmt.Errorf("%w: consumer %d block %d: %w", errCorrupt, st.ids[c], b, err)
 	}
 	return scratch, nil
 }

@@ -8,7 +8,8 @@
 // RunPartitioned is the companion suite for core.PartitionedSource: the
 // partition cursors must be pairwise disjoint, their union must equal
 // the full cursor's ID set, and each partition cursor must itself pass
-// the Cursor conformance checks.
+// the Cursor conformance checks. RunSummaryPartitioned applies the same
+// partition assertions to a core.SummarySource's summary cursors.
 package cursortest
 
 import (
@@ -274,6 +275,55 @@ func RunPartitioned(t *testing.T, open func(t *testing.T) core.PartitionedSource
 			}
 		}
 	})
+}
+
+// RunSummaryPartitioned holds a core.SummarySource to the partition
+// contract RunPartitioned holds a PartitionedSource to: for each max,
+// at most max cursors come back, and read in slice order they yield
+// every household of want exactly once, in ascending order (so the
+// ranges are disjoint, contiguous and ascend with the partition index).
+// Each cursor must stay at io.EOF once drained and survive a second
+// Close. want is the source's households in ascending order.
+func RunSummaryPartitioned(t *testing.T, src core.SummarySource, want []timeseries.ID) {
+	t.Helper()
+	for _, max := range []int{1, 2, 3, 8, len(want) + 5} {
+		curs, err := src.NewSummaryCursors(max)
+		if err != nil {
+			t.Fatalf("NewSummaryCursors(%d): %v", max, err)
+		}
+		if len(curs) > max || (len(curs) == 0) != (len(want) == 0) {
+			t.Fatalf("NewSummaryCursors(%d) returned %d cursors for %d households", max, len(curs), len(want))
+		}
+		var got []timeseries.ID
+		for p, sc := range curs {
+			for {
+				id, _, err := sc.NextSummary()
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatalf("max=%d partition %d: NextSummary: %v", max, p, err)
+				}
+				got = append(got, id)
+			}
+			if _, _, err := sc.NextSummary(); !errors.Is(err, io.EOF) {
+				t.Fatalf("max=%d partition %d: NextSummary after EOF: %v", max, p, err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := sc.Close(); err != nil {
+					t.Fatalf("max=%d partition %d: Close #%d: %v", max, p, i+1, err)
+				}
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("max=%d: partitions yielded %d households, want %d", max, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("max=%d: household %d in partition order is %d, want %d", max, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 // serialCursor opens the source's full serial cursor; every

@@ -315,11 +315,12 @@ func dispatch(ctx context.Context, src Source, temp *timeseries.Temperature, k *
 	}
 	// Compressed-domain path: the histogram task over a source that
 	// publishes per-block summaries skips decoding blocks whose min and
-	// max share a bucket. Results are bit-identical to the cursor paths
+	// max share a bucket, on one goroutine per summary partition, up to
+	// workers of them. Results are bit-identical to the cursor paths
 	// (see summary.go for the argument); fault-injecting wrappers don't
 	// forward SummarySource, so chaos runs keep exercising the cursors.
 	if ss, ok := summaryHistogramApplies(src, k.spec); ok {
-		return runHistogramSummaries(ctx, ss, k, out)
+		return runHistogramSummaries(ctx, ss, k, workers, out)
 	}
 	if workers == 1 {
 		return runStreaming(ctx, src, k, out, cn)

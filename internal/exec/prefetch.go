@@ -189,13 +189,10 @@ func runPrefetch(ctx context.Context, src Source, k *kernel, workers int, out *c
 	}
 
 	for _, e := range extract {
-		ph.Extract.Wall += e.Wall
-		ph.Extract.Rows += e.Rows
-		ph.Extract.Bytes += e.Bytes
+		ph.Extract.Add(e)
 	}
 	for _, c := range compute {
-		ph.Compute.Wall += c.Wall
-		ph.Compute.Rows += c.Rows
+		ph.Compute.Add(c)
 	}
 
 	// Workers finish blocks in no particular order, and the cluster

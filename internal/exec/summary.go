@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"github.com/smartmeter/smartbench/internal/core"
@@ -31,6 +32,10 @@ import (
 // full decode through the same guarded kernel the pipeline uses, so
 // results AND errors stay bit-identical to the decoded-oracle path.
 //
+// The source hands its summaries out in partitions, as it does its rows:
+// contiguous ascending consumer ranges, one goroutine each, so the path
+// uses every worker of the run (runHistogramSummaries).
+//
 // Living in exec rather than the engine keeps the enginelayering rule
 // intact: engines expose storage traits; task knowledge stays here.
 
@@ -44,25 +49,80 @@ func summaryHistogramApplies(src Source, spec core.Spec) (core.SummarySource, bo
 }
 
 // runHistogramSummaries executes the histogram task over block
-// summaries. Result order is ascending household ID, same as every
-// other path.
-func runHistogramSummaries(ctx context.Context, ss core.SummarySource, k *kernel, out *core.Results) error {
-	spec, ph := k.spec, out.Phases
+// summaries, one summarizePartition per cursor the source hands out for
+// the run's workers. One partition runs on the calling goroutine, so a
+// one-worker run's phases still add up to its wall time; several run a
+// goroutine each. Result order is ascending household ID, same as every
+// other path: the partitions' consumer ranges ascend, so their results
+// are concatenated in partition order. The run's error is the lowest
+// failing partition's, which is the error one cursor over everything
+// would have stopped at; a failing partition stops only itself, so it
+// can never hide a lower partition's error. Only ctx stops them all.
+func runHistogramSummaries(ctx context.Context, ss core.SummarySource, k *kernel, workers int, out *core.Results) error {
+	ph := out.Phases
 	start := time.Now()
-	sc, err := ss.NewSummaryCursor()
+	curs, err := ss.NewSummaryCursors(workers)
 	ph.Extract.Wall += time.Since(start)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = sc.Close() }()
+	parts := make([]core.Results, len(curs))
+	errs := make([]error, len(curs))
+	for p := range parts {
+		parts[p].Phases = &core.Phases{}
+	}
+	if len(curs) == 1 {
+		errs[0] = summarizePartition(ctx, curs[0], k, 0, &parts[0])
+	} else {
+		var wg sync.WaitGroup
+		for p, sc := range curs {
+			wg.Add(1)
+			go func(p int, sc core.SummaryCursor) {
+				defer wg.Done()
+				errs[p] = summarizePartition(ctx, sc, k, p, &parts[p])
+			}(p, sc)
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	// Each partition booked its own busy time; sum after the join.
+	for p := range parts {
+		pp := parts[p].Phases
+		ph.Extract.Add(pp.Extract)
+		ph.Compute.Add(pp.Compute)
+		ph.Emit.Add(pp.Emit)
+		ph.SummaryBlocks += pp.SummaryBlocks
+		ph.DecodedBlocks += pp.DecodedBlocks
+		start = time.Now()
+		out.Histograms = append(out.Histograms, parts[p].Histograms...)
+		ph.Emit.Wall += time.Since(start)
+	}
+	return nil
+}
 
+// summarizePartition drains one summary cursor into out, which nothing
+// else touches: partition p's results, in ID order, and its phases. It
+// closes the cursor. A panic under it (a corrupt segment image) becomes
+// the partition's error, as in the pipeline's decode goroutines.
+func summarizePartition(ctx context.Context, sc core.SummaryCursor, k *kernel, p int, out *core.Results) (err error) {
+	defer func() { _ = sc.Close() }()
+	defer func() {
+		if v := recover(); v != nil {
+			err = core.NewPanicError(v)
+		}
+	}()
+	spec, ph := k.spec, out.Phases
 	var decodeBuf []float64
 	var series timeseries.Series // reused for fallback consumers
 	for {
 		if err := core.CtxErr(ctx); err != nil {
 			return err
 		}
-		start = time.Now()
+		start := time.Now()
 		id, blocks, err := sc.NextSummary()
 		ph.Extract.Wall += time.Since(start)
 		if errors.Is(err, io.EOF) {
@@ -96,7 +156,7 @@ func runHistogramSummaries(ctx context.Context, ss core.SummarySource, k *kernel
 			ph.Extract.Bytes += int64(8 * n)
 			series = timeseries.Series{ID: id, Readings: full}
 			start = time.Now()
-			r, err := k.compute(0, &series)
+			r, err := k.compute(p, &series)
 			ph.Compute.Wall += time.Since(start)
 			ph.Compute.Rows++
 			if err != nil {
@@ -148,9 +208,7 @@ func runHistogramSummaries(ctx context.Context, ss core.SummarySource, k *kernel
 			}
 			ph.DecodedBlocks++
 			ph.Extract.Bytes += int64(8 * bs.Count)
-			for _, v := range blk {
-				h.Add(v)
-			}
+			h.AddAll(blk)
 		}
 		ph.Compute.Wall += time.Since(start)
 		ph.Compute.Rows++

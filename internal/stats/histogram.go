@@ -28,9 +28,7 @@ func NewHistogram(xs []float64, buckets int) (*Histogram, error) {
 	}
 	min, max, _ := MinMax(xs)
 	h := &Histogram{Min: min, Max: max, Counts: make([]int64, buckets)}
-	for _, x := range xs {
-		h.Counts[h.Bucket(x)]++
-	}
+	h.AddAll(xs)
 	return h, nil
 }
 
@@ -45,9 +43,7 @@ func NewHistogramRange(xs []float64, buckets int, min, max float64) (*Histogram,
 		return nil, fmt.Errorf("stats: invalid range [%g, %g]", min, max)
 	}
 	h := &Histogram{Min: min, Max: max, Counts: make([]int64, buckets)}
-	for _, x := range xs {
-		h.Counts[h.Bucket(x)]++
-	}
+	h.AddAll(xs)
 	return h, nil
 }
 
@@ -82,6 +78,44 @@ func (h *Histogram) Bucket(x float64) int {
 
 // Add incorporates a single value.
 func (h *Histogram) Add(x float64) { h.Counts[h.Bucket(x)]++ }
+
+// AddAll incorporates every value of xs: Add in a loop, with the range
+// and the bucket count read once. Each expression and clamp is Bucket's,
+// in Bucket's order, so the counts are the ones the Add loop produces.
+func (h *Histogram) AddAll(xs []float64) {
+	if len(xs) == 0 {
+		return
+	}
+	counts := h.Counts
+	n := len(counts)
+	min, max := h.Min, h.Max
+	if max <= min {
+		counts[0] += int64(len(xs))
+		return
+	}
+	span, nf := max-min, float64(n)
+	for _, x := range xs {
+		b := 0
+		switch {
+		case x <= min:
+		case x >= max:
+			b = n - 1
+		default:
+			frac := (x - min) / span
+			if math.IsNaN(frac) { // NaN reading, or Inf/Inf when the range itself overflows
+				break
+			}
+			b = int(frac * nf)
+			if b < 0 {
+				b = 0
+			}
+			if b >= n { // guard against floating point edge
+				b = n - 1
+			}
+		}
+		counts[b]++
+	}
+}
 
 // AddN incorporates n occurrences of x in one step. Combined with the
 // Bucket monotonicity contract it lets a whole stored block be counted

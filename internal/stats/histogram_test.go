@@ -159,3 +159,57 @@ func TestHistogramPermutationInvariantQuick(t *testing.T) {
 		}
 	}
 }
+
+// TestAddAllMatchesAddLoop holds the one bucket-counting loop to Add,
+// value by value: ranges that are ordinary, empty (Min == Max), inverted,
+// overflowing (Max-Min = +Inf), infinite or NaN; values inside, outside
+// and on the edges of the range, NaN and ±Inf among them.
+func TestAddAllMatchesAddLoop(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), 1, -1, math.NaN(), math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	draw := func(rng *rand.Rand) float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return specials[rng.Intn(len(specials))]
+		case 1:
+			return rng.NormFloat64() * 1e300
+		default:
+			return rng.NormFloat64() * 10
+		}
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		lo, hi := draw(rng), draw(rng)
+		if rng.Intn(4) == 0 {
+			hi = lo
+		}
+		buckets := 1 + rng.Intn(12)
+		xs := make([]float64, rng.Intn(300))
+		for i := range xs {
+			switch rng.Intn(6) {
+			case 0:
+				xs[i] = lo
+			case 1:
+				xs[i] = hi
+			default:
+				xs[i] = draw(rng)
+			}
+		}
+		got := &Histogram{Min: lo, Max: hi, Counts: make([]int64, buckets)}
+		want := &Histogram{Min: lo, Max: hi, Counts: make([]int64, buckets)}
+		got.AddAll(xs)
+		for _, x := range xs {
+			want.Add(x)
+		}
+		for b := range want.Counts {
+			if got.Counts[b] != want.Counts[b] {
+				t.Logf("range [%g, %g], %d buckets: AddAll %v, Add loop %v", lo, hi, buckets, got.Counts, want.Counts)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # check.sh is the single verification entrypoint for the repo: build,
 # vet, the repo-native smlint analyzers, the full test suite under the
-# race detector, the PAR kernel's fuzz and benchmark smoke, then the
-# benchmark module's own vet and tests. CI runs exactly this script; run
-# it locally before sending a PR.
+# race detector, the value codec's and the PAR kernel's fuzz smokes and
+# the PAR benchmark smoke, then the benchmark module's own vet and
+# tests. CI runs exactly this script; run it locally before sending a
+# PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,6 +46,16 @@ go test -race -run 'Recovery|Crash|WAL' ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+# The value codec beyond the committed corpus: encode and decode must
+# round-trip every bit pattern (fixed, XOR, dict, RLE), and the decoder
+# must refuse or decode arbitrary bytes within bounds, its fixed-point
+# unpacker agreeing with the byte-at-a-time reader it replaced. go test
+# accepts one -fuzz target per invocation, hence two.
+echo "== go test -fuzz FuzzValuesRoundTrip -fuzztime 10s ./internal/colcodec (codec round trip)"
+go test -run '^$' -fuzz 'FuzzValuesRoundTrip' -fuzztime 10s ./internal/colcodec
+echo "== go test -fuzz FuzzDecodeValues -fuzztime 10s ./internal/colcodec (hostile decode)"
+go test -run '^$' -fuzz 'FuzzDecodeValues' -fuzztime 10s ./internal/colcodec
 
 # The planned PAR kernel against the textbook one it replaced: a short
 # coverage-guided pass beyond the property test's draws (bit for bit, no
