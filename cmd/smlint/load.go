@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -127,7 +128,9 @@ func (l *loader) parseAndCheck(path, dir string) (*types.Package, []*ast.File, *
 	return pkg, files, info, nil
 }
 
-// goFiles lists the buildable non-test .go files in dir, sorted.
+// goFiles lists the buildable non-test .go files in dir, sorted:
+// buildable for the host's GOOS and GOARCH, by file name suffix and
+// //go:build line, as the go command would pick them.
 func goFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -140,7 +143,13 @@ func goFiles(dir string) ([]string, error) {
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		names = append(names, name)
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names, nil

@@ -20,7 +20,7 @@ import (
 // score per unordered pair serve both row orientations exactly.
 // Rebuilt per-household heaps then match the full recompute because
 // timeseries.TopK selection is insertion-order-independent under its
-// total (score, ID) order.
+// total (score, ID) order, NaN ranked last.
 
 type pairKey struct {
 	lo, hi timeseries.ID // lo < hi

@@ -62,33 +62,6 @@ func TestBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestTopKRowMatchesCompute pins the contract the distributed engines
-// rely on: the per-row fan-out kernel produces bit-identical matches to
-// the full blocked Compute.
-func TestTopKRowMatchesCompute(t *testing.T) {
-	d := randomDataset(23, 61, 5)
-	full, err := Compute(d, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := d.Flat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < m.N(); q++ {
-		row := TopKRow(m, q, 4)
-		want := full[q].Matches
-		if len(row) != len(want) {
-			t.Fatalf("row %d: %d vs %d matches", q, len(row), len(want))
-		}
-		for j := range want {
-			if row[j] != want[j] {
-				t.Fatalf("row %d match %d: %+v vs %+v", q, j, row[j], want[j])
-			}
-		}
-	}
-}
-
 // --- Ablation benchmarks: blocked engine vs scalar oracle -------------
 
 func BenchmarkSimilarityBlocked(b *testing.B) {

@@ -48,21 +48,3 @@ func TestComputeParallelRaceOddShape(t *testing.T) {
 		}
 	}
 }
-
-// TestComputeDTWRace covers the DTW path, which shares the same
-// sched.Run scheduler with a block size of one query per claim:
-// disjoint out slots per worker, read-only input series.
-func TestComputeDTWRace(t *testing.T) {
-	d := randomDataset(16, 24, 9)
-	a, err := ComputeDTW(d, 3, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ComputeDTW(d, 3, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("parallel DTW results differ from sequential")
-	}
-}

@@ -7,19 +7,19 @@
 // The engine is blocked, symmetric, and load-balanced: the dataset is
 // packed into a contiguous row-major timeseries.FlatMatrix with
 // precomputed inverse norms (zero-copy when the storage engine already
-// lays series out that way); the n x n score space is tiled into square
-// blocks and each unordered tile pair is computed once — cosine is
+// lays series out that way); the n x n score space is tiled into 8×8
+// tiles and each unordered tile pair is computed once — cosine is
 // symmetric, so an off-diagonal tile's scores feed both the query
 // block's and the candidate block's top-k heaps, halving the dot-product
-// work; scores are produced a register tile at a time by
-// stats.CosineTile — fused Dot4/Dot2 passes that reuse each row while
-// it is cache-hot — and parallel runs pull tile pairs off a shared
-// atomic counter (internal/sched) so stragglers cannot inherit an
-// oversized static range. Every kernel lane shares one accumulation
-// pattern (see internal/stats), so a pair's score is a pure function of
-// the two rows and the output is bit-identical at any worker count and
-// across Compute/TopKRow. ComputeNaive keeps the original scalar
-// per-pair path as the correctness oracle and ablation baseline.
+// work. stats.CosineTile scores a tile as 2×2 blocks of its 4×4 vector
+// kernel where the CPU has one, on the Go lanes elsewhere, and parallel
+// runs pull tile pairs off a shared atomic counter (internal/sched) so
+// stragglers cannot inherit an oversized static range. Every path
+// computes one accumulation pattern (see internal/stats), so a pair's
+// score is a pure function of the two rows, and timeseries.TopK orders
+// every score, NaN included: the output is bit-identical at any worker
+// count. ComputeNaive keeps the original scalar per-pair path as the
+// correctness oracle and ablation baseline.
 package similarity
 
 import (
@@ -35,22 +35,12 @@ import (
 // DefaultK is the k fixed by the benchmark definition (top-10).
 const DefaultK = 10
 
-const (
-	// tileSize is the edge of the square score tiles the symmetric
-	// engine schedules: small enough that even modest datasets yield
-	// plenty of tile pairs to balance across workers, large enough that
-	// each claimed pair amortizes its scheduling and heap overhead over
-	// tileSize² fused dot products.
-	tileSize = 8
-	// candBlock is the number of candidate rows TopKRow scores per tile
-	// pass when a distributed engine scans one query row against the
-	// whole table.
-	candBlock = 64
-	// dtwBlock is the scheduler block for the DTW path, where a single
-	// query already costs O(n * len²) — one query per claim balances
-	// best.
-	dtwBlock = 1
-)
+// tileSize is the edge of the square score tiles the symmetric engine
+// schedules: small enough that even modest datasets yield plenty of
+// tile pairs to balance across workers, large enough that each claimed
+// pair amortizes its scheduling and heap overhead over tileSize² dot
+// products.
+const tileSize = 8
 
 // Result is the top-k match list for one consumer, ordered best-first.
 type Result struct {
@@ -223,35 +213,6 @@ func addMatch(heaps []*timeseries.TopK, r int, id timeseries.ID, score float64, 
 	tk.Add(id, score)
 }
 
-// TopKRow returns the top-k matches for row q of a packed matrix
-// against every other row, using the same tiled kernel (and therefore
-// producing bit-identical scores) as Compute. It is the per-query
-// building block the distributed engines use inside their simulated
-// fan-out, where each partition owns a subset of query rows but scans
-// the whole broadcast/replicated table.
-func TopKRow(m *timeseries.FlatMatrix, q, k int) []timeseries.Match {
-	n, length := m.N(), m.Len()
-	data, inv := m.Data(), m.InvNorms()
-	tile := make([]float64, candBlock)
-	tk := timeseries.NewTopK(k)
-	for clo := 0; clo < n; clo += candBlock {
-		chi := clo + candBlock
-		if chi > n {
-			chi = n
-		}
-		cn := chi - clo
-		stats.CosineTile(tile[:cn], data[q*length:(q+1)*length], data[clo*length:chi*length],
-			1, cn, length, inv[q:q+1], inv[clo:chi])
-		for ci, score := range tile[:cn] {
-			if clo+ci == q {
-				continue
-			}
-			tk.Add(m.ID(clo+ci), score)
-		}
-	}
-	return tk.Results()
-}
-
 // ComputeNaive is the original scalar path — one checked stats.Dot per
 // pair over the per-series slices, with precomputed norms — retained as
 // the correctness oracle for the blocked kernel and as the ablation
@@ -292,46 +253,4 @@ func ComputeNaive(d *timeseries.Dataset, k int) ([]*Result, error) {
 // dataset, primarily for tests and spot checks.
 func PairScore(a, b *timeseries.Series) (float64, error) {
 	return timeseries.CosineSimilarity(a.Readings, b.Readings)
-}
-
-// ComputeDTW is an alternative similarity search using dynamic time
-// warping distance (the other canonical measure in the time-series
-// benchmark the paper builds on) instead of cosine similarity. Matches
-// are ranked by ascending DTW distance; Match.Score holds the negated
-// distance so the shared Result type's best-first ordering applies.
-// The radius is the Sakoe-Chiba band (0 = unconstrained). Queries are
-// dynamically scheduled over the workers with the same block scheduler
-// as the cosine path.
-func ComputeDTW(d *timeseries.Dataset, k, radius, workers int) ([]*Result, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("similarity: k must be positive, got %d", k)
-	}
-	n := len(d.Series)
-	if n < 2 {
-		return nil, ErrTooFew
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]*Result, n)
-	if err := sched.Run(n, dtwBlock, workers, func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			tk := timeseries.NewTopK(k)
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				dist, err := timeseries.DTWDistance(d.Series[i].Readings, d.Series[j].Readings, radius)
-				if err != nil {
-					return err
-				}
-				tk.Add(d.Series[j].ID, -dist)
-			}
-			out[i] = &Result{ID: d.Series[i].ID, Matches: tk.Results()}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -182,47 +182,65 @@ func TestSymmetryOfScores(t *testing.T) {
 	}
 }
 
+// TestNaNScoresRankLast plants one NaN reading, which a FailFast run
+// hands to the kernel: every score of that consumer is NaN. NaN ranks
+// below every number, so the result is the same at every worker count,
+// the NaN consumer appears in no other consumer's list, its own list is
+// all NaN in ID order, and the rankings agree with the scalar oracle.
+// Before NaN was ordered, one NaN broke the heap of every list it
+// reached, differently per worker count.
+func TestNaNScoresRankLast(t *testing.T) {
+	d := randomDataset(67, 48, 5)
+	d.Series[3].Readings[7] = math.NaN()
+	nanID := d.Series[3].ID
+	sameMatch := func(a, b timeseries.Match) bool {
+		return a.ID == b.ID && (a.Score == b.Score || math.IsNaN(a.Score) && math.IsNaN(b.Score))
+	}
+	seq, err := Compute(d, DefaultK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3, 4, 8} {
+		par, err := ComputeParallel(d, DefaultK, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range seq {
+			for j := range seq[i].Matches {
+				if !sameMatch(seq[i].Matches[j], par[i].Matches[j]) {
+					t.Fatalf("workers=%d consumer %d match %d: %+v, W=1 %+v",
+						workers, seq[i].ID, j, par[i].Matches[j], seq[i].Matches[j])
+				}
+			}
+		}
+	}
+	naive, err := ComputeNaive(d, DefaultK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range seq {
+		for j, m := range r.Matches {
+			nm := naive[i].Matches[j]
+			if m.ID != nm.ID || math.IsNaN(m.Score) != math.IsNaN(nm.Score) ||
+				math.Abs(m.Score-nm.Score) > 1e-12 {
+				t.Fatalf("consumer %d match %d: %+v, naive %+v", r.ID, j, m, nm)
+			}
+			if r.ID == nanID {
+				if !math.IsNaN(m.Score) || (j > 0 && m.ID < r.Matches[j-1].ID) {
+					t.Fatalf("NaN consumer's match %d = %+v, want NaN scores in ID order", j, m)
+				}
+			} else if m.ID == nanID {
+				t.Fatalf("consumer %d lists the NaN consumer at %d", r.ID, j)
+			}
+		}
+	}
+}
+
 func TestPairScore(t *testing.T) {
 	a := &timeseries.Series{ID: 1, Readings: []float64{1, 0}}
 	b := &timeseries.Series{ID: 2, Readings: []float64{0, 1}}
 	got, err := PairScore(a, b)
 	if err != nil || got != 0 {
 		t.Errorf("PairScore = %g, %v", got, err)
-	}
-}
-
-func TestComputeDTW(t *testing.T) {
-	d := randomDataset(10, 48, 15)
-	// Series 2 is an exact copy of series 7: DTW distance 0, so it must
-	// be the top match in both directions.
-	copy(d.Series[2].Readings, d.Series[7].Readings)
-	rs, err := ComputeDTW(d, 3, 6, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 10 {
-		t.Fatalf("results = %d", len(rs))
-	}
-	if rs[2].Matches[0].ID != d.Series[7].ID || rs[2].Matches[0].Score != 0 {
-		t.Errorf("series 3 best DTW match = %+v", rs[2].Matches[0])
-	}
-	if rs[7].Matches[0].ID != d.Series[2].ID {
-		t.Errorf("series 8 best DTW match = %+v", rs[7].Matches[0])
-	}
-	// Matches sorted by ascending distance (descending negated score).
-	for _, r := range rs {
-		for j := 1; j < len(r.Matches); j++ {
-			if r.Matches[j].Score > r.Matches[j-1].Score {
-				t.Fatalf("consumer %d matches out of order", r.ID)
-			}
-		}
-	}
-	// Validation.
-	if _, err := ComputeDTW(d, 0, 0, 1); err == nil {
-		t.Error("k=0: want error")
-	}
-	single := randomDataset(1, 24, 1)
-	if _, err := ComputeDTW(single, 1, 0, 1); err != ErrTooFew {
-		t.Errorf("single err = %v", err)
 	}
 }

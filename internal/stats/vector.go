@@ -49,11 +49,13 @@ func Dot(x, y []float64) (float64, error) {
 	return s, nil
 }
 
-// Norm returns the Euclidean (L2) norm of x.
+// Norm returns the Euclidean (L2) norm of x. Each square is rounded
+// before it is added (no fused multiply-add, on any platform), because
+// the inverse norms are part of every similarity score's bits.
 func Norm(x []float64) float64 {
 	var s float64
 	for _, v := range x {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

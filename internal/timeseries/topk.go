@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"container/heap"
+	"math"
 	"sort"
 
 	"github.com/smartmeter/smartbench/internal/stats"
@@ -16,7 +17,7 @@ type Match struct {
 
 // TopK maintains the k best-scoring matches seen so far using a min-heap,
 // so inserting n candidates costs O(n log k). Ties are broken toward the
-// lower ID for deterministic output.
+// lower ID for deterministic output; NaN scores rank last.
 type TopK struct {
 	k int
 	h matchHeap
@@ -55,9 +56,15 @@ func (t *TopK) Results() []Match {
 }
 
 // worse reports whether a ranks strictly below b (lower score, or equal
-// score with a higher ID).
+// score with a higher ID). A NaN score ranks below every number and
+// NaNs among themselves by ID, so that the order stays total and the
+// k selected do not depend on the order they were offered in.
 func worse(a, b Match) bool {
-	if !stats.ExactEqual(a.Score, b.Score) {
+	an, bn := math.IsNaN(a.Score), math.IsNaN(b.Score)
+	if an != bn {
+		return an
+	}
+	if !an && !stats.ExactEqual(a.Score, b.Score) {
 		return a.Score < b.Score
 	}
 	return a.ID > b.ID

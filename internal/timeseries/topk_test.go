@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -57,6 +58,9 @@ func TestTopKPanicsOnBadK(t *testing.T) {
 	NewTopK(0)
 }
 
+// TestTopKMatchesSortOracle holds TopK to a full sort, with ties forced
+// and, in odd trials, NaN scores among the candidates: a NaN ranks
+// below every number and NaNs among themselves by ID.
 func TestTopKMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
@@ -70,13 +74,23 @@ func TestTopKMatchesSortOracle(t *testing.T) {
 		tk := NewTopK(k)
 		for i := range cands {
 			cands[i] = cand{id: ID(i), score: float64(rng.Intn(50))} // force ties
+			if trial%2 == 1 && rng.Intn(4) == 0 {
+				cands[i].score = math.NaN()
+			}
 			tk.Add(cands[i].id, cands[i].score)
 		}
 		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].score != cands[j].score {
-				return cands[i].score > cands[j].score
+			a, b := cands[i], cands[j]
+			if an, bn := math.IsNaN(a.score), math.IsNaN(b.score); an || bn {
+				if an != bn {
+					return bn
+				}
+				return a.id < b.id
 			}
-			return cands[i].id < cands[j].id
+			if a.score != b.score {
+				return a.score > b.score
+			}
+			return a.id < b.id
 		})
 		want := cands
 		if len(want) > k {
@@ -87,7 +101,8 @@ func TestTopKMatchesSortOracle(t *testing.T) {
 			t.Fatalf("trial %d: len %d vs %d", trial, len(got), len(want))
 		}
 		for i := range want {
-			if got[i].ID != want[i].id || got[i].Score != want[i].score {
+			sameScore := got[i].Score == want[i].score || math.IsNaN(got[i].Score) && math.IsNaN(want[i].score)
+			if got[i].ID != want[i].id || !sameScore {
 				t.Fatalf("trial %d pos %d: got %+v want %+v", trial, i, got[i], want[i])
 			}
 		}

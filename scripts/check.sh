@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # check.sh is the single verification entrypoint for the repo: build,
 # vet, the repo-native smlint analyzers, the full test suite under the
-# race detector, the value codec's and the PAR kernel's fuzz smokes and
-# the PAR benchmark smoke, then the benchmark module's own vet and
-# tests. CI runs exactly this script; run it locally before sending a
-# PR.
+# race detector, the value codec's, the PAR kernel's and the similarity
+# kernel's fuzz smokes and their benchmark smokes, then the benchmark
+# module's own vet and tests. CI runs exactly this script; run it
+# locally before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +13,12 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+# The similarity kernel has an amd64 assembly path and a Go path for
+# every other platform; vet the non-amd64 file set so it keeps
+# compiling.
+echo "== GOARCH=arm64 go vet ./internal/stats ./internal/similarity (non-amd64 kernel files)"
+GOARCH=arm64 go vet ./internal/stats ./internal/similarity
 
 echo "== go run ./cmd/smlint ./..."
 go run ./cmd/smlint ./...
@@ -65,6 +71,15 @@ echo "== go test -fuzz FuzzPlannedPARMatchesNaive -fuzztime 10s ./internal/par (
 go test -run '^$' -fuzz 'FuzzPlannedPARMatchesNaive' -fuzztime 10s ./internal/par
 echo "== go test -bench PAR -benchtime 1x ./internal/par"
 go test -run xxx -bench 'PAR' -benchtime 1x ./internal/par
+
+# The similarity kernel's vector path against the Go lanes it must equal
+# bit for bit, on shapes, lengths and values beyond the table tests (and
+# short buffers, which must panic as the Go lanes do); then one iteration
+# of its benchmarks, so that they keep compiling and running.
+echo "== go test -fuzz FuzzCosineTileMatchesLanes -fuzztime 10s ./internal/stats (vector kernel == Go lanes)"
+go test -run '^$' -fuzz 'FuzzCosineTileMatchesLanes' -fuzztime 10s ./internal/stats
+echo "== go test -bench 'CosineTile|SimilarityBlocked' -benchtime 1x ./internal/stats ./internal/similarity"
+go test -run xxx -bench 'CosineTile|SimilarityBlocked' -benchtime 1x ./internal/stats ./internal/similarity
 
 # bench/ is a module of its own, so none of the ./... above reaches it.
 # Its tests run both workloads end to end at -scale tiny and hold every
