@@ -58,7 +58,7 @@ func runExperiments(args []string) error {
 	seed := fs.Int64("seed", 42, "data generation seed")
 	policyName := fs.String("failpolicy", "failfast", "per-consumer failure policy: failfast, quarantine or repair")
 	timeout := fs.Duration("timeout", 0, "per-run deadline (0 = none), e.g. 30s")
-	memBudgetStr := fs.String("membudget", "", "column-store decoded-block cache cap, e.g. 256MiB or 1GiB (default: unbudgeted in-core)")
+	memBudgetStr := fs.String("membudget", "", "column-store decoded-block cache cap, e.g. 256MiB or 1GiB (default: no cache)")
 	encoders := fs.Int("encoders", 1, "segment-encode workers for the scale-up experiment (byte-identical output)")
 	walMode := fs.String("wal", "", "write-ahead-log fsync policy for the recovery experiment: off, batch or always (default: batch where a log is needed)")
 	fs.StringVar(walMode, "fsync", "", "alias for -wal")
@@ -143,7 +143,7 @@ func runExperiments(args []string) error {
 
 // parseMemBudget parses the -membudget flag via the shared byte-size
 // parser: a non-negative integer with an optional B/KB/MB/GB (decimal)
-// or KiB/MiB/GiB (binary) suffix. Empty means no budget (in-core).
+// or KiB/MiB/GiB (binary) suffix. Empty means 0: no block cache.
 func parseMemBudget(s string) (int64, error) {
 	v, err := core.ParseByteSize(s)
 	if err != nil {
@@ -164,8 +164,8 @@ commands:
       -failpolicy P          per-consumer failure policy: failfast (default), quarantine, repair
       -timeout D             per-run deadline, e.g. 30s (default: none)
       -membudget SIZE        cap the column store's decoded-block cache, e.g. 256MiB;
-                             compressed segments page in and out under the cap
-                             (default: unbudgeted, fully decoded in memory)
+                             blocks are admitted while they fit, never evicted
+                             (default: no cache, every block decoded from the file)
       -encoders N            segment-encode workers for the scale-up experiment
                              (default: 1; the file is byte-identical at any count)
       -wal P                 write-ahead-log fsync policy for the recovery

@@ -57,7 +57,7 @@ func run(args []string) error {
 	imputeGaps := fs.Bool("impute", false, "fill missing readings (hybrid imputation) before running")
 	policyName := fs.String("failpolicy", "failfast", "per-consumer failure policy: failfast, quarantine or repair")
 	timeout := fs.Duration("timeout", 0, "per-run deadline (0 = none), e.g. 30s")
-	memBudgetStr := fs.String("membudget", "", "column-store decoded-block cache cap, e.g. 64MiB (colstore only; default: unbudgeted in-core)")
+	memBudgetStr := fs.String("membudget", "", "column-store decoded-block cache cap, e.g. 64MiB (colstore only; default: no cache)")
 	fsyncName := fs.String("fsync", "off", "write-ahead-log policy when opening engine-native colstore storage: off, batch or always; batch/always replay any log a crashed writer left behind before answering (colstore only)")
 	if err := fs.Parse(args); err != nil {
 		return err

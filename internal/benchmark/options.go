@@ -32,11 +32,10 @@ type Options struct {
 	// context deadline (cmd/smbench -timeout). Expired runs fail the
 	// experiment with context.DeadlineExceeded.
 	Timeout time.Duration
-	// MemBudget, when positive, caps the column store's decoded-block
-	// cache at this many bytes (cmd/smbench -membudget): the engine
-	// pages compressed blocks in and out instead of decoding the whole
-	// matrix, so datasets larger than memory stay runnable. Zero keeps
-	// the historical fully-decoded in-core behavior.
+	// MemBudget caps the column store's decoded-block cache at this
+	// many bytes (cmd/smbench -membudget). Blocks are decoded from the
+	// segment file on demand at any budget, so datasets larger than
+	// memory stay runnable; zero caches nothing.
 	MemBudget int64
 	// Encoders, when above 1, fans the scale-up experiment's segment
 	// encoding out over that many workers (cmd/smbench -encoders). The

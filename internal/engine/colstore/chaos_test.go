@@ -12,33 +12,31 @@ import (
 )
 
 func TestCursorChaos(t *testing.T) {
-	src, _ := writeSource(t, 20, 10)
-	e := New(t.TempDir())
-	if _, err := e.Load(src); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	buildSegments(t, dir, 20, 10, 64)
+	for _, b := range budgets(64) {
+		t.Run(b.name, func(t *testing.T) {
+			e := pagedEngine(t, dir, b.bytes)
+			cursortest.RunChaos(t, func(t *testing.T) core.Cursor {
+				cur, err := e.NewCursor()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cur
+			})
+		})
 	}
-	cursortest.RunChaos(t, func(t *testing.T) core.Cursor {
-		// Keep every sub-check on the image-decoding cursor (draining one
-		// installs the decoded dataset on the engine).
-		e.decoded = nil
-		cur, err := e.NewCursor()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cur
-	})
 }
 
 func TestPartitionChaos(t *testing.T) {
-	src, _ := writeSource(t, 20, 10)
-	e := New(t.TempDir())
-	if _, err := e.Load(src); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	buildSegments(t, dir, 20, 10, 64)
+	for _, b := range budgets(64) {
+		t.Run(b.name, func(t *testing.T) {
+			e := pagedEngine(t, dir, b.bytes)
+			cursortest.RunChaosPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
+		})
 	}
-	cursortest.RunChaosPartitioned(t, func(t *testing.T) core.PartitionedSource {
-		e.decoded = nil
-		return e
-	})
 }
 
 func TestPipelineChaos(t *testing.T) {
@@ -52,29 +50,25 @@ func TestPipelineChaos(t *testing.T) {
 		ids[i] = s.ID
 	}
 	cursortest.RunPipelineChaos(t, ids, func(ctx context.Context, cfg fault.Config, spec core.Spec) (*core.Results, error) {
-		e.decoded = nil
 		return exec.RunContext(ctx, fault.New(e, cfg), spec)
 	})
 }
 
 // TestSnapshotIsolationChaos races sharded live writers against
-// snapshot readers on an engine born empty: every household starts at
-// hour 0 through the live path.
+// snapshot readers: on an engine born empty, where every household
+// starts at hour 0 through the live path, and then with the base half
+// of the stream sealed into an on-disk segment read back at every
+// budget, so snapshot reads decode base blocks while appends land.
 func TestSnapshotIsolationChaos(t *testing.T) {
-	e := New(t.TempDir())
-	defer e.Release()
-	ids := make([]timeseries.ID, 0, 12)
-	for id := timeseries.ID(1); id <= 12; id++ {
-		ids = append(ids, id)
-	}
-	cursortest.RunSnapshotIsolation(t, e, ids, 0, 72)
-}
-
-// TestSnapshotIsolationPagedChaos runs the same race with the base
-// half of the stream sealed into an on-disk segment read back under a
-// tiny memory budget, so snapshot reads page blocks in and out while
-// appends land.
-func TestSnapshotIsolationPagedChaos(t *testing.T) {
+	t.Run("empty", func(t *testing.T) {
+		e := New(t.TempDir())
+		defer e.Release()
+		ids := make([]timeseries.ID, 0, 12)
+		for id := timeseries.ID(1); id <= 12; id++ {
+			ids = append(ids, id)
+		}
+		cursortest.RunSnapshotIsolation(t, e, ids, 0, 72)
+	})
 	dir := t.TempDir()
 	ids := make([]timeseries.ID, 0, 8)
 	for id := timeseries.ID(1); id <= 8; id++ {
@@ -102,10 +96,9 @@ func TestSnapshotIsolationPagedChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := New(dir, WithMemBudget(1<<12))
-	defer e.Release()
-	if _, err := e.OpenExisting(); err != nil {
-		t.Fatal(err)
+	for _, b := range budgets(base) {
+		t.Run(b.name, func(t *testing.T) {
+			cursortest.RunSnapshotIsolation(t, pagedEngine(t, dir, b.bytes), ids, base, 48)
+		})
 	}
-	cursortest.RunSnapshotIsolation(t, e, ids, base, 48)
 }

@@ -13,17 +13,18 @@
 //     blocks, with the statistical operators hand-written (System C
 //     ships no ML toolkit — every Table 1 cell in its column is "no").
 //
-// Two residency modes share the format. In-core mode (the default,
-// MemBudget 0) reads the whole segment image into memory and keeps the
-// old contract: Warm decodes everything into one contiguous flat
-// matrix, a drained cold cursor installs the decoded dataset, the
-// similarity kernel adopts the buffer zero-copy. Paged mode (MemBudget
-// > 0) never materializes the matrix: cursors decode blocks on demand,
-// straight into the rows they yield, beside a shared block cache that
-// keeps what fits a strict byte budget and evicts nothing (pager.go),
-// so a dataset much larger than memory streams through the same
-// pipeline. Block headers carry min/max/sum/sumSq summaries that the
-// exec layer uses for compressed-domain fast paths.
+// The segment file is the one read path. An attached engine keeps only
+// metadata resident (temperature, directory, block headers); cursors
+// read a consumer's payload area with one pread, through the OS page
+// cache, and decode its blocks straight into the rows they yield. A
+// shared block cache (pager.go) keeps decoded blocks while they fit a
+// strict byte budget and evicts nothing; at the default budget of 0 it
+// keeps none. So a dataset much larger than memory streams through the
+// same pipeline. Warm at budget 0 decodes everything into one
+// contiguous matrix that later runs read (the paper's warm start, which
+// the similarity kernel adopts without a copy). Block headers carry
+// min/max/sum/sumSq summaries that the exec layer uses for
+// compressed-domain fast paths.
 package colstore
 
 import (
@@ -76,10 +77,9 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithMemBudget caps the decoded-block cache at the given byte budget
-// and switches the engine to paged (out-of-core) mode: cursors decode
-// blocks on demand instead of materializing the dataset. A budget of 0
-// keeps the in-core behavior.
+// WithMemBudget sets the decoded-block cache's byte budget: blocks are
+// admitted while they fit and never evicted. The default, 0, caches
+// nothing, so every read decodes from the file.
 func WithMemBudget(bytes int64) Option {
 	return func(e *Engine) {
 		if bytes > 0 {
@@ -273,23 +273,12 @@ func (e *Engine) OpenExisting() (*core.LoadStats, error) {
 	return stats, nil
 }
 
-// Remap re-attaches the segment file — the cold-start path after a
-// Release. In-core mode re-reads the whole image; paged mode reads only
-// metadata.
-func (e *Engine) Remap() error {
-	e.detach()
-	return e.attach()
-}
-
 func (e *Engine) attach() error {
-	st, err := openStore(e.path, e.budget == 0)
+	st, err := openStore(e.path)
 	if err != nil {
 		return err
 	}
-	e.store = st
-	if e.budget > 0 {
-		e.pager = newPager(st, e.budget)
-	}
+	e.store, e.pager = st, newPager(st, e.budget)
 	return nil
 }
 
@@ -316,42 +305,40 @@ func (e *Engine) detach() {
 	}
 }
 
-// Warm readies the engine for hot runs. In-core mode decodes every
-// column into one contiguous flat matrix ahead of time; paged mode
-// fills the block cache, in scan order, with the blocks its byte budget
-// admits instead (the matrix must never materialize).
+// Warm readies the engine for hot runs. At budget 0 it decodes every
+// consumer into one contiguous matrix that later runs read; above 0 it
+// fills the block cache in scan order until the next consumer's first
+// block would not be admitted, and the matrix never materializes.
 func (e *Engine) Warm() error {
 	if err := e.ensureStorage(); err != nil {
 		return err
 	}
+	st := e.store
 	if e.budget == 0 {
-		ds, err := decodeAll(e.store)
+		ds, err := decodeAll(e.pager)
 		if err != nil {
 			return err
 		}
 		e.decoded = ds
 		return nil
 	}
-	var scratch []byte
-	buf := make([]float64, e.store.blockRows)
-	for c := 0; c < e.store.consumers; c++ {
-		for b := 0; b < e.store.blockCount; b++ {
-			count := int64(e.store.hdr(c, b).count)
-			if _, _, resident := e.pager.Stats(); resident+8*count > e.budget {
-				return nil // the next block would not be admitted
-			}
-			var err error
-			if scratch, err = e.pager.read(c, b, buf[:count], scratch); err != nil {
-				return err
-			}
+	row := make([]float64, st.n)
+	first := 8 * int64(min(st.blockRows, st.n)) // bytes of a consumer's first block
+	var area []byte
+	for c := 0; c < st.consumers; c++ {
+		if _, _, resident := e.pager.Stats(); resident+first > e.budget {
+			return nil
+		}
+		var err error
+		if area, err = e.pager.readConsumer(c, row, area); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Release implements core.Engine: drops the image, the block cache and
-// decoded columns, and closes the file handle; the segment file stays
-// on disk.
+// Release implements core.Engine: drops the block cache and decoded
+// columns, and closes the file handle; the segment file stays on disk.
 func (e *Engine) Release() error {
 	e.detach()
 	return nil
@@ -380,10 +367,9 @@ func (e *Engine) RunContext(ctx context.Context, spec core.Spec) (*core.Results,
 	return exec.RunContext(ctx, e, spec)
 }
 
-// NewCursor implements core.Engine: decoded columns after Warm (or a
-// previous cold in-core run), a paged on-demand cursor under a memory
-// budget, otherwise a cursor decoding one consumer per Next from the
-// resident image.
+// NewCursor implements core.Engine: the decoded columns after a Warm at
+// budget 0, otherwise a cursor reading one consumer per Next through
+// the block cache.
 func (e *Engine) NewCursor() (core.Cursor, error) {
 	if e.decoded != nil {
 		return core.NewDatasetCursor(e.decoded), nil
@@ -391,16 +377,13 @@ func (e *Engine) NewCursor() (core.Cursor, error) {
 	if err := e.ensureStorage(); err != nil {
 		return nil, err
 	}
-	if e.pager != nil {
-		return newPagedCursor(e.pager, 0, e.store.consumers), nil
-	}
-	return newFlatCursor(e), nil
+	return newPagedCursor(e.pager, 0, e.store.consumers), nil
 }
 
 // NewCursors implements core.PartitionedSource: contiguous consumer
-// ranges. Paged partitions share the engine's block cache (the budget
-// is global, not per-cursor); in-core partitions decode into private
-// flat buffers; decoded partitions are range shards of the flat matrix.
+// ranges. Partitions share the engine's block cache (the budget is
+// global, not per-cursor); after a Warm at budget 0 they are range
+// shards of the decoded matrix.
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("colstore: NewCursors: max must be >= 1, got %d", max)
@@ -421,11 +404,7 @@ func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	}
 	curs := make([]core.Cursor, 0, max)
 	for _, r := range core.PartitionRanges(e.store.consumers, max) {
-		if e.pager != nil {
-			curs = append(curs, newPagedCursor(e.pager, r[0], r[1]))
-		} else {
-			curs = append(curs, &flatRangeCursor{st: e.store, lo: r[0], hi: r[1]})
-		}
+		curs = append(curs, newPagedCursor(e.pager, r[0], r[1]))
 	}
 	return curs, nil
 }
@@ -476,7 +455,8 @@ func (e *Engine) NewSummaryCursor() (core.SummaryCursor, error) {
 }
 
 // PagerStats reports block-cache hits, misses and resident decoded
-// bytes (all zero in in-core mode).
+// bytes since the store was attached (all zero when detached). At
+// budget 0 every block read is a miss.
 func (e *Engine) PagerStats() (hits, misses, resident int64) {
 	if e.pager == nil {
 		return 0, 0, 0
@@ -496,22 +476,23 @@ func (e *Engine) MetaBytes() int64 {
 // errCorrupt reports a malformed segment file.
 var errCorrupt = errors.New("colstore: corrupt segment file")
 
-// decodeAll materializes the dataset. All consumer columns decode into
-// one contiguous row-major buffer, each series a back-to-back subslice
-// of it. The similarity engine's FlatMatrix packing detects this layout
-// and adopts it zero-copy — the column store hands its columns straight
-// to the blocked kernel. (Consequently a row's slice capacity extends
-// over later rows: never append to a decoded series' Readings in
-// place.)
-func decodeAll(st *segStore) (*timeseries.Dataset, error) {
+// decodeAll materializes the dataset through p. All consumer columns
+// decode into one contiguous row-major buffer, each series a
+// back-to-back subslice of it. The similarity engine's FlatMatrix
+// packing detects this layout and adopts it zero-copy — the column
+// store hands its columns straight to the blocked kernel. (Consequently
+// a row's slice capacity extends over later rows: never append to a
+// decoded series' Readings in place.)
+func decodeAll(p *pager) (*timeseries.Dataset, error) {
+	st := p.st
 	temp := &timeseries.Temperature{Values: st.temp}
 	flat := make([]float64, st.consumers*st.n)
 	series := make([]*timeseries.Series, st.consumers)
-	var scratch []byte
+	var area []byte
 	var err error
 	for c := 0; c < st.consumers; c++ {
 		row := flat[c*st.n : (c+1)*st.n]
-		scratch, err = st.decodeConsumerInto(c, row, scratch)
+		area, err = p.readConsumer(c, row, area)
 		if err != nil {
 			return nil, err
 		}
@@ -525,9 +506,10 @@ func decodeAll(st *segStore) (*timeseries.Dataset, error) {
 // consumer — decode, extend, stream to a fresh file — deliberately
 // expensive, illustrating the paper's §3 remark that read-optimized
 // structures "may be expensive to update". The rewrite streams one
-// consumer at a time, so paged engines append without materializing
-// the matrix. It refuses to run while an uncheckpointed live tail
-// exists (see Append): the rewrite would collide with tail hours.
+// consumer at a time, through a pager that caches nothing, so it never
+// materializes the matrix. It refuses to run while an uncheckpointed
+// live tail exists (see Append): the rewrite would collide with tail
+// hours.
 func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
 	if err := e.ensureStorage(); err != nil {
 		return err
@@ -554,7 +536,8 @@ func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
 		return err
 	}
 	row := make([]float64, st.n+dn)
-	var scratch []byte
+	base := newPager(st, 0)
+	var area []byte
 	for c := 0; c < st.consumers; c++ {
 		id := st.ids[c]
 		d, ok := byID[id]
@@ -569,7 +552,7 @@ func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
 			return fmt.Errorf("colstore: delta household %d has %d readings, temperature has %d",
 				id, len(d.Readings), dn)
 		}
-		scratch, err = st.decodeConsumerInto(c, row[:st.n], scratch)
+		area, err = base.readConsumer(c, row[:st.n], area)
 		if err != nil {
 			_ = w.Close()
 			_ = os.Remove(tmp)

@@ -27,18 +27,18 @@ func writeSource(t *testing.T, consumers, days int) (*meterdata.Source, *timeser
 }
 
 // writeAndDecode round-trips ds through a segment file on disk.
-func writeAndDecode(t *testing.T, ds *timeseries.Dataset, inMemory bool) *timeseries.Dataset {
+func writeAndDecode(t *testing.T, ds *timeseries.Dataset) *timeseries.Dataset {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "segments.col")
 	if err := writeDataset(path, ds); err != nil {
 		t.Fatal(err)
 	}
-	st, err := openStore(path, inMemory)
+	st, err := openStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.close()
-	got, err := decodeAll(st)
+	got, err := decodeAll(newPager(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func writeAndDecode(t *testing.T, ds *timeseries.Dataset, inMemory bool) *timese
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	_, ds := writeSource(t, 5, 20)
-	got := writeAndDecode(t, ds, true)
+	got := writeAndDecode(t, ds)
 	if len(got.Series) != len(ds.Series) {
 		t.Fatalf("series = %d", len(got.Series))
 	}
@@ -73,7 +73,7 @@ func TestDecodedColumnsPackZeroCopy(t *testing.T) {
 	// the similarity engine's FlatMatrix packing must adopt that backing
 	// zero-copy instead of re-copying every row.
 	_, ds := writeSource(t, 6, 15)
-	got := writeAndDecode(t, ds, true)
+	got := writeAndDecode(t, ds)
 	m, err := got.Flat()
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +116,9 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		if err := os.WriteFile(bad, mutate(img), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, inMemory := range []bool{true, false} {
-			if st, err := openStore(bad, inMemory); err == nil {
-				st.close()
-				t.Errorf("%s (inMemory=%v): want error", name, inMemory)
-			}
+		if st, err := openStore(bad); err == nil {
+			st.close()
+			t.Errorf("%s: want error", name)
 		}
 	}
 }
@@ -149,7 +147,7 @@ func TestEngineLoadRunRelease(t *testing.T) {
 			t.Fatalf("%v: count %d vs %d", task, got.Count(), want.Count())
 		}
 	}
-	// Release then cold-run again via Remap.
+	// Release, then run cold again: the run reattaches the file.
 	if err := e.Release(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +231,8 @@ func TestSegmentFilePersistsAcrossEngines(t *testing.T) {
 	}
 }
 
-func TestRemapMissingFile(t *testing.T) {
+func TestCorruptFileFailsRun(t *testing.T) {
 	e := New(t.TempDir())
-	if err := e.Remap(); err == nil {
-		t.Error("remap without file: want error")
-	}
 	// Corrupt file on disk surfaces as a decode error at Run.
 	os.WriteFile(e.path, []byte("garbage"), 0o644)
 	if _, err := e.Run(core.Spec{Task: core.TaskHistogram}); err == nil {
@@ -258,7 +253,7 @@ func TestAppendRewritesSegments(t *testing.T) {
 	if err := e.AppendDelta(delta); err != nil {
 		t.Fatal(err)
 	}
-	// New data visible immediately and after a cold remap.
+	// New data visible immediately and after a cold reattach.
 	res, err := e.Run(core.Spec{Task: core.TaskHistogram})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +270,7 @@ func TestAppendRewritesSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Histograms[0].Histogram.Total() != want {
-		t.Error("append lost after remap")
+		t.Error("append lost after reattach")
 	}
 	_ = ds
 }

@@ -19,7 +19,7 @@ import (
 // shape: smooth Gaussians, bit-constant series, day-periodic tilings,
 // NaN/Inf carriers, and short-tail blocks when blockRows doesn't
 // divide the series length.
-func encodeTestSeries(t *testing.T, consumers, n int) [][]float64 {
+func encodeTestSeries(t testing.TB, consumers, n int) [][]float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	out := make([][]float64, consumers)
@@ -62,7 +62,7 @@ func encodeTestSeries(t *testing.T, consumers, n int) [][]float64 {
 	return out
 }
 
-func writeSegmentWith(t *testing.T, path string, temp []float64, series [][]float64, opts ...WriterOption) {
+func writeSegmentWith(t testing.TB, path string, temp []float64, series [][]float64, opts ...WriterOption) {
 	t.Helper()
 	w, err := NewSegmentWriter(path, temp, opts...)
 	if err != nil {
@@ -130,15 +130,16 @@ func TestParallelEncodeMatchesDecode(t *testing.T) {
 	series := encodeTestSeries(t, 11, n)
 	path := filepath.Join(t.TempDir(), "seg")
 	writeSegmentWith(t, path, temp, series, WithQuantize(3), WithEncoders(4))
-	st, err := openStore(path, true)
+	st, err := openStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.close()
+	p := newPager(st, 0)
 	dst := make([]float64, n)
-	var scratch []byte
+	var area []byte
 	for c := range series {
-		if scratch, err = st.decodeConsumerInto(c, dst, scratch); err != nil {
+		if area, err = p.readConsumer(c, dst, area); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range series[c] {
@@ -167,11 +168,12 @@ func readBlockLanes(t *testing.T, st *segStore, c, b int) (hourLanes, bool) {
 	if core.BlockFlags(h.flags)&core.BlockHourLanes == 0 {
 		return dst, false
 	}
-	off := st.payloadBase(c) + int64(h.payloadOff) + int64(h.tsLen) + int64(h.valLen)
-	raw, err := st.read(off, int(h.laneLen), nil)
+	area, err := st.readArea(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	off := h.payloadOff + h.tsLen + h.valLen
+	raw := area[off : off+h.laneLen]
 	sums, used, err := colcodec.DecodeValues(raw, dst.Sums[:0])
 	if err != nil || len(sums) != 24 {
 		t.Fatalf("consumer %d block %d: lane sums: %d values, %v", c, b, len(sums), err)

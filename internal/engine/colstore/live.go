@@ -332,9 +332,9 @@ type snapItem struct {
 
 // Snapshot implements core.Appender: a read-isolated cursor over the
 // base segment plus every committed tail, with the epoch it was taken
-// at. The cursor reads base columns through the engine's current
-// residency mode (pager or resident image) and stays valid while
-// appends continue; Load, Release or Checkpoint invalidate it.
+// at. The cursor reads base columns through the engine's pager and
+// stays valid while appends continue and across a Checkpoint; Load and
+// Release invalidate it.
 func (e *Engine) Snapshot() (core.Cursor, core.Epoch, error) {
 	lt, err := e.ensureLive()
 	if err != nil {
@@ -378,18 +378,17 @@ func (e *Engine) Snapshot() (core.Cursor, core.Epoch, error) {
 		items = append(items, *t)
 	}
 	sort.Slice(items, func(i, j int) bool { return items[i].id < items[j].id })
-	return &snapCursor{st: st, pg: pg, items: items, temp: temp}, ep, nil
+	return &snapCursor{pg: pg, items: items, temp: temp}, ep, nil
 }
 
 var _ core.Appender = (*Engine)(nil)
 
 // snapCursor merges one base column with the captured tail per Next.
 // Rows are fresh allocations, decoded into directly: they must outlive
-// the cursor while writers keep appending. pg is the pager captured
-// with st, so a snapshot taken before a checkpoint keeps reading the
-// retired store through the cache that belongs to it.
+// the cursor while writers keep appending. pg is the pager of the store
+// captured with the tails, so a snapshot taken before a checkpoint keeps
+// reading the retired store through the cache that belongs to it.
 type snapCursor struct {
-	st      *segStore
 	pg      *pager
 	items   []snapItem
 	temp    []float64
@@ -412,7 +411,8 @@ func (c *snapCursor) Next() (*timeseries.Series, error) {
 	total := it.baseH + dayHours*len(it.sealed) + len(it.open)
 	row := make([]float64, total)
 	if it.baseH > 0 {
-		if err := c.decodeBase(it.cons, row[:it.baseH]); err != nil {
+		var err error
+		if c.scratch, err = c.pg.readConsumer(it.cons, row[:it.baseH], c.scratch); err != nil {
 			return nil, err
 		}
 	}
@@ -421,19 +421,6 @@ func (c *snapCursor) Next() (*timeseries.Series, error) {
 	}
 	c.i++
 	return &timeseries.Series{ID: it.id, Readings: row}, nil
-}
-
-// decodeBase reads one base consumer column through the block cache in
-// budgeted mode, or out of the resident image otherwise. Either way
-// the blocks land in dst, the row's own memory.
-func (c *snapCursor) decodeBase(cons int, dst []float64) error {
-	var err error
-	if c.pg != nil {
-		c.scratch, err = c.pg.readConsumer(cons, dst, c.scratch)
-	} else {
-		c.scratch, err = c.st.decodeConsumerInto(cons, dst, c.scratch)
-	}
-	return err
 }
 
 func (c *snapCursor) Reset() error {
@@ -556,11 +543,17 @@ func (e *Engine) checkpointLocked(lt *liveTail) error {
 	if err != nil {
 		return err
 	}
+	// Each base consumer is read once, through a pager that caches
+	// nothing: the engine's cache belongs to the store being replaced.
+	var base *pager
+	if st != nil {
+		base = newPager(st, 0)
+	}
 	var row []float64
-	var scratch []byte
+	var area []byte
 	for i := range items {
 		it := &items[i]
-		row, scratch, err = lt.assembleRow(st, it, row, scratch)
+		row, area, err = lt.assembleRow(base, it, row, area)
 		if err != nil {
 			_ = w.Close()
 			_ = os.Remove(tmp)
@@ -592,7 +585,6 @@ func (e *Engine) checkpointLocked(lt *liveTail) error {
 		e.retired = append(e.retired, e.store)
 	}
 	e.decoded = nil
-	e.pager = nil
 	if err := e.attach(); err != nil {
 		return err
 	}
@@ -663,14 +655,15 @@ func (e *Engine) checkpointLocked(lt *liveTail) error {
 	return nil
 }
 
-// assembleRow decodes one household's full series — base column,
-// sealed tail days, open tail — into row, reusing the buffers.
-func (lt *liveTail) assembleRow(st *segStore, it *ckptSeries, row []float64, scratch []byte) ([]float64, []byte, error) {
+// assembleRow decodes one household's full series — base column read
+// through base (nil without a base segment), sealed tail days, open
+// tail — into row, reusing the buffers.
+func (lt *liveTail) assembleRow(base *pager, it *ckptSeries, row []float64, area []byte) ([]float64, []byte, error) {
 	baseH := 0
 	cons := -1
-	if st != nil {
+	if base != nil {
 		if c, ok := lt.baseIDs[it.id]; ok {
-			baseH, cons = st.n, c
+			baseH, cons = base.st.n, c
 		}
 	}
 	total := baseH
@@ -683,15 +676,14 @@ func (lt *liveTail) assembleRow(st *segStore, it *ckptSeries, row []float64, scr
 	row = row[:total]
 	if baseH > 0 {
 		var err error
-		scratch, err = st.decodeConsumerInto(cons, row[:baseH], scratch)
-		if err != nil {
-			return row, scratch, err
+		if area, err = base.readConsumer(cons, row[:baseH], area); err != nil {
+			return row, area, err
 		}
 	}
 	if it.ls == nil {
-		return row, scratch, nil
+		return row, area, nil
 	}
-	return row, scratch, decodeTail(it.id, it.ls.sealed, it.ls.open, row[baseH:])
+	return row, area, decodeTail(it.id, it.ls.sealed, it.ls.open, row[baseH:])
 }
 
 // decodeTail fills dst, the part of a household's row beyond its base

@@ -270,8 +270,8 @@ func TestLiveSnapshotUnderMemBudget(t *testing.T) {
 	if _, err := big.Load(src); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen the written segment under a tight budget so base columns
-	// are decoded through the pager, then append a live tail on top.
+	// Reopen the written segment under a tight budget so some base
+	// blocks come from the cache, then append a live tail on top.
 	e := New(dir, WithMemBudget(1<<12))
 	if _, err := e.OpenExisting(); err != nil {
 		t.Fatal(err)

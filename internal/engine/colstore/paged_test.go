@@ -39,51 +39,53 @@ func buildSegments(t *testing.T, dir string, consumers, days, blockRows int) *ti
 	return ds
 }
 
-// pagedEngine opens a paged engine (tight budget: a handful of blocks)
-// over a pre-written segment dir.
+// pagedEngine opens an engine with the given cache budget over a
+// pre-written segment dir, released when the test ends.
 func pagedEngine(t *testing.T, dir string, budget int64) *Engine {
 	t.Helper()
 	e := New(dir, WithMemBudget(budget))
 	if _, err := e.OpenExisting(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = e.Release() })
 	return e
 }
 
-func TestPagedMatchesInCoreBitIdentical(t *testing.T) {
+// TestCursorMatchesDatasetBitIdentical reads a store back at every
+// budget and compares it with the dataset that generated it. Every
+// consumer spans 4 blocks (240 rows / 64), so at two blocks the cache
+// fills on the first consumer and every later block misses.
+func TestCursorMatchesDatasetBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	ds := buildSegments(t, dir, 9, 10, 64)
-	// Budget of two blocks: every consumer spans 4 blocks (240 rows /
-	// 64), so the cache thrashes constantly — the adversarial case.
-	e := pagedEngine(t, dir, 2*64*8)
-	cur, err := e.NewCursor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	for _, want := range ds.Series {
-		got, err := cur.Next()
+	for _, b := range budgets(64) {
+		e := pagedEngine(t, dir, b.bytes)
+		cur, err := e.NewCursor()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.ID != want.ID {
-			t.Fatalf("id %d, want %d", got.ID, want.ID)
-		}
-		for j := range want.Readings {
-			if math.Float64bits(got.Readings[j]) != math.Float64bits(want.Readings[j]) {
-				t.Fatalf("consumer %d reading %d: %v != %v", got.ID, j, got.Readings[j], want.Readings[j])
+		for _, want := range ds.Series {
+			got, err := cur.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.ID != want.ID {
+				t.Fatalf("%s: id %d, want %d", b.name, got.ID, want.ID)
+			}
+			for j := range want.Readings {
+				if math.Float64bits(got.Readings[j]) != math.Float64bits(want.Readings[j]) {
+					t.Fatalf("%s: consumer %d reading %d: %v != %v", b.name, got.ID, j, got.Readings[j], want.Readings[j])
+				}
 			}
 		}
-	}
-	if _, err := cur.Next(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
-	}
-	hits, misses, resident := e.PagerStats()
-	if misses == 0 || hits+misses == 0 {
-		t.Fatalf("pager stats hits=%d misses=%d", hits, misses)
-	}
-	if resident > 2*64*8 {
-		t.Fatalf("resident %d exceeds budget with no pins held", resident)
+		if _, err := cur.Next(); err != io.EOF {
+			t.Fatalf("%s: want EOF, got %v", b.name, err)
+		}
+		cur.Close()
+		hits, misses, resident := e.PagerStats()
+		if hits != 0 || misses != 9*4 || resident > b.bytes {
+			t.Fatalf("%s: hits=%d misses=%d resident=%d, want 0, %d and at most %d", b.name, hits, misses, resident, 9*4, b.bytes)
+		}
 	}
 }
 
@@ -194,49 +196,6 @@ func TestPagerCacheHitsUnderLargeBudget(t *testing.T) {
 	}
 }
 
-func TestPagedCursorConformance(t *testing.T) {
-	dir := t.TempDir()
-	buildSegments(t, dir, 5, 10, 64)
-	e := pagedEngine(t, dir, 2*64*8)
-	cursortest.Run(t, func(t *testing.T) core.Cursor {
-		cur, err := e.NewCursor()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := cur.(*pagedCursor); !ok {
-			t.Fatalf("budgeted engine yielded %T, want *pagedCursor", cur)
-		}
-		return cur
-	})
-}
-
-func TestPagedPartitionConformance(t *testing.T) {
-	dir := t.TempDir()
-	buildSegments(t, dir, 7, 10, 64)
-	e := pagedEngine(t, dir, 2*64*8)
-	cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
-}
-
-func TestPagedCursorChaos(t *testing.T) {
-	dir := t.TempDir()
-	buildSegments(t, dir, 20, 10, 64)
-	e := pagedEngine(t, dir, 2*64*8)
-	cursortest.RunChaos(t, func(t *testing.T) core.Cursor {
-		cur, err := e.NewCursor()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cur
-	})
-}
-
-func TestPagedPartitionChaos(t *testing.T) {
-	dir := t.TempDir()
-	buildSegments(t, dir, 20, 10, 64)
-	e := pagedEngine(t, dir, 2*64*8)
-	cursortest.RunChaosPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
-}
-
 func TestPagedWarmPrefillsWithinBudget(t *testing.T) {
 	dir := t.TempDir()
 	buildSegments(t, dir, 6, 20, 32)
@@ -258,7 +217,8 @@ func TestPagedWarmPrefillsWithinBudget(t *testing.T) {
 }
 
 // TestPagedScanAfterWarmHitsWhatWarmAdmitted: Warm fills the cache up to
-// its budget, and the scan that follows finds those blocks there.
+// its budget, reading whole consumers, and the scan that follows finds
+// those blocks there.
 func TestPagedScanAfterWarmHitsWhatWarmAdmitted(t *testing.T) {
 	dir := t.TempDir()
 	buildSegments(t, dir, 6, 20, 32) // 6 consumers x 15 blocks
@@ -266,16 +226,17 @@ func TestPagedScanAfterWarmHitsWhatWarmAdmitted(t *testing.T) {
 	if err := e.Warm(); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses, _ := e.PagerStats(); hits != 0 || misses != 4 {
-		t.Fatalf("after Warm: hits=%d misses=%d, want 0 and 4", hits, misses)
+	// The first consumer fills the cache with its first 4 blocks.
+	if hits, misses, _ := e.PagerStats(); hits != 0 || misses != 15 {
+		t.Fatalf("after Warm: hits=%d misses=%d, want 0 and 15", hits, misses)
 	}
 	cur, err := e.NewCursor()
 	if err != nil {
 		t.Fatal(err)
 	}
 	drainAll(t, cur, nil)
-	if hits, misses, _ := e.PagerStats(); hits != 4 || misses != 4+(6*15-4) {
-		t.Fatalf("after the scan: hits=%d misses=%d, want 4 and %d", hits, misses, 4+(6*15-4))
+	if hits, misses, _ := e.PagerStats(); hits != 4 || misses != 15+(6*15-4) {
+		t.Fatalf("after the scan: hits=%d misses=%d, want 4 and %d", hits, misses, 15+(6*15-4))
 	}
 }
 
@@ -316,7 +277,7 @@ func TestSegmentWriterQuantize(t *testing.T) {
 func TestSummaryCursorMatchesDecode(t *testing.T) {
 	dir := t.TempDir()
 	ds := buildSegments(t, dir, 5, 10, 64)
-	e := New(dir) // in-core: summaries work in both modes
+	e := New(dir)
 	if _, err := e.OpenExisting(); err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +322,7 @@ func TestSummaryCursorMatchesDecode(t *testing.T) {
 }
 
 // TestSummaryPartitionConformance holds the engine's summary cursors to
-// the partition contract in both residency modes.
+// the partition contract at every budget.
 func TestSummaryPartitionConformance(t *testing.T) {
 	dir := t.TempDir()
 	ds := buildSegments(t, dir, 7, 10, 64)
@@ -369,12 +330,9 @@ func TestSummaryPartitionConformance(t *testing.T) {
 	for i, s := range ds.Series {
 		ids[i] = s.ID
 	}
-	inCore := New(dir)
-	if _, err := inCore.OpenExisting(); err != nil {
-		t.Fatal(err)
+	for _, b := range budgets(64) {
+		cursortest.RunSummaryPartitioned(t, pagedEngine(t, dir, b.bytes), ids)
 	}
-	cursortest.RunSummaryPartitioned(t, inCore, ids)
-	cursortest.RunSummaryPartitioned(t, pagedEngine(t, dir, 2*64*8), ids)
 }
 
 // TestSummaryHistogramAtEveryWorkerCount: the histogram task, which the
@@ -411,25 +369,33 @@ func TestSummaryHistogramAtEveryWorkerCount(t *testing.T) {
 	}
 }
 
-func TestPagedEngineAgreesWithInCore(t *testing.T) {
+// TestEngineAgreesWithReferenceAtEveryBudget runs every task at every
+// budget, cold and after Warm, and holds it to core.RunReference over
+// the generating dataset bit for bit.
+func TestEngineAgreesWithReferenceAtEveryBudget(t *testing.T) {
 	dir := t.TempDir()
-	buildSegments(t, dir, 8, 15, 64)
-	inCore := New(dir)
-	if _, err := inCore.OpenExisting(); err != nil {
-		t.Fatal(err)
-	}
-	paged := pagedEngine(t, dir, 3*64*8)
-	for _, task := range core.Tasks {
-		spec := core.Spec{Task: task, K: 2, Workers: 4}
-		want, err := inCore.Run(spec)
-		if err != nil {
-			t.Fatalf("%v in-core: %v", task, err)
+	ds := buildSegments(t, dir, 8, 15, 64)
+	for _, b := range budgets(64) {
+		e := pagedEngine(t, dir, b.bytes)
+		for _, warm := range []bool{false, true} {
+			if warm {
+				if err := e.Warm(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, task := range core.Tasks {
+				spec := core.Spec{Task: task, K: 2, Workers: 4}
+				want, err := core.RunReference(ds, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := e.Run(spec)
+				if err != nil {
+					t.Fatalf("%v %s warm=%v: %v", task, b.name, warm, err)
+				}
+				assertResultsIdentical(t, task, got, want)
+			}
 		}
-		got, err := paged.Run(spec)
-		if err != nil {
-			t.Fatalf("%v paged: %v", task, err)
-		}
-		assertResultsIdentical(t, task, got, want)
 	}
 }
 

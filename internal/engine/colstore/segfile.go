@@ -414,13 +414,12 @@ func (w *SegmentWriter) Close() error {
 	return nil
 }
 
-// segStore is an attached v3 segment file: resident metadata (directory
-// and block headers) plus either a fully resident image (in-core mode)
-// or an open file handle for on-demand block reads (paged mode).
+// segStore is an attached v3 segment file: the resident metadata
+// (temperature, directory and block headers) and the open file that
+// payloads are read from on demand.
 type segStore struct {
 	path       string
-	f          *os.File // nil in in-core mode
-	img        []byte   // nil in paged mode
+	f          *os.File
 	consumers  int
 	n          int
 	blockRows  int
@@ -429,37 +428,25 @@ type segStore struct {
 	fileSize   int64
 	temp       []float64
 	ids        []timeseries.ID
-	segOff     []int64
 	hdrs       []blockHdr // consumers x blockCount, row-major
+	// Each consumer's payload area: the bytes from the end of its block
+	// headers to the end of its segment, where its last block ends.
+	areaOff []int64
+	areaLen []int
 }
 
-// openStore attaches a segment file. In-core mode reads the whole file
-// once (the old "memory-mapped image" behavior); paged mode reads only
-// header, temperature, directory and block headers, leaving payloads on
-// disk for the pager.
-func openStore(path string, inMemory bool) (*segStore, error) {
-	st := &segStore{path: path}
+// openStore attaches a segment file: it reads the header, temperature,
+// directory and block headers, and leaves the payloads on disk.
+func openStore(path string) (*segStore, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("colstore: open segments: %w", err)
+	}
+	st := &segStore{path: path, f: f}
 	var hdr [headerSize2]byte
-	if inMemory {
-		img, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("colstore: open segments: %w", err)
-		}
-		if len(img) < headerSize2 {
-			return nil, fmt.Errorf("%w: %d bytes", errCorrupt, len(img))
-		}
-		st.img = img
-		copy(hdr[:], img)
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("colstore: open segments: %w", err)
-		}
-		st.f = f
-		if _, err := f.ReadAt(hdr[:], 0); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("%w: header: %v", errCorrupt, err)
-		}
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		st.close()
+		return nil, fmt.Errorf("%w: header: %v", errCorrupt, err)
 	}
 	if err := st.parseMeta(hdr); err != nil {
 		st.close()
@@ -468,6 +455,11 @@ func openStore(path string, inMemory bool) (*segStore, error) {
 	return st, nil
 }
 
+// parseMeta reads the metadata the header points at. Every size it
+// derives from a stored field is checked against the file before it
+// sizes an allocation or a read, and every block is checked to lie on
+// the hour grid and inside its consumer's payload area, so no later
+// read trusts an unchecked field.
 func (st *segStore) parseMeta(hdr [headerSize2]byte) error {
 	for i, b := range magic3 {
 		if hdr[i] != b {
@@ -483,21 +475,25 @@ func (st *segStore) parseMeta(hdr [headerSize2]byte) error {
 	if st.consumers <= 0 || st.n < 0 || st.blockRows <= 0 {
 		return fmt.Errorf("%w: header counts", errCorrupt)
 	}
-	if st.img != nil && int64(len(st.img)) != st.fileSize {
-		return fmt.Errorf("%w: size %d, want %d", errCorrupt, len(st.img), st.fileSize)
-	}
-	if st.f != nil {
-		fi, err := st.f.Stat()
-		if err != nil || fi.Size() != st.fileSize {
-			return fmt.Errorf("%w: size mismatch", errCorrupt)
-		}
+	if fi, err := st.f.Stat(); err != nil || fi.Size() != st.fileSize {
+		return fmt.Errorf("%w: size mismatch", errCorrupt)
 	}
 	st.blockCount = 0
 	if st.n > 0 {
 		st.blockCount = (st.n + st.blockRows - 1) / st.blockRows
 	}
-	// Temperature column.
-	tempRaw, err := st.read(headerSize2, 8*st.n, nil)
+	// The temperature column, the consumers' segments and the directory
+	// follow the header in that order and end the file.
+	tempEnd := headerSize2 + 8*int64(st.n)
+	dirLen := int64(st.consumers) * dirEntSize
+	if dirOff < tempEnd || dirOff > st.fileSize || st.fileSize-dirOff != dirLen {
+		return fmt.Errorf("%w: directory bounds", errCorrupt)
+	}
+	hdrLen := int64(st.blockCount) * blockHdrSize
+	if hdrLen > (dirOff-tempEnd)/int64(st.consumers) {
+		return fmt.Errorf("%w: block headers exceed the file", errCorrupt)
+	}
+	tempRaw, err := st.readAt(headerSize2, 8*st.n, nil)
 	if err != nil {
 		return err
 	}
@@ -505,70 +501,56 @@ func (st *segStore) parseMeta(hdr [headerSize2]byte) error {
 	for i := range st.temp {
 		st.temp[i] = math.Float64frombits(binary.LittleEndian.Uint64(tempRaw[i*8:]))
 	}
-	// Directory.
-	dirLen := st.consumers * dirEntSize
-	if dirOff < headerSize2 || dirOff+int64(dirLen) != st.fileSize {
-		return fmt.Errorf("%w: directory bounds", errCorrupt)
-	}
-	dir, err := st.read(dirOff, dirLen, nil)
+	dir, err := st.readAt(dirOff, int(dirLen), nil)
 	if err != nil {
 		return err
 	}
 	st.ids = make([]timeseries.ID, st.consumers)
-	st.segOff = make([]int64, st.consumers)
+	st.areaOff = make([]int64, st.consumers)
+	st.areaLen = make([]int, st.consumers)
 	st.hdrs = make([]blockHdr, st.consumers*st.blockCount)
 	var scratch []byte
 	for c := 0; c < st.consumers; c++ {
 		ent := dir[c*dirEntSize:]
 		st.ids[c] = timeseries.ID(binary.LittleEndian.Uint64(ent[0:]))
-		st.segOff[c] = int64(binary.LittleEndian.Uint64(ent[8:]))
+		segOff := int64(binary.LittleEndian.Uint64(ent[8:]))
+		segLen := int64(binary.LittleEndian.Uint32(ent[16:]))
 		if c > 0 && st.ids[c] <= st.ids[c-1] {
 			return fmt.Errorf("%w: household order", errCorrupt)
 		}
 		if int(binary.LittleEndian.Uint32(ent[20:])) != st.blockCount {
 			return fmt.Errorf("%w: block count", errCorrupt)
 		}
-		if st.segOff[c] < headerSize2 || st.segOff[c]+int64(st.blockCount*blockHdrSize) > dirOff {
+		if segOff < tempEnd || segLen < hdrLen || segOff > dirOff-segLen {
 			return fmt.Errorf("%w: segment bounds", errCorrupt)
 		}
-		scratch, err = st.readInto(st.segOff[c], st.blockCount*blockHdrSize, scratch)
+		st.areaOff[c], st.areaLen[c] = segOff+hdrLen, int(segLen-hdrLen)
+		scratch, err = st.readAt(segOff, int(hdrLen), scratch)
 		if err != nil {
 			return err
 		}
 		for b := 0; b < st.blockCount; b++ {
-			st.hdrs[c*st.blockCount+b] = parseBlockHdr(scratch[b*blockHdrSize:])
+			h := parseBlockHdr(scratch[b*blockHdrSize:])
+			start := b * st.blockRows
+			end := int64(h.payloadOff) + int64(h.tsLen) + int64(h.valLen) + int64(h.laneLen)
+			if int(h.start) != start || int(h.count) != min(st.blockRows, st.n-start) ||
+				end > int64(st.areaLen[c]) {
+				return fmt.Errorf("%w: consumer %d block %d header", errCorrupt, st.ids[c], b)
+			}
+			st.hdrs[c*st.blockCount+b] = h
 		}
 	}
 	return nil
 }
 
-// read returns length bytes at off: a zero-copy image subslice in
-// in-core mode, a fresh (or reused) buffer in paged mode.
-func (st *segStore) read(off int64, length int, scratch []byte) ([]byte, error) {
-	if st.img != nil {
-		if off < 0 || off+int64(length) > int64(len(st.img)) {
-			return nil, fmt.Errorf("%w: read out of bounds", errCorrupt)
-		}
-		return st.img[off : off+int64(length)], nil
-	}
-	b, err := st.readInto(off, length, scratch)
-	return b, err
-}
-
-func (st *segStore) readInto(off int64, length int, scratch []byte) ([]byte, error) {
+// readAt reads length bytes at off into scratch, grown as needed.
+func (st *segStore) readAt(off int64, length int, scratch []byte) ([]byte, error) {
 	if cap(scratch) < length {
 		scratch = make([]byte, length)
 	}
 	scratch = scratch[:length]
-	if st.img != nil {
-		if off < 0 || off+int64(length) > int64(len(st.img)) {
-			return nil, fmt.Errorf("%w: read out of bounds", errCorrupt)
-		}
-		copy(scratch, st.img[off:])
-		return scratch, nil
-	}
 	if _, err := st.f.ReadAt(scratch, off); err != nil {
-		return nil, fmt.Errorf("%w: read: %v", errCorrupt, err)
+		return scratch, fmt.Errorf("%w: read: %v", errCorrupt, err)
 	}
 	return scratch, nil
 }
@@ -578,68 +560,30 @@ func (st *segStore) close() {
 		_ = st.f.Close()
 		st.f = nil
 	}
-	st.img = nil
 }
 
 func (st *segStore) hdr(c, b int) *blockHdr { return &st.hdrs[c*st.blockCount+b] }
 
-// payloadBase returns the absolute file offset of consumer c's payload
-// area (its block headers precede it).
-func (st *segStore) payloadBase(c int) int64 {
-	return st.segOff[c] + int64(st.blockCount*blockHdrSize)
+// readArea is the one read of block payloads: consumer c's whole
+// payload area with one pread, into area, returned possibly grown so
+// each reader amortizes its own I/O buffer. Blocks are decoded out of
+// it with decodeBlock.
+func (st *segStore) readArea(c int, area []byte) ([]byte, error) {
+	return st.readAt(st.areaOff[c], st.areaLen[c], area)
 }
 
-// readBlockVals decodes block b of consumer c into dst (which must hold
-// h.count values) and returns the possibly-grown scratch buffer.
-func (st *segStore) readBlockVals(c, b int, scratch []byte, dst []float64) ([]byte, error) {
+// decodeBlock decodes block b of consumer c out of the consumer's
+// payload area into dst, which must hold the block's rows. The header
+// says how many rows the block holds; the payload is not asked, so it
+// can neither overrun the block's range of a row nor size an
+// allocation.
+func (st *segStore) decodeBlock(c, b int, area []byte, dst []float64) error {
 	h := st.hdr(c, b)
-	off := st.payloadBase(c) + int64(h.payloadOff) + int64(h.tsLen)
-	raw, err := st.read(off, int(h.valLen), scratch)
-	if err != nil {
-		return scratch, err
+	lo := int(h.payloadOff) + int(h.tsLen)
+	if err := colcodec.DecodeExact(area[lo:lo+int(h.valLen)], dst[:h.count]); err != nil {
+		return fmt.Errorf("%w: consumer %d block %d: %w", errCorrupt, st.ids[c], b, err)
 	}
-	if st.img == nil {
-		scratch = raw
-	}
-	// The header says how many rows the block holds; the payload is not
-	// asked, so it can neither overrun the block's range of a row nor
-	// size an allocation.
-	if err := colcodec.DecodeExact(raw, dst[:h.count]); err != nil {
-		return scratch, fmt.Errorf("%w: consumer %d block %d: %w", errCorrupt, st.ids[c], b, err)
-	}
-	return scratch, nil
-}
-
-// readBlockTs decodes block b of consumer c's timestamps.
-func (st *segStore) readBlockTs(c, b int, scratch []byte, dst []int64) ([]int64, []byte, error) {
-	h := st.hdr(c, b)
-	off := st.payloadBase(c) + int64(h.payloadOff)
-	raw, err := st.read(off, int(h.tsLen), scratch)
-	if err != nil {
-		return nil, scratch, err
-	}
-	if st.img == nil {
-		scratch = raw
-	}
-	out, _, err := colcodec.DecodeTimestamps(raw, dst)
-	if err != nil {
-		return nil, scratch, fmt.Errorf("colstore: consumer %d block %d: %w", st.ids[c], b, err)
-	}
-	return out, scratch, nil
-}
-
-// decodeConsumerInto decodes consumer c's full series into dst (length
-// st.n) and returns the possibly-grown scratch buffer.
-func (st *segStore) decodeConsumerInto(c int, dst []float64, scratch []byte) ([]byte, error) {
-	for b := 0; b < st.blockCount; b++ {
-		h := st.hdr(c, b)
-		var err error
-		scratch, err = st.readBlockVals(c, b, scratch, dst[h.start:h.start+h.count])
-		if err != nil {
-			return scratch, err
-		}
-	}
-	return scratch, nil
+	return nil
 }
 
 // metaBytes reports the resident metadata footprint (temperature,

@@ -29,8 +29,8 @@ type FlatMatrix struct {
 var ErrRaggedMatrix = errors.New("timeseries: series lengths differ")
 
 // PackMatrix builds a FlatMatrix over the given series. When the series
-// are already one contiguous row-major buffer (the column store decodes
-// its segment image that way), the buffer is adopted zero-copy;
+// are already one contiguous row-major buffer (the column store's Warm
+// decodes its segments that way), the buffer is adopted zero-copy;
 // otherwise the readings are copied into a fresh packing. Series of
 // length zero are rejected, as are ragged lengths.
 func PackMatrix(series []*Series) (*FlatMatrix, error) {

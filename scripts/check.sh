@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # check.sh is the single verification entrypoint for the repo: build,
 # vet, the repo-native smlint analyzers, the full test suite under the
-# race detector, the value codec's, the PAR kernel's and the similarity
-# kernel's fuzz smokes and their benchmark smokes, then the benchmark
-# module's own vet and tests. CI runs exactly this script; run it
-# locally before sending a PR.
+# race detector, the value codec's, the segment-file reader's, the PAR
+# kernel's and the similarity kernel's fuzz smokes and the kernels'
+# benchmark smokes, then the benchmark module's own vet and tests. CI
+# runs exactly this script; run it locally before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,6 +62,15 @@ echo "== go test -fuzz FuzzValuesRoundTrip -fuzztime 10s ./internal/colcodec (co
 go test -run '^$' -fuzz 'FuzzValuesRoundTrip' -fuzztime 10s ./internal/colcodec
 echo "== go test -fuzz FuzzDecodeValues -fuzztime 10s ./internal/colcodec (hostile decode)"
 go test -run '^$' -fuzz 'FuzzDecodeValues' -fuzztime 10s ./internal/colcodec
+
+# The column store's segment-file reader on arbitrary bytes: a header
+# field must be checked against the file before it sizes anything, and
+# a file that opens must read back through the pager (no cache and a
+# one-block cache) and the summary cursor without a panic, every
+# refusal the corrupt-segment error. Each input is written to a file, so
+# minimizing one is slow; capping it keeps the smoke fuzzing.
+echo "== go test -fuzz FuzzSegmentFile -fuzztime 10s ./internal/engine/colstore (hostile segment files)"
+go test -run '^$' -fuzz 'FuzzSegmentFile' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/colstore
 
 # The planned PAR kernel against the textbook one it replaced: a short
 # coverage-guided pass beyond the property test's draws (bit for bit, no
