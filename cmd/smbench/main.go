@@ -59,18 +59,8 @@ func runExperiments(args []string) error {
 	policyName := fs.String("failpolicy", "failfast", "per-consumer failure policy: failfast, quarantine or repair")
 	timeout := fs.Duration("timeout", 0, "per-run deadline (0 = none), e.g. 30s")
 	memBudgetStr := fs.String("membudget", "", "column-store decoded-block cache cap, e.g. 256MiB or 1GiB (default: no cache)")
-	encoders := fs.Int("encoders", 1, "segment-encode workers for the scale-up experiment (byte-identical output)")
-	walMode := fs.String("wal", "", "write-ahead-log fsync policy for the recovery experiment: off, batch or always (default: batch where a log is needed)")
-	fs.StringVar(walMode, "fsync", "", "alias for -wal")
-	tailBudget := fs.Int("tailbudget", 0, "arm background checkpointing once this many readings accumulate past the last checkpoint (0 = explicit checkpoints only)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *encoders < 1 {
-		return fmt.Errorf("-encoders must be at least 1, got %d", *encoders)
-	}
-	if *tailBudget < 0 {
-		return fmt.Errorf("-tailbudget must be non-negative, got %d", *tailBudget)
 	}
 	memBudget, err := parseMemBudget(*memBudgetStr)
 	if err != nil {
@@ -126,9 +116,6 @@ func runExperiments(args []string) error {
 			FailPolicy: policy,
 			Timeout:    *timeout,
 			MemBudget:  memBudget,
-			Encoders:   *encoders,
-			WAL:        *walMode,
-			TailBudget: *tailBudget,
 		}
 		rep, err := e.Run(opts)
 		if err != nil {
@@ -166,13 +153,5 @@ commands:
       -membudget SIZE        cap the column store's decoded-block cache, e.g. 256MiB;
                              blocks are admitted while they fit, never evicted
                              (default: no cache, every block decoded from the file)
-      -encoders N            segment-encode workers for the scale-up experiment
-                             (default: 1; the file is byte-identical at any count)
-      -wal P                 write-ahead-log fsync policy for the recovery
-                             experiment: off, batch or always (-fsync is an
-                             alias; the ingest experiment sweeps all three)
-      -tailbudget N          arm background checkpointing in wal-backed engines
-                             once N readings accumulate past the last checkpoint
-                             (default: 0, explicit checkpoints only)
 `)
 }

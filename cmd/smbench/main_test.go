@@ -23,6 +23,15 @@ func TestRunValidation(t *testing.T) {
 		{"run", "-failpolicy", "bogus", "fig4"},
 		{"run", "-timeout", "-3s", "fig4"},
 		{"run", "-prefetch", "off", "fig4"},
+		// Flags and experiments of the deleted ingest, recovery and
+		// scale-up experiments stay rejected.
+		{"run", "-encoders", "2", "fig4"},
+		{"run", "-wal", "batch", "fig4"},
+		{"run", "-fsync", "batch", "fig4"},
+		{"run", "-tailbudget", "1", "fig4"},
+		{"run", "-scale", "small", "ingest"},
+		{"run", "-scale", "small", "recovery"},
+		{"run", "-scale", "small", "scaleup"},
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {
@@ -83,9 +92,14 @@ func TestParseMemBudget(t *testing.T) {
 	}
 }
 
-func TestRunScaleupWithBudget(t *testing.T) {
+// TestRunWithBudget drives -membudget end to end: fig6 builds its
+// column store through singleNodeEngines, which reads MemBudget.
+func TestRunWithBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping experiment run in -short mode")
+	}
 	dir := t.TempDir()
-	err := run([]string{"run", "-scale", "small", "-workdir", dir, "-membudget", "64KiB", "scaleup"})
+	err := run([]string{"run", "-scale", "small", "-workdir", dir, "-membudget", "64KiB", "fig6"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for the paper-versus-measured record of every
-// regenerated table and figure. The bench_test.go file in this
-// directory carries one testing.B benchmark per paper table/figure;
-// cmd/smbench runs the full experiment suite.
+// regenerated table and figure. cmd/smbench runs the full experiment
+// suite; bench/ is the repository's benchmark.
 package smartbench

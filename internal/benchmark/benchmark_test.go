@@ -63,8 +63,8 @@ func TestLookup(t *testing.T) {
 
 func TestAllOrdered(t *testing.T) {
 	all := All()
-	if len(all) < 19 {
-		t.Fatalf("only %d experiments registered", len(all))
+	if len(all) != 23 {
+		t.Fatalf("%d experiments registered, want 23", len(all))
 	}
 	if all[0].ID != "table1" {
 		t.Errorf("first = %s", all[0].ID)

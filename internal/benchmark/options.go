@@ -37,24 +37,6 @@ type Options struct {
 	// segment file on demand at any budget, so datasets larger than
 	// memory stay runnable; zero caches nothing.
 	MemBudget int64
-	// Encoders, when above 1, fans the scale-up experiment's segment
-	// encoding out over that many workers (cmd/smbench -encoders). The
-	// written file is byte-identical to the serial writer's; only the
-	// generate wall-clock changes. Zero or 1 keeps the serial path.
-	Encoders int
-	// WAL selects the write-ahead-log fsync policy for append-driven
-	// engines in the recovery experiment (cmd/smbench -wal / -fsync):
-	// "off" (no log), "batch" (fsync at group commit — the durable
-	// default) or "always" (fsync every append). The ingest experiment
-	// ignores it and sweeps all three modes so the durability cost is
-	// recorded side by side. Empty means "batch" where a log is needed.
-	WAL string
-	// TailBudget, when positive, arms background checkpointing in the
-	// WAL-backed engines (cmd/smbench -tailbudget): once that many
-	// readings accumulate past the last checkpoint the tail is folded
-	// into the base segment and the log truncated. Zero leaves
-	// checkpointing to the experiments' explicit calls.
-	TailBudget int
 }
 
 // run executes spec on eng under the options' failure policy and
@@ -147,11 +129,6 @@ func (o *Options) fill() error {
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
-	}
-	switch o.WAL {
-	case "", "off", "batch", "always":
-	default:
-		return fmt.Errorf("benchmark: Options.WAL %q is not off, batch or always", o.WAL)
 	}
 	return os.MkdirAll(o.WorkDir, 0o755)
 }

@@ -43,13 +43,10 @@ func init() {
 	register("fig18", "data format 3: UDTF vs UDAF vs Spark, file-count sweep", Fig18)
 	register("fig19", "speedup with cluster size, format 3", Fig19)
 	register("updates", "cost of appending one day to every series (§3 future work)", Updates)
-	register("ingest", "live ingestion: concurrent sharded appends with snapshot freshness lag", Ingest)
 	register("streaming", "streaming anomaly alerts (§6 future work)", Streaming)
 	register("matmul", "matrix multiplication micro-benchmark (§5.3.2)", MatMul)
 	register("tasksweep", "reduce-task count sweep (footnote 8)", TaskSweep)
 	register("faults", "throughput vs injected fault rate per engine (containment cost)", Faults)
-	register("scaleup", "out-of-core scale-up: compressed segments under a memory budget (extends figs 7/8)", Scaleup)
-	register("recovery", "crash recovery: write-ahead log replay to first verified answer", Recovery)
 }
 
 // Lookup returns the experiment registered under id.
@@ -86,10 +83,6 @@ func experimentOrder(id string) int {
 		return 101
 	case "faults":
 		return 102
-	case "scaleup":
-		return 103
-	case "recovery":
-		return 104
 	case "phases":
 		return 97
 	}

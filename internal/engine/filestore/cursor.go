@@ -20,6 +20,7 @@ type fileCursor struct {
 	src     *meterdata.Source
 	ctx     context.Context
 	paths   []string
+	tempLen int // temperature year, read once at the first file
 	next    int // next file index
 	pending []*timeseries.Series
 	closed  bool
@@ -51,7 +52,14 @@ func (c *fileCursor) Next() (*timeseries.Series, error) {
 		if c.next >= len(c.paths) {
 			return nil, io.EOF
 		}
-		series, err := meterdata.ReadSeriesFile(c.paths[c.next], c.src.Format)
+		if c.tempLen == 0 {
+			temp, err := meterdata.ReadTemperature(c.src.Dir)
+			if err != nil {
+				return nil, fmt.Errorf("filestore: %w", err)
+			}
+			c.tempLen = len(temp.Values)
+		}
+		series, err := meterdata.ReadSeriesFile(c.paths[c.next], c.src.Format, c.tempLen)
 		if err != nil {
 			return nil, fmt.Errorf("filestore: %w", err)
 		}

@@ -8,11 +8,12 @@ import (
 )
 
 // Assembler accumulates individual readings into per-consumer series
-// aligned to the temperature year: every assembled series has exactly
-// tempLen readings, hours are bounds-checked, and missing hours stay
-// zero. It centralizes the temperature-alignment step every extract
-// path used to hand-roll (the file engine's index scan, the cluster
-// engine's map-side and reduce-side assembly).
+// aligned to the temperature year: every series assembled from readings
+// has exactly tempLen readings, hours are bounds-checked, and missing
+// hours stay zero. It centralizes the temperature-alignment step of
+// every extract path that groups readings (the text readers, the file
+// engine's index scan, the cluster engine's map-side and reduce-side
+// assembly).
 type Assembler struct {
 	tempLen int
 	byID    map[timeseries.ID][]float64
@@ -38,6 +39,10 @@ func (a *Assembler) Add(r Reading) error {
 	readings[r.Hour] = r.Consumption
 	return nil
 }
+
+// Put records a whole series as read from a series-per-line row. Its
+// length is the row's: that format carries no hours to check.
+func (a *Assembler) Put(s *timeseries.Series) { a.byID[s.ID] = s.Readings }
 
 // Len returns the number of distinct consumers added so far.
 func (a *Assembler) Len() int { return len(a.byID) }

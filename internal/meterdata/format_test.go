@@ -99,7 +99,7 @@ func TestRoundTripPartitioned(t *testing.T) {
 	datasetsEqual(t, ds, got)
 
 	// Each partition file holds exactly one consumer.
-	series, err := ReadSeriesFile(filepath.Join(dir, src.DataFiles[0]), src.Format)
+	series, err := ReadSeriesFile(filepath.Join(dir, src.DataFiles[0]), src.Format, len(ds.Temperature.Values))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestRoundTripGrouped(t *testing.T) {
 	// No household may be scattered across files.
 	seen := map[timeseries.ID]string{}
 	for _, name := range src.DataFiles {
-		series, err := ReadSeriesFile(filepath.Join(dir, name), FormatReadingPerLine)
+		series, err := ReadSeriesFile(filepath.Join(dir, name), FormatReadingPerLine, len(ds.Temperature.Values))
 		if err != nil {
 			t.Fatal(err)
 		}

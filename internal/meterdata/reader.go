@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
@@ -72,96 +71,58 @@ func ScanSeries(r io.Reader, fn func(*timeseries.Series) error) error {
 }
 
 // ReadDataset loads an entire Source into memory as a Dataset, with
-// series ordered by ascending household ID.
+// series ordered by ascending household ID. Reading-per-line rows are
+// aligned to the temperature year through an Assembler, which rejects
+// an hour outside it.
 func ReadDataset(src *Source) (*timeseries.Dataset, error) {
 	temp, err := ReadTemperature(src.Dir)
 	if err != nil {
 		return nil, err
 	}
-	byID := make(map[timeseries.ID][]float64)
+	a := NewAssembler(len(temp.Values))
 	for _, path := range src.Paths() {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("meterdata: %w", err)
-		}
-		switch src.Format {
-		case FormatReadingPerLine:
-			err = ScanReadings(f, func(rd Reading) error {
-				readings := byID[rd.ID]
-				for len(readings) <= rd.Hour {
-					readings = append(readings, 0)
-				}
-				readings[rd.Hour] = rd.Consumption
-				byID[rd.ID] = readings
-				return nil
-			})
-		case FormatSeriesPerLine:
-			err = ScanSeries(f, func(s *timeseries.Series) error {
-				byID[s.ID] = s.Readings
-				return nil
-			})
-		default:
-			err = fmt.Errorf("meterdata: unknown format %v", src.Format)
-		}
-		_ = f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("meterdata: read %s: %w", path, err)
+		if err := readFile(path, src.Format, a); err != nil {
+			return nil, err
 		}
 	}
-	if len(byID) == 0 {
+	if a.Len() == 0 {
 		return nil, fmt.Errorf("meterdata: source %s contains no series", src.Dir)
 	}
-	ids := make([]timeseries.ID, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	series := make([]*timeseries.Series, len(ids))
-	for i, id := range ids {
-		series[i] = &timeseries.Series{ID: id, Readings: byID[id]}
-	}
-	return &timeseries.Dataset{Series: series, Temperature: temp}, nil
+	return &timeseries.Dataset{Series: a.Series(), Temperature: temp}, nil
 }
 
 // ReadSeriesFile reads one partitioned consumer file (or one grouped
 // file) and returns the series it contains, ordered by household ID.
-func ReadSeriesFile(path string, format Format) ([]*timeseries.Series, error) {
+// tempLen is the length of the source's temperature year, which bounds
+// the hours of reading-per-line rows.
+func ReadSeriesFile(path string, format Format, tempLen int) ([]*timeseries.Series, error) {
+	a := NewAssembler(tempLen)
+	if err := readFile(path, format, a); err != nil {
+		return nil, err
+	}
+	return a.Series(), nil
+}
+
+// readFile adds every row of one data file to a.
+func readFile(path string, format Format, a *Assembler) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("meterdata: %w", err)
+		return fmt.Errorf("meterdata: %w", err)
 	}
 	defer f.Close()
-	byID := make(map[timeseries.ID][]float64)
 	switch format {
 	case FormatReadingPerLine:
-		err = ScanReadings(f, func(rd Reading) error {
-			readings := byID[rd.ID]
-			for len(readings) <= rd.Hour {
-				readings = append(readings, 0)
-			}
-			readings[rd.Hour] = rd.Consumption
-			byID[rd.ID] = readings
-			return nil
-		})
+		err = ScanReadings(f, a.Add)
 	case FormatSeriesPerLine:
 		err = ScanSeries(f, func(s *timeseries.Series) error {
-			byID[s.ID] = s.Readings
+			a.Put(s)
 			return nil
 		})
 	default:
 		err = fmt.Errorf("meterdata: unknown format %v", format)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("meterdata: read %s: %w", path, err)
+		return fmt.Errorf("meterdata: read %s: %w", path, err)
 	}
-	ids := make([]timeseries.ID, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]*timeseries.Series, len(ids))
-	for i, id := range ids {
-		out[i] = &timeseries.Series{ID: id, Readings: byID[id]}
-	}
-	return out, nil
+	return nil
 }

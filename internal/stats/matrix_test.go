@@ -73,6 +73,33 @@ func TestMulMatchesNaive(t *testing.T) {
 	}
 }
 
+// benchMatMul times one 128×128 product: the blocked Mul against its
+// textbook oracle MulNaive (§5.3.2's built-in vs hand-written gap).
+func benchMatMul(b *testing.B, optimized bool) {
+	const n = 128
+	x := NewMatrix(n, n)
+	y := NewMatrix(n, n)
+	for i := range x.Data {
+		x.Data[i] = float64(i % 31)
+		y.Data[i] = float64(i % 29)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if optimized {
+			_, err = x.Mul(y)
+		} else {
+			_, err = x.MulNaive(y)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMatMulOptimized(b *testing.B) { benchMatMul(b, true) }
+func BenchmarkMatMulNaive(b *testing.B)     { benchMatMul(b, false) }
+
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := randomMatrix(rng, 9, 9)

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # check.sh is the single verification entrypoint for the repo: build,
 # vet, the repo-native smlint analyzers, the full test suite under the
-# race detector, the value codec's, the segment-file reader's, the PAR
-# kernel's and the similarity kernel's fuzz smokes and the kernels'
-# benchmark smokes, then the benchmark module's own vet and tests. CI
-# runs exactly this script; run it locally before sending a PR.
+# race detector, the fuzz smokes (the value codec, the segment-file
+# reader, the text parsers, write-ahead-log replay, the PAR kernel and
+# the similarity kernel) and the kernels' benchmark smokes, then the
+# benchmark module's own vet and tests. CI runs exactly this script; run
+# it locally before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,6 +72,20 @@ go test -run '^$' -fuzz 'FuzzDecodeValues' -fuzztime 10s ./internal/colcodec
 # minimizing one is slow; capping it keeps the smoke fuzzing.
 echo "== go test -fuzz FuzzSegmentFile -fuzztime 10s ./internal/engine/colstore (hostile segment files)"
 go test -run '^$' -fuzz 'FuzzSegmentFile' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/colstore
+
+# The text parsers on arbitrary bytes, written as a reading-per-line and
+# as a series-per-line file: both scanners and both readers return data
+# or an error, never a panic; every series assembled from readings spans
+# the temperature year; and the float fast path keeps strconv's bits.
+echo "== go test -fuzz FuzzReadingRows -fuzztime 10s ./internal/meterdata (hostile text rows)"
+go test -run '^$' -fuzz 'FuzzReadingRows' -fuzztime 10s -fuzzminimizetime 1s ./internal/meterdata
+
+# Write-ahead-log replay over arbitrary shard files, with the magic kept
+# or replaced: Open fails only for I/O, only whole CRC-clean records
+# come back, and a second open over the truncated file replays the same
+# batches.
+echo "== go test -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal (hostile log files)"
+go test -run '^$' -fuzz 'FuzzWALReplay' -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 
 # The planned PAR kernel against the textbook one it replaced: a short
 # coverage-guided pass beyond the property test's draws (bit for bit, no
