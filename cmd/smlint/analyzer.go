@@ -2,9 +2,12 @@
 // benchmark. It enforces, by construction, the properties the paper's
 // numbers depend on: deterministic randomness, epsilon-audited
 // floating-point comparisons, race-free goroutine fan-out, no silently
-// dropped errors, and — through the interprocedural dataflow analyzers
-// (cursorleak, refbalance, ctxflow, hotalloc) — resource lifecycles,
-// cancellation plumbing and allocation-free hot loops.
+// dropped errors, checked Sync/Close on written files, engine layering,
+// race-free phase timing and cancellable worker loops. Every analyzer is
+// a single syntactic pass over one type-checked package; resource
+// lifecycles and allocation-free kernels are held by run-time tests
+// instead (leak accounting in the cursor conformance suite,
+// testing.AllocsPerRun in the kernel packages).
 //
 // It is built only on the standard library (go/ast, go/parser,
 // go/types) — no golang.org/x/tools dependency — so it runs anywhere
@@ -40,10 +43,6 @@ type Pass struct {
 
 	analyzer string
 	diags    *[]Diagnostic
-	// facts is the package's interprocedural substrate (call graph +
-	// per-function summaries), computed once per package and shared by
-	// every analyzer via Facts().
-	facts *packageFacts
 }
 
 // Reportf records a diagnostic at pos.
@@ -72,10 +71,6 @@ var analyzers = []*Analyzer{
 	enginelayeringAnalyzer,
 	timenowAnalyzer,
 	ctxpollAnalyzer,
-	cursorleakAnalyzer,
-	refbalanceAnalyzer,
-	ctxflowAnalyzer,
-	hotallocAnalyzer,
 }
 
 func knownAnalyzer(name string) bool {
@@ -92,19 +87,15 @@ func knownAnalyzer(name string) bool {
 // position.
 func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []Diagnostic {
 	var diags []Diagnostic
-	var facts *packageFacts
 	for _, a := range analyzers {
-		pass := &Pass{
+		a.Run(&Pass{
 			Fset:     fset,
 			Files:    files,
 			Pkg:      pkg,
 			Info:     info,
 			analyzer: a.Name,
 			diags:    &diags,
-			facts:    facts,
-		}
-		a.Run(pass)
-		facts = pass.facts // first analyzer to ask computes; the rest share
+		})
 	}
 	diags = applySuppressions(fset, files, diags)
 	sortDiags(diags)

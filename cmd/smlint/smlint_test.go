@@ -75,18 +75,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{enginelayeringAnalyzer, "enginelayering/internal/engine/badengine", true},
 		{timenowAnalyzer, "timenow", true},
 		{ctxpollAnalyzer, "ctxpoll/internal/exec", true},
-		{cursorleakAnalyzer, "cursorleak", true},
-		{refbalanceAnalyzer, "refbalance", true},
-		{refbalanceAnalyzer, "refbalance/internal/engine/rowstore", true},
-		{ctxflowAnalyzer, "ctxflow", true},
-		{hotallocAnalyzer, "hotalloc/internal/stats", true},
-		{hotallocAnalyzer, "hotalloc/internal/engine/fake", true},
-		{hotallocAnalyzer, "hotalloc/internal/colcodec", true},
-		{hotallocAnalyzer, "hotalloc/internal/incr", true},
-		{hotallocAnalyzer, "hotalloc/internal/engine/colstore", true},
-		{hotallocAnalyzer, "hotalloc/internal/engine/rowstore", true},
-		{hotallocAnalyzer, "hotalloc/internal/par", true},
-		{hotallocAnalyzer, "hotalloc/internal/threeline", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name+"/"+tc.dir, func(t *testing.T) {

@@ -7,24 +7,6 @@ func fanOut(items []int) []int {
 	out := make([]int, len(items))
 	var wg sync.WaitGroup
 
-	// Captured range variables.
-	for i, v := range items {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i] = v * 2 // want `captures loop variable "i"` `captures loop variable "v"`
-		}()
-	}
-
-	// Captured classic for-loop index.
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[0] += w // want `captures loop variable "w"`
-		}()
-	}
-
 	// wg.Add inside the spawned goroutine races wg.Wait.
 	for j := range items {
 		go func(j int) {
@@ -34,13 +16,14 @@ func fanOut(items []int) []int {
 		}(j)
 	}
 
-	// The repo convention: loop variables passed as closure parameters.
+	// wg.Add before the go statement; capturing the per-iteration loop
+	// variables is correct since Go 1.22.
 	for i, v := range items {
 		wg.Add(1)
-		go func(i, v int) {
+		go func() {
 			defer wg.Done()
 			out[i] = v * 2
-		}(i, v)
+		}()
 	}
 	wg.Wait()
 	return out

@@ -1,6 +1,8 @@
 package filestore
 
 import (
+	"errors"
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -185,5 +187,70 @@ func TestFileCursorReleasesPoppedSeries(t *testing.T) {
 		default:
 			time.Sleep(10 * time.Millisecond)
 		}
+	}
+}
+
+// TestIndexPartCloseResetClose: Close releases a partition cursor's hold
+// on the shared index exactly once. Reset rewinds but does not revive a
+// closed cursor, so a second Close must not release the index again,
+// and the siblings still open must keep reading from it.
+func TestIndexPartCloseResetClose(t *testing.T) {
+	ds := makeDataset(t, 6, 5)
+	src, err := meterdata.WriteUnpartitioned(t.TempDir(), ds, meterdata.FormatReadingPerLine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New()
+	if _, err := e.LoadDirect(src); err != nil {
+		t.Fatal(err)
+	}
+	const w = 3
+	curs, err := e.NewCursors(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([]*indexPartCursor, len(curs))
+	for i, cur := range curs {
+		parts[i] = cur.(*indexPartCursor)
+		if _, err := cur.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx := parts[0].idx
+	openHolds := func() int {
+		idx.mu.Lock()
+		defer idx.mu.Unlock()
+		return idx.open
+	}
+
+	if err := parts[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := parts[0].Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if err := parts[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := openHolds(); got != w-1 {
+		t.Fatalf("after Close, Reset, Close on one of %d cursors: %d holds on the index, want %d", w, got, w-1)
+	}
+	if _, err := parts[0].Next(); !errors.Is(err, io.EOF) {
+		t.Errorf("Next on a closed, reset cursor: err = %v, want io.EOF", err)
+	}
+	if idx.index == nil {
+		t.Fatal("index dropped while sibling cursors are open")
+	}
+	if _, err := parts[1].Next(); err != nil {
+		t.Fatalf("sibling Next after Close, Reset, Close: %v", err)
+	}
+
+	for _, p := range parts[1:] {
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := openHolds(); got != 0 || idx.index != nil {
+		t.Errorf("after every cursor closed: %d holds, index dropped %v; want 0 and true", got, idx.index == nil)
 	}
 }

@@ -97,6 +97,33 @@ func openBTree(bp *bufferPool, root PageID, height int) *btree {
 func nodeIsLeaf(data []byte) bool  { return getU16(data, 0)&flagLeaf != 0 }
 func nodeCount(data []byte) uint16 { return getU16(data, 2) }
 
+// nodeEntries is the entry count of the step-th node a read visits,
+// checked against corruption: the count comes from the file and
+// addresses every key and child read after it, so it must fit in the
+// page; and a descent or a leaf-chain walk visits each of the file's
+// pages at most once, so a longer one is a cycle.
+func nodeEntries(data []byte, step int, pages PageID) (int, error) {
+	if step > int(pages) {
+		return 0, fmt.Errorf("rowstore: corrupt index: walk longer than the file's %d pages", pages)
+	}
+	n, limit := int(nodeCount(data)), internalCap
+	if nodeIsLeaf(data) {
+		limit = leafCap
+	}
+	if n > limit {
+		return 0, fmt.Errorf("rowstore: corrupt index node: %d entries, at most %d fit", n, limit)
+	}
+	return n, nil
+}
+
+// leafEntries is nodeEntries for a page reached along the leaf chain.
+func leafEntries(data []byte, step int, pages PageID) (int, error) {
+	if !nodeIsLeaf(data) {
+		return 0, fmt.Errorf("rowstore: corrupt index: leaf chain reaches an internal node")
+	}
+	return nodeEntries(data, step, pages)
+}
+
 func leafKey(data []byte, i int) key {
 	return getKey(data, btreeHeaderSize+i*btreeLeafEntry)
 }
@@ -317,13 +344,17 @@ func (t *btree) internalInsert(fr *frame, sep key, right PageID) (splitResult, e
 // and the index of its first entry >= k (the leaf's count if it has none).
 func (t *btree) seekLeaf(k key) (PageID, int, error) {
 	page := t.root
-	for {
+	for depth := 1; ; depth++ {
 		fr, err := t.bp.fetch(page)
 		if err != nil {
 			return InvalidPage, 0, err
 		}
 		data := fr.data[:]
-		n := int(nodeCount(data))
+		n, err := nodeEntries(data, depth, t.bp.pf.nPages)
+		if err != nil {
+			t.bp.unpin(fr, false)
+			return InvalidPage, 0, err
+		}
 		if nodeIsLeaf(data) {
 			idx := lowerBound(n, k, func(i int) key { return leafKey(data, i) })
 			t.bp.unpin(fr, false)
@@ -345,13 +376,17 @@ func (t *btree) scanRange(lo, hi key, fn func(k key, v TID) error) error {
 	if err != nil {
 		return err
 	}
-	for page != InvalidPage {
+	for step := 1; page != InvalidPage; step++ {
 		fr, err := t.bp.fetch(page)
 		if err != nil {
 			return err
 		}
 		data := fr.data[:]
-		n := int(nodeCount(data))
+		n, err := leafEntries(data, step, t.bp.pf.nPages)
+		if err != nil {
+			t.bp.unpin(fr, false)
+			return err
+		}
 		for i := start; i < n; i++ {
 			k := leafKey(data, i)
 			if !k.less(hi) {

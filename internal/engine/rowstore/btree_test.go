@@ -203,3 +203,30 @@ func TestOpenBTreeReattach(t *testing.T) {
 		t.Errorf("reattached get = %+v ok=%v err=%v", v, ok, err)
 	}
 }
+
+// TestLeafChainRefusesInternalNode: a corrupt next-leaf pointer naming
+// an internal node, whose count may exceed what a leaf holds, ends the
+// scan with an error instead of reading leaf entries past the page.
+func TestLeafChainRefusesInternalNode(t *testing.T) {
+	bp := testPool(t, 8)
+	bt, err := newBTree(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := bp.allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	putU16(inner.data[:], 2, internalCap)
+	bp.unpin(inner, true)
+	root, err := bp.fetch(bt.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafSetNext(root.data[:], inner.id)
+	bp.unpin(root, true)
+	err = bt.scanRange(key{}, key{ID: 1}, func(key, TID) error { return nil })
+	if err == nil {
+		t.Fatal("leaf chain through an internal node: want error")
+	}
+}

@@ -15,7 +15,7 @@ import (
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
-func writeSource(t *testing.T, consumers, days int) (*meterdata.Source, *timeseries.Dataset) {
+func writeSource(t testing.TB, consumers, days int) (*meterdata.Source, *timeseries.Dataset) {
 	t.Helper()
 	ds, err := seed.Generate(seed.Config{Consumers: consumers, Days: days, Seed: 5})
 	if err != nil {

@@ -68,6 +68,9 @@ func heapPageTuple(data []byte, slot uint16) ([]byte, error) {
 		return nil, fmt.Errorf("rowstore: slot %d of %d", slot, n)
 	}
 	slotOff := heapHeaderSize + int(slot)*slotSize
+	if slotOff+slotSize > PageSize {
+		return nil, fmt.Errorf("rowstore: corrupt slot count %d", n)
+	}
 	off := getU16(data, slotOff)
 	length := getU16(data, slotOff+2)
 	if int(off)+int(length) > PageSize {

@@ -2,6 +2,7 @@ package rowstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -120,6 +121,16 @@ func TestHeapGetErrors(t *testing.T) {
 	if _, err := h.get(TID{Page: 9999, Slot: 0}); err == nil {
 		t.Error("bad page: want error")
 	}
+	// A corrupt slot count admits slots whose entries lie past the page.
+	fr, err := bp.fetch(h.first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putU16(fr.data[:], 0, 0xffff)
+	bp.unpin(fr, true)
+	if _, err := h.get(TID{Page: h.first, Slot: 3000}); err == nil {
+		t.Error("slot entry past the page: want error")
+	}
 }
 
 func TestBufferPoolEvictionWriteback(t *testing.T) {
@@ -167,6 +178,14 @@ func TestBufferPoolAllPinned(t *testing.T) {
 	b, _ := bp.allocate()
 	if _, err := bp.allocate(); err == nil {
 		t.Error("all pinned: want error")
+	}
+	// The refused allocate extended the file; fetching that page needs
+	// a frame too, and must take no pin when it finds none.
+	if _, err := bp.fetch(2); !errors.Is(err, errPoolFull) {
+		t.Errorf("fetch with every frame pinned: err = %v, want errPoolFull", err)
+	}
+	if n := bp.pinnedFrames(); n != 2 {
+		t.Errorf("%d frames pinned after refusals, want 2", n)
 	}
 	bp.unpin(a, false)
 	bp.unpin(b, false)

@@ -75,5 +75,10 @@ func readMeta(bp *bufferPool) (metaPage, error) {
 	if m.layout != LayoutRows && m.layout != LayoutArrays {
 		return metaPage{}, fmt.Errorf("rowstore: meta has unknown layout %d", m.layout)
 	}
+	// The series length sizes every extraction's arrays, and each stored
+	// reading takes at least 16 bytes of the file in either layout.
+	if size := bp.pf.sizeBytes(); int64(m.seriesLen)*16 > size {
+		return metaPage{}, fmt.Errorf("rowstore: meta series length %d exceeds what a %d-byte file holds", m.seriesLen, size)
+	}
 	return m, nil
 }

@@ -257,14 +257,16 @@ func (tb *table) readSeriesInto(id timeseries.ID, cons, temp []float64) error {
 	page, i, err := tb.index.seekLeaf(key{ID: uint64(id)})
 	var hp *frame // heap page of the previous TID
 	found, done := false, false
-	for err == nil && !done && page != InvalidPage {
+	for step := 1; err == nil && !done && page != InvalidPage; step++ {
 		var lf *frame
 		lf, err = bp.fetch(page)
 		if err != nil {
 			break
 		}
 		leaf := lf.data[:]
-		for n := int(nodeCount(leaf)); i < n && err == nil && !done; i++ {
+		var n int
+		n, err = leafEntries(leaf, step, bp.pf.nPages)
+		for ; i < n && err == nil && !done; i++ {
 			k, tid := leafKey(leaf, i), leafVal(leaf, i)
 			if k.ID != uint64(id) {
 				done = true
@@ -372,7 +374,15 @@ func (tb *table) distinctIDs() ([]timeseries.ID, error) {
 		if got == nil {
 			return ids, nil
 		}
+		if got.ID < next.ID {
+			// A corrupt leaf's keys are out of order; hopping on would
+			// revisit it forever.
+			return nil, fmt.Errorf("rowstore: corrupt index: household %d after %d", got.ID, next.ID-1)
+		}
 		ids = append(ids, timeseries.ID(got.ID))
+		if got.ID == math.MaxUint64 {
+			return ids, nil
+		}
 		next = key{ID: got.ID + 1, Seq: 0}
 	}
 }

@@ -213,3 +213,20 @@ func TestAddAllMatchesAddLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAddAllDoesNotAllocate: bucketing a year of hourly readings into an
+// existing histogram allocates nothing.
+func TestAddAllDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	xs := make([]float64, 8760)
+	for i := range xs {
+		xs[i] = rng.NormFloat64() * 10
+	}
+	h, err := NewHistogram(xs, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() { h.AddAll(xs) }); n != 0 {
+		t.Errorf("AddAll over %d values allocates %v times per run, want 0", len(xs), n)
+	}
+}

@@ -2,10 +2,10 @@
 # check.sh is the single verification entrypoint for the repo: build,
 # vet, the repo-native smlint analyzers, the full test suite under the
 # race detector, the fuzz smokes (the value codec, the segment-file
-# reader, the text parsers, write-ahead-log replay, the PAR kernel and
-# the similarity kernel) and the kernels' benchmark smokes, then the
-# benchmark module's own vet and tests. CI runs exactly this script; run
-# it locally before sending a PR.
+# reader, the row store's table file, the text parsers, write-ahead-log
+# replay, the PAR kernel and the similarity kernel) and the kernels'
+# benchmark smokes, then the benchmark module's own vet and tests. CI
+# runs exactly this script; run it locally before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,10 +29,10 @@ go run ./cmd/smlint ./...
 # partition cursors' shared state — refcounted indexes, the row store's
 # concurrent buffer pool under its shared table latch, shared cluster
 # extraction jobs — and block scheduling); surface a race there as its
-# own failure before the full suite runs. Engine layering (and
-# every other analyzer) is covered by the single smlint sweep above —
-# ./... includes ./internal/engine/..., so a second invocation would
-# only repeat the same findings.
+# own failure before the full suite runs. The pin and refcount balance
+# of that shared state is held by tests in this step (rowstore's
+# TestPinsBalance, filestore's TestIndexPartCloseResetClose), not by
+# smlint, whose analyzers are all single syntactic passes.
 echo "== go test -race ./internal/exec/... ./internal/engine/... (one-worker loop, pipeline + partition cursors)"
 go test -race ./internal/exec/... ./internal/engine/...
 
@@ -72,6 +72,13 @@ go test -run '^$' -fuzz 'FuzzDecodeValues' -fuzztime 10s ./internal/colcodec
 # minimizing one is slow; capping it keeps the smoke fuzzing.
 echo "== go test -fuzz FuzzSegmentFile -fuzztime 10s ./internal/engine/colstore (hostile segment files)"
 go test -run '^$' -fuzz 'FuzzSegmentFile' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/colstore
+
+# The row store's table file with arbitrary bytes written over it at
+# any offset, in both layouts: Open and a histogram run return data or
+# an error, never a panic, not even one a worker recovers into an error.
+# Each input is written to a file, so minimizing is capped as above.
+echo "== go test -fuzz FuzzRowstoreFile -fuzztime 10s ./internal/engine/rowstore (hostile table files)"
+go test -run '^$' -fuzz 'FuzzRowstoreFile' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/rowstore
 
 # The text parsers on arbitrary bytes, written as a reading-per-line and
 # as a series-per-line file: both scanners and both readers return data
