@@ -1,6 +1,7 @@
-// Package colcodec implements the compressed block codecs behind the
-// column store's segment format: delta-of-delta varint timestamp
-// encoding and four lossless float64 value encodings chosen per block.
+// Package colcodec implements the compressed block codec behind the
+// column store's segment format: four lossless float64 value encodings
+// chosen per block. There is no timestamp codec: a segment's rows sit
+// on an implicit hourly grid, so a block's hours follow from its index.
 //
 // A block is one consumer's contiguous row range (the segment layer
 // fixes the row count). Values are encoded in whichever mode is
@@ -33,11 +34,6 @@
 // bit-identical float64s (run-length and dictionary store raw bit
 // patterns verbatim); the segment pager and every analytic above it
 // rely on that.
-//
-// Timestamps compress as delta-of-delta with run-length encoding: a
-// regular hourly block costs a handful of bytes regardless of length,
-// while irregular gaps degrade gracefully to one varint pair per
-// distinct second difference.
 package colcodec
 
 import (
@@ -84,16 +80,13 @@ var ErrCorrupt = errors.New("colcodec: corrupt payload")
 // Min and Max are first-attainer extrema over the non-NaN values using
 // IEEE < and > — exactly the scan stats.MinMax performs — so combining
 // block summaries of a NaN-free series reproduces the full-series scan
-// bit for bit (including which of -0/+0 wins). Sum and SumSq cover the
-// non-NaN values in block order. When every value is NaN (or the block
-// is empty) Min and Max are NaN and the sums are zero.
+// bit for bit (including which of -0/+0 wins). When every value is NaN
+// (or the block is empty) Min and Max are NaN.
 type Summary struct {
 	Count int
 	NaNs  int
 	Min   float64
 	Max   float64
-	Sum   float64
-	SumSq float64
 }
 
 // Summarize computes a block summary in one pass.
@@ -116,8 +109,6 @@ func Summarize(vals []float64) Summary {
 				s.Max = v
 			}
 		}
-		s.Sum += v
-		s.SumSq += v * v
 	}
 	return s
 }
@@ -444,13 +435,18 @@ func DecodeValues(payload []byte, dst []float64) ([]float64, int, error) {
 // into dst. A payload whose count varint says anything else is refused
 // before a byte of it is decoded or allocated for: a store knows how
 // many rows a block holds and must not let the block's own bytes say
-// otherwise (a seven-byte payload can promise 2^31-1 values).
+// otherwise (a seven-byte payload can promise 2^31-1 values). A payload
+// with bytes left over after its values is refused too, so the lengths
+// a store keeps for its payloads account for every byte.
 func DecodeExact(payload []byte, dst []float64) error {
 	cnt, n := binary.Uvarint(payload)
 	if n <= 0 || cnt != uint64(len(dst)) {
 		return ErrCorrupt
 	}
-	_, _, err := DecodeValues(payload, dst[:0:len(dst)])
+	_, used, err := DecodeValues(payload, dst[:0:len(dst)])
+	if err == nil && used != len(payload) {
+		return ErrCorrupt
+	}
 	return err
 }
 
@@ -672,91 +668,6 @@ func decodeDict(b []byte, dst []float64) (int, error) {
 		dst[i] = dict[u]
 	}
 	return off + br.consumed(), nil
-}
-
-// AppendTimestamps appends the delta-of-delta + run-length encoding of
-// ts (any int64 clock: hour indexes, epoch seconds) to dst.
-func AppendTimestamps(dst []byte, ts []int64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ts)))
-	if len(ts) == 0 {
-		return dst
-	}
-	dst = binary.AppendUvarint(dst, zigzag(ts[0]))
-	if len(ts) == 1 {
-		return dst
-	}
-	prevDelta := ts[1] - ts[0]
-	dst = binary.AppendUvarint(dst, zigzag(prevDelta))
-	// Run-length over equal delta-of-deltas: a regular series is one
-	// (0, n-2) pair.
-	i := 2
-	for i < len(ts) {
-		delta := ts[i] - ts[i-1]
-		dod := delta - prevDelta
-		run := 1
-		for i+run < len(ts) && ts[i+run]-ts[i+run-1] == delta {
-			run++
-		}
-		dst = binary.AppendUvarint(dst, zigzag(dod))
-		dst = binary.AppendUvarint(dst, uint64(run))
-		prevDelta = delta
-		i += run
-	}
-	return dst
-}
-
-// DecodeTimestamps decodes a payload produced by AppendTimestamps,
-// reusing dst when its capacity suffices. It returns the timestamps and
-// the number of payload bytes consumed.
-func DecodeTimestamps(payload []byte, dst []int64) ([]int64, int, error) {
-	cnt, off := binary.Uvarint(payload)
-	if off <= 0 || cnt > math.MaxInt32 {
-		return nil, 0, ErrCorrupt
-	}
-	count := int(cnt)
-	if count == 0 {
-		return dst[:0], off, nil
-	}
-	if cap(dst) < count {
-		dst = make([]int64, count)
-	}
-	dst = dst[:count]
-	u, n := binary.Uvarint(payload[off:])
-	if n <= 0 {
-		return nil, 0, ErrCorrupt
-	}
-	off += n
-	dst[0] = unzigzag(u)
-	if count == 1 {
-		return dst, off, nil
-	}
-	u, n = binary.Uvarint(payload[off:])
-	if n <= 0 {
-		return nil, 0, ErrCorrupt
-	}
-	off += n
-	delta := unzigzag(u)
-	dst[1] = dst[0] + delta
-	i := 2
-	for i < count {
-		u, n = binary.Uvarint(payload[off:])
-		if n <= 0 {
-			return nil, 0, ErrCorrupt
-		}
-		off += n
-		dod := unzigzag(u)
-		r, n := binary.Uvarint(payload[off:])
-		if n <= 0 || r == 0 || r > uint64(count-i) {
-			return nil, 0, ErrCorrupt
-		}
-		off += n
-		delta += dod
-		for j := uint64(0); j < r; j++ {
-			dst[i] = dst[i-1] + delta
-			i++
-		}
-	}
-	return dst, off, nil
 }
 
 // bitWriter packs bits LSB-first into a byte slice.

@@ -31,27 +31,6 @@ func roundTripValues(t *testing.T, vals []float64) []byte {
 	return payload
 }
 
-func roundTripTimestamps(t *testing.T, ts []int64) []byte {
-	t.Helper()
-	payload := AppendTimestamps(nil, ts)
-	got, used, err := DecodeTimestamps(payload, nil)
-	if err != nil {
-		t.Fatalf("DecodeTimestamps: %v", err)
-	}
-	if used != len(payload) {
-		t.Fatalf("consumed %d of %d payload bytes", used, len(payload))
-	}
-	if len(got) != len(ts) {
-		t.Fatalf("decoded %d timestamps, want %d", len(got), len(ts))
-	}
-	for i := range ts {
-		if got[i] != ts[i] {
-			t.Fatalf("timestamp %d: got %d want %d", i, got[i], ts[i])
-		}
-	}
-	return payload
-}
-
 func TestValuesRoundTripAdversarial(t *testing.T) {
 	nan := math.NaN()
 	payloadNaN := math.Float64frombits(0x7ff8deadbeef0001) // non-canonical NaN payload
@@ -98,49 +77,6 @@ func TestValuesRoundTripRandom(t *testing.T) {
 	}
 }
 
-func TestTimestampsRoundTrip(t *testing.T) {
-	regular := make([]int64, 1024)
-	for i := range regular {
-		regular[i] = 1700000000 + int64(i)*3600
-	}
-	irregular := []int64{0, 3600, 7200, 7200 + 86400, 7200 + 86400 + 1, 7200 + 2*86400, -50, -49}
-	cases := map[string][]int64{
-		"empty":     {},
-		"single":    {1700000000},
-		"pair":      {10, 20},
-		"regular":   regular,
-		"irregular": irregular,
-		"negative":  {-1000, -400, 0, 12},
-	}
-	for name, ts := range cases {
-		payload := roundTripTimestamps(t, ts)
-		t.Logf("%s: %d timestamps -> %d bytes", name, len(ts), len(payload))
-	}
-	// A regular series must collapse to a handful of bytes: that is the
-	// whole point of delta-of-delta + RLE.
-	if p := AppendTimestamps(nil, regular); len(p) > 16 {
-		t.Fatalf("regular 1024-entry series encoded to %d bytes, want <= 16", len(p))
-	}
-}
-
-func TestTimestampsRoundTripRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		n := rng.Intn(2000)
-		ts := make([]int64, n)
-		var cur int64
-		for i := range ts {
-			if rng.Intn(10) == 0 {
-				cur += rng.Int63n(1 << 30) // occasional large gap
-			} else {
-				cur += 3600
-			}
-			ts[i] = cur
-		}
-		roundTripTimestamps(t, ts)
-	}
-}
-
 func TestCompressionRatioOnQuantizedGaussians(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vals := make([]float64, 8192)
@@ -164,7 +100,7 @@ func TestSummarizeMatchesScan(t *testing.T) {
 	if s.Count != len(vals) || s.NaNs != 0 {
 		t.Fatalf("Count=%d NaNs=%d", s.Count, s.NaNs)
 	}
-	min, max, sum := vals[0], vals[0], 0.0
+	min, max := vals[0], vals[0]
 	for _, v := range vals {
 		if v < min {
 			min = v
@@ -172,18 +108,14 @@ func TestSummarizeMatchesScan(t *testing.T) {
 		if v > max {
 			max = v
 		}
-		sum += v
 	}
 	if math.Float64bits(s.Min) != math.Float64bits(min) || math.Float64bits(s.Max) != math.Float64bits(max) {
 		t.Fatalf("Min/Max %v/%v want %v/%v", s.Min, s.Max, min, max)
 	}
-	if math.Float64bits(s.Sum) != math.Float64bits(sum) {
-		t.Fatalf("Sum %v want %v (block-order accumulation must match scan)", s.Sum, sum)
-	}
 
 	nan := math.NaN()
 	withNaN := Summarize([]float64{nan, 2, nan, -1})
-	if withNaN.NaNs != 2 || withNaN.Min != -1 || withNaN.Max != 2 || withNaN.Sum != 1 {
+	if withNaN.NaNs != 2 || withNaN.Min != -1 || withNaN.Max != 2 {
 		t.Fatalf("NaN summary: %+v", withNaN)
 	}
 	allNaN := Summarize([]float64{nan, nan})
@@ -223,22 +155,6 @@ func TestDecodeValuesZeroAlloc(t *testing.T) {
 			t.Fatalf("%s decode: %.1f allocs/op, want 0", name, allocs)
 		}
 	}
-	ts := make([]int64, 1024)
-	for i := range ts {
-		ts[i] = int64(i) * 3600
-	}
-	tsPayload := AppendTimestamps(nil, ts)
-	tsDst := make([]int64, 1024)
-	allocs := testing.AllocsPerRun(100, func() {
-		var err error
-		tsDst, _, err = DecodeTimestamps(tsPayload, tsDst)
-		if err != nil {
-			panic(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("timestamp decode: %.1f allocs/op, want 0", allocs)
-	}
 }
 
 func TestDecodeValuesTruncated(t *testing.T) {
@@ -254,5 +170,31 @@ func TestDecodeValuesTruncated(t *testing.T) {
 	}
 	if _, _, err := DecodeValues(nil, nil); err == nil {
 		t.Fatal("empty payload decoded without error")
+	}
+}
+
+// TestDecodeExactAccountsForEveryByte: DecodeExact takes a payload of
+// exactly the values it was asked for and nothing after them, in every
+// mode.
+func TestDecodeExactAccountsForEveryByte(t *testing.T) {
+	var enc Encoder
+	for name, vals := range map[string][]float64{
+		"fixed": {1.5, 2.25, 3.125, 4},
+		"xor":   {0.1, math.Pi, -math.E, math.NaN()},
+		"rle":   append(make([]float64, 40), 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+		"dict":  {1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2},
+		"empty": {},
+	} {
+		payload := enc.AppendValues(nil, vals)
+		dst := make([]float64, len(vals))
+		if err := DecodeExact(payload, dst); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := DecodeExact(append(payload, 0), dst); err != ErrCorrupt {
+			t.Fatalf("%s: a trailing byte: %v, want ErrCorrupt", name, err)
+		}
+		if err := DecodeExact(payload, make([]float64, len(vals)+1)); err != ErrCorrupt {
+			t.Fatalf("%s: one row too many: %v, want ErrCorrupt", name, err)
+		}
 	}
 }

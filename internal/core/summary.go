@@ -7,8 +7,9 @@ import "github.com/smartmeter/smartbench/internal/timeseries"
 // first-attainer extrema over the block's non-NaN values under IEEE <
 // and > — the same scan stats.MinMax performs — so for a NaN-free
 // series, folding block stats in order reproduces the full-series scan
-// bit for bit. Sum and SumSq accumulate the non-NaN values in block
-// order. When the block holds no non-NaN values Min and Max are NaN.
+// bit for bit. When the block holds no non-NaN values Min and Max are
+// NaN. These are all a store keeps per block: the histogram's summary
+// path (internal/exec) reads nothing else.
 type BlockStats struct {
 	// Start is the row offset of the block within the series.
 	Start int
@@ -17,33 +18,10 @@ type BlockStats struct {
 	// NaNs is the number of NaN readings in the block. Compressed-domain
 	// fast paths must decode any block with NaNs > 0 (or fall back
 	// entirely) to preserve NaN-propagation semantics.
-	NaNs  int
-	Min   float64
-	Max   float64
-	Sum   float64
-	SumSq float64
-	// Flags carries the block-structure facts recorded at encode time.
-	Flags BlockFlags
+	NaNs int
+	Min  float64
+	Max  float64
 }
-
-// BlockFlags describe structural properties of a stored block that
-// compressed-domain kernels exploit. They are facts about the stored
-// bit patterns, set by the encoder, never inferred at read time.
-type BlockFlags uint32
-
-const (
-	// BlockHourLanes: the block stores per-hour sum lanes (and, when
-	// BlockHourPeriodic, a 24-value pattern) after its values. Never set
-	// on a block with NaNs. No reader consumes the lanes today.
-	BlockHourLanes BlockFlags = 1 << iota
-	// BlockConstant: every value in the block shares one bit pattern,
-	// equal to the summary Min — the block reconstructs as a fill.
-	BlockConstant
-	// BlockHourPeriodic: the block is day-aligned and each hour-of-day
-	// holds one bit pattern — the block reconstructs by tiling the
-	// stored 24-value pattern.
-	BlockHourPeriodic
-)
 
 // SummarySource is implemented by engines whose storage keeps per-block
 // statistics alongside the compressed payloads. The exec layer uses it

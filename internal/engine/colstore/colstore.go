@@ -5,8 +5,9 @@
 // It reproduces the traits the paper measures for System C:
 //
 //   - Load converts the text source into a compressed binary segment
-//     file once (colcodec delta-of-delta timestamps + fixed-point or
-//     Gorilla-XOR values, lossless either way); subsequent loads read
+//     file once (colcodec fixed-point, Gorilla-XOR, dictionary or
+//     run-length values, lossless all four ways, on an implicit hourly
+//     grid that stores no timestamps); subsequent loads read
 //     only metadata — the cheap binary restart the paper credits to
 //     memory-mapped I/O.
 //   - Analytics run over per-consumer float64 columns decoded from
@@ -23,8 +24,8 @@
 // same pipeline. Warm at budget 0 decodes everything into one
 // contiguous matrix that later runs read (the paper's warm start, which
 // the similarity kernel adopts without a copy). Block headers carry
-// min/max/sum/sumSq summaries that the exec layer uses for
-// compressed-domain fast paths.
+// NaN counts and min/max summaries that the exec layer's histogram uses
+// to skip decoding.
 package colstore
 
 import (

@@ -106,16 +106,8 @@ func (s *summaryCursor) NextSummary() (timeseries.ID, []core.BlockStats, error) 
 	c := s.i
 	for b := 0; b < s.st.blockCount; b++ {
 		h := s.st.hdr(c, b)
-		s.stats[b] = core.BlockStats{
-			Start: int(h.start),
-			Count: int(h.count),
-			NaNs:  int(h.nans),
-			Min:   h.min,
-			Max:   h.max,
-			Sum:   h.sum,
-			SumSq: h.sumSq,
-			Flags: core.BlockFlags(h.flags),
-		}
+		start, count := s.st.rows(b)
+		s.stats[b] = core.BlockStats{Start: start, Count: count, NaNs: int(h.nans), Min: h.min, Max: h.max}
 	}
 	s.i++
 	s.read = false

@@ -111,7 +111,6 @@ func (p *encodePool) append(id timeseries.ID, readings []float64) error {
 func (p *encodePool) worker() {
 	defer p.wg.Done()
 	var enc colcodec.Encoder
-	var ls colcodec.LaneSummary
 	for job := range p.jobs {
 		if p.w.quantPow > 0 {
 			quantizeInPlace(job.vals, p.w.quantPow)
@@ -121,7 +120,7 @@ func (p *encodePool) worker() {
 		case buf = <-p.bufFree:
 		default:
 		}
-		buf = encodeConsumer(&enc, &ls, buf, job.vals, p.w.blockRows, p.w.blockCount, p.w.tsPayloads)
+		buf = encodeConsumer(&enc, buf, job.vals, p.w.blockRows, p.w.blockCount)
 		select {
 		case p.valsFree <- job.vals:
 		default:

@@ -1,14 +1,12 @@
 package colstore
 
 import (
-	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"github.com/smartmeter/smartbench/internal/colcodec"
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/par"
 	"github.com/smartmeter/smartbench/internal/seed"
@@ -151,138 +149,6 @@ func TestParallelEncodeMatchesDecode(t *testing.T) {
 	}
 }
 
-// hourLanes is a stored block's lane section: the per-hour sums, and the
-// 24-value tile of a BlockHourPeriodic block.
-type hourLanes struct {
-	Sums, Pattern [24]float64
-}
-
-// readBlockLanes decodes the lane section of block b of consumer c. No
-// engine code reads the lanes any more, the writer still stores them
-// (the format is v3 byte for byte), so the test that pins what is
-// written keeps its own reader.
-func readBlockLanes(t *testing.T, st *segStore, c, b int) (hourLanes, bool) {
-	t.Helper()
-	var dst hourLanes
-	h := st.hdr(c, b)
-	if core.BlockFlags(h.flags)&core.BlockHourLanes == 0 {
-		return dst, false
-	}
-	area, err := st.readArea(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := h.payloadOff + h.tsLen + h.valLen
-	raw := area[off : off+h.laneLen]
-	sums, used, err := colcodec.DecodeValues(raw, dst.Sums[:0])
-	if err != nil || len(sums) != 24 {
-		t.Fatalf("consumer %d block %d: lane sums: %d values, %v", c, b, len(sums), err)
-	}
-	if core.BlockFlags(h.flags)&core.BlockHourPeriodic != 0 {
-		pat, _, err := colcodec.DecodeValues(raw[used:], dst.Pattern[:0])
-		if err != nil || len(pat) != 24 {
-			t.Fatalf("consumer %d block %d: lane pattern: %d values, %v", c, b, len(pat), err)
-		}
-	}
-	return dst, true
-}
-
-// TestSummaryLanesMatchDecodedReduction is the lane-correctness
-// property test: for every stored block, across block sizes that are
-// sub-day, day-aligned and misaligned, quantized and not, the stored
-// lanes must equal the first-assignment per-hour reduction of the
-// decoded block — and blocks without lanes must be exactly the
-// NaN-bearing ones.
-func TestSummaryLanesMatchDecodedReduction(t *testing.T) {
-	n := 24*7 + 5 // ragged tail so the last block straddles
-	temp := make([]float64, n)
-	series := encodeTestSeries(t, 15, n)
-	for _, blockRows := range []int{1, 7, 24, 64, DefaultBlockRows} {
-		for _, quant := range []bool{false, true} {
-			opts := []WriterOption{WithBlockRows(blockRows)}
-			if quant {
-				opts = append(opts, WithQuantize(3))
-			}
-			dir := t.TempDir()
-			writeSegmentWith(t, filepath.Join(dir, SegmentFileName), temp, series, opts...)
-			e := New(dir)
-			if _, err := e.OpenExisting(); err != nil {
-				t.Fatal(err)
-			}
-			cur, err := e.NewSummaryCursor()
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst := make([]float64, blockRows)
-			for c := 0; ; c++ {
-				_, blocks, err := cur.NextSummary()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				for b, bs := range blocks {
-					lanes, ok := readBlockLanes(t, e.store, c, b)
-					if ok != (bs.NaNs == 0) {
-						t.Fatalf("blockRows=%d quant=%v block %d: lanes=%v with %d NaNs", blockRows, quant, b, ok, bs.NaNs)
-					}
-					if ok != (bs.Flags&core.BlockHourLanes != 0) {
-						t.Fatalf("blockRows=%d block %d: lane flag/result mismatch", blockRows, b)
-					}
-					if err := cur.DecodeBlock(b, dst[:bs.Count]); err != nil {
-						t.Fatal(err)
-					}
-					blk := dst[:bs.Count]
-					if !ok {
-						continue
-					}
-					var sums [24]float64
-					var seen [24]bool
-					for i, v := range blk {
-						h := (bs.Start + i) % 24
-						if !seen[h] {
-							sums[h], seen[h] = v, true
-						} else {
-							sums[h] += v
-						}
-					}
-					for h := 0; h < 24; h++ {
-						if math.Float64bits(lanes.Sums[h]) != math.Float64bits(sums[h]) {
-							t.Fatalf("blockRows=%d quant=%v block %d lane %d: sum bits %016x want %016x",
-								blockRows, quant, b, h,
-								math.Float64bits(lanes.Sums[h]), math.Float64bits(sums[h]))
-						}
-					}
-					if bs.Flags&core.BlockConstant != 0 {
-						for i, v := range blk {
-							if math.Float64bits(v) != math.Float64bits(blk[0]) {
-								t.Fatalf("blockRows=%d block %d: constant flag on varying block (row %d)", blockRows, b, i)
-							}
-						}
-					}
-					if bs.Flags&core.BlockHourPeriodic != 0 {
-						if bs.Start%24 != 0 || bs.Count%24 != 0 || bs.Count <= 24 {
-							t.Fatalf("blockRows=%d block %d: periodic flag on non-aligned block", blockRows, b)
-						}
-						for i, v := range blk {
-							if math.Float64bits(v) != math.Float64bits(lanes.Pattern[i%24]) {
-								t.Fatalf("blockRows=%d block %d: pattern mismatch at row %d", blockRows, b, i)
-							}
-						}
-					}
-				}
-			}
-			if err := cur.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Release(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
 // TestEncodePoolErrorSticky checks a mid-stream write failure surfaces
 // on a later Append or on Close instead of hanging the pool.
 func TestEncodePoolErrorSticky(t *testing.T) {
@@ -312,10 +178,10 @@ func TestEncodePoolErrorSticky(t *testing.T) {
 }
 
 // parTestDataset is a PAR-shaped dataset (whole days, temperatures
-// aligned) holding, beside ordinary consumers, the ones the stored
-// format treats specially: a bit-constant consumer (BlockConstant), an
-// hour-periodic one (BlockHourPeriodic tiles), a NaN carrier (blocks
-// without lanes), and one that is flat for half the year.
+// aligned) holding, beside ordinary consumers, the shapes a
+// compressed-domain PAR path once rebuilt from block headers: a
+// bit-constant consumer, an hour-periodic one, a NaN carrier, and one
+// that is flat for half the year.
 func parTestDataset(t *testing.T, days int) *timeseries.Dataset {
 	t.Helper()
 	ds, err := seed.Generate(seed.Config{Consumers: 4, Days: days, Seed: 5})

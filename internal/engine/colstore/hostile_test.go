@@ -4,9 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -40,12 +43,12 @@ func flatSegments(t testing.TB) (path string, off int64, valLen int) {
 	if h.valLen != 11 {
 		t.Fatalf("flat block payload is %d bytes, want the 11 of the run-length form", h.valLen)
 	}
-	return path, st.areaOff[0] + int64(h.payloadOff) + int64(h.tsLen), int(h.valLen)
+	return path, st.areaOff[0] + int64(h.off), int(h.valLen)
 }
 
 // flatHdrOff is the file offset of block b's header in flatSegments'
 // file: its one consumer's headers follow the 128-hour temperature.
-func flatHdrOff(b int) int64 { return headerSize2 + 8*128 + int64(b)*blockHdrSize }
+func flatHdrOff(b int) int64 { return headerSize + 8*128 + int64(b)*blockHdrSize }
 
 func patchFile(t testing.TB, path string, off int64, b []byte) {
 	t.Helper()
@@ -61,24 +64,24 @@ func patchFile(t testing.TB, path string, off int64, b []byte) {
 	}
 }
 
-// segmentHeader is a v3 file header with the given counts whose
+// segmentHeader is a v4 file header with the given counts whose
 // directory ends the file at fileSize.
 func segmentHeader(consumers, n, blockRows uint32, dirOff, fileSize uint64) []byte {
-	b := make([]byte, headerSize2)
-	copy(b, magic3[:])
+	b := make([]byte, headerSize)
+	copy(b, magic4[:])
 	binary.LittleEndian.PutUint32(b[8:], consumers)
 	binary.LittleEndian.PutUint32(b[12:], n)
 	binary.LittleEndian.PutUint32(b[16:], blockRows)
-	binary.LittleEndian.PutUint64(b[32:], dirOff)
-	binary.LittleEndian.PutUint64(b[40:], fileSize)
+	binary.LittleEndian.PutUint64(b[28:], dirOff)
+	binary.LittleEndian.PutUint64(b[36:], fileSize)
 	return b
 }
 
 // hostileDirectory is a well-bounded file of `consumers` consumers with
 // n hours in blocks of one row: temperature and directory fit the file,
-// but consumers x n block headers of 64 bytes do not.
+// but consumers x n block headers of 24 bytes do not.
 func hostileDirectory(consumers, n int) []byte {
-	dirOff := headerSize2 + 8*n
+	dirOff := headerSize + 8*n
 	size := dirOff + consumers*dirEntSize
 	b := make([]byte, size)
 	copy(b, segmentHeader(uint32(consumers), uint32(n), 1, uint64(dirOff), uint64(size)))
@@ -92,8 +95,10 @@ func hostileDirectory(consumers, n int) []byte {
 }
 
 // hostileFiles are segment files with one header field each that
-// promises more than the file holds. consumers scales the directory
-// case: at 1<<16 its block headers would take 256 GiB.
+// promises more, or other, than the file holds (or, in one, a byte no
+// field accounts for). consumers scales the
+// directory case: at 1<<16 its block headers would take 96 GiB. The
+// flat file's two blocks have 11-byte payloads and 64 rows each.
 func hostileFiles(t testing.TB, consumers int) map[string][]byte {
 	t.Helper()
 	path, _, _ := flatSegments(t)
@@ -108,19 +113,30 @@ func hostileFiles(t testing.TB, consumers int) map[string][]byte {
 	}
 	hours := make([]byte, 4096)
 	copy(hours, segmentHeader(1, 0xF0000000, 1, 4096-dirEntSize, 4096))
+	// One byte between the last segment and the directory, which moves
+	// down a byte.
+	dirOff := binary.LittleEndian.Uint64(flat[28:])
+	gap := append(append(append([]byte(nil), flat[:dirOff]...), 0), flat[dirOff:]...)
+	binary.LittleEndian.PutUint64(gap[28:], dirOff+1)
+	binary.LittleEndian.PutUint64(gap[36:], uint64(len(gap)))
 	return map[string][]byte{
-		"hours":          hours,
-		"block headers":  hostileDirectory(consumers, consumers),
-		"value length":   patched(flatHdrOff(0)+20, 0xFFFFFFF0),
-		"payload offset": patched(flatHdrOff(1)+12, 0xFFFFFF00),
-		"block rows":     patched(flatHdrOff(0)+4, 1000),
+		"hours":                            hours,
+		"block headers":                    hostileDirectory(consumers, consumers),
+		"value length":                     patched(flatHdrOff(0), 0xFFFFFFF0),
+		"value lengths overrun the area":   patched(flatHdrOff(1), 12),
+		"area longer than its blocks":      patched(flatHdrOff(1), 10),
+		"NaN count above the block's rows": patched(flatHdrOff(0)+4, 65),
+		"a byte outside every segment":     gap,
 	}
 }
 
 // TestHostileHeaderRefusedBeforeAllocating: a header field that sizes
 // an allocation or a read — the hour count, the block-header table, a
-// block's value length, payload offset or row count — is checked
-// against the file at open, so a 4 KiB file cannot ask for 32 GiB.
+// block's value length — is checked against the file at open, so a
+// 4 KiB file cannot ask for 32 GiB; and every byte must be accounted
+// for: the segments tile the file up to the directory, the value
+// lengths add up to each consumer's payload area exactly, and no block
+// counts more NaNs than rows.
 func TestHostileHeaderRefusedBeforeAllocating(t *testing.T) {
 	for name, data := range hostileFiles(t, 1<<16) {
 		path := filepath.Join(t.TempDir(), SegmentFileName)
@@ -141,6 +157,101 @@ func TestHostileHeaderRefusedBeforeAllocating(t *testing.T) {
 		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<16 {
 			t.Fatalf("%s: refusing the file took %d bytes", name, grown)
 		}
+	}
+}
+
+// v3Segment is flatSegments' file under the v3 magic, the way every
+// file written before format v4 begins.
+func v3Segment(t testing.TB) []byte {
+	t.Helper()
+	path, _, _ := flatSegments(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[5] = '3'
+	return data
+}
+
+// TestV3SegmentRefused: a v3 file is the corrupt-segment error, in
+// words that name its version. There is no v3 reader to fall back to.
+func TestV3SegmentRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), SegmentFileName)
+	if err := os.WriteFile(path, v3Segment(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := openStore(path)
+	if err == nil {
+		st.close()
+		t.Fatal("a v3 file opened")
+	}
+	if !errors.Is(err, errCorrupt) || !strings.Contains(err.Error(), `"SMCOL3"`) {
+		t.Fatalf("error %v, want the corrupt-segment error naming SMCOL3", err)
+	}
+}
+
+// everyModeSegment is a file whose blocks take each value mode — fixed,
+// XOR, dictionary and run-length — plus one block holding a NaN, in
+// 64-row blocks with a five-row tail.
+func everyModeSegment(t testing.TB) []byte {
+	t.Helper()
+	const n = 2*64 + 5
+	rng := rand.New(rand.NewSource(3))
+	series := make([][]float64, 5)
+	for c := range series {
+		series[c] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		series[0][i] = float64(i*37%1000) / 1000 // fixed: distinct decimals
+		series[1][i] = rng.NormFloat64()         // XOR
+		series[2][i] = []float64{0.5, 1.25}[i%2] // dictionary
+		series[3][i] = 2.5                       // run-length: two runs a block
+		if i%64 >= 32 {
+			series[3][i] = 7.75
+		}
+		series[4][i] = float64(i) / 4
+	}
+	series[4][70] = math.NaN()
+	path := filepath.Join(t.TempDir(), SegmentFileName)
+	writeSegmentWith(t, path, make([]float64, n), series, WithBlockRows(64))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestEveryModeSegmentCoversEveryMode keeps FuzzSegmentFile's seed what
+// its name says: the mode byte after each payload's count varint takes
+// all four values, and one block counts a NaN.
+func TestEveryModeSegmentCoversEveryMode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), SegmentFileName)
+	if err := os.WriteFile(path, everyModeSegment(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := openStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.close()
+	modes, nanBlocks := map[byte]bool{}, 0
+	for c := 0; c < st.consumers; c++ {
+		area, err := st.readArea(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < st.blockCount; b++ {
+			h := st.hdr(c, b)
+			payload := area[h.off : h.off+h.valLen]
+			_, n := binary.Uvarint(payload)
+			modes[payload[n]] = true
+			if h.nans > 0 {
+				nanBlocks++
+			}
+		}
+	}
+	if len(modes) != 4 || nanBlocks != 1 {
+		t.Fatalf("modes %v and %d NaN blocks, want all four modes and one", modes, nanBlocks)
 	}
 }
 
@@ -218,6 +329,8 @@ func FuzzSegmentFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	f.Add(everyModeSegment(f))
+	f.Add(v3Segment(f))
 	for _, data := range hostileFiles(f, 16) {
 		f.Add(data)
 	}

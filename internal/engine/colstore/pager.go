@@ -52,8 +52,8 @@ func newPager(st *segStore, budget int64) *pager {
 func (p *pager) readConsumer(c int, row []float64, area []byte) ([]byte, error) {
 	read := false
 	for b := 0; b < p.st.blockCount; b++ {
-		h := p.st.hdr(c, b)
-		dst := row[h.start : h.start+h.count]
+		start, count := p.st.rows(b)
+		dst := row[start : start+count]
 		key := frameKey{int32(c), int32(b)}
 		size := int64(8 * len(dst))
 		p.mu.Lock()

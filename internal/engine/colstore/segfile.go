@@ -6,76 +6,76 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"unsafe"
 
 	"github.com/smartmeter/smartbench/internal/colcodec"
-	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
-// Segment file layout v3 ("SMCOL3", little endian):
+// Segment file layout v4 ("SMCOL4", little endian). Every stored byte
+// has a reader.
 //
-//	magic "SMCOL3\n" (7 bytes) + 1 pad byte
+//	magic "SMCOL4\n" (7 bytes) + 1 zero byte, compared whole
 //	u32 consumers   (patched at Close)
 //	u32 seriesLen
 //	u32 blockRows
-//	u32 reserved
 //	u64 rawBytes    (patched at Close)
 //	u64 dirOffset   (patched at Close)
 //	u64 fileSize    (patched at Close)
 //	temperature column: seriesLen x f64 (raw — one column per file)
 //	per consumer, in ascending household order:
-//	    blockCount x 64-byte block header:
-//	        u32 start, u32 count, u32 nans,
-//	        u32 payloadOff (relative to this consumer's payload area),
-//	        u32 tsLen, u32 valLen, u32 laneLen, u32 flags,
-//	        f64 min, f64 max, f64 sum, f64 sumSq
-//	    payload area: per block, colcodec timestamps, then values, then
-//	        the lane section (laneLen bytes): the 24 per-hour sums as a
-//	        colcodec value payload, followed — when flags carry
-//	        BlockHourPeriodic — by the 24-value tile pattern. Lane
-//	        counts are not stored: they are derived from (start, count)
-//	        on the implicit hourly grid. NaN-bearing blocks store no
-//	        lane section (laneLen 0, no BlockHourLanes flag).
+//	    blockCount x 24-byte block header:
+//	        u32 valLen, u32 nans, f64 min, f64 max
+//	    payload area: the blocks' colcodec value payloads, back to back
+//	        in block order, valLen bytes each and nothing else
 //	directory at dirOffset: consumers x 24-byte entry:
 //	    u64 household id, u64 segOffset, u32 segLen, u32 blockCount
 //
+// Block b of a consumer holds rows [b·blockRows, min((b+1)·blockRows,
+// seriesLen)) on the implicit hourly grid, and its payload starts at the
+// sum of the earlier blocks' valLen; none of the three is stored.
+// parseMeta requires the segments to follow one another from the end of
+// the temperature column to the directory and each consumer's payload
+// area to be exactly the sum of its blocks' valLen, and
+// colcodec.DecodeExact requires each payload to hold exactly its
+// block's values, so no byte goes unaccounted for.
+//
 // The header fields a streaming writer cannot know up front are patched
 // in place at Close, so a million-consumer file is written
-// consumer-by-consumer without ever holding the raw matrix.
+// consumer-by-consumer without ever holding the raw matrix. The file
+// bytes are identical whichever encoder count produced them, because
+// every consumer's bytes come from the same pure encodeConsumer function
+// and land in appended order.
 //
-// v3 over v2: block headers grew lane length + structure flags (+8
-// bytes), the default block size became day-aligned, and encoding can
-// fan out over a worker pool — the file bytes are identical whichever
-// encoder count produced them, because every consumer's bytes come
-// from the same pure encodeConsumer function and land in appended
-// order.
+// A file of an earlier version is refused, by name. Every stored file
+// is one the repo generates, so there is no migration.
 
-var magic3 = [8]byte{'S', 'M', 'C', 'O', 'L', '3', '\n', 0}
+var magic4 = [8]byte{'S', 'M', 'C', 'O', 'L', '4', '\n', 0}
 
 const (
-	headerSize2  = 48
-	blockHdrSize = 64
+	headerSize   = 44
+	blockHdrSize = 24
 	dirEntSize   = 24
 
 	// DefaultBlockRows is the row count per compressed block: 42 days
-	// of hourly readings, ~8 KiB raw — large enough to amortize
-	// per-block headers to ~1% and small enough that summary-driven
-	// block skipping has resolution. Day-aligned (a multiple of 24) so
-	// whole blocks sit on the hour grid and compressed-domain kernels
-	// can consume their per-hour lanes without decoding.
+	// of hourly readings, ~8 KiB raw. It is large enough that the 24-byte
+	// headers stay under 2% of a Wh-quantized file, and small enough that
+	// the histogram's summary path finds whole blocks inside one bucket
+	// (about a tenth of the benchmark's blocks). No reader needs the
+	// blocks day-aligned any more; the size stays so that stored bytes
+	// and summary-block counts remain comparable across records.
 	DefaultBlockRows = 1008
 )
 
-// blockHdr is the in-memory mirror of an on-disk block header.
+// blockHdr is a block's header as parseMeta leaves it: the stored
+// fields, and off, the payload's offset in its consumer's payload area,
+// derived from the value lengths before it.
 type blockHdr struct {
-	start, count, nans   uint32
-	payloadOff           uint32
-	tsLen, valLen        uint32
-	laneLen, flags       uint32
-	min, max, sum, sumSq float64
+	off, valLen, nans uint32
+	min, max          float64
 }
 
-// SegmentWriter streams consumers into a v3 segment file in ascending
+// SegmentWriter streams consumers into a v4 segment file in ascending
 // household order. It holds a bounded number of consumers' encoded
 // blocks at a time — never the dataset — so generation and load run
 // out-of-core. With WithEncoders(n>1) block encoding fans out over a
@@ -94,10 +94,8 @@ type SegmentWriter struct {
 	rawBytes   int64
 	dir        []byte
 	enc        colcodec.Encoder
-	ls         colcodec.LaneSummary
 	buf        []byte
 	qbuf       []float64
-	tsPayloads [][]byte
 	closed     bool
 
 	encoders int
@@ -160,8 +158,8 @@ func NewSegmentWriter(path string, temp []float64, opts ...WriterOption) (*Segme
 	}
 	w.f = f
 	w.w = bufio.NewWriterSize(f, 1<<20)
-	hdr := make([]byte, headerSize2)
-	copy(hdr, magic3[:])
+	hdr := make([]byte, headerSize)
+	copy(hdr, magic4[:])
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(w.n))
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(w.blockRows))
 	if _, err := w.w.Write(hdr); err != nil {
@@ -174,24 +172,7 @@ func NewSegmentWriter(path string, temp []float64, opts ...WriterOption) (*Segme
 	if _, err := w.w.Write(col); err != nil {
 		return nil, w.fail(err)
 	}
-	w.off = int64(headerSize2 + len(col))
-	// Block timestamps are the implicit hour grid — identical for every
-	// consumer — so their payloads are encoded once and shared by all
-	// encode paths (and, read-only, by all pool workers).
-	w.tsPayloads = make([][]byte, w.blockCount)
-	ts := make([]int64, w.blockRows)
-	for b := 0; b < w.blockCount; b++ {
-		start := b * w.blockRows
-		end := start + w.blockRows
-		if end > w.n {
-			end = w.n
-		}
-		blkTs := ts[:end-start]
-		for i := range blkTs {
-			blkTs[i] = int64(start + i)
-		}
-		w.tsPayloads[b] = colcodec.AppendTimestamps(nil, blkTs)
-	}
+	w.off = int64(headerSize + len(col))
 	if w.encoders > 1 {
 		w.pool = newEncodePool(w)
 	}
@@ -216,9 +197,9 @@ func quantizeInPlace(vals []float64, quantPow float64) {
 // area, exactly the bytes Append writes for that consumer. It is a pure
 // function of vals and the writer geometry — the serial path and every
 // pool worker produce identical bytes — reusing buf and the caller's
-// encoder/lane scratch. This is a per-reading hot path: no allocations
+// encoder scratch. This is a per-reading hot path: no allocations
 // beyond amortized buffer growth.
-func encodeConsumer(enc *colcodec.Encoder, ls *colcodec.LaneSummary, buf []byte, vals []float64, blockRows, blockCount int, tsPayloads [][]byte) []byte {
+func encodeConsumer(enc *colcodec.Encoder, buf []byte, vals []float64, blockRows, blockCount int) []byte {
 	hdrLen := blockCount * blockHdrSize
 	if cap(buf) < hdrLen {
 		buf = make([]byte, hdrLen, hdrLen+2*len(vals))
@@ -226,46 +207,15 @@ func encodeConsumer(enc *colcodec.Encoder, ls *colcodec.LaneSummary, buf []byte,
 	buf = buf[:hdrLen]
 	for b := 0; b < blockCount; b++ {
 		start := b * blockRows
-		end := start + blockRows
-		if end > len(vals) {
-			end = len(vals)
-		}
-		blk := vals[start:end]
+		blk := vals[start:min(start+blockRows, len(vals))]
 		sum := colcodec.Summarize(blk)
-		payloadOff := len(buf) - hdrLen
-		buf = append(buf, tsPayloads[b]...)
-		tsLen := len(buf) - hdrLen - payloadOff
+		mark := len(buf)
 		buf = enc.AppendValues(buf, blk)
-		valLen := len(buf) - hdrLen - payloadOff - tsLen
-		var flags core.BlockFlags
-		laneLen := 0
-		if colcodec.SummarizeHours(start, blk, ls) {
-			flags |= core.BlockHourLanes
-			mark := len(buf)
-			buf = enc.AppendValues(buf, ls.Sums[:])
-			if ls.Constant {
-				flags |= core.BlockConstant
-			} else if ls.Periodic && len(blk) > 24 {
-				// The tile is stored explicitly: dividing lane sums by
-				// counts would not reproduce the values bit-exactly.
-				flags |= core.BlockHourPeriodic
-				buf = enc.AppendValues(buf, ls.Pattern[:])
-			}
-			laneLen = len(buf) - mark
-		}
 		putBlockHdr(buf[b*blockHdrSize:], blockHdr{
-			start:      uint32(start),
-			count:      uint32(end - start),
-			nans:       uint32(sum.NaNs),
-			payloadOff: uint32(payloadOff),
-			tsLen:      uint32(tsLen),
-			valLen:     uint32(valLen),
-			laneLen:    uint32(laneLen),
-			flags:      uint32(flags),
-			min:        sum.Min,
-			max:        sum.Max,
-			sum:        sum.Sum,
-			sumSq:      sum.SumSq,
+			valLen: uint32(len(buf) - mark),
+			nans:   uint32(sum.NaNs),
+			min:    sum.Min,
+			max:    sum.Max,
 		})
 	}
 	return buf
@@ -299,7 +249,7 @@ func (w *SegmentWriter) Append(id timeseries.ID, readings []float64) error {
 		quantizeInPlace(w.qbuf, w.quantPow)
 		vals = w.qbuf
 	}
-	w.buf = encodeConsumer(&w.enc, &w.ls, w.buf, vals, w.blockRows, w.blockCount, w.tsPayloads)
+	w.buf = encodeConsumer(&w.enc, w.buf, vals, w.blockRows, w.blockCount)
 	if err := w.writeConsumer(id, w.buf); err != nil {
 		return w.fail(err)
 	}
@@ -324,35 +274,20 @@ func (w *SegmentWriter) writeConsumer(id timeseries.ID, buf []byte) error {
 	return nil
 }
 
+// putBlockHdr writes h's stored fields; off is derived, not stored.
 func putBlockHdr(dst []byte, h blockHdr) {
-	binary.LittleEndian.PutUint32(dst[0:], h.start)
-	binary.LittleEndian.PutUint32(dst[4:], h.count)
-	binary.LittleEndian.PutUint32(dst[8:], h.nans)
-	binary.LittleEndian.PutUint32(dst[12:], h.payloadOff)
-	binary.LittleEndian.PutUint32(dst[16:], h.tsLen)
-	binary.LittleEndian.PutUint32(dst[20:], h.valLen)
-	binary.LittleEndian.PutUint32(dst[24:], h.laneLen)
-	binary.LittleEndian.PutUint32(dst[28:], h.flags)
-	binary.LittleEndian.PutUint64(dst[32:], math.Float64bits(h.min))
-	binary.LittleEndian.PutUint64(dst[40:], math.Float64bits(h.max))
-	binary.LittleEndian.PutUint64(dst[48:], math.Float64bits(h.sum))
-	binary.LittleEndian.PutUint64(dst[56:], math.Float64bits(h.sumSq))
+	binary.LittleEndian.PutUint32(dst[0:], h.valLen)
+	binary.LittleEndian.PutUint32(dst[4:], h.nans)
+	binary.LittleEndian.PutUint64(dst[8:], math.Float64bits(h.min))
+	binary.LittleEndian.PutUint64(dst[16:], math.Float64bits(h.max))
 }
 
 func parseBlockHdr(b []byte) blockHdr {
 	return blockHdr{
-		start:      binary.LittleEndian.Uint32(b[0:]),
-		count:      binary.LittleEndian.Uint32(b[4:]),
-		nans:       binary.LittleEndian.Uint32(b[8:]),
-		payloadOff: binary.LittleEndian.Uint32(b[12:]),
-		tsLen:      binary.LittleEndian.Uint32(b[16:]),
-		valLen:     binary.LittleEndian.Uint32(b[20:]),
-		laneLen:    binary.LittleEndian.Uint32(b[24:]),
-		flags:      binary.LittleEndian.Uint32(b[28:]),
-		min:        math.Float64frombits(binary.LittleEndian.Uint64(b[32:])),
-		max:        math.Float64frombits(binary.LittleEndian.Uint64(b[40:])),
-		sum:        math.Float64frombits(binary.LittleEndian.Uint64(b[48:])),
-		sumSq:      math.Float64frombits(binary.LittleEndian.Uint64(b[56:])),
+		valLen: binary.LittleEndian.Uint32(b[0:]),
+		nans:   binary.LittleEndian.Uint32(b[4:]),
+		min:    math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+		max:    math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
 	}
 }
 
@@ -391,13 +326,13 @@ func (w *SegmentWriter) Close() error {
 		return fmt.Errorf("colstore: write segments: %w", err)
 	}
 	fileSize := dirOff + int64(len(w.dir))
-	var patch [40]byte
+	var patch [headerSize - 8]byte
 	binary.LittleEndian.PutUint32(patch[0:], uint32(w.consumers))
 	binary.LittleEndian.PutUint32(patch[4:], uint32(w.n))
 	binary.LittleEndian.PutUint32(patch[8:], uint32(w.blockRows))
-	binary.LittleEndian.PutUint64(patch[16:], uint64(w.rawBytes))
-	binary.LittleEndian.PutUint64(patch[24:], uint64(dirOff))
-	binary.LittleEndian.PutUint64(patch[32:], uint64(fileSize))
+	binary.LittleEndian.PutUint64(patch[12:], uint64(w.rawBytes))
+	binary.LittleEndian.PutUint64(patch[20:], uint64(dirOff))
+	binary.LittleEndian.PutUint64(patch[28:], uint64(fileSize))
 	if _, err := w.f.WriteAt(patch[:], 8); err != nil {
 		_ = w.f.Close()
 		return fmt.Errorf("colstore: patch header: %w", err)
@@ -414,7 +349,7 @@ func (w *SegmentWriter) Close() error {
 	return nil
 }
 
-// segStore is an attached v3 segment file: the resident metadata
+// segStore is an attached v4 segment file: the resident metadata
 // (temperature, directory and block headers) and the open file that
 // payloads are read from on demand.
 type segStore struct {
@@ -443,7 +378,7 @@ func openStore(path string) (*segStore, error) {
 		return nil, fmt.Errorf("colstore: open segments: %w", err)
 	}
 	st := &segStore{path: path, f: f}
-	var hdr [headerSize2]byte
+	var hdr [headerSize]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		st.close()
 		return nil, fmt.Errorf("%w: header: %v", errCorrupt, err)
@@ -457,21 +392,24 @@ func openStore(path string) (*segStore, error) {
 
 // parseMeta reads the metadata the header points at. Every size it
 // derives from a stored field is checked against the file before it
-// sizes an allocation or a read, and every block is checked to lie on
-// the hour grid and inside its consumer's payload area, so no later
-// read trusts an unchecked field.
-func (st *segStore) parseMeta(hdr [headerSize2]byte) error {
-	for i, b := range magic3 {
-		if hdr[i] != b {
-			return fmt.Errorf("%w: bad magic", errCorrupt)
+// sizes an allocation or a read. The segments must tile the file between
+// the temperature column and the directory, each consumer's payload
+// area must be exactly the sum of its blocks' value lengths, and no
+// block may count more NaNs than it has rows, so no later read trusts
+// an unchecked field and no byte of the file goes unaccounted for.
+func (st *segStore) parseMeta(hdr [headerSize]byte) error {
+	if [8]byte(hdr[:8]) != magic4 {
+		if string(hdr[:5]) == "SMCOL" {
+			return fmt.Errorf("%w: segment format %q; this build reads only %q", errCorrupt, hdr[:6], magic4[:6])
 		}
+		return fmt.Errorf("%w: bad magic", errCorrupt)
 	}
 	st.consumers = int(binary.LittleEndian.Uint32(hdr[8:]))
 	st.n = int(binary.LittleEndian.Uint32(hdr[12:]))
 	st.blockRows = int(binary.LittleEndian.Uint32(hdr[16:]))
-	st.rawBytes = int64(binary.LittleEndian.Uint64(hdr[24:]))
-	dirOff := int64(binary.LittleEndian.Uint64(hdr[32:]))
-	st.fileSize = int64(binary.LittleEndian.Uint64(hdr[40:]))
+	st.rawBytes = int64(binary.LittleEndian.Uint64(hdr[20:]))
+	dirOff := int64(binary.LittleEndian.Uint64(hdr[28:]))
+	st.fileSize = int64(binary.LittleEndian.Uint64(hdr[36:]))
 	if st.consumers <= 0 || st.n < 0 || st.blockRows <= 0 {
 		return fmt.Errorf("%w: header counts", errCorrupt)
 	}
@@ -484,7 +422,7 @@ func (st *segStore) parseMeta(hdr [headerSize2]byte) error {
 	}
 	// The temperature column, the consumers' segments and the directory
 	// follow the header in that order and end the file.
-	tempEnd := headerSize2 + 8*int64(st.n)
+	tempEnd := headerSize + 8*int64(st.n)
 	dirLen := int64(st.consumers) * dirEntSize
 	if dirOff < tempEnd || dirOff > st.fileSize || st.fileSize-dirOff != dirLen {
 		return fmt.Errorf("%w: directory bounds", errCorrupt)
@@ -493,7 +431,7 @@ func (st *segStore) parseMeta(hdr [headerSize2]byte) error {
 	if hdrLen > (dirOff-tempEnd)/int64(st.consumers) {
 		return fmt.Errorf("%w: block headers exceed the file", errCorrupt)
 	}
-	tempRaw, err := st.readAt(headerSize2, 8*st.n, nil)
+	tempRaw, err := st.readAt(headerSize, 8*st.n, nil)
 	if err != nil {
 		return err
 	}
@@ -510,6 +448,9 @@ func (st *segStore) parseMeta(hdr [headerSize2]byte) error {
 	st.areaLen = make([]int, st.consumers)
 	st.hdrs = make([]blockHdr, st.consumers*st.blockCount)
 	var scratch []byte
+	// The segments tile the bytes between the temperature column and the
+	// directory, each starting where the one before it ended.
+	next := tempEnd
 	for c := 0; c < st.consumers; c++ {
 		ent := dir[c*dirEntSize:]
 		st.ids[c] = timeseries.ID(binary.LittleEndian.Uint64(ent[0:]))
@@ -521,24 +462,32 @@ func (st *segStore) parseMeta(hdr [headerSize2]byte) error {
 		if int(binary.LittleEndian.Uint32(ent[20:])) != st.blockCount {
 			return fmt.Errorf("%w: block count", errCorrupt)
 		}
-		if segOff < tempEnd || segLen < hdrLen || segOff > dirOff-segLen {
+		if segOff != next || segLen < hdrLen || segLen > dirOff-segOff {
 			return fmt.Errorf("%w: segment bounds", errCorrupt)
 		}
+		next += segLen
 		st.areaOff[c], st.areaLen[c] = segOff+hdrLen, int(segLen-hdrLen)
 		scratch, err = st.readAt(segOff, int(hdrLen), scratch)
 		if err != nil {
 			return err
 		}
+		off := int64(0)
 		for b := 0; b < st.blockCount; b++ {
 			h := parseBlockHdr(scratch[b*blockHdrSize:])
-			start := b * st.blockRows
-			end := int64(h.payloadOff) + int64(h.tsLen) + int64(h.valLen) + int64(h.laneLen)
-			if int(h.start) != start || int(h.count) != min(st.blockRows, st.n-start) ||
-				end > int64(st.areaLen[c]) {
+			_, count := st.rows(b)
+			if int64(h.valLen) > int64(st.areaLen[c])-off || int(h.nans) > count {
 				return fmt.Errorf("%w: consumer %d block %d header", errCorrupt, st.ids[c], b)
 			}
+			h.off = uint32(off)
+			off += int64(h.valLen)
 			st.hdrs[c*st.blockCount+b] = h
 		}
+		if off != int64(st.areaLen[c]) {
+			return fmt.Errorf("%w: consumer %d payload area holds %d bytes, its blocks %d", errCorrupt, st.ids[c], st.areaLen[c], off)
+		}
+	}
+	if next != dirOff {
+		return fmt.Errorf("%w: segments end at %d, the directory starts at %d", errCorrupt, next, dirOff)
 	}
 	return nil
 }
@@ -564,6 +513,13 @@ func (st *segStore) close() {
 
 func (st *segStore) hdr(c, b int) *blockHdr { return &st.hdrs[c*st.blockCount+b] }
 
+// rows is block b's row range on the file's geometry: it starts at
+// b·blockRows and holds blockRows rows, or what is left of the series.
+func (st *segStore) rows(b int) (start, count int) {
+	start = b * st.blockRows
+	return start, min(st.blockRows, st.n-start)
+}
+
 // readArea is the one read of block payloads: consumer c's whole
 // payload area with one pread, into area, returned possibly grown so
 // each reader amortizes its own I/O buffer. Blocks are decoded out of
@@ -573,22 +529,22 @@ func (st *segStore) readArea(c int, area []byte) ([]byte, error) {
 }
 
 // decodeBlock decodes block b of consumer c out of the consumer's
-// payload area into dst, which must hold the block's rows. The header
-// says how many rows the block holds; the payload is not asked, so it
-// can neither overrun the block's range of a row nor size an
-// allocation.
+// payload area into dst, which must hold the block's rows. The file's
+// geometry says how many rows the block holds; the payload is not
+// asked, so it can neither overrun the block's range of a row nor size
+// an allocation.
 func (st *segStore) decodeBlock(c, b int, area []byte, dst []float64) error {
 	h := st.hdr(c, b)
-	lo := int(h.payloadOff) + int(h.tsLen)
-	if err := colcodec.DecodeExact(area[lo:lo+int(h.valLen)], dst[:h.count]); err != nil {
+	_, count := st.rows(b)
+	if err := colcodec.DecodeExact(area[h.off:h.off+h.valLen], dst[:count]); err != nil {
 		return fmt.Errorf("%w: consumer %d block %d: %w", errCorrupt, st.ids[c], b, err)
 	}
 	return nil
 }
 
 // metaBytes reports the resident metadata footprint (temperature,
-// directory and block headers) — what an attached paged store costs
-// before any block is decoded.
+// directory and block headers as parsed) — what an attached paged store
+// costs before any block is decoded.
 func (st *segStore) metaBytes() int64 {
-	return int64(8*len(st.temp)) + int64(len(st.ids))*dirEntSize + int64(len(st.hdrs))*blockHdrSize
+	return int64(8*len(st.temp)) + int64(len(st.ids))*dirEntSize + int64(len(st.hdrs))*int64(unsafe.Sizeof(blockHdr{}))
 }

@@ -241,7 +241,9 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 
 // Open re-attaches the engine to storage previously written by Load in
 // the same directory, without re-ingesting any data — the durability
-// path a restarted database server takes.
+// path a restarted database server takes. The base view is the one
+// before Close: the loaded households at the published series length.
+// Live-appended tuples stay stored, for Snapshot and the next Append.
 func (e *Engine) Open() error {
 	if err := e.closeStorage(); err != nil {
 		return err
@@ -270,7 +272,7 @@ func (e *Engine) Open() error {
 		seriesLen: m.seriesLen,
 		consumers: m.consumers,
 	}
-	ids, err := tb.distinctIDs()
+	ids, err := tb.baseIDs()
 	if err != nil {
 		_ = pf.close()
 		return err
@@ -445,10 +447,10 @@ const basePrefix = -1
 // holds the table latch shared across one consumer's index scan and
 // tuple decode. A base read (upTo == basePrefix) returns the published
 // prefix — live-appended tuples beyond it (see live.go) are invisible
-// until a bulk AppendDelta or reload publishes a new length — and
-// decodes the temperature column alongside while the engine has none. A
-// snapshot read passes the household length it captured, so tuples
-// appended after the capture are skipped.
+// until a bulk AppendDelta publishes a new length; a reopen does not —
+// and decodes the temperature column alongside while the engine has
+// none. A snapshot read passes the household length it captured, so
+// tuples appended after the capture are skipped.
 func (e *Engine) readSeriesShared(id timeseries.ID, upTo int) (*timeseries.Series, error) {
 	e.readMu.RLock()
 	defer e.readMu.RUnlock()

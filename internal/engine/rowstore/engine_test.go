@@ -290,7 +290,7 @@ func TestDistinctIDs(t *testing.T) {
 	if _, err := e.Load(src); err != nil {
 		t.Fatal(err)
 	}
-	ids, err := e.table.distinctIDs()
+	ids, _, err := e.table.distinctIDs()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,14 +57,20 @@ func (e *Engine) ensureLive() (*liveState, error) {
 	if e.live != nil {
 		return e.live, nil
 	}
+	// Every stored household, the base ones and those only live Append
+	// created.
+	ids, _, err := e.table.distinctIDs()
+	if err != nil {
+		return nil, err
+	}
 	ls := &liveState{
-		lens: make(map[timeseries.ID]int, len(e.ids)),
-		seqs: make(map[timeseries.ID]uint64, len(e.ids)),
-		ids:  append([]timeseries.ID(nil), e.ids...),
+		lens: make(map[timeseries.ID]int, len(ids)),
+		seqs: make(map[timeseries.ID]uint64, len(ids)),
+		ids:  ids,
 	}
 	maxLen := 0
 	var maxID timeseries.ID
-	for _, id := range e.ids {
+	for _, id := range ids {
 		n, seq, err := e.committedLen(id)
 		if err != nil {
 			return nil, err

@@ -3,10 +3,13 @@ package rowstore
 import (
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/meterdata"
+	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
@@ -302,6 +305,86 @@ func TestLiveDurableAcrossReopen(t *testing.T) {
 			temp := cur.(core.SnapshotTemperature).SnapshotTemp()
 			if len(temp.Values) != baseN+24 {
 				t.Errorf("recovered temperature covers %d hours, want %d", len(temp.Values), baseN+24)
+			}
+		})
+	}
+}
+
+// TestReopenKeepsBaseView: a household that only live Append created
+// stays out of the base view across Close and Open, in both layouts.
+// Open used to list it among the loaded households, its day of readings
+// zero-padded to the published series length, and Temperature read that
+// padded row when the household's ID sorted first, as 7 does here.
+func TestReopenKeepsBaseView(t *testing.T) {
+	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
+		t.Run(layout.String(), func(t *testing.T) {
+			ds, err := seed.Generate(seed.Config{Consumers: 4, Days: 2, Seed: 5, FirstID: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := meterdata.WriteUnpartitioned(t.TempDir(), ds, meterdata.FormatReadingPerLine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			e1 := New(dir, WithLayout(layout))
+			if _, err := e1.Load(src); err != nil {
+				t.Fatal(err)
+			}
+			const newID = 7
+			var day []core.Reading
+			for h := 0; h < 24; h++ {
+				day = append(day, core.Reading{ID: newID, Hour: h, Consumption: liveVal(newID, h), Temperature: ds.Temperature.Values[h]})
+			}
+			if err := e1.Append(day); err != nil {
+				t.Fatal(err)
+			}
+			baseView := func(e *Engine) (map[timeseries.ID][]float64, []float64) {
+				t.Helper()
+				cur, err := e.NewCursor()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cur.Close()
+				temp, err := e.Temperature()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return drainSnap(t, cur), temp.Values
+			}
+			before, tempBefore := baseView(e1)
+			if err := e1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e2 := New(dir)
+			if err := e2.Open(); err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			after, tempAfter := baseView(e2)
+			if len(before) != len(ds.Series) || len(after) != len(before) {
+				t.Fatalf("base view of %d households before Close and %d after Open, want %d", len(before), len(after), len(ds.Series))
+			}
+			for id, row := range before {
+				if !reflect.DeepEqual(after[id], row) {
+					t.Fatalf("household %d: base view changed across Close and Open", id)
+				}
+			}
+			if !reflect.DeepEqual(tempAfter, tempBefore) {
+				t.Fatal("temperature changed across Close and Open")
+			}
+			// The live household is still stored: a snapshot sees it and
+			// its next hour appends without a gap.
+			if err := e2.Append(hourBatch([]timeseries.ID{newID}, 24)); err != nil {
+				t.Fatal(err)
+			}
+			cur, _, err := e2.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cur.Close()
+			if got := drainSnap(t, cur)[newID]; len(got) != 25 || got[23] != liveVal(newID, 23) {
+				t.Fatalf("live household after reopen: %v", got)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package rowstore
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
@@ -357,34 +358,64 @@ func chunkBounds(t []byte) (id timeseries.ID, start, count int, err error) {
 }
 
 // distinctIDs returns every stored household ID in ascending order by
-// hopping across the index (seek to (id+1, 0) after each hit).
-func (tb *table) distinctIDs() ([]timeseries.ID, error) {
+// hopping across the index (seek to (id+1, 0) after each hit), with the
+// TID of each household's first tuple.
+func (tb *table) distinctIDs() ([]timeseries.ID, []TID, error) {
 	var ids []timeseries.ID
+	var firsts []TID
 	next := key{ID: 0, Seq: 0}
 	for {
 		var got *key
+		var first TID
 		err := tb.index.scanRange(next, key{ID: math.MaxUint64, Seq: math.MaxUint64},
-			func(k key, _ TID) error {
-				got = &k
+			func(k key, v TID) error {
+				got, first = &k, v
 				return errStopScan
 			})
 		if err != nil && err != errStopScan {
-			return nil, err
+			return nil, nil, err
 		}
 		if got == nil {
-			return ids, nil
+			return ids, firsts, nil
 		}
 		if got.ID < next.ID {
 			// A corrupt leaf's keys are out of order; hopping on would
 			// revisit it forever.
-			return nil, fmt.Errorf("rowstore: corrupt index: household %d after %d", got.ID, next.ID-1)
+			return nil, nil, fmt.Errorf("rowstore: corrupt index: household %d after %d", got.ID, next.ID-1)
 		}
 		ids = append(ids, timeseries.ID(got.ID))
+		firsts = append(firsts, first)
 		if got.ID == math.MaxUint64 {
-			return ids, nil
+			return ids, firsts, nil
 		}
 		next = key{ID: got.ID + 1, Seq: 0}
 	}
+}
+
+// baseIDs returns, in ascending order, the households the bulk load
+// stored, leaving out any that only live Append created: the base view.
+// The heap only appends, so a household's first tuple dates it, and the
+// loaded households are the tb.consumers whose first tuples come first.
+func (tb *table) baseIDs() ([]timeseries.ID, error) {
+	ids, firsts, err := tb.distinctIDs()
+	if err != nil || len(ids) <= tb.consumers {
+		return ids, err
+	}
+	order := make([]int, len(ids))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		x, y := firsts[order[a]], firsts[order[b]]
+		return x.Page < y.Page || (x.Page == y.Page && x.Slot < y.Slot)
+	})
+	loaded := order[:tb.consumers]
+	sort.Ints(loaded)
+	base := make([]timeseries.ID, len(loaded))
+	for i, j := range loaded {
+		base[i] = ids[j]
+	}
+	return base, nil
 }
 
 // errStopScan terminates a scan early; it never escapes this package's

@@ -74,7 +74,7 @@ func (c *memSummaryCursor) NextSummary() (timeseries.ID, []core.BlockStats, erro
 		sum := colcodec.Summarize(s.Readings[start:end])
 		blocks = append(blocks, core.BlockStats{
 			Start: start, Count: sum.Count, NaNs: sum.NaNs,
-			Min: sum.Min, Max: sum.Max, Sum: sum.Sum, SumSq: sum.SumSq,
+			Min: sum.Min, Max: sum.Max,
 		})
 	}
 	return s.ID, blocks, nil
