@@ -271,7 +271,7 @@ func TestExtractionAllocatesPerConsumer(t *testing.T) {
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := e.readSeriesShared(id, basePrefix); err != nil {
+				if _, err := e.readSeriesShared(id, basePrefix, nil); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -356,7 +356,7 @@ func TestBadIndexEntries(t *testing.T) {
 				if err := e.table.index.insert(bad, tid); err != nil {
 					t.Fatal(err)
 				}
-				_, err = e.readSeriesShared(victim.ID, basePrefix)
+				_, err = e.readSeriesShared(victim.ID, basePrefix, nil)
 				if err == nil || !strings.HasPrefix(err.Error(), "rowstore:") {
 					t.Fatalf("reading through a %s index entry: err = %v, want a rowstore error", name, err)
 				}
@@ -373,7 +373,7 @@ func TestBadIndexEntries(t *testing.T) {
 						}
 					}
 				}
-				got, err := e.readSeriesShared(neighbour.ID, basePrefix)
+				got, err := e.readSeriesShared(neighbour.ID, basePrefix, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,6 +8,42 @@ import (
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
+// reader is what a cursor brings to readSeriesShared: the row its next
+// Next decodes into (core.RowTaker) and, over a table larger than a
+// quarter of the pool, the ring its scans read through (ring.go).
+type reader struct {
+	row  []float64
+	ring *pageRing
+}
+
+// TakeRow implements core.RowTaker.
+func (rd *reader) TakeRow(row []float64) { rd.row = row }
+
+// ringFor returns the ring to read bp through, nil while the table is
+// small enough for the pool. Callers hold the table latch.
+func (rd *reader) ringFor(bp *bufferPool) *pageRing {
+	if !bp.bulk() {
+		return nil
+	}
+	if rd.ring == nil || rd.ring.bp != bp {
+		rd.ring = newPageRing(bp)
+	}
+	return rd.ring
+}
+
+// release gives the ring's pages back, at EOF or Close, and drops the
+// caller's row.
+func (rd *reader) release(e *Engine) {
+	rd.row = nil
+	if rd.ring == nil {
+		return
+	}
+	e.readMu.RLock()
+	rd.ring.release()
+	e.readMu.RUnlock()
+	rd.ring = nil
+}
+
 // scanCursor extracts one consumer per Next with an index scan through
 // the buffer pool — the engine's native cold path. Every read goes
 // through readSeriesShared, which holds the table latch shared for one
@@ -15,6 +51,7 @@ import (
 // (rangeCursor) run their index scans side by side through the same
 // pool the way concurrent connections share shared_buffers.
 type scanCursor struct {
+	reader
 	e      *Engine
 	ctx    context.Context
 	i      int
@@ -28,9 +65,10 @@ func (c *scanCursor) Next() (*timeseries.Series, error) {
 		return nil, err
 	}
 	if c.closed || c.i >= len(c.e.ids) {
+		c.release(c.e)
 		return nil, io.EOF
 	}
-	s, err := c.e.readSeriesShared(c.e.ids[c.i], basePrefix)
+	s, err := c.e.readSeriesShared(c.e.ids[c.i], basePrefix, &c.reader)
 	if err != nil {
 		return nil, err
 	}
@@ -46,6 +84,7 @@ func (c *scanCursor) Reset() error {
 
 func (c *scanCursor) Close() error {
 	c.closed = true
+	c.release(c.e)
 	return nil
 }
 
@@ -56,8 +95,9 @@ func (c *scanCursor) SizeHint() (int, bool) { return len(c.e.ids), true }
 // the sorted ID list falls into [lo, hi). Tuples are bulk-loaded in
 // ascending household order, so a contiguous ID range is a contiguous
 // heap-page range — partition cursors mostly touch disjoint pages and
-// meet only in the pool's short mutex, once per page.
+// meet only in the pool's short mutex, once per read.
 type rangeCursor struct {
+	reader
 	e      *Engine
 	ctx    context.Context
 	lo, hi int
@@ -72,9 +112,10 @@ func (c *rangeCursor) Next() (*timeseries.Series, error) {
 		return nil, err
 	}
 	if c.closed || c.lo+c.i >= c.hi {
+		c.release(c.e)
 		return nil, io.EOF
 	}
-	s, err := c.e.readSeriesShared(c.e.ids[c.lo+c.i], basePrefix)
+	s, err := c.e.readSeriesShared(c.e.ids[c.lo+c.i], basePrefix, &c.reader)
 	if err != nil {
 		return nil, err
 	}
@@ -90,6 +131,7 @@ func (c *rangeCursor) Reset() error {
 
 func (c *rangeCursor) Close() error {
 	c.closed = true
+	c.release(c.e)
 	return nil
 }
 

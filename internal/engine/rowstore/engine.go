@@ -17,7 +17,10 @@ import (
 
 // DefaultPoolPages is the default buffer pool capacity (3072 pages =
 // 24 MiB, echoing the paper's shared_buffers=3072MB scaled to bench
-// size).
+// size). Frames are made as pages are first read, and a cold scan of a
+// table larger than a quarter of it (768 pages) reads through each
+// cursor's 256 KiB ring instead, so the pool holds only what descents
+// from the root, writers, Temperature and Warm touch.
 const DefaultPoolPages = 3072
 
 // Engine is the PostgreSQL/MADLib analogue.
@@ -361,7 +364,7 @@ func (e *Engine) closeStorage() error {
 func (e *Engine) materialize() (*timeseries.Dataset, error) {
 	series := make([]*timeseries.Series, 0, len(e.ids))
 	for _, id := range e.ids {
-		s, err := e.readSeriesShared(id, basePrefix)
+		s, err := e.readSeriesShared(id, basePrefix, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -407,9 +410,10 @@ func (e *Engine) NewCursor() (core.Cursor, error) {
 // ranges of the sorted ID list, which are contiguous heap-page ranges
 // because Load inserts tuples in household order. The range cursors
 // read concurrently through readSeriesShared, each holding the table
-// latch shared and at most two pins (a leaf and a heap page), so the
-// pool caps how many are handed out: a parallel run must not exhaust a
-// pool the serial run fits in.
+// latch shared and at most two pins on pool frames (a leaf and a heap
+// page; what it reads through its own ring is outside the pool), so
+// the pool caps how many are handed out: a parallel run must not
+// exhaust a pool the serial run fits in.
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("rowstore: NewCursors: max must be >= 1, got %d", max)
@@ -450,8 +454,11 @@ const basePrefix = -1
 // until a bulk AppendDelta publishes a new length; a reopen does not —
 // and decodes the temperature column alongside while the engine has
 // none. A snapshot read passes the household length it captured, so
-// tuples appended after the capture are skipped.
-func (e *Engine) readSeriesShared(id timeseries.ID, upTo int) (*timeseries.Series, error) {
+// tuples appended after the capture are skipped. A cursor passes its
+// reader: the series decodes into the row it took, when that has the
+// length, and the scan reads through the cursor's ring; other callers
+// pass nil and read through the pool into a fresh row.
+func (e *Engine) readSeriesShared(id timeseries.ID, upTo int, rd *reader) (*timeseries.Series, error) {
 	e.readMu.RLock()
 	defer e.readMu.RUnlock()
 	tb := e.table
@@ -465,9 +472,24 @@ func (e *Engine) readSeriesShared(id timeseries.ID, upTo int) (*timeseries.Serie
 			temp = make([]float64, upTo)
 		}
 	}
-	cons := make([]float64, upTo)
-	if err := tb.readSeriesInto(id, cons, temp); err != nil {
+	var cons []float64
+	var rg *pageRing
+	if rd != nil {
+		if len(rd.row) == upTo {
+			// Hours a household does not store read as zero.
+			cons = rd.row
+			clear(cons)
+		}
+		rg = rd.ringFor(e.bp)
+	}
+	if cons == nil {
+		cons = make([]float64, upTo)
+	}
+	if err := tb.readSeriesVia(rg, id, cons, temp); err != nil {
 		return nil, err
+	}
+	if rd != nil {
+		rd.row = nil
 	}
 	if temp != nil {
 		e.temp.CompareAndSwap(nil, &timeseries.Temperature{Values: temp})
@@ -491,7 +513,7 @@ func (e *Engine) Temperature() (*timeseries.Temperature, error) {
 	if len(e.ids) == 0 {
 		return nil, fmt.Errorf("rowstore: table holds no households")
 	}
-	if _, err := e.readSeriesShared(e.ids[0], basePrefix); err != nil {
+	if _, err := e.readSeriesShared(e.ids[0], basePrefix, nil); err != nil {
 		return nil, err
 	}
 	return e.temp.Load(), nil

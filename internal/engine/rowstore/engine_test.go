@@ -1,6 +1,7 @@
 package rowstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/exec"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -207,7 +209,9 @@ func TestEngineRunWithoutLoad(t *testing.T) {
 }
 
 // TestEngineParallelRun: every task, on both layouts, at one, two and
-// four workers, is the reference run over the same text, bit for bit.
+// four workers, in bulk and through a snapshot, is the reference run
+// over the same text, bit for bit. The pools of 4 and 16 pages read the
+// table through rings; the default pool holds it whole.
 func TestEngineParallelRun(t *testing.T) {
 	src, _ := writeSource(t, 6, 20)
 	ref, err := meterdata.ReadDataset(src)
@@ -215,28 +219,39 @@ func TestEngineParallelRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
-		e := New(t.TempDir(), WithLayout(layout))
-		defer e.Close()
-		if _, err := e.Load(src); err != nil {
-			t.Fatal(err)
-		}
-		for _, task := range core.Tasks {
-			want, err := core.RunReference(ref, core.Spec{Task: task, K: 3})
-			if err != nil {
+		for _, pool := range []int{4, 16, DefaultPoolPages} {
+			e := New(t.TempDir(), WithLayout(layout), WithPoolPages(pool))
+			defer e.Close()
+			if _, err := e.Load(src); err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 4} {
-				if err := e.Release(); err != nil {
+			for _, task := range core.Tasks {
+				want, err := core.RunReference(ref, core.Spec{Task: task, K: 3})
+				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := e.Run(core.Spec{Task: task, K: 3, Workers: workers})
-				if err != nil {
-					t.Fatalf("%v/%v/W%d: %v", layout, task, workers, err)
-				}
-				got.Phases = nil
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%v/%v/W%d differs from the reference run", layout, task, workers)
-					compareResults(t, got, want)
+				for _, workers := range []int{1, 2, 4} {
+					for _, snap := range []bool{false, true} {
+						if err := e.Release(); err != nil {
+							t.Fatal(err)
+						}
+						spec := core.Spec{Task: task, K: 3, Workers: workers}
+						var got *core.Results
+						if snap {
+							got, _, err = exec.RunSnapshot(context.Background(), e, spec)
+						} else {
+							got, err = e.Run(spec)
+						}
+						name := fmt.Sprintf("%v/pool%d/%v/W%d/snapshot=%v", layout, pool, task, workers, snap)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						got.Phases = nil
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s differs from the reference run", name)
+							compareResults(t, got, want)
+						}
+					}
 				}
 			}
 		}
@@ -471,9 +486,11 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
-// Ablation: buffer pool capacity vs cold-scan performance. A pool too
-// small for the working set forces re-reads from disk on every
-// extraction (DESIGN.md's called-out buffer pool design choice).
+// Ablation: buffer pool capacity vs cold-scan performance (DESIGN.md's
+// called-out buffer pool design choice). The table is larger than a
+// quarter of the 8- and 64-page pools, so their scans read it through
+// rings, 16 pages a read, and never thrash; the 4096-page pool holds it
+// whole and fills a frame per page.
 func BenchmarkBufferPoolSize(b *testing.B) {
 	ds, err := seed.Generate(seed.Config{Consumers: 12, Days: 90, Seed: 5})
 	if err != nil {

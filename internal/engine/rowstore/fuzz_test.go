@@ -13,7 +13,8 @@ import (
 
 // FuzzRowstoreFile overwrites bytes of a loaded table file, in either
 // layout, with arbitrary input at an arbitrary offset, then reopens the
-// store and runs the histogram task under FailFast and Quarantine. Each
+// store, at the default pool and at one of 4 pages, and runs the
+// histogram task under FailFast and Quarantine. Each
 // step must return data or an error: nothing may panic, whether on the
 // caller's goroutine or inside a worker that recovers the panic into an
 // error.
@@ -40,9 +41,13 @@ func FuzzRowstoreFile(f *testing.F) {
 		images[arrays] = img
 
 		f.Add(arrays, uint32(0), []byte{})
-		// The meta page's tree height and series length at their maximum.
+		// The meta page's tree height, series length and household count
+		// at their maximum, and the household count at 2^31, which is
+		// negative as a 32-bit int.
 		f.Add(arrays, uint32(32), []byte{0xff, 0xff, 0xff, 0xff})
 		f.Add(arrays, uint32(36), []byte{0xff, 0xff, 0xff, 0xff})
+		f.Add(arrays, uint32(40), []byte{0xff, 0xff, 0xff, 0xff})
+		f.Add(arrays, uint32(40), []byte{0, 0, 0, 0x80})
 		// On every page: the heap slot count and the node count at their
 		// maximum; the node's next leaf and the heap page's next page
 		// pointing back at the page itself; an empty leaf whose next leaf
@@ -77,21 +82,30 @@ func FuzzRowstoreFile(f *testing.F) {
 		if err := os.WriteFile(path, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		e := New(dir)
-		if err := e.Open(); err != nil {
-			return
-		}
-		defer e.Close()
-		for _, policy := range []core.FailPolicy{core.FailFast, core.Quarantine} {
-			res, err := e.Run(core.Spec{Task: core.TaskHistogram, FailPolicy: policy})
-			noPanic(t, err)
-			if res != nil {
-				for _, fail := range res.Failed {
-					noPanic(t, fail.Err)
-				}
-			}
+		// The default pool holds these tables whole; a 4-page pool reads
+		// them through rings, 16 pages at a time.
+		for _, pool := range []int{DefaultPoolPages, 4} {
+			openAndRun(t, New(dir, WithPoolPages(pool)))
 		}
 	})
+}
+
+// openAndRun opens e and runs the histogram task under FailFast and
+// Quarantine, failing on any panic.
+func openAndRun(t *testing.T, e *Engine) {
+	if err := e.Open(); err != nil {
+		return
+	}
+	defer e.Close()
+	for _, policy := range []core.FailPolicy{core.FailFast, core.Quarantine} {
+		res, err := e.Run(core.Spec{Task: core.TaskHistogram, FailPolicy: policy})
+		noPanic(t, err)
+		if res != nil {
+			for _, fail := range res.Failed {
+				noPanic(t, fail.Err)
+			}
+		}
+	}
 }
 
 // noPanic fails the test when err carries a recovered panic.

@@ -334,6 +334,7 @@ var _ core.Appender = (*Engine)(nil)
 
 // rowSnapCursor serves one captured-length prefix read per Next.
 type rowSnapCursor struct {
+	reader
 	e      *Engine
 	ids    []timeseries.ID
 	lens   map[timeseries.ID]int
@@ -350,10 +351,11 @@ func (c *rowSnapCursor) Next() (*timeseries.Series, error) {
 		return nil, err
 	}
 	if c.closed || c.i >= len(c.ids) {
+		c.release(c.e)
 		return nil, io.EOF
 	}
 	id := c.ids[c.i]
-	s, err := c.e.readSeriesShared(id, c.lens[id])
+	s, err := c.e.readSeriesShared(id, c.lens[id], &c.reader)
 	if err != nil {
 		return nil, err
 	}
@@ -369,6 +371,7 @@ func (c *rowSnapCursor) Reset() error {
 
 func (c *rowSnapCursor) Close() error {
 	c.closed = true
+	c.release(c.e)
 	return nil
 }
 

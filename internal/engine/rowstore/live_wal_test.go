@@ -341,3 +341,69 @@ func TestWALCheckpointAppendSnapshotChaos(t *testing.T) {
 		})
 	}
 }
+
+// TestWALTableFileChangesOnlyAtCheckpoint holds the pool to no-steal:
+// with the log armed, acked Appends, snapshot and cold reads, a crash,
+// the reopen's replay and more Appends after it leave table.db
+// byte-identical to the last checkpoint, which is what recovery opens.
+// Only Checkpoint rewrites it.
+func TestWALTableFileChangesOnlyAtCheckpoint(t *testing.T) {
+	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
+		t.Run(layout.String(), func(t *testing.T) {
+			e, dir, ids, baseN := loadWAL(t, layout)
+			path := filepath.Join(dir, "table.db")
+			base, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unchanged := func(after string) {
+				t.Helper()
+				got, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(base) {
+					t.Fatalf("after %s: table.db changed (%d bytes, was %d)", after, len(got), len(base))
+				}
+			}
+			reads := func(e *Engine) {
+				t.Helper()
+				cur, _, err := e.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				drainSnap(t, cur)
+				drainPartitions(t, e, 2)
+			}
+
+			for h := baseN; h < baseN+40; h++ {
+				if err := e.Append(hourBatch(ids, h)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reads(e)
+			unchanged("acked Appends and reads")
+			e.Crash()
+
+			re := New(dir, WithWAL(wal.SyncBatch), WithPoolPages(4))
+			defer re.Close()
+			if err := re.Open(); err != nil {
+				t.Fatal(err)
+			}
+			reads(re) // the snapshot replays the log
+			unchanged("a reopen that replayed the log")
+			for h := baseN + 40; h < baseN+50; h++ {
+				if err := re.Append(hourBatch(ids, h)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			unchanged("Appends after the replay")
+			if err := re.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) == string(base) {
+				t.Fatalf("Checkpoint left table.db as it was (err %v)", err)
+			}
+		})
+	}
+}

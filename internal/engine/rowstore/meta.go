@@ -46,6 +46,11 @@ func writeMeta(bp *bufferPool, m metaPage) error {
 	putU32(data, 36, uint32(m.seriesLen))
 	putU32(data, 40, uint32(m.consumers))
 	bp.unpin(fr, true)
+	if bp.noSteal {
+		// The table file changes only at a checkpoint, which writes this
+		// page with every other dirty one.
+		return nil
+	}
 	return bp.flush()
 }
 
@@ -68,17 +73,26 @@ func readMeta(bp *bufferPool) (metaPage, error) {
 		heapLast:  PageID(getU32(data, 16)),
 		tuples:    int64(getU64(data, 20)),
 		root:      PageID(getU32(data, 28)),
-		height:    int(getU32(data, 32)),
-		seriesLen: int(getU32(data, 36)),
-		consumers: int(getU32(data, 40)),
 	}
 	if m.layout != LayoutRows && m.layout != LayoutArrays {
 		return metaPage{}, fmt.Errorf("rowstore: meta has unknown layout %d", m.layout)
 	}
-	// The series length sizes every extraction's arrays, and each stored
-	// reading takes at least 16 bytes of the file in either layout.
-	if size := bp.pf.sizeBytes(); int64(m.seriesLen)*16 > size {
-		return metaPage{}, fmt.Errorf("rowstore: meta series length %d exceeds what a %d-byte file holds", m.seriesLen, size)
+	// The counts become ints, which are 32 bits on some platforms, so
+	// each is checked against the file while it is still a uint64. The
+	// series length sizes every extraction's arrays, and each stored
+	// reading takes at least 16 bytes of the file in either layout; each
+	// household the load stored holds at least one such tuple; and each
+	// level of the tree is at least one page.
+	size := uint64(bp.pf.sizeBytes())
+	height, seriesLen, consumers := uint64(getU32(data, 32)), uint64(getU32(data, 36)), uint64(getU32(data, 40))
+	switch {
+	case seriesLen*16 > size:
+		return metaPage{}, fmt.Errorf("rowstore: meta series length %d exceeds what a %d-byte file holds", seriesLen, size)
+	case consumers*16 > size:
+		return metaPage{}, fmt.Errorf("rowstore: meta household count %d exceeds what a %d-byte file holds", consumers, size)
+	case height*PageSize > size:
+		return metaPage{}, fmt.Errorf("rowstore: meta tree height %d exceeds what a %d-byte file holds", height, size)
 	}
+	m.height, m.seriesLen, m.consumers = int(height), int(seriesLen), int(consumers)
 	return m, nil
 }

@@ -14,6 +14,11 @@
 //   - the alternative array layout — one row per consumer with all
 //     readings in an array column (Figure 9's Table 2) — removes most of
 //     that overhead, which §5.3.3 measures as a 1.4-1.7x speedup.
+//
+// A cold scan of a table larger than a quarter of the pool reads its
+// leaf-chain and heap pages through a 256 KiB ring of its own, 16 pages
+// per read, as PostgreSQL's bulk-read strategy does (ring.go): a
+// one-pass scan neither fills nor flushes the shared pool.
 package rowstore
 
 import (
@@ -57,15 +62,13 @@ func openPagedFile(path string) (*pagedFile, error) {
 	return &pagedFile{f: f, nPages: PageID(fi.Size() / PageSize)}, nil
 }
 
-// allocate appends a zeroed page and returns its ID.
-func (pf *pagedFile) allocate() (PageID, error) {
+// allocate adds a page and returns its ID. Nothing is written: a new
+// page lives in the pool as a dirty frame until its first write-back,
+// so a no-steal pool leaves the file as the last checkpoint wrote it.
+func (pf *pagedFile) allocate() PageID {
 	id := pf.nPages
-	var zero [PageSize]byte
-	if _, err := pf.f.WriteAt(zero[:], int64(id)*PageSize); err != nil {
-		return InvalidPage, fmt.Errorf("rowstore: allocate page %d: %w", id, err)
-	}
 	pf.nPages++
-	return id, nil
+	return id
 }
 
 // checkRead reports a page that lies past the end of the file.
@@ -76,13 +79,17 @@ func (pf *pagedFile) checkRead(id PageID) error {
 	return nil
 }
 
+// read fills buf, a whole number of pages, from page id on. A page
+// allocated but not yet written back reads as zeros.
 func (pf *pagedFile) read(id PageID, buf []byte) error {
-	if err := pf.checkRead(id); err != nil {
+	if err := pf.checkRead(id + PageID(len(buf)/PageSize) - 1); err != nil {
 		return err
 	}
-	if _, err := pf.f.ReadAt(buf[:PageSize], int64(id)*PageSize); err != nil && err != io.EOF {
+	n, err := pf.f.ReadAt(buf, int64(id)*PageSize)
+	if err != nil && err != io.EOF {
 		return fmt.Errorf("rowstore: read page %d: %w", id, err)
 	}
+	clear(buf[n:])
 	return nil
 }
 
@@ -110,36 +117,42 @@ func (pf *pagedFile) sync() error {
 // sizeBytes returns the current file size.
 func (pf *pagedFile) sizeBytes() int64 { return int64(pf.nPages) * PageSize }
 
-// frame is one buffer-pool slot. Everything but data is guarded by the
-// pool mutex; data belongs to whoever holds a pin (readers under the
-// shared table latch, one writer under the exclusive one).
+// frame is one buffer-pool slot. Everything but the contents of data is
+// guarded by the pool mutex; data belongs to whoever holds a pin
+// (readers under the shared table latch, one writer under the exclusive
+// one).
 type frame struct {
 	id    PageID
-	data  [PageSize]byte
+	data  *[PageSize]byte
 	dirty bool
 	pins  int
 	// loading is set while the page is being read from the file; once
 	// it clears, data (or err, on a failed read) is final.
 	loading bool
 	err     error
+	// ring is the scan ring that owns the frame, nil for a pool frame.
+	// A ring frame is in the map but never on the LRU list.
+	ring *pageRing
 	// LRU chain.
 	prev, next *frame
 }
 
 // bufferPool caches pages of one pagedFile with LRU replacement. It is
 // safe for concurrent fetch/unpin: mu covers the frame map, the LRU
-// list, pin counts and the counters, and is never held across a page
-// read. A page being read sits in the map as loading, so a second
-// reader of the same page waits for that one read. Page contents carry
-// no latch of their own: the engine's table latch keeps writers out
-// while any reader holds a pin.
+// list, every ring's slots, pin counts and the counters, and is never
+// held across a page read. A page being read sits in the map as
+// loading, so a second reader of the same page waits for that one read.
+// Page contents carry no latch of their own: the engine's table latch
+// keeps writers out while any reader holds a pin.
 type bufferPool struct {
 	mu sync.Mutex
 	// loaded is broadcast whenever a page read ends; it waits on mu.
 	loaded sync.Cond
 	pf     *pagedFile
 	frames map[PageID]*frame
-	cap    int
+	// cap bounds the frames on the LRU list; ringFrames counts the ring
+	// frames in the map, which are outside it.
+	cap, ringFrames int
 	// noSteal forbids evicting dirty frames (the pool grows past cap
 	// instead). With the write-ahead log armed, the table file may only
 	// change at a checkpoint: an evicted dirty page would overwrite
@@ -148,8 +161,9 @@ type bufferPool struct {
 	noSteal bool
 	// lruHead is the most recently used frame; lruTail the least.
 	lruHead, lruTail *frame
-	// misses counts page reads, hits every other lookup.
-	misses, hits int64
+	// misses counts pages read from the file, hits every other lookup;
+	// preads counts the reads and made the frames ever created.
+	misses, hits, preads, made int64
 }
 
 // errPoolFull is returned when every frame is pinned.
@@ -169,6 +183,21 @@ func (bp *bufferPool) stats() (hits, misses int64) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	return bp.hits, bp.misses
+}
+
+// bulk reports whether a scan reads through a ring: the table is larger
+// than a quarter of the pool, PostgreSQL's rule for a bulk read. Callers
+// hold the table latch, which freezes the file's length.
+func (bp *bufferPool) bulk() bool { return int64(bp.pf.nPages) > int64(bp.cap/4) }
+
+// newFrame makes a frame over data, or over a fresh page when data is
+// nil. Callers hold mu.
+func (bp *bufferPool) newFrame(data *[PageSize]byte) *frame {
+	bp.made++
+	if data == nil {
+		data = new([PageSize]byte)
+	}
+	return &frame{id: InvalidPage, data: data}
 }
 
 func (bp *bufferPool) lruRemove(fr *frame) {
@@ -204,25 +233,37 @@ func (bp *bufferPool) lruPushFront(fr *frame) {
 func (bp *bufferPool) fetch(id PageID) (*frame, error) {
 	bp.mu.Lock()
 	if fr, ok := bp.frames[id]; ok {
-		bp.hits++
-		fr.pins++
-		bp.lruRemove(fr)
-		bp.lruPushFront(fr)
-		for fr.loading {
-			bp.loaded.Wait()
-		}
-		err := fr.err
-		bp.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return fr, nil
+		return bp.hit(fr)
 	}
 	if err := bp.pf.checkRead(id); err != nil {
 		bp.mu.Unlock()
 		return nil, err
 	}
-	bp.misses++
+	return bp.miss(id)
+}
+
+// hit pins a mapped frame, waiting out its read, and unlocks mu.
+func (bp *bufferPool) hit(fr *frame) (*frame, error) {
+	bp.hits++
+	fr.pins++
+	if fr.ring == nil {
+		bp.lruRemove(fr)
+		bp.lruPushFront(fr)
+	}
+	for fr.loading {
+		bp.loaded.Wait()
+	}
+	err := fr.err
+	bp.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return fr, nil
+}
+
+// miss reads page id into a pool frame, evicting for it. It is called
+// with mu held and the page checked against the file, and unlocks mu.
+func (bp *bufferPool) miss(id PageID) (*frame, error) {
 	fr, err := bp.victim()
 	if err != nil {
 		bp.mu.Unlock()
@@ -231,24 +272,48 @@ func (bp *bufferPool) fetch(id PageID) (*frame, error) {
 	fr.id, fr.dirty, fr.pins, fr.loading = id, false, 1, true
 	bp.frames[id] = fr
 	bp.lruPushFront(fr)
-	bp.mu.Unlock()
-
-	err = bp.pf.read(id, fr.data[:])
-
-	bp.mu.Lock()
-	fr.loading = false
-	if err != nil {
-		// The frame is dropped, not reused, so err stays put for waiters.
-		fr.err = err
-		bp.lruRemove(fr)
-		delete(bp.frames, id)
-	}
-	bp.mu.Unlock()
-	bp.loaded.Broadcast()
-	if err != nil {
+	if err := bp.load([]*frame{fr}, fr.data[:]); err != nil {
 		return nil, err
 	}
 	return fr, nil
+}
+
+// load reads a run of consecutive pages into buf, their frames' data
+// end to end, with one read. The frames are mapped to the pages as
+// loading, one of them pinned for the caller. It is called with mu
+// held, unlocks it across the read and returns unlocked. A failed read
+// withdraws every frame of the run and hands the one error to every
+// reader that waited on any of them; the frames are dropped, not
+// reused, so err stays put for those readers.
+func (bp *bufferPool) load(run []*frame, buf []byte) error {
+	bp.misses += int64(len(run))
+	bp.preads++
+	bp.mu.Unlock()
+
+	err := bp.pf.read(run[0].id, buf)
+
+	bp.mu.Lock()
+	for _, fr := range run {
+		fr.loading = false
+		if err != nil {
+			fr.err = err
+			bp.drop(fr)
+		}
+	}
+	bp.mu.Unlock()
+	bp.loaded.Broadcast()
+	return err
+}
+
+// drop takes a frame out of the map for good; a ring gets a new frame
+// over the same page buffer for the slot. Callers hold mu.
+func (bp *bufferPool) drop(fr *frame) {
+	if r := fr.ring; r != nil {
+		r.replace(fr, fr.data)
+	} else {
+		bp.lruRemove(fr)
+	}
+	delete(bp.frames, fr.id)
 }
 
 // allocate creates a new page and returns its pinned frame. Only a
@@ -256,21 +321,16 @@ func (bp *bufferPool) fetch(id PageID) (*frame, error) {
 func (bp *bufferPool) allocate() (*frame, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	id, err := bp.pf.allocate()
-	if err != nil {
-		return nil, err
-	}
+	id := bp.pf.allocate()
 	fr, err := bp.victim()
 	if err != nil {
 		return nil, err
 	}
-	for i := range fr.data {
-		fr.data[i] = 0
-	}
+	clear(fr.data[:])
 	fr.id = id
 	fr.dirty = true
 	fr.pins = 1
-	bp.frames[id] = fr
+	bp.frames[fr.id] = fr
 	bp.lruPushFront(fr)
 	return fr, nil
 }
@@ -279,11 +339,11 @@ func (bp *bufferPool) allocate() (*frame, error) {
 // unpinned page if the pool is at capacity. The returned frame is
 // detached from the map and LRU list. Callers hold mu. A dirty victim
 // is written back under it: dirty pages exist only while a writer holds
-// the table latch exclusively (every batch ends in a flush), so no
-// reader waits on that write.
+// the table latch exclusively (every batch ends in a flush, or under
+// no-steal a checkpoint), so no reader waits on that write.
 func (bp *bufferPool) victim() (*frame, error) {
-	if len(bp.frames) < bp.cap {
-		return &frame{}, nil
+	if len(bp.frames)-bp.ringFrames < bp.cap {
+		return bp.newFrame(nil), nil
 	}
 	for fr := bp.lruTail; fr != nil; fr = fr.prev {
 		if fr.pins > 0 {
@@ -304,15 +364,22 @@ func (bp *bufferPool) victim() (*frame, error) {
 	if bp.noSteal {
 		// Every unpinned frame is dirty: grow past cap and let the next
 		// checkpoint clean the pool back down.
-		return &frame{}, nil
+		return bp.newFrame(nil), nil
 	}
 	return nil, errPoolFull
 }
 
+// unpin releases a pin. A writer that dirtied a ring frame hands it
+// over to the pool, which alone writes pages back: the frame joins the
+// LRU list, and its ring gets a new frame and page for the slot.
 func (bp *bufferPool) unpin(fr *frame, dirty bool) {
 	bp.mu.Lock()
 	if dirty {
 		fr.dirty = true
+		if fr.ring != nil {
+			fr.ring.replace(fr, nil)
+			bp.lruPushFront(fr)
+		}
 	}
 	if fr.pins > 0 {
 		fr.pins--
@@ -337,7 +404,8 @@ func (bp *bufferPool) flush() error {
 }
 
 // reset drops all cached frames (after flushing), returning the pool to
-// a cold state.
+// a cold state. Rings keep their slots: a slot whose frame is no longer
+// in the map is simply reused.
 func (bp *bufferPool) reset() error {
 	if err := bp.flush(); err != nil {
 		return err
@@ -345,6 +413,7 @@ func (bp *bufferPool) reset() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	bp.frames = make(map[PageID]*frame, bp.cap)
+	bp.ringFrames = 0
 	bp.lruHead, bp.lruTail = nil, nil
 	return nil
 }

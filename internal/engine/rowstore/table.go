@@ -251,16 +251,27 @@ func (tb *table) setSeriesLen(n int) { tb.seriesLen = n }
 // page changes: one pool lookup per heap page, no copy and no
 // allocation per tuple. It reads the published prefix or a snapshot's
 // captured length alike: tuples at or beyond hour len(cons) end the
-// scan, because the index orders a household's tuples by sequence.
-// Callers hold the table latch, shared or exclusive.
+// scan, because the index orders a household's tuples by sequence. It
+// writes only the hours that are stored. Callers hold the table latch,
+// shared or exclusive.
 func (tb *table) readSeriesInto(id timeseries.ID, cons, temp []float64) error {
+	return tb.readSeriesVia(nil, id, cons, temp)
+}
+
+// readSeriesVia is readSeriesInto reading the leaf chain and the heap
+// through a cursor's ring, when it has one; the descent keeps the pool.
+func (tb *table) readSeriesVia(rg *pageRing, id timeseries.ID, cons, temp []float64) error {
 	bp := tb.heap.bp
+	fetch := bp.fetch
+	if rg != nil {
+		fetch = rg.fetch
+	}
 	page, i, err := tb.index.seekLeaf(key{ID: uint64(id)})
 	var hp *frame // heap page of the previous TID
 	found, done := false, false
 	for step := 1; err == nil && !done && page != InvalidPage; step++ {
 		var lf *frame
-		lf, err = bp.fetch(page)
+		lf, err = fetch(page)
 		if err != nil {
 			break
 		}
@@ -277,7 +288,7 @@ func (tb *table) readSeriesInto(id timeseries.ID, cons, temp []float64) error {
 				if hp != nil {
 					bp.unpin(hp, false)
 				}
-				hp, err = bp.fetch(tid.Page)
+				hp, err = fetch(tid.Page)
 				if err != nil {
 					break
 				}
