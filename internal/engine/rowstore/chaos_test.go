@@ -14,56 +14,44 @@ import (
 
 func TestCursorChaos(t *testing.T) {
 	src, _ := writeSource(t, 20, 10)
-	for _, p := range pools {
-		t.Run(poolName(p.name), func(t *testing.T) {
-			e := New(t.TempDir(), p.opt)
-			defer e.Close()
-			if _, err := e.Load(src); err != nil {
-				t.Fatal(err)
-			}
-			cursortest.RunChaos(t, func(t *testing.T) core.Cursor {
-				cur, err := e.NewCursor()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return cur
-			})
-		})
+	e := New(t.TempDir())
+	defer e.Close()
+	if _, err := e.Load(src); err != nil {
+		t.Fatal(err)
 	}
+	cursortest.RunChaos(t, func(t *testing.T) core.Cursor {
+		cur, err := e.NewCursor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cur
+	})
 }
 
 func TestPartitionChaos(t *testing.T) {
 	src, _ := writeSource(t, 20, 10)
-	for _, p := range pools {
-		t.Run(poolName(p.name), func(t *testing.T) {
-			e := New(t.TempDir(), p.opt)
-			defer e.Close()
-			if _, err := e.Load(src); err != nil {
-				t.Fatal(err)
-			}
-			cursortest.RunChaosPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
-		})
+	e := New(t.TempDir())
+	defer e.Close()
+	if _, err := e.Load(src); err != nil {
+		t.Fatal(err)
 	}
+	cursortest.RunChaosPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
 }
 
 func TestPipelineChaos(t *testing.T) {
 	src, ds := writeSource(t, 20, 10)
+	e := New(t.TempDir())
+	defer e.Close()
+	if _, err := e.Load(src); err != nil {
+		t.Fatal(err)
+	}
 	ids := make([]timeseries.ID, len(ds.Series))
 	for i, s := range ds.Series {
 		ids[i] = s.ID
 	}
-	for _, p := range pools {
-		t.Run(poolName(p.name), func(t *testing.T) {
-			e := New(t.TempDir(), p.opt)
-			defer e.Close()
-			if _, err := e.Load(src); err != nil {
-				t.Fatal(err)
-			}
-			cursortest.RunPipelineChaos(t, ids, func(ctx context.Context, cfg fault.Config, spec core.Spec) (*core.Results, error) {
-				return exec.RunContext(ctx, fault.New(e, cfg), spec)
-			})
-		})
-	}
+	cursortest.RunPipelineChaos(t, ids, func(ctx context.Context, cfg fault.Config, spec core.Spec) (*core.Results, error) {
+		return exec.RunContext(ctx, fault.New(e, cfg), spec)
+	})
 }
 
 // TestSnapshotIsolationChaos races sharded live writers against
@@ -90,15 +78,13 @@ func TestSnapshotIsolationChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
-		for _, p := range pools {
-			t.Run(layout.String()+"/"+poolName(p.name), func(t *testing.T) {
-				e := New(t.TempDir(), WithLayout(layout), p.opt)
-				defer e.Close()
-				if _, err := e.Load(src); err != nil {
-					t.Fatal(err)
-				}
-				cursortest.RunSnapshotIsolation(t, e, ids, base, 48)
-			})
-		}
+		t.Run(layout.String(), func(t *testing.T) {
+			e := New(t.TempDir(), WithLayout(layout))
+			defer e.Close()
+			if _, err := e.Load(src); err != nil {
+				t.Fatal(err)
+			}
+			cursortest.RunSnapshotIsolation(t, e, ids, base, 48)
+		})
 	}
 }

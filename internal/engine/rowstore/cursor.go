@@ -9,8 +9,8 @@ import (
 )
 
 // reader is what a cursor brings to readSeriesShared: the row its next
-// Next decodes into (core.RowTaker) and, over a table larger than a
-// quarter of the pool, the ring its scans read through (ring.go).
+// Next decodes into (core.RowTaker) and the ring its scans read through
+// (ring.go).
 type reader struct {
 	row  []float64
 	ring *pageRing
@@ -19,12 +19,9 @@ type reader struct {
 // TakeRow implements core.RowTaker.
 func (rd *reader) TakeRow(row []float64) { rd.row = row }
 
-// ringFor returns the ring to read bp through, nil while the table is
-// small enough for the pool. Callers hold the table latch.
+// ringFor returns the ring to read bp through, made on first use.
+// Callers hold the table latch.
 func (rd *reader) ringFor(bp *bufferPool) *pageRing {
-	if !bp.bulk() {
-		return nil
-	}
 	if rd.ring == nil || rd.ring.bp != bp {
 		rd.ring = newPageRing(bp)
 	}

@@ -7,62 +7,41 @@ import (
 	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 )
 
-// ringPool is a pool small enough that a cold scan of the test tables
-// reads through rings; the suites run at it and at the default pool,
-// which holds those tables whole.
-const ringPool = 16
-
-// pools names the pool sizes the conformance suites run at.
-var pools = []struct {
-	name string
-	opt  Option
-}{{"", WithPoolPages(DefaultPoolPages)}, {"Ring", WithPoolPages(ringPool)}}
-
-// poolName names a pool in a subtest.
-func poolName(name string) string {
-	if name == "" {
-		return "DefaultPool"
-	}
-	return name + "Pool"
-}
-
 func TestCursorConformance(t *testing.T) {
 	src, _ := writeSource(t, 5, 10)
 
-	for _, p := range pools {
-		t.Run("Cold"+p.name+"ScanCursor", func(t *testing.T) {
-			e := New(t.TempDir(), p.opt)
-			defer e.Close()
-			if _, err := e.Load(src); err != nil {
+	t.Run("ColdScanCursor", func(t *testing.T) {
+		e := New(t.TempDir())
+		defer e.Close()
+		if _, err := e.Load(src); err != nil {
+			t.Fatal(err)
+		}
+		cursortest.Run(t, func(t *testing.T) core.Cursor {
+			cur, err := e.NewCursor()
+			if err != nil {
 				t.Fatal(err)
 			}
-			cursortest.Run(t, func(t *testing.T) core.Cursor {
-				cur, err := e.NewCursor()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, ok := cur.(*scanCursor); !ok {
-					t.Fatalf("cold engine yielded %T, want *scanCursor", cur)
-				}
-				return cur
-			})
+			if _, ok := cur.(*scanCursor); !ok {
+				t.Fatalf("cold engine yielded %T, want *scanCursor", cur)
+			}
+			return cur
 		})
+	})
 
-		t.Run("ArrayLayout"+p.name+"ScanCursor", func(t *testing.T) {
-			e := New(t.TempDir(), WithLayout(LayoutArrays), p.opt)
-			defer e.Close()
-			if _, err := e.Load(src); err != nil {
+	t.Run("ArrayLayoutScanCursor", func(t *testing.T) {
+		e := New(t.TempDir(), WithLayout(LayoutArrays))
+		defer e.Close()
+		if _, err := e.Load(src); err != nil {
+			t.Fatal(err)
+		}
+		cursortest.Run(t, func(t *testing.T) core.Cursor {
+			cur, err := e.NewCursor()
+			if err != nil {
 				t.Fatal(err)
 			}
-			cursortest.Run(t, func(t *testing.T) core.Cursor {
-				cur, err := e.NewCursor()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return cur
-			})
+			return cur
 		})
-	}
+	})
 
 	t.Run("WarmDatasetCursor", func(t *testing.T) {
 		e := New(t.TempDir())
@@ -86,16 +65,14 @@ func TestCursorConformance(t *testing.T) {
 func TestPartitionConformance(t *testing.T) {
 	src, _ := writeSource(t, 7, 10)
 
-	for _, p := range pools {
-		t.Run("Cold"+p.name, func(t *testing.T) {
-			e := New(t.TempDir(), p.opt)
-			defer e.Close()
-			if _, err := e.Load(src); err != nil {
-				t.Fatal(err)
-			}
-			cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
-		})
-	}
+	t.Run("Cold", func(t *testing.T) {
+		e := New(t.TempDir())
+		defer e.Close()
+		if _, err := e.Load(src); err != nil {
+			t.Fatal(err)
+		}
+		cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
+	})
 
 	t.Run("Warm", func(t *testing.T) {
 		e := New(t.TempDir())

@@ -17,10 +17,9 @@ import (
 
 // DefaultPoolPages is the default buffer pool capacity (3072 pages =
 // 24 MiB, echoing the paper's shared_buffers=3072MB scaled to bench
-// size). Frames are made as pages are first read, and a cold scan of a
-// table larger than a quarter of it (768 pages) reads through each
-// cursor's 256 KiB ring instead, so the pool holds only what descents
-// from the root, writers, Temperature and Warm touch.
+// size). Frames are made as pages are first read. A cursor's scan reads
+// through its own 256 KiB ring instead, so the pool holds only what
+// descents from the root, writers, Temperature and Warm touch.
 const DefaultPoolPages = 3072
 
 // Engine is the PostgreSQL/MADLib analogue.
@@ -485,7 +484,7 @@ func (e *Engine) readSeriesShared(id timeseries.ID, upTo int, rd *reader) (*time
 	if cons == nil {
 		cons = make([]float64, upTo)
 	}
-	if err := tb.readSeriesVia(rg, id, cons, temp); err != nil {
+	if err := tb.readSeriesInto(rg, id, cons, temp); err != nil {
 		return nil, err
 	}
 	if rd != nil {

@@ -34,7 +34,7 @@ func writeSource(t testing.TB, consumers, days int) (*meterdata.Source, *timeser
 // temperature column beside it, the way a base cursor's first read does.
 func (tb *table) readSeries(id timeseries.ID) (*timeseries.Series, *timeseries.Temperature, error) {
 	cons, temp := make([]float64, tb.seriesLen), make([]float64, tb.seriesLen)
-	if err := tb.readSeriesInto(id, cons, temp); err != nil {
+	if err := tb.readSeriesInto(nil, id, cons, temp); err != nil {
 		return nil, nil, err
 	}
 	return &timeseries.Series{ID: id, Readings: cons}, &timeseries.Temperature{Values: temp}, nil
@@ -210,8 +210,8 @@ func TestEngineRunWithoutLoad(t *testing.T) {
 
 // TestEngineParallelRun: every task, on both layouts, at one, two and
 // four workers, in bulk and through a snapshot, is the reference run
-// over the same text, bit for bit. The pools of 4 and 16 pages read the
-// table through rings; the default pool holds it whole.
+// over the same text, bit for bit. A 4-page pool caps the partitions at
+// two and evicts under every descent.
 func TestEngineParallelRun(t *testing.T) {
 	src, _ := writeSource(t, 6, 20)
 	ref, err := meterdata.ReadDataset(src)
@@ -219,7 +219,7 @@ func TestEngineParallelRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
-		for _, pool := range []int{4, 16, DefaultPoolPages} {
+		for _, pool := range []int{4, DefaultPoolPages} {
 			e := New(t.TempDir(), WithLayout(layout), WithPoolPages(pool))
 			defer e.Close()
 			if _, err := e.Load(src); err != nil {
@@ -487,10 +487,10 @@ func TestAppendValidation(t *testing.T) {
 }
 
 // Ablation: buffer pool capacity vs cold-scan performance (DESIGN.md's
-// called-out buffer pool design choice). The table is larger than a
-// quarter of the 8- and 64-page pools, so their scans read it through
-// rings, 16 pages a read, and never thrash; the 4096-page pool holds it
-// whole and fills a frame per page.
+// called-out buffer pool design choice). Scans read through their
+// cursors' rings at every pool size, so a pool smaller than the table no
+// longer thrashes: the pool holds only the descents and Temperature's
+// first consumer.
 func BenchmarkBufferPoolSize(b *testing.B) {
 	ds, err := seed.Generate(seed.Config{Consumers: 12, Days: 90, Seed: 5})
 	if err != nil {

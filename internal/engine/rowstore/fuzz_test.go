@@ -13,7 +13,7 @@ import (
 
 // FuzzRowstoreFile overwrites bytes of a loaded table file, in either
 // layout, with arbitrary input at an arbitrary offset, then reopens the
-// store, at the default pool and at one of 4 pages, and runs the
+// store, whose cursors read it through their rings, and runs the
 // histogram task under FailFast and Quarantine. Each
 // step must return data or an error: nothing may panic, whether on the
 // caller's goroutine or inside a worker that recovers the panic into an
@@ -82,30 +82,21 @@ func FuzzRowstoreFile(f *testing.F) {
 		if err := os.WriteFile(path, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// The default pool holds these tables whole; a 4-page pool reads
-		// them through rings, 16 pages at a time.
-		for _, pool := range []int{DefaultPoolPages, 4} {
-			openAndRun(t, New(dir, WithPoolPages(pool)))
+		e := New(dir)
+		if err := e.Open(); err != nil {
+			return
 		}
-	})
-}
-
-// openAndRun opens e and runs the histogram task under FailFast and
-// Quarantine, failing on any panic.
-func openAndRun(t *testing.T, e *Engine) {
-	if err := e.Open(); err != nil {
-		return
-	}
-	defer e.Close()
-	for _, policy := range []core.FailPolicy{core.FailFast, core.Quarantine} {
-		res, err := e.Run(core.Spec{Task: core.TaskHistogram, FailPolicy: policy})
-		noPanic(t, err)
-		if res != nil {
-			for _, fail := range res.Failed {
-				noPanic(t, fail.Err)
+		defer e.Close()
+		for _, policy := range []core.FailPolicy{core.FailFast, core.Quarantine} {
+			res, err := e.Run(core.Spec{Task: core.TaskHistogram, FailPolicy: policy})
+			noPanic(t, err)
+			if res != nil {
+				for _, fail := range res.Failed {
+					noPanic(t, fail.Err)
+				}
 			}
 		}
-	}
+	})
 }
 
 // noPanic fails the test when err carries a recovered panic.

@@ -85,7 +85,7 @@ func (e *Engine) ensureLive() (*liveState, error) {
 		// The longest household's tuples carry the full temperature
 		// column (every committed hour appears in at least that one).
 		ls.temp = make([]float64, maxLen)
-		if err := e.table.readSeriesInto(maxID, make([]float64, maxLen), ls.temp); err != nil {
+		if err := e.table.readSeriesInto(nil, maxID, make([]float64, maxLen), ls.temp); err != nil {
 			return nil, err
 		}
 	}

@@ -15,10 +15,10 @@
 //     readings in an array column (Figure 9's Table 2) — removes most of
 //     that overhead, which §5.3.3 measures as a 1.4-1.7x speedup.
 //
-// A cold scan of a table larger than a quarter of the pool reads its
-// leaf-chain and heap pages through a 256 KiB ring of its own, 16 pages
-// per read, as PostgreSQL's bulk-read strategy does (ring.go): a
-// one-pass scan neither fills nor flushes the shared pool.
+// A cursor's scan reads the leaf-chain and heap pages it misses through
+// a 256 KiB ring of its own, 16 pages per read, as PostgreSQL's
+// bulk-read strategy does (ring.go): a one-pass scan neither fills nor
+// flushes the shared pool.
 package rowstore
 
 import (
@@ -184,11 +184,6 @@ func (bp *bufferPool) stats() (hits, misses int64) {
 	defer bp.mu.Unlock()
 	return bp.hits, bp.misses
 }
-
-// bulk reports whether a scan reads through a ring: the table is larger
-// than a quarter of the pool, PostgreSQL's rule for a bulk read. Callers
-// hold the table latch, which freezes the file's length.
-func (bp *bufferPool) bulk() bool { return int64(bp.pf.nPages) > int64(bp.cap/4) }
 
 // newFrame makes a frame over data, or over a fresh page when data is
 // nil. Callers hold mu.

@@ -96,7 +96,7 @@ func TestPinsBalance(t *testing.T) {
 			balanced("an index insert")
 			// The published prefix ends before the appended hours; read
 			// them all, so that the scan walks onto the planted entry.
-			if err := e.table.readSeriesInto(victim, make([]float64, base+4), nil); err == nil {
+			if err := e.table.readSeriesInto(nil, victim, make([]float64, base+4), nil); err == nil {
 				t.Fatal("reading through an index entry past the end of the file: want error")
 			}
 			balanced("a failed read inside an index scan")

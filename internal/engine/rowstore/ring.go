@@ -5,7 +5,10 @@ package rowstore
 // (BAS_BULKREAD), so a one-pass scan neither fills the pool nor evicts
 // what others cache, and since v17 it reads up to io_combine_limit
 // (128 kB) of consecutive blocks with one call. A pageRing is both, for
-// one cursor.
+// one cursor. Unlike PostgreSQL, every cursor scan reads through its
+// ring, whatever the table's size: a cold scan through a ring was faster
+// than one that filled the pool even where the pool held the table
+// (EXPERIMENTS.md, "Row-store bulk reads").
 //
 // The cursor's index scans fetch leaf-chain and heap pages through its
 // ring; descents from the root keep the pool. A page the map holds is a

@@ -37,32 +37,38 @@ func coldDrain(t *testing.T, e *Engine, w int, want []*timeseries.Series) (pread
 	return p1 - p0, m1 - m0, f1 - f0
 }
 
-// bulkSizes is a table per layout larger than a quarter of the default
-// pool, so that a cold scan of it reads through rings.
+// bulkSizes is a table per layout of about a thousand pages, so that a
+// cold drain of it reads many runs through each ring.
 var bulkSizes = map[Layout][2]int{LayoutRows: {16, 365}, LayoutArrays: {48, 365}}
 
-// TestColdDrainReadsThroughRing drains a table larger than a quarter of
-// the default pool at one and at four partitions. Each cursor reads
-// through its own ring, so the drain makes about a ring of frames per
-// cursor and not a frame per page; it reads each page once, as a scan
-// through a pool that holds the whole table does; most reads are
-// 16-page runs; and no ring frame is left in the map after EOF or
-// Close.
+// TestColdDrainReadsThroughRing drains a table at one and at four
+// partitions. Each cursor reads through its own ring, so the drain makes
+// about a ring of frames per cursor and not a frame per page; it reads
+// each page once, as reads through a pool that holds the whole table
+// do; most reads are 16-page runs; and no ring frame is left in the map
+// after EOF or Close.
 func TestColdDrainReadsThroughRing(t *testing.T) {
 	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
 		size := bulkSizes[layout]
 		src, ds := writeExact(t, size[0], size[1])
-		// A pool the table fits in a quarter of reads without rings; its
-		// misses are the pages a scan needs, each read once.
+		// Reads through a pool that holds the table miss on the pages a
+		// scan needs, each once.
 		roomy := loadThenOpen(t, src, layout, WithPoolPages(1<<20))
-		_, need, _ := coldDrain(t, roomy, 1, ds.Series)
+		if err := roomy.Release(); err != nil {
+			t.Fatal(err)
+		}
+		_, opened := roomy.PoolStats()
+		for _, s := range ds.Series {
+			if _, err := roomy.readSeriesShared(s.ID, basePrefix, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, need := roomy.PoolStats()
+		need -= opened
 
 		for _, w := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%v/W%d", layout, w), func(t *testing.T) {
 				e := loadThenOpen(t, src, layout)
-				if !e.bp.bulk() {
-					t.Fatalf("a %d-page table is no larger than a quarter of a %d-page pool", e.pf.nPages, e.bp.cap)
-				}
 				preads, misses, made := coldDrain(t, e, w, ds.Series)
 				pages, height, consumers := int64(e.pf.nPages), int64(e.table.index.height), int64(len(ds.Series))
 				t.Logf("a %d-page table: %d reads of %d pages, %d frames made", pages, preads, misses, made)
@@ -73,7 +79,7 @@ func TestColdDrainReadsThroughRing(t *testing.T) {
 				// Partition boundaries may share a page, and a run at the
 				// end of one partition may read ahead into the next.
 				if slack := height + int64((w-1)*runPages); misses < need || misses > need+slack {
-					t.Errorf("the drain read %d pages, want the %d a roomy pool reads (+%d)", misses, need, slack)
+					t.Errorf("the drain read %d pages, want the %d the pool reads (+%d)", misses, need, slack)
 				}
 				if limit := (pages+runPages-1)/runPages + height + 2*consumers + int64(w); preads > limit {
 					t.Errorf("the drain made %d reads of a %d-page table, want at most %d", preads, pages, limit)
@@ -235,36 +241,34 @@ func TestReaderZeroFillsItsRow(t *testing.T) {
 }
 
 // TestCursorsTakeRows: the scan, partition and snapshot cursors decode
-// into the row they are handed, through a ring or the pool.
+// into the row they are handed.
 func TestCursorsTakeRows(t *testing.T) {
 	src, ds := writeExact(t, 4, 10)
-	for _, pool := range []int{4, DefaultPoolPages} {
-		e := loadThenOpen(t, src, LayoutRows, WithPoolPages(pool))
-		scan, err := e.NewCursor()
+	e := loadThenOpen(t, src, LayoutRows)
+	scan, err := e.NewCursor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := e.NewCursors(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cur := range append(parts, scan, snap) {
+		row := make([]float64, len(ds.Temperature.Values))
+		cur.(core.RowTaker).TakeRow(row)
+		s, err := cur.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, err := e.NewCursors(2)
-		if err != nil {
-			t.Fatal(err)
+		if &s.Readings[0] != &row[0] {
+			t.Errorf("%T decoded into a row of its own", cur)
 		}
-		snap, _, err := e.Snapshot()
-		if err != nil {
+		if err := cur.Close(); err != nil {
 			t.Fatal(err)
-		}
-		for _, cur := range append(parts, scan, snap) {
-			row := make([]float64, len(ds.Temperature.Values))
-			cur.(core.RowTaker).TakeRow(row)
-			s, err := cur.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if &s.Readings[0] != &row[0] {
-				t.Errorf("pool %d: %T decoded into a row of its own", pool, cur)
-			}
-			if err := cur.Close(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }

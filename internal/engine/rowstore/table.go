@@ -252,15 +252,10 @@ func (tb *table) setSeriesLen(n int) { tb.seriesLen = n }
 // allocation per tuple. It reads the published prefix or a snapshot's
 // captured length alike: tuples at or beyond hour len(cons) end the
 // scan, because the index orders a household's tuples by sequence. It
-// writes only the hours that are stored. Callers hold the table latch,
-// shared or exclusive.
-func (tb *table) readSeriesInto(id timeseries.ID, cons, temp []float64) error {
-	return tb.readSeriesVia(nil, id, cons, temp)
-}
-
-// readSeriesVia is readSeriesInto reading the leaf chain and the heap
-// through a cursor's ring, when it has one; the descent keeps the pool.
-func (tb *table) readSeriesVia(rg *pageRing, id timeseries.ID, cons, temp []float64) error {
+// writes only the hours that are stored. Given a cursor's ring, it reads
+// the leaf chain and the heap through it; the descent keeps the pool.
+// Callers hold the table latch, shared or exclusive.
+func (tb *table) readSeriesInto(rg *pageRing, id timeseries.ID, cons, temp []float64) error {
 	bp := tb.heap.bp
 	fetch := bp.fetch
 	if rg != nil {

@@ -17,9 +17,9 @@ import (
 // TestColdRowstoreSimilarityDecodesIntoItsMatrix: the row store's
 // cursors take their rows, so a cold similarity run at one and four
 // workers decodes every consumer into the buffer that becomes the
-// kernel's packing, and is the reference run bit for bit. The table is
-// larger than a quarter of the pool, so the cursors read it through
-// their rings, and a whole run allocates little beyond the one matrix
+// kernel's packing, and is the reference run bit for bit. The cursors
+// read the table through their rings, so a whole run allocates little
+// beyond the one matrix
 // and the pool frames of the first consumer, which Temperature reads
 // through the pool: a fresh row per consumer would be a second matrix,
 // and a pool frame per page several more.
@@ -42,7 +42,7 @@ func TestColdRowstoreSimilarityDecodesIntoItsMatrix(t *testing.T) {
 	const perConsumer = 4 << 10 // series header, result, top-k heaps
 
 	for _, layout := range []rowstore.Layout{rowstore.LayoutRows, rowstore.LayoutArrays} {
-		e := rowstore.New(t.TempDir(), rowstore.WithLayout(layout), rowstore.WithPoolPages(1024))
+		e := rowstore.New(t.TempDir(), rowstore.WithLayout(layout))
 		defer e.Close()
 		if _, err := e.Load(src); err != nil {
 			t.Fatal(err)
