@@ -383,17 +383,20 @@ func (e *Engine) Snapshot() (core.Cursor, core.Epoch, error) {
 
 var _ core.Appender = (*Engine)(nil)
 
-// snapCursor merges one base column with the captured tail per Next.
-// Rows are fresh allocations, decoded into directly: they must outlive
-// the cursor while writers keep appending. pg is the pager of the store
-// captured with the tails, so a snapshot taken before a checkpoint keeps
-// reading the retired store through the cache that belongs to it.
+// snapCursor merges one base column with the captured tail per Next,
+// decoding into the row the caller handed it (core.RowTaker) or else a
+// fresh one: either way the row is the caller's, never recycled, since
+// it must outlive the cursor while writers keep appending. pg is the
+// pager of the store captured with the tails, so a snapshot taken
+// before a checkpoint keeps reading the retired store through the cache
+// that belongs to it.
 type snapCursor struct {
 	pg      *pager
 	items   []snapItem
 	temp    []float64
 	ctx     context.Context
 	scratch []byte
+	row     []float64 // the caller's row for the next Next, if any
 	i       int
 	closed  bool
 }
@@ -409,7 +412,11 @@ func (c *snapCursor) Next() (*timeseries.Series, error) {
 	}
 	it := &c.items[c.i]
 	total := it.baseH + dayHours*len(it.sealed) + len(it.open)
-	row := make([]float64, total)
+	row := c.row
+	if len(row) != total {
+		row = make([]float64, total)
+	}
+	// readConsumer and decodeTail between them write every hour of row.
 	if it.baseH > 0 {
 		var err error
 		if c.scratch, err = c.pg.readConsumer(it.cons, row[:it.baseH], c.scratch); err != nil {
@@ -419,9 +426,13 @@ func (c *snapCursor) Next() (*timeseries.Series, error) {
 	if err := decodeTail(it.id, it.sealed, it.open, row[it.baseH:]); err != nil {
 		return nil, err
 	}
+	c.row = nil
 	c.i++
 	return &timeseries.Series{ID: it.id, Readings: row}, nil
 }
+
+// TakeRow implements core.RowTaker.
+func (c *snapCursor) TakeRow(row []float64) { c.row = row }
 
 func (c *snapCursor) Reset() error {
 	// Rows were handed out as fresh slices; replaying re-decodes the
@@ -434,6 +445,7 @@ func (c *snapCursor) Reset() error {
 func (c *snapCursor) Close() error {
 	c.closed = true
 	c.scratch = nil
+	c.row = nil
 	return nil
 }
 

@@ -182,7 +182,7 @@ type splitResult struct {
 
 // insert adds a key/value pair. Duplicate exact keys are rejected.
 func (t *btree) insert(k key, v TID) error {
-	res, err := t.insertInto(t.root, k, v)
+	res, err := t.insertInto(t.root, k, v, true)
 	if err != nil {
 		return err
 	}
@@ -205,14 +205,16 @@ func (t *btree) insert(k key, v TID) error {
 	return nil
 }
 
-func (t *btree) insertInto(page PageID, k key, v TID) (splitResult, error) {
+// insertInto adds k under page. rightmost says that page is the last
+// node of its level, the one a key larger than every key reaches.
+func (t *btree) insertInto(page PageID, k key, v TID, rightmost bool) (splitResult, error) {
 	fr, err := t.bp.fetch(page)
 	if err != nil {
 		return splitResult{}, err
 	}
 	data := fr.data[:]
 	if nodeIsLeaf(data) {
-		res, err := t.leafInsert(fr, k, v)
+		res, err := t.leafInsert(fr, k, v, rightmost)
 		t.bp.unpin(fr, true)
 		return res, err
 	}
@@ -226,7 +228,7 @@ func (t *btree) insertInto(page PageID, k key, v TID) (splitResult, error) {
 	// Unpin during recursion; re-fetch to apply a split. Inserts run under
 	// the exclusive table latch, so nothing else touches the page between.
 	t.bp.unpin(fr, false)
-	res, err := t.insertInto(child, k, v)
+	res, err := t.insertInto(child, k, v, rightmost && idx == n)
 	if err != nil || !res.split {
 		return splitResult{}, err
 	}
@@ -234,12 +236,26 @@ func (t *btree) insertInto(page PageID, k key, v TID) (splitResult, error) {
 	if err != nil {
 		return splitResult{}, err
 	}
-	out, err := t.internalInsert(fr, res.sepKey, res.newPage)
+	out, err := t.internalInsert(fr, res.sepKey, res.newPage, rightmost)
 	t.bp.unpin(fr, true)
 	return out, err
 }
 
-func (t *btree) leafInsert(fr *frame, k key, v TID) (splitResult, error) {
+// splitPoint returns how many of a full node's n entries stay in the
+// left node of a split. When the rightmost node of its level is split by
+// a key that sorts after all of its own, it keeps 90 % of them, as
+// PostgreSQL's _bt_findsplitloc does for a rightmost page: keys inserted
+// in ascending order, a bulk load, then leave every node but the last
+// of each level 90 % full rather than half. Any other split halves the
+// node.
+func splitPoint(n int, rightmost, last bool) int {
+	if rightmost && last {
+		return (9*n + 9) / 10
+	}
+	return n / 2
+}
+
+func (t *btree) leafInsert(fr *frame, k key, v TID, rightmost bool) (splitResult, error) {
 	data := fr.data[:]
 	n := int(nodeCount(data))
 	idx := lowerBound(n, k, func(i int) key { return leafKey(data, i) })
@@ -255,14 +271,14 @@ func (t *btree) leafInsert(fr *frame, k key, v TID) (splitResult, error) {
 		putU16(data, 2, uint16(n+1))
 		return splitResult{}, nil
 	}
-	// Split: move the upper half to a new leaf.
+	// Split: move the entries past the split point to a new leaf.
 	nfr, err := t.bp.allocate()
 	if err != nil {
 		return splitResult{}, err
 	}
 	ndata := nfr.data[:]
 	putU16(ndata, 0, flagLeaf)
-	mid := n / 2
+	mid := splitPoint(n, rightmost, idx == n)
 	moved := n - mid
 	copy(ndata[btreeHeaderSize:btreeHeaderSize+moved*btreeLeafEntry],
 		data[btreeHeaderSize+mid*btreeLeafEntry:btreeHeaderSize+n*btreeLeafEntry])
@@ -273,12 +289,12 @@ func (t *btree) leafInsert(fr *frame, k key, v TID) (splitResult, error) {
 
 	// Insert into whichever half owns the key.
 	if idx <= mid {
-		if _, err := t.leafInsert(fr, k, v); err != nil {
+		if _, err := t.leafInsert(fr, k, v, false); err != nil {
 			t.bp.unpin(nfr, true)
 			return splitResult{}, err
 		}
 	} else {
-		res, err := t.leafInsert(nfr, k, v)
+		res, err := t.leafInsert(nfr, k, v, rightmost)
 		if err != nil || res.split {
 			t.bp.unpin(nfr, true)
 			if err == nil {
@@ -293,7 +309,7 @@ func (t *btree) leafInsert(fr *frame, k key, v TID) (splitResult, error) {
 	return splitResult{newPage: id, sepKey: sep, split: true}, nil
 }
 
-func (t *btree) internalInsert(fr *frame, sep key, right PageID) (splitResult, error) {
+func (t *btree) internalInsert(fr *frame, sep key, right PageID, rightmost bool) (splitResult, error) {
 	data := fr.data[:]
 	n := int(nodeCount(data))
 	idx := lowerBound(n, sep, func(i int) key { return internalKey(data, i) })
@@ -314,7 +330,7 @@ func (t *btree) internalInsert(fr *frame, sep key, right PageID) (splitResult, e
 	}
 	ndata := nfr.data[:]
 	putU16(ndata, 0, 0)
-	mid := n / 2
+	mid := splitPoint(n, rightmost, idx == n)
 	upKey := internalKey(data, mid)
 	movedKeys := n - mid - 1
 	copy(ndata[btreeHeaderSize:btreeHeaderSize+movedKeys*btreeKeySize],
@@ -325,12 +341,12 @@ func (t *btree) internalInsert(fr *frame, sep key, right PageID) (splitResult, e
 	putU16(data, 2, uint16(mid))
 
 	if sep.less(upKey) {
-		if _, err := t.internalInsert(fr, sep, right); err != nil {
+		if _, err := t.internalInsert(fr, sep, right, false); err != nil {
 			t.bp.unpin(nfr, true)
 			return splitResult{}, err
 		}
 	} else {
-		if _, err := t.internalInsert(nfr, sep, right); err != nil {
+		if _, err := t.internalInsert(nfr, sep, right, rightmost); err != nil {
 			t.bp.unpin(nfr, true)
 			return splitResult{}, err
 		}

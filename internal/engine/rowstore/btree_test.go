@@ -230,3 +230,104 @@ func TestLeafChainRefusesInternalNode(t *testing.T) {
 		t.Fatal("leaf chain through an internal node: want error")
 	}
 }
+
+// levelFills returns the entry count of every node of the tree, level by
+// level from the root, each level left to right.
+func levelFills(t *testing.T, bt *btree) [][]int {
+	t.Helper()
+	var levels [][]int
+	for level := []PageID{bt.root}; len(level) > 0; {
+		var fills []int
+		var next []PageID
+		for _, page := range level {
+			fr, err := bt.bp.fetch(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := fr.data[:]
+			n := int(nodeCount(data))
+			fills = append(fills, n)
+			if !nodeIsLeaf(data) {
+				for i := 0; i <= n; i++ {
+					next = append(next, internalChild(data, i))
+				}
+			}
+			bt.bp.unpin(fr, false)
+		}
+		levels = append(levels, fills)
+		level = next
+	}
+	return levels
+}
+
+// checkFilled requires every node of every level but the last one of it
+// to hold at least 90 % of its capacity.
+func checkFilled(t *testing.T, bt *btree) {
+	t.Helper()
+	levels := levelFills(t, bt)
+	for depth, fills := range levels {
+		capacity := internalCap
+		if depth == len(levels)-1 {
+			capacity = leafCap
+		}
+		for i, n := range fills[:len(fills)-1] {
+			if 10*n < 9*capacity {
+				t.Errorf("level %d node %d of %d holds %d of %d entries, under 90 %%", depth, i, len(fills), n, capacity)
+			}
+		}
+	}
+}
+
+// TestBTreeAscendingInsertsFillNodes inserts keys in ascending order,
+// as a bulk load does, until the tree has internal nodes below its root:
+// every node but the rightmost of its level must be at least 90 % full.
+func TestBTreeAscendingInsertsFillNodes(t *testing.T) {
+	bp := testPool(t, 256)
+	bt, err := newBTree(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 160000 // over 409 leaves of 307: two internal nodes under the root
+	for i := range n {
+		if err := bt.insert(key{ID: uint64(i / 100), Seq: uint64(i % 100)}, TID{Page: PageID(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bt.height < 3 {
+		t.Fatalf("height %d, want internal nodes below the root", bt.height)
+	}
+	checkFilled(t, bt)
+	count := 0
+	if err := bt.scanRange(key{}, key{ID: ^uint64(0)}, func(k key, v TID) error {
+		if v.Page != PageID(count) {
+			t.Fatalf("entry %d maps to %v", count, v)
+		}
+		count++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if count != n {
+		t.Fatalf("scan saw %d keys, want %d", count, n)
+	}
+}
+
+// TestBulkLoadFillsLeaves loads a table in both layouts: every leaf but
+// the last must be at least 90 % full.
+func TestBulkLoadFillsLeaves(t *testing.T) {
+	src, _ := writeSource(t, 20, 365)
+	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
+		t.Run(layout.String(), func(t *testing.T) {
+			e := New(t.TempDir(), WithLayout(layout))
+			defer e.Close()
+			if _, err := e.Load(src); err != nil {
+				t.Fatal(err)
+			}
+			levels := levelFills(t, e.table.index)
+			if leaves := levels[len(levels)-1]; len(leaves) < 2 {
+				t.Fatalf("%d leaves: the load does not split one", len(leaves))
+			}
+			checkFilled(t, e.table.index)
+		})
+	}
+}

@@ -96,3 +96,68 @@ func TestColdColstoreSimilarityDecodesIntoItsMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotColstoreSimilarityDecodesIntoItsMatrix: a similarity run
+// over a snapshot of a live column store, a sealed base plus appended
+// days and hours, decodes every consumer into its slot of the one
+// matrix (the snapshot cursor takes its rows), so the run allocates
+// little beyond that matrix: a fresh row per consumer would be a second
+// one. It is the reference run bit for bit.
+func TestSnapshotColstoreSimilarityDecodesIntoItsMatrix(t *testing.T) {
+	const consumers, days, baseDays, tailHours = 64, 365, 358, 6*24 + 12
+	ds, err := seed.Generate(seed.Config{Consumers: consumers, Days: days, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range ds.Series {
+		for j, v := range s.Readings {
+			s.Readings[j] = math.Round(v*1000) / 1000
+		}
+	}
+	baseN := baseDays * 24
+	dir := t.TempDir()
+	w, err := colstore.NewSegmentWriter(filepath.Join(dir, colstore.SegmentFileName), ds.Temperature.Values[:baseN])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range ds.Series {
+		if err := w.Append(s.ID, s.Readings[:baseN]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e := colstore.New(dir)
+	defer e.Release()
+	if _, err := e.OpenExisting(); err != nil {
+		t.Fatal(err)
+	}
+	for h := baseN; h < baseN+tailHours; h++ {
+		if err := e.Append(datasetBatch(ds, h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	matrix := int64(consumers * (baseN + tailHours) * 8)
+	const perRow = 4 << 10 // series header, result, top-k heaps, a share of the read buffers
+
+	for _, workers := range []int{1, 4} {
+		spec := core.Spec{Task: core.TaskSimilarity, K: 3, Workers: workers}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		got, _, err := exec.RunSnapshot(context.Background(), e, spec)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alloc, limit := int64(after.TotalAlloc-before.TotalAlloc), matrix*12/10+consumers*perRow; alloc > limit {
+			t.Errorf("W=%d: the snapshot run allocated %d bytes, want at most %d (the matrix is %d)", workers, alloc, limit, matrix)
+		}
+		want, err := core.RunReference(datasetPrefix(ds, baseN+tailHours), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursortest.CompareResults(t, got, want)
+	}
+}

@@ -104,17 +104,21 @@ func Dot4(q, a, b, c, d []float64) (da, db, dc, dd float64) {
 	return a0 + a1, b0 + b1, c0 + c1, d0 + d1
 }
 
-// CosineTile fills a qn x cn score tile with cosine similarities
-// between qn query rows and cn candidate rows:
+// CosineTile fills a len(qRows) x len(cRows) score tile with the cosine
+// similarities between rows of one row-major matrix, data, whose rows
+// have the given length and inverse norms inv:
 //
-//	tile[qi*cn+ci] = Dot(Q[qi], C[ci]) * (qInv[qi] * cInv[ci])
+//	tile[qi*cn+ci] = Dot(row qRows[qi], row cRows[ci]) * (inv[qRows[qi]] * inv[cRows[ci]])
 //
-// q and c are row-major buffers of qn (resp. cn) rows of the given
-// length; qInv and cInv hold per-row inverse norms, with 0 standing in
-// for a zero-norm row so its scores come out 0. Each buffer is cut to
-// the size the shape asks for before any row is read, against its
-// length rather than its capacity, so a short buffer panics with the
-// same index error on every path and nothing past a slice is read.
+// with cn = len(cRows) and 0 standing in inv for a zero-norm row, so its
+// scores come out 0. The rows are named by index rather than cut out as
+// blocks, so a caller can score any grouping of the matrix's rows (the
+// similarity scan's load-shape order) without permuting or copying it.
+// The tile and every named row and inverse norm are cut from their
+// buffers before any row is read, against the buffers' lengths rather
+// than their capacities, so a short buffer or an index past the matrix
+// panics with the same index error on every path and nothing past a
+// slice is read.
 //
 // Full 4×4 blocks go through the vector kernel when the CPU has one
 // (see the package comment); the rest through the Go lanes, candidates
@@ -122,31 +126,35 @@ func Dot4(q, a, b, c, d []float64) (da, db, dc, dd float64) {
 // query row while cache-hot. Because every path computes the canonical
 // pattern and the inverse norms are multiplied together before scaling
 // the dot, a pair's score is a pure function of the two rows: swapping
-// the query and candidate sides, regrouping either side or changing
-// path reproduces it bit for bit.
-func CosineTile(tile, q, c []float64, qn, cn, length int, qInv, cInv []float64) {
-	tile, q, c = prefix(tile, qn*cn), prefix(q, qn*length), prefix(c, cn*length)
-	qInv, cInv = prefix(qInv, qn), prefix(cInv, cn)
+// the query and candidate sides, regrouping or reordering either side
+// or changing path reproduces it bit for bit.
+func CosineTile(tile, data []float64, length int, inv []float64, qRows, cRows []int) {
+	qn, cn := len(qRows), len(cRows)
+	tile = tile[:len(tile):len(tile)][:qn*cn]
+	data, inv = data[:len(data):len(data)], inv[:len(inv):len(inv)]
+	for _, rows := range [2][]int{qRows, cRows} {
+		for _, r := range rows {
+			_, _ = data[r*length:(r+1)*length], inv[r]
+		}
+	}
 	q4, c4 := 0, 0
 	if useAVX && length >= 2 && qn >= 4 && cn >= 4 {
 		q4, c4 = qn&^3, cn&^3
 	}
 	for qi := 0; qi < q4; qi += 4 {
 		for cj := 0; cj < c4; cj += 4 {
-			cosineBlock(tile[qi*cn+cj:], cn, q[qi*length:(qi+4)*length], c[cj*length:(cj+4)*length],
-				length, qInv[qi:qi+4], cInv[cj:cj+4])
+			cosineBlock(tile[qi*cn+cj:], cn, data, length, inv, qRows[qi:qi+4], cRows[cj:cj+4])
 		}
 	}
 	// The Go lanes take the columns right of the blocks for every row,
 	// then the rows below the blocks for the columns the blocks cover.
-	cosineLanes(tile[c4:], cn, q, c[c4*length:], qn, cn-c4, length, qInv, cInv[c4:])
-	cosineLanes(tile[q4*cn:], cn, q[q4*length:], c, qn-q4, c4, length, qInv[q4:], cInv)
+	cosineLanes(tile[c4:], cn, data, length, inv, qRows, cRows[c4:])
+	cosineLanes(tile[q4*cn:], cn, data, length, inv, qRows[q4:], cRows[:c4])
 }
 
-// prefix returns buf[:n], panicking when buf holds fewer than n values
-// whatever its capacity.
-func prefix(buf []float64, n int) []float64 {
-	return buf[:len(buf):len(buf)][:n]
+// matrixRow returns row r of the row-major data.
+func matrixRow(data []float64, length, r int) []float64 {
+	return data[r*length : (r+1)*length]
 }
 
 // cosineBlock scores four query rows against four candidate rows with
@@ -154,62 +162,59 @@ func prefix(buf []float64, n int) []float64 {
 // pair into its even and odd accumulators; the odd last element and the
 // reduction are done here, exactly as the Go lanes do them. tile row k
 // starts at tile[k*stride].
-func cosineBlock(tile []float64, stride int, q, c []float64, length int, qInv, cInv []float64) {
-	q0, q1, q2, q3 := q[:length], q[length:2*length], q[2*length:3*length], q[3*length:4*length]
-	c0, c1, c2, c3 := c[:length], c[length:2*length], c[2*length:3*length], c[3*length:4*length]
+func cosineBlock(tile []float64, stride int, data []float64, length int, inv []float64, qRows, cRows []int) {
+	q0, q1 := matrixRow(data, length, qRows[0]), matrixRow(data, length, qRows[1])
+	q2, q3 := matrixRow(data, length, qRows[2]), matrixRow(data, length, qRows[3])
+	c0, c1 := matrixRow(data, length, cRows[0]), matrixRow(data, length, cRows[1])
+	c2, c3 := matrixRow(data, length, cRows[2]), matrixRow(data, length, cRows[3])
 	var acc [32]float64
 	dotPairs4x4(&acc, &q0[0], &q1[0], &q2[0], &q3[0], &c0[0], &c1[0], &c2[0], &c3[0], length/2)
 	last := length - 1
 	for k, qr := range [4][]float64{q0, q1, q2, q3} {
 		t := tile[k*stride : k*stride+4]
-		f := qInv[k]
+		f := inv[qRows[k]]
 		for j, cr := range [4][]float64{c0, c1, c2, c3} {
 			s0, s1 := acc[8*k+2*j], acc[8*k+2*j+1]
 			if length&1 != 0 {
 				s0 += float64(qr[last] * cr[last])
 			}
-			t[j] = (s0 + s1) * (f * cInv[j])
+			t[j] = (s0 + s1) * (f * inv[cRows[j]])
 		}
 	}
 }
 
 // cosineLanes is CosineTile on the Go lanes alone, writing query row qi
 // at tile[qi*stride:], so that it can fill a strip of a wider tile.
-func cosineLanes(tile []float64, stride int, q, c []float64, qn, cn, length int, qInv, cInv []float64) {
+func cosineLanes(tile []float64, stride int, data []float64, length int, inv []float64, qRows, cRows []int) {
+	cn := len(cRows)
 	cj := 0
 	for ; cj+4 <= cn; cj += 4 {
-		c0 := c[cj*length : (cj+1)*length]
-		c1 := c[(cj+1)*length : (cj+2)*length]
-		c2 := c[(cj+2)*length : (cj+3)*length]
-		c3 := c[(cj+3)*length : (cj+4)*length]
-		for qi := 0; qi < qn; qi++ {
-			row := q[qi*length : (qi+1)*length]
-			d0, d1, d2, d3 := Dot4(row, c0, c1, c2, c3)
-			f := qInv[qi]
+		c0, c1 := matrixRow(data, length, cRows[cj]), matrixRow(data, length, cRows[cj+1])
+		c2, c3 := matrixRow(data, length, cRows[cj+2]), matrixRow(data, length, cRows[cj+3])
+		for qi, q := range qRows {
+			d0, d1, d2, d3 := Dot4(matrixRow(data, length, q), c0, c1, c2, c3)
+			f := inv[q]
 			t := tile[qi*stride+cj : qi*stride+cj+4]
-			t[0] = d0 * (f * cInv[cj])
-			t[1] = d1 * (f * cInv[cj+1])
-			t[2] = d2 * (f * cInv[cj+2])
-			t[3] = d3 * (f * cInv[cj+3])
+			t[0] = d0 * (f * inv[cRows[cj]])
+			t[1] = d1 * (f * inv[cRows[cj+1]])
+			t[2] = d2 * (f * inv[cRows[cj+2]])
+			t[3] = d3 * (f * inv[cRows[cj+3]])
 		}
 	}
 	if cj+2 <= cn {
-		c0 := c[cj*length : (cj+1)*length]
-		c1 := c[(cj+1)*length : (cj+2)*length]
-		for qi := 0; qi < qn; qi++ {
-			row := q[qi*length : (qi+1)*length]
-			d0, d1 := Dot2(row, c0, c1)
-			f := qInv[qi]
-			tile[qi*stride+cj] = d0 * (f * cInv[cj])
-			tile[qi*stride+cj+1] = d1 * (f * cInv[cj+1])
+		c0, c1 := matrixRow(data, length, cRows[cj]), matrixRow(data, length, cRows[cj+1])
+		for qi, q := range qRows {
+			d0, d1 := Dot2(matrixRow(data, length, q), c0, c1)
+			f := inv[q]
+			tile[qi*stride+cj] = d0 * (f * inv[cRows[cj]])
+			tile[qi*stride+cj+1] = d1 * (f * inv[cRows[cj+1]])
 		}
 		cj += 2
 	}
 	if cj < cn {
-		c0 := c[cj*length : (cj+1)*length]
-		for qi := 0; qi < qn; qi++ {
-			row := q[qi*length : (qi+1)*length]
-			tile[qi*stride+cj] = DotUnchecked(row, c0) * (qInv[qi] * cInv[cj])
+		c0 := matrixRow(data, length, cRows[cj])
+		for qi, q := range qRows {
+			tile[qi*stride+cj] = DotUnchecked(matrixRow(data, length, q), c0) * (inv[q] * inv[cRows[cj]])
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -54,6 +55,29 @@ func invNorms(rows []float64, n, length int) []float64 {
 			out[i] = 1 / nm
 		}
 	}
+	return out
+}
+
+// stacked returns q's qn rows and then c's cn rows as one matrix, with
+// its inverse norms and the row indices of each side, the shape
+// CosineTile takes.
+func stacked(q, c []float64, qn, cn, length int) (data, inv []float64, qRows, cRows []int) {
+	data = append(append([]float64(nil), q...), c...)
+	inv = invNorms(data, qn+cn, length)
+	for r := range qn + cn {
+		if r < qn {
+			qRows = append(qRows, r)
+		} else {
+			cRows = append(cRows, r)
+		}
+	}
+	return data, inv, qRows, cRows
+}
+
+// reversed returns a reversed copy of rows.
+func reversed(rows []int) []int {
+	out := slices.Clone(rows)
+	slices.Reverse(out)
 	return out
 }
 
@@ -175,8 +199,9 @@ func cosineRef(t *testing.T, x, y []float64) float64 {
 // row on each side: against the scalar cosine within tol when the
 // values are ordinary; bit for bit against the Go lanes alone (the
 // vector kernel's oracle), hostile values included; and bit for bit
-// against itself with the query and candidate sides swapped, which is
-// what the mirroring in similarity.scanPair relies on.
+// against itself with the query and candidate sides swapped and each
+// side reversed, which is what the mirroring and the load-shape order
+// in the similarity scan rely on.
 func TestCosineTileMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, length := range laneLengths {
@@ -194,13 +219,13 @@ func TestCosineTileMatchesScalar(t *testing.T) {
 				if cn > 1 {
 					clear(c[length : 2*length])
 				}
-				qInv, cInv := invNorms(q, qn, length), invNorms(c, cn, length)
+				data, inv, qRows, cRows := stacked(q, c, qn, cn, length)
 				tile := make([]float64, qn*cn)
-				CosineTile(tile, q, c, qn, cn, length, qInv, cInv)
+				CosineTile(tile, data, length, inv, qRows, cRows)
 				lanes := make([]float64, qn*cn)
-				cosineLanes(lanes, cn, q, c, qn, cn, length, qInv, cInv)
+				cosineLanes(lanes, cn, data, length, inv, qRows, cRows)
 				swapped := make([]float64, qn*cn)
-				CosineTile(swapped, c, q, cn, qn, length, cInv, qInv)
+				CosineTile(swapped, data, length, inv, reversed(cRows), reversed(qRows))
 				for qi := 0; qi < qn; qi++ {
 					for ci := 0; ci < cn; ci++ {
 						got := tile[qi*cn+ci]
@@ -208,8 +233,8 @@ func TestCosineTileMatchesScalar(t *testing.T) {
 						if !sameBits(got, lanes[qi*cn+ci]) {
 							t.Fatalf("%s = %g, Go lanes %g", where, got, lanes[qi*cn+ci])
 						}
-						if !sameBits(got, swapped[ci*qn+qi]) {
-							t.Fatalf("%s = %g, swapped sides %g", where, got, swapped[ci*qn+qi])
+						if mirror := swapped[(cn-1-ci)*qn+qn-1-qi]; !sameBits(got, mirror) {
+							t.Fatalf("%s = %g, swapped and reversed sides %g", where, got, mirror)
 						}
 						if hostile {
 							continue
@@ -252,8 +277,9 @@ func goldenTiles() uint64 {
 		if trial%3 == 0 {
 			clear(c[(cn-1)*length:])
 		}
+		data, inv, qRows, cRows := stacked(q, c, qn, cn, length)
 		tile := make([]float64, qn*cn)
-		CosineTile(tile, q, c, qn, cn, length, invNorms(q, qn, length), invNorms(c, cn, length))
+		CosineTile(tile, data, length, inv, qRows, cRows)
 		for _, s := range tile {
 			bits := math.Float64bits(s)
 			for i := range b {
@@ -283,46 +309,47 @@ func TestCosineTileGolden(t *testing.T) {
 func TestCosineTileNoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const qn, cn, length = 9, 7, 61
-	q, c := randVec(rng, qn*length), randVec(rng, cn*length)
-	qInv, cInv := invNorms(q, qn, length), invNorms(c, cn, length)
+	data, inv, qRows, cRows := stacked(randVec(rng, qn*length), randVec(rng, cn*length), qn, cn, length)
 	tile := make([]float64, qn*cn)
 	if n := testing.AllocsPerRun(20, func() {
-		CosineTile(tile, q, c, qn, cn, length, qInv, cInv)
+		CosineTile(tile, data, length, inv, qRows, cRows)
 	}); n != 0 {
 		t.Errorf("CosineTile allocates %v times per call", n)
 	}
 }
 
 // tilePanic runs CosineTile and returns what it panicked with, or "".
-func tilePanic(tile, q, c []float64, qn, cn, length int, qInv, cInv []float64) (msg string) {
+func tilePanic(tile, data []float64, length int, inv []float64, qRows, cRows []int) (msg string) {
 	defer func() {
 		if r := recover(); r != nil {
 			msg = fmt.Sprint(r)
 		}
 	}()
-	CosineTile(tile, q, c, qn, cn, length, qInv, cInv)
+	CosineTile(tile, data, length, inv, qRows, cRows)
 	return ""
 }
 
-// TestCosineTileShortBuffersPanic gives CosineTile a buffer one value
-// short of its shape: it must panic with the same index error on the
-// vector path as on the Go lanes, before any row is read.
+// TestCosineTileShortBuffersPanic gives CosineTile a matrix one value
+// short of a row it names, on either side, or inverse norms one short:
+// it must panic with the same index error on the vector path as on the
+// Go lanes, before any row is read.
 func TestCosineTileShortBuffersPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	const qn, cn, length = 8, 8, 13
-	q, c := randVec(rng, qn*length), randVec(rng, cn*length)
-	qInv, cInv := invNorms(q, qn, length), invNorms(c, cn, length)
+	data, inv, qRows, cRows := stacked(randVec(rng, qn*length), randVec(rng, cn*length), qn, cn, length)
 	tile := make([]float64, qn*cn)
 	for _, tc := range []struct {
-		name string
-		q, c []float64
+		name         string
+		data, inv    []float64
+		qRows, cRows []int
 	}{
-		{"short q", q[:len(q)-1], c},
-		{"short c", q, c[:len(c)-1]},
+		{"short matrix, query side", data[:len(data)-1], inv, cRows, qRows},
+		{"short matrix, candidate side", data[:len(data)-1], inv, qRows, cRows},
+		{"short inverse norms", data, inv[:len(inv)-1], qRows, cRows},
 	} {
-		got := tilePanic(tile, tc.q, tc.c, qn, cn, length, qInv, cInv)
+		got := tilePanic(tile, tc.data, length, tc.inv, tc.qRows, tc.cRows)
 		var want string
-		withLanes(func() { want = tilePanic(tile, tc.q, tc.c, qn, cn, length, qInv, cInv) })
+		withLanes(func() { want = tilePanic(tile, tc.data, length, tc.inv, tc.qRows, tc.cRows) })
 		if got == "" || got != want {
 			t.Errorf("%s: vector path panicked with %q, Go lanes with %q", tc.name, got, want)
 		}
@@ -352,54 +379,68 @@ func fuzzValue(b byte) float64 {
 	return float64(b)/16 - 8
 }
 
-// FuzzCosineTileMatchesLanes turns bytes into a tile shape (the first
-// three bytes: query rows, candidate rows, length), a shortfall for one
-// buffer (the fourth) and readings (the rest, repeated when short), and
-// requires CosineTile to equal the Go lanes bit for bit — or, with a
-// buffer short, to panic exactly as they do.
+// FuzzCosineTileMatchesLanes turns bytes into a matrix of 1 to 16 rows
+// (the first byte) of 1 to 64 readings (the second), a tile that names
+// its rows by index, repeats and any order allowed (the third byte: 1 to
+// 16 query rows, the fourth: 1 to 16 candidate rows, then one byte per
+// index), a shortfall (the next byte: none, one value off the matrix or
+// one off the inverse norms) and readings (the rest, repeated when
+// short), and requires CosineTile to equal the Go lanes bit for bit —
+// or, with a buffer short, to panic exactly as they do.
 func FuzzCosineTileMatchesLanes(f *testing.F) {
-	f.Add([]byte{4, 4, 2, 0, 1, 2, 3})
-	f.Add([]byte{9, 5, 7, 0, 255, 17, 3, 254, 60, 61, 252})
-	f.Add([]byte{8, 8, 33, 0, 251, 251, 250, 128, 249, 253})
-	f.Add([]byte{5, 6, 3, 1, 40, 41, 42})
-	f.Add([]byte{16, 4, 1, 2, 128})
+	f.Add([]byte{8, 2, 4, 4, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3})
+	f.Add([]byte{14, 7, 9, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 0, 255, 17, 3, 254, 60, 61, 252})
+	f.Add([]byte{16, 33, 8, 8, 15, 14, 13, 12, 11, 10, 9, 8, 0, 1, 2, 3, 4, 5, 6, 7, 0, 251, 251, 250, 128, 249, 253})
+	f.Add([]byte{6, 3, 5, 6, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 1, 40, 41, 42})
+	f.Add([]byte{4, 1, 16, 4, 0, 1, 2, 3, 3, 2, 1, 0, 0, 0, 1, 1, 2, 2, 3, 3, 0, 1, 2, 3, 2, 128})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 5 {
+		if len(data) < 4 {
 			return
 		}
-		qn, cn := 1+int(data[0])%16, 1+int(data[1])%16
-		length := 1 + int(data[2])%64
-		short := int(data[3]) % 3 // 0 none, 1 q short, 2 c short
-		body := data[4:]
-		q, c := make([]float64, qn*length), make([]float64, cn*length)
-		for i := range q {
-			q[i] = fuzzValue(body[i%len(body)])
+		n, length := 1+int(data[0])%16, 1+int(data[1])%64
+		qn, cn := 1+int(data[2])%16, 1+int(data[3])%16
+		data = data[4:]
+		if len(data) < qn+cn+2 {
+			return
 		}
-		for i := range c {
-			c[i] = fuzzValue(body[(len(q)+i)%len(body)])
+		qRows, cRows := make([]int, qn), make([]int, cn)
+		for i := range qRows {
+			qRows[i] = int(data[i]) % n
 		}
-		qInv, cInv := invNorms(q, qn, length), invNorms(c, cn, length)
+		for i := range cRows {
+			cRows[i] = int(data[qn+i]) % n
+		}
+		short := int(data[qn+cn]) % 3 // 0 none, 1 matrix short, 2 inverse norms short
+		body := data[qn+cn+1:]
+		m := make([]float64, n*length)
+		for i := range m {
+			m[i] = fuzzValue(body[i%len(body)])
+		}
+		inv := invNorms(m, n, length)
 		tile := make([]float64, qn*cn)
 		if short != 0 {
+			// Make the shortfall reach a named row: the last row of the
+			// matrix, named on the candidate side.
+			cRows[cn-1] = n - 1
 			if short == 1 {
-				q = q[:len(q)-1]
+				m = m[:len(m)-1]
 			} else {
-				c = c[:len(c)-1]
+				inv = inv[:len(inv)-1]
 			}
-			got := tilePanic(tile, q, c, qn, cn, length, qInv, cInv)
+			got := tilePanic(tile, m, length, inv, qRows, cRows)
 			var want string
-			withLanes(func() { want = tilePanic(tile, q, c, qn, cn, length, qInv, cInv) })
+			withLanes(func() { want = tilePanic(tile, m, length, inv, qRows, cRows) })
 			if got == "" || got != want {
 				t.Fatalf("short buffer: vector path panicked with %q, Go lanes with %q", got, want)
 			}
 			return
 		}
-		CosineTile(tile, q, c, qn, cn, length, qInv, cInv)
+		CosineTile(tile, m, length, inv, qRows, cRows)
 		lanes := make([]float64, qn*cn)
-		cosineLanes(lanes, cn, q, c, qn, cn, length, qInv, cInv)
+		cosineLanes(lanes, cn, m, length, inv, qRows, cRows)
 		for i := range tile {
 			if !sameBits(tile[i], lanes[i]) {
-				t.Fatalf("qn=%d cn=%d len=%d score %d: %g (%#x), Go lanes %g (%#x)", qn, cn, length, i,
+				t.Fatalf("rows %v x %v len=%d score %d: %g (%#x), Go lanes %g (%#x)", qRows, cRows, length, i,
 					tile[i], math.Float64bits(tile[i]), lanes[i], math.Float64bits(lanes[i]))
 			}
 		}
@@ -446,12 +487,11 @@ func BenchmarkDot4(b *testing.B) {
 func BenchmarkCosineTile(b *testing.B) {
 	const n, length = 8, 8760
 	rng := rand.New(rand.NewSource(4))
-	q, c := randVec(rng, n*length), randVec(rng, n*length)
-	qInv, cInv := invNorms(q, n, length), invNorms(c, n, length)
+	data, inv, qRows, cRows := stacked(randVec(rng, n*length), randVec(rng, n*length), n, n, length)
 	tile := make([]float64, n*n)
 	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			CosineTile(tile, q, c, n, n, length, qInv, cInv)
+			CosineTile(tile, data, length, inv, qRows, cRows)
 		}
 		b.ReportMetric(float64(b.N*n*n)/b.Elapsed().Seconds(), "pairs/s")
 	}

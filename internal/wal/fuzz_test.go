@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,7 +28,8 @@ func openReplay(t *testing.T, dir string) ([][]core.Reading, ReplayStats) {
 }
 
 // wholeRecordAt reports whether b starts with a whole, CRC-clean record
-// whose payload is a well-formed batch.
+// whose payload is a well-formed batch: its count matches its length and
+// every hour fits an int at 32 bits.
 func wholeRecordAt(b []byte) bool {
 	if len(b) < recHdrSize {
 		return false
@@ -40,7 +42,52 @@ func wholeRecordAt(b []byte) bool {
 	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(b[0:4]) {
 		return false
 	}
-	return n == 4+int64(binary.LittleEndian.Uint32(payload[0:4]))*readingSize
+	if n != 4+int64(binary.LittleEndian.Uint32(payload[0:4]))*readingSize {
+		return false
+	}
+	for off := int64(4); off < n; off += readingSize {
+		if binary.LittleEndian.Uint32(payload[off+8:off+12]) > math.MaxInt32 {
+			return false
+		}
+	}
+	return true
+}
+
+// sealed returns payload framed as a CRC-clean record.
+func sealed(payload []byte) []byte {
+	rec := make([]byte, recHdrSize, recHdrSize+len(payload))
+	binary.LittleEndian.PutUint32(rec[0:4], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(payload)))
+	return append(rec, payload...)
+}
+
+// hostileRecords are CRC-clean records whose stored fields no batch may
+// hold, each refused at 32 and 64 bits alike.
+func hostileRecords() []struct {
+	name string
+	rec  []byte
+} {
+	one := encodeRecord(nil, mkBatch(4, 7, 1))[recHdrSize:]
+	withCount := func(count uint32) []byte {
+		p := append([]byte(nil), one...)
+		binary.LittleEndian.PutUint32(p[0:4], count)
+		return sealed(p)
+	}
+	withHour := func(hour uint32) []byte {
+		p := append([]byte(nil), one...)
+		binary.LittleEndian.PutUint32(p[4+8:4+12], hour)
+		return sealed(p)
+	}
+	return []struct {
+		name string
+		rec  []byte
+	}{
+		// count·28 wraps to 28 in 32-bit arithmetic.
+		{"count 0x40000001 over one reading", withCount(0x40000001)},
+		{"count 0xffffffff over one reading", withCount(0xffffffff)},
+		{"hour 2^31", withHour(0x80000000)},
+		{"hour 2^32-1", withHour(0xffffffff)},
+	}
 }
 
 // FuzzWALReplay stands fuzz bytes in for a shard file, after the magic
@@ -61,6 +108,9 @@ func FuzzWALReplay(f *testing.F) {
 	binary.LittleEndian.PutUint32(padded[4:8], uint32(len(padded)-recHdrSize))
 	binary.LittleEndian.PutUint32(padded[0:4], crc32.Checksum(padded[recHdrSize:], crcTable))
 	f.Add(padded, true)
+	for _, h := range hostileRecords() {
+		f.Add(append(append([]byte{}, rec...), h.rec...), true)
+	}
 	f.Add(encodeRecord(nil, mkBatch(1, 0, 3)), true)
 	f.Add(torn, true)
 	f.Add(flipped, true)
@@ -120,4 +170,29 @@ func FuzzWALReplay(f *testing.F) {
 			sameReadings(t, again[i], got[i])
 		}
 	})
+}
+
+// TestReplayRefusesHostileRecords writes a good record and then one of
+// hostileRecords: replay must return the good batch alone, cut the
+// hostile record off, and not panic — as a 32-bit binary too, where an
+// unchecked count once made replay ask for a slice of 2³⁰ readings.
+func TestReplayRefusesHostileRecords(t *testing.T) {
+	good := mkBatch(2, 5, 2)
+	for _, h := range hostileRecords() {
+		t.Run(h.name, func(t *testing.T) {
+			dir := t.TempDir()
+			file := append(append([]byte(magic), encodeRecord(nil, good)...), h.rec...)
+			if err := os.WriteFile(filepath.Join(dir, shardFileName(0)), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, stats := openReplay(t, dir)
+			if len(got) != 1 {
+				t.Fatalf("replayed %d batches, want the good one alone", len(got))
+			}
+			sameReadings(t, got[0], good)
+			if stats.TruncatedBytes != int64(len(h.rec)) {
+				t.Fatalf("truncated %d bytes, want the hostile record's %d", stats.TruncatedBytes, len(h.rec))
+			}
+		})
+	}
 }

@@ -383,16 +383,24 @@ func decodePayload(p []byte) ([]core.Reading, bool) {
 	if len(p) < 4 {
 		return nil, false
 	}
-	count := int(binary.LittleEndian.Uint32(p[0:4]))
-	if len(p) != 4+count*readingSize {
+	// Both stored fields are compared as uint64 before either becomes an
+	// int: at 32 bits a count of 0x40000001 would wrap count*readingSize
+	// to one reading's size, and an hour of 2³¹ or more would turn
+	// negative.
+	count := uint64(binary.LittleEndian.Uint32(p[0:4]))
+	if uint64(len(p)) != 4+count*readingSize {
 		return nil, false
 	}
 	batch := make([]core.Reading, count)
 	for i := range batch {
 		b := p[4+i*readingSize:]
+		hour := uint64(binary.LittleEndian.Uint32(b[8:12]))
+		if hour > math.MaxInt32 {
+			return nil, false
+		}
 		batch[i] = core.Reading{
 			ID:          timeseries.ID(binary.LittleEndian.Uint64(b[0:8])),
-			Hour:        int(binary.LittleEndian.Uint32(b[8:12])),
+			Hour:        int(hour),
 			Consumption: fromBits(binary.LittleEndian.Uint64(b[12:20])),
 			Temperature: fromBits(binary.LittleEndian.Uint64(b[20:28])),
 		}

@@ -3,8 +3,8 @@
 # vet, the repo-native smlint analyzers, the full test suite under the
 # race detector and again as 32-bit binaries, the fuzz smokes (the value codec, the segment-file
 # reader, the row store's table file, the text parsers, write-ahead-log
-# replay, the PAR kernel, the similarity kernel and the similarity
-# drain) and the kernels'
+# replay, the PAR kernel, the similarity kernel, the similarity scan's
+# bound and the similarity drain) and the kernels'
 # benchmark smokes, then the benchmark module's own vet and tests. CI
 # runs exactly this script; run it locally before sending a PR.
 set -euo pipefail
@@ -58,8 +58,8 @@ go test -race ./...
 # The suite again as 32-bit binaries, which run natively on amd64. An
 # int is 32 bits wide there, so a stored u32 that becomes an int before
 # it is checked can turn negative; and the similarity kernel builds from
-# its Go lanes alone, so the golden hashes pin that build against the
-# vector one.
+# its Go lanes alone, so the golden hashes and the pruned scan's
+# all-pairs oracle tests pin that build against the vector one.
 echo "== GOARCH=386 go test ./... (32-bit ints, the generic similarity kernel)"
 GOARCH=386 go test ./...
 
@@ -124,6 +124,14 @@ echo "== go test -fuzz FuzzCosineTileMatchesLanes -fuzztime 10s ./internal/stats
 go test -run '^$' -fuzz 'FuzzCosineTileMatchesLanes' -fuzztime 10s ./internal/stats
 echo "== go test -bench 'CosineTile|SimilarityBlocked' -benchtime 1x ./internal/stats ./internal/similarity"
 go test -run xxx -bench 'CosineTile|SimilarityBlocked' -benchtime 1x ./internal/stats ./internal/similarity
+
+# The pruned similarity scan's bound on arbitrary rows: mixed signs and
+# cancellation, magnitudes from 1e-310 to 1e300, NaN, ±Inf, zero, and
+# lengths that leave a tail shorter than a segment. Every pair's exact
+# score must be at most its bound plus the margin, or one of its rows
+# must be one the scan never skips.
+echo "== go test -fuzz FuzzBoundHoldsOrNeverSkips -fuzztime 10s ./internal/similarity (score <= bound + margin)"
+go test -run '^$' -fuzz 'FuzzBoundHoldsOrNeverSkips' -fuzztime 10s ./internal/similarity
 
 # The similarity drain against the reference: drawn consumer counts, row
 # lengths, partition cuts (or interleaved partitions), hints that are
