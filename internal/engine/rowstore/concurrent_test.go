@@ -330,9 +330,11 @@ func TestFailedFetchLeavesPoolIntact(t *testing.T) {
 
 // TestBadIndexEntries plants index entries that do not address the
 // household's own tuples: a TID past the end of the file, and a TID of
-// the neighbour's tuple. Extraction must fail with an error, through
-// the cursor and the pipeline alike, and leave the next read of a good
-// household bit-identical.
+// the neighbour's tuple, in place of the household's last entry (an
+// entry past its last would lie beyond the published prefix, which a
+// row read ends at without fetching the entry's page). Extraction must
+// fail with an error, through the cursor and the pipeline alike, and
+// leave the next read of a good household bit-identical.
 func TestBadIndexEntries(t *testing.T) {
 	src, ds := writeExact(t, 3, 10)
 	victim, neighbour := ds.Series[0], ds.Series[1]
@@ -344,13 +346,13 @@ func TestBadIndexEntries(t *testing.T) {
 				if _, err := e.Load(src); err != nil {
 					t.Fatal(err)
 				}
-				// One entry past the household's last: every read of the
-				// household walks onto it.
+				// The household's last entry: every read of the household
+				// walks onto it.
 				last, _, err := e.table.maxSeq(victim.ID)
 				if err != nil {
 					t.Fatal(err)
 				}
-				bad := key{ID: uint64(victim.ID), Seq: last + 1}
+				bad := key{ID: uint64(victim.ID), Seq: last}
 				tid := TID{Page: e.pf.nPages + 7}
 				if name == "neighbour" {
 					var ok bool
@@ -358,9 +360,7 @@ func TestBadIndexEntries(t *testing.T) {
 						t.Fatalf("neighbour's first tuple: %v %v", ok, err)
 					}
 				}
-				if err := e.table.index.insert(bad, tid); err != nil {
-					t.Fatal(err)
-				}
+				setEntry(t, e.table.index, bad, tid)
 				_, err = e.readSeriesShared(victim.ID, basePrefix, nil)
 				if err == nil || !strings.HasPrefix(err.Error(), "rowstore:") {
 					t.Fatalf("reading through a %s index entry: err = %v, want a rowstore error", name, err)
@@ -386,6 +386,24 @@ func TestBadIndexEntries(t *testing.T) {
 			})
 		}
 	}
+}
+
+// setEntry points the index entry k, which must exist, at tid.
+func setEntry(t *testing.T, bt *btree, k key, tid TID) {
+	t.Helper()
+	page, i, err := bt.seekLeaf(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := bt.bp.fetch(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bt.bp.unpin(fr, true)
+	if n := int(nodeCount(fr.data[:])); i >= n || leafKey(fr.data[:], i) != k {
+		t.Fatalf("no index entry (%d, %d)", k.ID, k.Seq)
+	}
+	leafSet(fr.data[:], i, k, tid)
 }
 
 // TestTornDownCursorsReportNotLoaded: a cursor that outlives its

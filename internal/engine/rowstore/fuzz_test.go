@@ -48,6 +48,10 @@ func FuzzRowstoreFile(f *testing.F) {
 		f.Add(arrays, uint32(36), []byte{0xff, 0xff, 0xff, 0xff})
 		f.Add(arrays, uint32(40), []byte{0xff, 0xff, 0xff, 0xff})
 		f.Add(arrays, uint32(40), []byte{0, 0, 0, 0x80})
+		// In the row layout, the top byte of household 1's hour-2 tuple's
+		// hour: 0xff000002 is negative as a 32-bit int and past the series
+		// as a 64-bit one.
+		f.Add(arrays, uint32(16311), []byte{0xff})
 		// On every page: the heap slot count and the node count at their
 		// maximum; the node's next leaf and the heap page's next page
 		// pointing back at the page itself; an empty leaf whose next leaf

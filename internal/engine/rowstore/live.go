@@ -145,9 +145,13 @@ func (e *Engine) committedLen(id timeseries.ID) (hours int, nextSeq uint64, err 
 	if err != nil || !found {
 		return 0, 0, err
 	}
+	// The length sizes the live temperature column, so it is checked
+	// against the file while it is still a uint64: each stored reading
+	// takes at least 16 bytes of the file in either layout.
+	var end uint64
 	switch e.table.layout {
 	case LayoutRows:
-		return int(lastK.Seq) + 1, lastK.Seq + 1, nil
+		end = lastK.Seq + 1
 	case LayoutArrays:
 		t, err := e.table.heap.get(lastT)
 		if err != nil {
@@ -157,10 +161,14 @@ func (e *Engine) committedLen(id timeseries.ID) (hours int, nextSeq uint64, err 
 		if err != nil {
 			return 0, 0, err
 		}
-		return start + count, lastK.Seq + 1, nil
+		end = start + count
 	default:
 		return 0, 0, fmt.Errorf("rowstore: unknown layout %v", e.table.layout)
 	}
+	if size := uint64(e.pf.sizeBytes()); end == 0 || end > size/16 {
+		return 0, 0, fmt.Errorf("rowstore: household %d's %d hours exceed what a %d-byte file holds", id, end, size)
+	}
+	return int(end), lastK.Seq + 1, nil
 }
 
 // Append implements core.Appender. The batch is applied under the

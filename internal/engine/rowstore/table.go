@@ -53,18 +53,6 @@ func encodeRowTuple(buf []byte, id timeseries.ID, hour int, temp, cons float64) 
 	return append(buf, tmp[:]...)
 }
 
-// decodeRowTuple decodes a reading row.
-func decodeRowTuple(t []byte) (id timeseries.ID, hour int, temp, cons float64, err error) {
-	if len(t) != rowTupleSize {
-		return 0, 0, 0, 0, fmt.Errorf("rowstore: row tuple of %d bytes", len(t))
-	}
-	id = timeseries.ID(getU64(t, 0))
-	hour = int(getU32(t, 8))
-	temp = math.Float64frombits(getU64(t, 12))
-	cons = math.Float64frombits(getU64(t, 20))
-	return id, hour, temp, cons, nil
-}
-
 // encodeArrayChunk encodes one LayoutArrays chunk tuple:
 // household(8) startHour(4) count(4) cons[count] temp[count].
 func encodeArrayChunk(buf []byte, id timeseries.ID, startHour int, cons, temp []float64) ([]byte, error) {
@@ -85,29 +73,6 @@ func encodeArrayChunk(buf []byte, id timeseries.ID, startHour int, cons, temp []
 		putU64(buf, 16+(n+i)*8, math.Float64bits(temp[i]))
 	}
 	return buf, nil
-}
-
-// decodeArrayChunk decodes a chunk tuple into cons and, when temp is
-// non-nil, temp at the encoded start hour (the slices must already be
-// sized).
-func decodeArrayChunk(t []byte, cons, temp []float64) error {
-	_, start, n, err := chunkBounds(t)
-	if err != nil {
-		return err
-	}
-	if len(t) != 16+n*16 {
-		return fmt.Errorf("rowstore: chunk tuple size %d, want %d", len(t), 16+n*16)
-	}
-	if start+n > len(cons) || (temp != nil && start+n > len(temp)) {
-		return fmt.Errorf("rowstore: chunk [%d, %d) outside series of %d", start, start+n, len(cons))
-	}
-	for i := 0; i < n; i++ {
-		cons[start+i] = math.Float64frombits(getU64(t, 16+i*8))
-	}
-	for i := 0; temp != nil && i < n; i++ {
-		temp[start+i] = math.Float64frombits(getU64(t, 16+(n+i)*8))
-	}
-	return nil
 }
 
 // table is a stored relation: a heap file plus a B+tree on the
@@ -245,25 +210,30 @@ func (tb *table) setSeriesLen(n int) { tb.seriesLen = n }
 
 // readSeriesInto is the one read path: it walks one household's leaf
 // entries and decodes each tuple straight out of its pinned heap frame
-// into cons (the first len(cons) hours) and, when temp is non-nil, the
-// temperature column beside it. Consecutive TIDs mostly share a heap
-// page, so the page of the previous TID stays pinned until the TID's
-// page changes: one pool lookup per heap page, no copy and no
-// allocation per tuple. It reads the published prefix or a snapshot's
-// captured length alike: tuples at or beyond hour len(cons) end the
-// scan, because the index orders a household's tuples by sequence. It
-// writes only the hours that are stored. Given a cursor's ring, it reads
-// the leaf chain and the heap through it; the descent keeps the pool.
-// Callers hold the table latch, shared or exclusive.
+// into cons (the first len(cons) hours) and, when temp is non-nil (of
+// cons' length), the temperature column beside it. Consecutive TIDs
+// mostly share a heap page, so the page of the previous TID stays pinned
+// until the TID's page changes: one pool lookup per heap page, no copy
+// and no allocation per tuple; a row tuple's run of entries on that page
+// decodes in one loop (decodeRowRun). It reads the published prefix or a
+// snapshot's captured length alike: an entry at or beyond hour len(cons)
+// ends the scan, because the index orders a household's tuples by
+// sequence, and a row entry's sequence is its hour, so such an entry's
+// page is never fetched. It writes only the hours that are stored. Given
+// a cursor's ring, it reads the leaf chain and the heap through it; the
+// descent keeps the pool. Callers hold the table latch, shared or
+// exclusive.
 func (tb *table) readSeriesInto(rg *pageRing, id timeseries.ID, cons, temp []float64) error {
 	bp := tb.heap.bp
 	fetch := bp.fetch
 	if rg != nil {
 		fetch = rg.fetch
 	}
+	rows := tb.layout == LayoutRows
 	page, i, err := tb.index.seekLeaf(key{ID: uint64(id)})
 	var hp *frame // heap page of the previous TID
 	found, done := false, false
+	hours := 0 // the next array chunk's start
 	for step := 1; err == nil && !done && page != InvalidPage; step++ {
 		var lf *frame
 		lf, err = fetch(page)
@@ -273,9 +243,14 @@ func (tb *table) readSeriesInto(rg *pageRing, id timeseries.ID, cons, temp []flo
 		leaf := lf.data[:]
 		var n int
 		n, err = leafEntries(leaf, step, bp.pf.nPages)
-		for ; i < n && err == nil && !done; i++ {
+		for i < n && err == nil && !done {
 			k, tid := leafKey(leaf, i), leafVal(leaf, i)
 			if k.ID != uint64(id) {
+				done = true
+				break
+			}
+			found = true
+			if rows && k.Seq >= uint64(len(cons)) {
 				done = true
 				break
 			}
@@ -288,8 +263,12 @@ func (tb *table) readSeriesInto(rg *pageRing, id timeseries.ID, cons, temp []flo
 					break
 				}
 			}
-			found = true
-			done, err = tb.decodeTuple(hp.data[:], k, tid, cons, temp)
+			if rows {
+				i, done, err = decodeRowRun(leaf[:btreeHeaderSize+n*btreeLeafEntry], i, hp, cons, temp)
+			} else {
+				hours, done, err = decodeChunk(hp.data[:], k, tid, hours, cons, temp)
+				i++
+			}
 		}
 		page, i = leafNext(leaf), 0
 		bp.unpin(lf, false)
@@ -303,64 +282,101 @@ func (tb *table) readSeriesInto(rg *pageRing, id timeseries.ID, cons, temp []flo
 	return err
 }
 
-// decodeTuple decodes the tuple at tid, a view into its pinned heap
-// page, into cons/temp, checking that it belongs to the household the
-// index entry k names. done reports a tuple at or beyond hour
-// len(cons). An array chunk straddling that hour is an invariant breach
-// — chunks never span an append batch, and prefixes are only ever cut at
-// batch boundaries.
-func (tb *table) decodeTuple(page []byte, k key, tid TID, cons, temp []float64) (done bool, err error) {
-	t, err := heapPageTuple(page, tid.Slot)
-	if err != nil {
-		return false, err
-	}
-	n := len(cons)
-	switch tb.layout {
-	case LayoutRows:
-		owner, hour, tv, cv, err := decodeRowTuple(t)
-		if err != nil || uint64(owner) != k.ID {
-			return false, tupleErr(err, k, tid, owner)
+// decodeRowRun decodes the row tuples that leaf entries i, i+1, ...
+// address on the pinned heap page hp, into cons/temp, and returns the
+// index of the first entry it did not decode: the leaf's end, or an
+// entry whose TID lies on another page. done reports an entry of
+// another household or at or beyond hour len(cons), which ends the
+// household's scan. Every entry is checked against the page it reads:
+// its slot is one of the page's, the slot's tuple lies inside the page
+// and is a row tuple, and the tuple's household and hour are the
+// entry's key. The hour is compared as the uint64 the key holds, so a
+// stored hour never indexes cons unchecked, at any int width.
+func decodeRowRun(leaf []byte, i int, hp *frame, cons, temp []float64) (next int, done bool, err error) {
+	page := hp.data[:]
+	count := heapPageSlotCount(page)
+	fit := min(count, (PageSize-heapHeaderSize)/slotSize) // slots whose entries lie inside the page
+	id := leafKey(leaf, i).ID
+	for off := btreeHeaderSize + i*btreeLeafEntry; off < len(leaf); off, i = off+btreeLeafEntry, i+1 {
+		e := leaf[off : off+btreeLeafEntry]
+		k, tid := getKey(e, 0), getTID(e, btreeKeySize)
+		if k.ID != id || k.Seq >= uint64(len(cons)) {
+			return i, true, nil
 		}
-		if hour >= n {
-			return true, nil
+		if tid.Page != hp.id {
+			return i, false, nil
 		}
-		cons[hour] = cv
+		if tid.Slot >= fit {
+			return i, false, fmt.Errorf("rowstore: slot %d of %d on page %d", tid.Slot, count, hp.id)
+		}
+		slot := page[heapHeaderSize+int(tid.Slot)*slotSize:][:slotSize]
+		at, length := int(getU16(slot, 0)), int(getU16(slot, 2))
+		if at+length > PageSize {
+			return i, false, fmt.Errorf("rowstore: corrupt slot %d", tid.Slot)
+		}
+		if length != rowTupleSize {
+			return i, false, fmt.Errorf("rowstore: row tuple of %d bytes", length)
+		}
+		t := page[at : at+rowTupleSize]
+		if owner, hour := getU64(t, 0), uint64(getU32(t, 8)); owner != id || hour != k.Seq {
+			return i, false, fmt.Errorf("rowstore: index entry (%d, %d) points at tuple (%d, %d) of household %d, hour %d",
+				k.ID, k.Seq, tid.Page, tid.Slot, owner, hour)
+		}
+		cons[k.Seq] = math.Float64frombits(getU64(t, 20))
 		if temp != nil {
-			temp[hour] = tv
+			temp[k.Seq] = math.Float64frombits(getU64(t, 12))
 		}
-	case LayoutArrays:
-		owner, start, count, err := chunkBounds(t)
-		if err != nil || uint64(owner) != k.ID {
-			return false, tupleErr(err, k, tid, owner)
-		}
-		if start >= n {
-			return true, nil
-		}
-		if start+count > n {
-			return false, fmt.Errorf("rowstore: prefix of %d hours cuts chunk [%d, %d)", n, start, start+count)
-		}
-		return false, decodeArrayChunk(t, cons, temp)
 	}
-	return false, nil
+	return i, false, nil
 }
 
-// tupleErr is a tuple's decode error or, without one, the error for an
-// index entry whose TID addresses another household's tuple.
-func tupleErr(err error, k key, tid TID, owner timeseries.ID) error {
+// decodeChunk decodes the array chunk at tid, a view into its pinned heap
+// page, into cons/temp, checking that it belongs to the household the
+// index entry k names and that it starts at hours, where the previous
+// chunk ended; it returns where this one ends. done reports a chunk at
+// hour len(cons). A chunk straddling that hour is an invariant breach —
+// chunks never span an append batch, and prefixes are only ever cut at
+// batch boundaries. The stored start and count are compared as uint64
+// before either becomes an int.
+func decodeChunk(page []byte, k key, tid TID, hours int, cons, temp []float64) (end int, done bool, err error) {
+	t, err := heapPageTuple(page, tid.Slot)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
-	return fmt.Errorf("rowstore: index entry (%d, %d) points at tuple (%d, %d) of household %d",
-		k.ID, k.Seq, tid.Page, tid.Slot, owner)
+	owner, start, count, err := chunkBounds(t)
+	switch {
+	case err != nil:
+		return 0, false, err
+	case owner != k.ID:
+		return 0, false, fmt.Errorf("rowstore: index entry (%d, %d) points at tuple (%d, %d) of household %d",
+			k.ID, k.Seq, tid.Page, tid.Slot, owner)
+	case start != uint64(hours):
+		return 0, false, fmt.Errorf("rowstore: chunk at hour %d, want %d", start, hours)
+	case start == uint64(len(cons)):
+		return hours, true, nil
+	case uint64(len(t)) != 16+count*16:
+		return 0, false, fmt.Errorf("rowstore: chunk tuple size %d, want %d", len(t), 16+count*16)
+	case start+count > uint64(len(cons)):
+		return 0, false, fmt.Errorf("rowstore: prefix of %d hours cuts chunk [%d, %d)", len(cons), start, start+count)
+	}
+	n := int(count)
+	for i := 0; i < n; i++ {
+		cons[hours+i] = math.Float64frombits(getU64(t, 16+i*8))
+	}
+	for i := 0; temp != nil && i < n; i++ {
+		temp[hours+i] = math.Float64frombits(getU64(t, 16+(n+i)*8))
+	}
+	return hours + n, false, nil
 }
 
 // chunkBounds decodes the household and the [start, start+count) hour
-// range from a LayoutArrays chunk tuple header.
-func chunkBounds(t []byte) (id timeseries.ID, start, count int, err error) {
+// range from a LayoutArrays chunk tuple header. They stay uint64 until
+// a caller has checked them against a length.
+func chunkBounds(t []byte) (id, start, count uint64, err error) {
 	if len(t) < 16 {
 		return 0, 0, 0, fmt.Errorf("rowstore: chunk tuple of %d bytes", len(t))
 	}
-	return timeseries.ID(getU64(t, 0)), int(getU32(t, 8)), int(getU32(t, 12)), nil
+	return getU64(t, 0), uint64(getU32(t, 8)), uint64(getU32(t, 12)), nil
 }
 
 // distinctIDs returns every stored household ID in ascending order by

@@ -4,7 +4,8 @@
 # race detector and again as 32-bit binaries, the fuzz smokes (the value codec, the segment-file
 # reader, the row store's table file, the text parsers, write-ahead-log
 # replay, the PAR kernel, the similarity kernel, the similarity scan's
-# bound and the similarity drain) and the kernels'
+# bound and the similarity drain; the four hostile-file ones again as
+# 32-bit binaries) and the kernels'
 # benchmark smokes, then the benchmark module's own vet and tests. CI
 # runs exactly this script; run it locally before sending a PR.
 set -euo pipefail
@@ -106,6 +107,20 @@ go test -run '^$' -fuzz 'FuzzReadingRows' -fuzztime 10s -fuzzminimizetime 1s ./i
 # batches.
 echo "== go test -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal (hostile log files)"
 go test -run '^$' -fuzz 'FuzzWALReplay' -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
+
+# The four hostile-file targets again as 32-bit binaries, where a stored
+# u32 or u64 that becomes an int before it is compared can turn
+# negative (a row tuple's hour once indexed a row at -16777214). The
+# toolchain instruments coverage for fuzzing on amd64 and arm64 only, so
+# at 386 these smokes mutate the seeds without coverage guidance: they
+# catch what random mutation of the seeds reaches, not what guided
+# search would.
+for target in 'FuzzSegmentFile ./internal/engine/colstore' 'FuzzRowstoreFile ./internal/engine/rowstore' \
+	'FuzzReadingRows ./internal/meterdata' 'FuzzWALReplay ./internal/wal'; do
+	set -- $target
+	echo "== GOARCH=386 go test -fuzz $1 -fuzztime 10s $2 (32-bit, unguided)"
+	GOARCH=386 go test -run '^$' -fuzz "$1" -fuzztime 10s -fuzzminimizetime 1s "$2"
+done
 
 # The planned PAR kernel against the textbook one it replaced: a short
 # coverage-guided pass beyond the property test's draws (bit for bit, no
