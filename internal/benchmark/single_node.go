@@ -395,7 +395,8 @@ func Fig9(opts Options) (*Report, error) {
 		Columns: []string{"task", "row layout", "array layout", "speedup"},
 		Notes: []string{
 			"expected shape: arrays faster on every task (paper: 1.1-1.7x)",
-			"a consumer spans 19 chunk pages in the array layout, 35 heap + ~29 leaf pages in the row layout",
+			"a consumer spans 19 chunk pages in the array layout, 35 heap pages in the row layout;",
+			"either read descends to one leaf and walks the heap run (the row layout's other ~29 leaves go unread)",
 		},
 	}
 	rows := rowstore.New(filepath.Join(opts.WorkDir, "fig9-rows"), rowstore.WithLayout(rowstore.LayoutRows))

@@ -2,6 +2,7 @@ package rowstore
 
 import (
 	"fmt"
+	"math"
 )
 
 // B+tree keyed by a composite (household id, sequence) pair, mapping to
@@ -421,13 +422,21 @@ func (t *btree) scanRange(lo, hi key, fn func(k key, v TID) error) error {
 	return nil
 }
 
+// first returns the first entry whose key is at least k; found is false
+// when every key is smaller.
+func (t *btree) first(k key) (got key, tid TID, found bool, err error) {
+	err = t.scanRange(k, key{ID: math.MaxUint64, Seq: math.MaxUint64}, func(e key, v TID) error {
+		got, tid, found = e, v, true
+		return errStopScan
+	})
+	if err == errStopScan {
+		err = nil
+	}
+	return got, tid, found, err
+}
+
 // get returns the TID for an exact key.
 func (t *btree) get(k key) (TID, bool, error) {
-	var out TID
-	found := false
-	err := t.scanRange(k, key{ID: k.ID, Seq: k.Seq + 1}, func(_ key, v TID) error {
-		out, found = v, true
-		return nil
-	})
-	return out, found, err
+	got, tid, found, err := t.first(k)
+	return tid, found && got == k, err
 }

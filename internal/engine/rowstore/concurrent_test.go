@@ -330,62 +330,124 @@ func TestFailedFetchLeavesPoolIntact(t *testing.T) {
 
 // TestBadIndexEntries plants index entries that do not address the
 // household's own tuples: a TID past the end of the file, and a TID of
-// the neighbour's tuple, in place of the household's last entry (an
-// entry past its last would lie beyond the published prefix, which a
-// row read ends at without fetching the entry's page). Extraction must
-// fail with an error, through the cursor and the pipeline alike, and
-// leave the next read of a good household bit-identical.
+// the neighbour's first tuple. A read consults two of a household's
+// entries at most: its first, where the heap walk starts, and the first
+// past the walk's break, where the index phase takes over. A bad entry
+// in either place must fail extraction with a rowstore error that names
+// the entry's key, through the cursor and the pipeline alike, and leave
+// the next read of a good household bit-identical. The break here is an
+// AppendDelta: the delta's tuples follow every loaded household's. A bad
+// entry inside a clustered run is never read: the household reads
+// bit-identical, through the cursor and the pipeline.
 func TestBadIndexEntries(t *testing.T) {
-	src, ds := writeExact(t, 3, 10)
+	src, ds := writeExact(t, 3, 60)
 	victim, neighbour := ds.Series[0], ds.Series[1]
 	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
-		for _, name := range []string{"stale", "neighbour"} {
-			t.Run(fmt.Sprintf("%v/%s", layout, name), func(t *testing.T) {
-				e := New(t.TempDir(), WithLayout(layout))
-				defer e.Close()
-				if _, err := e.Load(src); err != nil {
-					t.Fatal(err)
-				}
-				// The household's last entry: every read of the household
-				// walks onto it.
-				last, _, err := e.table.maxSeq(victim.ID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bad := key{ID: uint64(victim.ID), Seq: last}
-				tid := TID{Page: e.pf.nPages + 7}
-				if name == "neighbour" {
-					var ok bool
-					if tid, ok, err = e.table.index.get(key{ID: uint64(neighbour.ID)}); err != nil || !ok {
-						t.Fatalf("neighbour's first tuple: %v %v", ok, err)
+		for _, where := range []string{"first", "past break", "inside run"} {
+			for _, name := range []string{"stale", "neighbour"} {
+				t.Run(fmt.Sprintf("%v/%s/%s", layout, where, name), func(t *testing.T) {
+					e := New(t.TempDir(), WithLayout(layout))
+					defer e.Close()
+					if _, err := e.Load(src); err != nil {
+						t.Fatal(err)
 					}
-				}
-				setEntry(t, e.table.index, bad, tid)
-				_, err = e.readSeriesShared(victim.ID, basePrefix, nil)
-				if err == nil || !strings.HasPrefix(err.Error(), "rowstore:") {
-					t.Fatalf("reading through a %s index entry: err = %v, want a rowstore error", name, err)
-				}
-				if name == "neighbour" && !strings.Contains(err.Error(), fmt.Sprintf("(%d, %d)", bad.ID, bad.Seq)) {
-					t.Errorf("error %q does not name the index key", err)
-				}
-				for _, policy := range []core.FailPolicy{core.FailFast, core.Quarantine} {
-					res, err := e.Run(core.Spec{Task: core.TaskHistogram, FailPolicy: policy})
-					if err == nil {
+					ref := ds
+					bad := key{ID: uint64(victim.ID)}
+					switch where {
+					case "past break":
+						last, _, err := e.table.maxSeq(victim.ID)
+						if err != nil {
+							t.Fatal(err)
+						}
+						bad.Seq = last + 1
+						delta := deltaFor(t, ds, 1)
+						if err := e.AppendDelta(delta); err != nil {
+							t.Fatal(err)
+						}
+						ref = appended(ds, delta)
+					case "inside run":
+						bad.Seq = 1
+					}
+					tid := TID{Page: e.pf.nPages + 7}
+					if name == "neighbour" {
+						tid = tidOf(t, e.table, key{ID: uint64(neighbour.ID)})
+					}
+					setEntry(t, e.table.index, bad, tid)
+					if err := e.Release(); err != nil {
+						t.Fatal(err)
+					}
+					spec := core.Spec{Task: core.TaskHistogram}
+					if where == "inside run" {
+						cur, err := e.NewCursor()
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameSeries(t, drainAll(t, cur), ref.Series)
+						got, err := e.Run(spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := core.RunReference(ref, spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						compareResults(t, got, want)
+						return
+					}
+					named := func(what string, err error) {
+						t.Helper()
+						if err == nil || !strings.HasPrefix(err.Error(), "rowstore:") {
+							t.Fatalf("%s through a %s index entry: err = %v, want a rowstore error", what, name, err)
+						}
+						if !strings.Contains(err.Error(), fmt.Sprintf("(%d, %d)", bad.ID, bad.Seq)) {
+							t.Errorf("%s: error %q does not name the index key", what, err)
+						}
+					}
+					cur, err := e.NewCursor()
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer cur.Close()
+					_, err = cur.Next() // the victim is the first household
+					named("cursor", err)
+					for _, policy := range []core.FailPolicy{core.FailFast, core.Quarantine} {
+						res, err := e.Run(core.Spec{Task: core.TaskHistogram, FailPolicy: policy})
+						if err != nil {
+							named(fmt.Sprintf("pipeline, %v", policy), err)
+							continue
+						}
 						for _, h := range res.Histograms {
 							if h.ID == victim.ID {
 								t.Errorf("%v: household %d got a histogram out of a bad index entry", policy, victim.ID)
 							}
 						}
+						for _, f := range res.Failed {
+							named(fmt.Sprintf("pipeline, %v", policy), f.Err)
+						}
 					}
-				}
-				got, err := e.readSeriesShared(neighbour.ID, basePrefix, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameSeries(t, []*timeseries.Series{got}, []*timeseries.Series{neighbour})
-			})
+					got, err := e.readSeriesShared(neighbour.ID, basePrefix, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameSeries(t, []*timeseries.Series{got}, ref.Series[1:2])
+				})
+			}
 		}
 	}
+}
+
+// appended is ds with delta's hours after each household's own.
+func appended(ds, delta *timeseries.Dataset) *timeseries.Dataset {
+	out := &timeseries.Dataset{Temperature: &timeseries.Temperature{
+		Values: append(append([]float64(nil), ds.Temperature.Values...), delta.Temperature.Values...),
+	}}
+	for i, s := range ds.Series {
+		out.Series = append(out.Series, &timeseries.Series{
+			ID:       s.ID,
+			Readings: append(append([]float64(nil), s.Readings...), delta.Series[i].Readings...),
+		})
+	}
+	return out
 }
 
 // setEntry points the index entry k, which must exist, at tid.

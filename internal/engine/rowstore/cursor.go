@@ -41,12 +41,13 @@ func (rd *reader) release(e *Engine) {
 	rd.ring = nil
 }
 
-// scanCursor extracts one consumer per Next with an index scan through
-// the buffer pool — the engine's native cold path. Every read goes
-// through readSeriesShared, which holds the table latch shared for one
-// consumer: a single cursor is one connection, and partition cursors
-// (rangeCursor) run their index scans side by side through the same
-// pool the way concurrent connections share shared_buffers.
+// scanCursor extracts one consumer per Next — a descent of the index,
+// then a walk along the household's run of heap pages — the engine's
+// native cold path. Every read goes through readSeriesShared, which
+// holds the table latch shared for one consumer: a single cursor is one
+// connection, and partition cursors (rangeCursor) run their reads side
+// by side through the same pool the way concurrent connections share
+// shared_buffers.
 type scanCursor struct {
 	reader
 	e      *Engine
@@ -90,9 +91,9 @@ func (c *scanCursor) SizeHint() (int, bool) { return len(c.e.ids), true }
 
 // rangeCursor is one partition of the heap: the households whose rank in
 // the sorted ID list falls into [lo, hi). Tuples are bulk-loaded in
-// ascending household order, so a contiguous ID range is a contiguous
-// heap-page range — partition cursors mostly touch disjoint pages and
-// meet only in the pool's short mutex, once per read.
+// ascending household order, one run per household, so a contiguous ID
+// range is a contiguous heap-page range — partition cursors mostly touch
+// disjoint pages and meet only in the pool's short mutex, once per read.
 type rangeCursor struct {
 	reader
 	e      *Engine

@@ -17,9 +17,10 @@ import (
 
 // DefaultPoolPages is the default buffer pool capacity (3072 pages =
 // 24 MiB, echoing the paper's shared_buffers=3072MB scaled to bench
-// size). Frames are made as pages are first read. A cursor's scan reads
-// through its own 256 KiB ring instead, so the pool holds only what
-// descents from the root, writers, Temperature and Warm touch.
+// size). Frames are made as pages are first read. A cursor's heap walk
+// and leaf-chain scan read through its own 256 KiB ring instead, so the
+// pool holds only what descents from the root, writers, Temperature and
+// Warm touch.
 const DefaultPoolPages = 3072
 
 // Engine is the PostgreSQL/MADLib analogue.
@@ -143,8 +144,11 @@ func (e *Engine) Capabilities() core.Capabilities {
 }
 
 // Load implements core.Engine: it bulk-loads the CSV source into heap
-// pages and builds the household B+tree, tuple by tuple — the cost
-// profile behind the paper's Figure 4 MADLib bars.
+// pages, a household's tuples after the last's, and then builds the
+// household B+tree from one scan of the heap, tuple by tuple, as
+// PostgreSQL's COPY followed by CREATE INDEX does — the cost profile
+// behind the paper's Figure 4 MADLib bars. The heap is one run of pages
+// clustered on household, with the index after it.
 func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 	if err := e.closeStorage(); err != nil {
 		return nil, err
@@ -174,12 +178,7 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 		_ = pf.close()
 		return nil, err
 	}
-	idx, err := newBTree(bp)
-	if err != nil {
-		_ = pf.close()
-		return nil, err
-	}
-	tb := &table{layout: e.layout, heap: heap, index: idx}
+	tb := &table{layout: e.layout, heap: heap}
 
 	// The source may be one big CSV or many small files; bulk loading
 	// one big file is faster for the DBMS (paper §5.3.1), a difference
@@ -197,13 +196,17 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 		}
 		readings += int64(len(s.Readings))
 	}
+	if err := tb.buildIndex(); err != nil {
+		_ = pf.close()
+		return nil, err
+	}
 	if err := writeMeta(bp, metaPage{
 		layout:    tb.layout,
 		heapFirst: heap.first,
 		heapLast:  heap.last,
 		tuples:    heap.tuples,
-		root:      idx.root,
-		height:    idx.height,
+		root:      tb.index.root,
+		height:    tb.index.height,
 		seriesLen: tb.seriesLen,
 		consumers: tb.consumers,
 	}); err != nil {
@@ -377,9 +380,9 @@ func (e *Engine) materialize() (*timeseries.Dataset, error) {
 }
 
 // Run implements core.Engine by handing the engine's cursor to the
-// shared execution pipeline. Cold runs extract each consumer with an
-// index scan, a heap page at a time; warm runs reuse the in-memory
-// arrays built by Warm.
+// shared execution pipeline. Cold runs extract each consumer with a
+// descent of the index and a walk along its run of heap pages, a heap
+// page at a time; warm runs reuse the in-memory arrays built by Warm.
 func (e *Engine) Run(spec core.Spec) (*core.Results, error) {
 	return e.RunContext(context.Background(), spec)
 }
@@ -394,7 +397,7 @@ func (e *Engine) RunContext(ctx context.Context, spec core.Spec) (*core.Results,
 }
 
 // NewCursor implements core.Engine: in-memory arrays after Warm,
-// otherwise one index-scan cursor through the buffer pool.
+// otherwise one cursor that reads the stored pages (readSeriesInto).
 func (e *Engine) NewCursor() (core.Cursor, error) {
 	if e.table == nil {
 		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
@@ -407,12 +410,12 @@ func (e *Engine) NewCursor() (core.Cursor, error) {
 
 // NewCursors implements core.PartitionedSource: contiguous household
 // ranges of the sorted ID list, which are contiguous heap-page ranges
-// because Load inserts tuples in household order. The range cursors
-// read concurrently through readSeriesShared, each holding the table
-// latch shared and at most two pins on pool frames (a leaf and a heap
-// page; what it reads through its own ring is outside the pool), so
-// the pool caps how many are handed out: a parallel run must not
-// exhaust a pool the serial run fits in.
+// because Load stores each household's tuples as one run, in household
+// order. The range cursors read concurrently through readSeriesShared,
+// each holding the table latch shared and at most two pins on pool
+// frames (a leaf and a heap page; what it reads through its own ring is
+// outside the pool), so the pool caps how many are handed out: a
+// parallel run must not exhaust a pool the serial run fits in.
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("rowstore: NewCursors: max must be >= 1, got %d", max)
@@ -447,8 +450,8 @@ var _ core.PartitionedSource = (*Engine)(nil)
 const basePrefix = -1
 
 // readSeriesShared is the one extraction path every cursor uses: it
-// holds the table latch shared across one consumer's index scan and
-// tuple decode. A base read (upTo == basePrefix) returns the published
+// holds the table latch shared across one consumer's read, its descents,
+// heap walk and tuple decode (readSeriesInto). A base read (upTo == basePrefix) returns the published
 // prefix — live-appended tuples beyond it (see live.go) are invisible
 // until a bulk AppendDelta publishes a new length; a reopen does not —
 // and decodes the temperature column alongside while the engine has

@@ -9,17 +9,27 @@ import (
 
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/sched"
+	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
-// FuzzRowstoreFile overwrites bytes of a loaded table file, in either
-// layout, with arbitrary input at an arbitrary offset, then reopens the
-// store, whose cursors read it through their rings, and runs the
-// histogram task under FailFast and Quarantine. Each
-// step must return data or an error: nothing may panic, whether on the
-// caller's goroutine or inside a worker that recovers the panic into an
-// error.
+// FuzzRowstoreFile overwrites bytes of a table file, in either layout,
+// with arbitrary input at an arbitrary offset, then reopens the store,
+// whose cursors read it through their rings, runs the histogram task
+// under FailFast and Quarantine and drains a snapshot. The table holds
+// three households of twelve days, each a run of several heap pages in
+// the row layout, and a day of live hours, a batch per hour, written
+// back at Close, which interleaves the households at the tail of the
+// heap: a snapshot walks each household's loaded run and breaks into
+// the index for its live hours. Each step must return data or an error:
+// nothing may panic, whether on the caller's goroutine or inside a
+// worker that recovers the panic into an error.
 func FuzzRowstoreFile(f *testing.F) {
-	src, _ := writeSource(f, 3, 4)
+	src, ds := writeSource(f, 3, 12)
+	ids := make([]timeseries.ID, len(ds.Series))
+	for i, s := range ds.Series {
+		ids[i] = s.ID
+	}
+	baseN := len(ds.Temperature.Values)
 	images := map[bool][]byte{}
 	for _, arrays := range []bool{false, true} {
 		layout := LayoutRows
@@ -31,6 +41,32 @@ func FuzzRowstoreFile(f *testing.F) {
 		if _, err := e.Load(src); err != nil {
 			f.Fatal(err)
 		}
+		for h := baseN; h < baseN+24; h++ {
+			if err := e.Append(hourBatch(ids, h)); err != nil {
+				f.Fatal(err)
+			}
+		}
+		// The field the hour seed below overwrites: the row layout's
+		// hour-2 tuple of the first household, or the array layout's
+		// second chunk of it, which holds its first live hour.
+		k := key{ID: uint64(ids[0]), Seq: 2}
+		if arrays {
+			k.Seq = 1
+		}
+		tid, ok, err := e.table.index.get(k)
+		if err != nil || !ok {
+			f.Fatalf("index entry (%d, %d): %v %v", k.ID, k.Seq, ok, err)
+		}
+		fr, err := e.bp.fetch(tid.Page)
+		if err != nil {
+			f.Fatal(err)
+		}
+		field := uint32(tid.Page)*PageSize + uint32(getU16(fr.data[:], heapHeaderSize+int(tid.Slot)*slotSize)) + 8
+		e.bp.unpin(fr, false)
+		root := uint32(e.table.index.root)
+		if last, ok, err := e.table.index.get(key{ID: uint64(ids[0]), Seq: uint64(baseN - 1)}); !arrays && (err != nil || !ok || last.Page == tid.Page) {
+			f.Fatalf("household %d's loaded tuples do not span heap pages: %v %v", ids[0], ok, err)
+		}
 		if err := e.Close(); err != nil {
 			f.Fatal(err)
 		}
@@ -39,6 +75,7 @@ func FuzzRowstoreFile(f *testing.F) {
 			f.Fatal(err)
 		}
 		images[arrays] = img
+		pages := uint32(len(img) / PageSize)
 
 		f.Add(arrays, uint32(0), []byte{})
 		// The meta page's tree height, series length and household count
@@ -48,18 +85,21 @@ func FuzzRowstoreFile(f *testing.F) {
 		f.Add(arrays, uint32(36), []byte{0xff, 0xff, 0xff, 0xff})
 		f.Add(arrays, uint32(40), []byte{0xff, 0xff, 0xff, 0xff})
 		f.Add(arrays, uint32(40), []byte{0, 0, 0, 0x80})
-		// In the row layout, the top byte of household 1's hour-2 tuple's
-		// hour: 0xff000002 is negative as a 32-bit int and past the series
-		// as a 64-bit one.
-		f.Add(arrays, uint32(16311), []byte{0xff})
+		// The top byte of that tuple's hour or that chunk's start:
+		// 0xff000002 is negative as a 32-bit int and past the series as a
+		// 64-bit one. In the row layout the offset is 16311.
+		f.Add(arrays, field+3, []byte{0xff})
 		// On every page: the heap slot count and the node count at their
 		// maximum; the node's next leaf and the heap page's next page
 		// pointing back at the page itself; an empty leaf whose next leaf
 		// is itself; a node's first key at the largest household ID; an
-		// internal node whose first child is itself; and an empty leaf
-		// followed by an internal node with more entries than a leaf holds.
-		for p := 1; p < len(img)/PageSize; p++ {
-			off, self := uint32(p*PageSize), byte(p)
+		// internal node whose first child is itself; an empty leaf
+		// followed by an internal node with more entries than a leaf
+		// holds; and the heap page's next page at the tree's root, at
+		// 0x80000000 and past the end of the file, which a walk along a
+		// household's run follows.
+		for p := uint32(1); p < pages; p++ {
+			off, self := p*PageSize, byte(p)
 			selfChild := make([]byte, internalChildOff+4)
 			selfChild[internalChildOff] = self
 			toInternal := make([]byte, PageSize+4)
@@ -73,6 +113,9 @@ func FuzzRowstoreFile(f *testing.F) {
 			f.Add(arrays, off+4, []byte{self, 0, 0, 0})
 			f.Add(arrays, off+6, []byte{self, 0, 0, 0})
 			f.Add(arrays, off, []byte{1, 0, 0, 0, self, 0, 0, 0})
+			f.Add(arrays, off+6, binary.LittleEndian.AppendUint32(nil, root))
+			f.Add(arrays, off+6, []byte{0, 0, 0, 0x80})
+			f.Add(arrays, off+6, binary.LittleEndian.AppendUint32(nil, pages+1))
 		}
 	}
 
@@ -98,6 +141,16 @@ func FuzzRowstoreFile(f *testing.F) {
 				for _, fail := range res.Failed {
 					noPanic(t, fail.Err)
 				}
+			}
+		}
+		cur, _, err := e.Snapshot()
+		if err != nil {
+			return
+		}
+		defer cur.Close()
+		for {
+			if _, err := cur.Next(); err != nil {
+				return
 			}
 		}
 	})

@@ -7,15 +7,18 @@
 //
 //   - bulk CSV loading is the slowest of the single-node systems
 //     (Figure 4): every reading becomes a slotted tuple behind a buffer
-//     pool, and the index is built per row;
-//   - extracting one consumer's series costs an index scan plus a
-//     decode per tuple out of each pinned heap page (the MADLib overhead
-//     visible in Figure 7);
+//     pool, and the index is then built from the heap, row by row, as
+//     COPY followed by CREATE INDEX does;
+//   - extracting one consumer's series costs a descent of the index and
+//     a decode per tuple out of each pinned heap page (the MADLib
+//     overhead visible in Figure 7). The loaded heap is clustered on
+//     household, so the read walks the household's run of heap pages
+//     and goes back to the index only for hours stored after the load;
 //   - the alternative array layout — one row per consumer with all
 //     readings in an array column (Figure 9's Table 2) — removes most of
 //     that overhead, which §5.3.3 measures as a 1.4-1.7x speedup.
 //
-// A cursor's scan reads the leaf-chain and heap pages it misses through
+// A cursor's scan reads the heap and leaf-chain pages it misses through
 // a 256 KiB ring of its own, 16 pages per read, as PostgreSQL's
 // bulk-read strategy does (ring.go): a one-pass scan neither fills nor
 // flushes the shared pool.

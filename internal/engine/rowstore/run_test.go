@@ -189,12 +189,13 @@ func editTuple(t *testing.T, tb *table, k key, fn func(tuple []byte)) {
 // TestHostileStoredIntegers plants stored integers that do not fit: a
 // row tuple's hour (0xff000002, which is negative as a 32-bit int and
 // past the series as a 64-bit one, and its index key's hour plus one),
-// an array chunk's start and count at 2^31 or more, and a household's
-// last index sequence at 2^31. Each is compared as the uint64 it is
-// stored as before it becomes an int, so each must be refused with a
-// rowstore error at either int width, by extraction — the cursor, the
-// temperature column and the pipeline — or, where it only sizes the
-// live state, by Snapshot.
+// an array chunk's start and count at 2^31 or more, a household's last
+// index sequence at 2^31, an internal node's child and a leaf entry's
+// TID page at 0x80000000. Each is compared as the uint64 or PageID it
+// is stored as before it becomes an int or a page, so each must be
+// refused with a rowstore error at either int width: by extraction —
+// the cursor, the temperature column and the pipeline — or, where only
+// the live state or the open reads it, by Snapshot or Open.
 func TestHostileStoredIntegers(t *testing.T) {
 	src, ds := writeExact(t, 3, 30)
 	id := ds.Series[0].ID
@@ -209,23 +210,41 @@ func TestHostileStoredIntegers(t *testing.T) {
 		}
 	}
 	const at31 = 1 << 31
+	firstTID := func(t *testing.T, tb *table) {
+		setEntry(t, tb.index, key{ID: uint64(id)}, TID{Page: at31})
+	}
+	// Which reader meets the planted value first.
+	const extraction, snapshot, open = "extraction", "Snapshot", "Open"
 	for _, tc := range []struct {
 		name   string
 		layout Layout
 		plant  func(*testing.T, *table)
-		live   bool // only Snapshot reads the planted value
+		reader string
 	}{
-		{"row hour 0xff000002", LayoutRows, putHour(0xff000002), false},
-		{"row hour seq+1", LayoutRows, putHour(3), false},
-		{"chunk start 2^31", LayoutArrays, putChunk(0, 8, at31), false},
-		{"chunk count 2^31", LayoutArrays, putChunk(0, 12, at31), false},
-		{"last chunk start 2^31", LayoutArrays, putChunk(1, 8, at31), true},
-		{"last chunk count 2^31", LayoutArrays, putChunk(1, 12, at31), true},
+		{"row hour 0xff000002", LayoutRows, putHour(0xff000002), extraction},
+		{"row hour seq+1", LayoutRows, putHour(3), extraction},
+		{"chunk start 2^31", LayoutArrays, putChunk(0, 8, at31), extraction},
+		{"chunk count 2^31", LayoutArrays, putChunk(0, 12, at31), extraction},
+		{"last chunk start 2^31", LayoutArrays, putChunk(1, 8, at31), snapshot},
+		{"last chunk count 2^31", LayoutArrays, putChunk(1, 12, at31), snapshot},
 		{"last row seq 2^31", LayoutRows, func(t *testing.T, tb *table) {
 			if err := tb.index.insert(key{ID: uint64(id), Seq: at31}, tidOf(t, tb, key{ID: uint64(id)})); err != nil {
 				t.Fatal(err)
 			}
-		}, true},
+		}, snapshot},
+		{"internal child 2^31", LayoutRows, func(t *testing.T, tb *table) {
+			if tb.index.height < 2 {
+				t.Fatalf("the tree is a lone leaf")
+			}
+			fr, err := tb.index.bp.fetch(tb.index.root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			internalSetChild(fr.data[:], 0, at31)
+			tb.index.bp.unpin(fr, true)
+		}, open},
+		{"row TID page 2^31", LayoutRows, firstTID, extraction},
+		{"chunk TID page 2^31", LayoutArrays, firstTID, extraction},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New(t.TempDir(), WithLayout(tc.layout))
@@ -237,24 +256,29 @@ func TestHostileStoredIntegers(t *testing.T) {
 				t.Fatalf("a household's %d hours fit one chunk", e.table.seriesLen)
 			}
 			tc.plant(t, e.table)
-			// Reopen: the planted bytes are read from the file, and
-			// nothing of the load is cached.
-			if err := e.Open(); err != nil {
-				t.Fatal(err)
-			}
 			refused := func(what string, err error) {
 				t.Helper()
 				if err == nil || !strings.HasPrefix(err.Error(), "rowstore:") {
 					t.Errorf("%s: err = %v, want a rowstore error", what, err)
 				}
 			}
-			if tc.live {
-				_, _, err := e.Snapshot()
-				refused("Snapshot", err)
+			// Reopen: the planted bytes are read from the file, and
+			// nothing of the load is cached.
+			err := e.Open()
+			if tc.reader == open {
+				refused(open, err)
 				return
 			}
-			_, err := e.readSeriesShared(id, basePrefix, nil)
-			refused("extraction", err)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.reader == snapshot {
+				_, _, err := e.Snapshot()
+				refused(snapshot, err)
+				return
+			}
+			_, err = e.readSeriesShared(id, basePrefix, nil)
+			refused(extraction, err)
 			_, err = e.Temperature()
 			refused("Temperature", err)
 			_, err = e.Run(core.Spec{Task: core.TaskHistogram, FailPolicy: core.FailFast})
@@ -264,5 +288,131 @@ func TestHostileStoredIntegers(t *testing.T) {
 			}
 			refused("histogram", err)
 		})
+	}
+}
+
+// editPage hands fn the bytes of page p, to change in place.
+func editPage(t *testing.T, bp *bufferPool, p PageID, fn func(page []byte)) {
+	t.Helper()
+	fr, err := bp.fetch(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bp.unpin(fr, true)
+	fn(fr.data[:])
+}
+
+// TestHostileHeapChain damages the heap under a household's clustered
+// run, which the heap walk reads without its index entries: a page of
+// the run emptied and linked to itself, the run's first page linked to
+// a leaf, to page 0x80000000 or past the end of the file, and a tuple
+// inside the run whose owner or hour (0xff000002) is not the walk's.
+// The walk checks every tuple it decodes and every page it steps to,
+// so each must either be refused with a rowstore error — where the
+// tuples are gone or wrong — or read bit-identical through the index,
+// where only the chain is: by the cursors, the temperature column and
+// the pipeline, at either int width. Nothing may panic, hang or read
+// as zeros.
+func TestHostileHeapChain(t *testing.T) {
+	src, ds := writeExact(t, 3, 30)
+	victim := ds.Series[0]
+	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
+		// The victim's tuples fill several pages; mid is a tuple on a page
+		// after its first: an hour in the row layout, a chunk in the
+		// array layout.
+		mid := key{ID: uint64(victim.ID), Seq: 300}
+		if layout == LayoutArrays {
+			mid.Seq = 1
+		}
+		setNext := func(next func(*table) PageID) func(*testing.T, *table) {
+			return func(t *testing.T, tb *table) {
+				first := tidOf(t, tb, key{ID: uint64(victim.ID)}).Page
+				editPage(t, tb.heap.bp, first, func(p []byte) { heapPageSetNext(p, next(tb)) })
+			}
+		}
+		for _, tc := range []struct {
+			name    string
+			plant   func(*testing.T, *table)
+			refused bool
+		}{
+			{"empty page linked to itself", func(t *testing.T, tb *table) {
+				p := tidOf(t, tb, mid).Page
+				editPage(t, tb.heap.bp, p, func(page []byte) {
+					putU16(page, 0, 0)
+					heapPageSetNext(page, p)
+				})
+			}, true},
+			{"next page a leaf", setNext(func(tb *table) PageID {
+				page, _, err := tb.index.seekLeaf(key{ID: uint64(victim.ID)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return page
+			}), false},
+			{"next page 0x80000000", setNext(func(*table) PageID { return 1 << 31 }), false},
+			{"next page past the end", setNext(func(tb *table) PageID { return tb.heap.bp.pf.nPages + 3 }), false},
+			{"owner flipped", func(t *testing.T, tb *table) {
+				editTuple(t, tb, mid, func(tu []byte) { putU64(tu, 0, getU64(tu, 0)^1<<40) })
+			}, true},
+			{"hour 0xff000002", func(t *testing.T, tb *table) {
+				editTuple(t, tb, mid, func(tu []byte) { putU32(tu, 8, 0xff000002) })
+			}, true},
+		} {
+			t.Run(fmt.Sprintf("%v/%s", layout, tc.name), func(t *testing.T) {
+				e := New(t.TempDir(), WithLayout(layout))
+				defer e.Close()
+				if _, err := e.Load(src); err != nil {
+					t.Fatal(err)
+				}
+				if tidOf(t, e.table, mid).Page == tidOf(t, e.table, key{ID: uint64(victim.ID)}).Page {
+					t.Fatalf("household %d's run fits one page", victim.ID)
+				}
+				tc.plant(t, e.table)
+				if err := e.Open(); err != nil {
+					t.Fatal(err)
+				}
+				spec := core.Spec{Task: core.TaskHistogram}
+				cur, err := e.NewCursor()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cur.Close()
+				if !tc.refused {
+					sameSeries(t, drainAll(t, cur), ds.Series)
+					sameSeries(t, drainPartitions(t, e, 2), ds.Series)
+					temp, err := e.Temperature()
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, "temperature", temp.Values, ds.Temperature.Values)
+					got, err := e.Run(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := core.RunReference(ds, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareResults(t, got, want)
+					return
+				}
+				refused := func(what string, err error) {
+					t.Helper()
+					var pe *core.PanicError
+					if errors.As(err, &pe) {
+						t.Fatalf("%s: recovered panic: %v", what, err)
+					}
+					if err == nil || !strings.HasPrefix(err.Error(), "rowstore:") {
+						t.Errorf("%s: err = %v, want a rowstore error", what, err)
+					}
+				}
+				_, err = cur.Next() // the victim is the first household
+				refused("cursor", err)
+				_, err = e.Temperature()
+				refused("Temperature", err)
+				_, err = e.Run(spec)
+				refused("histogram", err)
+			})
+		}
 	}
 }

@@ -87,9 +87,10 @@ type table struct {
 	consumers int
 }
 
-// insertSeries stores one consumer's data under the table's layout.
-// Temperature is stored alongside consumption, as in both of the
-// paper's schemas.
+// insertSeries stores one consumer's data in the heap under the table's
+// layout, as the bulk load's COPY step: the index is built afterwards,
+// from the heap (buildIndex). Temperature is stored alongside
+// consumption, as in both of the paper's schemas.
 func (tb *table) insertSeries(s *timeseries.Series, temp *timeseries.Temperature) error {
 	if s.ID <= 0 {
 		return fmt.Errorf("rowstore: household id must be positive, got %d", s.ID)
@@ -109,16 +110,15 @@ func (tb *table) insertSeries(s *timeseries.Series, temp *timeseries.Temperature
 		var buf []byte
 		for h, c := range s.Readings {
 			buf = encodeRowTuple(buf, s.ID, h, temp.Values[h], c)
-			tid, err := tb.heap.insert(buf)
-			if err != nil {
-				return err
-			}
-			if err := tb.index.insert(key{ID: uint64(s.ID), Seq: uint64(h)}, tid); err != nil {
+			if _, err := tb.heap.insert(buf); err != nil {
 				return err
 			}
 		}
 	case LayoutArrays:
-		if err := tb.insertChunks(s.ID, 0, 0, s.Readings, temp.Values); err != nil {
+		if err := eachChunk(s.ID, 0, s.Readings, temp.Values, func(chunk []byte) error {
+			_, err := tb.heap.insert(chunk)
+			return err
+		}); err != nil {
 			return err
 		}
 	default:
@@ -128,31 +128,64 @@ func (tb *table) insertSeries(s *timeseries.Series, temp *timeseries.Temperature
 	return nil
 }
 
-// insertChunks stores a run of readings as array chunks starting at the
-// given hour offset and chunk sequence number.
-func (tb *table) insertChunks(id timeseries.ID, firstSeq uint64, hourOffset int, cons, temps []float64) error {
-	var buf []byte
-	seq := firstSeq
-	for start := 0; start < len(cons); start += chunkHours {
-		end := start + chunkHours
-		if end > len(cons) {
-			end = len(cons)
+// buildIndex builds the table's B+tree from one scan of its heap, the
+// way CREATE INDEX after COPY does: a row tuple goes in under its
+// household and hour, an array chunk under its household and its rank
+// among the household's chunks. The load stores each household's tuples
+// as one run, so the keys arrive in the order the load stored them,
+// and the tree's pages follow the heap's in the file.
+func (tb *table) buildIndex() error {
+	idx, err := newBTree(tb.heap.bp)
+	if err != nil {
+		return err
+	}
+	tb.index = idx
+	var owner, rank uint64
+	return tb.heap.scan(func(tid TID, t []byte) error {
+		k := key{ID: getU64(t, 0), Seq: uint64(getU32(t, 8))}
+		if tb.layout == LayoutArrays {
+			if k.ID != owner {
+				owner, rank = k.ID, 0
+			} else {
+				rank++
+			}
+			k.Seq = rank
 		}
+		return idx.insert(k, tid)
+	})
+}
+
+// eachChunk encodes a run of readings starting at the given hour offset
+// as array chunks of at most chunkHours, and hands each to store.
+func eachChunk(id timeseries.ID, hourOffset int, cons, temps []float64, store func(chunk []byte) error) error {
+	var buf []byte
+	for start := 0; start < len(cons); start += chunkHours {
+		end := min(start+chunkHours, len(cons))
 		var err error
 		buf, err = encodeArrayChunk(buf, id, hourOffset+start, cons[start:end], temps[start:end])
 		if err != nil {
 			return err
 		}
-		tid, err := tb.heap.insert(buf)
+		if err := store(buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// insertChunks stores and indexes a run of readings as array chunks
+// starting at the given hour offset and chunk sequence number.
+func (tb *table) insertChunks(id timeseries.ID, firstSeq uint64, hourOffset int, cons, temps []float64) error {
+	seq := firstSeq
+	return eachChunk(id, hourOffset, cons, temps, func(chunk []byte) error {
+		tid, err := tb.heap.insert(chunk)
 		if err != nil {
 			return err
 		}
-		if err := tb.index.insert(key{ID: uint64(id), Seq: seq}, tid); err != nil {
-			return err
-		}
+		k := key{ID: uint64(id), Seq: seq}
 		seq++
-	}
-	return nil
+		return tb.index.insert(k, tid)
+	})
 }
 
 // maxSeq returns the highest stored sequence number for a household and
@@ -208,76 +241,215 @@ func (tb *table) appendReadings(id timeseries.ID, cons, temps []float64) error {
 // setSeriesLen records the new uniform series length after appends.
 func (tb *table) setSeriesLen(n int) { tb.seriesLen = n }
 
-// readSeriesInto is the one read path: it walks one household's leaf
-// entries and decodes each tuple straight out of its pinned heap frame
-// into cons (the first len(cons) hours) and, when temp is non-nil (of
-// cons' length), the temperature column beside it. Consecutive TIDs
-// mostly share a heap page, so the page of the previous TID stays pinned
-// until the TID's page changes: one pool lookup per heap page, no copy
-// and no allocation per tuple; a row tuple's run of entries on that page
-// decodes in one loop (decodeRowRun). It reads the published prefix or a
-// snapshot's captured length alike: an entry at or beyond hour len(cons)
-// ends the scan, because the index orders a household's tuples by
-// sequence, and a row entry's sequence is its hour, so such an entry's
-// page is never fetched. It writes only the hours that are stored. Given
-// a cursor's ring, it reads the leaf chain and the heap through it; the
-// descent keeps the pool. Callers hold the table latch, shared or
-// exclusive.
+// readSeriesInto is the one read path. It reads one household's first
+// len(cons) hours into cons and, when temp is non-nil (of cons' length),
+// the temperature column beside it, in two phases:
+//
+//   - The heap walk. One descent finds the household's first entry, and
+//     from its TID the read follows the heap, slot after slot and then
+//     along the heap chain, decoding each tuple that is the household's
+//     next hour, or in the array layout its next chunk (walk). Load
+//     stores a household's tuples as one run of the heap, so a loaded
+//     household reads whole here, without its leaves.
+//   - The index. Where the run breaks first, at hours appended after the
+//     load (AppendDelta, live Append) or at a tuple that fails a check,
+//     a second descent at the first hour not read finishes through the
+//     leaf chain, a heap page's run of entries at a time (scan).
+//
+// So a read descends at most twice, and which phase decodes a tuple
+// depends only on where it is stored. The heap page of the last tuple
+// stays pinned until the next tuple lies on another page: one pool
+// lookup per heap page, no copy and no allocation per tuple. It reads
+// the published prefix or a snapshot's captured length alike, and
+// writes only the hours that are stored. Given a cursor's ring, it reads
+// the heap and the leaf chain through it; descents keep the pool.
+// Callers hold the table latch, shared or exclusive.
 func (tb *table) readSeriesInto(rg *pageRing, id timeseries.ID, cons, temp []float64) error {
-	bp := tb.heap.bp
-	fetch := bp.fetch
-	if rg != nil {
-		fetch = rg.fetch
+	r := seriesRead{bp: tb.heap.bp, rg: rg, id: uint64(id), rows: tb.layout == LayoutRows, cons: cons, temp: temp}
+	err := r.read(tb.index)
+	if r.hp != nil {
+		r.bp.unpin(r.hp, false)
 	}
-	rows := tb.layout == LayoutRows
-	page, i, err := tb.index.seekLeaf(key{ID: uint64(id)})
-	var hp *frame // heap page of the previous TID
-	found, done := false, false
-	hours := 0 // the next array chunk's start
+	return err
+}
+
+// seriesRead is one household's read in progress.
+type seriesRead struct {
+	bp   *bufferPool
+	rg   *pageRing // the cursor's ring, or nil to read through the pool
+	id   uint64
+	rows bool
+	cons []float64
+	temp []float64
+	// hp is the pinned heap page of the last tuple read, nil before the
+	// first.
+	hp *frame
+	// hours is the next hour to read, and seq the index sequence of the
+	// next tuple: its hour in the row layout, its chunk's rank in the
+	// array layout. The walk advances both, and the index phase starts
+	// from them.
+	hours int
+	seq   uint64
+}
+
+// read runs the two phases.
+func (r *seriesRead) read(index *btree) error {
+	k, tid, found, err := index.first(key{ID: r.id})
+	if err != nil {
+		return err
+	}
+	if !found || k.ID != r.id {
+		return fmt.Errorf("rowstore: household %d not found", r.id)
+	}
+	if err := r.walk(tid); err != nil || r.hours == len(r.cons) {
+		return err
+	}
+	return r.scan(index)
+}
+
+// fetch pins a heap or leaf-chain page, through the ring if there is one.
+func (r *seriesRead) fetch(page PageID) (*frame, error) {
+	if r.rg != nil {
+		return r.rg.fetch(page)
+	}
+	return r.bp.fetch(page)
+}
+
+// pin makes page the pinned heap page.
+func (r *seriesRead) pin(page PageID) error {
+	if r.hp != nil {
+		if r.hp.id == page {
+			return nil
+		}
+		r.bp.unpin(r.hp, false)
+		r.hp = nil
+	}
+	fr, err := r.fetch(page)
+	if err != nil {
+		return err
+	}
+	r.hp = fr
+	return nil
+}
+
+// walk is the heap phase: from the tuple at tid on, it decodes each
+// tuple the heap holds next while that tuple is the household's next
+// hour or chunk, until cons is full. A tuple that fails a check, a page
+// that lies outside the file and the chain's end each end the walk, not
+// the read: the index phase goes on from the first hour not read,
+// through that hour's own entry, and refuses a damaged tuple there. A
+// walk that visits more pages than the file holds is a loop in the
+// chain, and an error, as nodeEntries' step check is for the leaf chain.
+func (r *seriesRead) walk(tid TID) error {
+	pages := r.bp.pf.nPages
+	page, slot := tid.Page, int(tid.Slot)
+	for step := 1; r.hours < len(r.cons) && page < pages; step++ {
+		if step > int(pages) {
+			return fmt.Errorf("rowstore: corrupt heap: chain longer than the file's %d pages", pages)
+		}
+		if err := r.pin(page); err != nil {
+			return err
+		}
+		data := r.hp.data[:]
+		var more bool
+		if r.rows {
+			more = r.walkRows(data, slot)
+		} else {
+			more = r.walkChunks(data, slot)
+		}
+		if !more {
+			return nil
+		}
+		page, slot = heapPageNext(data), 0
+	}
+	return nil
+}
+
+// walkRows decodes the row tuples in slots s, s+1, ... of the pinned
+// heap page while each is the household's next hour, and reports
+// whether it decoded to the page's last slot. Each tuple passes the
+// checks decodeRowRun makes, with the hour expected in place of an
+// entry's key: its slot is one of the page's and its slot entry lies
+// inside the page, the tuple lies inside the page and is a row tuple,
+// and it holds the household and the hour, compared as uint64.
+func (r *seriesRead) walkRows(page []byte, s int) bool {
+	count := int(heapPageSlotCount(page))
+	fit := min(count, (PageSize-heapHeaderSize)/slotSize) // slots whose entries lie inside the page
+	cons, temp, h := r.cons, r.temp, r.hours
+	for ; s < fit && h < len(cons); s, h = s+1, h+1 {
+		slot := page[heapHeaderSize+s*slotSize:][:slotSize]
+		at, length := int(getU16(slot, 0)), int(getU16(slot, 2))
+		if length != rowTupleSize || at+length > PageSize {
+			break
+		}
+		t := page[at : at+rowTupleSize]
+		if getU64(t, 0) != r.id || uint64(getU32(t, 8)) != uint64(h) {
+			break
+		}
+		cons[h] = math.Float64frombits(getU64(t, 20))
+		if temp != nil {
+			temp[h] = math.Float64frombits(getU64(t, 12))
+		}
+	}
+	r.hours, r.seq = h, uint64(h)
+	return s == count
+}
+
+// walkChunks is walkRows for array chunks: each must pass decodeChunk's
+// checks as the household's next chunk, starting where the last ended.
+func (r *seriesRead) walkChunks(page []byte, s int) bool {
+	count := int(heapPageSlotCount(page))
+	for ; s < count && r.hours < len(r.cons); s++ {
+		tid := TID{Page: r.hp.id, Slot: uint16(s)}
+		end, _, err := decodeChunk(page, key{ID: r.id, Seq: r.seq}, tid, r.hours, r.cons, r.temp)
+		if err != nil {
+			break
+		}
+		r.hours, r.seq = end, r.seq+1
+	}
+	return s == count
+}
+
+// scan is the index phase: a descent to the entry (household, seq), and
+// from there along the leaf chain, decoding each entry's tuple out of
+// its pinned heap page. A row entry at or beyond hour len(cons) ends the
+// scan before its page is fetched, because the index orders a
+// household's tuples by hour.
+func (r *seriesRead) scan(index *btree) error {
+	pages := r.bp.pf.nPages
+	page, i, err := index.seekLeaf(key{ID: r.id, Seq: r.seq})
+	done := false
 	for step := 1; err == nil && !done && page != InvalidPage; step++ {
 		var lf *frame
-		lf, err = fetch(page)
+		lf, err = r.fetch(page)
 		if err != nil {
 			break
 		}
 		leaf := lf.data[:]
 		var n int
-		n, err = leafEntries(leaf, step, bp.pf.nPages)
+		n, err = leafEntries(leaf, step, pages)
 		for i < n && err == nil && !done {
 			k, tid := leafKey(leaf, i), leafVal(leaf, i)
-			if k.ID != uint64(id) {
+			if k.ID != r.id || r.rows && k.Seq >= uint64(len(r.cons)) {
 				done = true
 				break
 			}
-			found = true
-			if rows && k.Seq >= uint64(len(cons)) {
-				done = true
+			if tid.Page >= pages {
+				err = fmt.Errorf("rowstore: index entry (%d, %d) points at page %d of %d", k.ID, k.Seq, tid.Page, pages)
 				break
 			}
-			if hp == nil || hp.id != tid.Page {
-				if hp != nil {
-					bp.unpin(hp, false)
-				}
-				hp, err = fetch(tid.Page)
-				if err != nil {
-					break
-				}
+			if err = r.pin(tid.Page); err != nil {
+				break
 			}
-			if rows {
-				i, done, err = decodeRowRun(leaf[:btreeHeaderSize+n*btreeLeafEntry], i, hp, cons, temp)
+			if r.rows {
+				i, done, err = decodeRowRun(leaf[:btreeHeaderSize+n*btreeLeafEntry], i, r.hp, r.cons, r.temp)
 			} else {
-				hours, done, err = decodeChunk(hp.data[:], k, tid, hours, cons, temp)
+				r.hours, done, err = decodeChunk(r.hp.data[:], k, tid, r.hours, r.cons, r.temp)
 				i++
 			}
 		}
 		page, i = leafNext(leaf), 0
-		bp.unpin(lf, false)
-	}
-	if hp != nil {
-		bp.unpin(hp, false)
-	}
-	if err == nil && !found {
-		err = fmt.Errorf("rowstore: household %d not found", id)
+		r.bp.unpin(lf, false)
 	}
 	return err
 }
@@ -387,17 +559,11 @@ func (tb *table) distinctIDs() ([]timeseries.ID, []TID, error) {
 	var firsts []TID
 	next := key{ID: 0, Seq: 0}
 	for {
-		var got *key
-		var first TID
-		err := tb.index.scanRange(next, key{ID: math.MaxUint64, Seq: math.MaxUint64},
-			func(k key, v TID) error {
-				got, first = &k, v
-				return errStopScan
-			})
-		if err != nil && err != errStopScan {
+		got, first, found, err := tb.index.first(next)
+		if err != nil {
 			return nil, nil, err
 		}
-		if got == nil {
+		if !found {
 			return ids, firsts, nil
 		}
 		if got.ID < next.ID {
