@@ -21,15 +21,14 @@ import (
 //
 // A yielded series stays valid: once Next has returned a
 // *timeseries.Series, the cursor never writes to it or to its Readings
-// again, through later Next calls and Close. At more than one worker
-// the pipeline holds up to two blocks of series per cursor and one per
-// worker while the cursor keeps advancing, so a cursor that decodes into
-// a buffer must take a fresh one per series rather than recycle it. (A
-// replay after Reset may decode the same values into the same buffers;
-// nothing resets a cursor while holding series from it.) The one
-// exception is a row the caller supplied (RowTaker): that row is the
-// caller's before and after, and the cursor writes it only inside the
-// Next that yields it.
+// again, through later Next calls and Close. The execution layer holds
+// a block of series while the cursor advances to fill it, so a cursor
+// that decodes into a buffer must take a fresh one per series rather
+// than recycle it. (A replay after Reset may decode the same values
+// into the same buffers; nothing resets a cursor while holding series
+// from it.) The one exception is a row the caller supplied (RowTaker):
+// that row is the caller's before and after, and the cursor writes it
+// only inside the Next that yields it.
 type Cursor interface {
 	// Next returns the next consumer's series, or io.EOF when the cursor
 	// is exhausted (or closed).

@@ -9,13 +9,14 @@ package core
 // segment groups, and the cluster engine by result partition of its
 // extraction job (one per reduce task or per DFS split).
 //
-// The execution pipeline (internal/exec) uses it, at more than one
-// worker, to extract in parallel as well as overlapped with compute: one
-// decode goroutine per partition cursor feeds a bounded channel of
-// series blocks that compute workers drain. A source without it is
-// drained by one decode goroutine over its NewCursor. The similarity
-// task drains the same partitions in parallel into one matrix, each
-// into the rows after the earlier partitions' SizeHints.
+// The execution layer (internal/exec) uses it at more than one worker:
+// each partition cursor gets a goroutine of its own, which extracts,
+// computes and emits its consumers, and the partitions' results are
+// joined in partition order. A source without it runs as one partition
+// over its NewCursor. The similarity task drains the same partitions in
+// parallel into one matrix, each into the rows after the earlier
+// partitions' SizeHints. A live snapshot cursor that splits (the column
+// and row stores') implements it too.
 type PartitionedSource interface {
 	// NewCursors opens up to max independent cursors that jointly cover
 	// the loaded dataset exactly once: partitions are pairwise disjoint

@@ -17,7 +17,7 @@ import (
 // matrix), otherwise a fresh allocation; either way no cache frame
 // aliases it, so it survives arbitrarily long in the compute phase.
 // Partition cursors over disjoint ranges share one pager, so the byte
-// budget is global no matter how many cursors the prefetcher opens.
+// budget is global no matter how many cursors a run opens.
 type pagedCursor struct {
 	p       *pager
 	ctx     context.Context

@@ -451,6 +451,22 @@ func (c *snapCursor) Close() error {
 
 func (c *snapCursor) SizeHint() (int, bool) { return len(c.items), true }
 
+// NewCursors implements core.PartitionedSource: up to max cursors over
+// contiguous ranges of the households the snapshot captured, as
+// Engine.NewCursors splits the store, so a run over a snapshot extracts
+// on every worker. They read the captured state through the same pager,
+// and each is closed on its own.
+func (c *snapCursor) NewCursors(max int) ([]core.Cursor, error) {
+	if max < 1 {
+		return nil, fmt.Errorf("colstore: snapshot NewCursors: max must be >= 1, got %d", max)
+	}
+	curs := make([]core.Cursor, 0, max)
+	for _, r := range core.PartitionRanges(len(c.items), max) {
+		curs = append(curs, &snapCursor{pg: c.pg, items: c.items[r[0]:r[1]], temp: c.temp})
+	}
+	return curs, nil
+}
+
 // SnapshotTemp implements core.SnapshotTemperature: the temperature
 // column as captured at snapshot time.
 func (c *snapCursor) SnapshotTemp() *timeseries.Temperature {

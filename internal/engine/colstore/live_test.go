@@ -384,3 +384,33 @@ func TestPagedSnapshotCursorConformance(t *testing.T) {
 		return cur
 	})
 }
+
+// TestSnapshotPartitionConformance holds a snapshot's split to the
+// partition contract: a day of live tail over a paged base, and a
+// household that exists only in the tail.
+func TestSnapshotPartitionConformance(t *testing.T) {
+	src, ds := writeSource(t, 5, 2)
+	dir := t.TempDir()
+	if _, err := New(dir).Load(src); err != nil {
+		t.Fatal(err)
+	}
+	e := New(dir, WithMemBudget(1<<12))
+	if _, err := e.OpenExisting(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Release()
+	var ids []timeseries.ID
+	for _, s := range ds.Series {
+		ids = append(ids, s.ID)
+	}
+	baseN := len(ds.Temperature.Values)
+	for h := baseN; h < baseN+24; h++ {
+		if err := e.Append(hourBatch(ids, h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Append(hourBatch([]timeseries.ID{9999}, 0)); err != nil {
+		t.Fatal(err)
+	}
+	cursortest.RunSnapshotPartitioned(t, e)
+}

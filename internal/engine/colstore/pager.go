@@ -23,7 +23,7 @@ type frameKey struct {
 }
 
 // pager is safe for concurrent use: partition cursors decode in
-// parallel under the prefetcher. A frame is written before it enters
+// parallel, one goroutine each. A frame is written before it enters
 // the map and never after, so readers copy out of it with no latch
 // beyond the map's mutex.
 type pager struct {
@@ -73,7 +73,7 @@ func (p *pager) readConsumer(c int, row []float64, area []byte) ([]byte, error) 
 
 		// Read and decode outside the lock: concurrent partition cursors
 		// miss on disjoint consumers, so serializing I/O+decode here would
-		// forfeit the prefetcher's overlap.
+		// forfeit their parallelism.
 		if !read {
 			var err error
 			if area, err = p.st.readArea(c, area); err != nil {

@@ -434,14 +434,22 @@ func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 		}
 		return curs, nil
 	}
-	if max = min(max, e.poolPages/2); max < 1 {
-		max = 1
-	}
-	curs := make([]core.Cursor, 0, max)
-	for _, r := range core.PartitionRanges(len(e.ids), max) {
+	ranges := e.rangesFor(len(e.ids), max)
+	curs := make([]core.Cursor, 0, len(ranges))
+	for _, r := range ranges {
 		curs = append(curs, &rangeCursor{e: e, lo: r[0], hi: r[1]})
 	}
 	return curs, nil
+}
+
+// rangesFor splits n households into up to max contiguous ranges, and
+// into no more than half the pool's pages: a cursor reading a range
+// pins at most two frames at a time.
+func (e *Engine) rangesFor(n, max int) [][2]int {
+	if max = min(max, e.poolPages/2); max < 1 {
+		max = 1
+	}
+	return core.PartitionRanges(n, max)
 }
 
 var _ core.PartitionedSource = (*Engine)(nil)

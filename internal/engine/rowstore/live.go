@@ -385,6 +385,22 @@ func (c *rowSnapCursor) Close() error {
 
 func (c *rowSnapCursor) SizeHint() (int, bool) { return len(c.ids), true }
 
+// NewCursors implements core.PartitionedSource: up to max cursors over
+// contiguous ranges of the households the snapshot captured, capped by
+// the pool as Engine.NewCursors is (rangesFor). They read the captured
+// lengths, and each is closed on its own.
+func (c *rowSnapCursor) NewCursors(max int) ([]core.Cursor, error) {
+	if max < 1 {
+		return nil, fmt.Errorf("rowstore: snapshot NewCursors: max must be >= 1, got %d", max)
+	}
+	ranges := c.e.rangesFor(len(c.ids), max)
+	curs := make([]core.Cursor, 0, len(ranges))
+	for _, r := range ranges {
+		curs = append(curs, &rowSnapCursor{e: c.e, ids: c.ids[r[0]:r[1]], lens: c.lens, temp: c.temp})
+	}
+	return curs, nil
+}
+
 // SnapshotTemp implements core.SnapshotTemperature.
 func (c *rowSnapCursor) SnapshotTemp() *timeseries.Temperature {
 	return &timeseries.Temperature{Values: c.temp}

@@ -277,6 +277,38 @@ func RunPartitioned(t *testing.T, open func(t *testing.T) core.PartitionedSource
 	})
 }
 
+// RunSnapshotPartitioned holds the split of app's snapshot cursor
+// (core.PartitionedSource) to the partition contract RunPartitioned
+// holds an engine to. Each source it opens is one snapshot; its serial
+// cursor is another snapshot of the same state, so app must not change
+// while it runs.
+func RunSnapshotPartitioned(t *testing.T, app core.Appender) {
+	t.Helper()
+	RunPartitioned(t, func(t *testing.T) core.PartitionedSource {
+		cur, _, err := app.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cur.Close() })
+		ps, ok := cur.(core.PartitionedSource)
+		if !ok {
+			t.Fatalf("snapshot cursor %T does not split", cur)
+		}
+		return snapshotParts{app: app, PartitionedSource: ps}
+	})
+}
+
+// snapshotParts is a snapshot's split with a serial cursor beside it.
+type snapshotParts struct {
+	core.PartitionedSource
+	app core.Appender
+}
+
+func (s snapshotParts) NewCursor() (core.Cursor, error) {
+	cur, _, err := s.app.Snapshot()
+	return cur, err
+}
+
 // RunSummaryPartitioned holds a core.SummarySource to the partition
 // contract RunPartitioned holds a PartitionedSource to: for each max,
 // at most max cursors come back, and read in slice order they yield

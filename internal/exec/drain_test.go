@@ -357,34 +357,42 @@ func TestSimilarityDrainMatchesReference(t *testing.T) {
 
 // TestSimilarityDrainLowestPartitionErrorWins: under FailFast two
 // partitions fail, and the run reports the lower one's error every time,
-// however the goroutines interleave.
+// however the goroutines interleave. The per-consumer tasks run their
+// partitions by the same rule.
 func TestSimilarityDrainLowestPartitionErrorWins(t *testing.T) {
 	src := drainFixture(t)
 	want := (&core.ConsumerError{ID: src.ds.Series[9].ID, Err: errDrainFault}).Error()
-	for i := 0; i < 50; i++ {
-		_, err := Run(src, core.Spec{Task: core.TaskSimilarity, K: 3, Workers: 4})
-		if errText(err) != want {
-			t.Fatalf("run %d: err %q, want %q", i, errText(err), want)
+	for _, task := range core.Tasks {
+		for i := 0; i < 50; i++ {
+			_, err := Run(src, core.Spec{Task: task, K: 3, Workers: 4})
+			if errText(err) != want {
+				t.Fatalf("%v run %d: err %q, want %q", task, i, errText(err), want)
+			}
 		}
 	}
 }
 
 // TestSimilarityDrainFailureStopsLaterPartitions: under FailFast the
 // first consumer of partition 0 of four fails, and the partitions after
-// it stop at their next consumer instead of draining their 100 each.
+// it stop at their next consumer instead of draining their 100 each,
+// for every task.
 func TestSimilarityDrainFailureStopsLaterPartitions(t *testing.T) {
 	ds := makeDataset(t, 400, 2)
-	src := &drainSource{ds: ds, delay: time.Millisecond, fail: map[timeseries.ID]bool{ds.Series[0].ID: true}}
-	_, err := Run(src, core.Spec{Task: core.TaskSimilarity, K: 3, Workers: 4})
-	want := (&core.ConsumerError{ID: ds.Series[0].ID, Err: errDrainFault}).Error()
-	if errText(err) != want {
-		t.Fatalf("err %q, want %q", errText(err), want)
-	}
-	if n := src.pulled.Load(); n > 150 {
-		t.Fatalf("the run pulled %d consumers of 400 after partition 0 failed at its first", n)
-	}
-	if n := src.opened.Load(); src.closes.Load() != n {
-		t.Fatalf("%d cursors opened, %d closed", n, src.closes.Load())
+	for _, task := range core.Tasks {
+		t.Run(task.String(), func(t *testing.T) {
+			src := &drainSource{ds: ds, delay: time.Millisecond, fail: map[timeseries.ID]bool{ds.Series[0].ID: true}}
+			_, err := Run(src, core.Spec{Task: task, K: 3, Workers: 4})
+			want := (&core.ConsumerError{ID: ds.Series[0].ID, Err: errDrainFault}).Error()
+			if errText(err) != want {
+				t.Fatalf("err %q, want %q", errText(err), want)
+			}
+			if n := src.pulled.Load(); n > 150 {
+				t.Fatalf("the run pulled %d consumers of 400 after partition 0 failed at its first", n)
+			}
+			if n := src.opened.Load(); src.closes.Load() != n {
+				t.Fatalf("%d cursors opened, %d closed", n, src.closes.Load())
+			}
+		})
 	}
 }
 

@@ -10,30 +10,34 @@
 // to Load + NewCursor + capabilities; none of them re-implements task
 // switching.
 //
-// The worker count alone picks how a per-consumer task runs. With one
-// worker (the paper's single-threaded runs, §5.3.3) everything happens
-// on the calling goroutine: pull a small block of series off the cursor
-// (extract), run the kernel over it (compute), append the results
-// (emit), repeat — the stages alternate, so their times add up to the
-// run's. With more (§5.3.4) the run is a pipeline (prefetch.go): one
-// decode goroutine per cursor — the source's disjoint partitions when
-// it is a core.PartitionedSource, its one cursor otherwise — fills a
-// bounded channel of blocks that the workers drain, and the results are
-// put in household-ID order once, at the end. Blocks keep a streaming
-// engine's memory flat (Figure 8) either way. The whole-dataset
-// similarity task instead drains the same partitions, one goroutine
-// each, into one row-major buffer that becomes the blocked kernel's
-// packed matrix without a copy (drain.go); a warm engine's
-// DatasetCursor is not drained, so the dataset's cached packing
-// survives.
+// Every task runs as partitions. A per-consumer task (histogram,
+// 3-line, PAR) opens up to Spec.Workers cursors — the source's disjoint
+// partitions when it is a core.PartitionedSource and the run has more
+// than one worker, its one cursor otherwise — and each partition runs
+// one loop: pull a small block of series off its cursor (extract), run
+// the kernel over it (compute), append the results (emit), repeat. One
+// partition runs on the calling goroutine, so at one worker (the paper's
+// single-threaded runs, §5.3.3) the stages alternate and their times add
+// up to the run's; several (§5.3.4) run a goroutine each, and their
+// results are joined in partition order, which is household-ID order
+// except over the cluster engines' interleaved partitions, which are
+// sorted once. Blocks keep a streaming engine's memory flat (Figure 8).
+// The compressed-domain histogram (summary.go) runs the source's summary
+// partitions the same way, and the whole-dataset similarity task drains
+// the partitions, one goroutine each, into one row-major buffer that
+// becomes the blocked kernel's packed matrix without a copy (drain.go);
+// a warm engine's DatasetCursor is not drained, so the dataset's cached
+// packing survives. On every path the lowest failing partition's error
+// is the run's, and a failure stops the partitions after it
+// (eachPartition).
 //
 // # Failure containment
 //
 // Every path runs under a context.Context (RunContext): cancelling it
 // stops extraction promptly — the context is bound to every cursor that
 // supports it (core.ContextCursor) and checked between Next calls — and
-// the pipeline joins all of its goroutines and closes every cursor
-// before returning the context's error.
+// the run joins all of its goroutines and closes every cursor before
+// returning the context's error.
 //
 // Spec.FailPolicy scopes failures to the consumer they belong to
 // instead of the run (see core.FailPolicy). Under Quarantine or Repair:
@@ -48,11 +52,13 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -84,18 +90,6 @@ func (s datasetSource) NewCursor() (core.Cursor, error) { return core.NewDataset
 
 func (s datasetSource) Temperature() (*timeseries.Temperature, error) {
 	return s.ds.Temperature, nil
-}
-
-// blockFor sizes the extract block: large enough that handing one to a
-// worker costs little beside computing it, small enough that a streaming
-// cursor (the partitioned file engine, the row store) holds only a
-// bounded number of decoded series at a time.
-func blockFor(workers int) int {
-	b := 4 * workers
-	if b < 16 {
-		b = 16
-	}
-	return b
 }
 
 // Extraction retry schedule for transient per-consumer errors under
@@ -132,8 +126,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // contain carries one run's failure-containment state: the policy and
-// the quarantined consumers. add is safe for concurrent use (the
-// pipeline's decode goroutines and compute workers share one collector).
+// the quarantined consumers. add is safe for concurrent use (a run's
+// partitions share one collector).
 type contain struct {
 	policy core.FailPolicy
 
@@ -276,7 +270,7 @@ func Run(src Source, spec core.Spec) (*core.Results, error) {
 // household ID — the order the Cursor contract fixes and the order
 // core.RunReference produces — so engines stay bit-identical to the
 // oracle at every worker count. Cancelling ctx stops the run promptly
-// with every pipeline goroutine joined and every cursor closed.
+// with every partition's goroutine joined and every cursor closed.
 func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results, error) {
 	spec = spec.WithDefaults()
 	if err := ctx.Err(); err != nil {
@@ -324,10 +318,7 @@ func dispatch(ctx context.Context, src Source, temp *timeseries.Temperature, k *
 	if ss, ok := summaryHistogramApplies(src, k.spec); ok {
 		return runHistogramSummaries(ctx, ss, k, workers, out)
 	}
-	if workers == 1 {
-		return runStreaming(ctx, src, k, out, cn)
-	}
-	return runPrefetch(ctx, src, k, workers, out, cn)
+	return runConsumers(ctx, src, k, workers, out, cn)
 }
 
 // openCursors opens the cursors that between them cover the source,
@@ -476,8 +467,8 @@ func screenDataset(ctx context.Context, ds *timeseries.Dataset, cn *contain) (*t
 
 // kernel is what one run computes per consumer: the task with its
 // parameters, the plans built once from the shared temperature year,
-// and a scratch and a timing slot per worker, so that workers never
-// share a write.
+// and a scratch and a timing slot per worker, one for each partition a
+// run may have, so that partitions never share a write.
 type kernel struct {
 	spec core.Spec
 
@@ -524,7 +515,7 @@ func newKernel(spec core.Spec, temp *timeseries.Temperature, workers int, ph *co
 	return k, nil
 }
 
-// compute runs the kernel for one consumer on worker slot w. A panic
+// compute runs the kernel for one consumer on slot w. A panic
 // inside it (the similarity tile-index and stats matrix invariants
 // panic on malformed shapes) becomes a per-consumer error carrying the
 // stack, so the fail policy can quarantine the consumer instead of
@@ -551,7 +542,7 @@ func (k *kernel) compute(w int, s *timeseries.Series) (r fitted, err error) {
 	return r, err
 }
 
-// computeRange runs the kernel over series in order on worker slot w and
+// computeRange runs the kernel over series in order on slot w and
 // stores the results in res, index for index. Kernel errors and panics
 // follow the fail policy: a quarantined consumer leaves its slot empty.
 func (k *kernel) computeRange(w int, series []*timeseries.Series, res []fitted, cn *contain) error {
@@ -568,7 +559,7 @@ func (k *kernel) computeRange(w int, series []*timeseries.Series, res []fitted, 
 	return nil
 }
 
-// bookTimings moves the workers' 3-line sub-phase times onto the phases.
+// bookTimings moves the slots' 3-line sub-phase times onto the phases.
 func (k *kernel) bookTimings(ph *core.Phases) {
 	for _, tm := range k.tims {
 		ph.T1Quantiles += tm.T1Quantiles
@@ -597,24 +588,45 @@ func emit(out *core.Results, res []fitted) int {
 	return n
 }
 
-// runStreaming is the per-consumer path at one worker: extract a block
-// of series, compute it, emit it, repeat, all on the calling goroutine,
-// so the three stages' times add up to the run's elapsed time.
-func runStreaming(ctx context.Context, src Source, k *kernel, out *core.Results, cn *contain) error {
-	ph := out.Phases
-	curs, err := openCursors(ctx, src, 1, ph)
+// block is how many series a partition extracts before it computes
+// them: enough that the loop's per-block costs stay small beside the
+// kernel's, few enough that a streaming cursor (the partitioned file
+// engine, the row store) holds only a bounded number of decoded series
+// at a time, so memory stays flat (Figure 8).
+const block = 16
+
+// runConsumers is the per-consumer path at every worker count: it opens
+// up to workers cursors (openCursors) and runs consumePartition over
+// each, on kernel slot p (runPartitions).
+func runConsumers(ctx context.Context, src Source, k *kernel, workers int, out *core.Results, cn *contain) error {
+	curs, err := openCursors(ctx, src, workers, out.Phases)
 	if err != nil {
 		return err
 	}
-	cur := curs[0]
-	defer func() { _ = cur.Close() }()
+	return runPartitions(ctx, out, len(curs), func(ctx context.Context, p int, part *core.Results) error {
+		return consumePartition(ctx, curs[p], k, p, cn, part)
+	})
+}
 
-	block := blockFor(1)
+// consumePartition is one partition's loop: extract a block of series,
+// compute it on kernel slot p, emit it into out, repeat. The stages
+// alternate, so their times add up to the partition's elapsed time. out
+// is the partition's own: its results in cursor order and its phases.
+// It closes the cursor, and a panic under it (a corrupt page, a buggy
+// parser) becomes the partition's error.
+func consumePartition(ctx context.Context, cur core.Cursor, k *kernel, p int, cn *contain, out *core.Results) (err error) {
+	defer func() { _ = cur.Close() }()
+	defer func() {
+		if v := recover(); v != nil {
+			err = core.NewPanicError(v)
+		}
+	}()
+	ph := out.Phases
 	buf := make([]*timeseries.Series, 0, block)
 	for {
 		buf = buf[:0]
 		start := time.Now()
-		drained, err := fill(ctx, cur, &buf, block, cn)
+		drained, err := fill(ctx, cur, &buf, cn)
 		ph.Extract.Wall += time.Since(start)
 		if err != nil {
 			return err
@@ -624,7 +636,7 @@ func runStreaming(ctx context.Context, src Source, k *kernel, out *core.Results,
 
 		start = time.Now()
 		res := make([]fitted, len(buf))
-		err = k.computeRange(0, buf, res, cn)
+		err = k.computeRange(p, buf, res, cn)
 		ph.Compute.Wall += time.Since(start)
 		ph.Compute.Rows += int64(len(buf))
 		if err != nil {
@@ -639,10 +651,58 @@ func runStreaming(ctx context.Context, src Source, k *kernel, out *core.Results,
 	}
 }
 
+// runPartitions runs f for partitions 0 to n-1 through eachPartition
+// (the calling goroutine for one, a goroutine each for several; the
+// lowest partition's error wins), each into results and phases of its
+// own that nothing else touches. After the join it sums the phases onto
+// out's and appends the results in partition order, which is
+// household-ID order when the partitions are ascending ranges; the
+// cluster engines' hash partitions interleave, and are sorted by ID
+// once. The appending and sorting are emit time.
+func runPartitions(ctx context.Context, out *core.Results, n int, f func(ctx context.Context, p int, part *core.Results) error) error {
+	parts := make([]core.Results, n)
+	for p := range parts {
+		parts[p] = core.Results{Task: out.Task, Phases: &core.Phases{}}
+	}
+	if err := eachPartition(ctx, n, func(ctx context.Context, p int) error {
+		return f(ctx, p, &parts[p])
+	}); err != nil {
+		return err
+	}
+	ph := out.Phases
+	start := time.Now()
+	for p := range parts {
+		pp := parts[p].Phases
+		ph.Extract.Add(pp.Extract)
+		ph.Compute.Add(pp.Compute)
+		ph.Emit.Add(pp.Emit)
+		ph.SummaryBlocks += pp.SummaryBlocks
+		ph.DecodedBlocks += pp.DecodedBlocks
+		out.Histograms = append(out.Histograms, parts[p].Histograms...)
+		out.ThreeLines = append(out.ThreeLines, parts[p].ThreeLines...)
+		out.Profiles = append(out.Profiles, parts[p].Profiles...)
+	}
+	sortByID(out.Histograms, func(r *histogram.Result) timeseries.ID { return r.ID })
+	sortByID(out.ThreeLines, func(r *threeline.Result) timeseries.ID { return r.ID })
+	sortByID(out.Profiles, func(r *par.Result) timeseries.ID { return r.ID })
+	ph.Emit.Wall += time.Since(start)
+	return nil
+}
+
+// sortByID puts results in ascending household-ID order (the order the
+// Cursor contract fixes and core.RunReference produces) unless they are
+// in it. IDs are unique, so the order is total.
+func sortByID[T any](rs []T, id func(T) timeseries.ID) {
+	byID := func(a, b T) int { return cmp.Compare(id(a), id(b)) }
+	if !slices.IsSortedFunc(rs, byID) {
+		slices.SortFunc(rs, byID)
+	}
+}
+
 // fill pulls up to block computable series off the cursor, retrying and
 // quarantining per the fail policy; drained reports that the cursor hit
 // io.EOF.
-func fill(ctx context.Context, cur core.Cursor, buf *[]*timeseries.Series, block int, cn *contain) (drained bool, err error) {
+func fill(ctx context.Context, cur core.Cursor, buf *[]*timeseries.Series, cn *contain) (drained bool, err error) {
 	for len(*buf) < block {
 		s, err := cn.next(ctx, cur)
 		if errors.Is(err, io.EOF) {

@@ -123,16 +123,6 @@ func TestRunUnknownTask(t *testing.T) {
 	}
 }
 
-func TestBlockFor(t *testing.T) {
-	for _, tc := range []struct{ workers, want int }{
-		{1, 16}, {2, 16}, {4, 16}, {8, 32}, {16, 64},
-	} {
-		if got := blockFor(tc.workers); got != tc.want {
-			t.Errorf("blockFor(%d) = %d, want %d", tc.workers, got, tc.want)
-		}
-	}
-}
-
 func TestDatasetCursorConformance(t *testing.T) {
 	ds := makeDataset(t, 5, 10)
 	cursortest.Run(t, func(t *testing.T) core.Cursor {

@@ -100,19 +100,16 @@ func (in *Ingestor) deliver(ctx context.Context, stage string, f func([]core.Rea
 // append-driven engine, without pausing ingestion: concurrent Appends
 // land in epochs the snapshot cursor never observes. The snapshot's
 // epoch is returned so callers can tag results with their freshness.
-// A snapshot exposes one cursor, so at Spec.Workers > 1 one decode
-// goroutine feeds all the workers.
+// A snapshot cursor that splits (core.PartitionedSource, as the column
+// and row stores' do) is run as partitions, one per worker.
 func RunSnapshot(ctx context.Context, app core.Appender, spec core.Spec) (*core.Results, core.Epoch, error) {
 	cur, epoch, err := app.Snapshot()
 	if err != nil {
 		return nil, 0, err
 	}
+	defer func() { _ = cur.Close() }()
 	res, err := RunContext(ctx, snapshotSource{cur: cur}, spec)
-	if err != nil {
-		_ = cur.Close()
-		return nil, epoch, err
-	}
-	return res, epoch, nil
+	return res, epoch, err
 }
 
 // snapshotSource adapts a snapshot cursor to the pipeline Source. The
@@ -124,6 +121,15 @@ type snapshotSource struct {
 }
 
 func (s snapshotSource) NewCursor() (core.Cursor, error) { return s.cur, nil }
+
+// NewCursors forwards to a snapshot cursor that splits, and hands out
+// the one cursor otherwise.
+func (s snapshotSource) NewCursors(max int) ([]core.Cursor, error) {
+	if ps, ok := s.cur.(core.PartitionedSource); ok {
+		return ps.NewCursors(max)
+	}
+	return []core.Cursor{s.cur}, nil
+}
 
 func (s snapshotSource) Temperature() (*timeseries.Temperature, error) {
 	if st, ok := s.cur.(core.SnapshotTemperature); ok {

@@ -183,7 +183,8 @@ func TestIngestorGivesUpAfterAttempts(t *testing.T) {
 // append-driven engines mid-ingestion and checks the results are
 // bit-identical to the reference over the same prefix — i.e. a
 // snapshot is exactly "the dataset as of its epoch", no matter how
-// many appends land while the query runs.
+// many appends land while the query runs, at one worker and split
+// across two and four.
 func TestRunSnapshotLiveEngines(t *testing.T) {
 	ds := makeDataset(t, 4, 14)
 	hours := len(ds.Temperature.Values)
@@ -231,55 +232,57 @@ func TestRunSnapshotLiveEngines(t *testing.T) {
 		}, baseN, rowRef},
 	}
 
-	for _, tc := range engines {
-		t.Run(tc.name, func(t *testing.T) {
-			eng := tc.mk(t)
-			defer eng.Release()
-			ctx := context.Background()
-			n := baseN // hours visible so far
-			for h := tc.base; h < n; h++ {
-				if err := eng.Append(datasetBatch(tc.ref, h)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, task := range core.Tasks {
-				spec := core.Spec{Task: task, K: 3, Workers: 2}
-				got, epoch, err := exec.RunSnapshot(ctx, eng, spec)
-				if err != nil {
-					t.Fatalf("%v: %v", task, err)
-				}
-				if epoch != core.Epoch(n-tc.base) {
-					t.Fatalf("%v: epoch = %d, want %d", task, epoch, n-tc.base)
-				}
-				want, err := core.RunReference(datasetPrefix(tc.ref, n), spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cursortest.CompareResults(t, got, want)
-
-				// Appends racing the next snapshot move the epoch but
-				// never leak into an already-taken one. Full days keep
-				// the PAR task's day-alignment requirement intact.
-				for h := n; h < n+timeseries.HoursPerDay; h++ {
+	for _, workers := range []int{1, 2, 4} {
+		for _, tc := range engines {
+			t.Run(fmt.Sprintf("%s_w%d", tc.name, workers), func(t *testing.T) {
+				eng := tc.mk(t)
+				defer eng.Release()
+				ctx := context.Background()
+				n := baseN // hours visible so far
+				for h := tc.base; h < n; h++ {
 					if err := eng.Append(datasetBatch(tc.ref, h)); err != nil {
 						t.Fatal(err)
 					}
 				}
-				got2, epoch2, err := exec.RunSnapshot(ctx, eng, spec)
-				if err != nil {
-					t.Fatal(err)
+				for _, task := range core.Tasks {
+					spec := core.Spec{Task: task, K: 3, Workers: workers}
+					got, epoch, err := exec.RunSnapshot(ctx, eng, spec)
+					if err != nil {
+						t.Fatalf("%v: %v", task, err)
+					}
+					if epoch != core.Epoch(n-tc.base) {
+						t.Fatalf("%v: epoch = %d, want %d", task, epoch, n-tc.base)
+					}
+					want, err := core.RunReference(datasetPrefix(tc.ref, n), spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cursortest.CompareResults(t, got, want)
+
+					// Appends racing the next snapshot move the epoch but
+					// never leak into an already-taken one. Full days keep
+					// the PAR task's day-alignment requirement intact.
+					for h := n; h < n+timeseries.HoursPerDay; h++ {
+						if err := eng.Append(datasetBatch(tc.ref, h)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					got2, epoch2, err := exec.RunSnapshot(ctx, eng, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if epoch2 <= epoch {
+						t.Fatalf("%v: epoch did not advance: %d -> %d", task, epoch, epoch2)
+					}
+					want2, err := core.RunReference(datasetPrefix(tc.ref, n+timeseries.HoursPerDay), spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cursortest.CompareResults(t, got2, want2)
+					n += timeseries.HoursPerDay
 				}
-				if epoch2 <= epoch {
-					t.Fatalf("%v: epoch did not advance: %d -> %d", task, epoch, epoch2)
-				}
-				want2, err := core.RunReference(datasetPrefix(tc.ref, n+timeseries.HoursPerDay), spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cursortest.CompareResults(t, got2, want2)
-				n += timeseries.HoursPerDay
-			}
-		})
+			})
+		}
 	}
 }
 

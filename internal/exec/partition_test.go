@@ -12,14 +12,15 @@ import (
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
-// partitionedSource is the minimal PartitionedSource for pipeline tests:
+// partitionedSource is the minimal PartitionedSource for the partition
+// loop's tests:
 // an in-memory dataset sharded either into contiguous ID ranges (like
 // the storage engines) or round-robin (like the cluster engines' hash
 // partitions, whose ID ranges interleave).
 type partitionedSource struct {
 	ds          *timeseries.Dataset
 	roundRobin  bool
-	cursorCalls *int // increments on NewCursor (serial path probe)
+	cursorCalls *int // increments on NewCursor (one-cursor probe)
 	partCalls   *int // increments on NewCursors
 	handed      *int // the number of cursors the last NewCursors returned
 	maxParts    int  // cap on partitions handed out (0 = no cap)
@@ -73,9 +74,9 @@ func (s partitionedSource) NewCursors(max int) ([]core.Cursor, error) {
 
 var streamingTasks = []core.Task{core.TaskHistogram, core.TaskThreeLine, core.TaskPAR}
 
-// TestPrefetchMatchesReference pins the overlapped path bit-identical to
+// TestPartitionsMatchReference pins the partition loop bit-identical to
 // the oracle for contiguous and interleaved (hash-style) partitions.
-func TestPrefetchMatchesReference(t *testing.T) {
+func TestPartitionsMatchReference(t *testing.T) {
 	ds := makeDataset(t, 11, 30)
 	for _, rr := range []bool{false, true} {
 		for _, task := range streamingTasks {
@@ -148,12 +149,12 @@ func TestOneWorkerRunsInline(t *testing.T) {
 	}
 }
 
-// TestPrefetchAnyCursorCount: at Workers > 1 the pipeline runs whatever
+// TestPartitionsAnyCursorCount: at Workers > 1 the run loops over whatever
 // the source hands it — one partition, none, or the one cursor of a
 // source that is not partitioned — and similarity drains the same
 // partitions: one NewCursors call at the worker count, after the one
 // cursor it opens first to see whether the source is a warm engine.
-func TestPrefetchAnyCursorCount(t *testing.T) {
+func TestPartitionsAnyCursorCount(t *testing.T) {
 	ds := makeDataset(t, 6, 20)
 	empty := &timeseries.Dataset{Temperature: ds.Temperature}
 
@@ -237,9 +238,9 @@ func (s coldSource) NewCursor() (core.Cursor, error) {
 	}, nil), nil
 }
 
-// TestPrefetchPhaseAccounting checks the busy-time counters: exact row
+// TestPartitionsPhaseAccounting checks the busy-time counters: exact row
 // counts per stage, non-zero busy sums, and volume matching the dataset.
-func TestPrefetchPhaseAccounting(t *testing.T) {
+func TestPartitionsPhaseAccounting(t *testing.T) {
 	const consumers, days = 12, 30
 	ds := makeDataset(t, consumers, days)
 	src := partitionedSource{ds: ds}
@@ -265,8 +266,8 @@ func TestPrefetchPhaseAccounting(t *testing.T) {
 	}
 }
 
-// failingCursor yields ok series then errors, for exercising pipeline
-// shutdown without deadlock.
+// failingCursor yields ok series then errors, for exercising a failed
+// run's shutdown without deadlock.
 type failingCursor struct {
 	series []*timeseries.Series
 	failAt int
@@ -314,10 +315,10 @@ func (s failingPartSource) NewCursors(max int) ([]core.Cursor, error) {
 	}, nil
 }
 
-// TestPrefetchErrorPropagates checks that a mid-stream cursor error
-// surfaces as the Run error and the pipeline unwinds (no goroutine
+// TestPartitionErrorPropagates checks that a mid-stream cursor error
+// surfaces as the Run error and the partitions unwind (no goroutine
 // deadlock — the test itself would time out on one).
-func TestPrefetchErrorPropagates(t *testing.T) {
+func TestPartitionErrorPropagates(t *testing.T) {
 	ds := makeDataset(t, 10, 20)
 	for _, failAt := range []int{0, 1, 3} {
 		parts := failingPartSource{ds: ds, failAt: failAt}

@@ -49,15 +49,10 @@ func summaryHistogramApplies(src Source, spec core.Spec) (core.SummarySource, bo
 
 // runHistogramSummaries executes the histogram task over block
 // summaries, one summarizePartition per cursor the source hands out for
-// the run's workers. One partition runs on the calling goroutine, so a
-// one-worker run's phases still add up to its wall time; several run a
-// goroutine each. Result order is ascending household ID, same as every
-// other path: the partitions' consumer ranges ascend, so their results
-// are concatenated in partition order. The run's error is the lowest
-// failing partition's, which is the error one cursor over everything
-// would have stopped at; a failing partition stops only the partitions
-// after it (eachPartition), so it can never hide a lower partition's
-// error. Only ctx stops them all.
+// the run's workers (runPartitions), as runConsumers runs its cursors.
+// The partitions' consumer ranges ascend, so the run's error, the
+// lowest failing partition's, is the error one cursor over everything
+// would have stopped at.
 func runHistogramSummaries(ctx context.Context, ss core.SummarySource, k *kernel, workers int, out *core.Results) error {
 	ph := out.Phases
 	start := time.Now()
@@ -66,34 +61,15 @@ func runHistogramSummaries(ctx context.Context, ss core.SummarySource, k *kernel
 	if err != nil {
 		return err
 	}
-	parts := make([]core.Results, len(curs))
-	for p := range parts {
-		parts[p].Phases = &core.Phases{}
-	}
-	if err := eachPartition(ctx, len(curs), func(ctx context.Context, p int) error {
-		return summarizePartition(ctx, curs[p], k, p, &parts[p])
-	}); err != nil {
-		return err
-	}
-	// Each partition booked its own busy time; sum after the join.
-	for p := range parts {
-		pp := parts[p].Phases
-		ph.Extract.Add(pp.Extract)
-		ph.Compute.Add(pp.Compute)
-		ph.Emit.Add(pp.Emit)
-		ph.SummaryBlocks += pp.SummaryBlocks
-		ph.DecodedBlocks += pp.DecodedBlocks
-		start = time.Now()
-		out.Histograms = append(out.Histograms, parts[p].Histograms...)
-		ph.Emit.Wall += time.Since(start)
-	}
-	return nil
+	return runPartitions(ctx, out, len(curs), func(ctx context.Context, p int, part *core.Results) error {
+		return summarizePartition(ctx, curs[p], k, p, part)
+	})
 }
 
 // summarizePartition drains one summary cursor into out, which nothing
 // else touches: partition p's results, in ID order, and its phases. It
 // closes the cursor. A panic under it (a corrupt segment image) becomes
-// the partition's error, as in the pipeline's decode goroutines.
+// the partition's error, as in consumePartition.
 func summarizePartition(ctx context.Context, sc core.SummaryCursor, k *kernel, p int, out *core.Results) (err error) {
 	defer func() { _ = sc.Close() }()
 	defer func() {

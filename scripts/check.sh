@@ -27,7 +27,7 @@ echo "== go run ./cmd/smlint ./..."
 go run ./cmd/smlint ./...
 
 # The execution layer and the engines under it are the concurrency
-# hot spots (the pipeline's extract/compute goroutine fan-out, the
+# hot spots (a goroutine per partition, each extracting and computing, the
 # partition cursors' shared state — refcounted indexes, the row store's
 # concurrent buffer pool under its shared table latch, shared cluster
 # extraction jobs — and block scheduling); surface a race there as its
@@ -35,7 +35,7 @@ go run ./cmd/smlint ./...
 # of that shared state is held by tests in this step (rowstore's
 # TestPinsBalance, filestore's TestIndexPartCloseResetClose), not by
 # smlint, whose analyzers are all single syntactic passes.
-echo "== go test -race ./internal/exec/... ./internal/engine/... (one-worker loop, pipeline + partition cursors)"
+echo "== go test -race ./internal/exec/... ./internal/engine/... (partition loop + partition cursors)"
 go test -race ./internal/exec/... ./internal/engine/...
 
 # Chaos conformance: every engine cursor under injected faults and
