@@ -12,8 +12,9 @@ package core
 // The execution layer (internal/exec) uses it at more than one worker:
 // each partition cursor gets a goroutine of its own, which extracts,
 // computes and emits its consumers, and the partitions' results are
-// joined in partition order. A source without it runs as one partition
-// over its NewCursor. The similarity task drains the same partitions in
+// joined in partition order. The run's workers are shared out among the
+// partitions, so fewer partitions than workers still compute on every
+// worker. A source without it runs as one partition over its NewCursor. The similarity task drains the same partitions in
 // parallel into one matrix, each into the rows after the earlier
 // partitions' SizeHints. A live snapshot cursor that splits (the column
 // and row stores') implements it too.

@@ -185,7 +185,7 @@ func (e *Engine) Run(spec core.Spec) (*core.Results, error) {
 }
 
 // RunContext implements core.Engine by handing the engine's cursors to
-// the shared execution pipeline.
+// the shared execution layer, which runs each as a partition.
 func (e *Engine) RunContext(ctx context.Context, spec core.Spec) (*core.Results, error) {
 	if len(e.inputs) == 0 {
 		return nil, fmt.Errorf("cluster: %w", core.ErrNotLoaded)
@@ -194,10 +194,12 @@ func (e *Engine) RunContext(ctx context.Context, spec core.Spec) (*core.Results,
 	return exec.RunContext(ctx, e, spec)
 }
 
-// workers is the pipeline worker count a run uses: a spec that leaves
-// Workers unset gets the cluster's total task slots, so the node sweeps
-// of Figures 14, 17 and 19 keep scaling compute; an explicit count
-// always wins.
+// workers is the worker count a run uses: a spec that leaves Workers
+// unset gets the cluster's total task slots; an explicit count always
+// wins. The run asks NewCursors for that many partitions and gets at
+// most one per result partition (reduce task or split), and shares its
+// workers' kernel slots out among them, so compute in the node sweeps
+// of Figures 14, 17 and 19 scales with the slots, not the partitions.
 func (e *Engine) workers(requested int) int {
 	if requested > 0 {
 		return requested
@@ -320,10 +322,10 @@ func (x *extraction) release() {
 // one shared extraction job, each owning a contiguous range of its
 // result partitions. Households are hash-partitioned by the shuffle, or
 // grouped per input split, so the cursors' ID sets are disjoint but
-// their ranges interleave; the pipeline's final sort by household ID
-// restores global order. It refuses a forced plan over the wrong format,
-// and fails with dfs.ErrBlockLost when an input block has no live
-// replica.
+// their ranges interleave; the execution layer sorts the joined results
+// by household ID once, which restores global order. It refuses a
+// forced plan over the wrong format, and fails with dfs.ErrBlockLost
+// when an input block has no live replica.
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("cluster: NewCursors: max must be >= 1, got %d", max)

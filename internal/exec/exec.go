@@ -21,7 +21,10 @@
 // up to the run's; several (§5.3.4) run a goroutine each, and their
 // results are joined in partition order, which is household-ID order
 // except over the cluster engines' interleaved partitions, which are
-// sorted once. Blocks keep a streaming engine's memory flat (Figure 8).
+// sorted once. The run's workers kernel slots are shared out among the
+// partitions, so a source with fewer partitions than workers computes
+// each block on several slots at once, a goroutine per slot. Blocks
+// keep a streaming engine's memory flat (Figure 8).
 // The compressed-domain histogram (summary.go) runs the source's summary
 // partitions the same way, and the whole-dataset similarity task drains
 // the partitions, one goroutine each, into one row-major buffer that
@@ -337,6 +340,12 @@ func openCursors(ctx context.Context, src Source, max int, ph *core.Phases) (cur
 	if err != nil {
 		return nil, err
 	}
+	if len(curs) > max {
+		for _, cur := range curs {
+			_ = cur.Close()
+		}
+		return nil, fmt.Errorf("exec: source %T opened %d partitions, more than the %d asked for", src, len(curs), max)
+	}
 	for _, cur := range curs {
 		core.BindContext(cur, ctx)
 	}
@@ -559,6 +568,19 @@ func (k *kernel) computeRange(w int, series []*timeseries.Series, res []fitted, 
 	return nil
 }
 
+// computeBlock runs computeRange over a block on up to lanes kernel
+// slots from lo, each slot over a contiguous chunk of the block
+// (eachPartition: inline for one, a goroutine each for several). The
+// results land index for index, so the block keeps its order, and the
+// lowest chunk's error, the first the serial loop would meet, wins.
+func (k *kernel) computeBlock(ctx context.Context, lo, lanes int, series []*timeseries.Series, res []fitted, cn *contain) error {
+	lanes = min(lanes, len(series))
+	return eachPartition(ctx, lanes, func(_ context.Context, l int) error {
+		a, b := l*len(series)/lanes, (l+1)*len(series)/lanes
+		return k.computeRange(lo+l, series[a:b], res[a:b], cn)
+	})
+}
+
 // bookTimings moves the slots' 3-line sub-phase times onto the phases.
 func (k *kernel) bookTimings(ph *core.Phases) {
 	for _, tm := range k.tims {
@@ -588,33 +610,40 @@ func emit(out *core.Results, res []fitted) int {
 	return n
 }
 
-// block is how many series a partition extracts before it computes
-// them: enough that the loop's per-block costs stay small beside the
-// kernel's, few enough that a streaming cursor (the partitioned file
-// engine, the row store) holds only a bounded number of decoded series
-// at a time, so memory stays flat (Figure 8).
+// block is how many series a partition extracts for each of its kernel
+// slots before it computes them: enough that the loop's per-block costs
+// stay small beside the kernel's, few enough that a streaming cursor
+// (the partitioned file engine, the row store) holds only a bounded
+// number of decoded series at a time, so memory stays flat (Figure 8).
 const block = 16
 
 // runConsumers is the per-consumer path at every worker count: it opens
 // up to workers cursors (openCursors) and runs consumePartition over
-// each, on kernel slot p (runPartitions).
+// each (runPartitions). The kernel's workers slots are shared out among
+// the partitions in contiguous runs, so a source that splits into fewer
+// partitions than workers (a cluster engine's reduce tasks, an
+// unpartitioned file, a row store's small pool) still computes on
+// workers goroutines.
 func runConsumers(ctx context.Context, src Source, k *kernel, workers int, out *core.Results, cn *contain) error {
 	curs, err := openCursors(ctx, src, workers, out.Phases)
 	if err != nil {
 		return err
 	}
-	return runPartitions(ctx, out, len(curs), func(ctx context.Context, p int, part *core.Results) error {
-		return consumePartition(ctx, curs[p], k, p, cn, part)
+	n := len(curs)
+	return runPartitions(ctx, out, n, func(ctx context.Context, p int, part *core.Results) error {
+		lo, hi := p*workers/n, (p+1)*workers/n
+		return consumePartition(ctx, curs[p], k, lo, hi-lo, cn, part)
 	})
 }
 
 // consumePartition is one partition's loop: extract a block of series,
-// compute it on kernel slot p, emit it into out, repeat. The stages
-// alternate, so their times add up to the partition's elapsed time. out
-// is the partition's own: its results in cursor order and its phases.
-// It closes the cursor, and a panic under it (a corrupt page, a buggy
+// compute it on the partition's lanes kernel slots from lo
+// (computeBlock), emit it into out, repeat. The stages alternate, so
+// their times add up to the partition's elapsed time. out is the
+// partition's own: its results in cursor order and its phases. It
+// closes the cursor, and a panic under it (a corrupt page, a buggy
 // parser) becomes the partition's error.
-func consumePartition(ctx context.Context, cur core.Cursor, k *kernel, p int, cn *contain, out *core.Results) (err error) {
+func consumePartition(ctx context.Context, cur core.Cursor, k *kernel, lo, lanes int, cn *contain, out *core.Results) (err error) {
 	defer func() { _ = cur.Close() }()
 	defer func() {
 		if v := recover(); v != nil {
@@ -622,7 +651,7 @@ func consumePartition(ctx context.Context, cur core.Cursor, k *kernel, p int, cn
 		}
 	}()
 	ph := out.Phases
-	buf := make([]*timeseries.Series, 0, block)
+	buf := make([]*timeseries.Series, 0, block*lanes)
 	for {
 		buf = buf[:0]
 		start := time.Now()
@@ -636,7 +665,7 @@ func consumePartition(ctx context.Context, cur core.Cursor, k *kernel, p int, cn
 
 		start = time.Now()
 		res := make([]fitted, len(buf))
-		err = k.computeRange(p, buf, res, cn)
+		err = k.computeBlock(ctx, lo, lanes, buf, res, cn)
 		ph.Compute.Wall += time.Since(start)
 		ph.Compute.Rows += int64(len(buf))
 		if err != nil {
@@ -699,11 +728,11 @@ func sortByID[T any](rs []T, id func(T) timeseries.ID) {
 	}
 }
 
-// fill pulls up to block computable series off the cursor, retrying and
-// quarantining per the fail policy; drained reports that the cursor hit
-// io.EOF.
+// fill pulls computable series off the cursor until buf is at capacity,
+// retrying and quarantining per the fail policy; drained reports that
+// the cursor hit io.EOF.
 func fill(ctx context.Context, cur core.Cursor, buf *[]*timeseries.Series, cn *contain) (drained bool, err error) {
-	for len(*buf) < block {
+	for len(*buf) < cap(*buf) {
 		s, err := cn.next(ctx, cur)
 		if errors.Is(err, io.EOF) {
 			return true, nil

@@ -108,11 +108,15 @@ func RunSnapshot(ctx context.Context, app core.Appender, spec core.Spec) (*core.
 		return nil, 0, err
 	}
 	defer func() { _ = cur.Close() }()
-	res, err := RunContext(ctx, snapshotSource{cur: cur}, spec)
+	var src Source = snapshotSource{cur: cur}
+	if ps, ok := cur.(core.PartitionedSource); ok {
+		src = splitSnapshot{snapshotSource{cur: cur}, ps}
+	}
+	res, err := RunContext(ctx, src, spec)
 	return res, epoch, err
 }
 
-// snapshotSource adapts a snapshot cursor to the pipeline Source. The
+// snapshotSource adapts a snapshot cursor to a Source. The
 // temperature column comes from the snapshot itself
 // (core.SnapshotTemperature), not the engine, so it is as isolated as
 // the readings.
@@ -122,13 +126,12 @@ type snapshotSource struct {
 
 func (s snapshotSource) NewCursor() (core.Cursor, error) { return s.cur, nil }
 
-// NewCursors forwards to a snapshot cursor that splits, and hands out
-// the one cursor otherwise.
-func (s snapshotSource) NewCursors(max int) ([]core.Cursor, error) {
-	if ps, ok := s.cur.(core.PartitionedSource); ok {
-		return ps.NewCursors(max)
-	}
-	return []core.Cursor{s.cur}, nil
+// splitSnapshot is the source of a snapshot cursor that splits: its
+// NewCursors is the cursor's. A snapshot cursor that does not split is a
+// plain snapshotSource, which the run opens as its one partition.
+type splitSnapshot struct {
+	snapshotSource
+	core.PartitionedSource
 }
 
 func (s snapshotSource) Temperature() (*timeseries.Temperature, error) {

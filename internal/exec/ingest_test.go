@@ -184,7 +184,7 @@ func TestIngestorGivesUpAfterAttempts(t *testing.T) {
 // bit-identical to the reference over the same prefix — i.e. a
 // snapshot is exactly "the dataset as of its epoch", no matter how
 // many appends land while the query runs, at one worker and split
-// across two and four.
+// across two and four, and read as one cursor when it does not split.
 func TestRunSnapshotLiveEngines(t *testing.T) {
 	ds := makeDataset(t, 4, 14)
 	hours := len(ds.Temperature.Values)
@@ -210,10 +210,6 @@ func TestRunSnapshotLiveEngines(t *testing.T) {
 		s.Readings = append(s.Readings, ds.Series[i].Readings[baseN:]...)
 	}
 
-	type liveEngine interface {
-		core.Appender
-		core.Engine
-	}
 	engines := []struct {
 		name string
 		mk   func(t *testing.T) liveEngine
@@ -230,6 +226,9 @@ func TestRunSnapshotLiveEngines(t *testing.T) {
 			}
 			return e
 		}, baseN, rowRef},
+		{"colstore_unsplit", func(t *testing.T) liveEngine {
+			return unsplitSnapshots{colstore.New(t.TempDir())}
+		}, 0, ds},
 	}
 
 	for _, workers := range []int{1, 2, 4} {
@@ -284,6 +283,27 @@ func TestRunSnapshotLiveEngines(t *testing.T) {
 			})
 		}
 	}
+}
+
+type liveEngine interface {
+	core.Appender
+	core.Engine
+}
+
+// unsplitSnapshots hides the split of an engine's snapshot cursors, as
+// a snapshot that cannot split would have none: a run over it at any
+// worker count reads the one cursor.
+type unsplitSnapshots struct{ liveEngine }
+
+func (e unsplitSnapshots) Snapshot() (core.Cursor, core.Epoch, error) {
+	cur, epoch, err := e.liveEngine.Snapshot()
+	if err != nil {
+		return nil, 0, err
+	}
+	return struct {
+		core.Cursor
+		core.SnapshotTemperature
+	}{cur, cur.(core.SnapshotTemperature)}, epoch, nil
 }
 
 // makeDataset mirrors the exec package's internal test helper; external

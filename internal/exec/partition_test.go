@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -328,5 +330,85 @@ func TestPartitionErrorPropagates(t *testing.T) {
 				t.Fatalf("%s, failAt=%d: err = %v, want errBoom", name, failAt, err)
 			}
 		}
+	}
+}
+
+// TestFewPartitionsShareEverySlot: a source that splits into fewer
+// partitions than workers still computes on every kernel slot, the
+// partitions taking contiguous runs of them, and the result is the
+// serial one.
+func TestFewPartitionsShareEverySlot(t *testing.T) {
+	ds := makeDataset(t, 12, 30)
+	for _, task := range []core.Task{core.TaskThreeLine, core.TaskPAR} {
+		for _, parts := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("%v_parts%d", task, parts), func(t *testing.T) {
+				spec := core.Spec{Task: task, Workers: 4}.WithDefaults()
+				out := &core.Results{Task: task, Phases: &core.Phases{}}
+				k, err := newKernel(spec, ds.Temperature, spec.Workers, out.Phases)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := partitionedSource{ds: ds, maxParts: parts}
+				if err := runConsumers(context.Background(), src, k, spec.Workers, out, &contain{}); err != nil {
+					t.Fatal(err)
+				}
+				for w := range spec.Workers {
+					scr := reflect.ValueOf(k.parScr)
+					if k.line != nil {
+						scr = reflect.ValueOf(k.lineScr)
+					}
+					if scr.Index(w).IsZero() {
+						t.Errorf("kernel slot %d computed nothing", w)
+					}
+				}
+				want, err := core.RunReference(ds, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareResults(t, out, want)
+			})
+		}
+	}
+}
+
+// TestSharedSlotsReportTheFirstError: when one partition computes a
+// block on several slots and two of its consumers fail, the run reports
+// the error the one-worker loop meets first, however the slots
+// interleave.
+func TestSharedSlotsReportTheFirstError(t *testing.T) {
+	ds := makeDataset(t, 12, 30)
+	for _, i := range []int{4, 10} {
+		ds.Series[i].Readings = ds.Series[i].Readings[:100]
+	}
+	src := struct{ Source }{NewDatasetSource(ds)} // one partition
+	for _, task := range []core.Task{core.TaskThreeLine, core.TaskPAR} {
+		_, err := Run(src, core.Spec{Task: task, Workers: 1})
+		if err == nil {
+			t.Fatalf("%v: a one-worker run over short series succeeded", task)
+		}
+		for run := range 50 {
+			_, got := Run(src, core.Spec{Task: task, Workers: 4})
+			if errText(got) != errText(err) {
+				t.Fatalf("%v run %d: err %q, want %q", task, run, errText(got), errText(err))
+			}
+		}
+	}
+}
+
+// overSplit hands out one partition more than it is asked for.
+type overSplit struct{ partitionedSource }
+
+func (s overSplit) NewCursors(max int) ([]core.Cursor, error) {
+	return s.partitionedSource.NewCursors(max + 1)
+}
+
+// TestMorePartitionsThanAskedFails: a source that breaks the
+// PartitionedSource contract by opening more cursors than max fails the
+// run instead of sharing a kernel slot between two partitions.
+func TestMorePartitionsThanAskedFails(t *testing.T) {
+	ds := makeDataset(t, 6, 20)
+	_, err := Run(overSplit{partitionedSource{ds: ds}}, core.Spec{Task: core.TaskPAR, Workers: 2})
+	if err == nil || !strings.Contains(err.Error(), "3 partitions, more than the 2 asked for") {
+		t.Fatalf("err = %v, want the partition count refused", err)
 	}
 }
