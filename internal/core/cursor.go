@@ -23,11 +23,11 @@ import (
 // *timeseries.Series, the cursor never writes to it or to its Readings
 // again, through later Next calls and Close. The execution layer holds
 // a block of series while the cursor advances to fill it, so a cursor
-// that decodes into a buffer must take a fresh one per series rather
-// than recycle it. (A replay after Reset may decode the same values
-// into the same buffers; nothing resets a cursor while holding series
-// from it.) The one exception is a row the caller supplied (RowTaker):
-// that row is the caller's before and after, and the cursor writes it
+// must not recycle a buffer of its own from one series to the next.
+// (A replay after Reset may decode the same values into the same
+// buffers; nothing resets a cursor while holding series from it.)
+// Recycling is the caller's to do, through RowTaker: a row the caller
+// hands over is the caller's before and after, and the cursor writes it
 // only inside the Next that yields it.
 type Cursor interface {
 	// Next returns the next consumer's series, or io.EOF when the cursor
@@ -91,14 +91,19 @@ type SizeHinter interface {
 }
 
 // RowTaker is optionally implemented by cursors that decode every series
-// into a fresh row. TakeRow hands such a cursor the row its next
-// successful Next decodes into instead of allocating one; that Next
-// yields a series whose Readings is row itself. A Next that fails keeps
-// the row for the one after it, and a row whose length is not the
-// series length is ignored. Nothing else changes: Next is still the only
-// way to pull a series, and without a TakeRow the cursor allocates as
-// before. The similarity drain (internal/exec) uses it to decode every
-// consumer straight into its slot of one row-major matrix.
+// into a row of the caller's: every row such a cursor yields is the
+// caller's to keep or hand back. TakeRow hands such a cursor the row its
+// next successful Next decodes into instead of allocating one; that Next
+// overwrites every reading of the row, whatever it held, and yields a
+// series whose Readings is row itself. A Next that fails keeps the row
+// for the one after it, and a row whose length is not the series length
+// is ignored. Nothing else changes: Next is still the only way to pull a
+// series, and without a TakeRow the cursor allocates as before. The
+// execution layer (internal/exec) uses it twice: the similarity drain
+// decodes every consumer straight into its slot of one row-major
+// matrix, and the per-consumer partition loop decodes each block of
+// series into the rows of the block it emitted before, so a streaming
+// run allocates one block of rows per partition.
 type RowTaker interface {
 	TakeRow(row []float64)
 }

@@ -12,10 +12,12 @@ import (
 // pagedCursor assembles one consumer row per Next through the shared
 // block cache: a block the cache holds is copied into the row, any other
 // is decoded straight into it out of the consumer's payload area, read
-// with one pread (pager.readConsumer). The row is the one the caller
-// handed over with TakeRow (the similarity drain passes a slot of its
-// matrix), otherwise a fresh allocation; either way no cache frame
-// aliases it, so it survives arbitrarily long in the compute phase.
+// with one pread (pager.readConsumer), so every hour is written. The row
+// is the one the caller handed over with TakeRow (a slot of the
+// similarity drain's matrix, or a row of the partition loop's last
+// block), otherwise a new one. Either way it is the caller's: no cache
+// frame aliases it, and the cursor never writes it again, so it
+// survives arbitrarily long in the compute phase.
 // Partition cursors over disjoint ranges share one pager, so the byte
 // budget is global no matter how many cursors a run opens.
 type pagedCursor struct {
@@ -60,7 +62,7 @@ func (c *pagedCursor) Next() (*timeseries.Series, error) {
 func (c *pagedCursor) TakeRow(row []float64) { c.row = row }
 
 func (c *pagedCursor) Reset() error {
-	// Rows were handed out, never recycled; rewinding reads the blocks
+	// The rows handed out are the caller's; rewinding reads the blocks
 	// again (cache hits for those the budget had room to admit).
 	c.i = 0
 	c.closed = false

@@ -119,13 +119,25 @@ func hostileFiles(t testing.TB, consumers int) map[string][]byte {
 	gap := append(append(append([]byte(nil), flat[:dirOff]...), 0), flat[dirOff:]...)
 	binary.LittleEndian.PutUint64(gap[28:], dirOff+1)
 	binary.LittleEndian.PutUint64(gap[36:], uint64(len(gap)))
+	// Two readings in blocks of one row, the block rows then raised to
+	// 2^31-1: n + blockRows - 1 once wrapped negative where int is 32
+	// bits, and the block-header table was sized by a block count of -1.
+	twoPath := filepath.Join(t.TempDir(), SegmentFileName)
+	writeSegmentWith(t, twoPath, make([]float64, 2), encodeTestSeries(t, 1, 2), WithBlockRows(1))
+	wide, err := os.ReadFile(twoPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(wide[16:], 0x7fffffff)
 	return map[string][]byte{
+		"block rows near 2^31":             wide,
 		"hours":                            hours,
 		"block headers":                    hostileDirectory(consumers, consumers),
 		"value length":                     patched(flatHdrOff(0), 0xFFFFFFF0),
 		"value lengths overrun the area":   patched(flatHdrOff(1), 12),
 		"area longer than its blocks":      patched(flatHdrOff(1), 10),
 		"NaN count above the block's rows": patched(flatHdrOff(0)+4, 65),
+		"NaN count past 2^31":              patched(flatHdrOff(0)+4, 0xFFFFFFFF),
 		"a byte outside every segment":     gap,
 	}
 }

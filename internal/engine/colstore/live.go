@@ -385,8 +385,9 @@ var _ core.Appender = (*Engine)(nil)
 
 // snapCursor merges one base column with the captured tail per Next,
 // decoding into the row the caller handed it (core.RowTaker) or else a
-// fresh one: either way the row is the caller's, never recycled, since
-// it must outlive the cursor while writers keep appending. pg is the
+// new one: either way the row is the caller's, and the cursor never
+// writes it again, since it must outlive the cursor while writers keep
+// appending. The caller may hand it back for a later Next. pg is the
 // pager of the store captured with the tails, so a snapshot taken
 // before a checkpoint keeps reading the retired store through the cache
 // that belongs to it.
@@ -435,7 +436,7 @@ func (c *snapCursor) Next() (*timeseries.Series, error) {
 func (c *snapCursor) TakeRow(row []float64) { c.row = row }
 
 func (c *snapCursor) Reset() error {
-	// Rows were handed out as fresh slices; replaying re-decodes the
+	// The rows handed out are the caller's; replaying re-decodes the
 	// same captured state.
 	c.i = 0
 	c.closed = false

@@ -42,7 +42,8 @@ func newPager(st *segStore, budget int64) *pager {
 }
 
 // readConsumer fills row, which must hold st.n values, with consumer c's
-// whole series. A block the cache holds is copied out of its frame. The
+// whole series, writing every value, so row may hold anything before
+// (a row the partition loop hands back). A block the cache holds is copied out of its frame. The
 // others are decoded straight into row out of the consumer's payload
 // area, which the first of them reads with one pread, and the cache
 // keeps a copy of each while one fits the budget. row is the caller's

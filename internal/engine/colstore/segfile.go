@@ -140,6 +140,16 @@ func WithEncoders(n int) WriterOption {
 	}
 }
 
+// blocksFor is how many blocks of blockRows (> 0) rows hold n rows:
+// ceil(n / blockRows), without the sum n + blockRows - 1, which a stored
+// blockRows near 2^31 wraps negative where int is 32 bits.
+func blocksFor(n, blockRows int) int {
+	if n <= 0 {
+		return 0
+	}
+	return (n-1)/blockRows + 1
+}
+
 // NewSegmentWriter creates path (truncating any previous file) and
 // writes the header and temperature column. Callers must Append every
 // consumer in ascending ID order and then Close.
@@ -148,10 +158,7 @@ func NewSegmentWriter(path string, temp []float64, opts ...WriterOption) (*Segme
 	for _, opt := range opts {
 		opt(w)
 	}
-	w.blockCount = 0
-	if w.n > 0 {
-		w.blockCount = (w.n + w.blockRows - 1) / w.blockRows
-	}
+	w.blockCount = blocksFor(w.n, w.blockRows)
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: create segments: %w", err)
@@ -416,10 +423,7 @@ func (st *segStore) parseMeta(hdr [headerSize]byte) error {
 	if fi, err := st.f.Stat(); err != nil || fi.Size() != st.fileSize {
 		return fmt.Errorf("%w: size mismatch", errCorrupt)
 	}
-	st.blockCount = 0
-	if st.n > 0 {
-		st.blockCount = (st.n + st.blockRows - 1) / st.blockRows
-	}
+	st.blockCount = blocksFor(st.n, st.blockRows)
 	// The temperature column, the consumers' segments and the directory
 	// follow the header in that order and end the file.
 	tempEnd := headerSize + 8*int64(st.n)
@@ -475,7 +479,7 @@ func (st *segStore) parseMeta(hdr [headerSize]byte) error {
 		for b := 0; b < st.blockCount; b++ {
 			h := parseBlockHdr(scratch[b*blockHdrSize:])
 			_, count := st.rows(b)
-			if int64(h.valLen) > int64(st.areaLen[c])-off || int(h.nans) > count {
+			if int64(h.valLen) > int64(st.areaLen[c])-off || int64(h.nans) > int64(count) {
 				return fmt.Errorf("%w: consumer %d block %d header", errCorrupt, st.ids[c], b)
 			}
 			h.off = uint32(off)

@@ -467,7 +467,9 @@ const basePrefix = -1
 // tuples appended after the capture are skipped. A cursor passes its
 // reader: the series decodes into the row it took, when that has the
 // length, and the scan reads through the cursor's ring; other callers
-// pass nil and read through the pool into a fresh row.
+// pass nil and read through the pool into a fresh row. A taken row may
+// hold an earlier series: the read overwrites every hour, and hours the
+// household does not store read as zero (seriesRead.read).
 func (e *Engine) readSeriesShared(id timeseries.ID, upTo int, rd *reader) (*timeseries.Series, error) {
 	e.readMu.RLock()
 	defer e.readMu.RUnlock()
@@ -486,9 +488,7 @@ func (e *Engine) readSeriesShared(id timeseries.ID, upTo int, rd *reader) (*time
 	var rg *pageRing
 	if rd != nil {
 		if len(rd.row) == upTo {
-			// Hours a household does not store read as zero.
 			cons = rd.row
-			clear(cons)
 		}
 		rg = rd.ringFor(e.bp)
 	}

@@ -1,8 +1,11 @@
 package rowstore
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"sort"
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
@@ -53,11 +56,47 @@ func indexSeries(t *testing.T, tb *table, id timeseries.ID, n int) (cons, temp [
 	return cons, temp
 }
 
+// nanRow is a row of n NaNs: a row a cursor takes back holds the
+// readings of an earlier household, and a read must overwrite them all.
+func nanRow(n int) []float64 {
+	row := make([]float64, n)
+	for i := range row {
+		row[i] = math.NaN()
+	}
+	return row
+}
+
+// drainDirty drains cur, handing it before each Next a row of NaNs of
+// the length the next household reads at, n(i) for the i-th, and fails
+// unless every series is read into the row it was handed.
+func drainDirty(t *testing.T, cur core.Cursor, n func(i int) int) []*timeseries.Series {
+	t.Helper()
+	var out []*timeseries.Series
+	for i := 0; ; i++ {
+		row := nanRow(n(i))
+		cur.(core.RowTaker).TakeRow(row)
+		s, err := cur.Next()
+		if errors.Is(err, io.EOF) {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(row) == 0 || &s.Readings[0] != &row[0] {
+			t.Fatalf("household %d was not read into the row handed over", s.ID)
+		}
+		out = append(out, s)
+	}
+}
+
 // checkOracle compares every read of the store with indexSeries, bit
 // for bit: the base view through the scan cursor (W=1), two partition
 // cursors (W=2) and the temperature column, a fresh snapshot of the
 // full committed state, and each held snapshot at the lengths it
-// captured.
+// captured. The scan cursor and the snapshots read into rows of NaNs
+// too, as they do when the partition loop hands back the rows of a
+// block, and every household read past the hours it stores must read
+// them as zero into such a row as into a fresh one.
 func checkOracle(t *testing.T, e *Engine, held map[core.Cursor]map[timeseries.ID]int) {
 	t.Helper()
 	var want []*timeseries.Series
@@ -70,6 +109,10 @@ func checkOracle(t *testing.T, e *Engine, held map[core.Cursor]map[timeseries.ID
 		t.Fatal(err)
 	}
 	sameSeries(t, drainAll(t, cur), want)
+	if err := cur.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	sameSeries(t, drainDirty(t, cur, func(int) int { return e.table.seriesLen }), want)
 	sameSeries(t, drainPartitions(t, e, 2), want)
 	temp, err := e.Temperature()
 	if err != nil {
@@ -100,8 +143,48 @@ func checkOracle(t *testing.T, e *Engine, held map[core.Cursor]map[timeseries.ID
 			cons, _ := indexSeries(t, e.table, id, n)
 			sameBits(t, fmt.Sprintf("snapshot, household %d", id), rows[id], cons)
 		}
+		ids := make([]timeseries.ID, 0, len(lens))
+		for id := range lens {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+		if err := cur.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		dirty := drainDirty(t, cur, func(i int) int {
+			if i < len(ids) {
+				return lens[ids[i]]
+			}
+			return 0
+		})
+		for _, s := range dirty {
+			sameBits(t, fmt.Sprintf("snapshot into a dirty row, household %d", s.ID), s.Readings, rows[s.ID])
+		}
 	}
 	delete(held, snap)
+
+	// A day past every household's stored hours: the walk stops short,
+	// and the hours stored nowhere read as zero.
+	for id, n := range lens {
+		n += 24
+		fresh, err := e.readSeriesShared(id, n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cons, _ := indexSeries(t, e.table, id, n)
+		sameBits(t, fmt.Sprintf("household %d past its hours", id), fresh.Readings, cons)
+		row := nanRow(n)
+		rd := &reader{row: row}
+		got, err := e.readSeriesShared(id, n, rd)
+		rd.release(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &got.Readings[0] != &row[0] {
+			t.Fatalf("household %d was not read into the row handed over", id)
+		}
+		sameBits(t, fmt.Sprintf("household %d past its hours, into a dirty row", id), got.Readings, cons)
+	}
 }
 
 // hoursOf is one household's live hours [from, to) as a batch.

@@ -260,9 +260,11 @@ func (tb *table) setSeriesLen(n int) { tb.seriesLen = n }
 // depends only on where it is stored. The heap page of the last tuple
 // stays pinned until the next tuple lies on another page: one pool
 // lookup per heap page, no copy and no allocation per tuple. It reads
-// the published prefix or a snapshot's captured length alike, and
-// writes only the hours that are stored. Given a cursor's ring, it reads
-// the heap and the leaf chain through it; descents keep the pool.
+// the published prefix or a snapshot's captured length alike. It writes
+// every hour of cons, zero where the household stores none, so cons
+// need not be zeroed; of temp it writes only the hours that are stored.
+// Given a cursor's ring, it reads the heap and the leaf chain through
+// it; descents keep the pool.
 // Callers hold the table latch, shared or exclusive.
 func (tb *table) readSeriesInto(rg *pageRing, id timeseries.ID, cons, temp []float64) error {
 	r := seriesRead{bp: tb.heap.bp, rg: rg, id: uint64(id), rows: tb.layout == LayoutRows, cons: cons, temp: temp}
@@ -292,7 +294,10 @@ type seriesRead struct {
 	seq   uint64
 }
 
-// read runs the two phases.
+// read runs the two phases. cons may hold an earlier series (a row a
+// cursor took back): the walk writes hours 0 to r.hours-1 in order, so
+// when it stops short the rest is cleared before the index phase writes
+// the hours stored there, and an hour stored nowhere reads as zero.
 func (r *seriesRead) read(index *btree) error {
 	k, tid, found, err := index.first(key{ID: r.id})
 	if err != nil {
@@ -304,6 +309,7 @@ func (r *seriesRead) read(index *btree) error {
 	if err := r.walk(tid); err != nil || r.hours == len(r.cons) {
 		return err
 	}
+	clear(r.cons[r.hours:])
 	return r.scan(index)
 }
 

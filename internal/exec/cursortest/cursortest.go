@@ -100,7 +100,7 @@ func Run(t *testing.T, open func(t *testing.T) core.Cursor) {
 	})
 
 	// The pipeline holds yielded series while the cursor advances, so a
-	// cursor that recycled a row buffer would corrupt a run at more than
+	// cursor that recycled a row buffer of its own would corrupt a run at more than
 	// one worker. drain copies at yield time; the pointers kept beside
 	// the copies show what the cursor did to the originals afterwards.
 	t.Run("YieldedSeriesStayValid", func(t *testing.T) {

@@ -34,7 +34,8 @@ type drainCursor struct {
 	delay  time.Duration
 	fresh  *atomic.Int64 // rows allocated because no row was handed over
 	closes *atomic.Int64
-	pulled *atomic.Int64 // consumers Next got to
+	pulled *atomic.Int64       // consumers Next got to
+	record func(row []float64) // sees every row Next yields, if set
 
 	ctx    context.Context
 	row    []float64
@@ -69,6 +70,9 @@ func (c *drainCursor) Next() (*timeseries.Series, error) {
 	}
 	copy(row, s.Readings)
 	c.row = nil
+	if c.record != nil {
+		c.record(row)
+	}
 	return &timeseries.Series{ID: s.ID, Readings: row}, nil
 }
 
@@ -100,10 +104,11 @@ type drainSource struct {
 	parts func(n, max int) [][]int
 	// hint is the SizeHint partition p reports for its count consumers
 	// (< 0 for none); nil means exact.
-	hint  func(p, count int) int
-	taker func(p int) bool // nil: every partition takes rows
-	fail  map[timeseries.ID]bool
-	delay time.Duration
+	hint   func(p, count int) int
+	taker  func(p int) bool // nil: every partition takes rows
+	fail   map[timeseries.ID]bool
+	delay  time.Duration
+	record func(row []float64) // sees every row a cursor yields, if set
 
 	fresh, closes, opened, pulled atomic.Int64
 }
@@ -136,7 +141,7 @@ func (s *drainSource) NewCursors(max int) ([]core.Cursor, error) {
 
 func (s *drainSource) cursor(p int, idx []int) core.Cursor {
 	s.opened.Add(1)
-	c := &drainCursor{hint: len(idx), fail: s.fail, delay: s.delay, fresh: &s.fresh, closes: &s.closes, pulled: &s.pulled}
+	c := &drainCursor{hint: len(idx), fail: s.fail, delay: s.delay, fresh: &s.fresh, closes: &s.closes, pulled: &s.pulled, record: s.record}
 	for _, i := range idx {
 		c.series = append(c.series, s.ds.Series[i])
 	}

@@ -24,7 +24,10 @@
 // sorted once. The run's workers kernel slots are shared out among the
 // partitions, so a source with fewer partitions than workers computes
 // each block on several slots at once, a goroutine per slot. Blocks
-// keep a streaming engine's memory flat (Figure 8).
+// keep a streaming engine's memory flat (Figure 8): a cursor that takes
+// rows (core.RowTaker) decodes each block into the rows of the block
+// before it, so a cold run allocates one block of rows per partition,
+// not one row per household.
 // The compressed-domain histogram (summary.go) runs the source's summary
 // partitions the same way, and the whole-dataset similarity task drains
 // the partitions, one goroutine each, into one row-major buffer that
@@ -643,6 +646,12 @@ func runConsumers(ctx context.Context, src Source, k *kernel, workers int, out *
 // partition's own: its results in cursor order and its phases. It
 // closes the cursor, and a panic under it (a corrupt page, a buggy
 // parser) becomes the partition's error.
+//
+// A cursor that is a core.RowTaker decodes each block into the rows of
+// the block before it, so a run allocates at most one block of rows per
+// partition however many series it reads. That is safe because nothing
+// reads a series' Readings once its block is emitted: results hold only
+// computed values, and a repaired copy belongs to the partition.
 func consumePartition(ctx context.Context, cur core.Cursor, k *kernel, lo, lanes int, cn *contain, out *core.Results) (err error) {
 	defer func() { _ = cur.Close() }()
 	defer func() {
@@ -651,11 +660,19 @@ func consumePartition(ctx context.Context, cur core.Cursor, k *kernel, lo, lanes
 		}
 	}()
 	ph := out.Phases
+	taker, _ := cur.(core.RowTaker)
 	buf := make([]*timeseries.Series, 0, block*lanes)
+	var rows [][]float64 // the emitted block's rows, for a RowTaker
 	for {
+		if taker != nil {
+			rows = rows[:0]
+			for _, s := range buf {
+				rows = append(rows, s.Readings)
+			}
+		}
 		buf = buf[:0]
 		start := time.Now()
-		drained, err := fill(ctx, cur, &buf, cn)
+		drained, err := fill(ctx, cur, &buf, taker, rows, cn)
 		ph.Extract.Wall += time.Since(start)
 		if err != nil {
 			return err
@@ -730,9 +747,14 @@ func sortByID[T any](rs []T, id func(T) timeseries.ID) {
 
 // fill pulls computable series off the cursor until buf is at capacity,
 // retrying and quarantining per the fail policy; drained reports that
-// the cursor hit io.EOF.
-func fill(ctx context.Context, cur core.Cursor, buf *[]*timeseries.Series, cn *contain) (drained bool, err error) {
+// the cursor hit io.EOF. Before each Next it hands taker the row of
+// rows at the index the series will take in buf, if there is one: a
+// series the fail policy drops leaves its row to the next.
+func fill(ctx context.Context, cur core.Cursor, buf *[]*timeseries.Series, taker core.RowTaker, rows [][]float64, cn *contain) (drained bool, err error) {
 	for len(*buf) < cap(*buf) {
+		if i := len(*buf); i < len(rows) {
+			taker.TakeRow(rows[i])
+		}
 		s, err := cn.next(ctx, cur)
 		if errors.Is(err, io.EOF) {
 			return true, nil

@@ -21,3 +21,6 @@ func DrainDataset(ctx context.Context, src Source, workers int, policy core.Fail
 	}
 	return drainDataset(ctx, curs, temp, &contain{policy: policy})
 }
+
+// Block is how many series a partition extracts per kernel slot.
+const Block = block

@@ -133,6 +133,10 @@ func parseReadingBytes(line []byte) (Reading, error) {
 	if err != nil {
 		return Reading{}, fmt.Errorf("meterdata: row %q: bad hour: %w", line, err)
 	}
+	if int64(int(hour)) != hour {
+		// Where int is 32 bits, int(hour) would wrap 2^32+1 to hour 1.
+		return Reading{}, fmt.Errorf("meterdata: row %q: hour out of range", line)
+	}
 	v, err := parseFloatBytes(rest[c2+1:])
 	if err != nil {
 		return Reading{}, fmt.Errorf("meterdata: row %q: bad consumption: %w", line, err)

@@ -53,12 +53,14 @@ var textReaders = []struct {
 
 // TestReadersRejectHostileHours feeds both readers a reading-per-line
 // row whose hour lies outside the temperature year. Each must return an
-// error: no panic (a negative hour once indexed the series at -1) and no
-// allocation sized by the hour (4·10⁹ once grew a 32 GB slice).
+// error: no panic (a negative hour once indexed the series at -1), no
+// allocation sized by the hour (4·10⁹ once grew a 32 GB slice), and no
+// hour wrapped into the year (2^32+1 once read as hour 1 where int is
+// 32 bits).
 func TestReadersRejectHostileHours(t *testing.T) {
 	for _, r := range textReaders {
 		t.Run(r.name, func(t *testing.T) {
-			for _, hour := range []int64{-1, hostileYear, 4e9} {
+			for _, hour := range []int64{-1, hostileYear, 4e9, 1<<32 + 1} {
 				src := writeHostileSource(t, []byte(fmt.Sprintf("1,0,0.5\n1,%d,0.5\n", hour)), FormatReadingPerLine)
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
@@ -80,6 +82,20 @@ func TestReadersRejectHostileHours(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkParseHour holds the hour parseReadingBytes returns for a row to
+// the hour field strconv parses: a row's hour is never another hour.
+func checkParseHour(t *testing.T, line []byte) {
+	t.Helper()
+	r, err := parseReadingBytes(line)
+	if err != nil {
+		return
+	}
+	field := bytes.Split(line, []byte{','})[1]
+	if hour, err := strconv.ParseInt(string(field), 10, 64); err != nil || int64(r.Hour) != hour {
+		t.Fatalf("parseReadingBytes(%q) read hour %d; strconv = %d, %v", line, r.Hour, hour, err)
 	}
 }
 
@@ -109,6 +125,7 @@ func FuzzReadingRows(f *testing.F) {
 		"1,,\n\n,1,2\n",
 		"9223372036854775808,0,0.1\n-5,47,+.5\n",
 		"1,0,0.0000000000000000000001\n1,1,9007199254740993\n",
+		"7,4294967297,1.5\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -116,6 +133,9 @@ func FuzzReadingRows(f *testing.F) {
 		checkParseFloat(t, data)
 		for _, field := range bytes.FieldsFunc(data, func(r rune) bool { return r == ',' || r == '\n' }) {
 			checkParseFloat(t, field)
+		}
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			checkParseHour(t, line)
 		}
 		_ = ScanReadings(bytes.NewReader(data), func(Reading) error { return nil })
 		_ = ScanSeries(bytes.NewReader(data), func(*timeseries.Series) error { return nil })
