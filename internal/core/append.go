@@ -1,14 +1,17 @@
 package core
 
-import "github.com/smartmeter/smartbench/internal/timeseries"
+import (
+	"fmt"
+
+	"github.com/smartmeter/smartbench/internal/timeseries"
+)
 
 // Live ingestion contract: instead of loading a finished dataset and
 // then running tasks ("load once, then run"), an engine implementing
 // Appender accepts batches of readings forever and serves read-isolated
-// snapshots at any time ("append forever, query any time"). The
-// incremental maintainers in internal/incr and the stream detectors are
-// fed from the same committed batches (see exec.Ingestor), so storage,
-// alerts and analytics all observe one ordered sequence of writes.
+// snapshots at any time ("append forever, query any time"). A live
+// query is a task run over a snapshot (exec.RunSnapshot), so storage
+// and analytics observe one ordered sequence of writes.
 //
 // Ordering contract. Within one household, readings must arrive in
 // hour order with no gaps: the first reading for a household carries
@@ -27,8 +30,8 @@ import "github.com/smartmeter/smartbench/internal/timeseries"
 // Reading is one live meter measurement: household ID, the hour index
 // it extends the household's series at, the consumption value, and the
 // outdoor temperature for that hour. It is the one reading type shared
-// by storage appends, the stream detectors (stream.Event is an alias)
-// and the incremental maintainers.
+// by storage appends and the stream detectors (stream.Event is an
+// alias).
 type Reading struct {
 	ID          timeseries.ID
 	Hour        int
@@ -51,10 +54,13 @@ type Epoch uint64
 type Appender interface {
 	// Append commits one batch of readings atomically with respect to
 	// Snapshot: a snapshot observes either none or all of a batch.
-	// Batches are idempotent under the ordering contract above. On
-	// error the batch may be partially applied internally, but it is
-	// not committed (the epoch does not advance) and a successful
-	// retry of the same batch completes it exactly once.
+	// Batches are idempotent under the ordering contract above. A
+	// batch that breaks the ordering or temperature contract is
+	// refused whole (CheckBatch): nothing of it is applied, and no
+	// snapshot sees it. An I/O error in the middle of an apply may
+	// leave a prefix of the batch in place, visible to later
+	// snapshots, but the batch is not committed (the epoch does not
+	// advance) and a successful retry of it completes it exactly once.
 	Append(batch []Reading) error
 	// Snapshot returns a read-isolated cursor over everything
 	// committed so far — the stored base plus all appended batches —
@@ -81,4 +87,47 @@ func ShardFor(id timeseries.ID, n int) int {
 		return 0
 	}
 	return int(uint64(id) % uint64(n))
+}
+
+// CheckBatch checks a whole batch against the ordering and temperature
+// contracts before an engine applies any of it, so a refused batch
+// leaves nothing behind. committed reports how many hours a household
+// holds (0 for one the engine does not know) and temp how many hours the
+// shared temperature column covers; until the batch is applied, the
+// caller keeps the batch's households still and lets the column only
+// grow. Readings are walked in batch order, as an
+// engine applies them: a household's next hour moves past each fresh
+// reading, redelivered hours are skipped, and the temperature column
+// grows by each reading at the hour just past it. A reading beyond the
+// column is a temperature gap, one beyond its household's next hour a
+// household gap. The first reading that breaks a contract is the error.
+func CheckBatch(batch []Reading, committed func(timeseries.ID) int, temp int) error {
+	next := make(map[timeseries.ID]int, len(batch))
+	for i := range batch {
+		r := &batch[i]
+		if r.ID <= 0 {
+			return fmt.Errorf("household id must be positive, got %d", r.ID)
+		}
+		if r.Hour < 0 {
+			return fmt.Errorf("negative hour %d for household %d", r.Hour, r.ID)
+		}
+		if r.Hour > temp {
+			return fmt.Errorf("temperature gap: reading at hour %d, column covers %d", r.Hour, temp)
+		}
+		n, ok := next[r.ID]
+		if !ok {
+			n = committed(r.ID)
+		}
+		if r.Hour < n {
+			continue // redelivered: already committed
+		}
+		if r.Hour > n {
+			return fmt.Errorf("household %d: gap at hour %d, expected %d", r.ID, r.Hour, n)
+		}
+		next[r.ID] = n + 1
+		if r.Hour == temp {
+			temp++
+		}
+	}
+	return nil
 }

@@ -69,12 +69,24 @@ func TestSnapshotIsolationChaos(t *testing.T) {
 		}
 		cursortest.RunSnapshotIsolation(t, e, ids, 0, 72)
 	})
+	const base = 48
+	dir, ids := isolationSegment(t, 8, base)
+	for _, b := range budgets(base) {
+		t.Run(b.name, func(t *testing.T) {
+			cursortest.RunSnapshotIsolation(t, pagedEngine(t, dir, b.bytes), ids, base, 48)
+		})
+	}
+}
+
+// isolationSegment writes households 1..n, each holding base hours of
+// the isolation suite's values, to a segment file in a fresh directory.
+func isolationSegment(t *testing.T, n, base int) (string, []timeseries.ID) {
+	t.Helper()
 	dir := t.TempDir()
-	ids := make([]timeseries.ID, 0, 8)
-	for id := timeseries.ID(1); id <= 8; id++ {
+	ids := make([]timeseries.ID, 0, n)
+	for id := timeseries.ID(1); id <= timeseries.ID(n); id++ {
 		ids = append(ids, id)
 	}
-	const base = 48
 	seeder := New(dir)
 	for h := 0; h < base; h++ {
 		batch := make([]core.Reading, 0, len(ids))
@@ -95,10 +107,20 @@ func TestSnapshotIsolationChaos(t *testing.T) {
 	if err := seeder.Release(); err != nil {
 		t.Fatal(err)
 	}
+	return dir, ids
+}
 
-	for _, b := range budgets(base) {
-		t.Run(b.name, func(t *testing.T) {
-			cursortest.RunSnapshotIsolation(t, pagedEngine(t, dir, b.bytes), ids, base, 48)
-		})
-	}
+// TestAppendAtomicity refuses batches that break the append contract,
+// whole, over a store born empty and over an on-disk base.
+func TestAppendAtomicity(t *testing.T) {
+	t.Run("empty", func(t *testing.T) {
+		e := New(t.TempDir())
+		defer e.Release()
+		cursortest.RunAppendAtomicity(t, e, []timeseries.ID{1, 2, 3, 5, 8}, 0)
+	})
+	t.Run("base", func(t *testing.T) {
+		const base = 48
+		dir, ids := isolationSegment(t, 8, base)
+		cursortest.RunAppendAtomicity(t, pagedEngine(t, dir, 0), ids, base)
+	})
 }

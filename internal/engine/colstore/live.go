@@ -26,8 +26,11 @@ import (
 // SegmentWriter, making the tail durable.
 //
 // Isolation. Writers share ingestMu.RLock (their mutual exclusion is
-// the per-shard locks); Snapshot takes ingestMu exclusively, so it
-// waits out in-flight batches and can never observe half a batch.
+// the per-shard locks, which a writer takes for every shard its batch
+// touches, in ascending order, and holds while it checks the whole
+// batch and then applies it); Snapshot takes ingestMu exclusively, so
+// it waits out in-flight batches and can never observe half a batch,
+// and a batch the check refuses leaves nothing behind.
 // Captured tail state stays valid forever because tails are
 // append-only: an append writes beyond every captured slice length (or
 // reallocates), and sealing a day swaps in a fresh open slice rather
@@ -149,6 +152,9 @@ func (e *Engine) ensureLive() (*liveTail, error) {
 			if err := lt.extendTemp(batch); err != nil {
 				return err
 			}
+			sh := &lt.shards[shard]
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
 			_, _, err := lt.applyShard(shard, batch, false)
 			return err
 		})
@@ -184,26 +190,10 @@ func (e *Engine) Append(batch []core.Reading) error {
 		return err
 	}
 	lt.ingestMu.RLock()
-	if err := lt.extendTemp(batch); err != nil {
+	seqs, logged, err := lt.applyBatch(batch)
+	if err != nil {
 		lt.ingestMu.RUnlock()
 		return err
-	}
-	var present [liveShards]bool
-	for i := range batch {
-		present[core.ShardFor(batch[i].ID, liveShards)] = true
-	}
-	var seqs [liveShards]uint64
-	var logged [liveShards]bool
-	for s := range present {
-		if !present[s] {
-			continue
-		}
-		seq, lg, err := lt.applyShard(s, batch, true)
-		if err != nil {
-			lt.ingestMu.RUnlock()
-			return err
-		}
-		seqs[s], logged[s] = seq, lg
 	}
 	// Group commit outside the shard locks: concurrent writers on one
 	// shard share the leader's fsync instead of serializing on it.
@@ -225,6 +215,63 @@ func (e *Engine) Append(batch []core.Reading) error {
 		e.triggerCheckpoint()
 	}
 	return nil
+}
+
+// applyBatch checks the whole batch against the ordering and
+// temperature contracts and only then applies it, so a refused batch
+// changes nothing a snapshot could see. It holds the batch's shard
+// locks, taken in ascending order as every writer takes them, across
+// the check and the apply: no other writer moves the batch's households
+// in between, and the temperature column only grows meanwhile, so the
+// apply cannot fail a check the batch passed. The caller holds
+// ingestMu shared.
+func (lt *liveTail) applyBatch(batch []core.Reading) (seqs [liveShards]uint64, logged [liveShards]bool, err error) {
+	var present [liveShards]bool
+	for i := range batch {
+		present[core.ShardFor(batch[i].ID, liveShards)] = true
+	}
+	for s := range present {
+		if present[s] {
+			lt.shards[s].mu.Lock()
+		}
+	}
+	defer func() {
+		for s := range present {
+			if present[s] {
+				lt.shards[s].mu.Unlock()
+			}
+		}
+	}()
+	lt.tempMu.Lock()
+	temp := lt.baseN + len(lt.tempTail)
+	lt.tempMu.Unlock()
+	if err := core.CheckBatch(batch, lt.committedHours, temp); err != nil {
+		return seqs, logged, fmt.Errorf("colstore: %w", err)
+	}
+	if err := lt.extendTemp(batch); err != nil {
+		return seqs, logged, err
+	}
+	for s := range present {
+		if !present[s] {
+			continue
+		}
+		if seqs[s], logged[s], err = lt.applyShard(s, batch, true); err != nil {
+			return seqs, logged, err
+		}
+	}
+	return seqs, logged, nil
+}
+
+// committedHours is a household's committed hours, its base column
+// included. The caller holds the household's shard lock.
+func (lt *liveTail) committedHours(id timeseries.ID) int {
+	if ls := lt.shards[core.ShardFor(id, liveShards)].m[id]; ls != nil {
+		return ls.hours()
+	}
+	if _, ok := lt.baseIDs[id]; ok {
+		return lt.baseN
+	}
+	return 0
 }
 
 // extendTemp grows the shared temperature column to cover the batch.
@@ -254,8 +301,10 @@ func (lt *liveTail) extendTemp(batch []core.Reading) error {
 }
 
 // applyShard applies the batch's readings belonging to shard si, in
-// batch order. Redelivered hours (below the household's next expected
-// hour) are skipped, making retried batches apply exactly once.
+// batch order; the caller holds the shard's lock. Redelivered hours
+// (below the household's next expected hour) are skipped, making
+// retried batches apply exactly once. Its own checks are the ones WAL
+// replay relies on; a live Append has passed core.CheckBatch already.
 //
 // With logIt set and the WAL armed, the shard's slice of the batch is
 // framed into log shard si before the lock is released — including
@@ -267,8 +316,6 @@ func (lt *liveTail) extendTemp(batch []core.Reading) error {
 // only when logged is true; the caller must Commit it before acking.
 func (lt *liveTail) applyShard(si int, batch []core.Reading, logIt bool) (seq uint64, logged bool, err error) {
 	sh := &lt.shards[si]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	logIt = logIt && lt.wlog != nil
 	sh.logBuf = sh.logBuf[:0]
 	var applied int64

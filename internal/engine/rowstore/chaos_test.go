@@ -60,12 +60,29 @@ func TestPipelineChaos(t *testing.T) {
 // can verify the full prefix, base and tail alike.
 func TestSnapshotIsolationChaos(t *testing.T) {
 	const base = 48
-	ids := make([]timeseries.ID, 0, 10)
+	src, ids := isolationSource(t, 10, base)
+	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
+		t.Run(layout.String(), func(t *testing.T) {
+			e := New(t.TempDir(), WithLayout(layout))
+			defer e.Close()
+			if _, err := e.Load(src); err != nil {
+				t.Fatal(err)
+			}
+			cursortest.RunSnapshotIsolation(t, e, ids, base, 48)
+		})
+	}
+}
+
+// isolationSource writes households 1..n, each holding base hours of
+// the isolation suite's values, as a reading-per-line text source.
+func isolationSource(t *testing.T, n, base int) (*meterdata.Source, []timeseries.ID) {
+	t.Helper()
+	ids := make([]timeseries.ID, 0, n)
 	ds := &timeseries.Dataset{Temperature: &timeseries.Temperature{}}
 	for h := 0; h < base; h++ {
 		ds.Temperature.Values = append(ds.Temperature.Values, cursortest.IsolationTemp(h))
 	}
-	for id := timeseries.ID(1); id <= 10; id++ {
+	for id := timeseries.ID(1); id <= timeseries.ID(n); id++ {
 		ids = append(ids, id)
 		s := &timeseries.Series{ID: id}
 		for h := 0; h < base; h++ {
@@ -77,6 +94,15 @@ func TestSnapshotIsolationChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return src, ids
+}
+
+// TestAppendAtomicity refuses batches that break the append contract,
+// whole, in both page layouts; in the array layout a household's run
+// used to reach the heap as soon as another household's reading came.
+func TestAppendAtomicity(t *testing.T) {
+	const base = 48
+	src, ids := isolationSource(t, 6, base)
 	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
 		t.Run(layout.String(), func(t *testing.T) {
 			e := New(t.TempDir(), WithLayout(layout))
@@ -84,7 +110,7 @@ func TestSnapshotIsolationChaos(t *testing.T) {
 			if _, err := e.Load(src); err != nil {
 				t.Fatal(err)
 			}
-			cursortest.RunSnapshotIsolation(t, e, ids, base, 48)
+			cursortest.RunAppendAtomicity(t, e, ids, base)
 		})
 	}
 }

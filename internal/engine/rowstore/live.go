@@ -171,10 +171,11 @@ func (e *Engine) committedLen(id timeseries.ID) (hours int, nextSeq uint64, err 
 	return int(end), lastK.Seq + 1, nil
 }
 
-// Append implements core.Appender. The batch is applied under the
-// exclusive table latch — serial writers, atomic batches — with
-// redelivered hours skipped, so a retried batch applies exactly once.
-// The meta page is rewritten per batch for durability.
+// Append implements core.Appender. The batch is checked whole
+// (core.CheckBatch) and then applied under the exclusive table latch —
+// serial writers, atomic batches — with redelivered hours skipped, so a
+// retried batch applies exactly once and a refused one leaves nothing
+// behind. The meta page is rewritten per batch for durability.
 func (e *Engine) Append(batch []core.Reading) error {
 	e.readMu.Lock()
 	defer e.readMu.Unlock()
@@ -184,6 +185,10 @@ func (e *Engine) Append(batch []core.Reading) error {
 	ls, err := e.ensureLive()
 	if err != nil {
 		return err
+	}
+	committed := func(id timeseries.ID) int { return ls.lens[id] }
+	if err := core.CheckBatch(batch, committed, len(ls.temp)); err != nil {
+		return fmt.Errorf("rowstore: %w", err)
 	}
 	if err := e.applyBatch(ls, batch); err != nil {
 		return err
@@ -221,7 +226,9 @@ func (e *Engine) Append(batch []core.Reading) error {
 // coalesces each maximal contiguous same-household run into chunk
 // tuples, so chunks never span a batch — the invariant the truncating
 // prefix reads rely on. Household lengths advance only once tuples are
-// actually inserted, so an aborted batch leaves a retryable state.
+// actually inserted, so an aborted batch leaves a retryable state. Its
+// own checks are the ones WAL replay relies on; a live Append has passed
+// core.CheckBatch already, so only an I/O error can stop it part-way.
 func (e *Engine) applyBatch(ls *liveState, batch []core.Reading) error {
 	tb := e.table
 	var buf []byte

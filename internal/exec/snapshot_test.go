@@ -3,7 +3,6 @@ package exec_test
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
@@ -11,7 +10,6 @@ import (
 	"github.com/smartmeter/smartbench/internal/engine/rowstore"
 	"github.com/smartmeter/smartbench/internal/exec"
 	"github.com/smartmeter/smartbench/internal/exec/cursortest"
-	"github.com/smartmeter/smartbench/internal/incr"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -43,140 +41,6 @@ func datasetPrefix(ds *timeseries.Dataset, n int) *timeseries.Dataset {
 		})
 	}
 	return out
-}
-
-// flakyStore wraps an Appender with a fault-injected Append.
-type flakyStore struct {
-	core.Appender
-	fl *flaky
-}
-
-func (s flakyStore) Append(batch []core.Reading) error { return s.fl.offer(batch) }
-
-// flaky fails deterministically on every failEvery-th call, otherwise
-// delegates. It models a transient store/sink fault the Ingestor must
-// absorb by re-offering the full batch.
-type flaky struct {
-	calls     int
-	failEvery int
-	f         func([]core.Reading) error
-}
-
-// offer applies the batch first and fails afterwards — the nastier
-// partial-failure shape: the data landed but the caller saw an error,
-// so the retry redelivers an already-applied batch.
-func (fl *flaky) offer(batch []core.Reading) error {
-	fl.calls++
-	err := fl.f(batch)
-	if err == nil && fl.failEvery > 0 && fl.calls%fl.failEvery == 0 {
-		return fmt.Errorf("transient fault on call %d", fl.calls)
-	}
-	return err
-}
-
-func TestIngestorCommitsThenFansOut(t *testing.T) {
-	ds := makeDataset(t, 4, 14)
-	hours := len(ds.Temperature.Values)
-
-	eng := colstore.New(t.TempDir())
-	defer eng.Release()
-	an := incr.New(incr.Config{K: 3, WindowDays: 10})
-	ing := &exec.Ingestor{Store: eng, Sinks: []exec.ReadingSink{an}}
-
-	ctx := context.Background()
-	for h := 0; h < hours; h++ {
-		if err := ing.Ingest(ctx, datasetBatch(ds, h)); err != nil {
-			t.Fatalf("hour %d: %v", h, err)
-		}
-	}
-
-	// The sink observed exactly the committed stream.
-	if got := len(an.IDs()); got != len(ds.Series) {
-		t.Fatalf("sink households = %d, want %d", got, len(ds.Series))
-	}
-	if st := an.Stats(); st.Readings != int64(hours*len(ds.Series)) {
-		t.Fatalf("sink readings = %d, want %d", st.Readings, hours*len(ds.Series))
-	}
-
-	// The store committed every batch: one epoch per hour, and the
-	// snapshot histogram matches the reference over the full dataset.
-	spec := core.Spec{Task: core.TaskHistogram, Workers: 2}
-	got, epoch, err := exec.RunSnapshot(ctx, eng, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != core.Epoch(hours) {
-		t.Fatalf("epoch = %d, want %d", epoch, hours)
-	}
-	want, err := core.RunReference(ds, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cursortest.CompareResults(t, got, want)
-}
-
-func TestIngestorRetriesTransientFaults(t *testing.T) {
-	ds := makeDataset(t, 3, 4)
-	hours := len(ds.Temperature.Values)
-
-	eng := colstore.New(t.TempDir())
-	defer eng.Release()
-	an := incr.New(incr.Config{K: 2, WindowDays: 10})
-
-	// Both the store and the sink fail every 5th offer. Re-offered
-	// batches hit the idempotent dedup path, so despite the retries
-	// every reading applies exactly once.
-	fstore := &flaky{failEvery: 5, f: eng.Append}
-	fsink := &flaky{failEvery: 7, f: an.Consume}
-	ing := &exec.Ingestor{
-		Store: flakyStore{Appender: eng, fl: fstore},
-		Sinks: []exec.ReadingSink{exec.SinkFunc(fsink.offer)},
-	}
-
-	ctx := context.Background()
-	for h := 0; h < hours; h++ {
-		if err := ing.Ingest(ctx, datasetBatch(ds, h)); err != nil {
-			t.Fatalf("hour %d: %v", h, err)
-		}
-	}
-	if fstore.calls <= hours || fsink.calls <= hours {
-		t.Fatalf("faults never fired: store %d, sink %d calls over %d hours",
-			fstore.calls, fsink.calls, hours)
-	}
-	// Exactly-once at the sink: total readings counts only fresh hours,
-	// and the duplicate counter shows redelivery happened.
-	st := an.Stats()
-	if st.Readings != int64(hours*len(ds.Series)) {
-		t.Fatalf("sink readings = %d, want %d", st.Readings, hours*len(ds.Series))
-	}
-	if st.Duplicates == 0 {
-		t.Fatal("expected redelivered duplicates at the sink")
-	}
-	// Exactly-once at the store: the snapshot matches the reference.
-	spec := core.Spec{Task: core.TaskHistogram}
-	got, _, err := exec.RunSnapshot(ctx, eng, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.RunReference(ds, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cursortest.CompareResults(t, got, want)
-}
-
-func TestIngestorGivesUpAfterAttempts(t *testing.T) {
-	eng := colstore.New(t.TempDir())
-	defer eng.Release()
-	fstore := &flaky{failEvery: 1, f: eng.Append} // always fails
-	ing := &exec.Ingestor{Store: flakyStore{Appender: eng, fl: fstore}, Attempts: 3}
-	err := ing.Ingest(context.Background(), datasetBatch(makeDataset(t, 2, 1), 0))
-	if err == nil || !strings.Contains(err.Error(), "after 3 attempts") {
-		t.Fatalf("err = %v, want exhaustion after 3 attempts", err)
-	}
-	if fstore.calls != 3 {
-		t.Fatalf("store calls = %d, want 3", fstore.calls)
-	}
 }
 
 // TestRunSnapshotLiveEngines runs every task over snapshots of both

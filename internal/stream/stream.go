@@ -267,22 +267,6 @@ func (p *Processor) Run(events <-chan Event, out chan<- Alert) error {
 	return nil
 }
 
-// Feeder bridges the ingestion fan-out to a running Processor: it
-// satisfies the executor's reading-sink shape, forwarding every
-// committed batch into the processor's event channel. Close the
-// channel when ingestion ends to let Run drain and return.
-type Feeder struct {
-	Events chan<- Event
-}
-
-// Consume forwards one committed batch to the stream processor.
-func (f Feeder) Consume(batch []core.Reading) error {
-	for _, r := range batch {
-		f.Events <- r
-	}
-	return nil
-}
-
 // Replay streams a dataset's readings hour by hour (all households'
 // readings for hour 0, then hour 1, ...) into a channel, the shape a
 // live meter feed would have. It closes the channel when done.

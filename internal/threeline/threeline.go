@@ -189,9 +189,8 @@ func ComputeTimed(s *timeseries.Series, temp *timeseries.Temperature, cfg Config
 // FitPoints runs phases T2 (segmented least squares) and T3 (continuity
 // adjustment) on an already-extracted percentile point set: xs are bin
 // centers in ascending order, lows/highs the matching percentile
-// values. It is the re-fit entry point for incremental maintenance
-// (internal/incr), which tracks the bins itself and only calls here
-// when the point set actually changed.
+// values. The planned fit's property test calls it on the naive T1's
+// points as its oracle.
 func FitPoints(id timeseries.ID, xs, lows, highs []float64, cfg Config) (*Result, error) {
 	cfg.fillDefaults()
 	res, _, _, err := fitPoints(id, newSegFitter(xs), lows, highs, cfg)
@@ -262,10 +261,9 @@ func binCentre(k int, binWidth float64) float64 {
 
 // PointsFromSortedBins extracts the phase-T1 percentile point set from
 // temperature bins whose consumption values are already sorted
-// ascending, keyed by BinIndex. Incremental maintenance keeps such bins
-// current across appends (sorted insertion yields the same slice
-// contents as sorting from scratch) and re-extracts points from here;
-// the output is identical to the batch path's for the same readings.
+// ascending, keyed by BinIndex. It is the last step of the naive T1
+// (naive.go); the output is identical to the planned path's for the
+// same readings.
 func PointsFromSortedBins(bins map[int][]float64, cfg Config) (xs, lows, highs []float64) {
 	cfg.fillDefaults()
 	keys := make([]int, 0, len(bins))

@@ -141,6 +141,44 @@ func TestDegenerateFewBins(t *testing.T) {
 	}
 }
 
+// PointsFromSortedBins keeps only the bins holding at least MinBinPoints
+// readings, in ascending bin order, each as its centre and its two
+// type-7 quantiles; a sparse bin, however placed, leaves the point set
+// bit-identical.
+func TestPointsFromSortedBins(t *testing.T) {
+	cfg := Config{BinWidth: 2, LowQ: 0.25, HighQ: 0.75, MinBinPoints: 5}
+	bins := map[int][]float64{
+		9:  {10, 20, 30, 40, 50},
+		-3: {0.5, 1, 1.5, 2, 9},
+		4:  {1, 2, 3, 4}, // one short of MinBinPoints
+		1:  {1, 2, 3, 4, 5},
+	}
+	xs, lows, highs := PointsFromSortedBins(bins, cfg)
+	wantXs, wantLows, wantHighs := []float64{-5, 3, 19}, []float64{1, 2, 20}, []float64{2, 4, 40}
+	if !sameBits(xs, wantXs) || !sameBits(lows, wantLows) || !sameBits(highs, wantHighs) {
+		t.Fatalf("points xs %v lows %v highs %v, want %v %v %v", xs, lows, highs, wantXs, wantLows, wantHighs)
+	}
+
+	bins[12] = []float64{7}
+	bins[-8] = []float64{0, 1, 2}
+	bins[4] = nil
+	gx, gl, gh := PointsFromSortedBins(bins, cfg)
+	if !sameBits(gx, xs) || !sameBits(gl, lows) || !sameBits(gh, highs) {
+		t.Errorf("sparse bins changed the points: xs %v lows %v highs %v", gx, gl, gh)
+	}
+
+	// The zero Config takes the defaults: 1-degree bins, the 10th and
+	// 90th percentiles, four readings a bin.
+	xs, lows, highs = PointsFromSortedBins(map[int][]float64{
+		2: {0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100},
+		0: {5, 5, 5},
+		3: {1, 2, 3, 4},
+	}, Config{})
+	if !sameBits(xs, []float64{2.5, 3.5}) || !sameBits(lows, []float64{10, 1.3}) || !sameBits(highs, []float64{90, 3.7}) {
+		t.Errorf("default config: xs %v lows %v highs %v, want [2.5 3.5] [10 1.3] [90 3.7]", xs, lows, highs)
+	}
+}
+
 func TestInsufficientData(t *testing.T) {
 	// A single temperature bin cannot support any fit.
 	temps := make([]float64, 24)
