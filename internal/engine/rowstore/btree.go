@@ -435,6 +435,82 @@ func (t *btree) first(k key) (got key, tid TID, found bool, err error) {
 	return got, tid, found, err
 }
 
+// last returns the greatest entry whose key is below hi; found is false
+// when no key is. It descends once, with seekLeaf's checks, and keeps
+// the nearest subtree left of its path: leaves link only forward, so
+// when every key of the leaf it reaches is at least hi, the entry is the
+// last one of that subtree's rightmost leaf. That leaf must lie as deep
+// as the one the descent reached, be non-empty and end below hi; a
+// file that breaks any of these is a corrupt index.
+func (t *btree) last(hi key) (got key, tid TID, found bool, err error) {
+	page, depth := t.root, 1
+	var left PageID
+	leftDepth := 0 // no subtree left of the path yet
+	for ; ; depth++ {
+		fr, err := t.bp.fetch(page)
+		if err != nil {
+			return key{}, TID{}, false, err
+		}
+		data := fr.data[:]
+		n, err := nodeEntries(data, depth, t.bp.pf.nPages)
+		if err != nil {
+			t.bp.unpin(fr, false)
+			return key{}, TID{}, false, err
+		}
+		if nodeIsLeaf(data) {
+			idx := lowerBound(n, hi, func(i int) key { return leafKey(data, i) })
+			if idx > 0 {
+				got, tid = leafKey(data, idx-1), leafVal(data, idx-1)
+			}
+			t.bp.unpin(fr, false)
+			if idx > 0 {
+				return got, tid, true, nil
+			}
+			break
+		}
+		idx := lowerBound(n, hi, func(i int) key { return internalKey(data, i) })
+		if idx > 0 {
+			left, leftDepth = internalChild(data, idx-1), depth+1
+		}
+		next := internalChild(data, idx)
+		t.bp.unpin(fr, false)
+		page = next
+	}
+	if leftDepth == 0 {
+		return key{}, TID{}, false, nil
+	}
+	// The left step: the rightmost leaf of the subtree at left.
+	for d := leftDepth; ; d++ {
+		fr, err := t.bp.fetch(left)
+		if err != nil {
+			return key{}, TID{}, false, err
+		}
+		data := fr.data[:]
+		n, err := nodeEntries(data, d, t.bp.pf.nPages)
+		if err == nil && nodeIsLeaf(data) != (d == depth) {
+			err = fmt.Errorf("rowstore: corrupt index: the subtree left of (%d, %d) is not %d levels deep", hi.ID, hi.Seq, depth-leftDepth+1)
+		}
+		if err == nil && d == depth && n == 0 {
+			err = fmt.Errorf("rowstore: corrupt index: empty leaf left of (%d, %d)", hi.ID, hi.Seq)
+		}
+		if err != nil {
+			t.bp.unpin(fr, false)
+			return key{}, TID{}, false, err
+		}
+		if d < depth {
+			left = internalChild(data, n)
+			t.bp.unpin(fr, false)
+			continue
+		}
+		got, tid = leafKey(data, n-1), leafVal(data, n-1)
+		t.bp.unpin(fr, false)
+		if !got.less(hi) {
+			return key{}, TID{}, false, fmt.Errorf("rowstore: corrupt index: (%d, %d) left of (%d, %d)", got.ID, got.Seq, hi.ID, hi.Seq)
+		}
+		return got, tid, true, nil
+	}
+}
+
 // get returns the TID for an exact key.
 func (t *btree) get(k key) (TID, bool, error) {
 	got, tid, found, err := t.first(k)

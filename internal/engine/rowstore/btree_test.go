@@ -1,8 +1,10 @@
 package rowstore
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -328,6 +330,255 @@ func TestBulkLoadFillsLeaves(t *testing.T) {
 				t.Fatalf("%d leaves: the load does not split one", len(leaves))
 			}
 			checkFilled(t, e.table.index)
+		})
+	}
+}
+
+// allEntries returns every entry of the tree in key order, through
+// scanRange: the oracle btree.last is held to.
+func allEntries(t *testing.T, bt *btree) ([]key, []TID) {
+	t.Helper()
+	var keys []key
+	var tids []TID
+	err := bt.scanRange(key{}, key{ID: ^uint64(0), Seq: ^uint64(0)}, func(k key, v TID) error {
+		keys, tids = append(keys, k), append(tids, v)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// scanRange's bound is exclusive, and so is get's, which scans to
+	// it: the largest key is read from its leaf.
+	top := key{ID: ^uint64(0), Seq: ^uint64(0)}
+	page, i, err := bt.seekLeaf(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := bt.bp.fetch(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i < int(nodeCount(fr.data[:])) && leafKey(fr.data[:], i) == top {
+		keys, tids = append(keys, top), append(tids, leafVal(fr.data[:], i))
+	}
+	bt.bp.unpin(fr, false)
+	return keys, tids
+}
+
+// checkLast holds bt.last(hi) to the greatest of keys below hi.
+func checkLast(t *testing.T, bt *btree, keys []key, tids []TID, hi key) {
+	t.Helper()
+	i := sort.Search(len(keys), func(i int) bool { return !keys[i].less(hi) })
+	got, tid, found, err := bt.last(hi)
+	if err != nil {
+		t.Fatalf("last(%v): %v", hi, err)
+	}
+	if i == 0 {
+		if found {
+			t.Fatalf("last(%v) = %v, want none", hi, got)
+		}
+		return
+	}
+	if !found || got != keys[i-1] || tid != tids[i-1] {
+		t.Fatalf("last(%v) = %v %v %v, want %v %v", hi, got, tid, found, keys[i-1], tids[i-1])
+	}
+}
+
+// leafBounds returns the first and last key of every leaf, along the
+// chain from the leftmost.
+func leafBounds(t *testing.T, bt *btree) (firsts, lasts []key) {
+	t.Helper()
+	page, _, err := bt.seekLeaf(key{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for page != InvalidPage {
+		fr, err := bt.bp.fetch(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := fr.data[:]
+		if n := int(nodeCount(data)); n > 0 {
+			firsts, lasts = append(firsts, leafKey(data, 0)), append(lasts, leafKey(data, n-1))
+		}
+		page = leafNext(data)
+		bt.bp.unpin(fr, false)
+	}
+	return firsts, lasts
+}
+
+// lowerSeparators rewrites every separator of the subtree at page to
+// the successor of the last key left of it, the least a B+tree allows.
+// The tree stays valid, but where keys are sparse (the tests store even
+// sequences), a key between the new separator and the right subtree's
+// first key, that first key included, now descends to a leaf that
+// starts at or above it, which is where btree.last steps left. It
+// returns the subtree's last key.
+func lowerSeparators(t *testing.T, bt *btree, page PageID) key {
+	t.Helper()
+	fr, err := bt.bp.fetch(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bt.bp.unpin(fr, true)
+	data := fr.data[:]
+	n := int(nodeCount(data))
+	if nodeIsLeaf(data) {
+		return leafKey(data, n-1)
+	}
+	var last key
+	for i := 0; i <= n; i++ {
+		last = lowerSeparators(t, bt, internalChild(data, i))
+		if i < n {
+			succ := key{ID: last.ID, Seq: last.Seq + 1}
+			if last.Seq == ^uint64(0) {
+				succ = key{ID: last.ID + 1}
+			}
+			internalSetKey(data, i, succ)
+		}
+	}
+	return last
+}
+
+// TestBTreeLastMatchesScanRange inserts keys in random order until
+// leaves and internal nodes have split, at a pool far smaller than the
+// tree and at one that holds it, and holds btree.last to the entries
+// scanRange returns: for hi below every key, above every key, equal to
+// stored keys, between two households (the bound a household's last
+// entry is sought with), at the edges of the first and the last leaf and
+// of every other one, and at ID MaxUint64. It does so again after the
+// separators are lowered as far as a B+tree allows, where every leaf's
+// first key makes the descent step into the subtree on its left.
+func TestBTreeLastMatchesScanRange(t *testing.T) {
+	for _, pages := range []int{4, 512} {
+		t.Run(fmt.Sprintf("pool %d", pages), func(t *testing.T) {
+			bt, err := newBTree(testPool(t, pages))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, found, err := bt.last(key{ID: 5}); err != nil || found {
+				t.Fatalf("last on an empty tree: found %v, err %v", found, err)
+			}
+			rng := rand.New(rand.NewSource(int64(pages)))
+			const households, perHousehold = 900, 160
+			var ks []key
+			for id := uint64(1); id <= households; id++ {
+				for seq := uint64(0); seq < perHousehold; seq++ {
+					ks = append(ks, key{ID: 3 * id, Seq: 2 * seq})
+				}
+			}
+			top := ^uint64(0)
+			ks = append(ks, key{ID: top}, key{ID: top, Seq: 7}, key{ID: top, Seq: top}, key{ID: top - 1, Seq: top})
+			rng.Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
+			for i, k := range ks {
+				if err := bt.insert(k, TID{Page: PageID(i), Slot: uint16(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if bt.height < 3 {
+				t.Fatalf("height %d: no internal node split", bt.height)
+			}
+			for _, lowered := range []bool{false, true} {
+				if lowered {
+					lowerSeparators(t, bt, bt.root)
+				}
+				keys, tids := allEntries(t, bt)
+				if len(keys) != len(ks) {
+					t.Fatalf("scanRange saw %d keys, want %d", len(keys), len(ks))
+				}
+				his := []key{{}, {ID: 1}, {ID: 3}, {ID: 3, Seq: 1}, {ID: top}, {ID: top, Seq: 1}, {ID: top, Seq: 7},
+					{ID: top, Seq: 8}, {ID: top, Seq: top}, {ID: top - 1, Seq: top}, {ID: top - 1}}
+				for id := uint64(0); id <= 3*households+1; id++ {
+					his = append(his, key{ID: id}, key{ID: id, Seq: perHousehold - 1}, key{ID: id, Seq: top})
+				}
+				for range 2000 {
+					his = append(his, keys[rng.Intn(len(keys))])
+				}
+				firsts, lasts := leafBounds(t, bt)
+				for i := range firsts {
+					f, l := firsts[i], lasts[i]
+					his = append(his, f, l, key{ID: f.ID, Seq: f.Seq + 1}, key{ID: l.ID, Seq: l.Seq + 1})
+					if f.Seq > 0 {
+						his = append(his, key{ID: f.ID, Seq: f.Seq - 1})
+					}
+				}
+				for _, hi := range his {
+					checkLast(t, bt, keys, tids, hi)
+				}
+			}
+		})
+	}
+}
+
+// TestBTreeLastChecksTheLeftStep damages the subtree a left step enters,
+// in a three-level tree whose separators are lowered (lowerSeparators),
+// at the first key under the root's second child, whose descent steps
+// into the root's first child. A leaf where an internal node belongs, an
+// internal node where a leaf belongs and an empty rightmost leaf must
+// each be refused; a shallow leaf would otherwise answer with a key that
+// is not the greatest below hi.
+func TestBTreeLastChecksTheLeftStep(t *testing.T) {
+	edit := func(t *testing.T, bt *btree, p PageID, fn func(data []byte)) {
+		fr, err := bt.bp.fetch(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(fr.data[:])
+		bt.bp.unpin(fr, true)
+	}
+	// edge follows the first or the last child of each node from page
+	// for levels steps.
+	edge := func(t *testing.T, bt *btree, page PageID, levels int, last bool) PageID {
+		for range levels {
+			edit(t, bt, page, func(data []byte) {
+				i := 0
+				if last {
+					i = int(nodeCount(data))
+				}
+				page = internalChild(data, i)
+			})
+		}
+		return page
+	}
+	for _, tc := range []struct {
+		name  string
+		plant func(t *testing.T, bt *btree, left PageID)
+	}{
+		{"a leaf above the leaves", func(t *testing.T, bt *btree, left PageID) {
+			leaf := edge(t, bt, left, 1, false)
+			edit(t, bt, bt.root, func(data []byte) { internalSetChild(data, 0, leaf) })
+		}},
+		{"an internal node at the leaves' depth", func(t *testing.T, bt *btree, left PageID) {
+			edit(t, bt, left, func(data []byte) { internalSetChild(data, int(nodeCount(data)), left) })
+		}},
+		{"an empty rightmost leaf", func(t *testing.T, bt *btree, left PageID) {
+			edit(t, bt, edge(t, bt, left, 1, true), func(data []byte) { putU16(data, 2, 0) })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bt, err := newBTree(testPool(t, 64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range 160000 {
+				if err := bt.insert(key{ID: uint64(i / 100), Seq: 2 * uint64(i%100)}, TID{Page: PageID(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if bt.height != 3 {
+				t.Fatalf("height %d, want 3", bt.height)
+			}
+			lowerSeparators(t, bt, bt.root)
+			var left, right PageID
+			edit(t, bt, bt.root, func(data []byte) { left, right = internalChild(data, 0), internalChild(data, 1) })
+			var hi key
+			edit(t, bt, edge(t, bt, right, 1, false), func(data []byte) { hi = leafKey(data, 0) })
+			keys, tids := allEntries(t, bt)
+			checkLast(t, bt, keys, tids, hi)
+			tc.plant(t, bt, left)
+			if got, _, found, err := bt.last(hi); err == nil || found {
+				t.Fatalf("last(%v) = %v, %v, %v; want a corrupt-index error", hi, got, found, err)
+			}
 		})
 	}
 }

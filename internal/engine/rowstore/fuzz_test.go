@@ -64,6 +64,10 @@ func FuzzRowstoreFile(f *testing.F) {
 		field := uint32(tid.Page)*PageSize + uint32(getU16(fr.data[:], heapHeaderSize+int(tid.Slot)*slotSize)) + 8
 		e.bp.unpin(fr, false)
 		root := uint32(e.table.index.root)
+		var plants []indexPlant
+		if !arrays {
+			plants = leftStepPlants(f, e.table.index)
+		}
 		if last, ok, err := e.table.index.get(key{ID: uint64(ids[0]), Seq: uint64(baseN - 1)}); !arrays && (err != nil || !ok || last.Page == tid.Page) {
 			f.Fatalf("household %d's loaded tuples do not span heap pages: %v %v", ids[0], ok, err)
 		}
@@ -89,6 +93,13 @@ func FuzzRowstoreFile(f *testing.F) {
 		// 0xff000002 is negative as a 32-bit int and past the series as a
 		// 64-bit one. In the row layout the offset is 16311.
 		f.Add(arrays, field+3, []byte{0xff})
+		// The row layout's index damaged where the first touch's descent
+		// steps left (leftStepPlants), each damage one write of the
+		// bytes it spans.
+		for _, p := range plants {
+			off, data := patchSpan(img, p.patches)
+			f.Add(arrays, off, data)
+		}
 		// On every page: the heap slot count and the node count at their
 		// maximum; the node's next leaf and the heap page's next page
 		// pointing back at the page itself; an empty leaf whose next leaf

@@ -28,17 +28,22 @@ import (
 //
 // Durability. Live tuples are real pages: every Append rewrites the
 // meta page, and the buffer pool flushes on Close/Release, so a
-// reopened engine rebuilds its live lengths from the index (ensureLive
-// scans lazily — the cold-start path pays nothing until the first
-// Append or Snapshot). That baseline loses whatever a crash catches in
-// the pool; WithWAL closes the hole: the batch is framed into a
-// single-shard write-ahead log before Append acks — the whole batch,
-// duplicates included, because a batch applied in memory whose log
-// write failed must re-log entirely on retry or the retry's ack would
-// promise durability the log cannot deliver — the pool switches to
-// no-steal so the table file only changes at checkpoints, and reopen
-// replays the log through applyBatch, which skips duplicates exactly
-// like live delivery. See durable.go for the checkpoint protocol.
+// reopened engine rebuilds its live lengths from the index. It does so
+// lazily, at the first Append or Snapshot (ensureLive), which lists
+// every household with a descent each (distinctIDs), finds each one's
+// last index entry with one more (committedLen, btree.last), reads the
+// longest household's temperature column and, with the log armed,
+// replays the log: O(households × height) page fetches before the
+// column and the replay, however long the households are. That
+// baseline loses whatever a crash catches in the pool; WithWAL closes
+// the hole: the batch is framed into a single-shard write-ahead log
+// before Append acks — the whole batch, duplicates included, because a
+// batch applied in memory whose log write failed must re-log entirely
+// on retry or the retry's ack would promise durability the log cannot
+// deliver — the pool switches to no-steal so the table file only
+// changes at checkpoints, and reopen replays the log through
+// applyBatch, which skips duplicates exactly like live delivery. See
+// durable.go for the checkpoint protocol.
 
 // liveState tracks per-household committed lengths beyond the
 // published seriesLen. Guarded by Engine.readMu, held exclusively.
@@ -132,18 +137,24 @@ func (e *Engine) ensureLive() (*liveState, error) {
 	return ls, nil
 }
 
-// committedLen scans one household's index range for its total
-// committed hours (live tuples included) and next sequence number.
+// committedLen reads a household that distinctIDs listed for its total
+// committed hours (live tuples included) and next sequence number, from
+// its last index entry, the greatest below the next household's first
+// key: one descent, and in the array layout that entry's chunk. A
+// descent that finds no entry, or another household's, contradicts the
+// listing and is a corrupt index. (ID MaxUint64, which only a damaged
+// file lists, has no next household: its bound wraps to (0, 0), below
+// every key.)
 func (e *Engine) committedLen(id timeseries.ID) (hours int, nextSeq uint64, err error) {
-	var lastK key
-	var lastT TID
-	found := false
-	err = e.table.index.scanRange(key{ID: uint64(id)}, key{ID: uint64(id) + 1}, func(k key, v TID) error {
-		lastK, lastT, found = k, v, true
-		return nil
-	})
-	if err != nil || !found {
+	lastK, lastT, found, err := e.table.index.last(key{ID: uint64(id) + 1})
+	if err != nil {
 		return 0, 0, err
+	}
+	if !found {
+		return 0, 0, fmt.Errorf("rowstore: corrupt index: no entry for household %d", id)
+	}
+	if lastK.ID != uint64(id) {
+		return 0, 0, fmt.Errorf("rowstore: corrupt index: household %d's last entry is (%d, %d)", id, lastK.ID, lastK.Seq)
 	}
 	// The length sizes the live temperature column, so it is checked
 	// against the file while it is still a uint64: each stored reading

@@ -189,16 +189,14 @@ func (tb *table) insertChunks(id timeseries.ID, firstSeq uint64, hourOffset int,
 }
 
 // maxSeq returns the highest stored sequence number for a household and
-// whether any entry exists.
+// whether any entry exists, from the greatest entry below the next
+// household's first key: one descent, whatever the household's length.
 func (tb *table) maxSeq(id timeseries.ID) (uint64, bool, error) {
-	var last uint64
-	found := false
-	err := tb.index.scanRange(key{ID: uint64(id)}, key{ID: uint64(id) + 1}, func(k key, _ TID) error {
-		last = k.Seq
-		found = true
-		return nil
-	})
-	return last, found, err
+	k, _, found, err := tb.index.last(key{ID: uint64(id) + 1})
+	if err != nil || !found || k.ID != uint64(id) {
+		return 0, false, err
+	}
+	return k.Seq, true, nil
 }
 
 // appendReadings extends one household's series with new hourly data

@@ -38,6 +38,8 @@ type Scratch struct {
 	vals         []float64 // the consumer's readings in perm order
 	lows, highs  []float64 // the percentile point set
 	sy, sxy, syy []float64 // segFitter's y-side prefix sums
+	right        []stats.Line
+	rightSSE     []float64 // segFitter's right segments
 }
 
 // NewPlan bins the temperature series once for every consumer that will
@@ -162,7 +164,7 @@ func (p *Plan) Compute(s *timeseries.Series, sc *Scratch) (*Result, Timing, erro
 	tm.T1Quantiles = time.Since(start)
 
 	// Phases T2 + T3 on the extracted point set.
-	f := segFitter{x: p.xs, sx: p.sx, sxx: p.sxx, sy: sc.sy, sxy: sc.sxy, syy: sc.syy}
+	f := segFitter{x: p.xs, sx: p.sx, sxx: p.sxx, sy: sc.sy, sxy: sc.sxy, syy: sc.syy, right: sc.right, rightSSE: sc.rightSSE}
 	res, t2, t3, err := fitPoints(s.ID, &f, sc.lows, sc.highs, p.cfg)
 	tm.T2Regression, tm.T3Adjust = t2, t3
 	return res, tm, err
@@ -174,10 +176,11 @@ func (sc *Scratch) size(p *Plan) {
 	sc.vals = grown(sc.vals, len(p.perm))
 	sc.lows, sc.highs = grown(sc.lows, nb), grown(sc.highs, nb)
 	sc.sy, sc.sxy, sc.syy = grown(sc.sy, nb+1), grown(sc.sxy, nb+1), grown(sc.syy, nb+1)
+	sc.right, sc.rightSSE = grown(sc.right, nb+1), grown(sc.rightSSE, nb+1)
 }
 
 // grown returns buf with length n, reallocated only if it is too small.
-func grown(buf []float64, n int) []float64 {
+func grown[T any](buf []T, n int) []T {
 	return slices.Grow(buf[:0], n)[:n]
 }
 

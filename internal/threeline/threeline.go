@@ -295,16 +295,22 @@ type segFitter struct {
 	x            []float64
 	sx, sxx      []float64 // prefix sums over x, len n+1
 	sy, sxy, syy []float64 // prefix sums involving y, len n+1, filled by setY
+	// The right segment [j, n) of every j, fitted once per search
+	// (searchBreaks), len n+1.
+	right    []stats.Line
+	rightSSE []float64
 }
 
 // newSegFitter allocates a fitter over the points' x values.
 func newSegFitter(x []float64) *segFitter {
 	n := len(x)
 	f := &segFitter{
-		x:   x,
-		sy:  make([]float64, n+1),
-		sxy: make([]float64, n+1),
-		syy: make([]float64, n+1),
+		x:        x,
+		sy:       make([]float64, n+1),
+		sxy:      make([]float64, n+1),
+		syy:      make([]float64, n+1),
+		right:    make([]stats.Line, n+1),
+		rightSSE: make([]float64, n+1),
 	}
 	f.sx, f.sxx = xPrefixSums(x)
 	return f
@@ -398,7 +404,12 @@ func fitSegmented(f *segFitter, ys []float64, minSeg int, minSpanFrac float64) M
 // searchBreaks scans all breakpoint pairs (i, j) splitting the points
 // into [0,i), [i,j), [j,n), subject to the per-segment point minimum and
 // the outer-segment span minimum, and returns the SSE-optimal choice.
+// The right segment depends on j alone, so it is fitted once per j,
+// before the scan.
 func searchBreaks(f *segFitter, xs []float64, n, minSeg int, minSpan float64) (float64, int, int, [3]stats.Line) {
+	for j := 2 * minSeg; j+minSeg <= n; j++ {
+		f.right[j], f.rightSSE[j] = f.fit(j, n)
+	}
 	bestSSE := math.Inf(1)
 	bestI, bestJ := minSeg, 2*minSeg
 	var bestLines [3]stats.Line
@@ -412,7 +423,7 @@ func searchBreaks(f *segFitter, xs []float64, n, minSeg int, minSpan float64) (f
 				break // j only grows, span only shrinks
 			}
 			l2, s2 := f.fit(i, j)
-			l3, s3 := f.fit(j, n)
+			l3, s3 := f.right[j], f.rightSSE[j]
 			if t := s1 + s2 + s3; t < bestSSE {
 				bestSSE = t
 				bestI, bestJ = i, j

@@ -47,11 +47,13 @@ go test -race -run 'Chaos|Cancel|Fault' ./...
 
 # Recovery conformance: the deterministic crash-injection sweep (kill
 # ingestion at every counted disk op, reopen, demand bit-exact acked
-# prefixes), torn-tail truncation, the wal unit suite and append
+# prefixes), torn-tail truncation, the wal unit suite, append
 # atomicity (a batch that breaks the append contract leaves no trace
-# in a snapshot, and commits once without its bad reading), raced.
-# Same rationale as the chaos step: a durability or atomicity
-# regression fails under its own name.
+# in a snapshot, and commits once without its bad reading) and the row
+# store's first touch after a reopen (TestRecoveryFirstTouchDescends:
+# one index descent per household, not a scan of its range), raced.
+# Same rationale as the chaos step: a durability, atomicity or
+# recovery-cost regression fails under its own name.
 echo "== go test -race -run 'Recovery|Crash|WAL|AppendAtomicity' ./... (crash recovery + wal + append atomicity)"
 go test -race -run 'Recovery|Crash|WAL|AppendAtomicity' ./...
 
