@@ -450,9 +450,8 @@ func Fig10(opts Options) (*Report, error) {
 		Columns: []string{"task", "workers", "time", "speedup"},
 		Notes: []string{
 			"expected shape: near-linear to the physical core count, then flattening",
-			"histogram rows run over block summaries, one goroutine per consumer range (a fail-fast histogram takes",
-			"the segment headers and decodes the straddling blocks even on a warm engine); the other tasks walk the",
-			"warm decoded columns",
+			"every task walks the warm decoded columns, one goroutine per consumer range; a cold engine's fail-fast",
+			"histogram would answer from the segment's block summaries instead, decoding only the straddling blocks",
 		},
 	}
 	eng := colstore.New(filepath.Join(opts.WorkDir, "fig10-colstore"))

@@ -14,10 +14,11 @@ package core
 // computes and emits its consumers, and the partitions' results are
 // joined in partition order. The run's workers are shared out among the
 // partitions, so fewer partitions than workers still compute on every
-// worker. A source without it runs as one partition over its NewCursor. The similarity task drains the same partitions in
-// parallel into one matrix, each into the rows after the earlier
-// partitions' SizeHints. A live snapshot cursor that splits (the column
-// and row stores') implements it too.
+// worker. A source without it runs as one partition over its
+// NewCursor. The similarity task drains the same partitions in parallel
+// into one matrix, each into the rows after the earlier partitions'
+// SizeHints. A live snapshot cursor that splits (the column and row
+// stores') implements it too.
 type PartitionedSource interface {
 	// NewCursors opens up to max independent cursors that jointly cover
 	// the loaded dataset exactly once: partitions are pairwise disjoint

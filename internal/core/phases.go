@@ -45,11 +45,12 @@ type Phases struct {
 	T2Regression time.Duration
 	T3Adjust     time.Duration
 
-	// SummaryBlocks and DecodedBlocks count stored blocks consumed by
-	// the histogram task's compressed-domain fast path: SummaryBlocks
-	// were satisfied from header summaries alone, DecodedBlocks needed
-	// the full float decode. Both stay zero when the fast path did not
-	// run, which is every other task.
+	// SummaryBlocks and DecodedBlocks count the stored blocks a
+	// fail-fast histogram read through its partitions' block summaries
+	// (core.SummaryCursor): SummaryBlocks were satisfied from the
+	// summaries alone, DecodedBlocks needed the full float decode. Both
+	// stay zero when no partition's cursor summarizes (fault wrappers,
+	// snapshots, decoded columns) and for every other task and policy.
 	SummaryBlocks int64
 	DecodedBlocks int64
 }

@@ -23,42 +23,28 @@ type BlockStats struct {
 	Max  float64
 }
 
-// SummarySource is implemented by engines whose storage keeps per-block
-// statistics alongside the compressed payloads. The exec layer uses it
-// for compressed-domain fast paths: kernels that only need bucket
-// counts or sums can consume block headers and decode raw floats only
-// for the blocks where summaries are not enough. Wrappers that perturb
-// data (fault injectors) must NOT forward this interface — the
-// summaries describe the stored bytes, not the perturbed stream.
-type SummarySource interface {
-	// NewSummaryCursors opens up to max independent cursors over
-	// per-consumer block summaries, partitioned the way
-	// PartitionedSource.NewCursors partitions rows: each cursor walks a
-	// contiguous range of consumers in ascending household-ID order,
-	// the ranges are pairwise disjoint, ascend with the slice index and
-	// jointly cover every consumer once. Fewer than max cursors may
-	// come back — one when the storage cannot be split, none when it is
-	// empty — but never more, and max must be >= 1. The cursors may be
-	// driven concurrently, one goroutine each, and are independent of
-	// any row cursors: reading summaries does not consume or disturb
-	// NewCursor/NewCursors streams. Close on each is required
-	// regardless of how far it was drained.
-	NewSummaryCursors(max int) ([]SummaryCursor, error)
-}
-
-// SummaryCursor walks the consumers of its partition in ascending ID
-// order, yielding block headers, and can decode any block of the
-// current consumer on demand.
+// SummaryCursor is optionally implemented by cursors over storage that
+// keeps per-block statistics beside the compressed payloads (the column
+// store's segment headers). NextSummary is a second way to advance the
+// cursor: it moves to the same next consumer Next would yield and hands
+// out its block headers instead of its series, and any block of that
+// consumer can then be decoded on demand. The exec layer's histogram
+// uses it to count blocks whose min and max share a bucket without
+// decoding them. Wrappers that perturb data (fault injectors) and
+// cursors that merge other data in (live snapshots) must NOT implement
+// it: the summaries describe the stored bytes, not the stream Next
+// yields.
 type SummaryCursor interface {
 	// NextSummary returns the next consumer's ID and its block stats in
 	// row order. The returned slice is only valid until the next call.
-	// It returns io.EOF after the last consumer.
+	// It returns io.EOF after the last consumer or once the cursor is
+	// closed.
 	NextSummary() (timeseries.ID, []BlockStats, error)
 	// DecodeBlock decodes block b (an index into the slice returned by
-	// the latest NextSummary) of the current consumer into dst, which
-	// must hold at least the block's Count values. The decoded floats
-	// are bit-identical to what the row cursors produce.
+	// the latest NextSummary) of that consumer into dst, which must hold
+	// at least the block's Count values. The decoded floats are
+	// bit-identical to what Next produces. It fails unless the cursor's
+	// last move was a NextSummary that returned a consumer: before the
+	// first, after io.EOF, and after Next, Reset or Close.
 	DecodeBlock(b int, dst []float64) error
-	// Close releases the cursor. It is idempotent.
-	Close() error
 }

@@ -24,8 +24,9 @@
 // same pipeline. Warm at budget 0 decodes everything into one
 // contiguous matrix that later runs read (the paper's warm start, which
 // the similarity kernel adopts without a copy). Block headers carry
-// NaN counts and min/max summaries that the exec layer's histogram uses
-// to skip decoding.
+// NaN counts and min/max summaries, which the cold cursors hand out
+// (core.SummaryCursor) and the exec layer's histogram uses to skip
+// decoding.
 package colstore
 
 import (
@@ -370,7 +371,8 @@ func (e *Engine) RunContext(ctx context.Context, spec core.Spec) (*core.Results,
 
 // NewCursor implements core.Engine: the decoded columns after a Warm at
 // budget 0, otherwise a cursor reading one consumer per Next through
-// the block cache.
+// the block cache, which also hands out block summaries
+// (core.SummaryCursor).
 func (e *Engine) NewCursor() (core.Cursor, error) {
 	if e.decoded != nil {
 		return core.NewDatasetCursor(e.decoded), nil
@@ -426,33 +428,14 @@ func (e *Engine) Temperature() (*timeseries.Temperature, error) {
 
 var _ core.Engine = (*Engine)(nil)
 
-// NewSummaryCursors implements core.SummarySource over the stored block
-// headers: contiguous consumer ranges, the ones NewCursors cuts. The
-// headers are resident metadata; a block a cursor is asked to decode is
-// read straight from the store, never through the block cache.
-func (e *Engine) NewSummaryCursors(max int) ([]core.SummaryCursor, error) {
-	if max < 1 {
-		return nil, fmt.Errorf("colstore: NewSummaryCursors: max must be >= 1, got %d", max)
-	}
+// NewSummaryCursor opens the engine's paged cursor over every consumer,
+// whichever state the engine is in, for a caller that reads block
+// summaries (its core.SummaryCursor methods) and closes it.
+func (e *Engine) NewSummaryCursor() (*pagedCursor, error) {
 	if err := e.ensureStorage(); err != nil {
 		return nil, err
 	}
-	curs := make([]core.SummaryCursor, 0, max)
-	for _, r := range core.PartitionRanges(e.store.consumers, max) {
-		curs = append(curs, newSummaryCursor(e.store, r[0], r[1]))
-	}
-	return curs, nil
-}
-
-var _ core.SummarySource = (*Engine)(nil)
-
-// NewSummaryCursor is the one-partition form of NewSummaryCursors: the
-// same cursor over every consumer.
-func (e *Engine) NewSummaryCursor() (core.SummaryCursor, error) {
-	if err := e.ensureStorage(); err != nil {
-		return nil, err
-	}
-	return newSummaryCursor(e.store, 0, e.store.consumers), nil
+	return newPagedCursor(e.pager, 0, e.store.consumers), nil
 }
 
 // PagerStats reports block-cache hits, misses and resident decoded

@@ -20,14 +20,23 @@ import (
 // survives arbitrarily long in the compute phase.
 // Partition cursors over disjoint ranges share one pager, so the byte
 // budget is global no matter how many cursors a run opens.
+//
+// It is also a core.SummaryCursor over the same range: NextSummary
+// advances the position Next does, answering from the resident block
+// headers, and DecodeBlock decodes one block of that consumer out of its
+// payload area, read into the buffer Next uses, never through the block
+// cache.
 type pagedCursor struct {
-	p       *pager
-	ctx     context.Context
-	lo, hi  int
-	scratch []byte
-	row     []float64 // from TakeRow, for the next successful Next
-	i       int       // offset from lo
-	closed  bool
+	p      *pager
+	ctx    context.Context
+	lo, hi int
+	area   []byte    // payload-area read buffer of Next and DecodeBlock
+	row    []float64 // from TakeRow, for the next successful Next
+	i      int       // offset from lo
+	stats  []core.BlockStats
+	summed bool // the last move was a NextSummary that returned consumer lo+i-1
+	read   bool // area holds that consumer's payload area
+	closed bool
 }
 
 func newPagedCursor(p *pager, lo, hi int) *pagedCursor {
@@ -37,6 +46,7 @@ func newPagedCursor(p *pager, lo, hi int) *pagedCursor {
 func (c *pagedCursor) BindContext(ctx context.Context) { c.ctx = ctx }
 
 func (c *pagedCursor) Next() (*timeseries.Series, error) {
+	c.summed = false
 	if err := core.CtxErr(c.ctx); err != nil {
 		return nil, err
 	}
@@ -50,7 +60,7 @@ func (c *pagedCursor) Next() (*timeseries.Series, error) {
 		row = make([]float64, st.n)
 	}
 	var err error
-	if c.scratch, err = c.p.readConsumer(cons, row, c.scratch); err != nil {
+	if c.area, err = c.p.readConsumer(cons, row, c.area); err != nil {
 		return nil, err
 	}
 	c.row = nil
@@ -61,84 +71,64 @@ func (c *pagedCursor) Next() (*timeseries.Series, error) {
 // TakeRow implements core.RowTaker.
 func (c *pagedCursor) TakeRow(row []float64) { c.row = row }
 
+// NextSummary implements core.SummaryCursor.
+func (c *pagedCursor) NextSummary() (timeseries.ID, []core.BlockStats, error) {
+	c.summed = false
+	if c.closed || c.lo+c.i >= c.hi {
+		return 0, nil, io.EOF
+	}
+	st := c.p.st
+	if c.stats == nil {
+		c.stats = make([]core.BlockStats, st.blockCount)
+	}
+	cons := c.lo + c.i
+	for b := range c.stats {
+		h := st.hdr(cons, b)
+		start, count := st.rows(b)
+		c.stats[b] = core.BlockStats{Start: start, Count: count, NaNs: int(h.nans), Min: h.min, Max: h.max}
+	}
+	c.i++
+	c.summed, c.read = true, false
+	return st.ids[cons], c.stats, nil
+}
+
+// DecodeBlock implements core.SummaryCursor: the first block decoded of
+// a consumer reads its payload area with one pread, and the rest are
+// decoded out of that buffer.
+func (c *pagedCursor) DecodeBlock(b int, dst []float64) error {
+	if !c.summed {
+		return fmt.Errorf("colstore: DecodeBlock with no consumer from NextSummary")
+	}
+	st := c.p.st
+	if b < 0 || b >= st.blockCount {
+		return fmt.Errorf("colstore: DecodeBlock: block %d out of range", b)
+	}
+	cons := c.lo + c.i - 1
+	if !c.read {
+		var err error
+		if c.area, err = st.readArea(cons, c.area); err != nil {
+			return err
+		}
+		c.read = true
+	}
+	return st.decodeBlock(cons, b, c.area, dst)
+}
+
 func (c *pagedCursor) Reset() error {
 	// The rows handed out are the caller's; rewinding reads the blocks
 	// again (cache hits for those the budget had room to admit).
 	c.i = 0
+	c.summed = false
 	c.closed = false
 	return nil
 }
 
 func (c *pagedCursor) Close() error {
 	c.closed = true
-	c.scratch = nil
+	c.summed = false
+	c.area = nil
 	c.row = nil
 	return nil
 }
 
 func (c *pagedCursor) SizeHint() (int, bool) { return c.hi - c.lo, true }
-
-// summaryCursor implements core.SummaryCursor over the resident block
-// headers of consumers [lo, hi), decoding individual blocks on demand
-// for the exec layer's compressed-domain fast paths: the first block
-// decoded of a consumer reads its payload area, and the rest are
-// decoded out of that buffer. Cursors over disjoint ranges share
-// nothing but the read-only store.
-type summaryCursor struct {
-	st     *segStore
-	lo, hi int
-	stats  []core.BlockStats
-	area   []byte
-	read   bool // area holds the current consumer's payload area
-	i      int  // next consumer, from lo
-	closed bool
-}
-
-func newSummaryCursor(st *segStore, lo, hi int) *summaryCursor {
-	return &summaryCursor{st: st, lo: lo, hi: hi, i: lo}
-}
-
-func (s *summaryCursor) NextSummary() (timeseries.ID, []core.BlockStats, error) {
-	if s.closed || s.i >= s.hi {
-		return 0, nil, io.EOF
-	}
-	if s.stats == nil {
-		s.stats = make([]core.BlockStats, s.st.blockCount)
-	}
-	c := s.i
-	for b := 0; b < s.st.blockCount; b++ {
-		h := s.st.hdr(c, b)
-		start, count := s.st.rows(b)
-		s.stats[b] = core.BlockStats{Start: start, Count: count, NaNs: int(h.nans), Min: h.min, Max: h.max}
-	}
-	s.i++
-	s.read = false
-	return s.st.ids[c], s.stats, nil
-}
-
-func (s *summaryCursor) DecodeBlock(b int, dst []float64) error {
-	if s.closed {
-		return fmt.Errorf("colstore: DecodeBlock on closed summary cursor")
-	}
-	c := s.i - 1
-	if c < s.lo {
-		return fmt.Errorf("colstore: DecodeBlock before NextSummary")
-	}
-	if b < 0 || b >= s.st.blockCount {
-		return fmt.Errorf("colstore: DecodeBlock: block %d out of range", b)
-	}
-	if !s.read {
-		var err error
-		if s.area, err = s.st.readArea(c, s.area); err != nil {
-			return err
-		}
-		s.read = true
-	}
-	return s.st.decodeBlock(c, b, s.area, dst)
-}
-
-func (s *summaryCursor) Close() error {
-	s.closed = true
-	s.area = nil
-	return nil
-}

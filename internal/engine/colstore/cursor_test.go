@@ -55,12 +55,30 @@ func TestCursorConformance(t *testing.T) {
 	})
 }
 
+// TestPartitionConformance holds the engine's partitions to the
+// partition contract at every budget and after a Warm at budget 0. The
+// cold partitions summarize, so the suite holds their summaries to
+// their rows too; the warm ones are the decoded columns', which do not.
 func TestPartitionConformance(t *testing.T) {
 	dir := t.TempDir()
 	buildSegments(t, dir, 7, 10, 64)
+	summarizes := func(t *testing.T, e *Engine, want bool) {
+		t.Helper()
+		curs, err := e.NewCursors(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, cur := range curs {
+			if _, ok := cur.(core.SummaryCursor); ok != want {
+				t.Fatalf("partition %d (%T) summarizes: %v, want %v", p, cur, ok, want)
+			}
+			_ = cur.Close()
+		}
+	}
 	for _, b := range budgets(64) {
 		t.Run(b.name, func(t *testing.T) {
 			e := pagedEngine(t, dir, b.bytes)
+			summarizes(t, e, true)
 			cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
 		})
 	}
@@ -69,6 +87,7 @@ func TestPartitionConformance(t *testing.T) {
 		if err := e.Warm(); err != nil {
 			t.Fatal(err)
 		}
+		summarizes(t, e, false)
 		cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
 	})
 }
@@ -100,7 +119,7 @@ func TestZeroBudgetCachesNothing(t *testing.T) {
 	}
 }
 
-// TestDecodeBlockMatchesPager: a summary cursor's DecodeBlock and the
+// TestDecodeBlockMatchesPager: a paged cursor's DecodeBlock and the
 // pager yield the same bits for every block, across block shapes
 // (constant, periodic, NaN-bearing, ragged tail).
 func TestDecodeBlockMatchesPager(t *testing.T) {
@@ -114,7 +133,7 @@ func TestDecodeBlockMatchesPager(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := newPager(st, 0)
-		sc := newSummaryCursor(st, 0, st.consumers)
+		sc := newPagedCursor(p, 0, st.consumers)
 		row := make([]float64, n)
 		dst := make([]float64, blockRows)
 		var area []byte
@@ -146,4 +165,61 @@ func TestDecodeBlockMatchesPager(t *testing.T) {
 		}
 		st.close()
 	}
+}
+
+// TestDecodeBlockNeedsACurrentSummary: DecodeBlock decodes only a block
+// of the consumer the last NextSummary returned. Before the first
+// NextSummary, once NextSummary has returned io.EOF, after Next, after
+// Reset and after Close there is none, and it must fail without
+// writing dst: at EOF the position still points past the last
+// consumer, whose block it must not decode again.
+func TestDecodeBlockNeedsACurrentSummary(t *testing.T) {
+	dir := t.TempDir()
+	buildSegments(t, dir, 3, 10, 64)
+	e := pagedEngine(t, dir, 0)
+	sc, err := e.NewSummaryCursor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	dst := make([]float64, 64)
+	refuses := func(when string) {
+		t.Helper()
+		dst[0] = -7.25
+		if err := sc.DecodeBlock(0, dst); err == nil || dst[0] != -7.25 {
+			t.Fatalf("DecodeBlock(0) %s: error %v, dst[0] = %v; want an error and no write", when, err, dst[0])
+		}
+	}
+	refuses("before the first NextSummary")
+	for {
+		_, _, err := sc.NextSummary()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.DecodeBlock(0, dst); err != nil {
+			t.Fatalf("DecodeBlock(0) after NextSummary: %v", err)
+		}
+	}
+	refuses("after io.EOF")
+	if err := sc.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	refuses("after Reset")
+	if _, _, err := sc.NextSummary(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Next(); err != nil {
+		t.Fatal(err)
+	}
+	refuses("after Next")
+	if _, _, err := sc.NextSummary(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refuses("after Close")
 }

@@ -11,6 +11,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/stats"
 )
 
 // flatSegments writes one consumer whose every reading is 2.5 in two
@@ -330,8 +333,13 @@ func TestPayloadCountCannotOverrunItsBlock(t *testing.T) {
 
 // FuzzSegmentFile opens arbitrary bytes as a segment file. A file that
 // opens is read in full through the pager, with no cache and with a
-// one-block cache, and through a summary cursor's DecodeBlock. Nothing
-// may panic, and every refusal must be the corrupt-segment error.
+// one-block cache, and through the block summaries of the engine's two
+// partition cursors, DecodeBlock on every block; then a fail-fast
+// histogram runs over it at two workers, which reads those summaries.
+// Nothing may panic, not even inside a partition that recovers the
+// panic into an error, and every refusal must be the corrupt-segment
+// error (or, for a file of empty series, the histogram's empty-input
+// error).
 func FuzzSegmentFile(f *testing.F) {
 	n := 24*3 + 5
 	real := filepath.Join(f.TempDir(), SegmentFileName)
@@ -347,22 +355,25 @@ func FuzzSegmentFile(f *testing.F) {
 		f.Add(data)
 	}
 	// A fuzz worker calls the target one input at a time, so the inputs
-	// can share one file.
-	path := filepath.Join(f.TempDir(), "input.col")
+	// can share one directory.
+	dir := f.TempDir()
+	path := filepath.Join(dir, SegmentFileName)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, err := openStore(path)
-		if err != nil {
+		e := New(dir)
+		if _, err := e.OpenExisting(); err != nil {
 			if !errors.Is(err, errCorrupt) {
 				t.Fatalf("open: %v, want the corrupt-segment error", err)
 			}
 			return
 		}
-		defer st.close()
+		defer e.Release()
+		st := e.store
 		check := func(what string, err error) {
-			if err != nil && !errors.Is(err, errCorrupt) {
+			var pe *core.PanicError
+			if errors.As(err, &pe) || (err != nil && !errors.Is(err, errCorrupt)) {
 				t.Fatalf("%s: %v, want the corrupt-segment error", what, err)
 			}
 		}
@@ -375,16 +386,31 @@ func FuzzSegmentFile(f *testing.F) {
 				check("pager", err)
 			}
 		}
-		sc := newSummaryCursor(st, 0, st.consumers)
-		for {
-			_, blocks, err := sc.NextSummary()
-			if err == io.EOF {
-				break
+		curs, err := e.NewCursors(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cur := range curs {
+			sc := cur.(core.SummaryCursor)
+			for {
+				_, blocks, err := sc.NextSummary()
+				if err == io.EOF {
+					break
+				}
+				check("summary", err)
+				for b, bs := range blocks {
+					check("DecodeBlock", sc.DecodeBlock(b, row[:bs.Count]))
+				}
 			}
-			check("summary", err)
-			for b, bs := range blocks {
-				check("DecodeBlock", sc.DecodeBlock(b, row[:bs.Count]))
-			}
+			_ = cur.Close()
+		}
+		res, err := e.Run(core.Spec{Task: core.TaskHistogram, Workers: 2})
+		switch {
+		case err == nil && len(res.Histograms) != st.consumers:
+			t.Fatalf("histogram: %d results for %d consumers", len(res.Histograms), st.consumers)
+		case st.n == 0 && errors.Is(err, stats.ErrEmptyInput):
+		default:
+			check("histogram", err)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"context"
 	"io"
 	"math"
 	"path/filepath"
@@ -8,9 +9,9 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/smartmeter/smartbench/internal/colcodec"
 	"github.com/smartmeter/smartbench/internal/core"
-	"github.com/smartmeter/smartbench/internal/exec/cursortest"
+	"github.com/smartmeter/smartbench/internal/exec"
+	"github.com/smartmeter/smartbench/internal/fault"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/stats"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -275,72 +276,84 @@ func TestSegmentWriterQuantize(t *testing.T) {
 	}
 }
 
-func TestSummaryCursorMatchesDecode(t *testing.T) {
+// TestSummariesHiddenByWrappers: a fault wrapper, even one that injects
+// nothing, and a live snapshot do not hand out the paged cursor's block
+// summaries, so a fail-fast histogram over either decodes every series
+// through Next and still equals the reference bit for bit. The bare
+// engine at the same worker counts reads summaries, so the zeros are
+// the wrappers'.
+func TestSummariesHiddenByWrappers(t *testing.T) {
 	dir := t.TempDir()
-	ds := buildSegments(t, dir, 5, 10, 64)
-	e := New(dir)
-	if _, err := e.OpenExisting(); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := e.NewSummaryCursor()
+	ds := buildSegments(t, dir, 7, 10, 64)
+	want, err := core.RunReference(ds, core.Spec{Task: core.TaskHistogram})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Close()
-	buf := make([]float64, DefaultBlockRows)
-	for _, want := range ds.Series {
-		id, blocks, err := sc.NextSummary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != want.ID {
-			t.Fatalf("id %d, want %d", id, want.ID)
-		}
-		total := 0
-		for b, bs := range blocks {
-			ref := colcodec.Summarize(want.Readings[bs.Start : bs.Start+bs.Count])
-			if !stats.ExactEqual(bs.Min, ref.Min) || !stats.ExactEqual(bs.Max, ref.Max) ||
-				bs.NaNs != ref.NaNs || bs.Count != ref.Count {
-				t.Fatalf("block %d summary %+v, want %+v", b, bs, ref)
-			}
-			if err := sc.DecodeBlock(b, buf[:bs.Count]); err != nil {
-				t.Fatal(err)
-			}
-			for j := 0; j < bs.Count; j++ {
-				if math.Float64bits(buf[j]) != math.Float64bits(want.Readings[bs.Start+j]) {
-					t.Fatalf("block %d row %d mismatch", b, j)
-				}
-			}
-			total += bs.Count
-		}
-		if total != len(want.Readings) {
-			t.Fatalf("blocks cover %d rows, want %d", total, len(want.Readings))
-		}
-	}
-	if _, _, err := sc.NextSummary(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
-	}
-}
+	e := pagedEngine(t, dir, 0)
 
-// TestSummaryPartitionConformance holds the engine's summary cursors to
-// the partition contract at every budget.
-func TestSummaryPartitionConformance(t *testing.T) {
-	dir := t.TempDir()
-	ds := buildSegments(t, dir, 7, 10, 64)
+	// The base plus a live tail of six hours, as the snapshot sees it.
+	baseN := len(ds.Temperature.Values)
+	live := &timeseries.Dataset{Temperature: &timeseries.Temperature{Values: append([]float64(nil), ds.Temperature.Values...)}}
 	ids := make([]timeseries.ID, len(ds.Series))
 	for i, s := range ds.Series {
 		ids[i] = s.ID
+		live.Series = append(live.Series, &timeseries.Series{ID: s.ID, Readings: append([]float64(nil), s.Readings...)})
 	}
-	for _, b := range budgets(64) {
-		cursortest.RunSummaryPartitioned(t, pagedEngine(t, dir, b.bytes), ids)
+	for h := baseN; h < baseN+6; h++ {
+		live.Temperature.Values = append(live.Temperature.Values, liveTemp(h))
+		for _, s := range live.Series {
+			s.Readings = append(s.Readings, liveVal(s.ID, h))
+		}
+	}
+	wantLive, err := core.RunReference(live, core.Spec{Task: core.TaskHistogram})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 2} {
+		spec := core.Spec{Task: core.TaskHistogram, Workers: workers}
+		bare, err := e.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ph := bare.Phases; ph.SummaryBlocks+ph.DecodedBlocks != 7*4 {
+			t.Fatalf("W=%d: the bare engine read %d summary and %d decoded blocks, want 28 between them", workers, ph.SummaryBlocks, ph.DecodedBlocks)
+		}
+		got, err := exec.Run(fault.New(e, fault.Config{}), spec)
+		if err != nil {
+			t.Fatalf("W=%d under a zero-rate fault wrapper: %v", workers, err)
+		}
+		if ph := got.Phases; ph.SummaryBlocks != 0 || ph.DecodedBlocks != 0 {
+			t.Fatalf("W=%d: the fault wrapper handed out summaries (%d summary, %d decoded blocks)", workers, ph.SummaryBlocks, ph.DecodedBlocks)
+		}
+		assertResultsIdentical(t, core.TaskHistogram, got, want)
+	}
+
+	for h := baseN; h < baseN+6; h++ {
+		if err := e.Append(hourBatch(ids, h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		got, _, err := exec.RunSnapshot(context.Background(), e, core.Spec{Task: core.TaskHistogram, Workers: workers})
+		if err != nil {
+			t.Fatalf("W=%d over a snapshot: %v", workers, err)
+		}
+		if ph := got.Phases; ph.SummaryBlocks != 0 || ph.DecodedBlocks != 0 {
+			t.Fatalf("W=%d: the snapshot handed out summaries (%d summary, %d decoded blocks)", workers, ph.SummaryBlocks, ph.DecodedBlocks)
+		}
+		assertResultsIdentical(t, core.TaskHistogram, got, wantLive)
 	}
 }
 
-// TestSummaryHistogramAtEveryWorkerCount: the histogram task, which the
-// column store answers from partitioned block summaries, is the
+// TestSummaryHistogramAtEveryWorkerCount: the histogram task is the
 // reference's bit for bit at one worker and at more than there are
-// consumers, and which blocks it decodes does not depend on how many
-// goroutines read them.
+// consumers, at every budget, cold and after Warm, under every fail
+// policy. A fail-fast run over the paged cursors answers from their
+// block summaries, and which blocks it decodes depends neither on how
+// many goroutines read them nor on the budget; a warm engine at budget
+// 0 hands out its decoded columns, and the other policies decode every
+// series, so neither reads a summary.
 func TestSummaryHistogramAtEveryWorkerCount(t *testing.T) {
 	dir := t.TempDir()
 	ds := buildSegments(t, dir, 7, 10, 64)
@@ -348,24 +361,41 @@ func TestSummaryHistogramAtEveryWorkerCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := pagedEngine(t, dir, 2*64*8)
 	var first *core.Phases
-	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := e.Run(core.Spec{Task: core.TaskHistogram, Workers: workers})
-		if err != nil {
-			t.Fatalf("W=%d: %v", workers, err)
-		}
-		assertResultsIdentical(t, core.TaskHistogram, got, want)
-		ph := got.Phases
-		if first == nil {
-			first = ph
-			if ph.SummaryBlocks+ph.DecodedBlocks != 7*4 {
-				t.Fatalf("summary path did not see the 28 blocks: %+v", ph)
+	for _, b := range budgets(64) {
+		e := pagedEngine(t, dir, b.bytes)
+		for _, warm := range []bool{false, true} {
+			if warm {
+				if err := e.Warm(); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if ph.SummaryBlocks != first.SummaryBlocks || ph.DecodedBlocks != first.DecodedBlocks || ph.Extract.Rows != first.Extract.Rows {
-			t.Fatalf("W=%d: summary/decoded/rows %d/%d/%d, at W=1 %d/%d/%d", workers,
-				ph.SummaryBlocks, ph.DecodedBlocks, ph.Extract.Rows, first.SummaryBlocks, first.DecodedBlocks, first.Extract.Rows)
+			for _, policy := range []core.FailPolicy{core.FailFast, core.Quarantine, core.Repair} {
+				for _, workers := range []int{1, 2, 4, 8} {
+					got, err := e.Run(core.Spec{Task: core.TaskHistogram, Workers: workers, FailPolicy: policy})
+					if err != nil {
+						t.Fatalf("%s warm=%v %v W=%d: %v", b.name, warm, policy, workers, err)
+					}
+					assertResultsIdentical(t, core.TaskHistogram, got, want)
+					ph := got.Phases
+					if policy != core.FailFast || (warm && b.bytes == 0) {
+						if ph.SummaryBlocks != 0 || ph.DecodedBlocks != 0 {
+							t.Fatalf("%s warm=%v %v W=%d: read summaries (%d summary, %d decoded blocks)", b.name, warm, policy, workers, ph.SummaryBlocks, ph.DecodedBlocks)
+						}
+						continue
+					}
+					if first == nil {
+						first = ph
+						if ph.SummaryBlocks+ph.DecodedBlocks != 7*4 {
+							t.Fatalf("summary path did not see the 28 blocks: %+v", ph)
+						}
+					}
+					if ph.SummaryBlocks != first.SummaryBlocks || ph.DecodedBlocks != first.DecodedBlocks || ph.Extract.Rows != first.Extract.Rows {
+						t.Fatalf("%s warm=%v W=%d: summary/decoded/rows %d/%d/%d, first %d/%d/%d", b.name, warm, workers,
+							ph.SummaryBlocks, ph.DecodedBlocks, ph.Extract.Rows, first.SummaryBlocks, first.DecodedBlocks, first.Extract.Rows)
+					}
+				}
+			}
 		}
 	}
 }

@@ -42,14 +42,14 @@ func newPager(st *segStore, budget int64) *pager {
 }
 
 // readConsumer fills row, which must hold st.n values, with consumer c's
-// whole series, writing every value, so row may hold anything before
-// (a row the partition loop hands back). A block the cache holds is copied out of its frame. The
-// others are decoded straight into row out of the consumer's payload
-// area, which the first of them reads with one pread, and the cache
-// keeps a copy of each while one fits the budget. row is the caller's
-// alone — it never aliases a frame. area is the caller's read buffer,
-// returned possibly grown so each reader amortizes its own I/O
-// allocation.
+// whole series, writing every value, so row may hold anything before (a
+// row the partition loop hands back). A block the cache holds is copied
+// out of its frame. The others are decoded straight into row out of the
+// consumer's payload area, which the first of them reads with one
+// pread, and the cache keeps a copy of each while one fits the budget.
+// row is the caller's alone — it never aliases a frame. area is the
+// caller's read buffer, returned possibly grown so each reader
+// amortizes its own I/O allocation.
 func (p *pager) readConsumer(c int, row []float64, area []byte) ([]byte, error) {
 	read := false
 	for b := 0; b < p.st.blockCount; b++ {

@@ -8,8 +8,10 @@
 // RunPartitioned is the companion suite for core.PartitionedSource: the
 // partition cursors must be pairwise disjoint, their union must equal
 // the full cursor's ID set, and each partition cursor must itself pass
-// the Cursor conformance checks. RunSummaryPartitioned applies the same
-// partition assertions to a core.SummarySource's summary cursors.
+// the Cursor conformance checks. A partition cursor that hands out block
+// summaries (core.SummaryCursor) must advance through them to the
+// households Next yields, with blocks that tile each row, summarize it
+// and decode to its bits.
 package cursortest
 
 import (
@@ -17,11 +19,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
+	"github.com/smartmeter/smartbench/internal/colcodec"
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/stats"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -41,7 +45,7 @@ func snap(s *timeseries.Series) snapshot {
 }
 
 // sameSeries fails the test unless got holds the same households with
-// the same readings, bit for bit, as want.
+// the same readings, bit for bit (a NaN reading included), as want.
 func sameSeries(t *testing.T, what string, got, want []snapshot) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -56,7 +60,7 @@ func sameSeries(t *testing.T, what string, got, want []snapshot) {
 				what, i, len(got[i].readings), len(want[i].readings))
 		}
 		for j := range want[i].readings {
-			if !stats.ExactEqual(got[i].readings[j], want[i].readings[j]) {
+			if math.Float64bits(got[i].readings[j]) != math.Float64bits(want[i].readings[j]) {
 				t.Fatalf("%s: series %d reading %d is %v, want %v",
 					what, i, j, got[i].readings[j], want[i].readings[j])
 			}
@@ -175,14 +179,25 @@ func RunPartitioned(t *testing.T, open func(t *testing.T) core.PartitionedSource
 			}
 			seen := map[timeseries.ID]int{} // id -> partition that yielded it
 			for p, cur := range curs {
-				for _, s := range drain(t, cur) {
+				rows := drain(t, cur)
+				for _, s := range rows {
 					if prev, dup := seen[s.id]; dup {
 						t.Fatalf("max=%d: household %d in partitions %d and %d", max, s.id, prev, p)
 					}
 					seen[s.id] = p
 				}
+				sc, summarizes := cur.(core.SummaryCursor)
+				if summarizes {
+					summariesMatchRows(t, fmt.Sprintf("max=%d partition %d", max, p), cur, sc, rows)
+				}
 				if err := cur.Close(); err != nil {
 					t.Fatalf("max=%d: partition %d Close: %v", max, p, err)
+				}
+				if summarizes {
+					refusesDecode(t, fmt.Sprintf("max=%d partition %d after Close", max, p), sc)
+					if _, _, err := sc.NextSummary(); !errors.Is(err, io.EOF) {
+						t.Fatalf("max=%d partition %d: NextSummary after Close: err = %v, want io.EOF", max, p, err)
+					}
 				}
 			}
 			fullCur, err := serialCursor(src)
@@ -309,53 +324,103 @@ func (s snapshotParts) NewCursor() (core.Cursor, error) {
 	return cur, err
 }
 
-// RunSummaryPartitioned holds a core.SummarySource to the partition
-// contract RunPartitioned holds a PartitionedSource to: for each max,
-// at most max cursors come back, and read in slice order they yield
-// every household of want exactly once, in ascending order (so the
-// ranges are disjoint, contiguous and ascend with the partition index).
-// Each cursor must stay at io.EOF once drained and survive a second
-// Close. want is the source's households in ascending order.
-func RunSummaryPartitioned(t *testing.T, src core.SummarySource, want []timeseries.ID) {
+// summariesMatchRows holds a summarizing cursor, which Next has just
+// drained to rows, to its summaries: after a Reset, DecodeBlock refuses
+// until NextSummary has returned a consumer; NextSummary then yields
+// the households of rows in order, each with blocks that tile its row
+// from 0, carry that block's colcodec.Summarize stats and decode to its
+// bits, and stays at io.EOF, where DecodeBlock refuses again. A last
+// pass alternates Next and NextSummary: they advance one position, and
+// a Next leaves no block to decode.
+func summariesMatchRows(t *testing.T, what string, cur core.Cursor, sc core.SummaryCursor, rows []snapshot) {
 	t.Helper()
-	for _, max := range []int{1, 2, 3, 8, len(want) + 5} {
-		curs, err := src.NewSummaryCursors(max)
+	if err := cur.Reset(); err != nil {
+		t.Fatalf("%s: Reset: %v", what, err)
+	}
+	refusesDecode(t, what+" before NextSummary", sc)
+	var dst []float64
+	for i, want := range rows {
+		id, blocks, err := sc.NextSummary()
 		if err != nil {
-			t.Fatalf("NewSummaryCursors(%d): %v", max, err)
+			t.Fatalf("%s: NextSummary %d: %v", what, i, err)
 		}
-		if len(curs) > max || (len(curs) == 0) != (len(want) == 0) {
-			t.Fatalf("NewSummaryCursors(%d) returned %d cursors for %d households", max, len(curs), len(want))
+		if id != want.id {
+			t.Fatalf("%s: NextSummary %d has ID %d, Next had %d", what, i, id, want.id)
 		}
-		var got []timeseries.ID
-		for p, sc := range curs {
-			for {
-				id, _, err := sc.NextSummary()
-				if errors.Is(err, io.EOF) {
-					break
+		end := 0
+		for b, bs := range blocks {
+			if bs.Start != end || bs.Count < 0 || bs.Start+bs.Count > len(want.readings) {
+				t.Fatalf("%s: household %d block %d covers [%d, %d) after row %d of %d", what, id, b, bs.Start, bs.Start+bs.Count, end, len(want.readings))
+			}
+			end += bs.Count
+			block := want.readings[bs.Start:end]
+			ref := colcodec.Summarize(block)
+			if bs.Count != ref.Count || bs.NaNs != ref.NaNs || !sameFloat(bs.Min, ref.Min) || !sameFloat(bs.Max, ref.Max) {
+				t.Fatalf("%s: household %d block %d stats %+v, its rows summarize to %+v", what, id, b, bs, ref)
+			}
+			if cap(dst) < bs.Count {
+				dst = make([]float64, bs.Count)
+			}
+			if err := sc.DecodeBlock(b, dst[:bs.Count]); err != nil {
+				t.Fatalf("%s: household %d DecodeBlock(%d): %v", what, id, b, err)
+			}
+			for j, v := range block {
+				if math.Float64bits(dst[j]) != math.Float64bits(v) {
+					t.Fatalf("%s: household %d block %d row %d decodes to %x, Next gave %x", what, id, b, j, math.Float64bits(dst[j]), math.Float64bits(v))
 				}
-				if err != nil {
-					t.Fatalf("max=%d partition %d: NextSummary: %v", max, p, err)
-				}
-				got = append(got, id)
-			}
-			if _, _, err := sc.NextSummary(); !errors.Is(err, io.EOF) {
-				t.Fatalf("max=%d partition %d: NextSummary after EOF: %v", max, p, err)
-			}
-			for i := 0; i < 2; i++ {
-				if err := sc.Close(); err != nil {
-					t.Fatalf("max=%d partition %d: Close #%d: %v", max, p, i+1, err)
-				}
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("max=%d: partitions yielded %d households, want %d", max, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("max=%d: household %d in partition order is %d, want %d", max, i, got[i], want[i])
-			}
+		if end != len(want.readings) {
+			t.Fatalf("%s: household %d blocks cover %d rows, Next gave %d", what, id, end, len(want.readings))
 		}
 	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := sc.NextSummary(); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: NextSummary after the last household #%d: err = %v, want io.EOF", what, i+1, err)
+		}
+		refusesDecode(t, what+" after io.EOF", sc)
+	}
+
+	if err := cur.Reset(); err != nil {
+		t.Fatalf("%s: Reset: %v", what, err)
+	}
+	for i, want := range rows {
+		var id timeseries.ID
+		if i%2 == 0 {
+			s, err := cur.Next()
+			if err != nil {
+				t.Fatalf("%s: alternating Next %d: %v", what, i, err)
+			}
+			id = s.ID
+			refusesDecode(t, what+" after Next", sc)
+		} else {
+			var err error
+			if id, _, err = sc.NextSummary(); err != nil {
+				t.Fatalf("%s: alternating NextSummary %d: %v", what, i, err)
+			}
+		}
+		if id != want.id {
+			t.Fatalf("%s: alternating read %d has ID %d, want %d", what, i, id, want.id)
+		}
+	}
+	if _, err := cur.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("%s: Next after alternating reads: err = %v, want io.EOF", what, err)
+	}
+}
+
+// refusesDecode fails the test unless DecodeBlock refuses block 0,
+// leaving dst as it was.
+func refusesDecode(t *testing.T, what string, sc core.SummaryCursor) {
+	t.Helper()
+	const sentinel = -7.25
+	dst := []float64{sentinel}
+	if err := sc.DecodeBlock(0, dst); err == nil || !stats.ExactEqual(dst[0], sentinel) {
+		t.Fatalf("%s: DecodeBlock(0) = %v and wrote %v, want an error and no write", what, err, dst[0])
+	}
+}
+
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
 // serialCursor opens the source's full serial cursor; every

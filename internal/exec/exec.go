@@ -10,32 +10,35 @@
 // to Load + NewCursor + capabilities; none of them re-implements task
 // switching.
 //
-// Every task runs as partitions. A per-consumer task (histogram,
-// 3-line, PAR) opens up to Spec.Workers cursors — the source's disjoint
-// partitions when it is a core.PartitionedSource and the run has more
-// than one worker, its one cursor otherwise — and each partition runs
-// one loop: pull a small block of series off its cursor (extract), run
-// the kernel over it (compute), append the results (emit), repeat. One
-// partition runs on the calling goroutine, so at one worker (the paper's
-// single-threaded runs, §5.3.3) the stages alternate and their times add
-// up to the run's; several (§5.3.4) run a goroutine each, and their
-// results are joined in partition order, which is household-ID order
-// except over the cluster engines' interleaved partitions, which are
-// sorted once. The run's workers kernel slots are shared out among the
-// partitions, so a source with fewer partitions than workers computes
-// each block on several slots at once, a goroutine per slot. Blocks
-// keep a streaming engine's memory flat (Figure 8): a cursor that takes
-// rows (core.RowTaker) decodes each block into the rows of the block
-// before it, so a cold run allocates one block of rows per partition,
-// not one row per household.
-// The compressed-domain histogram (summary.go) runs the source's summary
-// partitions the same way, and the whole-dataset similarity task drains
-// the partitions, one goroutine each, into one row-major buffer that
-// becomes the blocked kernel's packed matrix without a copy (drain.go);
-// a warm engine's DatasetCursor is not drained, so the dataset's cached
-// packing survives. On every path the lowest failing partition's error
-// is the run's, and a failure stops the partitions after it
-// (eachPartition).
+// Every task runs as partitions, on one of two paths. A per-consumer
+// task (histogram, 3-line, PAR) opens up to Spec.Workers cursors — the
+// source's disjoint partitions when it is a core.PartitionedSource and
+// the run has more than one worker, its one cursor otherwise — and each
+// partition runs one loop: pull a small block of series off its cursor
+// (extract), run the kernel over it (compute), append the results
+// (emit), repeat. One partition runs on the calling goroutine, so at one
+// worker (the paper's single-threaded runs, §5.3.3) the stages
+// alternate and their times add up to the run's; several (§5.3.4) run a
+// goroutine each, and their results are joined in partition order,
+// which is household-ID order except over the cluster engines'
+// interleaved partitions, which are sorted once. The run's kernel slots,
+// one per worker, are shared out among the partitions, so a source with
+// fewer partitions than workers computes each block on several slots at
+// once, a goroutine per slot. Blocks keep a streaming engine's memory
+// flat (Figure 8): a cursor that takes rows (core.RowTaker) decodes each
+// block into the rows of the block before it, so a cold run allocates
+// one block of rows per partition, not one row per household. A
+// fail-fast histogram partition whose cursor hands out block summaries
+// (core.SummaryCursor, the column store's cold cursors) walks the
+// summaries instead and decodes only the blocks that straddle a bucket
+// edge (summary.go).
+//
+// The whole-dataset similarity task drains the partitions, one
+// goroutine each, into one row-major buffer that becomes the blocked
+// kernel's packed matrix without a copy (drain.go); a warm engine's
+// DatasetCursor is not drained, so the dataset's cached packing
+// survives. On both paths the lowest failing partition's error is the
+// run's, and a failure stops the partitions after it (eachPartition).
 //
 // # Failure containment
 //
@@ -309,20 +312,12 @@ func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results,
 	return out, nil
 }
 
-// dispatch picks the path a run takes and runs it. Each path opens and
-// closes its own cursors.
+// dispatch picks the path a run takes and runs it: the similarity drain
+// for the whole-dataset task, the partition loop for the others. Each
+// path opens and closes its own cursors.
 func dispatch(ctx context.Context, src Source, temp *timeseries.Temperature, k *kernel, workers int, out *core.Results, cn *contain) error {
 	if k.spec.Task == core.TaskSimilarity {
 		return runSimilarity(ctx, src, temp, k.spec, workers, out, cn)
-	}
-	// Compressed-domain path: the histogram task over a source that
-	// publishes per-block summaries skips decoding blocks whose min and
-	// max share a bucket, on one goroutine per summary partition, up to
-	// workers of them. Results are bit-identical to the cursor paths
-	// (see summary.go for the argument); fault-injecting wrappers don't
-	// forward SummarySource, so chaos runs keep exercising the cursors.
-	if ss, ok := summaryHistogramApplies(src, k.spec); ok {
-		return runHistogramSummaries(ctx, ss, k, workers, out)
 	}
 	return runConsumers(ctx, src, k, workers, out, cn)
 }
@@ -621,20 +616,27 @@ func emit(out *core.Results, res []fitted) int {
 const block = 16
 
 // runConsumers is the per-consumer path at every worker count: it opens
-// up to workers cursors (openCursors) and runs consumePartition over
-// each (runPartitions). The kernel's workers slots are shared out among
-// the partitions in contiguous runs, so a source that splits into fewer
-// partitions than workers (a cluster engine's reduce tasks, an
-// unpartitioned file, a row store's small pool) still computes on
-// workers goroutines.
+// up to workers cursors (openCursors) and runs each partition's loop
+// over its cursor (runPartitions). The kernel's workers slots are shared
+// out among the partitions in contiguous runs, so a source that splits
+// into fewer partitions than workers (a cluster engine's reduce tasks,
+// an unpartitioned file, a row store's small pool) still computes on
+// workers goroutines. A fail-fast histogram partition whose cursor hands
+// out block summaries (core.SummaryCursor) answers from them on its
+// first slot (summarizePartition); every other partition decodes its
+// series (consumePartition).
 func runConsumers(ctx context.Context, src Source, k *kernel, workers int, out *core.Results, cn *contain) error {
 	curs, err := openCursors(ctx, src, workers, out.Phases)
 	if err != nil {
 		return err
 	}
 	n := len(curs)
+	summaries := k.spec.Task == core.TaskHistogram && k.spec.FailPolicy == core.FailFast
 	return runPartitions(ctx, out, n, func(ctx context.Context, p int, part *core.Results) error {
 		lo, hi := p*workers/n, (p+1)*workers/n
+		if sc, ok := curs[p].(core.SummaryCursor); ok && summaries {
+			return summarizePartition(ctx, curs[p], sc, k, lo, part)
+		}
 		return consumePartition(ctx, curs[p], k, lo, hi-lo, cn, part)
 	})
 }

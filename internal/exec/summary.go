@@ -15,63 +15,37 @@ import (
 
 // Compressed-domain histogram fast path.
 //
-// When the source keeps per-block (min, max, count) summaries
-// (core.SummarySource — the column store's segment headers), the
-// histogram task can often skip decoding entirely: the range comes from
-// folding block min/max in block order (bit-identical to the
-// stats.MinMax scan for NaN-free series, since both use first-attainer
-// < and >), and any block whose min and max land in the same bucket
-// contributes Count to that bucket exactly (stats.Histogram.Bucket is
-// monotone non-decreasing). Only straddling blocks decode raw floats.
+// When a partition's cursor keeps per-block (min, max, count) summaries
+// (core.SummaryCursor — the column store's paged cursors, over its
+// segment headers), the histogram task can often skip decoding
+// entirely: the range comes from folding block min/max in block order
+// (bit-identical to the stats.MinMax scan for NaN-free series, since
+// both use first-attainer < and >), and any block whose min and max
+// land in the same bucket contributes Count to that bucket exactly
+// (stats.Histogram.Bucket is monotone non-decreasing). Only straddling
+// blocks decode raw floats.
 //
 // The path is gated to FailFast: Quarantine/Repair runs must observe
-// per-consumer extraction faults through the normal cursor pipeline,
-// and fault wrappers deliberately do not forward SummarySource. Any
-// consumer with NaNs, non-finite extrema or no rows falls back to a
-// full decode through the same guarded kernel the pipeline uses, so
-// results AND errors stay bit-identical to the decoded-oracle path.
+// per-consumer extraction faults through Next, and fault wrappers and
+// snapshot cursors do not implement SummaryCursor. Any consumer with
+// NaNs, non-finite extrema or no rows falls back to a full decode
+// through the same guarded kernel the decode loop uses, so results AND
+// errors stay bit-identical to it.
 //
-// The source hands its summaries out in partitions, as it does its rows:
-// contiguous ascending consumer ranges, one goroutine each, so the path
-// uses every worker of the run (runHistogramSummaries).
-//
-// Living in exec rather than the engine keeps the enginelayering rule
-// intact: engines expose storage traits; task knowledge stays here.
+// It is a partition's loop like consumePartition, chosen per cursor by
+// runConsumers, so partitions, error order and phases are the ones
+// every other per-consumer run has. Living in exec rather than the
+// engine keeps the enginelayering rule intact: engines expose storage
+// traits; task knowledge stays here.
 
-// summaryHistogramApplies reports whether the fast path is eligible.
-func summaryHistogramApplies(src Source, spec core.Spec) (core.SummarySource, bool) {
-	if spec.Task != core.TaskHistogram || spec.FailPolicy != core.FailFast {
-		return nil, false
-	}
-	ss, ok := src.(core.SummarySource)
-	return ss, ok
-}
-
-// runHistogramSummaries executes the histogram task over block
-// summaries, one summarizePartition per cursor the source hands out for
-// the run's workers (runPartitions), as runConsumers runs its cursors.
-// The partitions' consumer ranges ascend, so the run's error, the
-// lowest failing partition's, is the error one cursor over everything
-// would have stopped at.
-func runHistogramSummaries(ctx context.Context, ss core.SummarySource, k *kernel, workers int, out *core.Results) error {
-	ph := out.Phases
-	start := time.Now()
-	curs, err := ss.NewSummaryCursors(workers)
-	ph.Extract.Wall += time.Since(start)
-	if err != nil {
-		return err
-	}
-	return runPartitions(ctx, out, len(curs), func(ctx context.Context, p int, part *core.Results) error {
-		return summarizePartition(ctx, curs[p], k, p, part)
-	})
-}
-
-// summarizePartition drains one summary cursor into out, which nothing
-// else touches: partition p's results, in ID order, and its phases. It
-// closes the cursor. A panic under it (a corrupt segment image) becomes
-// the partition's error, as in consumePartition.
-func summarizePartition(ctx context.Context, sc core.SummaryCursor, k *kernel, p int, out *core.Results) (err error) {
-	defer func() { _ = sc.Close() }()
+// summarizePartition drains a partition's cursor through its summaries
+// (sc, the same cursor as cur) into out, which nothing else touches: the
+// partition's results, in ID order, and its phases. Fallback consumers
+// are computed on kernel slot w. It closes the cursor. A panic
+// under it (a corrupt segment image) becomes the partition's error, as
+// in consumePartition.
+func summarizePartition(ctx context.Context, cur core.Cursor, sc core.SummaryCursor, k *kernel, w int, out *core.Results) (err error) {
+	defer func() { _ = cur.Close() }()
 	defer func() {
 		if v := recover(); v != nil {
 			err = core.NewPanicError(v)
@@ -98,7 +72,7 @@ func summarizePartition(ctx context.Context, sc core.SummaryCursor, k *kernel, p
 		if summaryNeedsDecode(blocks) {
 			// Assemble the full series and run the ordinary kernel so
 			// NaN propagation, empty-series errors and bucket edges are
-			// decided by exactly the code the slow path runs.
+			// decided by exactly the code the decode loop runs.
 			start = time.Now()
 			n := seriesLen(blocks)
 			if cap(decodeBuf) < n {
@@ -118,7 +92,7 @@ func summarizePartition(ctx context.Context, sc core.SummaryCursor, k *kernel, p
 			ph.Extract.Bytes += int64(8 * n)
 			series = timeseries.Series{ID: id, Readings: full}
 			start = time.Now()
-			r, err := k.compute(p, &series)
+			r, err := k.compute(w, &series)
 			ph.Compute.Wall += time.Since(start)
 			ph.Compute.Rows++
 			if err != nil {

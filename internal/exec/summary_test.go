@@ -16,74 +16,100 @@ import (
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
-// summarySource wraps a dataset with an in-memory core.SummarySource:
-// each series is sliced into fixed-size blocks summarized via
-// colcodec.Summarize — the same summaries the column store's segment
-// headers carry — so the fast path can be pitted against the generic
-// cursor pipeline over identical data. Partitions are the contiguous
-// ranges every engine cuts (core.PartitionRanges).
+// summarySource wraps a dataset with in-memory summarizing cursors
+// (core.SummaryCursor): each series is sliced into fixed-size blocks
+// summarized via colcodec.Summarize — the same summaries the column
+// store's segment headers carry — so the fast path can be pitted
+// against the decode loop over identical data. Partitions are the
+// contiguous ranges every engine cuts (core.PartitionRanges).
 type summarySource struct {
 	datasetSource
 	blockRows int
-	// fail makes NextSummary fail with the given error when it reaches
+	// fail makes the cursor fail with the given error when it reaches
 	// the household.
 	fail map[timeseries.ID]error
-	// cancelAt, when cancel is set, is the household whose NextSummary
-	// cancels the run's context.
+	// cancelAt, when cancel is set, is the household whose read cancels
+	// the run's context.
 	cancelAt timeseries.ID
 	cancel   context.CancelFunc
 	// open, when set, counts cursors handed out and not yet closed.
 	open *atomic.Int64
 }
 
-func (s summarySource) NewSummaryCursors(max int) ([]core.SummaryCursor, error) {
-	var curs []core.SummaryCursor
+func (s summarySource) NewCursor() (core.Cursor, error) {
+	return s.cursor(0, len(s.ds.Series)), nil
+}
+
+func (s summarySource) NewCursors(max int) ([]core.Cursor, error) {
+	var curs []core.Cursor
 	for _, r := range core.PartitionRanges(len(s.ds.Series), max) {
-		curs = append(curs, &memSummaryCursor{src: s, i: r[0] - 1, hi: r[1]})
-		if s.open != nil {
-			s.open.Add(1)
-		}
+		curs = append(curs, s.cursor(r[0], r[1]))
 	}
 	return curs, nil
 }
 
-type memSummaryCursor struct {
-	src    summarySource
-	i, hi  int
-	closed bool
+func (s summarySource) cursor(lo, hi int) *memSummaryCursor {
+	if s.open != nil {
+		s.open.Add(1)
+	}
+	return &memSummaryCursor{src: s, lo: lo, i: lo, hi: hi}
 }
 
-func (c *memSummaryCursor) NextSummary() (timeseries.ID, []core.BlockStats, error) {
-	if c.closed || c.i+1 >= c.hi {
-		return 0, nil, io.EOF
+type memSummaryCursor struct {
+	src       summarySource
+	lo, i, hi int
+	summed    bool // the last move was a NextSummary that returned household i-1
+	closed    bool
+}
+
+// advance moves to the next household, as Next and NextSummary both do.
+func (c *memSummaryCursor) advance() (*timeseries.Series, error) {
+	c.summed = false
+	if c.closed || c.i >= c.hi {
+		return nil, io.EOF
 	}
-	c.i++
 	s := c.src.ds.Series[c.i]
 	if err := c.src.fail[s.ID]; err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if c.src.cancel != nil && s.ID == c.src.cancelAt {
 		c.src.cancel()
 	}
+	c.i++
+	return s, nil
+}
+
+func (c *memSummaryCursor) Next() (*timeseries.Series, error) { return c.advance() }
+
+func (c *memSummaryCursor) NextSummary() (timeseries.ID, []core.BlockStats, error) {
+	s, err := c.advance()
+	if err != nil {
+		return 0, nil, err
+	}
 	var blocks []core.BlockStats
 	for start := 0; start < len(s.Readings); start += c.src.blockRows {
-		end := start + c.src.blockRows
-		if end > len(s.Readings) {
-			end = len(s.Readings)
-		}
+		end := min(start+c.src.blockRows, len(s.Readings))
 		sum := colcodec.Summarize(s.Readings[start:end])
 		blocks = append(blocks, core.BlockStats{
 			Start: start, Count: sum.Count, NaNs: sum.NaNs,
 			Min: sum.Min, Max: sum.Max,
 		})
 	}
+	c.summed = true
 	return s.ID, blocks, nil
 }
 
 func (c *memSummaryCursor) DecodeBlock(b int, dst []float64) error {
-	s := c.src.ds.Series[c.i]
-	start := b * c.src.blockRows
-	copy(dst, s.Readings[start:])
+	if !c.summed {
+		return errors.New("DecodeBlock with no household from NextSummary")
+	}
+	s := c.src.ds.Series[c.i-1]
+	copy(dst, s.Readings[b*c.src.blockRows:])
+	return nil
+}
+
+func (c *memSummaryCursor) Reset() error {
+	c.i, c.summed, c.closed = c.lo, false, false
 	return nil
 }
 
@@ -91,7 +117,7 @@ func (c *memSummaryCursor) Close() error {
 	if !c.closed && c.src.open != nil {
 		c.src.open.Add(-1)
 	}
-	c.closed = true
+	c.summed, c.closed = false, true
 	return nil
 }
 
@@ -124,21 +150,23 @@ func summaryDataset(t *testing.T) *timeseries.Dataset {
 	return ds
 }
 
-func idsOf(ds *timeseries.Dataset) []timeseries.ID {
-	ids := make([]timeseries.ID, len(ds.Series))
-	for i, s := range ds.Series {
-		ids[i] = s.ID
-	}
-	return ids
-}
-
 var summaryWorkers = []int{1, 2, 4, 8}
 
+// TestSummaryPartitionsConformance holds the summarizing test source to
+// the partition contract, summaries included, and runs the histogram
+// over it empty: no partition, no result, no error.
 func TestSummaryPartitionsConformance(t *testing.T) {
 	ds := summaryDataset(t)
-	cursortest.RunSummaryPartitioned(t, summarySource{datasetSource: datasetSource{ds: ds}, blockRows: 64}, idsOf(ds))
-	empty := &timeseries.Dataset{Temperature: ds.Temperature}
-	cursortest.RunSummaryPartitioned(t, summarySource{datasetSource: datasetSource{ds: empty}, blockRows: 64}, nil)
+	cursortest.RunPartitioned(t, func(*testing.T) core.PartitionedSource {
+		return summarySource{datasetSource: datasetSource{ds: ds}, blockRows: 64}
+	})
+	empty := summarySource{datasetSource: datasetSource{ds: &timeseries.Dataset{Temperature: ds.Temperature}}, blockRows: 64}
+	for _, workers := range summaryWorkers {
+		res, err := Run(empty, core.Spec{Task: core.TaskHistogram, Workers: workers})
+		if err != nil || len(res.Histograms) != 0 {
+			t.Fatalf("W=%d over no households: %v, %+v", workers, err, res)
+		}
+	}
 }
 
 // TestSummaryHistogramBitIdentical proves the compressed-domain path
@@ -233,21 +261,36 @@ func TestSummaryLowestPartitionErrorWins(t *testing.T) {
 	}
 }
 
-// TestSummaryGateScope checks the fast path stays off for non-histogram
-// tasks and non-FailFast policies.
+// TestSummaryGateScope checks that only a fail-fast histogram reads
+// summaries: the other tasks and policies decode every series from the
+// same summarizing cursors, and a cursor without summaries is decoded
+// too, at one worker and at several.
 func TestSummaryGateScope(t *testing.T) {
-	src := summarySource{datasetSource: datasetSource{ds: makeDataset(t, 2, 10)}, blockRows: 16}
-	if _, ok := summaryHistogramApplies(src, core.Spec{Task: core.TaskThreeLine, FailPolicy: core.FailFast}.WithDefaults()); ok {
-		t.Fatal("fast path claimed a 3-line run")
-	}
-	if _, ok := summaryHistogramApplies(src, core.Spec{Task: core.TaskHistogram, FailPolicy: core.Quarantine}.WithDefaults()); ok {
-		t.Fatal("fast path claimed a Quarantine run")
-	}
-	if _, ok := summaryHistogramApplies(NewDatasetSource(makeDataset(t, 2, 10)), core.Spec{Task: core.TaskHistogram}.WithDefaults()); ok {
-		t.Fatal("fast path claimed a source without summaries")
-	}
-	if _, ok := summaryHistogramApplies(src, core.Spec{Task: core.TaskHistogram}.WithDefaults()); !ok {
-		t.Fatal("fast path declined an eligible run")
+	ds := makeDataset(t, 4, 20)
+	src := summarySource{datasetSource: datasetSource{ds: ds}, blockRows: 16}
+	for _, workers := range []int{1, 4} {
+		for _, run := range []struct {
+			src     Source
+			spec    core.Spec
+			summary bool
+		}{
+			{src, core.Spec{Task: core.TaskHistogram}, true},
+			{src, core.Spec{Task: core.TaskHistogram, FailPolicy: core.Quarantine}, false},
+			{src, core.Spec{Task: core.TaskHistogram, FailPolicy: core.Repair}, false},
+			{src, core.Spec{Task: core.TaskThreeLine}, false},
+			{src, core.Spec{Task: core.TaskPAR}, false},
+			{NewDatasetSource(ds), core.Spec{Task: core.TaskHistogram}, false},
+		} {
+			run.spec.Workers = workers
+			res, err := Run(run.src, run.spec)
+			if err != nil {
+				t.Fatalf("W=%d %v %v: %v", workers, run.spec.Task, run.spec.FailPolicy, err)
+			}
+			if ph := res.Phases; (ph.SummaryBlocks+ph.DecodedBlocks > 0) != run.summary {
+				t.Fatalf("W=%d %v %v over %T: %d summary and %d decoded blocks, summaries read: want %v",
+					workers, run.spec.Task, run.spec.FailPolicy, run.src, ph.SummaryBlocks, ph.DecodedBlocks, run.summary)
+			}
+		}
 	}
 }
 

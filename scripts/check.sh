@@ -81,13 +81,16 @@ go test -run '^$' -fuzz 'FuzzDecodeValues' -fuzztime 10s ./internal/colcodec
 # The column store's segment-file reader on arbitrary bytes: a header
 # field must be checked against the file before it sizes anything, and
 # a file that opens must read back through the pager (no cache and a
-# one-block cache) and the summary cursor without a panic, every
-# refusal the corrupt-segment error. Format v4 accounts for every byte
-# (segments tile the file, a consumer's value lengths sum to its payload
-# area, a payload decodes to exactly its block's rows) and refuses v3
-# files; the seeds hold a block of each value mode and a NaN block, a v3
-# file and the hostile-header table. Each input is written to a file, so
-# minimizing one is slow; capping it keeps the smoke fuzzing.
+# one-block cache) and through the block summaries of the engine's two
+# partition cursors, and a fail-fast histogram over it at two workers
+# must return results or the corrupt-segment error: never a panic, not
+# even one a partition recovers into an error. Format v4 accounts for
+# every byte (segments tile the file, a consumer's value lengths sum to
+# its payload area, a payload decodes to exactly its block's rows) and
+# refuses v3 files; the seeds hold a block of each value mode and a NaN
+# block, a v3 file and the hostile-header table. Each input is written
+# to a file, so minimizing one is slow; capping it keeps the smoke
+# fuzzing.
 echo "== go test -fuzz FuzzSegmentFile -fuzztime 10s ./internal/engine/colstore (hostile segment files)"
 go test -run '^$' -fuzz 'FuzzSegmentFile' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/colstore
 
