@@ -164,7 +164,7 @@ func assertResultsEqual(t *testing.T, engine string, got, want *core.Results) {
 }
 
 // TestErrNotLoadedConsistency verifies that every engine reports a
-// wrapped core.ErrNotLoaded from Run, NewCursor, and Temperature
+// wrapped core.ErrNotLoaded from Run, NewCursors, and Temperature
 // before any data has been loaded, so callers can branch on the
 // sentinel with errors.Is regardless of platform.
 func TestErrNotLoadedConsistency(t *testing.T) {
@@ -178,8 +178,8 @@ func TestErrNotLoadedConsistency(t *testing.T) {
 					_, err := e.Run(core.Spec{Task: core.TaskHistogram})
 					return err
 				}},
-				{"NewCursor", func() error {
-					_, err := e.NewCursor()
+				{"NewCursors", func() error {
+					_, err := e.NewCursors(1)
 					return err
 				}},
 				{"Temperature", func() error {

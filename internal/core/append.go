@@ -62,20 +62,20 @@ type Appender interface {
 	// snapshots, but the batch is not committed (the epoch does not
 	// advance) and a successful retry of it completes it exactly once.
 	Append(batch []Reading) error
-	// Snapshot returns a read-isolated cursor over everything
-	// committed so far — the stored base plus all appended batches —
-	// in ascending household-ID order, together with the epoch it was
-	// taken at. The cursor keeps serving exactly that epoch's data
-	// while appends continue. Snapshot cursors also implement
-	// SnapshotTemperature.
-	Snapshot() (Cursor, Epoch, error)
+	// Snapshot returns a read-isolated view of everything committed so
+	// far (the stored base plus all appended batches) and its epoch.
+	Snapshot() (Snapshot, Epoch, error)
 }
 
-// SnapshotTemperature is implemented by snapshot cursors: the
-// temperature column captured at snapshot time, aligned with the
-// captured series lengths even as later appends extend it.
-type SnapshotTemperature interface {
-	SnapshotTemp() *timeseries.Temperature
+// Snapshot is a read-isolated view of a live engine: a Cursor over the
+// captured households, and the source exec.RunSnapshot runs a task over.
+// Its NewCursors split the captured state, and Temperature is the column
+// as captured, aligned with the captured series lengths even as later
+// appends extend it.
+type Snapshot interface {
+	Cursor
+	PartitionedSource
+	Temperature() (*timeseries.Temperature, error)
 }
 
 // ShardFor maps a household to one of n writer shards. Engines and

@@ -162,18 +162,15 @@ type Engine interface {
 	// Load ingests a raw data source into engine-native storage. It
 	// replaces any previously loaded data.
 	Load(src *meterdata.Source) (*LoadStats, error)
-	// NewCursor opens a streaming cursor over the loaded data in
-	// ascending household-ID order, using the engine's native extraction
-	// path (warm engines return an in-memory DatasetCursor). It returns
-	// an error wrapping ErrNotLoaded when no data has been loaded.
-	NewCursor() (Cursor, error)
+	// PartitionedSource opens cursors over the loaded data through the
+	// engine's native extraction path, or fails with ErrNotLoaded.
+	PartitionedSource
 	// Temperature returns the outdoor temperature series aligned with
 	// the loaded consumption data, or an error wrapping ErrNotLoaded.
 	Temperature() (*timeseries.Temperature, error)
-	// Run executes one benchmark task against the loaded data. Engines
-	// implement it by handing their cursor to the shared execution
-	// pipeline (internal/exec), which populates Results.Phases. It is
-	// RunContext with a background context.
+	// Run executes one benchmark task against the loaded data through
+	// the shared execution pipeline (internal/exec), which populates
+	// Results.Phases; it is RunContext with a background context.
 	Run(spec Spec) (*Results, error)
 	// RunContext is Run under a context: cancelling the context (or
 	// letting its deadline pass) stops the run promptly — including

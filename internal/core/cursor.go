@@ -42,18 +42,16 @@ type Cursor interface {
 }
 
 // ContextCursor is optionally implemented by cursors that can honor
-// cancellation inside Next — long index builds, per-consumer storage
-// scans, cluster collect jobs. The pipeline binds its run context once
-// before driving the cursor; a bound cursor returns the context's
-// error from Next as soon as it observes the cancellation, leaving the
-// cursor in a state where Close still releases everything.
+// cancellation inside Next (storage scans, cluster collect jobs). The
+// pipeline binds its run context before driving the cursor; a bound
+// cursor's Next returns the context's error once it observes the
+// cancellation, and Close still releases everything.
 type ContextCursor interface {
 	BindContext(ctx context.Context)
 }
 
-// BindContext binds ctx to cur when the cursor supports it; cursors
-// without context support are driven as before, with the pipeline
-// checking the context between Next calls.
+// BindContext binds ctx to cur when the cursor supports it; the
+// pipeline checks the context between Next calls of any cursor.
 func BindContext(cur Cursor, ctx context.Context) {
 	if b, ok := cur.(ContextCursor); ok {
 		b.BindContext(ctx)
@@ -97,13 +95,10 @@ type SizeHinter interface {
 // overwrites every reading of the row, whatever it held, and yields a
 // series whose Readings is row itself. A Next that fails keeps the row
 // for the one after it, and a row whose length is not the series length
-// is ignored. Nothing else changes: Next is still the only way to pull a
-// series, and without a TakeRow the cursor allocates as before. The
-// execution layer (internal/exec) uses it twice: the similarity drain
-// decodes every consumer straight into its slot of one row-major
-// matrix, and the per-consumer partition loop decodes each block of
-// series into the rows of the block it emitted before, so a streaming
-// run allocates one block of rows per partition.
+// is ignored; without a TakeRow the cursor allocates as before. The
+// similarity drain (internal/exec) decodes every consumer into its slot
+// of one row-major matrix this way, and the partition loop each block
+// into the rows of the block it emitted before.
 type RowTaker interface {
 	TakeRow(row []float64)
 }

@@ -137,12 +137,6 @@ func AsConsumerError(err error) (*ConsumerError, bool) {
 	return nil, false
 }
 
-// IsTransient reports whether err is a retryable per-consumer error.
-func IsTransient(err error) bool {
-	ce, ok := AsConsumerError(err)
-	return ok && ce.Transient
-}
-
 // ErrMissingData classifies a series that arrived with missing (NaN)
 // readings — a data-quality failure, distinct from transient I/O and
 // permanent storage errors. Quarantine reports it; Repair imputes the

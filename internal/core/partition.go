@@ -1,37 +1,51 @@
 package core
 
-// PartitionedSource is optionally implemented by engines whose storage
-// splits into disjoint shards that can be extracted independently: the
-// file engine shards its per-consumer file list (and its big-file
-// reading index by row ranges), the row store shards the heap by
-// contiguous household ranges (= contiguous page ranges, since tuples
-// are bulk-loaded in household order), the column store by consumer
-// segment groups, and the cluster engine by result partition of its
-// extraction job (one per reduce task or per DFS split).
+import "github.com/smartmeter/smartbench/internal/timeseries"
+
+// PartitionedSource is how every source opens its cursors: engines,
+// live snapshots and in-memory datasets. Storage splits into disjoint
+// shards extracted independently: the file engine's per-consumer file
+// list (or its big-file reading index, by row ranges), the row store's
+// contiguous household ranges (= contiguous heap-page ranges, since
+// Load stores tuples in household order), the column store's consumer
+// ranges, and the result partitions of the cluster engine's extraction
+// job (one per reduce task or per DFS split).
 //
-// The execution layer (internal/exec) uses it at more than one worker:
-// each partition cursor gets a goroutine of its own, which extracts,
-// computes and emits its consumers, and the partitions' results are
-// joined in partition order. The run's workers are shared out among the
-// partitions, so fewer partitions than workers still compute on every
-// worker. A source without it runs as one partition over its
-// NewCursor. The similarity task drains the same partitions in parallel
-// into one matrix, each into the rows after the earlier partitions'
-// SizeHints. A live snapshot cursor that splits (the column and row
-// stores') implements it too.
+// The execution layer (internal/exec) asks for up to Spec.Workers
+// cursors, so a single-threaded run (§5.3.3) is NewCursors(1) and a
+// multi-threaded one (§5.3.4) the same path at W. Each partition runs
+// on a goroutine of its own, its results joined in partition order, and
+// the run's workers are shared out among the partitions, so fewer
+// partitions than workers still compute on every worker. The
+// similarity task drains the same partitions in parallel into one
+// matrix, each into the rows after the earlier partitions' SizeHints.
 type PartitionedSource interface {
 	// NewCursors opens up to max independent cursors that jointly cover
 	// the loaded dataset exactly once: partitions are pairwise disjoint
-	// and the union of their household IDs equals the full cursor's ID
-	// set. Each returned cursor honours the Cursor contract within its
-	// partition (ascending IDs, EOF stability, Reset replay, idempotent
-	// Close). Implementations may return fewer than max cursors — one
-	// when the storage cannot be split, none when it is empty — but
-	// never more, and max must be >= 1.
+	// and the union of their household IDs is the dataset's. Each cursor
+	// honours the Cursor contract within its partition (ascending IDs,
+	// EOF stability, Reset replay, idempotent Close). An in-memory or
+	// unsplittable store answers with one cursor, an empty store with
+	// none, and none answers with more than max; max must be >= 1.
 	//
 	// The cursors may be driven concurrently, one goroutine per cursor;
 	// Close on each is required regardless of how far it was drained.
 	NewCursors(max int) ([]Cursor, error)
+}
+
+// NewDatasetCursors answers NewCursors(max) for a warm, in-memory
+// dataset: at max 1 one DatasetCursor over all of it, which lets the
+// similarity drain keep the dataset's cached packing, else range shards
+// (PartitionRanges), so warm per-consumer tasks use every worker.
+func NewDatasetCursors(ds *timeseries.Dataset, max int) []Cursor {
+	if max == 1 {
+		return []Cursor{NewDatasetCursor(ds)}
+	}
+	var curs []Cursor
+	for _, r := range PartitionRanges(len(ds.Series), max) {
+		curs = append(curs, NewDatasetCursor(&timeseries.Dataset{Series: ds.Series[r[0]:r[1]], Temperature: ds.Temperature}))
+	}
+	return curs
 }
 
 // PartitionRanges splits n items into at most max contiguous,

@@ -18,7 +18,7 @@ import (
 
 func openCursor(e *Engine) func(t *testing.T) core.Cursor {
 	return func(t *testing.T) core.Cursor {
-		cur, err := e.NewCursor()
+		cur, err := cursortest.Open(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,9 +34,9 @@ func TestCursorConformance(t *testing.T) {
 }
 
 func TestPartitionConformance(t *testing.T) {
-	srcs, _ := makeSources(t, 7, 10)
+	srcs, ds := makeSources(t, 7, 10)
 	eachLoaded(t, srcs, func(t *testing.T, e *Engine, _ *dfs.FS) {
-		cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
+		cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })
 	})
 }
 

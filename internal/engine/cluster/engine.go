@@ -371,17 +371,4 @@ func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	return curs, nil
 }
 
-// NewCursor implements core.Engine: the one cursor of an extraction job
-// nobody shares.
-func (e *Engine) NewCursor() (core.Cursor, error) {
-	curs, err := e.NewCursors(1)
-	if err != nil {
-		return nil, err
-	}
-	return curs[0], nil
-}
-
-var (
-	_ core.Engine            = (*Engine)(nil)
-	_ core.PartitionedSource = (*Engine)(nil)
-)
+var _ core.Engine = (*Engine)(nil)

@@ -131,8 +131,8 @@ func TestRunWithoutLoad(t *testing.T) {
 		if _, err := e.Run(core.Spec{Task: core.TaskHistogram}); !errors.Is(err, core.ErrNotLoaded) {
 			t.Errorf("%s Run: err = %v", p.name, err)
 		}
-		if _, err := e.NewCursor(); !errors.Is(err, core.ErrNotLoaded) {
-			t.Errorf("%s NewCursor: err = %v", p.name, err)
+		if _, err := e.NewCursors(1); !errors.Is(err, core.ErrNotLoaded) {
+			t.Errorf("%s NewCursors: err = %v", p.name, err)
 		}
 		if _, err := e.Temperature(); !errors.Is(err, core.ErrNotLoaded) {
 			t.Errorf("%s Temperature: err = %v", p.name, err)
@@ -152,8 +152,8 @@ func TestForcedPlanRefusedOverWrongFormat(t *testing.T) {
 	if _, err := e.Load(srcs["format2"]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.NewCursor(); err == nil {
-		t.Error("NewCursor: forced shuffle over series-per-line input did not error")
+	if _, err := e.NewCursors(1); err == nil {
+		t.Error("NewCursors: forced shuffle over series-per-line input did not error")
 	}
 	if _, err := e.NewCursors(3); err == nil {
 		t.Error("NewCursors: forced shuffle over series-per-line input did not error")
@@ -250,7 +250,7 @@ func TestCursorCloseFreesNodeMemory(t *testing.T) {
 	srcs, _ := makeSources(t, 6, 10)
 	eachLoaded(t, srcs, func(t *testing.T, e *Engine, fs *dfs.FS) {
 		inUse := fs.Cluster().MemoryInUse
-		cur, err := e.NewCursor()
+		cur, err := cursortest.Open(e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func TestCursorChaos(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			e := pagedEngine(t, dir, b.bytes)
 			cursortest.RunChaos(t, func(t *testing.T) core.Cursor {
-				cur, err := e.NewCursor()
+				cur, err := cursortest.Open(e)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -369,38 +369,18 @@ func (e *Engine) RunContext(ctx context.Context, spec core.Spec) (*core.Results,
 	return exec.RunContext(ctx, e, spec)
 }
 
-// NewCursor implements core.Engine: the decoded columns after a Warm at
-// budget 0, otherwise a cursor reading one consumer per Next through
-// the block cache, which also hands out block summaries
-// (core.SummaryCursor).
-func (e *Engine) NewCursor() (core.Cursor, error) {
-	if e.decoded != nil {
-		return core.NewDatasetCursor(e.decoded), nil
-	}
-	if err := e.ensureStorage(); err != nil {
-		return nil, err
-	}
-	return newPagedCursor(e.pager, 0, e.store.consumers), nil
-}
-
 // NewCursors implements core.PartitionedSource: contiguous consumer
-// ranges. Partitions share the engine's block cache (the budget is
-// global, not per-cursor); after a Warm at budget 0 they are range
-// shards of the decoded matrix.
+// ranges, each read one consumer per Next through the block cache and
+// handing out block summaries (core.SummaryCursor). Partitions share
+// the engine's block cache (the budget is global, not per-cursor).
+// After a Warm at budget 0 they are the decoded columns'
+// (core.NewDatasetCursors).
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("colstore: NewCursors: max must be >= 1, got %d", max)
 	}
 	if e.decoded != nil {
-		series := e.decoded.Series
-		curs := make([]core.Cursor, 0, max)
-		for _, r := range core.PartitionRanges(len(series), max) {
-			part := series[r[0]:r[1]]
-			curs = append(curs, core.NewLazyCursor(func(context.Context) ([]*timeseries.Series, error) {
-				return part, nil
-			}, nil))
-		}
-		return curs, nil
+		return core.NewDatasetCursors(e.decoded, max), nil
 	}
 	if err := e.ensureStorage(); err != nil {
 		return nil, err
@@ -411,8 +391,6 @@ func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	}
 	return curs, nil
 }
-
-var _ core.PartitionedSource = (*Engine)(nil)
 
 // Temperature implements core.Engine; the temperature column is always
 // resident (one column per file, stored raw).

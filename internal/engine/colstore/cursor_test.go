@@ -29,7 +29,7 @@ func TestCursorConformance(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			e := pagedEngine(t, dir, b.bytes)
 			cursortest.Run(t, func(t *testing.T) core.Cursor {
-				cur, err := e.NewCursor()
+				cur, err := cursortest.Open(e)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -46,7 +46,7 @@ func TestCursorConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		cursortest.Run(t, func(t *testing.T) core.Cursor {
-			cur, err := e.NewCursor()
+			cur, err := cursortest.Open(e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestCursorConformance(t *testing.T) {
 // their rows too; the warm ones are the decoded columns', which do not.
 func TestPartitionConformance(t *testing.T) {
 	dir := t.TempDir()
-	buildSegments(t, dir, 7, 10, 64)
+	ds := buildSegments(t, dir, 7, 10, 64)
 	summarizes := func(t *testing.T, e *Engine, want bool) {
 		t.Helper()
 		curs, err := e.NewCursors(3)
@@ -79,7 +79,7 @@ func TestPartitionConformance(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			e := pagedEngine(t, dir, b.bytes)
 			summarizes(t, e, true)
-			cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
+			cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })
 		})
 	}
 	t.Run("warm", func(t *testing.T) {
@@ -88,7 +88,7 @@ func TestPartitionConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		summarizes(t, e, false)
-		cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
+		cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })
 	})
 }
 
@@ -98,7 +98,7 @@ func TestZeroBudgetCachesNothing(t *testing.T) {
 	dir := t.TempDir()
 	buildSegments(t, dir, 6, 10, 64) // 6 consumers x 4 blocks
 	e := pagedEngine(t, dir, 0)
-	cur, err := e.NewCursor()
+	cur, err := cursortest.Open(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -377,12 +377,12 @@ type snapItem struct {
 	open   []float64
 }
 
-// Snapshot implements core.Appender: a read-isolated cursor over the
-// base segment plus every committed tail, with the epoch it was taken
-// at. The cursor reads base columns through the engine's pager and
-// stays valid while appends continue and across a Checkpoint; Load and
-// Release invalidate it.
-func (e *Engine) Snapshot() (core.Cursor, core.Epoch, error) {
+// Snapshot implements core.Appender: a read-isolated view of the base
+// segment plus every committed tail, with the epoch it was taken at. It
+// reads base columns through the engine's pager and stays valid while
+// appends continue and across a Checkpoint; Load and Release invalidate
+// it.
+func (e *Engine) Snapshot() (core.Snapshot, core.Epoch, error) {
 	lt, err := e.ensureLive()
 	if err != nil {
 		return nil, 0, err
@@ -499,7 +499,7 @@ func (c *snapCursor) Close() error {
 
 func (c *snapCursor) SizeHint() (int, bool) { return len(c.items), true }
 
-// NewCursors implements core.PartitionedSource: up to max cursors over
+// NewCursors implements core.Snapshot: up to max cursors over
 // contiguous ranges of the households the snapshot captured, as
 // Engine.NewCursors splits the store, so a run over a snapshot extracts
 // on every worker. They read the captured state through the same pager,
@@ -515,10 +515,10 @@ func (c *snapCursor) NewCursors(max int) ([]core.Cursor, error) {
 	return curs, nil
 }
 
-// SnapshotTemp implements core.SnapshotTemperature: the temperature
-// column as captured at snapshot time.
-func (c *snapCursor) SnapshotTemp() *timeseries.Temperature {
-	return &timeseries.Temperature{Values: c.temp}
+// Temperature implements core.Snapshot: the temperature column as
+// captured at snapshot time.
+func (c *snapCursor) Temperature() (*timeseries.Temperature, error) {
+	return &timeseries.Temperature{Values: c.temp}, nil
 }
 
 // Checkpoint folds the live tail into a fresh segment file and

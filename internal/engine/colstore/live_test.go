@@ -85,7 +85,10 @@ func TestLiveAppendSnapshotFromEmpty(t *testing.T) {
 			}
 		}
 	}
-	temp := cur.(core.SnapshotTemperature).SnapshotTemp()
+	temp, err := cur.Temperature()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(temp.Values) != hours {
 		t.Fatalf("temperature covers %d hours, want %d", len(temp.Values), hours)
 	}
@@ -412,5 +415,5 @@ func TestSnapshotPartitionConformance(t *testing.T) {
 	if err := e.Append(hourBatch([]timeseries.ID{9999}, 0)); err != nil {
 		t.Fatal(err)
 	}
-	cursortest.RunSnapshotPartitioned(t, e)
+	cursortest.RunSnapshotPartitioned(t, e, append(ids, 9999))
 }

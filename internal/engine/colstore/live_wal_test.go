@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/timeseries"
 	"github.com/smartmeter/smartbench/internal/wal"
@@ -68,7 +67,10 @@ func TestWALRecoverAfterCrash(t *testing.T) {
 		t.Errorf("post-recovery epoch = %d, want 0 (epochs restart per instance)", ep)
 	}
 	sameRows(t, drainSnap(t, cur2), want)
-	temp := cur2.(core.SnapshotTemperature).SnapshotTemp()
+	temp, err := cur2.Temperature()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(temp.Values) != hours {
 		t.Fatalf("recovered temperature covers %d hours, want %d", len(temp.Values), hours)
 	}
@@ -249,7 +251,10 @@ func TestWALCheckpointRemainder(t *testing.T) {
 			}
 		}
 	}
-	temp := cur.(core.SnapshotTemperature).SnapshotTemp()
+	temp, err := cur.Temperature()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(temp.Values) != common+lead {
 		t.Fatalf("recovered temperature covers %d hours, want %d", len(temp.Values), common+lead)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/exec"
+	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/fault"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/stats"
@@ -62,7 +63,7 @@ func TestCursorMatchesDatasetBitIdentical(t *testing.T) {
 	ds := buildSegments(t, dir, 9, 10, 64)
 	for _, b := range budgets(64) {
 		e := pagedEngine(t, dir, b.bytes)
-		cur, err := e.NewCursor()
+		cur, err := cursortest.Open(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func TestPagerSecondScanHitsWhatFirstAdmitted(t *testing.T) {
 	buildSegments(t, dir, 8, 10, 60) // 8 consumers x 4 blocks of 60 rows
 	e := pagedEngine(t, dir, 8*60*8) // room for 8 of the 32 blocks
 	for pass, want := range [][2]int64{{0, 32}, {8, 32 + 24}} {
-		cur, err := e.NewCursor()
+		cur, err := cursortest.Open(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func TestPagerCacheHitsUnderLargeBudget(t *testing.T) {
 	buildSegments(t, dir, 4, 10, 64)
 	e := pagedEngine(t, dir, 1<<30)
 	for pass := 0; pass < 2; pass++ {
-		cur, err := e.NewCursor()
+		cur, err := cursortest.Open(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +233,7 @@ func TestPagedScanAfterWarmHitsWhatWarmAdmitted(t *testing.T) {
 	if hits, misses, _ := e.PagerStats(); hits != 0 || misses != 15 {
 		t.Fatalf("after Warm: hits=%d misses=%d, want 0 and 15", hits, misses)
 	}
-	cur, err := e.NewCursor()
+	cur, err := cursortest.Open(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestSegmentWriterQuantize(t *testing.T) {
 	if _, err := e.OpenExisting(); err != nil {
 		t.Fatal(err)
 	}
-	cur, err := e.NewCursor()
+	cur, err := cursortest.Open(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestCursorChaos(t *testing.T) {
 			t.Fatal(err)
 		}
 		cursortest.RunChaos(t, func(t *testing.T) core.Cursor {
-			cur, err := e.NewCursor()
+			cur, err := cursortest.Open(e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,7 +43,7 @@ func TestCursorChaos(t *testing.T) {
 			t.Fatal(err)
 		}
 		cursortest.RunChaos(t, func(t *testing.T) core.Cursor {
-			cur, err := e.NewCursor()
+			cur, err := cursortest.Open(e)
 			if err != nil {
 				t.Fatal(err)
 			}

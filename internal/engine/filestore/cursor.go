@@ -28,10 +28,6 @@ type fileCursor struct {
 
 func (c *fileCursor) BindContext(ctx context.Context) { c.ctx = ctx }
 
-func newFileCursor(src *meterdata.Source) *fileCursor {
-	return &fileCursor{src: src, paths: src.Paths()}
-}
-
 // newFileCursorPaths opens a cursor over a shard of the source's file
 // list (a partition cursor). The full path list is in ascending
 // household order by construction (meterdata.WritePartitioned appends
@@ -92,44 +88,44 @@ func (c *fileCursor) Close() error {
 // SizeHint reports one consumer per file, exact for partitioned sources.
 func (c *fileCursor) SizeHint() (int, bool) { return len(c.paths), true }
 
-// indexCursor reproduces the paper's big-file Matlab path (§5.3.1):
+// sharedIndex reproduces the paper's big-file Matlab path (§5.3.1):
 // "Matlab reads the entire large file into an index which is then used
 // to extract individual consumers' data; this is slower than reading
 // small files one-by-one". The whole unpartitioned file is read into an
-// in-memory reading index once, and every Next extracts one consumer by
-// scanning that index end-to-end — the super-linear degradation of
-// Figure 5 lives here, in the cursor, not in task code.
-type indexCursor struct {
-	src    *meterdata.Source
-	ctx    context.Context
-	temp   *timeseries.Temperature
-	index  []meterdata.Reading
-	ids    []timeseries.ID
-	i      int
-	built  bool
-	closed bool
+// in-memory reading index once, shared by a set of partition cursors
+// (indexPartCursor), and every Next extracts one consumer by scanning
+// that index end-to-end — the super-linear degradation of Figure 5
+// lives here, in the cursor, not in task code. The build cost is paid
+// by whichever cursor reaches its first Next first (the others block in
+// the Once). The index is dropped when the last cursor closes.
+type sharedIndex struct {
+	src   *meterdata.Source
+	once  sync.Once
+	err   error
+	temp  *timeseries.Temperature
+	index []meterdata.Reading
+	ids   []timeseries.ID
+
+	mu   sync.Mutex
+	open int // cursors not yet closed; the index is dropped at zero
 }
 
-func newIndexCursor(src *meterdata.Source) *indexCursor {
-	return &indexCursor{src: src}
+func (x *sharedIndex) ensure() error {
+	x.once.Do(func() { x.err = x.build() })
+	return x.err
 }
 
-func (c *indexCursor) BindContext(ctx context.Context) { c.ctx = ctx }
-
-func (c *indexCursor) build() error {
-	temp, err := meterdata.ReadTemperature(c.src.Dir)
+// build reads the temperature year and every reading of the source's
+// files into the index, and lists the households in ascending order.
+func (x *sharedIndex) build() error {
+	temp, err := meterdata.ReadTemperature(x.src.Dir)
 	if err != nil {
 		return fmt.Errorf("filestore: %w", err)
 	}
 	var index []meterdata.Reading
 	var ids []timeseries.ID
 	seen := map[timeseries.ID]bool{}
-	for _, path := range c.src.Paths() {
-		// The index build reads the whole big file; honor cancellation
-		// between input files so a deadline can cut it short.
-		if err := core.CtxErr(c.ctx); err != nil {
-			return err
-		}
+	for _, path := range x.src.Paths() {
 		f, err := os.Open(path)
 		if err != nil {
 			return fmt.Errorf("filestore: %w", err)
@@ -148,97 +144,8 @@ func (c *indexCursor) build() error {
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	c.temp, c.index, c.ids = temp, index, ids
-	c.built = true
+	x.temp, x.index, x.ids = temp, index, ids
 	return nil
-}
-
-func (c *indexCursor) Next() (*timeseries.Series, error) {
-	if err := core.CtxErr(c.ctx); err != nil {
-		return nil, err
-	}
-	if c.closed {
-		return nil, io.EOF
-	}
-	if !c.built {
-		if err := c.build(); err != nil {
-			return nil, err
-		}
-	}
-	if c.i >= len(c.ids) {
-		return nil, io.EOF
-	}
-	id := c.ids[c.i]
-	// One full index scan per consumer, as the paper describes.
-	a := meterdata.NewAssembler(len(c.temp.Values))
-	for _, r := range c.index {
-		if r.ID != id {
-			continue
-		}
-		if err := a.Add(r); err != nil {
-			return nil, fmt.Errorf("filestore: %w", err)
-		}
-	}
-	series := a.Series()
-	if len(series) != 1 {
-		return nil, fmt.Errorf("filestore: index scan for household %d yielded %d series", id, len(series))
-	}
-	c.i++
-	return series[0], nil
-}
-
-func (c *indexCursor) Reset() error {
-	// The index survives a rewind; only the consumer pointer moves.
-	c.i = 0
-	c.closed = false
-	return nil
-}
-
-func (c *indexCursor) Close() error {
-	c.closed = true
-	c.index, c.ids = nil, nil
-	c.built = false
-	c.i = 0
-	return nil
-}
-
-func (c *indexCursor) SizeHint() (int, bool) {
-	if !c.built {
-		return 0, false
-	}
-	return len(c.ids), true
-}
-
-// sharedIndex is the big-file reading index built once and shared by a
-// set of partition cursors over an unpartitioned reading-per-line
-// source. The build cost is paid by whichever cursor reaches its first
-// Next first (the others block in the Once); each partition cursor then
-// extracts its own consumer-ID range with the same full-index scan per
-// consumer that the serial indexCursor models. The index is dropped when
-// the last cursor closes.
-type sharedIndex struct {
-	src   *meterdata.Source
-	once  sync.Once
-	err   error
-	temp  *timeseries.Temperature
-	index []meterdata.Reading
-	ids   []timeseries.ID
-
-	mu   sync.Mutex
-	open int // cursors not yet closed; the index is dropped at zero
-}
-
-func (x *sharedIndex) ensure() error {
-	x.once.Do(func() {
-		c := newIndexCursor(x.src)
-		defer func() { _ = c.Close() }()
-		if err := c.build(); err != nil {
-			x.err = err
-			return
-		}
-		x.temp, x.index, x.ids = c.temp, c.index, c.ids
-	})
-	return x.err
 }
 
 func (x *sharedIndex) release() {
@@ -287,8 +194,8 @@ func (c *indexPartCursor) Next() (*timeseries.Series, error) {
 		return nil, io.EOF
 	}
 	id := c.idx.ids[c.lo+c.i]
-	// Same cost model as the serial indexCursor: one full index scan per
-	// extracted consumer.
+	// One full index scan per extracted consumer, as the paper
+	// describes.
 	a := meterdata.NewAssembler(len(c.idx.temp.Values))
 	for _, r := range c.idx.index {
 		if r.ID != id {

@@ -26,7 +26,7 @@ func TestCursorConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		cursortest.Run(t, func(t *testing.T) core.Cursor {
-			cur, err := e.NewCursor()
+			cur, err := cursortest.Open(e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,12 +44,12 @@ func TestCursorConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		cursortest.Run(t, func(t *testing.T) core.Cursor {
-			cur, err := e.NewCursor()
+			cur, err := cursortest.Open(e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := cur.(*indexCursor); !ok {
-				t.Fatalf("unpartitioned reading-per-line source yielded %T, want *indexCursor", cur)
+			if _, ok := cur.(*indexPartCursor); !ok {
+				t.Fatalf("unpartitioned reading-per-line source yielded %T, want *indexPartCursor", cur)
 			}
 			return cur
 		})
@@ -65,7 +65,7 @@ func TestCursorConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		cursortest.Run(t, func(t *testing.T) core.Cursor {
-			cur, err := e.NewCursor()
+			cur, err := cursortest.Open(e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func TestCursorConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		cursortest.Run(t, func(t *testing.T) core.Cursor {
-			cur, err := e.NewCursor()
+			cur, err := cursortest.Open(e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestPartitionConformance(t *testing.T) {
 		if _, err := e.Load(src); err != nil {
 			t.Fatal(err)
 		}
-		cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
+		cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })
 	})
 
 	t.Run("UnpartitionedIndex", func(t *testing.T) {
@@ -119,7 +119,7 @@ func TestPartitionConformance(t *testing.T) {
 		if _, err := e.LoadDirect(src); err != nil {
 			t.Fatal(err)
 		}
-		cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
+		cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })
 	})
 
 	t.Run("UnpartitionedSeriesPerLine", func(t *testing.T) {
@@ -131,7 +131,7 @@ func TestPartitionConformance(t *testing.T) {
 		if _, err := e.LoadDirect(src); err != nil {
 			t.Fatal(err)
 		}
-		cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
+		cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })
 	})
 
 	t.Run("Warm", func(t *testing.T) {
@@ -146,7 +146,7 @@ func TestPartitionConformance(t *testing.T) {
 		if err := e.Warm(); err != nil {
 			t.Fatal(err)
 		}
-		cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
+		cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })
 	})
 }
 
@@ -162,7 +162,7 @@ func TestFileCursorReleasesPoppedSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := newFileCursor(src)
+	cur := newFileCursorPaths(src, src.Paths())
 	defer cur.Close()
 
 	s, err := cur.Next()

@@ -159,41 +159,14 @@ func (e *Engine) RunContext(ctx context.Context, spec core.Spec) (*core.Results,
 	return exec.RunContext(ctx, e, spec)
 }
 
-// NewCursor implements core.Engine. The cursor is the engine's native
-// extraction path: in-memory arrays after Warm, one consumer file at a
-// time for a partitioned source, and the paper's big-file index scan
-// for an unpartitioned reading-per-line source (§5.3.1).
-func (e *Engine) NewCursor() (core.Cursor, error) {
-	if e.src == nil {
-		return nil, fmt.Errorf("filestore: %w", core.ErrNotLoaded)
-	}
-	if e.cache != nil {
-		return core.NewDatasetCursor(e.cache), nil
-	}
-	if e.src.Partitioned {
-		return newFileCursor(e.src), nil
-	}
-	if e.src.Format == meterdata.FormatReadingPerLine {
-		return newIndexCursor(e.src), nil
-	}
-	// Unpartitioned series-per-line: one sequential read of the file.
-	src := e.src
-	return core.NewLazyCursor(func(context.Context) ([]*timeseries.Series, error) {
-		ds, err := meterdata.ReadDataset(src)
-		if err != nil {
-			return nil, fmt.Errorf("filestore: %w", err)
-		}
-		return ds.Series, nil
-	}, nil), nil
-}
-
 // NewCursors implements core.PartitionedSource. Partitions mirror the
-// engine's native extraction paths: range shards of the in-memory
-// arrays after Warm, contiguous shards of the per-consumer file list
-// for a partitioned source (the list is in ascending household order by
-// construction), and consumer-ID ranges of the shared big-file index
-// for an unpartitioned reading-per-line source. An unpartitioned
-// series-per-line source is one sequential read, so it yields a single
+// engine's native extraction paths: the in-memory arrays' after Warm
+// (core.NewDatasetCursors), contiguous shards of the per-consumer file
+// list for a partitioned source, read one consumer file at a time (the
+// list is in ascending household order by construction), and
+// consumer-ID ranges of the shared big-file index for an unpartitioned
+// reading-per-line source (§5.3.1). An unpartitioned series-per-line
+// source is one sequential read of the file, so it yields a single
 // cursor.
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
@@ -203,15 +176,7 @@ func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 		return nil, fmt.Errorf("filestore: %w", core.ErrNotLoaded)
 	}
 	if e.cache != nil {
-		series := e.cache.Series
-		curs := make([]core.Cursor, 0, max)
-		for _, r := range core.PartitionRanges(len(series), max) {
-			part := series[r[0]:r[1]]
-			curs = append(curs, core.NewLazyCursor(func(context.Context) ([]*timeseries.Series, error) {
-				return part, nil
-			}, nil))
-		}
-		return curs, nil
+		return core.NewDatasetCursors(e.cache, max), nil
 	}
 	if e.src.Partitioned {
 		paths := e.src.Paths()
@@ -229,14 +194,15 @@ func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 		}
 		return curs, nil
 	}
-	cur, err := e.NewCursor()
-	if err != nil {
-		return nil, err
-	}
-	return []core.Cursor{cur}, nil
+	src := e.src
+	return []core.Cursor{core.NewLazyCursor(func(context.Context) ([]*timeseries.Series, error) {
+		ds, err := meterdata.ReadDataset(src)
+		if err != nil {
+			return nil, fmt.Errorf("filestore: %w", err)
+		}
+		return ds.Series, nil
+	}, nil)}, nil
 }
-
-var _ core.PartitionedSource = (*Engine)(nil)
 
 // Temperature implements core.Engine.
 func (e *Engine) Temperature() (*timeseries.Temperature, error) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -153,6 +154,28 @@ func TestWarmUsesCache(t *testing.T) {
 	if e.cache != nil {
 		t.Error("release kept cache")
 	}
+}
+
+// TestWarmSimilarityRunsShareOnePacking: a warm similarity run at four
+// workers reads the cached dataset's DatasetCursor, not its range
+// shards, so a second run reuses the packing the first cached.
+func TestWarmSimilarityRunsShareOnePacking(t *testing.T) {
+	src, err := meterdata.WritePartitioned(t.TempDir(), makeDataset(t, 12, 365), meterdata.FormatReadingPerLine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := meterdata.ReadDataset(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New()
+	if _, err := e.Load(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	cursortest.RunWarmSimilarity(t, e, ref, func() *timeseries.Dataset { return e.cache })
 }
 
 func TestParallelMatchesSequential(t *testing.T) {

@@ -20,7 +20,7 @@ func TestCursorChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	cursortest.RunChaos(t, func(t *testing.T) core.Cursor {
-		cur, err := e.NewCursor()
+		cur, err := cursortest.Open(e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/timeseries"
 	"github.com/smartmeter/smartbench/internal/wal"
@@ -129,7 +130,7 @@ func TestParallelDrainSmallPool(t *testing.T) {
 		for _, w := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("%v/W%d", layout, w), func(t *testing.T) {
 				e := loadThenOpen(t, src, layout, WithPoolPages(2*w))
-				cur, err := e.NewCursor()
+				cur, err := cursortest.Open(e)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -378,7 +379,7 @@ func TestBadIndexEntries(t *testing.T) {
 					}
 					spec := core.Spec{Task: core.TaskHistogram}
 					if where == "inside run" {
-						cur, err := e.NewCursor()
+						cur, err := cursortest.Open(e)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -403,7 +404,7 @@ func TestBadIndexEntries(t *testing.T) {
 							t.Errorf("%s: error %q does not name the index key", what, err)
 						}
 					}
-					cur, err := e.NewCursor()
+					cur, err := cursortest.Open(e)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -476,7 +477,7 @@ func TestTornDownCursorsReportNotLoaded(t *testing.T) {
 	if _, err := e.Load(src); err != nil {
 		t.Fatal(err)
 	}
-	scan, err := e.NewCursor()
+	scan, err := cursortest.Open(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,64 +41,23 @@ func (rd *reader) release(e *Engine) {
 	rd.ring = nil
 }
 
-// scanCursor extracts one consumer per Next — a descent of the index,
-// then a walk along the household's run of heap pages — the engine's
-// native cold path. Every read goes through readSeriesShared, which
-// holds the table latch shared for one consumer: a single cursor is one
-// connection, and partition cursors (rangeCursor) run their reads side
-// by side through the same pool the way concurrent connections share
-// shared_buffers.
-type scanCursor struct {
-	reader
-	e      *Engine
-	ctx    context.Context
-	i      int
-	closed bool
-}
-
-func (c *scanCursor) BindContext(ctx context.Context) { c.ctx = ctx }
-
-func (c *scanCursor) Next() (*timeseries.Series, error) {
-	if err := core.CtxErr(c.ctx); err != nil {
-		return nil, err
-	}
-	if c.closed || c.i >= len(c.e.ids) {
-		c.release(c.e)
-		return nil, io.EOF
-	}
-	s, err := c.e.readSeriesShared(c.e.ids[c.i], basePrefix, &c.reader)
-	if err != nil {
-		return nil, err
-	}
-	c.i++
-	return s, nil
-}
-
-func (c *scanCursor) Reset() error {
-	c.i = 0
-	c.closed = false
-	return nil
-}
-
-func (c *scanCursor) Close() error {
-	c.closed = true
-	c.release(c.e)
-	return nil
-}
-
-// SizeHint is exact: the B+tree knows every household.
-func (c *scanCursor) SizeHint() (int, bool) { return len(c.e.ids), true }
-
-// rangeCursor is one partition of the heap: the households whose rank in
-// the sorted ID list falls into [lo, hi). Tuples are bulk-loaded in
-// ascending household order, one run per household, so a contiguous ID
-// range is a contiguous heap-page range — partition cursors mostly touch
-// disjoint pages and meet only in the pool's short mutex, once per read.
+// rangeCursor reads a range of households, one per Next, through
+// readSeriesShared, which holds the table latch shared for one
+// consumer: partition cursors run their reads side by side through the
+// same pool the way concurrent connections share shared_buffers. An
+// engine's cursor (Engine.NewCursors) reads a range of the sorted ID
+// list at the published prefix; tuples are bulk-loaded in ascending
+// household order, one run per household, so a contiguous ID range is a
+// contiguous heap-page range — partition cursors mostly touch disjoint
+// pages and meet only in the pool's short mutex, once per read. A
+// snapshot's cursor (rowSnapshot) reads the household lengths it
+// captured.
 type rangeCursor struct {
 	reader
 	e      *Engine
 	ctx    context.Context
-	lo, hi int
+	ids    []timeseries.ID
+	lens   map[timeseries.ID]int // captured lengths; nil: basePrefix
 	i      int
 	closed bool
 }
@@ -109,11 +68,15 @@ func (c *rangeCursor) Next() (*timeseries.Series, error) {
 	if err := core.CtxErr(c.ctx); err != nil {
 		return nil, err
 	}
-	if c.closed || c.lo+c.i >= c.hi {
+	if c.closed || c.i >= len(c.ids) {
 		c.release(c.e)
 		return nil, io.EOF
 	}
-	s, err := c.e.readSeriesShared(c.e.ids[c.lo+c.i], basePrefix, &c.reader)
+	id, upTo := c.ids[c.i], basePrefix
+	if c.lens != nil {
+		upTo = c.lens[id]
+	}
+	s, err := c.e.readSeriesShared(id, upTo, &c.reader)
 	if err != nil {
 		return nil, err
 	}
@@ -133,4 +96,5 @@ func (c *rangeCursor) Close() error {
 	return nil
 }
 
-func (c *rangeCursor) SizeHint() (int, bool) { return c.hi - c.lo, true }
+// SizeHint is exact: the B+tree knows every household.
+func (c *rangeCursor) SizeHint() (int, bool) { return len(c.ids), true }

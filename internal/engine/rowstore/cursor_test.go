@@ -19,12 +19,12 @@ func TestCursorConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		cursortest.Run(t, func(t *testing.T) core.Cursor {
-			cur, err := e.NewCursor()
+			cur, err := cursortest.Open(e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := cur.(*scanCursor); !ok {
-				t.Fatalf("cold engine yielded %T, want *scanCursor", cur)
+			if _, ok := cur.(*rangeCursor); !ok {
+				t.Fatalf("cold engine yielded %T, want *rangeCursor", cur)
 			}
 			return cur
 		})
@@ -37,7 +37,7 @@ func TestCursorConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		cursortest.Run(t, func(t *testing.T) core.Cursor {
-			cur, err := e.NewCursor()
+			cur, err := cursortest.Open(e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func TestCursorConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		cursortest.Run(t, func(t *testing.T) core.Cursor {
-			cur, err := e.NewCursor()
+			cur, err := cursortest.Open(e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +65,7 @@ func TestCursorConformance(t *testing.T) {
 }
 
 func TestPartitionConformance(t *testing.T) {
-	src, _ := writeSource(t, 7, 10)
+	src, ds := writeSource(t, 7, 10)
 
 	t.Run("Cold", func(t *testing.T) {
 		e := New(t.TempDir())
@@ -73,7 +73,7 @@ func TestPartitionConformance(t *testing.T) {
 		if _, err := e.Load(src); err != nil {
 			t.Fatal(err)
 		}
-		cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
+		cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })
 	})
 
 	t.Run("Warm", func(t *testing.T) {
@@ -85,7 +85,7 @@ func TestPartitionConformance(t *testing.T) {
 		if err := e.Warm(); err != nil {
 			t.Fatal(err)
 		}
-		cursortest.RunPartitioned(t, func(t *testing.T) core.PartitionedSource { return e })
+		cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })
 	})
 }
 
@@ -116,7 +116,7 @@ func TestSnapshotPartitionConformance(t *testing.T) {
 			if err := e.Append(hourBatch([]timeseries.ID{9999}, 0)); err != nil {
 				t.Fatal(err)
 			}
-			cursortest.RunSnapshotPartitioned(t, e)
+			cursortest.RunSnapshotPartitioned(t, e, append(ids, 9999))
 
 			cur, _, err := e.Snapshot()
 			if err != nil {

@@ -396,26 +396,17 @@ func (e *Engine) RunContext(ctx context.Context, spec core.Spec) (*core.Results,
 	return exec.RunContext(ctx, e, spec)
 }
 
-// NewCursor implements core.Engine: in-memory arrays after Warm,
-// otherwise one cursor that reads the stored pages (readSeriesInto).
-func (e *Engine) NewCursor() (core.Cursor, error) {
-	if e.table == nil {
-		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
-	}
-	if e.cache != nil {
-		return core.NewDatasetCursor(e.cache), nil
-	}
-	return &scanCursor{e: e}, nil
-}
-
 // NewCursors implements core.PartitionedSource: contiguous household
 // ranges of the sorted ID list, which are contiguous heap-page ranges
 // because Load stores each household's tuples as one run, in household
-// order. The range cursors read concurrently through readSeriesShared,
-// each holding the table latch shared and at most two pins on pool
-// frames (a leaf and a heap page; what it reads through its own ring is
-// outside the pool), so the pool caps how many are handed out: a
-// parallel run must not exhaust a pool the serial run fits in.
+// order. Each range cursor extracts one consumer per Next — a descent
+// of the index, then a walk along the household's run of heap pages —
+// and the cursors read concurrently through readSeriesShared, each
+// holding the table latch shared and at most two pins on pool frames (a
+// leaf and a heap page; what it reads through its own ring is outside
+// the pool), so the pool caps how many are handed out: a parallel run
+// must not exhaust a pool the serial run fits in. After Warm they are
+// the in-memory arrays' (core.NewDatasetCursors).
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("rowstore: NewCursors: max must be >= 1, got %d", max)
@@ -424,22 +415,20 @@ func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
 	}
 	if e.cache != nil {
-		series := e.cache.Series
-		curs := make([]core.Cursor, 0, max)
-		for _, r := range core.PartitionRanges(len(series), max) {
-			part := series[r[0]:r[1]]
-			curs = append(curs, core.NewLazyCursor(func(context.Context) ([]*timeseries.Series, error) {
-				return part, nil
-			}, nil))
-		}
-		return curs, nil
+		return core.NewDatasetCursors(e.cache, max), nil
 	}
-	ranges := e.rangesFor(len(e.ids), max)
+	return e.rangeCursors(e.ids, nil, max), nil
+}
+
+// rangeCursors splits ids into up to rangesFor(len(ids), max) range
+// cursors reading the lengths in lens (nil: the published prefix).
+func (e *Engine) rangeCursors(ids []timeseries.ID, lens map[timeseries.ID]int, max int) []core.Cursor {
+	ranges := e.rangesFor(len(ids), max)
 	curs := make([]core.Cursor, 0, len(ranges))
 	for _, r := range ranges {
-		curs = append(curs, &rangeCursor{e: e, lo: r[0], hi: r[1]})
+		curs = append(curs, &rangeCursor{e: e, ids: ids[r[0]:r[1]], lens: lens})
 	}
-	return curs, nil
+	return curs
 }
 
 // rangesFor splits n households into up to max contiguous ranges, and
@@ -451,8 +440,6 @@ func (e *Engine) rangesFor(n, max int) [][2]int {
 	}
 	return core.PartitionRanges(n, max)
 }
-
-var _ core.PartitionedSource = (*Engine)(nil)
 
 // basePrefix asks readSeriesShared for the published seriesLen prefix.
 const basePrefix = -1

@@ -12,6 +12,7 @@ import (
 
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/exec"
+	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -163,6 +164,26 @@ func compareResults(t *testing.T, got, want *core.Results) {
 			}
 		}
 	}
+}
+
+// TestWarmSimilarityRunsShareOnePacking: a warm similarity run at four
+// workers reads the cached dataset's DatasetCursor, not its range
+// shards, so a second run reuses the packing the first cached.
+func TestWarmSimilarityRunsShareOnePacking(t *testing.T) {
+	src, _ := writeSource(t, 12, 365)
+	ref, err := meterdata.ReadDataset(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(t.TempDir())
+	defer e.Close()
+	if _, err := e.Load(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	cursortest.RunWarmSimilarity(t, e, ref, func() *timeseries.Dataset { return e.cache })
 }
 
 func TestEngineWarmAndRelease(t *testing.T) {

@@ -1,9 +1,7 @@
 package rowstore
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"sort"
 
 	"github.com/smartmeter/smartbench/internal/core"
@@ -19,7 +17,7 @@ import (
 // every writer appends to) and makes batches atomic with respect to
 // snapshots and readers, who hold the same latch shared, for free.
 //
-// Visibility. table.seriesLen is the published base length: NewCursor,
+// Visibility. table.seriesLen is the published base length: NewCursors,
 // Run and Warm keep reading exactly the seriesLen prefix, so the base
 // view is stable while ingestion runs. Snapshot captures the
 // per-household live lengths and serves the full committed state
@@ -328,13 +326,12 @@ func (e *Engine) applyBatch(ls *liveState, batch []core.Reading) error {
 	return flushRun()
 }
 
-// Snapshot implements core.Appender: a read-isolated cursor over the
-// full committed state — published base plus live tuples — in
-// ascending household-ID order, with the epoch it was taken at. The
-// cursor re-reads tuples under the shared table latch per Next,
-// truncated to the lengths captured here, so later appends are
-// invisible to it.
-func (e *Engine) Snapshot() (core.Cursor, core.Epoch, error) {
+// Snapshot implements core.Appender: a read-isolated view of the full
+// committed state — published base plus live tuples — in ascending
+// household-ID order, with the epoch it was taken at. It re-reads
+// tuples under the shared table latch per Next, truncated to the
+// lengths captured here, so later appends are invisible to it.
+func (e *Engine) Snapshot() (core.Snapshot, core.Epoch, error) {
 	e.readMu.Lock()
 	defer e.readMu.Unlock()
 	if e.table == nil {
@@ -348,78 +345,34 @@ func (e *Engine) Snapshot() (core.Cursor, core.Epoch, error) {
 	for id, n := range ls.lens {
 		lens[id] = n
 	}
-	return &rowSnapCursor{
-		e:    e,
-		ids:  append([]timeseries.ID(nil), ls.ids...),
-		lens: lens,
-		temp: append([]float64(nil), ls.temp...),
+	return &rowSnapshot{
+		rangeCursor: rangeCursor{e: e, ids: append([]timeseries.ID(nil), ls.ids...), lens: lens},
+		temp:        append([]float64(nil), ls.temp...),
 	}, core.Epoch(ls.epoch), nil
 }
 
 var _ core.Appender = (*Engine)(nil)
 
-// rowSnapCursor serves one captured-length prefix read per Next.
-type rowSnapCursor struct {
-	reader
-	e      *Engine
-	ids    []timeseries.ID
-	lens   map[timeseries.ID]int
-	temp   []float64
-	ctx    context.Context
-	i      int
-	closed bool
+// rowSnapshot is the cursor over the households a snapshot captured,
+// read at their captured lengths, with the temperature column captured
+// beside them.
+type rowSnapshot struct {
+	rangeCursor
+	temp []float64
 }
 
-func (c *rowSnapCursor) BindContext(ctx context.Context) { c.ctx = ctx }
-
-func (c *rowSnapCursor) Next() (*timeseries.Series, error) {
-	if err := core.CtxErr(c.ctx); err != nil {
-		return nil, err
-	}
-	if c.closed || c.i >= len(c.ids) {
-		c.release(c.e)
-		return nil, io.EOF
-	}
-	id := c.ids[c.i]
-	s, err := c.e.readSeriesShared(id, c.lens[id], &c.reader)
-	if err != nil {
-		return nil, err
-	}
-	c.i++
-	return s, nil
-}
-
-func (c *rowSnapCursor) Reset() error {
-	c.i = 0
-	c.closed = false
-	return nil
-}
-
-func (c *rowSnapCursor) Close() error {
-	c.closed = true
-	c.release(c.e)
-	return nil
-}
-
-func (c *rowSnapCursor) SizeHint() (int, bool) { return len(c.ids), true }
-
-// NewCursors implements core.PartitionedSource: up to max cursors over
+// NewCursors implements core.Snapshot: up to max cursors over
 // contiguous ranges of the households the snapshot captured, capped by
 // the pool as Engine.NewCursors is (rangesFor). They read the captured
 // lengths, and each is closed on its own.
-func (c *rowSnapCursor) NewCursors(max int) ([]core.Cursor, error) {
+func (s *rowSnapshot) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("rowstore: snapshot NewCursors: max must be >= 1, got %d", max)
 	}
-	ranges := c.e.rangesFor(len(c.ids), max)
-	curs := make([]core.Cursor, 0, len(ranges))
-	for _, r := range ranges {
-		curs = append(curs, &rowSnapCursor{e: c.e, ids: c.ids[r[0]:r[1]], lens: c.lens, temp: c.temp})
-	}
-	return curs, nil
+	return s.e.rangeCursors(s.ids, s.lens, max), nil
 }
 
-// SnapshotTemp implements core.SnapshotTemperature.
-func (c *rowSnapCursor) SnapshotTemp() *timeseries.Temperature {
-	return &timeseries.Temperature{Values: c.temp}
+// Temperature implements core.Snapshot.
+func (s *rowSnapshot) Temperature() (*timeseries.Temperature, error) {
+	return &timeseries.Temperature{Values: s.temp}, nil
 }

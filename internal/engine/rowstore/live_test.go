@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -113,7 +114,10 @@ func TestLiveAppendSnapshot(t *testing.T) {
 					}
 				}
 			}
-			temp := cur.(core.SnapshotTemperature).SnapshotTemp()
+			temp, err := cur.Temperature()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(temp.Values) != baseN+extra {
 				t.Fatalf("temperature covers %d hours, want %d", len(temp.Values), baseN+extra)
 			}
@@ -302,7 +306,10 @@ func TestLiveDurableAcrossReopen(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			temp := cur.(core.SnapshotTemperature).SnapshotTemp()
+			temp, err := cur.Temperature()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(temp.Values) != baseN+24 {
 				t.Errorf("recovered temperature covers %d hours, want %d", len(temp.Values), baseN+24)
 			}
@@ -341,7 +348,7 @@ func TestReopenKeepsBaseView(t *testing.T) {
 			}
 			baseView := func(e *Engine) (map[timeseries.ID][]float64, []float64) {
 				t.Helper()
-				cur, err := e.NewCursor()
+				cur, err := cursortest.Open(e)
 				if err != nil {
 					t.Fatal(err)
 				}

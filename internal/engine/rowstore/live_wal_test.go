@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -69,7 +68,10 @@ func TestWALRecoverAfterCrash(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := drainSnap(t, cur)
-			wantTemp := cur.(core.SnapshotTemperature).SnapshotTemp()
+			wantTemp, err := cur.Temperature()
+			if err != nil {
+				t.Fatal(err)
+			}
 			cur.Close()
 			e.Crash()
 
@@ -87,7 +89,10 @@ func TestWALRecoverAfterCrash(t *testing.T) {
 				t.Errorf("post-recovery epoch = %d, want 0 (epochs restart per instance)", ep)
 			}
 			sameRows(t, drainSnap(t, cur2), want)
-			temp := cur2.(core.SnapshotTemperature).SnapshotTemp()
+			temp, err := cur2.Temperature()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(temp.Values) != len(wantTemp.Values) {
 				t.Fatalf("recovered temperature covers %d hours, want %d", len(temp.Values), len(wantTemp.Values))
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/timeseries"
 	"github.com/smartmeter/smartbench/internal/wal"
 )
@@ -104,7 +105,7 @@ func checkOracle(t *testing.T, e *Engine, held map[core.Cursor]map[timeseries.ID
 		cons, _ := indexSeries(t, e.table, id, e.table.seriesLen)
 		want = append(want, &timeseries.Series{ID: id, Readings: cons})
 	}
-	cur, err := e.NewCursor()
+	cur, err := cursortest.Open(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
@@ -245,7 +246,7 @@ func TestReaderZeroFillsItsRow(t *testing.T) {
 func TestCursorsTakeRows(t *testing.T) {
 	src, ds := writeExact(t, 4, 10)
 	e := loadThenOpen(t, src, LayoutRows)
-	scan, err := e.NewCursor()
+	scan, err := cursortest.Open(e)
 	if err != nil {
 		t.Fatal(err)
 	}

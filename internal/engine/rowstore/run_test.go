@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
@@ -60,7 +61,7 @@ func TestRowRunCrossesHeapPage(t *testing.T) {
 			if tidOf(t, e.table, key{ID: uint64(s.ID), Seq: last}).Page == first.Page {
 				t.Fatalf("household %d's tuples fit one page", s.ID)
 			}
-			cur, err := e.NewCursor()
+			cur, err := cursortest.Open(e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +373,7 @@ func TestHostileHeapChain(t *testing.T) {
 					t.Fatal(err)
 				}
 				spec := core.Spec{Task: core.TaskHistogram}
-				cur, err := e.NewCursor()
+				cur, err := cursortest.Open(e)
 				if err != nil {
 					t.Fatal(err)
 				}

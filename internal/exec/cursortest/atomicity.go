@@ -140,11 +140,11 @@ func drainSnapshot(t *testing.T, app core.Appender) ([]snapshot, core.Epoch) {
 	}
 	defer func() { _ = cur.Close() }()
 	out := drain(t, cur)
-	st, ok := cur.(core.SnapshotTemperature)
-	if !ok {
-		t.Fatalf("snapshot cursor %T exposes no temperature", cur)
+	temp, err := cur.Temperature()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return append(out, snapshot{readings: append([]float64(nil), st.SnapshotTemp().Values...)}), epoch
+	return append(out, snapshot{readings: append([]float64(nil), temp.Values...)}), epoch
 }
 
 // committed is what drainSnapshot must return when every household

@@ -221,7 +221,7 @@ func RunChaosPartitioned(t *testing.T, open func(t *testing.T) core.PartitionedS
 
 	t.Run("ChaosUnionCoversExactlyOnce", func(t *testing.T) {
 		src := open(t)
-		fullCur, err := serialCursor(src)
+		fullCur, err := Open(src)
 		if err != nil {
 			t.Fatalf("full cursor: %v", err)
 		}

@@ -7,8 +7,8 @@
 //
 // RunPartitioned is the companion suite for core.PartitionedSource: the
 // partition cursors must be pairwise disjoint, their union must equal
-// the full cursor's ID set, and each partition cursor must itself pass
-// the Cursor conformance checks. A partition cursor that hands out block
+// the household IDs the caller stored, and each partition cursor must
+// itself pass the Cursor conformance checks. A partition cursor that hands out block
 // summaries (core.SummaryCursor) must advance through them to the
 // households Next yields, with blocks that tile each row, summarize it
 // and decode to its bits.
@@ -22,6 +22,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -162,10 +163,13 @@ func Run(t *testing.T, open func(t *testing.T) core.Cursor) {
 // RunPartitioned exercises a PartitionedSource implementation against
 // the partition contract. open must return a fresh source with data
 // loaded; it is called once per sub-check (and once per partition in
-// the per-partition conformance pass). The source's serial NewCursor
-// provides the reference ID set the partition union is compared to.
-func RunPartitioned(t *testing.T, open func(t *testing.T) core.PartitionedSource) {
+// the per-partition conformance pass). want lists the households the
+// caller stored in it, the reference that the union of every split and
+// the order of NewCursors(1)'s one cursor are held to.
+func RunPartitioned(t *testing.T, want []timeseries.ID, open func(t *testing.T) core.PartitionedSource) {
 	t.Helper()
+	want = slices.Clone(want)
+	slices.Sort(want)
 
 	t.Run("CoversExactlyOnce", func(t *testing.T) {
 		src := open(t)
@@ -200,28 +204,15 @@ func RunPartitioned(t *testing.T, open func(t *testing.T) core.PartitionedSource
 					}
 				}
 			}
-			fullCur, err := serialCursor(src)
-			if err != nil {
-				t.Fatalf("max=%d: full cursor: %v", max, err)
-			}
-			var missing, extra []timeseries.ID
-			fullCount := 0
-			for _, s := range drain(t, fullCur) {
-				fullCount++
-				if _, ok := seen[s.id]; !ok {
-					missing = append(missing, s.id)
+			var missing []timeseries.ID
+			for _, id := range want {
+				if _, ok := seen[id]; !ok {
+					missing = append(missing, id)
 				}
-				delete(seen, s.id)
+				delete(seen, id)
 			}
-			_ = fullCur.Close()
-			for id := range seen {
-				extra = append(extra, id)
-			}
-			if len(missing) > 0 || len(extra) > 0 {
-				t.Fatalf("max=%d: union != full ID set (missing %v, extra %v)", max, missing, extra)
-			}
-			if fullCount == 0 {
-				t.Fatalf("max=%d: full cursor yielded no series", max)
+			if len(missing) > 0 || len(seen) > 0 {
+				t.Fatalf("max=%d: union != stored ID set (missing %v, extra %v)", max, missing, seen)
 			}
 		}
 	})
@@ -264,64 +255,64 @@ func RunPartitioned(t *testing.T, open func(t *testing.T) core.PartitionedSource
 		}
 	})
 
-	t.Run("MaxOneMatchesSerialOrFewer", func(t *testing.T) {
-		src := open(t)
-		curs, err := src.NewCursors(1)
+	t.Run("MaxOneYieldsStoredOrder", func(t *testing.T) {
+		cur, err := Open(open(t))
 		if err != nil {
-			t.Fatalf("NewCursors(1): %v", err)
+			t.Fatal(err)
 		}
-		if len(curs) != 1 {
-			t.Fatalf("NewCursors(1) returned %d cursors, want 1", len(curs))
-		}
-		got := drain(t, curs[0])
-		_ = curs[0].Close()
-		fullCur, err := serialCursor(src)
-		if err != nil {
-			t.Fatalf("full cursor: %v", err)
-		}
-		want := drain(t, fullCur)
-		_ = fullCur.Close()
+		got := drain(t, cur)
+		_ = cur.Close()
 		if len(got) != len(want) {
-			t.Fatalf("single partition yielded %d series, serial %d", len(got), len(want))
+			t.Fatalf("NewCursors(1) yielded %d series, %d stored", len(got), len(want))
 		}
 		for i := range want {
-			if got[i].id != want[i].id {
-				t.Fatalf("series %d: partition ID %d, serial %d", i, got[i].id, want[i].id)
+			if got[i].id != want[i] {
+				t.Fatalf("series %d: NewCursors(1) yielded ID %d, want %d", i, got[i].id, want[i])
 			}
 		}
 	})
 }
 
-// RunSnapshotPartitioned holds the split of app's snapshot cursor
-// (core.PartitionedSource) to the partition contract RunPartitioned
-// holds an engine to. Each source it opens is one snapshot; its serial
-// cursor is another snapshot of the same state, so app must not change
-// while it runs.
-func RunSnapshotPartitioned(t *testing.T, app core.Appender) {
+// RunSnapshotPartitioned holds the split of app's snapshots to the
+// partition contract RunPartitioned holds an engine to. Each source it
+// opens is one snapshot, so app must not change while it runs; want
+// lists the households the caller stored and appended.
+func RunSnapshotPartitioned(t *testing.T, app core.Appender, want []timeseries.ID) {
 	t.Helper()
-	RunPartitioned(t, func(t *testing.T) core.PartitionedSource {
-		cur, _, err := app.Snapshot()
+	RunPartitioned(t, want, func(t *testing.T) core.PartitionedSource {
+		snap, _, err := app.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = cur.Close() })
-		ps, ok := cur.(core.PartitionedSource)
-		if !ok {
-			t.Fatalf("snapshot cursor %T does not split", cur)
-		}
-		return snapshotParts{app: app, PartitionedSource: ps}
+		t.Cleanup(func() { _ = snap.Close() })
+		return snap
 	})
 }
 
-// snapshotParts is a snapshot's split with a serial cursor beside it.
-type snapshotParts struct {
-	core.PartitionedSource
-	app core.Appender
+// IDs lists the households of ds, the want of RunPartitioned for a
+// source loaded from it.
+func IDs(ds *timeseries.Dataset) []timeseries.ID {
+	ids := make([]timeseries.ID, len(ds.Series))
+	for i, s := range ds.Series {
+		ids[i] = s.ID
+	}
+	return ids
 }
 
-func (s snapshotParts) NewCursor() (core.Cursor, error) {
-	cur, _, err := s.app.Snapshot()
-	return cur, err
+// Open opens src's serial cursor, NewCursors(1), and refuses an answer
+// of any other number of cursors.
+func Open(src core.PartitionedSource) (core.Cursor, error) {
+	curs, err := src.NewCursors(1)
+	if err != nil {
+		return nil, err
+	}
+	if len(curs) != 1 {
+		for _, cur := range curs {
+			_ = cur.Close()
+		}
+		return nil, fmt.Errorf("cursortest: NewCursors(1) opened %d cursors", len(curs))
+	}
+	return curs[0], nil
 }
 
 // summariesMatchRows holds a summarizing cursor, which Next has just
@@ -421,16 +412,6 @@ func refusesDecode(t *testing.T, what string, sc core.SummaryCursor) {
 
 func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
-}
-
-// serialCursor opens the source's full serial cursor; every
-// PartitionedSource in this repo is also an exec.Source.
-func serialCursor(src core.PartitionedSource) (core.Cursor, error) {
-	s, ok := src.(interface{ NewCursor() (core.Cursor, error) })
-	if !ok {
-		return nil, fmt.Errorf("cursortest: source %T has no NewCursor", src)
-	}
-	return s.NewCursor()
 }
 
 // drain reads the cursor to io.EOF, snapshotting every series.

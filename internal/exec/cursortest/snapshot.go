@@ -195,7 +195,7 @@ func runSnapshotIsolation(t *testing.T, app core.Appender, ckpt func() error, id
 // of the expected stream no longer than maxLen, a matching temperature
 // prefix, and (when seen is non-nil) no household shrinking below a
 // previously observed length.
-func drainIsolation(t *testing.T, cur core.Cursor, maxLen int, seen map[timeseries.ID]int) map[timeseries.ID][]float64 {
+func drainIsolation(t *testing.T, cur core.Snapshot, maxLen int, seen map[timeseries.ID]int) map[timeseries.ID][]float64 {
 	t.Helper()
 	out := make(map[timeseries.ID][]float64)
 	longest := 0
@@ -232,16 +232,17 @@ func drainIsolation(t *testing.T, cur core.Cursor, maxLen int, seen map[timeseri
 		}
 		out[s.ID] = append([]float64(nil), s.Readings...)
 	}
-	if st, ok := cur.(core.SnapshotTemperature); ok {
-		temp := st.SnapshotTemp()
-		if len(temp.Values) < longest {
-			t.Fatalf("snapshot temperature covers %d hours, series reach %d",
-				len(temp.Values), longest)
-		}
-		for i, v := range temp.Values {
-			if !stats.ExactEqual(v, IsolationTemp(i)) {
-				t.Fatalf("temperature hour %d: got %v, want %v", i, v, IsolationTemp(i))
-			}
+	temp, err := cur.Temperature()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(temp.Values) < longest {
+		t.Fatalf("snapshot temperature covers %d hours, series reach %d",
+			len(temp.Values), longest)
+	}
+	for i, v := range temp.Values {
+		if !stats.ExactEqual(v, IsolationTemp(i)) {
+			t.Fatalf("temperature hour %d: got %v, want %v", i, v, IsolationTemp(i))
 		}
 	}
 	return out

@@ -34,19 +34,17 @@ import (
 // kernel's Flat copies them into a packing, as it would any dataset.
 
 // openDrain opens the cursors a similarity run drains. A warm engine's
-// one cursor is a core.DatasetCursor over the dataset it holds, which
+// NewCursors(1) is a core.DatasetCursor over the dataset it holds, which
 // drainDataset screens in place, keeping the packing the dataset caches;
 // its partitions are range shards of that dataset, which the pipeline
 // tasks fan out over. So the one cursor is opened first, and up to
 // workers partitions only when it is not that.
 func openDrain(ctx context.Context, src Source, workers int, ph *core.Phases) ([]core.Cursor, error) {
 	curs, err := openCursors(ctx, src, 1, ph)
-	if err != nil {
-		return nil, err
+	if err != nil || workers == 1 || len(curs) == 0 {
+		return curs, err
 	}
-	_, warm := curs[0].(core.DatasetCursor)
-	_, parted := src.(core.PartitionedSource)
-	if warm || !parted || workers == 1 {
+	if _, warm := curs[0].(core.DatasetCursor); warm {
 		return curs, nil
 	}
 	_ = curs[0].Close()

@@ -115,22 +115,12 @@ type drainSource struct {
 
 func (s *drainSource) Temperature() (*timeseries.Temperature, error) { return s.ds.Temperature, nil }
 
-// NewCursor is the run's one cursor at one worker: partition 0 holding
-// everything.
-func (s *drainSource) NewCursor() (core.Cursor, error) {
-	all := make([]int, len(s.ds.Series))
-	for i := range all {
-		all[i] = i
-	}
-	return s.cursor(0, all), nil
-}
-
+// NewCursors cuts the consumers with parts; NewCursors(1) is the run's
+// one cursor at one worker, partition 0 holding everything.
 func (s *drainSource) NewCursors(max int) ([]core.Cursor, error) {
-	var parts [][]int
-	if s.parts != nil {
+	parts := rangeParts(len(s.ds.Series), max)
+	if s.parts != nil && max > 1 {
 		parts = s.parts(len(s.ds.Series), max)
-	} else {
-		parts = rangeParts(len(s.ds.Series), max)
 	}
 	curs := make([]core.Cursor, len(parts))
 	for p, idx := range parts {

@@ -7,13 +7,13 @@
 // (Figure 6): the *engine* owns extraction — its native decode path,
 // exposed as a cursor — while the pipeline owns task dispatch, worker
 // fan-out, and deterministic result assembly. Engines therefore shrink
-// to Load + NewCursor + capabilities; none of them re-implements task
+// to Load + NewCursors + capabilities; none of them re-implements task
 // switching.
 //
-// Every task runs as partitions, on one of two paths. A per-consumer
-// task (histogram, 3-line, PAR) opens up to Spec.Workers cursors — the
-// source's disjoint partitions when it is a core.PartitionedSource and
-// the run has more than one worker, its one cursor otherwise — and each
+// Every task runs as partitions, on one of two paths, and every source
+// opens them one way: NewCursors(W) (core.PartitionedSource), which is
+// NewCursors(1) at one worker. A per-consumer task (histogram, 3-line,
+// PAR) opens up to Spec.Workers disjoint partitions, and each
 // partition runs one loop: pull a small block of series off its cursor
 // (extract), run the kernel over it (compute), append the results
 // (emit), repeat. One partition runs on the calling goroutine, so at one
@@ -81,21 +81,23 @@ import (
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
-// Source is what the pipeline needs from an engine: a cursor over the
-// loaded series and the shared temperature year. core.Engine satisfies
-// it.
+// Source is what the pipeline needs from an engine: cursors over the
+// loaded series and the shared temperature year. core.Engine and
+// core.Snapshot satisfy it.
 type Source interface {
-	NewCursor() (core.Cursor, error)
+	core.PartitionedSource
 	Temperature() (*timeseries.Temperature, error)
 }
 
 // NewDatasetSource adapts an in-memory dataset to Source: the minimal
-// engine, and one that is not partitioned.
+// engine, whose cursors are a warm engine's (core.NewDatasetCursors).
 func NewDatasetSource(ds *timeseries.Dataset) Source { return datasetSource{ds: ds} }
 
 type datasetSource struct{ ds *timeseries.Dataset }
 
-func (s datasetSource) NewCursor() (core.Cursor, error) { return core.NewDatasetCursor(s.ds), nil }
+func (s datasetSource) NewCursors(max int) ([]core.Cursor, error) {
+	return core.NewDatasetCursors(s.ds, max), nil
+}
 
 func (s datasetSource) Temperature() (*timeseries.Temperature, error) {
 	return s.ds.Temperature, nil
@@ -324,16 +326,11 @@ func dispatch(ctx context.Context, src Source, temp *timeseries.Temperature, k *
 
 // openCursors opens the cursors that between them cover the source,
 // bound to ctx, and books the time to extraction: up to max disjoint
-// partitions when max > 1 and the source has them (it may answer with
-// one, or with none when it is empty), otherwise its one cursor.
-func openCursors(ctx context.Context, src Source, max int, ph *core.Phases) (curs []core.Cursor, err error) {
+// partitions (the source may answer with fewer, or with none when it is
+// empty).
+func openCursors(ctx context.Context, src Source, max int, ph *core.Phases) ([]core.Cursor, error) {
 	start := time.Now()
-	if ps, ok := src.(core.PartitionedSource); ok && max > 1 {
-		curs, err = ps.NewCursors(max)
-	} else {
-		curs = make([]core.Cursor, 1)
-		curs[0], err = src.NewCursor()
-	}
+	curs, err := src.NewCursors(max)
 	ph.Extract.Wall += time.Since(start)
 	if err != nil {
 		return nil, err

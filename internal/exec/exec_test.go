@@ -171,10 +171,10 @@ func TestLazyCursorLoadOnceAndOnClose(t *testing.T) {
 	}
 }
 
-// failingSource returns an error from NewCursor.
+// failingSource returns an error from NewCursors.
 type failingSource struct{ err error }
 
-func (f failingSource) NewCursor() (core.Cursor, error)               { return nil, f.err }
+func (f failingSource) NewCursors(int) ([]core.Cursor, error)         { return nil, f.err }
 func (f failingSource) Temperature() (*timeseries.Temperature, error) { return nil, f.err }
 
 func TestRunPropagatesCursorError(t *testing.T) {

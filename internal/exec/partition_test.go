@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,25 +15,19 @@ import (
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
-// partitionedSource is the minimal PartitionedSource for the partition
-// loop's tests:
-// an in-memory dataset sharded either into contiguous ID ranges (like
-// the storage engines) or round-robin (like the cluster engines' hash
-// partitions, whose ID ranges interleave).
+// partitionedSource is the minimal Source for the partition loop's
+// tests: an in-memory dataset answered as a warm engine answers
+// (core.NewDatasetCursors), or sharded into contiguous ID ranges that
+// are not DatasetCursors (cold, like the storage engines' cold
+// cursors), or round-robin (like the cluster engines' hash partitions,
+// whose ID ranges interleave).
 type partitionedSource struct {
-	ds          *timeseries.Dataset
-	roundRobin  bool
-	cursorCalls *int // increments on NewCursor (one-cursor probe)
-	partCalls   *int // increments on NewCursors
-	handed      *int // the number of cursors the last NewCursors returned
-	maxParts    int  // cap on partitions handed out (0 = no cap)
-}
-
-func (s partitionedSource) NewCursor() (core.Cursor, error) {
-	if s.cursorCalls != nil {
-		*s.cursorCalls++
-	}
-	return core.NewDatasetCursor(s.ds), nil
+	ds         *timeseries.Dataset
+	roundRobin bool
+	cold       bool
+	asked      *[]int // the max of every NewCursors call
+	handed     *int   // the number of cursors the last NewCursors returned
+	maxParts   int    // cap on partitions handed out (0 = no cap)
 }
 
 func (s partitionedSource) Temperature() (*timeseries.Temperature, error) {
@@ -40,38 +35,39 @@ func (s partitionedSource) Temperature() (*timeseries.Temperature, error) {
 }
 
 func (s partitionedSource) NewCursors(max int) ([]core.Cursor, error) {
-	if s.partCalls != nil {
-		*s.partCalls++
+	if s.asked != nil {
+		*s.asked = append(*s.asked, max)
 	}
 	if s.maxParts > 0 && max > s.maxParts {
 		max = s.maxParts
 	}
-	var parts [][]*timeseries.Series
-	if s.roundRobin {
-		n := max
-		if n > len(s.ds.Series) {
-			n = len(s.ds.Series)
-		}
-		parts = make([][]*timeseries.Series, n)
+	var curs []core.Cursor
+	switch {
+	case s.roundRobin:
+		n := min(max, len(s.ds.Series))
+		parts := make([][]*timeseries.Series, n)
 		for i, ser := range s.ds.Series {
 			parts[i%n] = append(parts[i%n], ser)
 		}
-	} else {
-		for _, r := range core.PartitionRanges(len(s.ds.Series), max) {
-			parts = append(parts, s.ds.Series[r[0]:r[1]])
+		for _, p := range parts {
+			curs = append(curs, lazyPart(p))
 		}
-	}
-	curs := make([]core.Cursor, len(parts))
-	for i, p := range parts {
-		p := p
-		curs[i] = core.NewLazyCursor(func(context.Context) ([]*timeseries.Series, error) {
-			return p, nil
-		}, nil)
+	case s.cold:
+		for _, r := range core.PartitionRanges(len(s.ds.Series), max) {
+			curs = append(curs, lazyPart(s.ds.Series[r[0]:r[1]]))
+		}
+	default:
+		curs = core.NewDatasetCursors(s.ds, max)
 	}
 	if s.handed != nil {
 		*s.handed = len(curs)
 	}
 	return curs, nil
+}
+
+// lazyPart is a partition cursor over part that is not a DatasetCursor.
+func lazyPart(part []*timeseries.Series) core.Cursor {
+	return core.NewLazyCursor(func(context.Context) ([]*timeseries.Series, error) { return part, nil }, nil)
 }
 
 var streamingTasks = []core.Task{core.TaskHistogram, core.TaskThreeLine, core.TaskPAR}
@@ -114,16 +110,16 @@ func checkRows(t *testing.T, ph *core.Phases, want int64) {
 	}
 }
 
-// TestOneWorkerRunsInline pins what Workers: 1 promises: the run never
-// asks for partitions, and because extract, compute and emit alternate on
+// TestOneWorkerRunsInline pins what Workers: 1 promises: the run asks
+// for one partition, and because extract, compute and emit alternate on
 // the calling goroutine, their summed busy time cannot exceed the wall
 // time around Run.
 func TestOneWorkerRunsInline(t *testing.T) {
 	ds := makeDataset(t, 12, 30)
-	var partCalls int
+	var asked []int
 	for name, src := range map[string]Source{
-		"plain":       NewDatasetSource(ds),
-		"partitioned": partitionedSource{ds: ds, partCalls: &partCalls},
+		"warm": partitionedSource{ds: ds, asked: &asked},
+		"cold": partitionedSource{ds: ds, cold: true, asked: &asked},
 	} {
 		for _, task := range streamingTasks {
 			t.Run(fmt.Sprintf("%s_%v", name, task), func(t *testing.T) {
@@ -134,9 +130,10 @@ func TestOneWorkerRunsInline(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if partCalls != 0 {
-					t.Errorf("NewCursors called %d times with one worker, want 0", partCalls)
+				if !slices.Equal(asked, []int{1}) {
+					t.Errorf("NewCursors asked for %v with one worker, want [1]", asked)
 				}
+				asked = nil
 				if total := got.Phases.Total(); total > elapsed {
 					t.Errorf("Phases.Total() = %v exceeds the run's %v", total, elapsed)
 				}
@@ -152,18 +149,19 @@ func TestOneWorkerRunsInline(t *testing.T) {
 }
 
 // TestPartitionsAnyCursorCount: at Workers > 1 the run loops over whatever
-// the source hands it — one partition, none, or the one cursor of a
-// source that is not partitioned — and similarity drains the same
-// partitions: one NewCursors call at the worker count, after the one
-// cursor it opens first to see whether the source is a warm engine.
+// the source hands it — one partition, none, or the one DatasetCursor
+// of an in-memory store that does not split — and similarity drains
+// the same partitions: one NewCursors call at the worker count, after
+// the NewCursors(1) it opens first to see whether the source is a warm
+// engine.
 func TestPartitionsAnyCursorCount(t *testing.T) {
 	ds := makeDataset(t, 6, 20)
 	empty := &timeseries.Dataset{Temperature: ds.Temperature}
 
 	for _, tc := range []struct {
-		name        string
-		ds          *timeseries.Dataset
-		partitioned bool
+		name string
+		ds   *timeseries.Dataset
+		cold bool
 	}{
 		{"single_partition", ds, true},
 		{"empty_answer", empty, true},
@@ -171,21 +169,15 @@ func TestPartitionsAnyCursorCount(t *testing.T) {
 	} {
 		for _, task := range streamingTasks {
 			t.Run(fmt.Sprintf("%s_%v", tc.name, task), func(t *testing.T) {
-				var cursorCalls, partCalls int
-				var src Source = partitionedSource{ds: tc.ds, maxParts: 1, cursorCalls: &cursorCalls, partCalls: &partCalls}
-				wantCursor, wantPart := 0, 1
-				if !tc.partitioned {
-					src = struct{ Source }{src} // hides NewCursors
-					wantCursor, wantPart = 1, 0
-				}
+				var asked []int
+				src := partitionedSource{ds: tc.ds, cold: tc.cold, maxParts: 1, asked: &asked}
 				spec := core.Spec{Task: task, Workers: 4}
 				got, err := Run(src, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if cursorCalls != wantCursor || partCalls != wantPart {
-					t.Errorf("NewCursor/NewCursors called %d/%d times, want %d/%d",
-						cursorCalls, partCalls, wantCursor, wantPart)
+				if !slices.Equal(asked, []int{4}) {
+					t.Errorf("NewCursors asked for %v, want [4]", asked)
 				}
 				checkRows(t, got.Phases, int64(len(tc.ds.Series)))
 				want, err := core.RunReference(tc.ds, spec)
@@ -197,26 +189,26 @@ func TestPartitionsAnyCursorCount(t *testing.T) {
 		}
 	}
 
-	// A partitionedSource is shaped like a warm engine: its one cursor
-	// is a DatasetCursor, which similarity reads instead of partitions.
-	// Behind a one cursor that is not, it drains four partitions.
+	// A warm source's NewCursors(1) is a DatasetCursor, which similarity
+	// reads instead of partitions. Behind one that is not, it drains
+	// four partitions.
 	for _, cold := range []bool{false, true} {
 		t.Run(fmt.Sprintf("similarity_cold=%v", cold), func(t *testing.T) {
-			var cursorCalls, partCalls, handed int
-			var src Source = partitionedSource{ds: ds, cursorCalls: &cursorCalls, partCalls: &partCalls, handed: &handed}
-			wantPart, wantHanded := 0, 0
+			var asked []int
+			var handed int
+			src := partitionedSource{ds: ds, cold: cold, asked: &asked, handed: &handed}
+			wantAsked, wantHanded := []int{1}, 1
 			if cold {
-				src = coldSource{src.(partitionedSource)}
-				wantPart, wantHanded = 1, 4
+				wantAsked, wantHanded = []int{1, 4}, 4
 			}
 			spec := core.Spec{Task: core.TaskSimilarity, K: 2, Workers: 4}
 			got, err := Run(src, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cursorCalls != 1 || partCalls != wantPart || handed != wantHanded {
-				t.Errorf("NewCursor/NewCursors called %d/%d times, %d partitions; want 1/%d and %d",
-					cursorCalls, partCalls, handed, wantPart, wantHanded)
+			if !slices.Equal(asked, wantAsked) || handed != wantHanded {
+				t.Errorf("NewCursors asked for %v, %d partitions; want %v and %d",
+					asked, handed, wantAsked, wantHanded)
 			}
 			want, err := core.RunReference(ds, spec)
 			if err != nil {
@@ -225,19 +217,6 @@ func TestPartitionsAnyCursorCount(t *testing.T) {
 			compareResults(t, got, want)
 		})
 	}
-}
-
-// coldSource is a partitionedSource whose one cursor is not a
-// DatasetCursor, as a cold engine's is not.
-type coldSource struct{ partitionedSource }
-
-func (s coldSource) NewCursor() (core.Cursor, error) {
-	if _, err := s.partitionedSource.NewCursor(); err != nil {
-		return nil, err
-	}
-	return core.NewLazyCursor(func(context.Context) ([]*timeseries.Series, error) {
-		return s.ds.Series, nil
-	}, nil), nil
 }
 
 // TestPartitionsPhaseAccounting checks the busy-time counters: exact row
@@ -294,14 +273,11 @@ func (c *failingCursor) Reset() error { c.i = 0; return nil }
 func (c *failingCursor) Close() error { return nil }
 
 // failingPartSource hands out one healthy partition and one that errors
-// after a few rows; its one cursor over everything errors too.
+// after a few rows; its one cursor over everything, at max 1, errors
+// too.
 type failingPartSource struct {
 	ds     *timeseries.Dataset
 	failAt int
-}
-
-func (s failingPartSource) NewCursor() (core.Cursor, error) {
-	return &failingCursor{series: s.ds.Series, failAt: s.failAt}, nil
 }
 
 func (s failingPartSource) Temperature() (*timeseries.Temperature, error) {
@@ -309,10 +285,13 @@ func (s failingPartSource) Temperature() (*timeseries.Temperature, error) {
 }
 
 func (s failingPartSource) NewCursors(max int) ([]core.Cursor, error) {
+	if max == 1 {
+		return []core.Cursor{&failingCursor{series: s.ds.Series, failAt: s.failAt}}, nil
+	}
 	mid := len(s.ds.Series) / 2
 	ok := s.ds.Series[:mid]
 	return []core.Cursor{
-		core.NewLazyCursor(func(context.Context) ([]*timeseries.Series, error) { return ok, nil }, nil),
+		lazyPart(ok),
 		&failingCursor{series: s.ds.Series[mid:], failAt: s.failAt},
 	}, nil
 }
@@ -324,10 +303,10 @@ func TestPartitionErrorPropagates(t *testing.T) {
 	ds := makeDataset(t, 10, 20)
 	for _, failAt := range []int{0, 1, 3} {
 		parts := failingPartSource{ds: ds, failAt: failAt}
-		for name, src := range map[string]Source{"partitions": parts, "one_cursor": struct{ Source }{parts}} {
-			_, err := Run(src, core.Spec{Task: core.TaskHistogram, Workers: 4})
+		for _, workers := range []int{1, 4} {
+			_, err := Run(parts, core.Spec{Task: core.TaskHistogram, Workers: workers})
 			if !errors.Is(err, errBoom) {
-				t.Fatalf("%s, failAt=%d: err = %v, want errBoom", name, failAt, err)
+				t.Fatalf("W=%d, failAt=%d: err = %v, want errBoom", workers, failAt, err)
 			}
 		}
 	}
@@ -380,7 +359,7 @@ func TestSharedSlotsReportTheFirstError(t *testing.T) {
 	for _, i := range []int{4, 10} {
 		ds.Series[i].Readings = ds.Series[i].Readings[:100]
 	}
-	src := struct{ Source }{NewDatasetSource(ds)} // one partition
+	src := partitionedSource{ds: ds, maxParts: 1} // one partition
 	for _, task := range []core.Task{core.TaskThreeLine, core.TaskPAR} {
 		_, err := Run(src, core.Spec{Task: task, Workers: 1})
 		if err == nil {

@@ -48,126 +48,149 @@ func datasetPrefix(ds *timeseries.Dataset, n int) *timeseries.Dataset {
 // bit-identical to the reference over the same prefix — i.e. a
 // snapshot is exactly "the dataset as of its epoch", no matter how
 // many appends land while the query runs, at one worker and split
-// across two and four, and read as one cursor when it does not split.
+// across two and four. A store of two households runs at four workers
+// too: its snapshot splits into fewer partitions than workers, which
+// share the four kernel slots.
 func TestRunSnapshotLiveEngines(t *testing.T) {
-	ds := makeDataset(t, 4, 14)
-	hours := len(ds.Temperature.Values)
-	baseN := hours / 2 // day-aligned: 14 days halves to 7
-
-	// The rowstore starts from a loaded text-format base; text
-	// round-tripping perturbs the last few ULPs, so its reference is
-	// the round-tripped base spliced with the exact live tail.
-	src, err := meterdata.WriteUnpartitioned(t.TempDir(), datasetPrefix(ds, baseN), meterdata.FormatReadingPerLine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseDS, err := meterdata.ReadDataset(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowRef := datasetPrefix(baseDS, baseN)
-	rowRef.Temperature.Values = append(rowRef.Temperature.Values, ds.Temperature.Values[baseN:]...)
-	for i, s := range rowRef.Series {
-		if s.ID != ds.Series[i].ID {
-			t.Fatalf("series order: %d vs %d", s.ID, ds.Series[i].ID)
-		}
-		s.Readings = append(s.Readings, ds.Series[i].Readings[baseN:]...)
-	}
-
-	engines := []struct {
-		name string
-		mk   func(t *testing.T) liveEngine
-		base int                 // hours already present before live appends
-		ref  *timeseries.Dataset // what the engine should hold at hour n
+	for _, size := range []struct {
+		name      string
+		consumers int
+		workers   []int
 	}{
-		{"colstore", func(t *testing.T) liveEngine {
-			return colstore.New(t.TempDir())
-		}, 0, ds},
-		{"rowstore", func(t *testing.T) liveEngine {
-			e := rowstore.New(t.TempDir())
-			if _, err := e.Load(src); err != nil {
-				t.Fatal(err)
+		{"", 4, []int{1, 2, 4}},
+		{"two_households_", 2, []int{4}},
+	} {
+		ds := makeDataset(t, size.consumers, 14)
+		hours := len(ds.Temperature.Values)
+		baseN := hours / 2 // day-aligned: 14 days halves to 7
+
+		// The rowstore starts from a loaded text-format base; text
+		// round-tripping perturbs the last few ULPs, so its reference is
+		// the round-tripped base spliced with the exact live tail.
+		src, err := meterdata.WriteUnpartitioned(t.TempDir(), datasetPrefix(ds, baseN), meterdata.FormatReadingPerLine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseDS, err := meterdata.ReadDataset(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowRef := datasetPrefix(baseDS, baseN)
+		rowRef.Temperature.Values = append(rowRef.Temperature.Values, ds.Temperature.Values[baseN:]...)
+		for i, s := range rowRef.Series {
+			if s.ID != ds.Series[i].ID {
+				t.Fatalf("series order: %d vs %d", s.ID, ds.Series[i].ID)
 			}
-			return e
-		}, baseN, rowRef},
-		{"colstore_unsplit", func(t *testing.T) liveEngine {
-			return unsplitSnapshots{colstore.New(t.TempDir())}
-		}, 0, ds},
-	}
+			s.Readings = append(s.Readings, ds.Series[i].Readings[baseN:]...)
+		}
 
-	for _, workers := range []int{1, 2, 4} {
-		for _, tc := range engines {
-			t.Run(fmt.Sprintf("%s_w%d", tc.name, workers), func(t *testing.T) {
-				eng := tc.mk(t)
-				defer eng.Release()
-				ctx := context.Background()
-				n := baseN // hours visible so far
-				for h := tc.base; h < n; h++ {
-					if err := eng.Append(datasetBatch(tc.ref, h)); err != nil {
-						t.Fatal(err)
-					}
+		engines := []struct {
+			name string
+			mk   func(t *testing.T) liveEngine
+			base int                 // hours already present before live appends
+			ref  *timeseries.Dataset // what the engine should hold at hour n
+		}{
+			{"colstore", func(t *testing.T) liveEngine {
+				return colstore.New(t.TempDir())
+			}, 0, ds},
+			{"rowstore", func(t *testing.T) liveEngine {
+				e := rowstore.New(t.TempDir())
+				if _, err := e.Load(src); err != nil {
+					t.Fatal(err)
 				}
-				for _, task := range core.Tasks {
-					spec := core.Spec{Task: task, K: 3, Workers: workers}
-					got, epoch, err := exec.RunSnapshot(ctx, eng, spec)
-					if err != nil {
-						t.Fatalf("%v: %v", task, err)
-					}
-					if epoch != core.Epoch(n-tc.base) {
-						t.Fatalf("%v: epoch = %d, want %d", task, epoch, n-tc.base)
-					}
-					want, err := core.RunReference(datasetPrefix(tc.ref, n), spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cursortest.CompareResults(t, got, want)
+				return e
+			}, baseN, rowRef},
+		}
 
-					// Appends racing the next snapshot move the epoch but
-					// never leak into an already-taken one. Full days keep
-					// the PAR task's day-alignment requirement intact.
-					for h := n; h < n+timeseries.HoursPerDay; h++ {
+		for _, workers := range size.workers {
+			for _, tc := range engines {
+				t.Run(fmt.Sprintf("%s_%sw%d", tc.name, size.name, workers), func(t *testing.T) {
+					eng := tc.mk(t)
+					defer eng.Release()
+					n := baseN // hours visible so far
+					for h := tc.base; h < n; h++ {
 						if err := eng.Append(datasetBatch(tc.ref, h)); err != nil {
 							t.Fatal(err)
 						}
 					}
-					got2, epoch2, err := exec.RunSnapshot(ctx, eng, spec)
-					if err != nil {
-						t.Fatal(err)
+					if parts := splitCount(t, eng, workers); parts < 1 || parts > size.consumers {
+						t.Fatalf("snapshot of %d households split into %d partitions", size.consumers, parts)
 					}
-					if epoch2 <= epoch {
-						t.Fatalf("%v: epoch did not advance: %d -> %d", task, epoch, epoch2)
-					}
-					want2, err := core.RunReference(datasetPrefix(tc.ref, n+timeseries.HoursPerDay), spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cursortest.CompareResults(t, got2, want2)
-					n += timeseries.HoursPerDay
-				}
-			})
+					runSnapshotTasks(t, eng, tc.ref, tc.base, n, workers)
+				})
+			}
 		}
 	}
+}
+
+// runSnapshotTasks runs every task over a snapshot of eng, which holds
+// the first n hours of ref (base of them from its load), and holds it
+// to the reference; then a day lands, and the next snapshot must hold
+// it and the one before must not.
+func runSnapshotTasks(t *testing.T, eng liveEngine, ref *timeseries.Dataset, base, n, workers int) {
+	t.Helper()
+	ctx := context.Background()
+	for _, task := range core.Tasks {
+		spec := core.Spec{Task: task, K: 3, Workers: workers}
+		got, epoch, err := exec.RunSnapshot(ctx, eng, spec)
+		if err != nil {
+			t.Fatalf("%v: %v", task, err)
+		}
+		if epoch != core.Epoch(n-base) {
+			t.Fatalf("%v: epoch = %d, want %d", task, epoch, n-base)
+		}
+		want, err := core.RunReference(datasetPrefix(ref, n), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursortest.CompareResults(t, got, want)
+
+		// Appends racing the next snapshot move the epoch but never
+		// leak into an already-taken one. Full days keep the PAR task's
+		// day-alignment requirement intact.
+		for h := n; h < n+timeseries.HoursPerDay; h++ {
+			if err := eng.Append(datasetBatch(ref, h)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got2, epoch2, err := exec.RunSnapshot(ctx, eng, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if epoch2 <= epoch {
+			t.Fatalf("%v: epoch did not advance: %d -> %d", task, epoch, epoch2)
+		}
+		want2, err := core.RunReference(datasetPrefix(ref, n+timeseries.HoursPerDay), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursortest.CompareResults(t, got2, want2)
+		n += timeseries.HoursPerDay
+	}
+}
+
+// splitCount counts the partitions a snapshot of eng splits into at
+// workers.
+func splitCount(t *testing.T, eng liveEngine, workers int) int {
+	t.Helper()
+	snap, _, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	curs, err := snap.NewCursors(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cur := range curs {
+		_ = cur.Close()
+	}
+	return len(curs)
 }
 
 type liveEngine interface {
 	core.Appender
 	core.Engine
-}
-
-// unsplitSnapshots hides the split of an engine's snapshot cursors, as
-// a snapshot that cannot split would have none: a run over it at any
-// worker count reads the one cursor.
-type unsplitSnapshots struct{ liveEngine }
-
-func (e unsplitSnapshots) Snapshot() (core.Cursor, core.Epoch, error) {
-	cur, epoch, err := e.liveEngine.Snapshot()
-	if err != nil {
-		return nil, 0, err
-	}
-	return struct {
-		core.Cursor
-		core.SnapshotTemperature
-	}{cur, cur.(core.SnapshotTemperature)}, epoch, nil
 }
 
 // makeDataset mirrors the exec package's internal test helper; external

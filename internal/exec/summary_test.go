@@ -36,10 +36,6 @@ type summarySource struct {
 	open *atomic.Int64
 }
 
-func (s summarySource) NewCursor() (core.Cursor, error) {
-	return s.cursor(0, len(s.ds.Series)), nil
-}
-
 func (s summarySource) NewCursors(max int) ([]core.Cursor, error) {
 	var curs []core.Cursor
 	for _, r := range core.PartitionRanges(len(s.ds.Series), max) {
@@ -157,7 +153,7 @@ var summaryWorkers = []int{1, 2, 4, 8}
 // over it empty: no partition, no result, no error.
 func TestSummaryPartitionsConformance(t *testing.T) {
 	ds := summaryDataset(t)
-	cursortest.RunPartitioned(t, func(*testing.T) core.PartitionedSource {
+	cursortest.RunPartitioned(t, cursortest.IDs(ds), func(*testing.T) core.PartitionedSource {
 		return summarySource{datasetSource: datasetSource{ds: ds}, blockRows: 64}
 	})
 	empty := summarySource{datasetSource: datasetSource{ds: &timeseries.Dataset{Temperature: ds.Temperature}}, blockRows: 64}

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"github.com/smartmeter/smartbench/internal/core"
@@ -10,18 +9,18 @@ import (
 )
 
 // Source is what the injector wraps: structurally identical to
-// exec.Source, so every core.Engine (and exec.NewDatasetSource)
+// exec.Source (which this package cannot name: exec's tests import it),
+// so every core.Engine, core.Snapshot and exec.NewDatasetSource
 // satisfies it.
 type Source interface {
-	NewCursor() (core.Cursor, error)
+	core.PartitionedSource
 	Temperature() (*timeseries.Temperature, error)
 }
 
 // Injector wraps a source so that every cursor it hands out injects the
-// configured faults. It satisfies exec.Source, and it forwards
-// core.PartitionedSource when the wrapped source supports it (each
-// partition cursor injects independently; fault decisions stay per-ID,
-// so the injured set is identical at every worker count).
+// configured faults. It satisfies exec.Source: each partition cursor
+// injects independently, and fault decisions stay per-ID, so the
+// injured set is identical at every worker count.
 type Injector struct {
 	src Source
 	cfg Config
@@ -35,32 +34,10 @@ func New(src Source, cfg Config) *Injector {
 // Config returns the injector's configuration.
 func (in *Injector) Config() Config { return in.cfg }
 
-// NewCursor implements the exec source contract, wrapping the
-// underlying cursor with fault injection.
-func (in *Injector) NewCursor() (core.Cursor, error) {
-	cur, err := in.src.NewCursor()
-	if err != nil {
-		return nil, err
-	}
-	return WrapCursor(cur, in.cfg), nil
-}
-
 // NewCursors implements core.PartitionedSource by wrapping each
-// underlying partition cursor. A source without partition support
-// yields a single wrapped cursor.
+// underlying partition cursor.
 func (in *Injector) NewCursors(max int) ([]core.Cursor, error) {
-	if max < 1 {
-		return nil, fmt.Errorf("fault: NewCursors: max must be >= 1, got %d", max)
-	}
-	ps, ok := in.src.(core.PartitionedSource)
-	if !ok {
-		cur, err := in.NewCursor()
-		if err != nil {
-			return nil, err
-		}
-		return []core.Cursor{cur}, nil
-	}
-	curs, err := ps.NewCursors(max)
+	curs, err := in.src.NewCursors(max)
 	if err != nil {
 		return nil, err
 	}
