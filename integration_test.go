@@ -5,7 +5,9 @@ package smartbench
 // the paper compute the same benchmark, only differently.
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -17,6 +19,8 @@ import (
 	"github.com/smartmeter/smartbench/internal/engine/dfs"
 	"github.com/smartmeter/smartbench/internal/engine/filestore"
 	"github.com/smartmeter/smartbench/internal/engine/rowstore"
+	"github.com/smartmeter/smartbench/internal/exec"
+	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/generator"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
@@ -201,44 +205,56 @@ func TestErrNotLoadedConsistency(t *testing.T) {
 	}
 }
 
-// TestColdWarmConsistency verifies that warm runs return the same
-// analytics as cold runs on every engine that supports warming.
+// TestColdWarmConsistency holds cold and warm runs to the reference,
+// bit for bit: on all five engines, the column store at no block cache
+// and at one of an eighth of the raw matrix, every task at one and four
+// workers under every fail policy, each run cold over the engine and
+// warm over the dataset exec.Warm drained from it at that worker count.
+// A warm step cancelled after its first series returns the context's
+// error with every cursor closed and nothing left running.
 func TestColdWarmConsistency(t *testing.T) {
-	src, _ := buildWorkload(t)
-	type warmable interface {
-		core.Engine
-		Warm() error
-	}
-	rowE := rowstore.New(t.TempDir())
-	defer rowE.Close()
-	engines := []warmable{
-		filestore.New(filestore.WithSplitDir(t.TempDir() + "/split")),
-		rowE,
-		colstore.New(t.TempDir()),
-	}
-	spec := core.Spec{Task: core.TaskThreeLine}
-	for _, e := range engines {
+	src, ref := buildWorkload(t)
+	raw := int64(len(ref.Series)) * int64(len(ref.Series[0].Readings)) * 8
+	engines := allFiveEngines(t)
+	engines = append(engines, colstore.New(t.TempDir(), colstore.WithMemBudget(raw/8)))
+	names := []string{"filestore", "rowstore", "colstore", "spark", "hive", "colstore-budgeted"}
+	for i, e := range engines {
 		if _, err := e.Load(src); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s load: %v", names[i], err)
 		}
-		if err := e.Release(); err != nil {
-			t.Fatal(err)
+		for _, workers := range []int{1, 4} {
+			warm, err := exec.Warm(context.Background(), e, workers)
+			if err != nil {
+				t.Fatalf("%s warm W=%d: %v", names[i], workers, err)
+			}
+			for _, task := range core.Tasks {
+				for _, policy := range []core.FailPolicy{core.FailFast, core.Quarantine, core.Repair} {
+					spec := core.Spec{Task: task, K: 3, Workers: workers, FailPolicy: policy}
+					t.Run(fmt.Sprintf("%s/W%d/%v/%v", names[i], workers, task, policy), func(t *testing.T) {
+						want, err := core.RunReference(ref, spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cold, err := e.Run(spec)
+						if err != nil {
+							t.Fatalf("cold: %v", err)
+						}
+						cursortest.CompareResults(t, cold, want)
+						got, err := exec.Run(exec.NewDatasetSource(warm), spec)
+						if err != nil {
+							t.Fatalf("warm: %v", err)
+						}
+						cursortest.CompareResults(t, got, want)
+					})
+				}
+			}
 		}
-		cold, err := e.Run(spec)
-		if err != nil {
-			t.Fatalf("%s cold: %v", e.Name(), err)
-		}
-		if err := e.Release(); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Warm(); err != nil {
-			t.Fatalf("%s warm: %v", e.Name(), err)
-		}
-		warm, err := e.Run(spec)
-		if err != nil {
-			t.Fatalf("%s warm run: %v", e.Name(), err)
-		}
-		assertResultsEqual(t, e.Name(), warm, cold)
+		t.Run(names[i]+"/cancel", func(t *testing.T) {
+			cursortest.RunWarmCancel(t, e, 4, func(ctx context.Context, src cursortest.WarmSource, workers int) error {
+				_, err := exec.Warm(ctx, src, workers)
+				return err
+			})
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/distsim"
 	"github.com/smartmeter/smartbench/internal/engine/dfs"
+	"github.com/smartmeter/smartbench/internal/exec"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -41,8 +42,23 @@ type Options struct {
 
 // run executes spec on eng under the options' failure policy and
 // timeout. Every experiment's measured engine invocation funnels
-// through here so -failpolicy and -timeout reach all of them.
+// through here, or through runWarm, so -failpolicy and -timeout reach
+// all of them.
 func (o *Options) run(eng core.Engine, spec core.Spec) (*core.Results, error) {
+	return o.within(spec, eng.RunContext)
+}
+
+// runWarm executes spec over ds, a dataset exec.Warm drained, under the
+// options' failure policy and timeout.
+func (o *Options) runWarm(ds *timeseries.Dataset, spec core.Spec) (*core.Results, error) {
+	src := exec.NewDatasetSource(ds)
+	return o.within(spec, func(ctx context.Context, spec core.Spec) (*core.Results, error) {
+		return exec.RunContext(ctx, src, spec)
+	})
+}
+
+// within applies the options' failure policy and timeout to one run.
+func (o *Options) within(spec core.Spec, run func(context.Context, core.Spec) (*core.Results, error)) (*core.Results, error) {
 	if spec.FailPolicy == core.FailFast {
 		spec.FailPolicy = o.FailPolicy
 	}
@@ -52,7 +68,7 @@ func (o *Options) run(eng core.Engine, spec core.Spec) (*core.Results, error) {
 		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
 		defer cancel()
 	}
-	return eng.RunContext(ctx, spec)
+	return run(ctx, spec)
 }
 
 // Scale sizes an experiment suite. The paper's absolute sizes (10 GB to

@@ -1,8 +1,10 @@
 package benchmark
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"github.com/smartmeter/smartbench/internal/core"
@@ -10,8 +12,10 @@ import (
 	"github.com/smartmeter/smartbench/internal/engine/colstore"
 	"github.com/smartmeter/smartbench/internal/engine/filestore"
 	"github.com/smartmeter/smartbench/internal/engine/rowstore"
+	"github.com/smartmeter/smartbench/internal/exec"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/stats"
+	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
 // Table1 regenerates the paper's Table 1: which statistical functions
@@ -168,14 +172,9 @@ func Fig6(opts Options) (*Report, error) {
 	}
 	fileE, rowE, colE := singleNodeEngines(&opts, "fig6")
 	defer rowE.Close()
-
-	type warmable interface {
-		core.Engine
-		Warm() error
-	}
 	for _, e := range []struct {
 		name string
-		eng  warmable
+		eng  core.Engine
 		src  *meterdata.Source
 	}{
 		{"filestore (Matlab)", fileE, srcs.part},
@@ -198,12 +197,13 @@ func Fig6(opts Options) (*Report, error) {
 		if err := e.eng.Release(); err != nil {
 			return nil, err
 		}
-		if err := e.eng.Warm(); err != nil {
+		ds, err := warmDataset(e.eng)
+		if err != nil {
 			return nil, err
 		}
 		var warmRes *core.Results
 		warm, err := Timed(func() error {
-			r, err := opts.run(e.eng, core.Spec{Task: core.TaskThreeLine})
+			r, err := opts.runWarm(ds, core.Spec{Task: core.TaskThreeLine})
 			warmRes = r
 			return err
 		})
@@ -220,6 +220,13 @@ func Fig6(opts Options) (*Report, error) {
 			fmtDur(p.T1Quantiles), fmtDur(p.T2Regression), fmtDur(p.T3Adjust))
 	}
 	return rep, nil
+}
+
+// warmDataset is the warm start of Figures 6 and 10, the same step on
+// every engine: its cursors drained once, a partition per core, into
+// the dataset warm runs read.
+func warmDataset(eng core.Engine) (*timeseries.Dataset, error) {
+	return exec.Warm(context.Background(), eng, runtime.GOMAXPROCS(0))
 }
 
 // Phases reports the execution pipeline's extract/compute/emit
@@ -450,22 +457,23 @@ func Fig10(opts Options) (*Report, error) {
 		Columns: []string{"task", "workers", "time", "speedup"},
 		Notes: []string{
 			"expected shape: near-linear to the physical core count, then flattening",
-			"every task walks the warm decoded columns, one goroutine per consumer range; a cold engine's fail-fast",
-			"histogram would answer from the segment's block summaries instead, decoding only the straddling blocks",
+			"every task walks the warm dataset exec.Warm drained from the segment file, one goroutine per consumer range;",
+			"a cold engine's fail-fast histogram would answer from the block summaries instead, decoding only the straddling blocks",
 		},
 	}
 	eng := colstore.New(filepath.Join(opts.WorkDir, "fig10-colstore"))
 	if _, err := eng.Load(srcs.unpartRPL); err != nil {
 		return nil, err
 	}
-	if err := eng.Warm(); err != nil {
+	ds, err := warmDataset(eng)
+	if err != nil {
 		return nil, err
 	}
 	for _, task := range core.Tasks {
 		var base time.Duration
 		for _, w := range opts.Scale.Workers {
 			d, err := Timed(func() error {
-				_, err := opts.run(eng, core.Spec{Task: task, Workers: w})
+				_, err := opts.runWarm(ds, core.Spec{Task: task, Workers: w})
 				return err
 			})
 			if err != nil {

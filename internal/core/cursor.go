@@ -103,59 +103,6 @@ type RowTaker interface {
 	TakeRow(row []float64)
 }
 
-// DatasetCursor is optionally implemented by cursors backed by a fully
-// materialized in-memory dataset (warm engines). The pipeline uses it to
-// run whole-dataset tasks (similarity) without re-copying series, which
-// preserves the dataset's cached flat-matrix packing.
-type DatasetCursor interface {
-	Cursor
-	// Dataset returns the backing dataset. Callers must treat it as
-	// read-only.
-	Dataset() *timeseries.Dataset
-}
-
-// NewDatasetCursor returns a cursor over an in-memory dataset, yielding
-// ds.Series in order.
-func NewDatasetCursor(ds *timeseries.Dataset) DatasetCursor {
-	return &datasetCursor{ds: ds}
-}
-
-type datasetCursor struct {
-	ds     *timeseries.Dataset
-	ctx    context.Context
-	i      int
-	closed bool
-}
-
-func (c *datasetCursor) BindContext(ctx context.Context) { c.ctx = ctx }
-
-func (c *datasetCursor) Next() (*timeseries.Series, error) {
-	if err := CtxErr(c.ctx); err != nil {
-		return nil, err
-	}
-	if c.closed || c.i >= len(c.ds.Series) {
-		return nil, io.EOF
-	}
-	s := c.ds.Series[c.i]
-	c.i++
-	return s, nil
-}
-
-func (c *datasetCursor) Reset() error {
-	c.i = 0
-	c.closed = false
-	return nil
-}
-
-func (c *datasetCursor) Close() error {
-	c.closed = true
-	return nil
-}
-
-func (c *datasetCursor) Dataset() *timeseries.Dataset { return c.ds }
-
-func (c *datasetCursor) SizeHint() (int, bool) { return len(c.ds.Series), true }
-
 // NewLazyCursor returns a cursor that materializes its series on first
 // use by calling load once, then replays the buffered slice (Reset
 // rewinds without re-running load). load receives the cursor's bound

@@ -1,7 +1,5 @@
 package core
 
-import "github.com/smartmeter/smartbench/internal/timeseries"
-
 // PartitionedSource is how every source opens its cursors: engines,
 // live snapshots and in-memory datasets. Storage splits into disjoint
 // shards extracted independently: the file engine's per-consumer file
@@ -24,28 +22,14 @@ type PartitionedSource interface {
 	// the loaded dataset exactly once: partitions are pairwise disjoint
 	// and the union of their household IDs is the dataset's. Each cursor
 	// honours the Cursor contract within its partition (ascending IDs,
-	// EOF stability, Reset replay, idempotent Close). An in-memory or
-	// unsplittable store answers with one cursor, an empty store with
-	// none, and none answers with more than max; max must be >= 1.
+	// EOF stability, Reset replay, idempotent Close). A store that
+	// cannot split (a series-per-line file, read in one pass) answers
+	// with one cursor, an empty store with none, and none answers with
+	// more than max; max must be >= 1.
 	//
 	// The cursors may be driven concurrently, one goroutine per cursor;
 	// Close on each is required regardless of how far it was drained.
 	NewCursors(max int) ([]Cursor, error)
-}
-
-// NewDatasetCursors answers NewCursors(max) for a warm, in-memory
-// dataset: at max 1 one DatasetCursor over all of it, which lets the
-// similarity drain keep the dataset's cached packing, else range shards
-// (PartitionRanges), so warm per-consumer tasks use every worker.
-func NewDatasetCursors(ds *timeseries.Dataset, max int) []Cursor {
-	if max == 1 {
-		return []Cursor{NewDatasetCursor(ds)}
-	}
-	var curs []Cursor
-	for _, r := range PartitionRanges(len(ds.Series), max) {
-		curs = append(curs, NewDatasetCursor(&timeseries.Dataset{Series: ds.Series[r[0]:r[1]], Temperature: ds.Temperature}))
-	}
-	return curs
 }
 
 // PartitionRanges splits n items into at most max contiguous,

@@ -21,10 +21,9 @@
 // shared block cache (pager.go) keeps decoded blocks while they fit a
 // strict byte budget and evicts nothing; at the default budget of 0 it
 // keeps none. So a dataset much larger than memory streams through the
-// same pipeline. Warm at budget 0 decodes everything into one
-// contiguous matrix that later runs read (the paper's warm start, which
-// the similarity kernel adopts without a copy). Block headers carry
-// NaN counts and min/max summaries, which the cold cursors hand out
+// same pipeline. The paper's warm start is exec.Warm's, as on every
+// engine: the cursors drained once into a packed dataset. Block headers
+// carry NaN counts and min/max summaries, which the cursors hand out
 // (core.SummaryCursor) and the exec layer's histogram uses to skip
 // decoding.
 package colstore
@@ -46,12 +45,11 @@ import (
 
 // Engine is the System C analogue.
 type Engine struct {
-	dir     string
-	path    string
-	budget  int64
-	store   *segStore
-	pager   *pager
-	decoded *timeseries.Dataset
+	dir    string
+	path   string
+	budget int64
+	store  *segStore
+	pager  *pager
 
 	// Durability (see live.go). walOn arms the write-ahead log under
 	// walPolicy/walFS; tailBudget (in tail readings) arms the
@@ -294,7 +292,6 @@ func (e *Engine) detach() {
 	e.retired = nil
 	e.store = nil
 	e.pager = nil
-	e.decoded = nil
 	e.liveMu.Lock()
 	lt := e.live
 	e.live = nil
@@ -307,40 +304,8 @@ func (e *Engine) detach() {
 	}
 }
 
-// Warm readies the engine for hot runs. At budget 0 it decodes every
-// consumer into one contiguous matrix that later runs read; above 0 it
-// fills the block cache in scan order until the next consumer's first
-// block would not be admitted, and the matrix never materializes.
-func (e *Engine) Warm() error {
-	if err := e.ensureStorage(); err != nil {
-		return err
-	}
-	st := e.store
-	if e.budget == 0 {
-		ds, err := decodeAll(e.pager)
-		if err != nil {
-			return err
-		}
-		e.decoded = ds
-		return nil
-	}
-	row := make([]float64, st.n)
-	first := 8 * int64(min(st.blockRows, st.n)) // bytes of a consumer's first block
-	var area []byte
-	for c := 0; c < st.consumers; c++ {
-		if _, _, resident := e.pager.Stats(); resident+first > e.budget {
-			return nil
-		}
-		var err error
-		if area, err = e.pager.readConsumer(c, row, area); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Release implements core.Engine: drops the block cache and decoded
-// columns, and closes the file handle; the segment file stays on disk.
+// Release implements core.Engine: drops the block cache and closes the
+// file handle; the segment file stays on disk.
 func (e *Engine) Release() error {
 	e.detach()
 	return nil
@@ -373,14 +338,9 @@ func (e *Engine) RunContext(ctx context.Context, spec core.Spec) (*core.Results,
 // ranges, each read one consumer per Next through the block cache and
 // handing out block summaries (core.SummaryCursor). Partitions share
 // the engine's block cache (the budget is global, not per-cursor).
-// After a Warm at budget 0 they are the decoded columns'
-// (core.NewDatasetCursors).
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("colstore: NewCursors: max must be >= 1, got %d", max)
-	}
-	if e.decoded != nil {
-		return core.NewDatasetCursors(e.decoded, max), nil
 	}
 	if err := e.ensureStorage(); err != nil {
 		return nil, err
@@ -395,9 +355,6 @@ func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 // Temperature implements core.Engine; the temperature column is always
 // resident (one column per file, stored raw).
 func (e *Engine) Temperature() (*timeseries.Temperature, error) {
-	if e.decoded != nil {
-		return e.decoded.Temperature, nil
-	}
 	if err := e.ensureStorage(); err != nil {
 		return nil, err
 	}
@@ -406,8 +363,8 @@ func (e *Engine) Temperature() (*timeseries.Temperature, error) {
 
 var _ core.Engine = (*Engine)(nil)
 
-// NewSummaryCursor opens the engine's paged cursor over every consumer,
-// whichever state the engine is in, for a caller that reads block
+// NewSummaryCursor opens the engine's paged cursor over every consumer
+// for a caller that reads block
 // summaries (its core.SummaryCursor methods) and closes it.
 func (e *Engine) NewSummaryCursor() (*pagedCursor, error) {
 	if err := e.ensureStorage(); err != nil {
@@ -437,25 +394,6 @@ func (e *Engine) MetaBytes() int64 {
 
 // errCorrupt reports a malformed segment file.
 var errCorrupt = errors.New("colstore: corrupt segment file")
-
-// decodeAll materializes the dataset through p. All consumer columns
-// decode into one contiguous row-major buffer, which becomes a
-// timeseries.PackedDataset: the similarity kernel's FlatMatrix adopts
-// it without a copy, so the column store hands its columns straight to
-// the blocked kernel.
-func decodeAll(p *pager) (*timeseries.Dataset, error) {
-	st := p.st
-	rows := make([]float64, st.consumers*st.n)
-	var area []byte
-	var err error
-	for c := 0; c < st.consumers; c++ {
-		area, err = p.readConsumer(c, rows[c*st.n:(c+1)*st.n], area)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return timeseries.PackedDataset(st.ids, rows, &timeseries.Temperature{Values: st.temp})
-}
 
 // AppendDelta implements core.DeltaAppender. The read-optimized
 // segment file has no room to grow, so an append re-encodes every
@@ -603,7 +541,6 @@ func (e *Engine) Crash() {
 	e.retired = nil
 	e.store = nil
 	e.pager = nil
-	e.decoded = nil
 }
 
 // StorageBytes returns the size of the segment file on disk.

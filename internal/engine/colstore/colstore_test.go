@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/exec"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -26,19 +28,20 @@ func writeSource(t *testing.T, consumers, days int) (*meterdata.Source, *timeser
 	return src, ds
 }
 
-// writeAndDecode round-trips ds through a segment file on disk.
+// writeAndDecode round-trips ds through a segment file on disk, read
+// back by draining the engine's cursors (exec.Warm).
 func writeAndDecode(t *testing.T, ds *timeseries.Dataset) *timeseries.Dataset {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "segments.col")
-	if err := writeDataset(path, ds); err != nil {
+	dir := t.TempDir()
+	if err := writeDataset(filepath.Join(dir, SegmentFileName), ds); err != nil {
 		t.Fatal(err)
 	}
-	st, err := openStore(path)
-	if err != nil {
+	e := New(dir)
+	if _, err := e.OpenExisting(); err != nil {
 		t.Fatal(err)
 	}
-	defer st.close()
-	got, err := decodeAll(newPager(st, 0))
+	defer func() { _ = e.Release() }()
+	got, err := exec.Warm(context.Background(), e, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,28 +187,6 @@ func TestEngineResultsMatchReferenceExactly(t *testing.T) {
 		}
 	}
 	_ = ds
-}
-
-func TestEngineWarm(t *testing.T) {
-	src, _ := writeSource(t, 2, 10)
-	e := New(t.TempDir())
-	if _, err := e.Load(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Warm(); err != nil {
-		t.Fatal(err)
-	}
-	if e.decoded == nil {
-		t.Error("warm did not decode")
-	}
-	// Warm after release remaps from disk.
-	e.Release()
-	if err := e.Warm(); err != nil {
-		t.Fatal(err)
-	}
-	if e.decoded == nil {
-		t.Error("warm after release failed")
-	}
 }
 
 func TestEngineRunWithoutLoad(t *testing.T) {

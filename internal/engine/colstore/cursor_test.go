@@ -40,56 +40,30 @@ func TestCursorConformance(t *testing.T) {
 			})
 		})
 	}
-	t.Run("warm", func(t *testing.T) {
-		e := pagedEngine(t, dir, 0)
-		if err := e.Warm(); err != nil {
-			t.Fatal(err)
-		}
-		cursortest.Run(t, func(t *testing.T) core.Cursor {
-			cur, err := cursortest.Open(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return cur
-		})
-	})
 }
 
 // TestPartitionConformance holds the engine's partitions to the
-// partition contract at every budget and after a Warm at budget 0. The
-// cold partitions summarize, so the suite holds their summaries to
-// their rows too; the warm ones are the decoded columns', which do not.
+// partition contract at every budget. They summarize, so the suite
+// holds their summaries to their rows too.
 func TestPartitionConformance(t *testing.T) {
 	dir := t.TempDir()
 	ds := buildSegments(t, dir, 7, 10, 64)
-	summarizes := func(t *testing.T, e *Engine, want bool) {
-		t.Helper()
-		curs, err := e.NewCursors(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p, cur := range curs {
-			if _, ok := cur.(core.SummaryCursor); ok != want {
-				t.Fatalf("partition %d (%T) summarizes: %v, want %v", p, cur, ok, want)
-			}
-			_ = cur.Close()
-		}
-	}
 	for _, b := range budgets(64) {
 		t.Run(b.name, func(t *testing.T) {
 			e := pagedEngine(t, dir, b.bytes)
-			summarizes(t, e, true)
+			curs, err := e.NewCursors(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p, cur := range curs {
+				if _, ok := cur.(core.SummaryCursor); !ok {
+					t.Fatalf("partition %d (%T) does not summarize", p, cur)
+				}
+				_ = cur.Close()
+			}
 			cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })
 		})
 	}
-	t.Run("warm", func(t *testing.T) {
-		e := pagedEngine(t, dir, 0)
-		if err := e.Warm(); err != nil {
-			t.Fatal(err)
-		}
-		summarizes(t, e, false)
-		cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })
-	})
 }
 
 // TestZeroBudgetCachesNothing: at the default budget every block of
@@ -113,9 +87,6 @@ func TestZeroBudgetCachesNothing(t *testing.T) {
 	if hits, misses, resident := e.PagerStats(); hits != 0 || misses != 2*6*4 || resident != 0 || len(e.pager.frames) != 0 {
 		t.Fatalf("after two scans: hits=%d misses=%d resident=%d frames=%d, want 0, %d, 0 and 0",
 			hits, misses, resident, len(e.pager.frames), 2*6*4)
-	}
-	if e.decoded != nil {
-		t.Fatal("a cold scan installed the decoded dataset")
 	}
 }
 

@@ -660,7 +660,6 @@ func (e *Engine) checkpointLocked(lt *liveTail) error {
 	if e.store != nil {
 		e.retired = append(e.retired, e.store)
 	}
-	e.decoded = nil
 	if err := e.attach(); err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -199,50 +198,6 @@ func TestPagerCacheHitsUnderLargeBudget(t *testing.T) {
 	}
 }
 
-func TestPagedWarmPrefillsWithinBudget(t *testing.T) {
-	dir := t.TempDir()
-	buildSegments(t, dir, 6, 20, 32)
-	budget := int64(4 * 32 * 8)
-	e := pagedEngine(t, dir, budget)
-	if err := e.Warm(); err != nil {
-		t.Fatal(err)
-	}
-	if e.decoded != nil {
-		t.Fatal("paged Warm must not materialize the dataset")
-	}
-	_, misses, resident := e.PagerStats()
-	if resident == 0 || resident > budget {
-		t.Fatalf("resident %d after Warm, budget %d", resident, budget)
-	}
-	if misses == 0 {
-		t.Fatal("Warm decoded nothing")
-	}
-}
-
-// TestPagedScanAfterWarmHitsWhatWarmAdmitted: Warm fills the cache up to
-// its budget, reading whole consumers, and the scan that follows finds
-// those blocks there.
-func TestPagedScanAfterWarmHitsWhatWarmAdmitted(t *testing.T) {
-	dir := t.TempDir()
-	buildSegments(t, dir, 6, 20, 32) // 6 consumers x 15 blocks
-	e := pagedEngine(t, dir, 4*32*8)
-	if err := e.Warm(); err != nil {
-		t.Fatal(err)
-	}
-	// The first consumer fills the cache with its first 4 blocks.
-	if hits, misses, _ := e.PagerStats(); hits != 0 || misses != 15 {
-		t.Fatalf("after Warm: hits=%d misses=%d, want 0 and 15", hits, misses)
-	}
-	cur, err := cursortest.Open(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainAll(t, cur, nil)
-	if hits, misses, _ := e.PagerStats(); hits != 4 || misses != 15+(6*15-4) {
-		t.Fatalf("after the scan: hits=%d misses=%d, want 4 and %d", hits, misses, 15+(6*15-4))
-	}
-}
-
 func TestSegmentWriterQuantize(t *testing.T) {
 	dir := t.TempDir()
 	temp := []float64{1, 2, 3, 4}
@@ -349,12 +304,12 @@ func TestSummariesHiddenByWrappers(t *testing.T) {
 
 // TestSummaryHistogramAtEveryWorkerCount: the histogram task is the
 // reference's bit for bit at one worker and at more than there are
-// consumers, at every budget, cold and after Warm, under every fail
-// policy. A fail-fast run over the paged cursors answers from their
-// block summaries, and which blocks it decodes depends neither on how
-// many goroutines read them nor on the budget; a warm engine at budget
-// 0 hands out its decoded columns, and the other policies decode every
-// series, so neither reads a summary.
+// consumers, at every budget, cold and over the dataset exec.Warm
+// drained, under every fail policy. A fail-fast run over the paged
+// cursors answers from their block summaries, and which blocks it
+// decodes depends neither on how many goroutines read them nor on the
+// budget; a warm dataset's cursors and the other policies read series,
+// so neither reads a summary.
 func TestSummaryHistogramAtEveryWorkerCount(t *testing.T) {
 	dir := t.TempDir()
 	ds := buildSegments(t, dir, 7, 10, 64)
@@ -366,20 +321,16 @@ func TestSummaryHistogramAtEveryWorkerCount(t *testing.T) {
 	for _, b := range budgets(64) {
 		e := pagedEngine(t, dir, b.bytes)
 		for _, warm := range []bool{false, true} {
-			if warm {
-				if err := e.Warm(); err != nil {
-					t.Fatal(err)
-				}
-			}
+			src := warmSource(t, e, warm)
 			for _, policy := range []core.FailPolicy{core.FailFast, core.Quarantine, core.Repair} {
 				for _, workers := range []int{1, 2, 4, 8} {
-					got, err := e.Run(core.Spec{Task: core.TaskHistogram, Workers: workers, FailPolicy: policy})
+					got, err := exec.Run(src, core.Spec{Task: core.TaskHistogram, Workers: workers, FailPolicy: policy})
 					if err != nil {
 						t.Fatalf("%s warm=%v %v W=%d: %v", b.name, warm, policy, workers, err)
 					}
 					assertResultsIdentical(t, core.TaskHistogram, got, want)
 					ph := got.Phases
-					if policy != core.FailFast || (warm && b.bytes == 0) {
+					if policy != core.FailFast || warm {
 						if ph.SummaryBlocks != 0 || ph.DecodedBlocks != 0 {
 							t.Fatalf("%s warm=%v %v W=%d: read summaries (%d summary, %d decoded blocks)", b.name, warm, policy, workers, ph.SummaryBlocks, ph.DecodedBlocks)
 						}
@@ -392,7 +343,7 @@ func TestSummaryHistogramAtEveryWorkerCount(t *testing.T) {
 						}
 					}
 					if ph.SummaryBlocks != first.SummaryBlocks || ph.DecodedBlocks != first.DecodedBlocks || ph.Extract.Rows != first.Extract.Rows {
-						t.Fatalf("%s warm=%v W=%d: summary/decoded/rows %d/%d/%d, first %d/%d/%d", b.name, warm, workers,
+						t.Fatalf("%s W=%d: summary/decoded/rows %d/%d/%d, first %d/%d/%d", b.name, workers,
 							ph.SummaryBlocks, ph.DecodedBlocks, ph.Extract.Rows, first.SummaryBlocks, first.DecodedBlocks, first.Extract.Rows)
 					}
 				}
@@ -401,27 +352,37 @@ func TestSummaryHistogramAtEveryWorkerCount(t *testing.T) {
 	}
 }
 
+// warmSource is e itself, or with warm the dataset exec.Warm drains
+// from it at four workers.
+func warmSource(t *testing.T, e *Engine, warm bool) exec.Source {
+	t.Helper()
+	if !warm {
+		return e
+	}
+	ds, err := exec.Warm(context.Background(), e, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exec.NewDatasetSource(ds)
+}
+
 // TestEngineAgreesWithReferenceAtEveryBudget runs every task at every
-// budget, cold and after Warm, and holds it to core.RunReference over
-// the generating dataset bit for bit.
+// budget, cold and over the dataset exec.Warm drained, and holds it to
+// core.RunReference over the generating dataset bit for bit.
 func TestEngineAgreesWithReferenceAtEveryBudget(t *testing.T) {
 	dir := t.TempDir()
 	ds := buildSegments(t, dir, 8, 15, 64)
 	for _, b := range budgets(64) {
 		e := pagedEngine(t, dir, b.bytes)
 		for _, warm := range []bool{false, true} {
-			if warm {
-				if err := e.Warm(); err != nil {
-					t.Fatal(err)
-				}
-			}
+			src := warmSource(t, e, warm)
 			for _, task := range core.Tasks {
 				spec := core.Spec{Task: task, K: 2, Workers: 4}
 				want, err := core.RunReference(ds, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := e.Run(spec)
+				got, err := exec.Run(src, spec)
 				if err != nil {
 					t.Fatalf("%v %s warm=%v: %v", task, b.name, warm, err)
 				}
@@ -431,55 +392,6 @@ func TestEngineAgreesWithReferenceAtEveryBudget(t *testing.T) {
 	}
 }
 
-// TestWarmSimilarityRunsShareOnePacking: after a Warm at budget 0, a
-// similarity run at four workers reads the engine's one cursor, the
-// decoded matrix's DatasetCursor, not its range shards, so two runs pack
-// nothing: they share the decoded matrix's cached FlatMatrix, which
-// adopted the decoded buffer, and neither allocates a fraction of the
-// matrix.
-func TestWarmSimilarityRunsShareOnePacking(t *testing.T) {
-	dir := t.TempDir()
-	ds := buildSegments(t, dir, 12, 365, 1024)
-	e := pagedEngine(t, dir, 0)
-	if err := e.Warm(); err != nil {
-		t.Fatal(err)
-	}
-	spec := core.Spec{Task: core.TaskSimilarity, K: 3, Workers: 4}
-	want, err := core.RunReference(ds, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matrix := uint64(len(ds.Series) * len(ds.Series[0].Readings) * 8)
-	var first *timeseries.FlatMatrix
-	for run := 0; run < 2; run++ {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		got, err := e.Run(spec)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertResultsIdentical(t, core.TaskSimilarity, got, want)
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > matrix/4 {
-			t.Fatalf("run %d allocated %d bytes against a %d-byte matrix: it packed the rows again", run, alloc, matrix)
-		}
-		m, err := e.decoded.Flat()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !m.Shared() || &m.Data()[0] != &e.decoded.Series[0].Readings[0] {
-			t.Fatal("the cached packing is not the decoded buffer")
-		}
-		if first == nil {
-			first = m
-		} else if m != first {
-			t.Fatal("the second run packed the matrix again")
-		}
-	}
-}
-
-// assertResultsIdentical requires bit-identical task outputs.
 func assertResultsIdentical(t *testing.T, task core.Task, got, want *core.Results) {
 	t.Helper()
 	if got.Count() != want.Count() {

@@ -3,8 +3,8 @@ package colstore
 import "sync"
 
 // The pager is the block cache in front of the segment file. Every
-// reader of it — the cursors, a snapshot's base columns, Warm — is a
-// full ascending scan, and a scan over a store larger than the cache
+// reader of it — the cursors and a snapshot's base columns — is a full
+// ascending scan, and a scan over a store larger than the cache
 // never meets a block again before a least-recently-used cache has
 // dropped it (the hit counter of the LRU this replaced read zero on
 // every task). So the cache admits instead of evicting: a decoded block

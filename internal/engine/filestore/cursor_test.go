@@ -72,27 +72,6 @@ func TestCursorConformance(t *testing.T) {
 			return cur
 		})
 	})
-
-	t.Run("WarmDatasetCursor", func(t *testing.T) {
-		src, err := meterdata.WritePartitioned(t.TempDir(), ds, meterdata.FormatReadingPerLine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := New()
-		if _, err := e.Load(src); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Warm(); err != nil {
-			t.Fatal(err)
-		}
-		cursortest.Run(t, func(t *testing.T) core.Cursor {
-			cur, err := cursortest.Open(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return cur
-		})
-	})
 }
 
 func TestPartitionConformance(t *testing.T) {
@@ -129,21 +108,6 @@ func TestPartitionConformance(t *testing.T) {
 		}
 		e := New()
 		if _, err := e.LoadDirect(src); err != nil {
-			t.Fatal(err)
-		}
-		cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })
-	})
-
-	t.Run("Warm", func(t *testing.T) {
-		src, err := meterdata.WritePartitioned(t.TempDir(), ds, meterdata.FormatReadingPerLine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := New()
-		if _, err := e.Load(src); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Warm(); err != nil {
 			t.Fatal(err)
 		}
 		cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })

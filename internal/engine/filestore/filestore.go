@@ -11,8 +11,10 @@
 //     time, while an unpartitioned source must first be read whole into
 //     an in-memory index before consumers can be extracted — the paper's
 //     explanation for Figure 5's partitioning gap.
-//   - An explicit Warm step materializes everything into memory arrays,
-//     separating cold-start from warm-start runs (Figure 6).
+//
+// Warm start (Figure 6, Matlab's matrices loaded before the timed
+// algorithm) is exec.Warm's, as on every engine: the cursors drained
+// once into one packed dataset in memory.
 //
 // All four statistical operators come "built in" (the shared analytics
 // libraries), matching Table 1's Matlab column except cosine similarity,
@@ -38,7 +40,6 @@ type Engine struct {
 	// unpartitioned source.
 	splitDir string
 	src      *meterdata.Source
-	cache    *timeseries.Dataset
 }
 
 // Option configures the engine.
@@ -78,7 +79,6 @@ func (e *Engine) Capabilities() core.Capabilities {
 // splits into one file per consumer (the preparation step the paper
 // timed for Matlab in Figure 4).
 func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
-	e.cache = nil
 	if src.Partitioned {
 		e.src = src
 		return e.countStats(src)
@@ -107,7 +107,6 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 // LoadDirect records the source without splitting, for experiments that
 // compare partitioned against unpartitioned access (Figure 5).
 func (e *Engine) LoadDirect(src *meterdata.Source) (*core.LoadStats, error) {
-	e.cache = nil
 	e.src = src
 	return e.countStats(src)
 }
@@ -124,25 +123,9 @@ func (e *Engine) countStats(src *meterdata.Source) (*core.LoadStats, error) {
 	return &core.LoadStats{Consumers: len(ds.Series), Readings: readings}, nil
 }
 
-// Warm reads all data into in-memory arrays, like loading Matlab
-// matrices before timing an algorithm (Figure 6's warm start).
-func (e *Engine) Warm() error {
-	if e.src == nil {
-		return fmt.Errorf("filestore: %w", core.ErrNotLoaded)
-	}
-	ds, err := meterdata.ReadDataset(e.src)
-	if err != nil {
-		return fmt.Errorf("filestore: warm: %w", err)
-	}
-	e.cache = ds
-	return nil
-}
-
-// Release implements core.Engine.
-func (e *Engine) Release() error {
-	e.cache = nil
-	return nil
-}
+// Release implements core.Engine. The engine holds nothing between
+// runs.
+func (e *Engine) Release() error { return nil }
 
 // Run implements core.Engine by handing the engine's cursor to the
 // shared execution pipeline.
@@ -160,9 +143,8 @@ func (e *Engine) RunContext(ctx context.Context, spec core.Spec) (*core.Results,
 }
 
 // NewCursors implements core.PartitionedSource. Partitions mirror the
-// engine's native extraction paths: the in-memory arrays' after Warm
-// (core.NewDatasetCursors), contiguous shards of the per-consumer file
-// list for a partitioned source, read one consumer file at a time (the
+// engine's native extraction paths: contiguous shards of the
+// per-consumer file list for a partitioned source, read one consumer file at a time (the
 // list is in ascending household order by construction), and
 // consumer-ID ranges of the shared big-file index for an unpartitioned
 // reading-per-line source (§5.3.1). An unpartitioned series-per-line
@@ -174,9 +156,6 @@ func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	}
 	if e.src == nil {
 		return nil, fmt.Errorf("filestore: %w", core.ErrNotLoaded)
-	}
-	if e.cache != nil {
-		return core.NewDatasetCursors(e.cache, max), nil
 	}
 	if e.src.Partitioned {
 		paths := e.src.Paths()
@@ -206,9 +185,6 @@ func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 
 // Temperature implements core.Engine.
 func (e *Engine) Temperature() (*timeseries.Temperature, error) {
-	if e.cache != nil {
-		return e.cache.Temperature, nil
-	}
 	if e.src == nil {
 		return nil, fmt.Errorf("filestore: %w", core.ErrNotLoaded)
 	}
@@ -244,11 +220,7 @@ func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
 	if err != nil {
 		return err
 	}
-	if err := meterdata.AppendToSource(e.src, delta, len(temp.Values)); err != nil {
-		return err
-	}
-	e.cache = nil
-	return nil
+	return meterdata.AppendToSource(e.src, delta, len(temp.Values))
 }
 
 var _ core.DeltaAppender = (*Engine)(nil)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
-	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -128,56 +127,6 @@ func readBack(t *testing.T, ds *timeseries.Dataset) *timeseries.Dataset {
 	return back
 }
 
-func TestWarmUsesCache(t *testing.T) {
-	ds := makeDataset(t, 3, 10)
-	src, err := meterdata.WritePartitioned(t.TempDir(), ds, meterdata.FormatReadingPerLine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New()
-	if _, err := e.Load(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Warm(); err != nil {
-		t.Fatal(err)
-	}
-	if e.cache == nil {
-		t.Fatal("warm did not cache")
-	}
-	r, err := e.Run(core.Spec{Task: core.TaskPAR})
-	if err != nil || r.Count() != 3 {
-		t.Fatalf("warm run: %d, %v", r.Count(), err)
-	}
-	if err := e.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if e.cache != nil {
-		t.Error("release kept cache")
-	}
-}
-
-// TestWarmSimilarityRunsShareOnePacking: a warm similarity run at four
-// workers reads the cached dataset's DatasetCursor, not its range
-// shards, so a second run reuses the packing the first cached.
-func TestWarmSimilarityRunsShareOnePacking(t *testing.T) {
-	src, err := meterdata.WritePartitioned(t.TempDir(), makeDataset(t, 12, 365), meterdata.FormatReadingPerLine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := meterdata.ReadDataset(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New()
-	if _, err := e.Load(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Warm(); err != nil {
-		t.Fatal(err)
-	}
-	cursortest.RunWarmSimilarity(t, e, ref, func() *timeseries.Dataset { return e.cache })
-}
-
 func TestParallelMatchesSequential(t *testing.T) {
 	ds := makeDataset(t, 6, 20)
 	src, err := meterdata.WritePartitioned(t.TempDir(), ds, meterdata.FormatReadingPerLine)
@@ -215,9 +164,6 @@ func TestRunWithoutLoad(t *testing.T) {
 	e := New()
 	if _, err := e.Run(core.Spec{Task: core.TaskHistogram}); err == nil || !errors.Is(err, core.ErrNotLoaded) {
 		t.Errorf("err = %v, want ErrNotLoaded", err)
-	}
-	if err := e.Warm(); err == nil || !errors.Is(err, core.ErrNotLoaded) {
-		t.Errorf("warm err = %v", err)
 	}
 }
 

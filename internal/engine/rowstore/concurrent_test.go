@@ -152,9 +152,9 @@ func TestParallelDrainSmallPool(t *testing.T) {
 }
 
 // TestConcurrentMissReadsOnce has four readers read the same households
-// at once through a pool that holds the whole table, as Temperature and
-// materialize read: a page two readers miss on together is read from the
-// file once and seen by both, so the miss count is the serial pass's.
+// at once through a pool that holds the whole table, as Temperature
+// reads: a page two readers miss on together is read from the file
+// once and seen by both, so the miss count is the serial pass's.
 // Cursors read through rings of their own, which a lagging reader may
 // find recycled; TestFailedRunRead holds the wait on a ring's run.
 func TestConcurrentMissReadsOnce(t *testing.T) {

@@ -44,24 +44,6 @@ func TestCursorConformance(t *testing.T) {
 			return cur
 		})
 	})
-
-	t.Run("WarmDatasetCursor", func(t *testing.T) {
-		e := New(t.TempDir())
-		defer e.Close()
-		if _, err := e.Load(src); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Warm(); err != nil {
-			t.Fatal(err)
-		}
-		cursortest.Run(t, func(t *testing.T) core.Cursor {
-			cur, err := cursortest.Open(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return cur
-		})
-	})
 }
 
 func TestPartitionConformance(t *testing.T) {
@@ -71,18 +53,6 @@ func TestPartitionConformance(t *testing.T) {
 		e := New(t.TempDir())
 		defer e.Close()
 		if _, err := e.Load(src); err != nil {
-			t.Fatal(err)
-		}
-		cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })
-	})
-
-	t.Run("Warm", func(t *testing.T) {
-		e := New(t.TempDir())
-		defer e.Close()
-		if _, err := e.Load(src); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Warm(); err != nil {
 			t.Fatal(err)
 		}
 		cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource { return e })

@@ -198,7 +198,6 @@ func (e *Engine) Crash() {
 		_ = e.pf.close()
 	}
 	e.pf, e.bp, e.table = nil, nil, nil
-	e.cache = nil
 	e.temp.Store(nil)
 	e.live = nil
 	e.ckptAppended = 0

@@ -19,8 +19,8 @@ import (
 // 24 MiB, echoing the paper's shared_buffers=3072MB scaled to bench
 // size). Frames are made as pages are first read. A cursor's heap walk
 // and leaf-chain scan read through its own 256 KiB ring instead, so the
-// pool holds only what descents from the root, writers, Temperature and
-// Warm touch.
+// pool holds only what descents from the root, writers and Temperature
+// touch.
 const DefaultPoolPages = 3072
 
 // Engine is the PostgreSQL/MADLib analogue.
@@ -52,7 +52,6 @@ type Engine struct {
 	bp    *bufferPool
 	table *table
 	ids   []timeseries.ID
-	cache *timeseries.Dataset
 	// temp is the temperature column, published once by whichever reader
 	// decodes it first and cleared with the state it was read from.
 	temp atomic.Pointer[timeseries.Temperature]
@@ -235,7 +234,6 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 	for _, s := range ds.Series {
 		e.ids = append(e.ids, s.ID)
 	}
-	e.cache = nil
 	e.temp.Store(ds.Temperature)
 	return &core.LoadStats{
 		Consumers:    len(ds.Series),
@@ -285,34 +283,17 @@ func (e *Engine) Open() error {
 	e.layout = m.layout
 	e.pf, e.bp, e.table = pf, bp, tb
 	e.ids = ids
-	e.cache = nil
 	e.temp.Store(nil)
 	return nil
 }
 
-// Warm implements the benchmark's warm start: it extracts every series
-// from the stored pages into memory (the paper's "run SELECT queries to
-// extract the data we need").
-func (e *Engine) Warm() error {
-	if e.table == nil {
-		return fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
-	}
-	ds, err := e.materialize()
-	if err != nil {
-		return err
-	}
-	e.cache = ds
-	return nil
-}
-
-// Release implements core.Engine: drops the tuple cache and empties the
-// buffer pool, so the next Run pays cold-start I/O again. With the
+// Release implements core.Engine: drops the temperature column and
+// empties the buffer pool, so the next Run pays cold-start I/O again. With the
 // write-ahead log armed, the pool's dirty pages cannot be written back
 // in place (no-steal), so a checkpoint folds them atomically first.
 func (e *Engine) Release() error {
 	e.readMu.Lock()
 	defer e.readMu.Unlock()
-	e.cache = nil
 	e.temp.Store(nil)
 	if e.bp == nil {
 		return nil
@@ -355,34 +336,16 @@ func (e *Engine) closeStorage() error {
 		first = err
 	}
 	e.pf, e.bp, e.table = nil, nil, nil
-	e.cache = nil
 	e.temp.Store(nil)
 	e.live = nil
 	e.ckptAppended = 0
 	return first
 }
 
-// materialize extracts the full dataset from stored tuples.
-func (e *Engine) materialize() (*timeseries.Dataset, error) {
-	series := make([]*timeseries.Series, 0, len(e.ids))
-	for _, id := range e.ids {
-		s, err := e.readSeriesShared(id, basePrefix, nil)
-		if err != nil {
-			return nil, err
-		}
-		series = append(series, s)
-	}
-	temp := e.temp.Load()
-	if temp == nil {
-		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
-	}
-	return &timeseries.Dataset{Series: series, Temperature: temp}, nil
-}
-
 // Run implements core.Engine by handing the engine's cursor to the
 // shared execution pipeline. Cold runs extract each consumer with a
 // descent of the index and a walk along its run of heap pages, a heap
-// page at a time; warm runs reuse the in-memory arrays built by Warm.
+// page at a time.
 func (e *Engine) Run(spec core.Spec) (*core.Results, error) {
 	return e.RunContext(context.Background(), spec)
 }
@@ -405,17 +368,13 @@ func (e *Engine) RunContext(ctx context.Context, spec core.Spec) (*core.Results,
 // holding the table latch shared and at most two pins on pool frames (a
 // leaf and a heap page; what it reads through its own ring is outside
 // the pool), so the pool caps how many are handed out: a parallel run
-// must not exhaust a pool the serial run fits in. After Warm they are
-// the in-memory arrays' (core.NewDatasetCursors).
+// must not exhaust a pool the serial run fits in.
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("rowstore: NewCursors: max must be >= 1, got %d", max)
 	}
 	if e.table == nil {
 		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
-	}
-	if e.cache != nil {
-		return core.NewDatasetCursors(e.cache, max), nil
 	}
 	return e.rangeCursors(e.ids, nil, max), nil
 }
@@ -498,9 +457,6 @@ func (e *Engine) readSeriesShared(id timeseries.ID, upTo int, rd *reader) (*time
 // alongside the first consumer's tuples and cached until the next
 // Load/Open/Release.
 func (e *Engine) Temperature() (*timeseries.Temperature, error) {
-	if e.cache != nil {
-		return e.cache.Temperature, nil
-	}
 	if e.table == nil {
 		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
 	}
@@ -568,7 +524,6 @@ func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
 		}
 	}
 	e.table.setSeriesLen(e.table.seriesLen + n)
-	e.cache = nil
 	e.temp.Store(nil)
 	e.live = nil // series lengths changed; rebuild lazily
 	if err := writeMeta(e.bp, metaPage{

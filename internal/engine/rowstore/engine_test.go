@@ -12,7 +12,6 @@ import (
 
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/exec"
-	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -166,66 +165,10 @@ func compareResults(t *testing.T, got, want *core.Results) {
 	}
 }
 
-// TestWarmSimilarityRunsShareOnePacking: a warm similarity run at four
-// workers reads the cached dataset's DatasetCursor, not its range
-// shards, so a second run reuses the packing the first cached.
-func TestWarmSimilarityRunsShareOnePacking(t *testing.T) {
-	src, _ := writeSource(t, 12, 365)
-	ref, err := meterdata.ReadDataset(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(t.TempDir())
-	defer e.Close()
-	if _, err := e.Load(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Warm(); err != nil {
-		t.Fatal(err)
-	}
-	cursortest.RunWarmSimilarity(t, e, ref, func() *timeseries.Dataset { return e.cache })
-}
-
-func TestEngineWarmAndRelease(t *testing.T) {
-	src, _ := writeSource(t, 3, 20)
-	e := New(t.TempDir())
-	defer e.Close()
-	if _, err := e.Load(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Warm(); err != nil {
-		t.Fatal(err)
-	}
-	if e.cache == nil {
-		t.Fatal("warm did not populate cache")
-	}
-	r, err := e.Run(core.Spec{Task: core.TaskHistogram})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Count() != 3 {
-		t.Errorf("count = %d", r.Count())
-	}
-	if err := e.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if e.cache != nil {
-		t.Error("release kept cache")
-	}
-	// Still runnable cold after release.
-	r, err = e.Run(core.Spec{Task: core.TaskHistogram})
-	if err != nil || r.Count() != 3 {
-		t.Errorf("cold rerun: count=%d err=%v", r.Count(), err)
-	}
-}
-
 func TestEngineRunWithoutLoad(t *testing.T) {
 	e := New(t.TempDir())
 	if _, err := e.Run(core.Spec{Task: core.TaskHistogram}); err == nil || !errors.Is(err, core.ErrNotLoaded) {
 		t.Errorf("err = %v, want ErrNotLoaded", err)
-	}
-	if err := e.Warm(); err == nil || !errors.Is(err, core.ErrNotLoaded) {
-		t.Errorf("warm err = %v", err)
 	}
 }
 

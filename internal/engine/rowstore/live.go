@@ -17,9 +17,9 @@ import (
 // every writer appends to) and makes batches atomic with respect to
 // snapshots and readers, who hold the same latch shared, for free.
 //
-// Visibility. table.seriesLen is the published base length: NewCursors,
-// Run and Warm keep reading exactly the seriesLen prefix, so the base
-// view is stable while ingestion runs. Snapshot captures the
+// Visibility. table.seriesLen is the published base length: NewCursors
+// and Run keep reading exactly the seriesLen prefix, so the base view
+// is stable while ingestion runs. Snapshot captures the
 // per-household live lengths and serves the full committed state
 // through truncating prefix reads (readSeriesShared), so a snapshot at
 // epoch E never observes a batch committed after E.

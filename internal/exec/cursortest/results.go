@@ -1,12 +1,10 @@
 package cursortest
 
 import (
-	"runtime"
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/stats"
-	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
 // CompareResults fails the test unless got agrees bit-for-bit with
@@ -73,49 +71,6 @@ func CompareResults(t *testing.T, got, want *core.Results) {
 				!stats.ExactEqual(g.Matches[j].Score, w.Matches[j].Score) {
 				t.Fatalf("similar %d match %d differs", i, j)
 			}
-		}
-	}
-}
-
-// RunWarmSimilarity holds a warm engine's similarity runs at four
-// workers to one packing of its warm dataset, which cache returns: two
-// runs agree with the reference over ref, and the second packs nothing
-// (the dataset's cached FlatMatrix is the one the first run left) and
-// allocates less than a quarter of the matrix. It holds only if the
-// run reads the engine's whole-dataset cursor (core.DatasetCursor), not
-// range shards drained into a matrix of the run's own.
-func RunWarmSimilarity(t *testing.T, e core.Engine, ref *timeseries.Dataset, cache func() *timeseries.Dataset) {
-	t.Helper()
-	spec := core.Spec{Task: core.TaskSimilarity, K: 3, Workers: 4}
-	want, err := core.RunReference(ref, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matrix := uint64(len(ref.Series) * len(ref.Series[0].Readings) * 8)
-	var first *timeseries.FlatMatrix
-	for run := 0; run < 2; run++ {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		got, err := e.Run(spec)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		CompareResults(t, got, want)
-		m, err := cache().Flat()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if run == 0 {
-			first = m
-			continue
-		}
-		if m != first {
-			t.Fatal("the second run packed the warm dataset again")
-		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > matrix/4 {
-			t.Fatalf("the second run allocated %d bytes against a %d-byte matrix: it packed the rows again", alloc, matrix)
 		}
 	}
 }

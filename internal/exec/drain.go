@@ -33,38 +33,12 @@ import (
 // interleave, and may not hint) the series are put in ID order and the
 // kernel's Flat copies them into a packing, as it would any dataset.
 
-// openDrain opens the cursors a similarity run drains. A warm engine's
-// NewCursors(1) is a core.DatasetCursor over the dataset it holds, which
-// drainDataset screens in place, keeping the packing the dataset caches;
-// its partitions are range shards of that dataset, which the pipeline
-// tasks fan out over. So the one cursor is opened first, and up to
-// workers partitions only when it is not that.
-func openDrain(ctx context.Context, src Source, workers int, ph *core.Phases) ([]core.Cursor, error) {
-	curs, err := openCursors(ctx, src, 1, ph)
-	if err != nil || workers == 1 || len(curs) == 0 {
-		return curs, err
-	}
-	if _, warm := curs[0].(core.DatasetCursor); warm {
-		return curs, nil
-	}
-	_ = curs[0].Close()
-	return openCursors(ctx, src, workers, ph)
-}
-
 // drainDataset reads the cursors into one dataset in ascending
 // household-ID order, a goroutine per cursor when there are several,
 // and closes them. The lowest failing partition's error wins, and a
 // failure stops the partitions after it (eachPartition); cancelling ctx
-// stops every partition. The one cursor of a warm engine, a
-// core.DatasetCursor, is not drained: its dataset is screened in place,
-// keeping the packing it caches.
+// stops every partition.
 func drainDataset(ctx context.Context, curs []core.Cursor, temp *timeseries.Temperature, cn *contain) (*timeseries.Dataset, error) {
-	if len(curs) == 1 {
-		if dc, ok := curs[0].(core.DatasetCursor); ok {
-			defer func() { _ = dc.Close() }()
-			return screenDataset(ctx, dc.Dataset(), cn)
-		}
-	}
 	length := 0
 	if temp != nil {
 		length = len(temp.Values)

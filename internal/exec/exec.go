@@ -35,10 +35,15 @@
 //
 // The whole-dataset similarity task drains the partitions, one
 // goroutine each, into one row-major buffer that becomes the blocked
-// kernel's packed matrix without a copy (drain.go); a warm engine's
-// DatasetCursor is not drained, so the dataset's cached packing
-// survives. On both paths the lowest failing partition's error is the
-// run's, and a failure stops the partitions after it (eachPartition).
+// kernel's packed matrix without a copy (drain.go). On both paths the
+// lowest failing partition's error is the run's, and a failure stops
+// the partitions after it (eachPartition).
+//
+// Warm start (Figure 6) is one step above the engines, the same on all
+// five: Warm drains a source once into a packed dataset, and warm runs
+// read it through NewDatasetSource, whose range shards the
+// per-consumer tasks fan out over and whose dataset a similarity run
+// screens in place, so its cached packing serves every run (warm.go).
 //
 // # Failure containment
 //
@@ -87,20 +92,6 @@ import (
 type Source interface {
 	core.PartitionedSource
 	Temperature() (*timeseries.Temperature, error)
-}
-
-// NewDatasetSource adapts an in-memory dataset to Source: the minimal
-// engine, whose cursors are a warm engine's (core.NewDatasetCursors).
-func NewDatasetSource(ds *timeseries.Dataset) Source { return datasetSource{ds: ds} }
-
-type datasetSource struct{ ds *timeseries.Dataset }
-
-func (s datasetSource) NewCursors(max int) ([]core.Cursor, error) {
-	return core.NewDatasetCursors(s.ds, max), nil
-}
-
-func (s datasetSource) Temperature() (*timeseries.Temperature, error) {
-	return s.ds.Temperature, nil
 }
 
 // Extraction retry schedule for transient per-consumer errors under
@@ -396,21 +387,14 @@ func eachPartition(ctx context.Context, n int, f func(ctx context.Context, p int
 // overlaps, so extract is the drain's wall time.
 func runSimilarity(ctx context.Context, src Source, temp *timeseries.Temperature, spec core.Spec, workers int, out *core.Results, cn *contain) error {
 	ph := out.Phases
-	curs, err := openDrain(ctx, src, workers, ph)
-	if err != nil {
-		return err
-	}
-
-	start := time.Now()
-	ds, err := drainDataset(ctx, curs, temp, cn)
-	ph.Extract.Wall += time.Since(start)
+	ds, err := extractDataset(ctx, src, temp, workers, cn, ph)
 	if err != nil {
 		return err
 	}
 	ph.Extract.Rows += int64(len(ds.Series))
 	ph.Extract.Bytes += seriesBytes(ds.Series)
 
-	start = time.Now()
+	start := time.Now()
 	rs, err := safeSimilarity(ds, spec.K, workers)
 	ph.Compute.Wall += time.Since(start)
 	ph.Compute.Rows += int64(len(ds.Series))
@@ -423,6 +407,27 @@ func runSimilarity(ctx context.Context, src Source, temp *timeseries.Temperature
 	ph.Emit.Wall += time.Since(start)
 	ph.Emit.Rows += int64(len(rs))
 	return nil
+}
+
+// extractDataset is a similarity run's extract stage. An in-memory
+// dataset (NewDatasetSource, a warm run's) is screened in place, so the
+// packing it caches survives; any other source opens up to workers
+// partitions, once, and drains them into one matrix (drainDataset).
+func extractDataset(ctx context.Context, src Source, temp *timeseries.Temperature, workers int, cn *contain, ph *core.Phases) (*timeseries.Dataset, error) {
+	if d, ok := src.(datasetSource); ok {
+		start := time.Now()
+		ds, err := screenDataset(ctx, d.ds, cn)
+		ph.Extract.Wall += time.Since(start)
+		return ds, err
+	}
+	curs, err := openCursors(ctx, src, workers, ph)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	ds, err := drainDataset(ctx, curs, temp, cn)
+	ph.Extract.Wall += time.Since(start)
+	return ds, err
 }
 
 // safeSimilarity runs the all-pairs kernel with a panic backstop: the

@@ -123,10 +123,13 @@ func TestRunUnknownTask(t *testing.T) {
 	}
 }
 
-func TestDatasetCursorConformance(t *testing.T) {
-	ds := makeDataset(t, 5, 10)
-	cursortest.Run(t, func(t *testing.T) core.Cursor {
-		return core.NewDatasetCursor(ds)
+// TestDatasetSourcePartitionConformance holds an in-memory dataset's
+// range shards to the partition contract, and each shard to the cursor
+// contract.
+func TestDatasetSourcePartitionConformance(t *testing.T) {
+	ds := makeDataset(t, 7, 10)
+	cursortest.RunPartitioned(t, cursortest.IDs(ds), func(t *testing.T) core.PartitionedSource {
+		return NewDatasetSource(ds)
 	})
 }
 

@@ -15,11 +15,7 @@ func DrainDataset(ctx context.Context, src Source, workers int, policy core.Fail
 	if err != nil {
 		return nil, err
 	}
-	curs, err := openDrain(ctx, src, workers, &core.Phases{})
-	if err != nil {
-		return nil, err
-	}
-	return drainDataset(ctx, curs, temp, &contain{policy: policy})
+	return extractDataset(ctx, src, temp, workers, &contain{policy: policy}, &core.Phases{})
 }
 
 // Block is how many series a partition extracts per kernel slot.

@@ -16,11 +16,11 @@ import (
 )
 
 // partitionedSource is the minimal Source for the partition loop's
-// tests: an in-memory dataset answered as a warm engine answers
-// (core.NewDatasetCursors), or sharded into contiguous ID ranges that
-// are not DatasetCursors (cold, like the storage engines' cold
-// cursors), or round-robin (like the cluster engines' hash partitions,
-// whose ID ranges interleave).
+// tests: an in-memory dataset answered as NewDatasetSource answers, or
+// sharded into contiguous ID ranges of lazy cursors that hint no size
+// until loaded (cold, like a storage engine's), or round-robin (like
+// the cluster engines' hash partitions, whose ID ranges interleave). It
+// is not NewDatasetSource's type, so a similarity run drains it.
 type partitionedSource struct {
 	ds         *timeseries.Dataset
 	roundRobin bool
@@ -57,7 +57,7 @@ func (s partitionedSource) NewCursors(max int) ([]core.Cursor, error) {
 			curs = append(curs, lazyPart(s.ds.Series[r[0]:r[1]]))
 		}
 	default:
-		curs = core.NewDatasetCursors(s.ds, max)
+		curs, _ = NewDatasetSource(s.ds).NewCursors(max)
 	}
 	if s.handed != nil {
 		*s.handed = len(curs)
@@ -65,7 +65,7 @@ func (s partitionedSource) NewCursors(max int) ([]core.Cursor, error) {
 	return curs, nil
 }
 
-// lazyPart is a partition cursor over part that is not a DatasetCursor.
+// lazyPart is a partition cursor over part that hints no size until loaded.
 func lazyPart(part []*timeseries.Series) core.Cursor {
 	return core.NewLazyCursor(func(context.Context) ([]*timeseries.Series, error) { return part, nil }, nil)
 }
@@ -149,11 +149,8 @@ func TestOneWorkerRunsInline(t *testing.T) {
 }
 
 // TestPartitionsAnyCursorCount: at Workers > 1 the run loops over whatever
-// the source hands it — one partition, none, or the one DatasetCursor
-// of an in-memory store that does not split — and similarity drains
-// the same partitions: one NewCursors call at the worker count, after
-// the NewCursors(1) it opens first to see whether the source is a warm
-// engine.
+// the source hands it — one partition, none, or one shard of an
+// in-memory dataset — after one NewCursors call at the worker count.
 func TestPartitionsAnyCursorCount(t *testing.T) {
 	ds := makeDataset(t, 6, 20)
 	empty := &timeseries.Dataset{Temperature: ds.Temperature}
@@ -188,35 +185,30 @@ func TestPartitionsAnyCursorCount(t *testing.T) {
 			})
 		}
 	}
+}
 
-	// A warm source's NewCursors(1) is a DatasetCursor, which similarity
-	// reads instead of partitions. Behind one that is not, it drains
-	// four partitions.
-	for _, cold := range []bool{false, true} {
-		t.Run(fmt.Sprintf("similarity_cold=%v", cold), func(t *testing.T) {
-			var asked []int
-			var handed int
-			src := partitionedSource{ds: ds, cold: cold, asked: &asked, handed: &handed}
-			wantAsked, wantHanded := []int{1}, 1
-			if cold {
-				wantAsked, wantHanded = []int{1, 4}, 4
-			}
-			spec := core.Spec{Task: core.TaskSimilarity, K: 2, Workers: 4}
-			got, err := Run(src, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(asked, wantAsked) || handed != wantHanded {
-				t.Errorf("NewCursors asked for %v, %d partitions; want %v and %d",
-					asked, handed, wantAsked, wantHanded)
-			}
-			want, err := core.RunReference(ds, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareResults(t, got, want)
-		})
+// TestColdSimilarityOpensCursorsOnce: a similarity run at four workers
+// over a source that is not an in-memory dataset opens its partitions
+// with one NewCursors call, at the worker count, and drains the four it
+// is handed.
+func TestColdSimilarityOpensCursorsOnce(t *testing.T) {
+	ds := makeDataset(t, 6, 20)
+	var asked []int
+	var handed int
+	src := partitionedSource{ds: ds, cold: true, asked: &asked, handed: &handed}
+	spec := core.Spec{Task: core.TaskSimilarity, K: 2, Workers: 4}
+	got, err := Run(src, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !slices.Equal(asked, []int{4}) || handed != 4 {
+		t.Errorf("NewCursors asked for %v, %d partitions; want [4] and 4", asked, handed)
+	}
+	want, err := core.RunReference(ds, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, got, want)
 }
 
 // TestPartitionsPhaseAccounting checks the busy-time counters: exact row

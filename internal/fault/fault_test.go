@@ -79,10 +79,20 @@ func TestDecideIsDeterministicAndOrderFree(t *testing.T) {
 	}
 }
 
+// datasetCursor opens one cursor over every series of ds.
+func datasetCursor(t *testing.T, ds *timeseries.Dataset) core.Cursor {
+	t.Helper()
+	curs, err := exec.NewDatasetSource(ds).NewCursors(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return curs[0]
+}
+
 func TestCorruptWindowKeepsEdges(t *testing.T) {
 	cfg := fault.Config{Seed: 9, Corrupt: 1}
 	ds := makeDataset(t, 10, 7)
-	cur := fault.WrapCursor(core.NewDatasetCursor(ds), cfg)
+	cur := fault.WrapCursor(datasetCursor(t, ds), cfg)
 	defer cur.Close()
 	n := 0
 	for {
@@ -339,7 +349,7 @@ func TestDelayedCursorIsCancellable(t *testing.T) {
 func TestResetReplaysIdenticalFaults(t *testing.T) {
 	ds := makeDataset(t, 30, 7)
 	cfg := mixedConfig()
-	cur := fault.WrapCursor(core.NewDatasetCursor(ds), cfg)
+	cur := fault.WrapCursor(datasetCursor(t, ds), cfg)
 	defer cur.Close()
 	pass := func() (served []timeseries.ID, failed []timeseries.ID) {
 		for {

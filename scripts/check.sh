@@ -39,11 +39,14 @@ echo "== go test -race ./internal/exec/... ./internal/engine/... (partition loop
 go test -race ./internal/exec/... ./internal/engine/...
 
 # Chaos conformance: every engine cursor under injected faults and
-# mid-extract cancellation, raced. These tests also run inside the full
-# suite below, but a containment or leak regression should fail here
-# under its own name rather than somewhere inside "go test ./...".
-echo "== go test -race -run 'Chaos|Cancel|Fault' ./... (fault containment + cancellation)"
-go test -race -run 'Chaos|Cancel|Fault' ./...
+# mid-extract cancellation, raced, and the warm step (exec.Warm: a
+# goroutine per partition writing into one shared buffer) on every
+# engine, cancelled mid-drain included. These tests also run inside the
+# full suite below, but a containment, race or leak regression should
+# fail here under its own name rather than somewhere inside
+# "go test ./...".
+echo "== go test -race -run 'Chaos|Cancel|Fault|Warm' ./... (fault containment + cancellation + warm drain)"
+go test -race -run 'Chaos|Cancel|Fault|Warm' ./...
 
 # Recovery conformance: the deterministic crash-injection sweep (kill
 # ingestion at every counted disk op, reopen, demand bit-exact acked
