@@ -9,8 +9,8 @@ import (
 )
 
 // reader is what a cursor brings to readSeriesShared: the row its next
-// Next decodes into (core.RowTaker) and the ring its scans read through
-// (ring.go).
+// Next decodes into (core.RowTaker) and the ring its heap walks read
+// through (ring.go).
 type reader struct {
 	row  []float64
 	ring *pageRing

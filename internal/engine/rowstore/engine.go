@@ -18,9 +18,9 @@ import (
 // DefaultPoolPages is the default buffer pool capacity (3072 pages =
 // 24 MiB, echoing the paper's shared_buffers=3072MB scaled to bench
 // size). Frames are made as pages are first read. A cursor's heap walk
-// and leaf-chain scan read through its own 256 KiB ring instead, so the
-// pool holds only what descents from the root, writers and Temperature
-// touch.
+// reads through its own 256 KiB ring instead, so the pool holds what
+// descents from the root, the index phase (a live household's leaves
+// and heap pages), writers and Temperature touch.
 const DefaultPoolPages = 3072
 
 // Engine is the PostgreSQL/MADLib analogue.
@@ -412,10 +412,10 @@ const basePrefix = -1
 // none. A snapshot read passes the household length it captured, so
 // tuples appended after the capture are skipped. A cursor passes its
 // reader: the series decodes into the row it took, when that has the
-// length, and the scan reads through the cursor's ring; other callers
-// pass nil and read through the pool into a fresh row. A taken row may
-// hold an earlier series: the read overwrites every hour, and hours the
-// household does not store read as zero (seriesRead.read).
+// length, and its heap walk reads through the cursor's ring; other
+// callers pass nil and read through the pool into a fresh row. A taken
+// row may hold an earlier series: the read overwrites every hour, and
+// hours the household does not store read as zero (seriesRead.read).
 func (e *Engine) readSeriesShared(id timeseries.ID, upTo int, rd *reader) (*timeseries.Series, error) {
 	e.readMu.RLock()
 	defer e.readMu.RUnlock()

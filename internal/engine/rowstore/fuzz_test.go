@@ -15,14 +15,19 @@ import (
 // FuzzRowstoreFile overwrites bytes of a table file, in either layout,
 // with arbitrary input at an arbitrary offset, then reopens the store,
 // whose cursors read it through their rings, runs the histogram task
-// under FailFast and Quarantine and drains a snapshot. The table holds
+// under FailFast and Quarantine, drains a snapshot, appends one more
+// hour of every household and drains a second snapshot. The table holds
 // three households of twelve days, each a run of several heap pages in
 // the row layout, and a day of live hours, a batch per hour, written
-// back at Close, which interleaves the households at the tail of the
-// heap: a snapshot walks each household's loaded run and breaks into
-// the index for its live hours. Each step must return data or an error:
-// nothing may panic, whether on the caller's goroutine or inside a
-// worker that recovers the panic into an error.
+// back at Close, which go on the page of each household's last tuple
+// while it has room: a snapshot walks each household's loaded run and
+// breaks into the index for its live hours. The append takes each
+// household's last-tuple TID from the index and checks it on the page
+// it names before placing the new tuple there, or goes to the heap
+// tail, whose header it checks before chaining a page to it. Each step
+// must return data or an error: nothing may panic, whether on the
+// caller's goroutine or inside a worker that recovers the panic into an
+// error.
 func FuzzRowstoreFile(f *testing.F) {
 	src, ds := writeSource(f, 3, 12)
 	ids := make([]timeseries.ID, len(ds.Series))
@@ -154,16 +159,23 @@ func FuzzRowstoreFile(f *testing.F) {
 				}
 			}
 		}
-		cur, _, err := e.Snapshot()
-		if err != nil {
-			return
-		}
-		defer cur.Close()
-		for {
-			if _, err := cur.Next(); err != nil {
+		drain := func() {
+			cur, _, err := e.Snapshot()
+			if err != nil {
 				return
 			}
+			defer cur.Close()
+			for {
+				if _, err := cur.Next(); err != nil {
+					return
+				}
+			}
 		}
+		drain()
+		if err := e.Append(hourBatch(ids, baseN+24)); err != nil {
+			return
+		}
+		drain()
 	})
 }
 

@@ -31,26 +31,26 @@ func heapInitPage(data []byte) {
 	putU32(data, 6, uint32(InvalidPage))
 }
 
-// heapPageFree returns the usable free bytes (accounting for the slot
-// entry a new tuple would need).
-func heapPageFree(data []byte) int {
-	free := int(getU16(data, 4)) - int(getU16(data, 2))
-	free -= slotSize
-	if free < 0 {
-		return 0
+// heapPageFree returns the bytes a new tuple may take on the page, net
+// of the slot entry it needs, and refuses a page whose header does not
+// describe one: the free space must start right after the slot array,
+// at or below where it ends, and end inside the page. Every insert
+// checks it first, so a damaged header is a corrupt page and never an
+// offset outside the page.
+func heapPageFree(data []byte) (int, error) {
+	n, start, end := int(getU16(data, 0)), int(getU16(data, 2)), int(getU16(data, 4))
+	if start != heapHeaderSize+n*slotSize || start > end || end > PageSize {
+		return 0, fmt.Errorf("rowstore: corrupt heap page: %d slots, free space [%d, %d)", n, start, end)
 	}
-	return free
+	return max(end-start-slotSize, 0), nil
 }
 
 // heapPageInsert places the tuple in the page and returns its slot.
-// The caller must have checked heapPageFree.
-func heapPageInsert(data []byte, tuple []byte) (uint16, error) {
+// The caller must have checked the page with heapPageFree and found
+// room for the tuple.
+func heapPageInsert(data []byte, tuple []byte) uint16 {
 	n := getU16(data, 0)
-	top := getU16(data, 4)
-	if int(top)-len(tuple) < int(getU16(data, 2))+slotSize {
-		return 0, fmt.Errorf("rowstore: page overflow inserting %d bytes", len(tuple))
-	}
-	top -= uint16(len(tuple))
+	top := getU16(data, 4) - uint16(len(tuple))
 	copy(data[top:], tuple)
 	slotOff := heapHeaderSize + int(n)*slotSize
 	putU16(data, slotOff, top)
@@ -58,7 +58,7 @@ func heapPageInsert(data []byte, tuple []byte) (uint16, error) {
 	putU16(data, 0, n+1)
 	putU16(data, 2, uint16(slotOff+slotSize))
 	putU16(data, 4, top)
-	return n, nil
+	return n
 }
 
 // heapPageTuple returns the bytes of one slot (a view into data).
@@ -124,37 +124,64 @@ func openHeapFile(bp *bufferPool, first PageID, tuples int64) (*heapFile, error)
 	}
 }
 
-// insert appends one tuple and returns its TID.
+// insert appends one tuple to the tail page, or to a fresh page chained
+// after it when the tail has no room, and returns its TID.
 func (h *heapFile) insert(tuple []byte) (TID, error) {
+	return h.place(h.last, nil, tuple)
+}
+
+// place puts one tuple on page near when that page has room and keep,
+// if given, accepts it, and otherwise on a fresh page chained at the
+// tail, and returns its TID. A near page that lies outside the file or
+// fails heapPageFree's checks is passed over like a full one; the tail
+// page a fresh page is chained to must pass them and end the chain, or
+// the link would cut the pages after it off the heap.
+func (h *heapFile) place(near PageID, keep func(page []byte) bool, tuple []byte) (TID, error) {
 	if len(tuple) > PageSize-heapHeaderSize-slotSize {
 		return TID{}, fmt.Errorf("rowstore: tuple of %d bytes exceeds page capacity", len(tuple))
 	}
+	if near < h.bp.pf.nPages {
+		fr, err := h.bp.fetch(near)
+		if err != nil {
+			return TID{}, err
+		}
+		if free, err := heapPageFree(fr.data[:]); err == nil && free >= len(tuple) && (keep == nil || keep(fr.data[:])) {
+			return h.put(fr, tuple)
+		}
+		h.bp.unpin(fr, false)
+	}
+	// Chain a fresh page.
 	fr, err := h.bp.fetch(h.last)
 	if err != nil {
 		return TID{}, err
 	}
-	if heapPageFree(fr.data[:]) < len(tuple) {
-		// Chain a fresh page.
-		nfr, err := h.bp.allocate()
-		if err != nil {
-			h.bp.unpin(fr, false)
-			return TID{}, err
-		}
-		heapInitPage(nfr.data[:])
-		heapPageSetNext(fr.data[:], nfr.id)
-		h.bp.unpin(fr, true)
-		h.last = nfr.id
-		fr = nfr
+	_, err = heapPageFree(fr.data[:])
+	if next := heapPageNext(fr.data[:]); err == nil && next != InvalidPage {
+		err = fmt.Errorf("rowstore: corrupt heap page: the tail links to page %d", next)
 	}
-	slot, err := heapPageInsert(fr.data[:], tuple)
+	if err != nil {
+		h.bp.unpin(fr, false)
+		return TID{}, fmt.Errorf("%w (heap tail page %d)", err, h.last)
+	}
+	nfr, err := h.bp.allocate()
 	if err != nil {
 		h.bp.unpin(fr, false)
 		return TID{}, err
 	}
-	tid := TID{Page: fr.id, Slot: slot}
+	heapInitPage(nfr.data[:])
+	heapPageSetNext(fr.data[:], nfr.id)
+	h.bp.unpin(fr, true)
+	h.last = nfr.id
+	return h.put(nfr, tuple)
+}
+
+// put inserts the tuple on the pinned page fr, which has room for it,
+// and unpins it.
+func (h *heapFile) put(fr *frame, tuple []byte) (TID, error) {
+	slot := heapPageInsert(fr.data[:], tuple)
 	h.bp.unpin(fr, true)
 	h.tuples++
-	return tid, nil
+	return TID{Page: fr.id, Slot: slot}, nil
 }
 
 // get copies the tuple at tid into a fresh slice.

@@ -72,7 +72,7 @@ func TestLastEntryMatchesRangeScan(t *testing.T) {
 				}
 				absent := []timeseries.ID{0, stored[len(stored)-1] + 1, math.MaxInt64}
 				for i, id := range stored {
-					hours, next, err := e.committedLen(id)
+					hours, next, _, err := e.committedLen(id)
 					if err != nil {
 						t.Fatalf("%s: household %d: %v", stage, id, err)
 					}
@@ -95,7 +95,7 @@ func TestLastEntryMatchesRangeScan(t *testing.T) {
 					if seq, found, err := e.table.maxSeq(id); err != nil || found {
 						t.Errorf("%s: absent household %d: maxSeq %d, %v, %v", stage, id, seq, found, err)
 					}
-					_, _, err := e.committedLen(id)
+					_, _, _, err := e.committedLen(id)
 					if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("household %d", id)) {
 						t.Errorf("%s: absent household %d: committedLen err = %v, want one naming it", stage, id, err)
 					}

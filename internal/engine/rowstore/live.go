@@ -14,8 +14,17 @@ import (
 // The whole batch is applied while holding readMu, the table latch,
 // exclusively, which makes writers serial (deliberately contrasting
 // colstore's sharded tail: this engine models one heap and one index
-// every writer appends to) and makes batches atomic with respect to
+// every writer inserts into) and makes batches atomic with respect to
 // snapshots and readers, who hold the same latch shared, for free.
+//
+// Placement. A household's live tuple goes on the heap page of its last
+// tuple while that page has room, and on a fresh page chained at the
+// heap tail otherwise (liveState.insert), so its live hours fill pages
+// of their own and a snapshot's index phase reads them a page at a time
+// through the pool, which keeps them for the next query. The page of a
+// household's last tuple is one TID in liveState.hints, taken at the
+// first touch from the last index entry committedLen reads, and checked
+// at the session's first insert.
 //
 // Visibility. table.seriesLen is the published base length: NewCursors
 // and Run keep reading exactly the seriesLen prefix, so the base view
@@ -50,8 +59,18 @@ type liveState struct {
 	appended int64                    // tuples inserted through live Append this session
 	lens     map[timeseries.ID]int    // household -> total committed hours
 	seqs     map[timeseries.ID]uint64 // next index sequence (LayoutArrays chunk seq)
+	hints    map[timeseries.ID]hint   // where each household's last tuple lies
 	ids      []timeseries.ID          // ascending, base + live-only households
 	temp     []float64                // full temperature column incl. live hours
+}
+
+// hint is the TID of a household's last tuple, whose page takes the
+// household's next live tuple while it has room (liveState.insert).
+// checked is false for a TID read from the index at the first touch
+// until the session's first insert has checked it.
+type hint struct {
+	tid     TID
+	checked bool
 }
 
 // ensureLive lazily builds the live state from the index. Callers hold
@@ -67,19 +86,21 @@ func (e *Engine) ensureLive() (*liveState, error) {
 		return nil, err
 	}
 	ls := &liveState{
-		lens: make(map[timeseries.ID]int, len(ids)),
-		seqs: make(map[timeseries.ID]uint64, len(ids)),
-		ids:  ids,
+		lens:  make(map[timeseries.ID]int, len(ids)),
+		seqs:  make(map[timeseries.ID]uint64, len(ids)),
+		hints: make(map[timeseries.ID]hint, len(ids)),
+		ids:   ids,
 	}
 	maxLen := 0
 	var maxID timeseries.ID
 	for _, id := range ids {
-		n, seq, err := e.committedLen(id)
+		n, seq, last, err := e.committedLen(id)
 		if err != nil {
 			return nil, err
 		}
 		ls.lens[id] = n
 		ls.seqs[id] = seq
+		ls.hints[id] = hint{tid: last}
 		if n > maxLen {
 			maxLen, maxID = n, id
 		}
@@ -136,23 +157,25 @@ func (e *Engine) ensureLive() (*liveState, error) {
 }
 
 // committedLen reads a household that distinctIDs listed for its total
-// committed hours (live tuples included) and next sequence number, from
-// its last index entry, the greatest below the next household's first
-// key: one descent, and in the array layout that entry's chunk. A
+// committed hours (live tuples included), its next sequence number and
+// the TID of its last tuple, from its last index entry, the greatest
+// below the next household's first key: one descent, and in the array
+// layout that entry's chunk. The row layout's tuple is not read here:
+// the TID is checked where it is used (liveState.insert). A
 // descent that finds no entry, or another household's, contradicts the
 // listing and is a corrupt index. (ID MaxUint64, which only a damaged
 // file lists, has no next household: its bound wraps to (0, 0), below
 // every key.)
-func (e *Engine) committedLen(id timeseries.ID) (hours int, nextSeq uint64, err error) {
+func (e *Engine) committedLen(id timeseries.ID) (hours int, nextSeq uint64, last TID, err error) {
 	lastK, lastT, found, err := e.table.index.last(key{ID: uint64(id) + 1})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, TID{}, err
 	}
 	if !found {
-		return 0, 0, fmt.Errorf("rowstore: corrupt index: no entry for household %d", id)
+		return 0, 0, TID{}, fmt.Errorf("rowstore: corrupt index: no entry for household %d", id)
 	}
 	if lastK.ID != uint64(id) {
-		return 0, 0, fmt.Errorf("rowstore: corrupt index: household %d's last entry is (%d, %d)", id, lastK.ID, lastK.Seq)
+		return 0, 0, TID{}, fmt.Errorf("rowstore: corrupt index: household %d's last entry is (%d, %d)", id, lastK.ID, lastK.Seq)
 	}
 	// The length sizes the live temperature column, so it is checked
 	// against the file while it is still a uint64: each stored reading
@@ -164,20 +187,20 @@ func (e *Engine) committedLen(id timeseries.ID) (hours int, nextSeq uint64, err 
 	case LayoutArrays:
 		t, err := e.table.heap.get(lastT)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, TID{}, err
 		}
 		_, start, count, err := chunkBounds(t)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, TID{}, err
 		}
 		end = start + count
 	default:
-		return 0, 0, fmt.Errorf("rowstore: unknown layout %v", e.table.layout)
+		return 0, 0, TID{}, fmt.Errorf("rowstore: unknown layout %v", e.table.layout)
 	}
 	if size := uint64(e.pf.sizeBytes()); end == 0 || end > size/16 {
-		return 0, 0, fmt.Errorf("rowstore: household %d's %d hours exceed what a %d-byte file holds", id, end, size)
+		return 0, 0, TID{}, fmt.Errorf("rowstore: household %d's %d hours exceed what a %d-byte file holds", id, end, size)
 	}
-	return int(end), lastK.Seq + 1, nil
+	return int(end), lastK.Seq + 1, lastT, nil
 }
 
 // Append implements core.Appender. The batch is checked whole
@@ -249,10 +272,13 @@ func (e *Engine) applyBatch(ls *liveState, batch []core.Reading) error {
 			return nil
 		}
 		seq := ls.seqs[runID]
-		if err := tb.insertChunks(runID, seq, runStart, runCons, runTemps); err != nil {
+		if err := eachChunk(runID, runStart, runCons, runTemps, func(chunk []byte) error {
+			seq++
+			return ls.insert(tb, runID, seq-1, chunk)
+		}); err != nil {
 			return err
 		}
-		ls.seqs[runID] = seq + uint64((len(runCons)+chunkHours-1)/chunkHours)
+		ls.seqs[runID] = seq
 		ls.lens[runID] = runStart + len(runCons)
 		ls.appended += int64(len(runCons))
 		runCons, runTemps = runCons[:0], runTemps[:0]
@@ -301,11 +327,7 @@ func (e *Engine) applyBatch(ls *liveState, batch []core.Reading) error {
 		switch tb.layout {
 		case LayoutRows:
 			buf = encodeRowTuple(buf, r.ID, r.Hour, r.Temperature, r.Consumption)
-			tid, err := tb.heap.insert(buf)
-			if err != nil {
-				return err
-			}
-			if err := tb.index.insert(key{ID: uint64(r.ID), Seq: uint64(r.Hour)}, tid); err != nil {
+			if err := ls.insert(tb, r.ID, uint64(r.Hour), buf); err != nil {
 				return err
 			}
 			ls.lens[r.ID] = r.Hour + 1
@@ -324,6 +346,48 @@ func (e *Engine) applyBatch(ls *liveState, batch []core.Reading) error {
 		}
 	}
 	return flushRun()
+}
+
+// insert stores one live tuple of household id, which ends at the
+// household's committed length, and indexes it under seq. The tuple goes
+// on the heap page of the household's last tuple while that page has
+// room, and on a fresh page chained at the heap tail otherwise
+// (heapFile.place), so a household's live hours fill pages of their own
+// and a read's index phase decodes them a page at a time
+// (seriesRead.scan) instead of a page per hour. A TID the first touch
+// read from the index is checked at the session's first insert, on the
+// page that insert fetches anyway: its slot must hold the household's
+// tuple ending at the committed length, or the tuple goes to the tail.
+func (ls *liveState) insert(tb *table, id timeseries.ID, seq uint64, tuple []byte) error {
+	near, keep := InvalidPage, (func([]byte) bool)(nil)
+	if t, ok := ls.hints[id]; ok {
+		near = t.tid.Page
+		if !t.checked {
+			keep = func(page []byte) bool { return endsAt(page, t.tid.Slot, tb.layout, id, ls.lens[id]) }
+		}
+	}
+	tid, err := tb.heap.place(near, keep, tuple)
+	if err != nil {
+		return err
+	}
+	ls.hints[id] = hint{tid: tid, checked: true}
+	return tb.index.insert(key{ID: uint64(id), Seq: seq}, tid)
+}
+
+// endsAt reports whether slot of the heap page holds household id's
+// tuple that ends at hour end: in the row layout the tuple of hour
+// end−1, in the array layout a whole chunk ending at end. Stored fields
+// are compared as the uint64s they are read as.
+func endsAt(page []byte, slot uint16, layout Layout, id timeseries.ID, end int) bool {
+	t, err := heapPageTuple(page, slot)
+	if err != nil {
+		return false
+	}
+	if layout == LayoutRows {
+		return len(t) == rowTupleSize && getU64(t, 0) == uint64(id) && uint64(getU32(t, 8))+1 == uint64(end)
+	}
+	owner, start, count, err := chunkBounds(t)
+	return err == nil && owner == uint64(id) && uint64(len(t)) == 16+count*16 && start+count == uint64(end)
 }
 
 // Snapshot implements core.Appender: a read-isolated view of the full

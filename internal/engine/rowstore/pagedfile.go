@@ -18,10 +18,13 @@
 //     readings in an array column (Figure 9's Table 2) — removes most of
 //     that overhead, which §5.3.3 measures as a 1.4-1.7x speedup.
 //
-// A cursor's scan reads the heap and leaf-chain pages it misses through
-// a 256 KiB ring of its own, 16 pages per read, as PostgreSQL's
-// bulk-read strategy does (ring.go): a one-pass scan neither fills nor
-// flushes the shared pool.
+// A cursor's heap walk reads the pages it misses through a 256 KiB ring
+// of its own, 16 pages per read, as PostgreSQL's bulk-read strategy does
+// (ring.go): a one-pass scan neither fills nor flushes the shared pool.
+// Its index phase reads through the pool, as PostgreSQL's index scans
+// do: live Append puts each household's hours on heap pages of their own
+// (live.go), and the pool keeps those pages and their leaves for the
+// next snapshot.
 package rowstore
 
 import (

@@ -123,7 +123,7 @@ func TestRecoveryFirstTouchDescends(t *testing.T) {
 				}
 				for _, id := range stored {
 					h0, m0 := re.PoolStats()
-					hours, _, err := re.committedLen(id)
+					hours, _, _, err := re.committedLen(id)
 					h1, m1 := re.PoolStats()
 					if err != nil {
 						t.Fatal(err)

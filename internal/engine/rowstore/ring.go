@@ -10,17 +10,19 @@ package rowstore
 // than one that filled the pool even where the pool held the table
 // (EXPERIMENTS.md, "Row-store bulk reads").
 //
-// A cursor's read fetches the heap pages its walk visits, and the
-// leaf-chain and heap pages of its index phase, through its ring;
-// descents from the root keep the pool. A page the map holds is a hit,
-// whoever holds it. A miss that continues a scan (a page the map holds
-// lies at most runPages before it) reads up to runPages consecutive
-// pages with one pread into the ring's oldest slots, reusing their
-// frames; the run starts right after the page held, so it also reads
-// pages the scan skipped. A loaded heap is one run of pages, clustered
-// on household, so a walk along it reads runPages pages per pread. A
-// miss that jumps (the index phase reaching a page of hours appended
-// after the load) reads the one page.
+// A cursor's read fetches the heap pages its walk visits through its ring;
+// descents from the root and the index phase (the leaf chain and the heap
+// pages its entries address) keep the pool, as PostgreSQL's index scans
+// read through shared buffers and its ring serves sequential heap scans
+// only: the index phase reads a live household's hours, which the next
+// query reads again. A page the map holds is a hit, whoever holds it. A
+// miss that continues a scan (a page the map holds lies at most runPages
+// before it) reads up to runPages consecutive pages with one pread into
+// the ring's oldest slots, reusing their frames; the run starts right
+// after the page held, so it also reads pages the scan skipped. A loaded
+// heap is one run of pages, clustered on household, so a walk along it
+// reads runPages pages per pread. A miss that jumps (a cursor's first
+// page, or a chain link past the loaded run) reads the one page.
 // The run stops at the end of the file, at a page the map already
 // holds, at a slot another reader still pins, at a slot not over the
 // ring's slab (a writer dirtied its frame, which went to the pool) and

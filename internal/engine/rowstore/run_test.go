@@ -130,9 +130,13 @@ func checkSnapshot(t *testing.T, cur core.Cursor, ds *timeseries.Dataset, n int)
 	}
 }
 
-// TestLiveHoursOneTuplePerPage: 256 households take an hour per batch,
-// and a heap page holds 255 row tuples, so no page holds two live tuples
-// of one household and every live run is one entry long.
+// TestLiveHoursOneTuplePerPage: 256 households store three hours past
+// the published prefix, an hour of each household after the last's, as
+// live Append placed them before it put a household's hours on pages of
+// their own. A heap page holds 255 row tuples, so no page holds two of
+// those tuples of one household and every run decodeRowRun reads is one
+// entry long. The table is built by inserting into the heap's tail and
+// the index directly, and the snapshot reads it back bit for bit.
 func TestLiveHoursOneTuplePerPage(t *testing.T) {
 	src, ds := writeExact(t, 256, 1)
 	ids := make([]timeseries.ID, len(ds.Series))
@@ -144,9 +148,17 @@ func TestLiveHoursOneTuplePerPage(t *testing.T) {
 	for _, pool := range runPools {
 		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) {
 			e := loadThenOpen(t, src, LayoutRows, WithPoolPages(pool))
+			var buf []byte
 			for h := baseN; h < baseN+extra; h++ {
-				if err := e.Append(hourBatch(ids, h)); err != nil {
-					t.Fatal(err)
+				for _, id := range ids {
+					buf = encodeRowTuple(buf, id, h, liveTemp(h), liveVal(id, h))
+					tid, err := e.table.heap.insert(buf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := e.table.index.insert(key{ID: uint64(id), Seq: uint64(h)}, tid); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			for _, id := range ids {
@@ -196,7 +208,12 @@ func editTuple(t *testing.T, tb *table, k key, fn func(tuple []byte)) {
 // is stored as before it becomes an int or a page, so each must be
 // refused with a rowstore error at either int width: by extraction —
 // the cursor, the temperature column and the pipeline — or, where only
-// the live state or the open reads it, by Snapshot or Open.
+// the live state or the open reads it, by Snapshot or Open. A live
+// Append of every household meets the heap tail page's free-space end
+// at 0xffff, and its next page pointing back at the heap's first: a
+// household whose last page is full puts its tuple on a fresh page
+// chained to the tail, and the tail must be refused before anything is
+// written to it (a link from it would cut the heap's chain).
 func TestHostileStoredIntegers(t *testing.T) {
 	src, ds := writeExact(t, 3, 30)
 	id := ds.Series[0].ID
@@ -214,8 +231,14 @@ func TestHostileStoredIntegers(t *testing.T) {
 	firstTID := func(t *testing.T, tb *table) {
 		setEntry(t, tb.index, key{ID: uint64(id)}, TID{Page: at31})
 	}
+	tailEnd := func(t *testing.T, tb *table) {
+		editPage(t, tb.heap.bp, tb.heap.last, func(page []byte) { putU16(page, 4, 0xffff) })
+	}
+	tailNext := func(t *testing.T, tb *table) {
+		editPage(t, tb.heap.bp, tb.heap.last, func(page []byte) { heapPageSetNext(page, tb.heap.first) })
+	}
 	// Which reader meets the planted value first.
-	const extraction, snapshot, open = "extraction", "Snapshot", "Open"
+	const extraction, snapshot, open, live = "extraction", "Snapshot", "Open", "Append"
 	for _, tc := range []struct {
 		name   string
 		layout Layout
@@ -246,6 +269,9 @@ func TestHostileStoredIntegers(t *testing.T) {
 		}, open},
 		{"row TID page 2^31", LayoutRows, firstTID, extraction},
 		{"chunk TID page 2^31", LayoutArrays, firstTID, extraction},
+		{"row heap tail free-space end 0xffff", LayoutRows, tailEnd, live},
+		{"chunk heap tail free-space end 0xffff", LayoutArrays, tailEnd, live},
+		{"row heap tail links onward", LayoutRows, tailNext, live},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New(t.TempDir(), WithLayout(tc.layout))
@@ -276,6 +302,15 @@ func TestHostileStoredIntegers(t *testing.T) {
 			if tc.reader == snapshot {
 				_, _, err := e.Snapshot()
 				refused(snapshot, err)
+				return
+			}
+			if tc.reader == live {
+				var ids []timeseries.ID
+				for _, s := range ds.Series {
+					ids = append(ids, s.ID)
+				}
+				err := e.Append(hourBatch(ids, e.table.seriesLen))
+				refused(live, err)
 				return
 			}
 			_, err = e.readSeriesShared(id, basePrefix, nil)

@@ -261,8 +261,11 @@ func (tb *table) setSeriesLen(n int) { tb.seriesLen = n }
 // the published prefix or a snapshot's captured length alike. It writes
 // every hour of cons, zero where the household stores none, so cons
 // need not be zeroed; of temp it writes only the hours that are stored.
-// Given a cursor's ring, it reads the heap and the leaf chain through
-// it; descents keep the pool.
+// Given a cursor's ring, the heap walk reads through it; descents and
+// the index phase keep the pool, as PostgreSQL's index scans read
+// through shared buffers while its bulk-read ring serves sequential
+// heap scans: the pages the index phase reads, a live household's
+// leaves and heap pages, are the ones every later query reads again.
 // Callers hold the table latch, shared or exclusive.
 func (tb *table) readSeriesInto(rg *pageRing, id timeseries.ID, cons, temp []float64) error {
 	r := seriesRead{bp: tb.heap.bp, rg: rg, id: uint64(id), rows: tb.layout == LayoutRows, cons: cons, temp: temp}
@@ -276,7 +279,7 @@ func (tb *table) readSeriesInto(rg *pageRing, id timeseries.ID, cons, temp []flo
 // seriesRead is one household's read in progress.
 type seriesRead struct {
 	bp   *bufferPool
-	rg   *pageRing // the cursor's ring, or nil to read through the pool
+	rg   *pageRing // the cursor's ring for the heap walk, or nil to read through the pool
 	id   uint64
 	rows bool
 	cons []float64
@@ -311,7 +314,7 @@ func (r *seriesRead) read(index *btree) error {
 	return r.scan(index)
 }
 
-// fetch pins a heap or leaf-chain page, through the ring if there is one.
+// fetch pins a heap page, through the ring if there is one.
 func (r *seriesRead) fetch(page PageID) (*frame, error) {
 	if r.rg != nil {
 		return r.rg.fetch(page)
@@ -418,14 +421,16 @@ func (r *seriesRead) walkChunks(page []byte, s int) bool {
 // from there along the leaf chain, decoding each entry's tuple out of
 // its pinned heap page. A row entry at or beyond hour len(cons) ends the
 // scan before its page is fetched, because the index orders a
-// household's tuples by hour.
+// household's tuples by hour. It reads leaves and heap pages through
+// the pool, never the ring.
 func (r *seriesRead) scan(index *btree) error {
+	r.rg = nil
 	pages := r.bp.pf.nPages
 	page, i, err := index.seekLeaf(key{ID: r.id, Seq: r.seq})
 	done := false
 	for step := 1; err == nil && !done && page != InvalidPage; step++ {
 		var lf *frame
-		lf, err = r.fetch(page)
+		lf, err = r.bp.fetch(page)
 		if err != nil {
 			break
 		}

@@ -98,9 +98,13 @@ echo "== go test -fuzz FuzzSegmentFile -fuzztime 10s ./internal/engine/colstore 
 go test -run '^$' -fuzz 'FuzzSegmentFile' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/colstore
 
 # The row store's table file with arbitrary bytes written over it at
-# any offset, in both layouts: Open and a histogram run return data or
-# an error, never a panic, not even one a worker recovers into an error.
-# Each input is written to a file, so minimizing is capped as above.
+# any offset, in both layouts: Open, a histogram run, a snapshot drain,
+# a live Append of one hour (which checks the page of each household's
+# last tuple before placing its new tuple there, and the heap tail's
+# header before chaining a page to it) and a second snapshot drain
+# return data or an error, never a panic, not even one a worker
+# recovers into an error. Each input is written to a file, so
+# minimizing is capped as above.
 echo "== go test -fuzz FuzzRowstoreFile -fuzztime 10s ./internal/engine/rowstore (hostile table files)"
 go test -run '^$' -fuzz 'FuzzRowstoreFile' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/rowstore
 
