@@ -75,6 +75,18 @@ type btree struct {
 	root PageID
 	// height is 1 for a lone leaf root.
 	height int
+	// tail caches the rightmost leaf, where a key above every stored one
+	// goes; nil keeps no cache, which only tests ask for.
+	tail *rightmostLeaf
+}
+
+// rightmostLeaf is the rightmost leaf as the tree's last insert that
+// reached it left it: its page and its last key. A page of InvalidPage
+// is a cold cache, as after openBTree, until an insert descends to that
+// leaf.
+type rightmostLeaf struct {
+	page PageID
+	last key
 }
 
 // newBTree creates an empty tree with a leaf root.
@@ -87,12 +99,12 @@ func newBTree(bp *bufferPool) (*btree, error) {
 	putU16(fr.data[:], 2, 0)
 	putU32(fr.data[:], 4, uint32(InvalidPage))
 	bp.unpin(fr, true)
-	return &btree{bp: bp, root: fr.id, height: 1}, nil
+	return &btree{bp: bp, root: fr.id, height: 1, tail: &rightmostLeaf{page: InvalidPage}}, nil
 }
 
-// openBTree re-attaches to an existing tree.
+// openBTree re-attaches to an existing tree, with a cold cache.
 func openBTree(bp *bufferPool, root PageID, height int) *btree {
-	return &btree{bp: bp, root: root, height: height}
+	return &btree{bp: bp, root: root, height: height, tail: &rightmostLeaf{page: InvalidPage}}
 }
 
 func nodeIsLeaf(data []byte) bool  { return getU16(data, 0)&flagLeaf != 0 }
@@ -181,8 +193,50 @@ type splitResult struct {
 	split  bool
 }
 
-// insert adds a key/value pair. Duplicate exact keys are rejected.
+// insert adds a key/value pair. Duplicate exact keys are rejected. It is
+// the one insert path, for the bulk load's index build, live Append and
+// log replay alike. A key above the cached rightmost leaf's last key
+// goes straight onto that leaf when the page confirms it (appendTail),
+// as PostgreSQL's nbtinsert.c does for ascending keys with its cached
+// rightmost leaf; every other key, and one whose leaf is full, descends
+// from the root. Both place the key where the descent would, so the
+// tree's pages are the same whichever path a key takes.
 func (t *btree) insert(k key, v TID) error {
+	if t.tail != nil && t.tail.page != InvalidPage && t.tail.last.less(k) {
+		if done, err := t.appendTail(k, v); done || err != nil {
+			return err
+		}
+	}
+	return t.descend(k, v)
+}
+
+// appendTail puts k after the last entry of the cached rightmost leaf
+// and reports whether it did. It does only when the page itself
+// confirms that a descent would place k there without a split: it is a
+// leaf with no right sibling, it has room, and its own last key is
+// below k. Otherwise it leaves the page untouched.
+func (t *btree) appendTail(k key, v TID) (bool, error) {
+	fr, err := t.bp.fetch(t.tail.page)
+	if err != nil {
+		return false, err
+	}
+	data := fr.data[:]
+	n := int(nodeCount(data))
+	if !nodeIsLeaf(data) || leafNext(data) != InvalidPage || n == 0 || n >= leafCap || !leafKey(data, n-1).less(k) {
+		t.bp.unpin(fr, false)
+		return false, nil
+	}
+	leafSet(data, n, k, v)
+	putU16(data, 2, uint16(n+1))
+	t.tail.last = k
+	t.bp.unpin(fr, true)
+	return true, nil
+}
+
+// descend inserts k by a descent from the root, splitting the nodes on
+// its path that are full, and growing a new root when the old one
+// splits.
+func (t *btree) descend(k key, v TID) error {
 	res, err := t.insertInto(t.root, k, v, true)
 	if err != nil {
 		return err
@@ -270,6 +324,9 @@ func (t *btree) leafInsert(fr *frame, k key, v TID, rightmost bool) (splitResult
 			data[base+idx*btreeLeafEntry:base+n*btreeLeafEntry])
 		leafSet(data, idx, k, v)
 		putU16(data, 2, uint16(n+1))
+		if rightmost {
+			t.noteTail(fr.id, data)
+		}
 		return splitResult{}, nil
 	}
 	// Split: move the entries past the split point to a new leaf.
@@ -306,8 +363,19 @@ func (t *btree) leafInsert(fr *frame, k key, v TID, rightmost bool) (splitResult
 	}
 	sep := leafKey(ndata, 0)
 	id := nfr.id
+	if rightmost {
+		t.noteTail(id, ndata)
+	}
 	t.bp.unpin(nfr, true)
 	return splitResult{newPage: id, sepKey: sep, split: true}, nil
+}
+
+// noteTail caches page, a non-empty leaf a descent reached along the
+// rightmost path, as the rightmost leaf.
+func (t *btree) noteTail(page PageID, data []byte) {
+	if t.tail != nil {
+		t.tail.page, t.tail.last = page, leafKey(data, int(nodeCount(data))-1)
+	}
 }
 
 func (t *btree) internalInsert(fr *frame, sep key, right PageID, rightmost bool) (splitResult, error) {

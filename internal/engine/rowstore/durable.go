@@ -1,6 +1,7 @@
 package rowstore
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"os"
@@ -64,16 +65,7 @@ func (e *Engine) checkpointLocked() error {
 	tb := e.table
 	// The meta page must describe the state being checkpointed; Append
 	// rewrites it per batch but replayed batches do not.
-	if err := writeMeta(e.bp, metaPage{
-		layout:    tb.layout,
-		heapFirst: tb.heap.first,
-		heapLast:  tb.heap.last,
-		tuples:    tb.heap.tuples,
-		root:      tb.index.root,
-		height:    tb.index.height,
-		seriesLen: tb.seriesLen,
-		consumers: tb.consumers,
-	}); err != nil {
+	if err := writeMeta(e.bp, tb.meta()); err != nil {
 		return err
 	}
 	path := filepath.Join(e.dir, "table.db")
@@ -87,6 +79,9 @@ func (e *Engine) checkpointLocked() error {
 		_ = os.Remove(tmp)
 		return err
 	}
+	// The rewrite is sequential, so it goes out runPages pages a write,
+	// as flush writes a run.
+	w := bufio.NewWriterSize(f, runPages*PageSize)
 	var buf [PageSize]byte
 	for id := PageID(0); id < e.pf.nPages; id++ {
 		src := buf[:]
@@ -95,9 +90,12 @@ func (e *Engine) checkpointLocked() error {
 		} else if err := e.pf.read(id, buf[:]); err != nil {
 			return fail(err)
 		}
-		if _, err := f.Write(src); err != nil {
+		if _, err := w.Write(src); err != nil {
 			return fail(fmt.Errorf("rowstore: checkpoint write page %d: %w", id, err))
 		}
+	}
+	if err := w.Flush(); err != nil {
+		return fail(fmt.Errorf("rowstore: checkpoint write: %w", err))
 	}
 	if err := f.Sync(); err != nil {
 		return fail(fmt.Errorf("rowstore: checkpoint sync: %w", err))

@@ -142,12 +142,14 @@ func (e *Engine) Capabilities() core.Capabilities {
 	}
 }
 
-// Load implements core.Engine: it bulk-loads the CSV source into heap
-// pages, a household's tuples after the last's, and then builds the
-// household B+tree from one scan of the heap, tuple by tuple, as
+// Load implements core.Engine: it bulk-loads the CSV source as
 // PostgreSQL's COPY followed by CREATE INDEX does — the cost profile
-// behind the paper's Figure 4 MADLib bars. The heap is one run of pages
-// clustered on household, with the index after it.
+// behind the paper's Figure 4 MADLib bars. COPY appends a household's
+// tuples after the last's, a heap page at a time (heapLoader); CREATE
+// INDEX then builds the household B+tree from one scan of the heap,
+// whose keys, ascending, go onto the rightmost leaf without a descent
+// (btree.insert). The heap is one run of pages clustered on household,
+// with the index after it.
 func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 	if err := e.closeStorage(); err != nil {
 		return nil, err
@@ -165,19 +167,6 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 	}
 	bp := newBufferPool(pf, e.poolPages)
 	bp.noSteal = e.walOn
-	// Page 0 is reserved for the meta page.
-	metaFr, err := bp.allocate()
-	if err != nil {
-		_ = pf.close()
-		return nil, err
-	}
-	bp.unpin(metaFr, true)
-	heap, err := newHeapFile(bp)
-	if err != nil {
-		_ = pf.close()
-		return nil, err
-	}
-	tb := &table{layout: e.layout, heap: heap}
 
 	// The source may be one big CSV or many small files; bulk loading
 	// one big file is faster for the DBMS (paper §5.3.1), a difference
@@ -187,28 +176,8 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 		_ = pf.close()
 		return nil, err
 	}
-	var readings int64
-	for _, s := range ds.Series {
-		if err := tb.insertSeries(s, ds.Temperature); err != nil {
-			_ = pf.close()
-			return nil, err
-		}
-		readings += int64(len(s.Readings))
-	}
-	if err := tb.buildIndex(); err != nil {
-		_ = pf.close()
-		return nil, err
-	}
-	if err := writeMeta(bp, metaPage{
-		layout:    tb.layout,
-		heapFirst: heap.first,
-		heapLast:  heap.last,
-		tuples:    heap.tuples,
-		root:      tb.index.root,
-		height:    tb.index.height,
-		seriesLen: tb.seriesLen,
-		consumers: tb.consumers,
-	}); err != nil {
+	tb, err := loadTable(bp, e.layout, ds)
+	if err != nil {
 		_ = pf.close()
 		return nil, err
 	}
@@ -237,9 +206,39 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 	e.temp.Store(ds.Temperature)
 	return &core.LoadStats{
 		Consumers:    len(ds.Series),
-		Readings:     readings,
+		Readings:     int64(tb.seriesLen) * int64(len(ds.Series)),
 		StorageBytes: pf.sizeBytes(),
 	}, nil
+}
+
+// loadTable stores ds in a fresh table file behind bp: the meta page,
+// then COPY, the households' tuples in the dataset's order through one
+// heapLoader, then CREATE INDEX (buildIndex), and the meta page written
+// last.
+func loadTable(bp *bufferPool, layout Layout, ds *timeseries.Dataset) (*table, error) {
+	// Page 0 is reserved for the meta page.
+	metaFr, err := bp.allocate()
+	if err != nil {
+		return nil, err
+	}
+	bp.unpin(metaFr, true)
+	heap, err := newHeapFile(bp)
+	if err != nil {
+		return nil, err
+	}
+	tb := &table{layout: layout, heap: heap}
+	copyIn := &heapLoader{h: heap}
+	for _, s := range ds.Series {
+		if err := tb.insertSeries(copyIn, s, ds.Temperature); err != nil {
+			copyIn.close()
+			return nil, err
+		}
+	}
+	copyIn.close()
+	if err := tb.buildIndex(); err != nil {
+		return nil, err
+	}
+	return tb, writeMeta(bp, tb.meta())
 }
 
 // Open re-attaches the engine to storage previously written by Load in
@@ -526,16 +525,7 @@ func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
 	e.table.setSeriesLen(e.table.seriesLen + n)
 	e.temp.Store(nil)
 	e.live = nil // series lengths changed; rebuild lazily
-	if err := writeMeta(e.bp, metaPage{
-		layout:    e.table.layout,
-		heapFirst: e.table.heap.first,
-		heapLast:  e.table.heap.last,
-		tuples:    e.table.heap.tuples,
-		root:      e.table.index.root,
-		height:    e.table.index.height,
-		seriesLen: e.table.seriesLen,
-		consumers: e.table.consumers,
-	}); err != nil {
+	if err := writeMeta(e.bp, e.table.meta()); err != nil {
 		return err
 	}
 	if e.walOn && e.wlog != nil {

@@ -250,11 +250,11 @@ func TestTableRejectsBadSeries(t *testing.T) {
 	tb := e.table
 	bad := &timeseries.Series{ID: -1, Readings: make([]float64, 24)}
 	temp := &timeseries.Temperature{Values: make([]float64, 24)}
-	if err := tb.insertSeries(bad, temp); err == nil {
+	if err := tb.insertSeries(&heapLoader{h: tb.heap}, bad, temp); err == nil {
 		t.Error("negative id: want error")
 	}
 	mismatch := &timeseries.Series{ID: 50, Readings: make([]float64, 48)}
-	if err := tb.insertSeries(mismatch, temp); err == nil {
+	if err := tb.insertSeries(&heapLoader{h: tb.heap}, mismatch, temp); err == nil {
 		t.Error("length mismatch vs temp: want error")
 	}
 	if _, _, err := tb.readSeries(9999); err == nil {

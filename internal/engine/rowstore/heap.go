@@ -104,26 +104,6 @@ func newHeapFile(bp *bufferPool) (*heapFile, error) {
 	return &heapFile{bp: bp, first: fr.id, last: fr.id}, nil
 }
 
-// openHeapFile re-attaches to an existing heap chain starting at first.
-func openHeapFile(bp *bufferPool, first PageID, tuples int64) (*heapFile, error) {
-	h := &heapFile{bp: bp, first: first, last: first, tuples: tuples}
-	// Walk to the tail so inserts can continue.
-	id := first
-	for {
-		fr, err := bp.fetch(id)
-		if err != nil {
-			return nil, err
-		}
-		next := heapPageNext(fr.data[:])
-		bp.unpin(fr, false)
-		if next == InvalidPage {
-			h.last = id
-			return h, nil
-		}
-		id = next
-	}
-}
-
 // insert appends one tuple to the tail page, or to a fresh page chained
 // after it when the tail has no room, and returns its TID.
 func (h *heapFile) insert(tuple []byte) (TID, error) {
@@ -137,23 +117,34 @@ func (h *heapFile) insert(tuple []byte) (TID, error) {
 // page a fresh page is chained to must pass them and end the chain, or
 // the link would cut the pages after it off the heap.
 func (h *heapFile) place(near PageID, keep func(page []byte) bool, tuple []byte) (TID, error) {
+	fr, tid, err := h.placePinned(near, keep, tuple)
+	if err != nil {
+		return TID{}, err
+	}
+	h.bp.unpin(fr, true)
+	return tid, nil
+}
+
+// placePinned is place, leaving the page the tuple went to pinned for
+// the caller, who must unpin it dirty.
+func (h *heapFile) placePinned(near PageID, keep func(page []byte) bool, tuple []byte) (*frame, TID, error) {
 	if len(tuple) > PageSize-heapHeaderSize-slotSize {
-		return TID{}, fmt.Errorf("rowstore: tuple of %d bytes exceeds page capacity", len(tuple))
+		return nil, TID{}, fmt.Errorf("rowstore: tuple of %d bytes exceeds page capacity", len(tuple))
 	}
 	if near < h.bp.pf.nPages {
 		fr, err := h.bp.fetch(near)
 		if err != nil {
-			return TID{}, err
+			return nil, TID{}, err
 		}
 		if free, err := heapPageFree(fr.data[:]); err == nil && free >= len(tuple) && (keep == nil || keep(fr.data[:])) {
-			return h.put(fr, tuple)
+			return fr, h.put(fr, tuple), nil
 		}
 		h.bp.unpin(fr, false)
 	}
 	// Chain a fresh page.
 	fr, err := h.bp.fetch(h.last)
 	if err != nil {
-		return TID{}, err
+		return nil, TID{}, err
 	}
 	_, err = heapPageFree(fr.data[:])
 	if next := heapPageNext(fr.data[:]); err == nil && next != InvalidPage {
@@ -161,27 +152,58 @@ func (h *heapFile) place(near PageID, keep func(page []byte) bool, tuple []byte)
 	}
 	if err != nil {
 		h.bp.unpin(fr, false)
-		return TID{}, fmt.Errorf("%w (heap tail page %d)", err, h.last)
+		return nil, TID{}, fmt.Errorf("%w (heap tail page %d)", err, h.last)
 	}
 	nfr, err := h.bp.allocate()
 	if err != nil {
 		h.bp.unpin(fr, false)
-		return TID{}, err
+		return nil, TID{}, err
 	}
 	heapInitPage(nfr.data[:])
 	heapPageSetNext(fr.data[:], nfr.id)
 	h.bp.unpin(fr, true)
 	h.last = nfr.id
-	return h.put(nfr, tuple)
+	return nfr, h.put(nfr, tuple), nil
 }
 
-// put inserts the tuple on the pinned page fr, which has room for it,
-// and unpins it.
-func (h *heapFile) put(fr *frame, tuple []byte) (TID, error) {
+// put inserts the tuple on the pinned page fr, which has room for it.
+func (h *heapFile) put(fr *frame, tuple []byte) TID {
 	slot := heapPageInsert(fr.data[:], tuple)
-	h.bp.unpin(fr, true)
 	h.tuples++
-	return TID{Page: fr.id, Slot: slot}, nil
+	return TID{Page: fr.id, Slot: slot}
+}
+
+// heapLoader is COPY's way into the heap: it appends each tuple at the
+// tail, as insert does, but keeps the tail page pinned while the page
+// has room, so a page of tuples costs one pool lookup, not one per
+// tuple. Only the bulk load uses it, under the exclusive table latch;
+// close unpins the tail.
+type heapLoader struct {
+	h    *heapFile
+	tail *frame // the pinned tail page, nil before the first tuple
+}
+
+func (l *heapLoader) insert(tuple []byte) error {
+	if l.tail != nil {
+		if free, err := heapPageFree(l.tail.data[:]); err == nil && free >= len(tuple) {
+			l.h.put(l.tail, tuple)
+			return nil
+		}
+		l.close()
+	}
+	fr, _, err := l.h.placePinned(l.h.last, nil, tuple)
+	if err != nil {
+		return err
+	}
+	l.tail = fr
+	return nil
+}
+
+func (l *heapLoader) close() {
+	if l.tail != nil {
+		l.h.bp.unpin(l.tail, true)
+		l.tail = nil
+	}
 }
 
 // get copies the tuple at tid into a fresh slice.

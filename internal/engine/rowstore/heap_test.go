@@ -92,25 +92,6 @@ func TestHeapPageChaining(t *testing.T) {
 	}
 }
 
-func TestOpenHeapFileReattach(t *testing.T) {
-	bp := testPool(t, 8)
-	h, _ := newHeapFile(bp)
-	for i := 0; i < 500; i++ {
-		h.insert([]byte("tuple-data-goes-here"))
-	}
-	re, err := openHeapFile(bp, h.first, h.tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.last != h.last {
-		t.Errorf("reattached last = %d, want %d", re.last, h.last)
-	}
-	// Inserts continue on the tail page.
-	if _, err := re.insert([]byte("more")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHeapGetErrors(t *testing.T) {
 	bp := testPool(t, 8)
 	h, _ := newHeapFile(bp)

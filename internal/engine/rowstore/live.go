@@ -138,16 +138,7 @@ func (e *Engine) ensureLive() (*liveState, error) {
 		e.wlog = lg
 		if replayed {
 			tb := e.table
-			if err := writeMeta(e.bp, metaPage{
-				layout:    tb.layout,
-				heapFirst: tb.heap.first,
-				heapLast:  tb.heap.last,
-				tuples:    tb.heap.tuples,
-				root:      tb.index.root,
-				height:    tb.index.height,
-				seriesLen: tb.seriesLen,
-				consumers: tb.consumers,
-			}); err != nil {
+			if err := writeMeta(e.bp, tb.meta()); err != nil {
 				return nil, err
 			}
 		}
@@ -241,17 +232,7 @@ func (e *Engine) Append(batch []core.Reading) error {
 		e.triggerCheckpoint()
 	}
 	ls.epoch++
-	tb := e.table
-	return writeMeta(e.bp, metaPage{
-		layout:    tb.layout,
-		heapFirst: tb.heap.first,
-		heapLast:  tb.heap.last,
-		tuples:    tb.heap.tuples,
-		root:      tb.index.root,
-		height:    tb.index.height,
-		seriesLen: tb.seriesLen,
-		consumers: tb.consumers,
-	})
+	return writeMeta(e.bp, e.table.meta())
 }
 
 // applyBatch inserts the batch's fresh readings. LayoutArrays

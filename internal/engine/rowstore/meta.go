@@ -29,6 +29,20 @@ type metaPage struct {
 	consumers int
 }
 
+// meta is the meta page that describes the table as it stands.
+func (tb *table) meta() metaPage {
+	return metaPage{
+		layout:    tb.layout,
+		heapFirst: tb.heap.first,
+		heapLast:  tb.heap.last,
+		tuples:    tb.heap.tuples,
+		root:      tb.index.root,
+		height:    tb.index.height,
+		seriesLen: tb.seriesLen,
+		consumers: tb.consumers,
+	}
+}
+
 // writeMeta persists the meta page through the buffer pool.
 func writeMeta(bp *bufferPool, m metaPage) error {
 	fr, err := bp.fetch(0)

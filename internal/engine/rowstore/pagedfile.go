@@ -28,11 +28,13 @@
 package rowstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -99,11 +101,13 @@ func (pf *pagedFile) read(id PageID, buf []byte) error {
 	return nil
 }
 
+// write writes buf, a whole number of pages, from page id on, with one
+// call.
 func (pf *pagedFile) write(id PageID, buf []byte) error {
-	if id >= pf.nPages {
-		return fmt.Errorf("rowstore: write past end: page %d of %d", id, pf.nPages)
+	if last := id + PageID(len(buf)/PageSize) - 1; id >= pf.nPages || last >= pf.nPages {
+		return fmt.Errorf("rowstore: write past end: pages %d-%d of %d", id, last, pf.nPages)
 	}
-	if _, err := pf.f.WriteAt(buf[:PageSize], int64(id)*PageSize); err != nil {
+	if _, err := pf.f.WriteAt(buf, int64(id)*PageSize); err != nil {
 		return fmt.Errorf("rowstore: write page %d: %w", id, err)
 	}
 	return nil
@@ -168,8 +172,11 @@ type bufferPool struct {
 	// lruHead is the most recently used frame; lruTail the least.
 	lruHead, lruTail *frame
 	// misses counts pages read from the file, hits every other lookup;
-	// preads counts the reads and made the frames ever created.
-	misses, hits, preads, made int64
+	// preads counts the reads, pwrites the writes, and made the frames
+	// ever created.
+	misses, hits, preads, pwrites, made int64
+	// wbuf gathers a run of dirty pages for flush's one write.
+	wbuf *[runPages * PageSize]byte
 }
 
 // errPoolFull is returned when every frame is pinned.
@@ -354,6 +361,7 @@ func (bp *bufferPool) victim() (*frame, error) {
 			if bp.noSteal {
 				continue
 			}
+			bp.pwrites++
 			if err := bp.pf.write(fr.id, fr.data[:]); err != nil {
 				return nil, err
 			}
@@ -388,18 +396,44 @@ func (bp *bufferPool) unpin(fr *frame, dirty bool) {
 	bp.mu.Unlock()
 }
 
-// flush writes back every dirty page. Like reset it is a writer's
-// call, made under the exclusive table latch.
+// flush writes back every dirty page, in page order, and each run of
+// consecutive dirty pages with one write of up to runPages pages, as
+// the ring reads them: a bulk load's fresh pages, or one Append batch's,
+// are such runs. Like reset it is a writer's call, made under the
+// exclusive table latch.
 func (bp *bufferPool) flush() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
+	var dirty []*frame
 	for _, fr := range bp.frames {
 		if fr.dirty {
-			if err := bp.pf.write(fr.id, fr.data[:]); err != nil {
-				return err
+			dirty = append(dirty, fr)
+		}
+	}
+	slices.SortFunc(dirty, func(a, b *frame) int { return cmp.Compare(a.id, b.id) })
+	for len(dirty) > 0 {
+		n := 1
+		for n < len(dirty) && n < runPages && dirty[n].id == dirty[n-1].id+1 {
+			n++
+		}
+		buf := dirty[0].data[:]
+		if n > 1 {
+			if bp.wbuf == nil {
+				bp.wbuf = new([runPages * PageSize]byte)
 			}
+			buf = bp.wbuf[:n*PageSize]
+			for i, fr := range dirty[:n] {
+				copy(buf[i*PageSize:], fr.data[:])
+			}
+		}
+		bp.pwrites++
+		if err := bp.pf.write(dirty[0].id, buf); err != nil {
+			return err
+		}
+		for _, fr := range dirty[:n] {
 			fr.dirty = false
 		}
+		dirty = dirty[n:]
 	}
 	return nil
 }

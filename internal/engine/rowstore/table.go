@@ -88,10 +88,10 @@ type table struct {
 }
 
 // insertSeries stores one consumer's data in the heap under the table's
-// layout, as the bulk load's COPY step: the index is built afterwards,
-// from the heap (buildIndex). Temperature is stored alongside
-// consumption, as in both of the paper's schemas.
-func (tb *table) insertSeries(s *timeseries.Series, temp *timeseries.Temperature) error {
+// layout, through the load's heapLoader, as the bulk load's COPY step:
+// the index is built afterwards, from the heap (buildIndex). Temperature
+// is stored alongside consumption, as in both of the paper's schemas.
+func (tb *table) insertSeries(l *heapLoader, s *timeseries.Series, temp *timeseries.Temperature) error {
 	if s.ID <= 0 {
 		return fmt.Errorf("rowstore: household id must be positive, got %d", s.ID)
 	}
@@ -110,15 +110,12 @@ func (tb *table) insertSeries(s *timeseries.Series, temp *timeseries.Temperature
 		var buf []byte
 		for h, c := range s.Readings {
 			buf = encodeRowTuple(buf, s.ID, h, temp.Values[h], c)
-			if _, err := tb.heap.insert(buf); err != nil {
+			if err := l.insert(buf); err != nil {
 				return err
 			}
 		}
 	case LayoutArrays:
-		if err := eachChunk(s.ID, 0, s.Readings, temp.Values, func(chunk []byte) error {
-			_, err := tb.heap.insert(chunk)
-			return err
-		}); err != nil {
+		if err := eachChunk(s.ID, 0, s.Readings, temp.Values, l.insert); err != nil {
 			return err
 		}
 	default:
@@ -133,7 +130,10 @@ func (tb *table) insertSeries(s *timeseries.Series, temp *timeseries.Temperature
 // household and hour, an array chunk under its household and its rank
 // among the household's chunks. The load stores each household's tuples
 // as one run, so the keys arrive in the order the load stored them,
-// and the tree's pages follow the heap's in the file.
+// and the tree's pages follow the heap's in the file. Loaded in
+// household order, every key sorts after the last, so btree.insert
+// appends it to the rightmost leaf without a descent, and fills the
+// leaves left to right as PostgreSQL's sorted CREATE INDEX does.
 func (tb *table) buildIndex() error {
 	idx, err := newBTree(tb.heap.bp)
 	if err != nil {

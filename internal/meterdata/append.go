@@ -46,8 +46,11 @@ func AppendToSource(src *Source, delta *timeseries.Dataset, priorHours int) erro
 					_ = f.Close()
 					return fmt.Errorf("meterdata: delta is missing household %d", id)
 				}
-				for i, r := range s.Readings {
-					fmt.Fprintf(w, "%d,%d,%s\n", id, priorHours+i, formatFloat(r))
+				for i := range s.Readings {
+					if err := writeLine(w, []int64{int64(id), int64(priorHours + i)}, s.Readings[i:i+1]); err != nil {
+						_ = f.Close()
+						return fmt.Errorf("meterdata: append: %w", err)
+					}
 				}
 			}
 			if err := w.Flush(); err != nil {
@@ -107,8 +110,11 @@ func appendTemperature(dir string, delta *timeseries.Temperature) error {
 		return fmt.Errorf("meterdata: append temperature: %w", err)
 	}
 	w := bufio.NewWriter(f)
-	for i, v := range delta.Values {
-		fmt.Fprintf(w, "%d,%s\n", len(existing.Values)+i, formatFloat(v))
+	for i := range delta.Values {
+		if err := writeLine(w, []int64{int64(len(existing.Values) + i)}, delta.Values[i:i+1]); err != nil {
+			_ = f.Close()
+			return fmt.Errorf("meterdata: append temperature: %w", err)
+		}
 	}
 	if err := w.Flush(); err != nil {
 		_ = f.Close()

@@ -117,8 +117,11 @@ func WriteTemperature(dir string, temp *timeseries.Temperature) error {
 		return fmt.Errorf("meterdata: %w", err)
 	}
 	w := bufio.NewWriter(f)
-	for i, v := range temp.Values {
-		fmt.Fprintf(w, "%d,%s\n", i, formatFloat(v))
+	for i := range temp.Values {
+		if err := writeLine(w, []int64{int64(i)}, temp.Values[i:i+1]); err != nil {
+			_ = f.Close()
+			return fmt.Errorf("meterdata: write temperature: %w", err)
+		}
 	}
 	if err := w.Flush(); err != nil {
 		_ = f.Close()
@@ -282,33 +285,73 @@ func WriteGrouped(dir string, ds *timeseries.Dataset, numFiles int) (*Source, er
 }
 
 func writeSeries(w *bufio.Writer, s *timeseries.Series, format Format) error {
+	var err error
 	switch format {
 	case FormatReadingPerLine:
-		for h, r := range s.Readings {
-			if _, err := fmt.Fprintf(w, "%d,%d,%s\n", s.ID, h, formatFloat(r)); err != nil {
-				return fmt.Errorf("meterdata: write consumer %d: %w", s.ID, err)
-			}
+		for h := 0; h < len(s.Readings) && err == nil; h++ {
+			err = writeLine(w, []int64{int64(s.ID), int64(h)}, s.Readings[h:h+1])
 		}
 	case FormatSeriesPerLine:
-		var sb strings.Builder
-		sb.Grow(len(s.Readings)*7 + 16)
-		sb.WriteString(strconv.FormatInt(int64(s.ID), 10))
-		for _, r := range s.Readings {
-			sb.WriteByte(',')
-			sb.WriteString(formatFloat(r))
-		}
-		sb.WriteByte('\n')
-		if _, err := w.WriteString(sb.String()); err != nil {
-			return fmt.Errorf("meterdata: write consumer %d: %w", s.ID, err)
-		}
+		err = writeLine(w, []int64{int64(s.ID)}, s.Readings)
 	default:
 		return fmt.Errorf("meterdata: unknown format %v", format)
+	}
+	if err != nil {
+		return fmt.Errorf("meterdata: write consumer %d: %w", s.ID, err)
 	}
 	return nil
 }
 
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', 6, 64)
+// fieldRoom bounds the text of one field and its comma: an int64 takes
+// at most 20 bytes ("-9223372036854775808"), a value at most 13
+// ("-1.23457e+308").
+const fieldRoom = 32
+
+// writeLine writes one text line, the integers and then the values
+// separated by commas, each value as strconv.FormatFloat(v, 'g', 6, 64)
+// spells it. Every data and temperature writer writes its lines through
+// it. The line is appended straight into the writer's free space, which
+// the writer is handed and flushed whenever less than a field's room is
+// left, so a line of any length costs no allocation.
+func writeLine(w *bufio.Writer, ints []int64, vals []float64) error {
+	b := w.AvailableBuffer()
+	var err error
+	for i, n := range ints {
+		if b, err = reserve(w, b); err != nil {
+			return err
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, n, 10)
+	}
+	for _, v := range vals {
+		if b, err = reserve(w, b); err != nil {
+			return err
+		}
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, v, 'g', 6, 64)
+	}
+	if b, err = reserve(w, b); err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
+}
+
+// reserve returns b while it has fieldRoom bytes to spare; otherwise it
+// writes b, flushes the writer and returns the writer's free space.
+func reserve(w *bufio.Writer, b []byte) ([]byte, error) {
+	if cap(b)-len(b) >= fieldRoom {
+		return b, nil
+	}
+	if _, err := w.Write(b); err != nil {
+		return nil, err
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	return w.AvailableBuffer(), nil
 }
 
 // DiscoverSource inspects a directory previously written by one of the

@@ -115,6 +115,13 @@ go test -run '^$' -fuzz 'FuzzRowstoreFile' -fuzztime 10s -fuzzminimizetime 1s ./
 echo "== go test -fuzz FuzzReadingRows -fuzztime 10s ./internal/meterdata (hostile text rows)"
 go test -run '^$' -fuzz 'FuzzReadingRows' -fuzztime 10s -fuzzminimizetime 1s ./internal/meterdata
 
+# The text writers append each line through strconv into the writer's
+# buffer; the fmt writers they replaced are the oracle. Any household,
+# hour and value, written from any offset of a small buffer, must come
+# out as fmt spells it and read back through ScanReadings.
+echo "== go test -fuzz FuzzWriteLineMatchesFmt -fuzztime 10s ./internal/meterdata (text lines against fmt)"
+go test -run '^$' -fuzz 'FuzzWriteLineMatchesFmt' -fuzztime 10s -fuzzminimizetime 1s ./internal/meterdata
+
 # Write-ahead-log replay over arbitrary shard files, with the magic kept
 # or replaced: Open fails only for I/O, only whole CRC-clean records
 # come back, and a second open over the truncated file replays the same
