@@ -80,7 +80,7 @@ func Fig4(opts Options) (*Report, error) {
 		Title:   fmt.Sprintf("Data loading times (%d consumers x %d days)", opts.Scale.BaseConsumers, opts.Scale.Days),
 		Columns: []string{"engine", "unpartitioned", "partitioned"},
 		Notes: []string{
-			"expected shape: rowstore slowest; colstore fast; filestore's 'load' is just the file split",
+			"expected shape: rowstore the slower database loader, colstore the faster; filestore's 'load' is just the file split, which rewrites every reading as text and can be the slowest bar",
 		},
 	}
 	fileE, rowE, colE := singleNodeEngines(&opts, "fig4")

@@ -36,7 +36,8 @@ func fuzzValue(b byte) float64 {
 // FuzzPlannedPARMatchesNaive turns bytes into an order (the first
 // byte), and readings and temperatures of a few days (the rest, taken
 // alternately and repeated when short), and requires the planned kernel
-// to fit them, and to equal the textbook kernel bit for bit.
+// to fit them, and to equal the textbook kernel bit for bit, on the
+// path this CPU selects and on the Go lanes alone.
 func FuzzPlannedPARMatchesNaive(f *testing.F) {
 	f.Add([]byte{2, 16, 40})                           // flat consumer, constant temperature
 	f.Add([]byte{0, 1, 2, 3, 5, 8, 13, 21, 34, 55})    // order 1
@@ -71,5 +72,10 @@ func FuzzPlannedPARMatchesNaive(f *testing.F) {
 			t.Fatalf("planned: %v", err)
 		}
 		sameResult(t, "planned against naive", got, want)
+		withLanes(func() { got, err = ComputeOrder(s, temp, order) })
+		if err != nil {
+			t.Fatalf("planned, Go lanes: %v", err)
+		}
+		sameResult(t, "planned on the Go lanes against naive", got, want)
 	})
 }

@@ -70,7 +70,7 @@ func computeNaive(s *timeseries.Series, temp *timeseries.Temperature, p int) (*R
 		}
 		var m stats.Moments
 		for d := 0; d < days; d++ {
-			m.Add(cc[d] - slope*ct[d])
+			m.Add(cc[d] - float64(slope*ct[d]))
 		}
 		res.Profile[h] = m.Mean()
 	}

@@ -21,11 +21,7 @@ type Plan struct {
 	order int
 	temps []float64 // the series as given, day-major
 	days  int       // 0 when no consumer can be fitted; Compute says why
-
-	// cols is temps hour-major: hour h of day d is cols[h*days+d], so
-	// that the days of one hour of the day are contiguous.
-	cols []float64
-	hour [hoursPerDay]hourPlan
+	hour  [hoursPerDay]hourPlan
 }
 
 // hourPlan is what one hour of the day needs of the temperature alone.
@@ -44,19 +40,22 @@ type hourPlan struct {
 // consumers allocates them once. The zero value is ready to use; it is
 // not safe for concurrent use.
 type Scratch struct {
-	cols []float64 // the consumer's readings, hour-major like Plan.cols
-
-	// The normal equations of the hour being fitted, over the regressors
-	// lag 1..order, temperature, one: gram is their (order+2)² moment
-	// matrix, upper triangle only, and rhs their moments against the
-	// consumption. sys and x are the copy the solver eliminates.
+	// The normal equations of the four hours of the group being fitted,
+	// over the regressors lag 1..order, temperature, one: lane l's
+	// (order+2)² moment matrix (upper triangle only) is gram[l·d²:] and
+	// its moments against the consumption rhs[l·d:], d = order+2. sys
+	// and x are the copy the solver eliminates.
 	gram, rhs, sys, x []float64
+	// coef holds the group's auto-regressive coefficients as rSquared
+	// reads them, lag j+1 of lane l at coef[4j+l], and model the rest.
+	coef  []float64
+	model laneModel
 }
 
-// NewPlan transposes and sums the temperature series once for every
-// consumer that will be fitted against it with auto-regressive order
-// order. A nil series is an empty one: every consumer is then refused
-// for its length, as an error and not a nil dereference.
+// NewPlan sums the temperature series once for every consumer that will
+// be fitted against it with auto-regressive order order. A nil series is
+// an empty one: every consumer is then refused for its length, as an
+// error and not a nil dereference.
 func NewPlan(temp *timeseries.Temperature, order int) *Plan {
 	p := &Plan{order: order}
 	if temp != nil {
@@ -69,23 +68,22 @@ func NewPlan(temp *timeseries.Temperature, order int) *Plan {
 	}
 	days := len(p.temps) / hoursPerDay
 	p.days = days
-	p.cols = make([]float64, len(p.temps))
-	transpose(p.cols, p.temps, days)
 	n := float64(days)
 	for h := range p.hour {
-		t := p.cols[h*days : (h+1)*days]
 		hp := &p.hour[h]
 		var sx, sxx float64
-		for _, v := range t {
+		for d := 0; d < days; d++ {
+			v := p.temps[d*hoursPerDay+h]
 			sx += v
-			sxx += v * v
+			sxx += float64(v * v)
 		}
-		den := n*sxx - sx*sx
+		den := float64(n*sxx) - float64(sx*sx)
 		hp.sx, hp.den = sx, den
 		hp.singular = stats.IsZero(den) || math.Abs(den) < 1e-12*math.Abs(n*sxx)
-		for _, v := range t[order:] {
+		for d := order; d < days; d++ {
+			v := p.temps[d*hoursPerDay+h]
 			hp.st += v
-			hp.stt += v * v
+			hp.stt += float64(v * v)
 		}
 	}
 	return p
@@ -112,49 +110,50 @@ func (p *Plan) refusal(id timeseries.ID, readings int) error {
 }
 
 // Compute runs PAR for one consumer whose readings align with the
-// plan's temperatures, working in sc. Per hour of the day it
-// accumulates the normal equations of the regression in registers,
-// solves them, and measures R² in one pass; the 24 profile means then
-// run side by side over the days. Every sum adds its terms in the order
-// the textbook kernel does (computeNaive), so the results are the same
-// bit for bit. It allocates the Result and the array behind its
+// plan's temperatures, working in sc. It fits the hours of the day four
+// at a time, straight from the day-major series (kernel.go): per group
+// it accumulates the lanes' normal equations, solves each hour's, and
+// measures the four R² in one pass; the 24 profile means then run side
+// by side over the days. Every sum adds its terms in the order the
+// textbook kernel does (computeNaive), so the results are the same bit
+// for bit. It allocates the Result and the array behind its
 // auto-regressive coefficients.
 func (p *Plan) Compute(s *timeseries.Series, sc *Scratch) (*Result, error) {
 	if err := p.refusal(s.ID, len(s.Readings)); err != nil {
 		return nil, err
 	}
 	order, days := p.order, p.days
-	sc.size(order, len(s.Readings))
-	transpose(sc.cols, s.Readings, days)
+	sc.size(order)
 
 	res := &Result{ID: s.ID}
 	ar := make([]float64, hoursPerDay*order)
 	var slope [hoursPerDay]float64
-	for h := range res.Hours {
-		c := sc.cols[h*days : (h+1)*days]
-		t := p.cols[h*days : (h+1)*days]
-		hp := &p.hour[h]
-		sy, sty := sc.accumulate(c, t, hp, order)
-		res.Hours[h] = sc.fit(c, t[order:], ar[h*order:(h+1)*order:(h+1)*order])
+	for h0 := 0; h0 < hoursPerDay; h0 += lanes {
+		c, t := s.Readings[h0:], p.temps[h0:]
+		hp := p.hour[h0 : h0+lanes]
+		sy, sty := sc.accumulate(c, t, hp, order, days)
+		sc.fit(res.Hours[h0:h0+lanes], c, t, ar[h0*order:(h0+lanes)*order], order, days-order)
 
 		// The slope of consumption on temperature alone, for the profile
 		// (see the package comment for why it is not the model's). A
 		// singular line keeps slope 0, which still meets every
 		// temperature below: 0 times a non-finite one is NaN.
-		if !hp.singular {
-			slope[h] = (float64(days)*sty - hp.sx*sy) / hp.den
+		for l := range hp {
+			if !hp[l].singular {
+				slope[h0+l] = (float64(float64(days)*sty[l]) - float64(hp[l].sx*sy[l])) / hp[l].den
+			}
 		}
 	}
-	profile(&res.Profile, s.Readings, p.temps, &slope)
+	profile(&res.Profile, s.Readings, p.temps, &slope, days)
 	return res, nil
 }
 
-// size gives the buffers the lengths an order and a series need.
-func (sc *Scratch) size(order, readings int) {
+// size gives the buffers the lengths an order needs.
+func (sc *Scratch) size(order int) {
 	d := order + 2
-	sc.cols = grown(sc.cols, readings)
-	sc.gram, sc.sys = grown(sc.gram, d*d), grown(sc.sys, d*d)
-	sc.rhs, sc.x = grown(sc.rhs, d), grown(sc.x, d)
+	sc.gram, sc.rhs = grown(sc.gram, lanes*d*d), grown(sc.rhs, lanes*d)
+	sc.sys, sc.x = grown(sc.sys, d*d), grown(sc.x, d)
+	sc.coef = grown(sc.coef, lanes*order)
 }
 
 // grown returns buf with length n, reallocated only if it is too small.
@@ -162,139 +161,131 @@ func grown(buf []float64, n int) []float64 {
 	return slices.Grow(buf[:0], n)[:n]
 }
 
-// transpose copies a day-major series of whole days into hour-major
-// columns.
-func transpose(cols, series []float64, days int) {
-	for d := 0; d < days; d++ {
-		row := (*[hoursPerDay]float64)(series[d*hoursPerDay:])
-		for h, v := range row {
-			cols[h*days+d] = v
-		}
-	}
-}
-
-// accumulate fills sc.gram and sc.rhs for one hour of the day from the
-// consumer's column c and the temperature column t of that hour, and
-// returns Σc and Σt·c over every day, the consumer's side of the
-// profile's line.
-func (sc *Scratch) accumulate(c, t []float64, hp *hourPlan, order int) (syAll, styAll float64) {
-	n := len(c) - order
+// accumulate fills the lanes of sc.gram and sc.rhs for the group of
+// hours whose consumption c and temperatures t start at its first hour
+// of day 0, and returns each lane's Σc and Σt·c over every day, the
+// consumer's side of the profile's line.
+func (sc *Scratch) accumulate(c, t []float64, hp []hourPlan, order, days int) (syAll, styAll [lanes]float64) {
+	n := days - order
 	d := order + 2
 	iT, i1 := order, order+1 // the temperature and the constant regressor
-	g, rhs := sc.gram, sc.rhs
-	y, ty := c[order:], t[order:][:n]
+	y, ty := c[order*hoursPerDay:], t[order*hoursPerDay:]
 
 	// The profile's sums start at day 0, the regression's at the first
 	// observed day; from there one product feeds both.
-	for i, v := range c[:order] {
-		syAll += v
-		styAll += t[i] * v
+	var ys [4 * lanes]float64
+	ySums(&ys, c, t, order, days)
+	for l := range lanes {
+		g, rhs := sc.gram[l*d*d:], sc.rhs[l*d:]
+		g[iT*d+iT], g[iT*d+i1], g[i1*d+i1] = hp[l].stt, hp[l].st, float64(n)
+		rhs[iT], rhs[i1] = ys[3*lanes+l], ys[2*lanes+l]
+		syAll[l], styAll[l] = ys[l], ys[lanes+l]
 	}
-	var sy, sty float64
-	for i, v := range y {
-		tv := ty[i] * v
-		syAll += v
-		styAll += tv
-		sy += v
-		sty += tv
-	}
-	g[iT*d+iT], g[iT*d+i1], g[i1*d+i1] = hp.stt, hp.st, float64(n)
-	rhs[iT], rhs[i1] = sty, sy
 
 	// Lag j+1 against one, the temperature, the consumption and the lags
 	// from itself on, three of those to a pass. Where the order has no
 	// such lag the pass runs over x again and the sum is dropped.
+	var sums [6 * lanes]float64
 	for j := 0; j < order; j++ {
-		x := lagColumn(c, order, j)
+		x := lagSeries(c, order, j)
 		for k := j; k < order; k += 3 {
 			a, b := x, x
 			if k+1 < order {
-				a = lagColumn(c, order, k+1)
+				a = lagSeries(c, order, k+1)
 			}
 			if k+2 < order {
-				b = lagColumn(c, order, k+2)
+				b = lagSeries(c, order, k+2)
 			}
-			s, sxy, sxt, s0, s1, s2 := lagSums(x, y, ty, lagColumn(c, order, k), a, b)
-			if k == j {
-				g[j*d+i1], g[j*d+iT], rhs[j] = s, sxt, sxy
-			}
-			g[j*d+k] = s0
-			if k+1 < order {
-				g[j*d+k+1] = s1
-			}
-			if k+2 < order {
-				g[j*d+k+2] = s2
+			lagSums(&sums, x, y, ty, lagSeries(c, order, k), a, b, n)
+			for l := range lanes {
+				g, rhs := sc.gram[l*d*d:], sc.rhs[l*d:]
+				if k == j {
+					g[j*d+i1], g[j*d+iT], rhs[j] = sums[l], sums[2*lanes+l], sums[lanes+l]
+				}
+				g[j*d+k] = sums[3*lanes+l]
+				if k+1 < order {
+					g[j*d+k+1] = sums[4*lanes+l]
+				}
+				if k+2 < order {
+					g[j*d+k+2] = sums[5*lanes+l]
+				}
 			}
 		}
 	}
 	return syAll, styAll
 }
 
-// lagColumn returns, for every observed day, the consumption j+1 days
-// before it, as a view of the hour's column c.
-func lagColumn(c []float64, order, j int) []float64 {
-	return c[order-1-j : len(c)-1-j]
+// lagSeries returns, from the first observed day on, the group's
+// consumption j+1 days before, as a view of its series c.
+func lagSeries(c []float64, order, j int) []float64 {
+	return c[(order-1-j)*hoursPerDay:]
 }
 
-// lagSums returns Σx, Σx·y, Σx·t, Σx·a, Σx·b and Σx·c over slices of one
-// length, each sum adding its terms in index order. Six chains are what
-// the default order needs of a lag at most, and they fit the registers.
-func lagSums(x, y, t, a, b, c []float64) (s, sy, st, sa, sb, sc float64) {
-	n := len(x)
-	y, t, a, b, c = y[:n], t[:n], a[:n], b[:n], c[:n]
-	for i, v := range x {
-		s += v
-		sy += v * y[i]
-		st += v * t[i]
-		sa += v * a[i]
-		sb += v * b[i]
-		sc += v * c[i]
-	}
-	return s, sy, st, sa, sb, sc
-}
-
-// fit solves the hour's normal equations from sc.gram and sc.rhs, as
-// stats.Regress would over the design matrix: the full model; without
-// the temperature when that is singular (a near-constant temperature
-// column), which is the same sums less one row and column; the hour's
-// mean when the consumption is constant as well. c is the consumer's
-// column of the hour, t the temperatures of the observed days; the
-// auto-regressive coefficients land in coef, which arrives zeroed.
-func (sc *Scratch) fit(c, t, coef []float64) HourModel {
-	order := len(coef)
+// fit solves the normal equations of each lane in sc.gram and sc.rhs,
+// as stats.Regress would over the design matrix: the full model;
+// without the temperature when that is singular (a near-constant
+// temperature column), which is the same sums less one row and column;
+// the hour's mean when the consumption is constant as well. Then one
+// rSquared pass measures every lane that has a model, the retry's
+// masked of its temperature term. c and t are the group's consumption
+// and temperatures from day 0, n the number of observed days; the
+// lanes' auto-regressive coefficients land in ar, which arrives zeroed,
+// and their models in hours.
+func (sc *Scratch) fit(hours []HourModel, c, t, ar []float64, order, n int) {
+	d := order + 2
 	iT, i1 := order, order+1
-	ybar := sc.rhs[i1] / float64(len(t))
-	if x := sc.solve(order+2, -1); x != nil {
-		copy(coef, x)
-		return HourModel{
-			ARCoef:    coef,
-			TempCoef:  x[iT],
-			Intercept: x[i1],
-			R2:        rSquared(c, t, coef, x[iT], true, x[i1], ybar),
+	m := &sc.model
+	measured := false
+	for l := range lanes {
+		gram, rhs := sc.gram[l*d*d:(l+1)*d*d], sc.rhs[l*d:(l+1)*d]
+		coef := ar[l*order : (l+1)*order : (l+1)*order]
+		ybar := rhs[i1] / float64(n)
+		if x := sc.solve(gram, rhs, -1); x != nil {
+			copy(coef, x)
+			hours[l] = HourModel{ARCoef: coef, TempCoef: x[iT], Intercept: x[i1]}
+			m.k[l], m.b[l], m.mask[l] = x[i1], x[iT], ^uint64(0)
+		} else if x := sc.solve(gram, rhs, iT); x != nil {
+			copy(coef, x)
+			hours[l] = HourModel{ARCoef: coef, Intercept: x[order]}
+			m.k[l], m.b[l], m.mask[l] = x[order], 0, 0
+		} else {
+			hours[l] = HourModel{ARCoef: coef, Intercept: ybar, Fallback: true}
+		}
+		m.ybar[l] = ybar
+		for j, a := range coef {
+			sc.coef[lanes*j+l] = a
+		}
+		measured = measured || !hours[l].Fallback
+	}
+	if !measured {
+		return
+	}
+	var ss [2 * lanes]float64
+	rSquared(&ss, c, c[order*hoursPerDay:], t[order*hoursPerDay:], sc.coef, m, order, n)
+	for l := range lanes {
+		if hours[l].Fallback {
+			continue
+		}
+		if ssTot := ss[lanes+l]; ssTot > 0 {
+			hours[l].R2 = 1 - ss[l]/ssTot
+		} else {
+			hours[l].R2 = 1
 		}
 	}
-	if x := sc.solve(order+2, iT); x != nil {
-		copy(coef, x)
-		return HourModel{
-			ARCoef:    coef,
-			Intercept: x[order],
-			R2:        rSquared(c, t, coef, 0, false, x[order], ybar),
-		}
-	}
-	return HourModel{ARCoef: coef, Intercept: ybar, Fallback: true}
 }
 
-// solve copies the d x d normal equations, less the regressor skip when
-// that is not negative, into sc.sys and sc.x, mirrors the upper
-// triangle and solves them there. It returns the solution, or nil when
-// the system is singular.
-func (sc *Scratch) solve(d, skip int) []float64 {
+// solve copies one lane's d x d normal equations, less the regressor
+// skip when that is not negative, into sc.sys and sc.x, mirrors the
+// upper triangle and solves them there. It returns the solution, or nil
+// when the system is singular.
+func (sc *Scratch) solve(gram, rhs []float64, skip int) []float64 {
+	d := len(rhs)
 	m := 0
 	for j := 0; j < d; j++ {
 		if j == skip {
 			continue
 		}
-		sc.x[m] = sc.rhs[j]
+		sc.x[m] = rhs[j]
 		m++
 	}
 	r := 0
@@ -307,7 +298,7 @@ func (sc *Scratch) solve(d, skip int) []float64 {
 			if k == skip {
 				continue
 			}
-			v := sc.gram[j*d+k]
+			v := gram[j*d+k]
 			sc.sys[r*m+q], sc.sys[q*m+r] = v, v
 			q++
 		}
@@ -317,47 +308,4 @@ func (sc *Scratch) solve(d, skip int) []float64 {
 		return nil
 	}
 	return sc.x[:m]
-}
-
-// rSquared is the in-sample coefficient of determination of the model
-// k + Σ ar[j]·lag(j+1) (+ b·t when withT), each prediction summed in
-// that order, over the observed days of the column c.
-func rSquared(c, t, ar []float64, b float64, withT bool, k, ybar float64) float64 {
-	order := len(ar)
-	var ssRes, ssTot float64
-	for i, y := range c[order:] {
-		pred := k
-		lags := c[i : i+order] // lag j+1 is lags[order-1-j]
-		for j, a := range ar {
-			pred += a * lags[order-1-j]
-		}
-		if withT {
-			pred += b * t[i]
-		}
-		r := y - pred
-		ssRes += r * r
-		dy := y - ybar
-		ssTot += dy * dy
-	}
-	if ssTot > 0 {
-		return 1 - ssRes/ssTot
-	}
-	return 1
-}
-
-// profile averages the temperature-independent load reading - slope·T
-// of each hour of the day over the days, as 24 running means
-// (stats.Moments' update) that advance together one day at a time: the
-// means of one hour form a chain of divisions, those of different hours
-// do not wait for one another.
-func profile(mean *[hoursPerDay]float64, readings, temps []float64, slope *[hoursPerDay]float64) {
-	for d := 0; (d+1)*hoursPerDay <= len(readings); d++ {
-		row := (*[hoursPerDay]float64)(readings[d*hoursPerDay:])
-		trow := (*[hoursPerDay]float64)(temps[d*hoursPerDay:])
-		n := float64(d + 1)
-		for h := range mean {
-			x := row[h] - slope[h]*trow[h]
-			mean[h] += (x - mean[h]) / n
-		}
-	}
 }

@@ -101,20 +101,45 @@ func drawCase(rng *rand.Rand, kind, days int) (readings, temps []float64) {
 			readings[at()] = 1e300
 			readings[at()] = 1e-300
 		}
+	case 11: // one hour of the day at a constant temperature: it alone retries
+		h := rng.Intn(hoursPerDay)
+		for d := 0; d < days; d++ {
+			temps[d*hoursPerDay+h] = 12.5
+		}
 	}
 	return readings, temps
 }
 
-const drawKinds = 11
+const drawKinds = 12
+
+// onBothPaths runs f on the path this CPU selects and again on the Go
+// lanes alone, clearing useAVX the way the similarity kernel's tests do.
+func onBothPaths(t *testing.T, f func(t *testing.T)) {
+	t.Run("selected", f)
+	t.Run("lanes", func(t *testing.T) { withLanes(func() { f(t) }) })
+}
+
+// withLanes runs f with the vector path off.
+func withLanes(f func()) {
+	saved := useAVX
+	useAVX = false
+	defer func() { useAVX = saved }()
+	f()
+}
 
 // TestPlannedPARMatchesNaiveBits holds Plan.Compute to the textbook
 // kernel bit for bit, in every field of every hour's model and of the
 // profile, over orders 1 to 6, series from the shortest the order
-// admits to over a year, and every input shape of drawCase.
+// admits to over a year, and every input shape of drawCase, on both
+// paths.
 func TestPlannedPARMatchesNaiveBits(t *testing.T) {
+	onBothPaths(t, plannedMatchesNaive)
+}
+
+func plannedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	var sc Scratch // one scratch across orders and lengths, as a worker slot sees it
-	for draw := 0; draw < 396; draw++ {
+	for draw := 0; draw < 432; draw++ {
 		order := 1 + draw%6
 		kind := (draw / 6) % drawKinds
 		minDays := 2*order + 2
@@ -171,6 +196,38 @@ func TestDrawsReachEveryBranch(t *testing.T) {
 	if nans != 1 {
 		t.Errorf("constant temperature with one +Inf: %d NaN profile entries, want 1 (slope 0 times Inf)", nans)
 	}
+
+	// A four-hour group whose lanes take different models: a full-model
+	// hour beside a retry (one hour at a constant temperature), and
+	// beside a fallback (one flat hour).
+	retry := func(m HourModel) bool { return !m.Fallback && sameFloat(m.TempCoef, 0) }
+	fallback := func(m HourModel) bool { return m.Fallback }
+	if r := fit(11); !mixedGroup(r, retry) {
+		t.Errorf("one constant-temperature hour: no group mixes a full model with the retry")
+	}
+	if r := fit(3); !mixedGroup(r, fallback) {
+		t.Errorf("one flat hour: no group mixes a full model with the fallback")
+	}
+}
+
+// mixedGroup reports whether one four-hour group of r holds a
+// full-model hour and an hour for which odd holds.
+func mixedGroup(r *Result, odd func(HourModel) bool) bool {
+	for h0 := 0; h0 < hoursPerDay; h0 += lanes {
+		full, other := false, false
+		for _, m := range r.Hours[h0 : h0+lanes] {
+			switch {
+			case odd(m):
+				other = true
+			case !m.Fallback && !sameFloat(m.TempCoef, 0):
+				full = true
+			}
+		}
+		if full && other {
+			return true
+		}
+	}
+	return false
 }
 
 // TestPlanRefusals pins the order and the texts of the checks, which
@@ -227,6 +284,10 @@ func benchCase(days int) (*timeseries.Series, *timeseries.Temperature) {
 // TestPlannedPARAllocations pins what a planned fit allocates: the
 // Result and the array behind its 24 ARCoef slices.
 func TestPlannedPARAllocations(t *testing.T) {
+	onBothPaths(t, plannedAllocations)
+}
+
+func plannedAllocations(t *testing.T) {
 	s, temp := benchCase(60)
 	plan := NewPlan(temp, DefaultOrder)
 	var sc Scratch
@@ -248,9 +309,14 @@ func TestPlannedPARAllocations(t *testing.T) {
 }
 
 // TestPlanSharedAcrossGoroutines fits different consumers against one
-// plan from several goroutines at once, each with its own scratch; run
-// under -race it shows that Compute only reads the plan.
+// plan from several goroutines at once, each with its own scratch, on
+// both paths; run under -race it shows that Compute only reads the
+// plan.
 func TestPlanSharedAcrossGoroutines(t *testing.T) {
+	onBothPaths(t, planShared)
+}
+
+func planShared(t *testing.T) {
 	const workers, days = 4, 30
 	rng := rand.New(rand.NewSource(31))
 	_, temps := drawCase(rng, 0, days)
@@ -323,4 +389,36 @@ func BenchmarkPAROneOff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchSink, _ = Compute(s, temp)
 	}
+}
+
+// BenchmarkPARDataset is the layer as a run uses it: one plan and one
+// scratch over a year of 640 consumers, the benchmark's default store,
+// each fitted once per iteration, in ns per reading. Its data (45 MB)
+// outgrows the caches that one consumer fitted over and over stays in.
+// The sub-benchmarks are the path this CPU selects and the Go lanes.
+func BenchmarkPARDataset(b *testing.B) {
+	const consumers, days = 640, 365
+	rng := rand.New(rand.NewSource(37))
+	series := make([]*timeseries.Series, consumers)
+	var temps []float64
+	for i := range series {
+		readings, t := drawCase(rng, 0, days)
+		if i == 0 {
+			temps = t
+		}
+		series[i] = &timeseries.Series{ID: timeseries.ID(i + 1), Readings: readings}
+	}
+	plan := NewPlan(&timeseries.Temperature{Values: temps}, DefaultOrder)
+	run := func(b *testing.B) {
+		var sc Scratch
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, s := range series {
+				benchSink, _ = plan.Compute(s, &sc)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*consumers*days*hoursPerDay), "ns/reading")
+	}
+	b.Run("selected", run)
+	b.Run("lanes", func(b *testing.B) { withLanes(func() { run(b) }) })
 }

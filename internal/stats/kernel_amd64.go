@@ -8,6 +8,11 @@ var useAVX = hasAVX()
 // and 28 AVX) and the OS saves the YMM state (XCR0 bits 1 and 2).
 func hasAVX() bool
 
+// HasAVX reports whether this CPU runs AVX code: the check other
+// packages' vector kernels take, so that every kernel selects its path
+// the same way.
+func HasAVX() bool { return hasAVX() }
+
 // dotPairs4x4 sums, for each pair (q_k, c_j) of the four query and four
 // candidate rows, the products of elements 0, 2, …, 2·pairs−2 into
 // acc[8k+2j] and of elements 1, 3, …, 2·pairs−1 into acc[8k+2j+1], each

@@ -17,11 +17,11 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-# The similarity kernel has an amd64 assembly path and a Go path for
-# every other platform; vet the non-amd64 file set so it keeps
-# compiling.
-echo "== GOARCH=arm64 go vet ./internal/stats ./internal/similarity (non-amd64 kernel files)"
-GOARCH=arm64 go vet ./internal/stats ./internal/similarity
+# The similarity and PAR kernels have an amd64 assembly path and a Go
+# path for every other platform; vet the non-amd64 file sets so they
+# keep compiling.
+echo "== GOARCH=arm64 go vet ./internal/stats ./internal/similarity ./internal/par (non-amd64 kernel files)"
+GOARCH=arm64 go vet ./internal/stats ./internal/similarity ./internal/par
 
 echo "== go run ./cmd/smlint ./..."
 go run ./cmd/smlint ./...
@@ -145,9 +145,10 @@ done
 
 # The planned PAR kernel against the textbook one it replaced: a short
 # coverage-guided pass beyond the property test's draws (bit for bit, no
-# panic), and one iteration of each PAR benchmark so that they keep
-# compiling and running.
-echo "== go test -fuzz FuzzPlannedPARMatchesNaive -fuzztime 10s ./internal/par (planned PAR == naive)"
+# panic), each input fitted on both paths, the vector one this CPU
+# selects and the Go lanes; then one iteration of each PAR benchmark so
+# that they keep compiling and running.
+echo "== go test -fuzz FuzzPlannedPARMatchesNaive -fuzztime 10s ./internal/par (planned PAR == naive, both paths)"
 go test -run '^$' -fuzz 'FuzzPlannedPARMatchesNaive' -fuzztime 10s ./internal/par
 echo "== go test -bench PAR -benchtime 1x ./internal/par"
 go test -run xxx -bench 'PAR' -benchtime 1x ./internal/par
