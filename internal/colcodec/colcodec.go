@@ -504,6 +504,17 @@ func decodeFixed(b []byte, dst []float64) (int, error) {
 	return off, nil
 }
 
+// exactRun reports whether k deltas of w bits (1 <= w <= 56, k <= 128)
+// from cur keep every running integer in [-2^51, 2^51), where
+// unpackAVX2 converts it to float64 exactly: a delta is at least
+// -2^(w-1) and below 2^(w-1), so |cur| < 2^51 - k·2^(w-1) suffices.
+// Wider deltas and larger integers (hostile payloads among them) take
+// the Go lanes.
+func exactRun(cur int64, w uint, k int) bool {
+	lim := int64(1)<<51 - int64(k)<<(w-1)
+	return -lim < cur && cur < lim
+}
+
 // unpackDeltas decodes len(dst) w-bit zigzag deltas packed LSB-first at
 // the start of body (1 <= w <= 64), accumulating from cur, and returns
 // the last integer. The caller has checked that body holds the batch.
@@ -513,6 +524,9 @@ func decodeFixed(b []byte, dst []float64) (int, error) {
 // readable bytes remain at the delta's first byte; body runs on past
 // the batch to the end of the payload, so that is every delta but the
 // last few of a payload. Those, and wider deltas, go through bitReader.
+// On amd64 with AVX2, the word loop's leading multiple of four deltas
+// runs through unpackAVX2 when exactRun allows; the word loop, the Go
+// lanes, is its oracle and the whole path everywhere else.
 func unpackDeltas(body []byte, dst []float64, w uint, cur int64, p float64) (int64, error) {
 	j := 0
 	if w <= 56 && len(body) >= 8 {
@@ -523,7 +537,11 @@ func unpackDeltas(body []byte, dst []float64, w uint, cur int64, p float64) (int
 			fast = len(dst)
 		}
 		mask := uint64(1)<<w - 1
-		bit := uint(0)
+		if k := fast &^ 3; useAVX2 && k > 0 && exactRun(cur, w, k) {
+			cur = unpackAVX2(&body[0], &dst[0], k, w, mask, cur, p)
+			j = k
+		}
+		bit := uint(j) * w
 		for ; j < fast; j++ {
 			u := binary.LittleEndian.Uint64(body[bit>>3:]) >> (bit & 7) & mask
 			cur += unzigzag(u)

@@ -55,7 +55,8 @@ func fuzzSeeds() [][]float64 {
 
 // FuzzValuesRoundTrip feeds arbitrary bit patterns through every
 // encode mode the heuristic picks and requires bit-identical decode
-// with exact payload accounting — the codec's core contract.
+// with exact payload accounting — the codec's core contract — on the
+// decoder's vector path and on its Go lanes.
 func FuzzValuesRoundTrip(f *testing.F) {
 	for _, vals := range fuzzSeeds() {
 		f.Add(floatsToBytes(vals))
@@ -67,22 +68,26 @@ func FuzzValuesRoundTrip(f *testing.F) {
 		}
 		var enc Encoder
 		payload := enc.AppendValues(nil, vals)
-		got, used, err := DecodeValues(payload, nil)
-		if err != nil {
-			t.Fatalf("DecodeValues: %v", err)
-		}
-		if used != len(payload) {
-			t.Fatalf("consumed %d of %d payload bytes", used, len(payload))
-		}
-		if len(got) != len(vals) {
-			t.Fatalf("decoded %d values, want %d", len(got), len(vals))
-		}
-		for i := range vals {
-			if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
-				t.Fatalf("value %d: bits %016x want %016x",
-					i, math.Float64bits(got[i]), math.Float64bits(vals[i]))
+		check := func(path string) {
+			got, used, err := DecodeValues(payload, nil)
+			if err != nil {
+				t.Fatalf("DecodeValues (%s): %v", path, err)
+			}
+			if used != len(payload) {
+				t.Fatalf("consumed %d of %d payload bytes (%s)", used, len(payload), path)
+			}
+			if len(got) != len(vals) {
+				t.Fatalf("decoded %d values, want %d (%s)", len(got), len(vals), path)
+			}
+			for i := range vals {
+				if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
+					t.Fatalf("value %d (%s): bits %016x want %016x",
+						i, path, math.Float64bits(got[i]), math.Float64bits(vals[i]))
+				}
 			}
 		}
+		check("vector")
+		withLanes(func() { check("Go lanes") })
 	})
 }
 
@@ -106,7 +111,8 @@ func FuzzDecodeValues(f *testing.F) {
 		if cnt, n := binary.Uvarint(payload); n > 0 && cnt > 1<<20 {
 			t.Skip()
 		}
-		// A fixed-mode body also goes to the byte-at-a-time oracle.
+		// A fixed-mode body also goes to the byte-at-a-time oracle, and
+		// is decoded on the vector path and on the Go lanes.
 		if cnt, n := binary.Uvarint(payload); n > 0 && n < len(payload) && payload[n] == modeFixed &&
 			cnt > 0 && cnt <= uint64(len(agreeBuf[0])) {
 			_, _ = agree(t, "fuzz", payload[n+1:], int(cnt))

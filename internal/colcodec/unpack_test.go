@@ -94,39 +94,53 @@ func fixedBody(rng *rand.Rand, n int, w uint, scale int) (body []byte, widthAt [
 	return body, widthAt
 }
 
-// agree runs both decoders over body and requires the same verdict: the
-// same error-or-not, and on success the same bytes consumed and the
-// same float bits.
+// agree runs decodeFixed over body on the path this CPU selects and on
+// the Go lanes alone, and the oracle, and requires the same verdict from
+// all three: the same error-or-not, and on success the same bytes
+// consumed and the same float bits.
 func agree(t *testing.T, what string, body []byte, n int) (used int, err error) {
 	t.Helper()
-	got, want := agreeBuf[0][:n], agreeBuf[1][:n]
-	used, err = decodeFixed(body, got)
+	want := agreeBuf[0][:n]
 	wantUsed, wantErr := decodeFixedNaive(body, want)
-	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("%s: decodeFixed err %v, oracle err %v", what, err, wantErr)
+	for _, lanes := range []bool{false, true} {
+		got := agreeBuf[1][:n]
+		decode := func() { used, err = decodeFixed(body, got) }
+		path := "vector"
+		if lanes {
+			withLanes(decode)
+			path = "Go lanes"
+		} else {
+			decode()
+		}
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s: decodeFixed (%s) err %v, oracle err %v", what, path, err, wantErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: error %v (%s) is not ErrCorrupt", what, err, path)
+			}
+			continue
+		}
+		if used != wantUsed {
+			t.Fatalf("%s: consumed %d bytes (%s), oracle %d", what, used, path, wantUsed)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: value %d bits %016x (%s), oracle %016x", what, i,
+					math.Float64bits(got[i]), path, math.Float64bits(want[i]))
+			}
+		}
 	}
 	if err != nil {
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: error %v is not ErrCorrupt", what, err)
-		}
 		return 0, err
-	}
-	if used != wantUsed {
-		t.Fatalf("%s: consumed %d bytes, oracle %d", what, used, wantUsed)
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: value %d bits %016x, oracle %016x", what, i,
-				math.Float64bits(got[i]), math.Float64bits(want[i]))
-		}
 	}
 	return used, nil
 }
 
 var sweepLens = []int{1, 2, 127, 128, 129, 1008, 8760}
 
-// agreeBuf holds the two decoders' outputs; the longest sweep length
-// sizes it.
+// agreeBuf holds the oracle's output and a decodeFixed path's; the
+// longest sweep length sizes it.
 var agreeBuf [2][8760]float64
 
 // TestDecodeFixedMatchesNaiveBits sweeps every delta width, the block

@@ -400,7 +400,7 @@ func (s *scan) boundable(r int) bool {
 func margin(length int) float64 {
 	const u = 0x1p-53
 	n := float64(2*length + 16)
-	return 8 * n * u / (1 - n*u)
+	return 8 * n * u / (1 - float64(n*u))
 }
 
 // shapeOrder returns the rows of the reduced matrix ordered by load

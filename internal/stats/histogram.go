@@ -82,6 +82,9 @@ func (h *Histogram) Add(x float64) { h.Counts[h.Bucket(x)]++ }
 // AddAll incorporates every value of xs: Add in a loop, with the range
 // and the bucket count read once. Each expression and clamp is Bucket's,
 // in Bucket's order, so the counts are the ones the Add loop produces.
+// On amd64 with AVX2 the leading multiple of four readings runs through
+// addAllAVX2, four to a register, and the rest through addAllLanes, the
+// Go lanes that are its oracle and the whole path everywhere else.
 func (h *Histogram) AddAll(xs []float64) {
 	if len(xs) == 0 {
 		return
@@ -93,6 +96,21 @@ func (h *Histogram) AddAll(xs []float64) {
 		counts[0] += int64(len(xs))
 		return
 	}
+	if m := len(xs) &^ 3; useAVX2 && m > 0 && n <= maxKernelBuckets {
+		addAllAVX2(&counts[0], &xs[0], m, n, min, max, max-min, float64(n), float64(n-1))
+		xs = xs[m:]
+	}
+	addAllLanes(counts, xs, min, max)
+}
+
+// maxKernelBuckets bounds the buckets addAllAVX2 counts: its four
+// sub-histograms live in a fixed 2 KiB frame. Wider histograms take the
+// Go lanes.
+const maxKernelBuckets = 64
+
+// addAllLanes is AddAll's loop for min < max.
+func addAllLanes(counts []int64, xs []float64, min, max float64) {
+	n := len(counts)
 	span, nf := max-min, float64(n)
 	for _, x := range xs {
 		b := 0
@@ -142,7 +160,7 @@ func (h *Histogram) Edges() []float64 {
 	edges := make([]float64, n+1)
 	w := h.BucketWidth()
 	for i := 0; i <= n; i++ {
-		edges[i] = h.Min + float64(i)*w
+		edges[i] = h.Min + float64(float64(i)*w)
 	}
 	edges[n] = h.Max // avoid accumulated rounding
 	return edges
@@ -184,7 +202,7 @@ func (h *Histogram) Entropy() float64 {
 			continue
 		}
 		p := float64(c) / float64(t)
-		e -= p * math.Log(p)
+		e -= float64(p * math.Log(p))
 	}
 	return e
 }

@@ -20,6 +20,25 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func cpuidAVX2() bool
+TEXT ·cpuidAVX2(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID                    // highest basic leaf into AX
+	CMPL AX, $7
+	JB   no2
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x20, BX           // AVX2 (CPUID.(EAX=7,ECX=0):EBX bit 5)
+	JZ   no2
+	MOVB $1, ret+0(FP)
+	RET
+
+no2:
+	MOVB $0, ret+0(FP)
+	RET
+
 // func dotPairs4x4(acc *[32]float64, q0, q1, q2, q3, c0, c1, c2, c3 *float64, pairs int)
 //
 // Y8 holds [c0[i], c0[i+1], c1[i], c1[i+1]] and Y9 the same for c2 and

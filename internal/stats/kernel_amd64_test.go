@@ -9,8 +9,9 @@ import (
 
 // TestAVXDetectionMatchesKernel holds hasAVX to the "avx" flag Linux
 // reports (set only when the CPU has AVX and the kernel saves YMM
-// state): if detection failed silently, every bit-for-bit test above
-// would compare the Go lanes with themselves.
+// state), and HasAVX2 to "avx" and "avx2" together: if detection failed
+// silently, every bit-for-bit test above would compare the Go lanes
+// with themselves.
 func TestAVXDetectionMatchesKernel(t *testing.T) {
 	data, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -21,8 +22,12 @@ func TestAVXDetectionMatchesKernel(t *testing.T) {
 		if !ok || strings.TrimSpace(name) != "flags" {
 			continue
 		}
-		if want := slices.Contains(strings.Fields(flags), "avx"); hasAVX() != want || useAVX != want {
+		fields := strings.Fields(flags)
+		if want := slices.Contains(fields, "avx"); hasAVX() != want || useAVX != want {
 			t.Errorf("hasAVX() = %v, useAVX = %v; /proc/cpuinfo avx = %v", hasAVX(), useAVX, want)
+		}
+		if want := slices.Contains(fields, "avx") && slices.Contains(fields, "avx2"); HasAVX2() != want || useAVX2 != want {
+			t.Errorf("HasAVX2() = %v, useAVX2 = %v; /proc/cpuinfo avx and avx2 = %v", HasAVX2(), useAVX2, want)
 		}
 		return
 	}

@@ -91,12 +91,12 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// withLanes runs f with the vector kernel switched off, so that
-// CosineTile takes the Go lanes everywhere.
+// withLanes runs f with the vector kernels switched off, so that
+// CosineTile and AddAll take the Go lanes everywhere.
 func withLanes(f func()) {
-	saved := useAVX
-	useAVX = false
-	defer func() { useAVX = saved }()
+	saved, saved2 := useAVX, useAVX2
+	useAVX, useAVX2 = false, false
+	defer func() { useAVX, useAVX2 = saved, saved2 }()
 	f()
 }
 

@@ -70,7 +70,7 @@ func (m *Matrix) MulNaive(o *Matrix) (*Matrix, error) {
 			}
 			ok := o.Row(k)
 			for j := range oi {
-				oi[j] += a * ok[j]
+				oi[j] += float64(a * ok[j])
 			}
 		}
 	}
@@ -123,7 +123,7 @@ func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 							a := mi[k]
 							ok := o.Row(k)
 							for j := range oi {
-								oi[j] += a * ok[j]
+								oi[j] += float64(a * ok[j])
 							}
 						}
 					}
@@ -191,9 +191,9 @@ func SolveInPlace(a, x []float64) (col int, pivot float64, ok bool) {
 				continue
 			}
 			for j := col; j < n; j++ {
-				rr[j] -= f * cr[j]
+				rr[j] -= float64(f * cr[j])
 			}
-			x[r] -= f * x[col]
+			x[r] -= float64(f * x[col])
 		}
 	}
 	// Back substitution.
@@ -201,7 +201,7 @@ func SolveInPlace(a, x []float64) (col int, pivot float64, ok bool) {
 		ri := a[i*n : (i+1)*n]
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= ri[j] * x[j]
+			s -= float64(ri[j] * x[j])
 		}
 		x[i] = s / ri[i]
 	}

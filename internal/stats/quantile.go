@@ -70,7 +70,7 @@ func quantileRanks(n int, q float64) (lo, hi int, frac float64) {
 	if n == 1 {
 		return 0, 0, 0
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	lo = int(pos)
 	if lo >= n-1 {
 		return n - 1, n - 1, 0
@@ -85,7 +85,7 @@ func interpolate(vlo, vhi float64, lo, hi int, frac float64) float64 {
 	if hi == lo {
 		return vlo
 	}
-	return vlo*(1-frac) + vhi*frac
+	return float64(vlo*(1-frac)) + float64(vhi*frac)
 }
 
 // SelectQuantilePair returns the type-7 quantiles of xs at the levels

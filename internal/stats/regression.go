@@ -16,7 +16,7 @@ type Line struct {
 }
 
 // At evaluates the line at x.
-func (l Line) At(x float64) float64 { return l.Slope*x + l.Intercept }
+func (l Line) At(x float64) float64 { return float64(l.Slope*x) + l.Intercept }
 
 // LinearFit fits a least-squares line to the points (x[i], y[i]).
 // It requires at least two points and non-constant x.
@@ -32,15 +32,15 @@ func LinearFit(x, y []float64) (Line, error) {
 	for i, xv := range x {
 		sx += xv
 		sy += y[i]
-		sxx += xv * xv
-		sxy += xv * y[i]
+		sxx += float64(xv * xv)
+		sxy += float64(xv * y[i])
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if IsZero(den) || math.Abs(den) < 1e-12*math.Abs(n*sxx) {
 		return Line{}, fmt.Errorf("%w: constant regressor", ErrSingular)
 	}
-	slope := (n*sxy - sx*sy) / den
-	return Line{Slope: slope, Intercept: (sy - slope*sx) / n}, nil
+	slope := (float64(n*sxy) - float64(sx*sy)) / den
+	return Line{Slope: slope, Intercept: (sy - float64(slope*sx)) / n}, nil
 }
 
 // WeightedLinearFit fits a weighted least-squares line. Weights must be
@@ -59,20 +59,20 @@ func WeightedLinearFit(x, y, w []float64) (Line, error) {
 			return Line{}, fmt.Errorf("stats: negative weight %g", wi)
 		}
 		sw += wi
-		sx += wi * xv
-		sy += wi * y[i]
-		sxx += wi * xv * xv
-		sxy += wi * xv * y[i]
+		sx += float64(wi * xv)
+		sy += float64(wi * y[i])
+		sxx += float64(wi * xv * xv)
+		sxy += float64(wi * xv * y[i])
 	}
 	if sw <= 0 {
 		return Line{}, fmt.Errorf("stats: weights sum to %g", sw)
 	}
-	den := sw*sxx - sx*sx
+	den := float64(sw*sxx) - float64(sx*sx)
 	if IsZero(den) {
 		return Line{}, fmt.Errorf("%w: constant regressor", ErrSingular)
 	}
-	slope := (sw*sxy - sx*sy) / den
-	return Line{Slope: slope, Intercept: (sy - slope*sx) / sw}, nil
+	slope := (float64(sw*sxy) - float64(sx*sy)) / den
+	return Line{Slope: slope, Intercept: (sy - float64(slope*sx)) / sw}, nil
 }
 
 // LinearModel is a fitted multiple linear regression
@@ -92,7 +92,7 @@ func (m *LinearModel) Predict(x []float64) (float64, error) {
 	}
 	y := m.Intercept
 	for i, c := range m.Coef {
-		y += c * x[i]
+		y += float64(c * x[i])
 	}
 	return y, nil
 }
@@ -132,10 +132,10 @@ func Regress(X [][]float64, y []float64) (*LinearModel, error) {
 		for j := 0; j < p; j++ {
 			zj := row[j]
 			for k := j; k < p; k++ {
-				a.Set(j, k, a.At(j, k)+zj*row[k])
+				a.Set(j, k, a.At(j, k)+float64(zj*row[k]))
 			}
 			a.Set(j, p, a.At(j, p)+zj)
-			b[j] += zj * y[i]
+			b[j] += float64(zj * y[i])
 		}
 		a.Set(p, p, a.At(p, p)+1)
 		b[p] += y[i]
@@ -159,9 +159,9 @@ func Regress(X [][]float64, y []float64) (*LinearModel, error) {
 	for i := 0; i < n; i++ {
 		pred, _ := m.Predict(X[i])
 		r := y[i] - pred
-		ssRes += r * r
+		ssRes += float64(r * r)
 		dy := y[i] - ybar
-		ssTot += dy * dy
+		ssTot += float64(dy * dy)
 	}
 	if ssTot > 0 {
 		m.R2 = 1 - ssRes/ssTot

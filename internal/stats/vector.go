@@ -44,7 +44,7 @@ func Dot(x, y []float64) (float64, error) {
 	}
 	var s float64
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s, nil
 }
@@ -90,7 +90,7 @@ func Variance(xs []float64) (float64, error) {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return ss / float64(len(xs)-1), nil
 }
@@ -137,7 +137,7 @@ func (m *Moments) Add(x float64) {
 	m.n++
 	d := x - m.mean
 	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
+	m.m2 += float64(d * (x - m.mean))
 }
 
 // N returns the number of samples added.

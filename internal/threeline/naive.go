@@ -93,7 +93,7 @@ func naiveFitRange(xs, ys []float64, lo, hi int) (stats.Line, float64) {
 	var sse float64
 	for k := lo; k < hi; k++ {
 		r := ys[k] - line.At(xs[k])
-		sse += r * r
+		sse += float64(r * r)
 	}
 	return line, sse
 }

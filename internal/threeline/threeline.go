@@ -322,7 +322,7 @@ func xPrefixSums(x []float64) (sx, sxx []float64) {
 	sxx = make([]float64, len(x)+1)
 	for i, v := range x {
 		sx[i+1] = sx[i] + v
-		sxx[i+1] = sxx[i] + v*v
+		sxx[i+1] = sxx[i] + float64(v*v)
 	}
 	return sx, sxx
 }
@@ -333,8 +333,8 @@ func (f *segFitter) setY(y []float64) {
 	sy[0], sxy[0], syy[0] = 0, 0, 0
 	for i, v := range y {
 		sy[i+1] = sy[i] + v
-		sxy[i+1] = sxy[i] + x[i]*v
-		syy[i+1] = syy[i] + v*v
+		sxy[i+1] = sxy[i] + float64(x[i]*v)
+		syy[i+1] = syy[i] + float64(v*v)
 	}
 }
 
@@ -348,20 +348,20 @@ func (f *segFitter) fit(lo, hi int) (stats.Line, float64) {
 	sxx := f.sxx[hi] - f.sxx[lo]
 	sxy := f.sxy[hi] - f.sxy[lo]
 	syy := f.syy[hi] - f.syy[lo]
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den <= 1e-9*math.Abs(n*sxx) || den <= 0 {
 		mean := sy / n
-		sse := syy - 2*mean*sy + n*mean*mean
+		sse := syy - float64(2*mean*sy) + float64(n*mean*mean)
 		if sse < 0 {
 			sse = 0
 		}
 		return stats.Line{Slope: 0, Intercept: mean}, sse
 	}
-	slope := (n*sxy - sx*sy) / den
-	icept := (sy - slope*sx) / n
+	slope := (float64(n*sxy) - float64(sx*sy)) / den
+	icept := (sy - float64(slope*sx)) / n
 	// SSE = sum (y - a - b x)^2 expanded over the prefix sums.
-	sse := syy + n*icept*icept + slope*slope*sxx -
-		2*icept*sy - 2*slope*sxy + 2*slope*icept*sx
+	sse := syy + float64(n*icept*icept) + float64(slope*slope*sxx) -
+		float64(2*icept*sy) - float64(2*slope*sxy) + float64(2*slope*icept*sx)
 	if sse < 0 {
 		sse = 0
 	}
@@ -444,12 +444,12 @@ func (m *Model) makeContinuous() {
 	if m.Degenerate {
 		return
 	}
-	v1 := (m.Heating.At(m.Break1) + m.Base.At(m.Break1)) / 2
-	v2 := (m.Base.At(m.Break2) + m.Cooling.At(m.Break2)) / 2
+	v1 := float64((m.Heating.At(m.Break1) + m.Base.At(m.Break1)) / 2)
+	v2 := float64((m.Base.At(m.Break2) + m.Cooling.At(m.Break2)) / 2)
 	if !stats.ExactEqual(m.Break2, m.Break1) {
 		slope := (v2 - v1) / (m.Break2 - m.Break1)
-		m.Base = stats.Line{Slope: slope, Intercept: v1 - slope*m.Break1}
+		m.Base = stats.Line{Slope: slope, Intercept: v1 - float64(slope*m.Break1)}
 	}
-	m.Heating.Intercept = v1 - m.Heating.Slope*m.Break1
-	m.Cooling.Intercept = v2 - m.Cooling.Slope*m.Break2
+	m.Heating.Intercept = v1 - float64(m.Heating.Slope*m.Break1)
+	m.Cooling.Intercept = v2 - float64(m.Cooling.Slope*m.Break2)
 }

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # check.sh is the single verification entrypoint for the repo: build,
 # vet, the repo-native smlint analyzers, the full test suite under the
-# race detector and again as 32-bit binaries, the fuzz smokes (the value codec, the segment-file
-# reader, the row store's table file, the text parsers, write-ahead-log
-# replay, the PAR kernel, the similarity kernel, the similarity scan's
+# race detector and again as 32-bit binaries, the fuzz smokes (the value
+# codec on both decode paths, the segment-file reader, the row store's
+# table file, the text parsers, write-ahead-log replay, the PAR kernel,
+# the histogram kernel, the similarity kernel, the similarity scan's
 # bound and the similarity drain; the four hostile-file ones again as
-# 32-bit binaries) and the kernels'
-# benchmark smokes, then the benchmark module's own vet and tests. CI
+# 32-bit binaries), a check that no kernel package compiles a fused
+# multiply-add for arm64, and the kernels' benchmark smokes, then the
+# benchmark module's own vet and tests. CI
 # runs exactly this script; run it locally before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,11 +19,25 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-# The similarity and PAR kernels have an amd64 assembly path and a Go
-# path for every other platform; vet the non-amd64 file sets so they
-# keep compiling.
-echo "== GOARCH=arm64 go vet ./internal/stats ./internal/similarity ./internal/par (non-amd64 kernel files)"
-GOARCH=arm64 go vet ./internal/stats ./internal/similarity ./internal/par
+# The similarity, PAR, histogram and fixed-point decode kernels have an
+# amd64 assembly path and a Go path for every other platform; vet the
+# non-amd64 file sets so they keep compiling.
+echo "== GOARCH=arm64 go vet ./internal/stats ./internal/similarity ./internal/par ./internal/colcodec (non-amd64 kernel files)"
+GOARCH=arm64 go vet ./internal/stats ./internal/similarity ./internal/par ./internal/colcodec
+
+# The kernels' packages round every product on its own, as amd64 does,
+# so that their results are the same bits on every platform: arm64's
+# compiler fuses x*y+z into one instruction unless the product is
+# written float64(x*y). Fail on any fused multiply-add it emits there.
+echo "== GOARCH=arm64 go build -gcflags=-S (no fused multiply-add in stats, par, threeline, similarity, colcodec)"
+asm=$(GOARCH=arm64 go build -gcflags=-S ./internal/stats ./internal/par ./internal/threeline \
+	./internal/similarity ./internal/colcodec 2>&1)
+fused=$(grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' <<<"$asm" || true)
+if [ -n "$fused" ]; then
+	echo "$fused"
+	echo "check.sh: fused multiply-add on arm64; write the product float64(x*y)"
+	exit 1
+fi
 
 echo "== go run ./cmd/smlint ./..."
 go run ./cmd/smlint ./...
@@ -74,7 +90,8 @@ GOARCH=386 go test ./...
 # The value codec beyond the committed corpus: encode and decode must
 # round-trip every bit pattern (fixed, XOR, dict, RLE), and the decoder
 # must refuse or decode arbitrary bytes within bounds, its fixed-point
-# unpacker agreeing with the byte-at-a-time reader it replaced. go test
+# unpacker agreeing with the byte-at-a-time reader it replaced on the
+# vector path this CPU selects and on the Go lanes. go test
 # accepts one -fuzz target per invocation, hence two.
 echo "== go test -fuzz FuzzValuesRoundTrip -fuzztime 10s ./internal/colcodec (codec round trip)"
 go test -run '^$' -fuzz 'FuzzValuesRoundTrip' -fuzztime 10s ./internal/colcodec
@@ -152,6 +169,16 @@ echo "== go test -fuzz FuzzPlannedPARMatchesNaive -fuzztime 10s ./internal/par (
 go test -run '^$' -fuzz 'FuzzPlannedPARMatchesNaive' -fuzztime 10s ./internal/par
 echo "== go test -bench PAR -benchtime 1x ./internal/par"
 go test -run xxx -bench 'PAR' -benchtime 1x ./internal/par
+
+# The histogram kernel against the Add loop it must equal count for
+# count, on both of AddAll's paths (the vector one this CPU selects and
+# the Go lanes), over fuzzed ranges, bucket counts and readings; then
+# one iteration of the histogram's and the fixed-point decoder's
+# benchmarks, so that they keep compiling and running.
+echo "== go test -fuzz FuzzAddAllMatchesAddLoop -fuzztime 10s ./internal/stats (AddAll == Add loop, both paths)"
+go test -run '^$' -fuzz 'FuzzAddAllMatchesAddLoop' -fuzztime 10s ./internal/stats
+echo "== go test -bench 'AddAll|DecodeFixed' -benchtime 1x ./internal/stats ./internal/colcodec"
+go test -run xxx -bench 'AddAll|DecodeFixed' -benchtime 1x ./internal/stats ./internal/colcodec
 
 # The similarity kernel's vector path against the Go lanes it must equal
 # bit for bit, on shapes, lengths and values beyond the table tests (and
