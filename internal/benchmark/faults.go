@@ -10,7 +10,7 @@ import (
 )
 
 // faultRates is the injected per-consumer fault probability sweep. Each
-// rate is split across transient, permanent and corrupt faults; 0 is
+// rate is split three to one between permanent and corrupt faults; 0 is
 // the containment-overhead baseline.
 var faultRates = []float64{0, 0.02, 0.05, 0.10}
 
@@ -77,8 +77,7 @@ func Faults(opts Options) (*Report, error) {
 		for _, rate := range faultRates {
 			cfg := fault.Config{
 				Seed:      uint64(opts.Seed),
-				Transient: rate / 2,
-				Permanent: rate / 4,
+				Permanent: 3 * rate / 4,
 				Corrupt:   rate / 4,
 			}
 			var failed int

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -98,5 +100,26 @@ func TestRunReferenceWithoutTemperature(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "240 readings but 0 temperatures") {
 			t.Errorf("%v: err = %v, want the length refusal", task, err)
 		}
+	}
+}
+
+// A ConsumerError has one meaning, the cursor has moved past the
+// consumer, and its text reads as it always has: every Failed cause and
+// every fail-fast error quotes it.
+func TestConsumerErrorTextAndUnwrap(t *testing.T) {
+	cause := errors.New("disk gone")
+	ce := &ConsumerError{ID: 42, Err: cause}
+	if got, want := ce.Error(), "consumer 42: permanent: disk gone"; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
+	if !errors.Is(ce, cause) {
+		t.Error("errors.Is does not reach the cause")
+	}
+	got, ok := AsConsumerError(fmt.Errorf("partition 1: %w", ce))
+	if !ok || got != ce {
+		t.Errorf("AsConsumerError through a wrap = %v, %v; want the error itself", got, ok)
+	}
+	if _, ok := AsConsumerError(cause); ok {
+		t.Error("AsConsumerError accepted an error with no ConsumerError in its chain")
 	}
 }

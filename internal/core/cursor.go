@@ -39,23 +39,15 @@ type Cursor interface {
 	// Close releases any resources held by the cursor. Close is
 	// idempotent; after Close, Next reports io.EOF.
 	Close() error
-}
-
-// ContextCursor is optionally implemented by cursors that can honor
-// cancellation inside Next (storage scans, cluster collect jobs). The
-// pipeline binds its run context before driving the cursor; a bound
-// cursor's Next returns the context's error once it observes the
-// cancellation, and Close still releases everything.
-type ContextCursor interface {
+	// BindContext binds the run's context. The pipeline binds it before
+	// the first Next; once the cursor observes the cancellation, Next
+	// returns the context's error (CtxErr), and Close still releases
+	// everything. An unbound cursor runs to the end.
 	BindContext(ctx context.Context)
-}
-
-// BindContext binds ctx to cur when the cursor supports it; the
-// pipeline checks the context between Next calls of any cursor.
-func BindContext(cur Cursor, ctx context.Context) {
-	if b, ok := cur.(ContextCursor); ok {
-		b.BindContext(ctx)
-	}
+	// SizeHint returns the expected series count; ok is false when the
+	// cursor cannot estimate it yet. Callers may size buffers by it but
+	// must not rely on it being exact.
+	SizeHint() (n int, ok bool)
 }
 
 // CtxErr reports the bound context's cancellation error, tolerating an
@@ -66,26 +58,6 @@ func CtxErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// Skipper is optionally implemented by cursors that can abandon the
-// consumer a transient error left them positioned on (the transient
-// ConsumerError contract keeps the cursor in place so Next can retry).
-// The pipeline calls Skip when retries are exhausted, quarantining the
-// consumer; without Skip support a persistent transient error is fatal
-// because the cursor cannot make progress.
-type Skipper interface {
-	// Skip advances past the current (failing) consumer.
-	Skip() error
-}
-
-// SizeHinter is optionally implemented by cursors that can cheaply
-// estimate how many series they will yield; consumers may use the hint
-// to size buffers but must not rely on it being exact.
-type SizeHinter interface {
-	// SizeHint returns the expected series count; ok is false when the
-	// cursor cannot estimate it yet.
-	SizeHint() (n int, ok bool)
 }
 
 // RowTaker is optionally implemented by cursors that decode every series
@@ -105,9 +77,11 @@ type RowTaker interface {
 
 // NewLazyCursor returns a cursor that materializes its series on first
 // use by calling load once, then replays the buffered slice (Reset
-// rewinds without re-running load). load receives the cursor's bound
-// context (never nil) so long materializations — e.g. a simulated
-// cluster job — can be cut short by cancellation. onClose, if non-nil,
+// rewinds without re-running load). load receives the context
+// BindContext bound, or context.Background() when none was, so long
+// materializations — e.g. a simulated cluster job — can be cut short by
+// cancellation. Its SizeHint is known once load has run: before the
+// first Next it reports none. onClose, if non-nil,
 // runs exactly once, on the first Close — engines use it to release
 // resources the load pinned (e.g. cached cluster partitions).
 func NewLazyCursor(load func(ctx context.Context) ([]*timeseries.Series, error), onClose func()) Cursor {

@@ -24,8 +24,8 @@ const (
 	// Quarantine skips a failing consumer: the failure is recorded on
 	// Results.Failed (ID, phase, error) and every other consumer's
 	// result is produced bit-identically to a run without the bad
-	// series. Transient extraction errors are retried with capped
-	// exponential backoff before the consumer is quarantined.
+	// series. Nothing is retried: a consumer the cursor could not read
+	// is quarantined at its first error.
 	Quarantine
 	// Repair is Quarantine plus data repair: a series with missing
 	// (NaN) readings is routed through the hybrid gap-filling imputer
@@ -99,30 +99,20 @@ func (r *Results) FailedIDs() []timeseries.ID {
 
 // ConsumerError is an error scoped to a single consumer series. It is
 // the contract between cursors and the pipeline's containment layer:
-//
-//   - Transient == true: the read may succeed if repeated; the cursor
-//     MUST NOT have advanced, so the very next Next retries the same
-//     consumer. The pipeline retries with capped exponential backoff
-//     and quarantines the consumer when retries are exhausted.
-//   - Transient == false: the consumer is permanently unreadable; the
-//     cursor MUST have advanced past it, so the next Next proceeds with
-//     the following consumer.
+// the consumer is unreadable and the cursor has moved past it, so the
+// next Next proceeds with the following consumer. Under Quarantine and
+// Repair the pipeline records the consumer and goes on.
 //
 // Any cursor error that is not a *ConsumerError is treated as fatal to
 // the whole run under every FailPolicy (the storage layer itself is
 // broken, not one series).
 type ConsumerError struct {
-	ID        timeseries.ID
-	Transient bool
-	Err       error
+	ID  timeseries.ID
+	Err error
 }
 
 func (e *ConsumerError) Error() string {
-	kind := "permanent"
-	if e.Transient {
-		kind = "transient"
-	}
-	return fmt.Sprintf("consumer %d: %s: %v", e.ID, kind, e.Err)
+	return fmt.Sprintf("consumer %d: permanent: %v", e.ID, e.Err)
 }
 
 func (e *ConsumerError) Unwrap() error { return e.Err }
@@ -138,8 +128,8 @@ func AsConsumerError(err error) (*ConsumerError, bool) {
 }
 
 // ErrMissingData classifies a series that arrived with missing (NaN)
-// readings — a data-quality failure, distinct from transient I/O and
-// permanent storage errors. Quarantine reports it; Repair imputes the
+// readings — a data-quality failure, distinct from an unreadable
+// consumer (ConsumerError). Quarantine reports it; Repair imputes the
 // gaps instead.
 var ErrMissingData = errors.New("core: series has missing readings")
 

@@ -245,7 +245,7 @@ func TestInjectedFailuresAreRetried(t *testing.T) {
 	}
 }
 
-func TestFailuresExhaustRetryBudget(t *testing.T) {
+func TestFailuresExhaustMaxRetries(t *testing.T) {
 	c := testCluster(t, 2, 1)
 	c.InjectFailures(1.0, 3, 2) // every attempt fails
 	err := c.RunCtx(context.Background(), 0, []Task{{Fn: func(*TaskCtx) error { return nil }}})

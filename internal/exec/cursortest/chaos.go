@@ -21,27 +21,19 @@ import (
 // 20-consumer fixture.
 func chaosConfig() fault.Config {
 	return fault.Config{
-		Seed:      0xC4A05,
-		Permanent: 0.08, Transient: 0.12,
+		Seed:       0xC4A05,
+		Permanent:  0.20,
 		AllMissing: 0.06, Corrupt: 0.10,
 	}
 }
 
-// RetryBudget mirrors the pipeline's transient retry budget
-// (exec.ExtractAttempts; cursortest cannot import exec — the exec
-// package's own tests import cursortest, and a test import cycle is
-// illegal — so the value is pinned here and asserted equal to exec's in
-// the exec package tests).
-const RetryBudget = 4
-
 // RunChaos exercises one cursor implementation under seeded fault
 // injection and mid-run cancellation, the way the pipeline's
-// containment layer drives it: transient errors are retried up to the
-// budget, exhausted and permanent consumers are skipped and recorded,
-// and cancelling the bound context must stop the stream promptly
-// without leaking goroutines or file descriptors. open must return a
-// fresh cursor positioned at the first consumer; it is called once per
-// sub-check.
+// containment layer drives it: permanent consumers are recorded and
+// passed, and cancelling the bound context must stop the stream
+// promptly without leaking goroutines or file descriptors. open must
+// return a fresh cursor positioned at the first consumer; it is called
+// once per sub-check.
 func RunChaos(t *testing.T, open func(t *testing.T) core.Cursor) {
 	t.Helper()
 	cfg := chaosConfig()
@@ -142,11 +134,8 @@ func RunChaos(t *testing.T, open func(t *testing.T) core.Cursor) {
 	t.Run("CancelledContextStopsNext", func(t *testing.T) {
 		cur := open(t)
 		defer func() { _ = cur.Close() }()
-		if _, ok := cur.(core.ContextCursor); !ok {
-			t.Skipf("cursor %T has no context support", cur)
-		}
 		ctx, cancel := context.WithCancel(context.Background())
-		core.BindContext(cur, ctx)
+		cur.BindContext(ctx)
 		if _, err := cur.Next(); err != nil && !errors.Is(err, io.EOF) {
 			t.Fatalf("Next before cancel: %v", err)
 		}
@@ -169,18 +158,12 @@ func RunChaos(t *testing.T, open func(t *testing.T) core.Cursor) {
 		slow.Delay = 2 * time.Millisecond
 		cur := fault.WrapCursor(open(t), slow)
 		ctx, cancel := context.WithCancel(context.Background())
-		core.BindContext(cur, ctx)
+		cur.BindContext(ctx)
 		done := make(chan error, 1)
 		go func() {
 			for {
 				_, err := cur.Next()
-				if err == nil {
-					continue
-				}
-				if ce, ok := core.AsConsumerError(err); ok {
-					if ce.Transient {
-						_ = cur.Skip()
-					}
+				if _, ok := core.AsConsumerError(err); err == nil || ok {
 					continue
 				}
 				done <- err
@@ -280,7 +263,7 @@ func RunChaosPartitioned(t *testing.T, open func(t *testing.T) core.PartitionedS
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		for _, cur := range curs {
-			core.BindContext(cur, ctx)
+			cur.BindContext(ctx)
 		}
 		// Read one series off each partition, cancel, then verify every
 		// partition refuses further reads and closes cleanly.
@@ -291,9 +274,6 @@ func RunChaosPartitioned(t *testing.T, open func(t *testing.T) core.PartitionedS
 		}
 		cancel()
 		for p, cur := range curs {
-			if _, ok := cur.(core.ContextCursor); !ok {
-				continue
-			}
 			if _, err := cur.Next(); err == nil || errors.Is(err, io.EOF) {
 				t.Fatalf("partition %d: Next after cancel: err = %v, want the context error", p, err)
 			}
@@ -310,12 +290,10 @@ func RunChaosPartitioned(t *testing.T, open func(t *testing.T) core.PartitionedS
 }
 
 // chaosDrain drives a fault-wrapped cursor the way the pipeline's
-// containment layer does: transient consumer errors retry up to the
-// budget then skip, permanent consumer errors are recorded, EOF ends
-// the stream. Fatal (non-consumer) errors fail the test.
+// containment layer does: consumer errors are recorded, EOF ends the
+// stream. Fatal (non-consumer) errors fail the test.
 func chaosDrain(t *testing.T, cur *fault.Cursor) (served []snapshot, failed []timeseries.ID) {
 	t.Helper()
-	attempts := 0
 	for {
 		s, err := cur.Next()
 		if errors.Is(err, io.EOF) {
@@ -326,28 +304,16 @@ func chaosDrain(t *testing.T, cur *fault.Cursor) (served []snapshot, failed []ti
 			if !ok {
 				t.Fatalf("Next: %v", err)
 			}
-			if ce.Transient {
-				attempts++
-				if attempts < RetryBudget {
-					continue
-				}
-				if err := cur.Skip(); err != nil {
-					t.Fatalf("Skip: %v", err)
-				}
-			}
-			attempts = 0
 			failed = append(failed, ce.ID)
 			continue
 		}
-		attempts = 0
 		served = append(served, snap(s))
 	}
 }
 
 // permanentIDs lists, ascending, the consumers the chaos config fails
 // at the cursor level: permanent faults (corrupt and all-missing series
-// are data-quality faults handled above the cursor, and transient
-// faults recover within the retry budget).
+// are data-quality faults handled above the cursor).
 func permanentIDs(cfg fault.Config, baseline []snapshot) []timeseries.ID {
 	var out []timeseries.ID
 	for _, s := range baseline {
@@ -376,7 +342,7 @@ func RunPipelineChaos(t *testing.T, ids []timeseries.ID,
 	cfg := chaosConfig()
 
 	t.Run("QuarantineReportsExactlyInjected", func(t *testing.T) {
-		want := cfg.FailingIDs(ids, core.Quarantine, RetryBudget)
+		want := cfg.FailingIDs(ids, core.Quarantine)
 		if len(want) == 0 {
 			t.Fatalf("chaos config injured no consumer out of %d; enlarge the fixture", len(ids))
 		}
@@ -405,7 +371,7 @@ func RunPipelineChaos(t *testing.T, ids []timeseries.ID,
 	})
 
 	t.Run("RepairSavesCorrupt", func(t *testing.T) {
-		want := cfg.FailingIDs(ids, core.Repair, RetryBudget)
+		want := cfg.FailingIDs(ids, core.Repair)
 		spec := core.Spec{Task: core.TaskHistogram, Workers: 2, FailPolicy: core.Repair}
 		got, err := run(context.Background(), cfg, spec)
 		if err != nil {

@@ -71,8 +71,6 @@ type cancelCursor struct {
 	closed bool
 }
 
-func (c *cancelCursor) BindContext(ctx context.Context) { core.BindContext(c.Cursor, ctx) }
-
 func (c *cancelCursor) Next() (*timeseries.Series, error) {
 	s, err := c.Cursor.Next()
 	if err == nil {

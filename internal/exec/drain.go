@@ -47,10 +47,8 @@ func drainDataset(ctx context.Context, curs []core.Cursor, temp *timeseries.Temp
 	slots := 0
 	for p, cur := range curs {
 		parts[p].first = slots
-		if h, ok := cur.(core.SizeHinter); ok && length > 0 {
-			if n, ok := h.SizeHint(); ok && n > 0 {
-				parts[p].slots = n
-			}
+		if n, ok := cur.SizeHint(); ok && n > 0 && length > 0 {
+			parts[p].slots = n
 		}
 		slots += parts[p].slots
 	}

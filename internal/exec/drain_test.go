@@ -50,7 +50,7 @@ func (c *drainCursor) Next() (*timeseries.Series, error) {
 		return nil, err
 	}
 	if c.delay > 0 {
-		if err := sleepCtx(c.ctx, c.delay); err != nil {
+		if err := c.sleep(); err != nil {
 			return nil, err
 		}
 	}
@@ -74,6 +74,23 @@ func (c *drainCursor) Next() (*timeseries.Series, error) {
 		c.record(row)
 	}
 	return &timeseries.Series{ID: s.ID, Readings: row}, nil
+}
+
+// sleep waits out the cursor's delay unless its bound context is
+// cancelled first.
+func (c *drainCursor) sleep() error {
+	ctx := c.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	t := time.NewTimer(c.delay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 func (c *drainCursor) Reset() error {

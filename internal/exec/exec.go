@@ -48,21 +48,20 @@
 // # Failure containment
 //
 // Every path runs under a context.Context (RunContext): cancelling it
-// stops extraction promptly — the context is bound to every cursor that
-// supports it (core.ContextCursor) and checked between Next calls — and
-// the run joins all of its goroutines and closes every cursor before
-// returning the context's error.
+// stops extraction promptly — openCursors binds the context to every
+// cursor (core.Cursor.BindContext), and the pipeline checks it between
+// Next calls — and the run joins all of its goroutines and closes every
+// cursor before returning the context's error.
 //
 // Spec.FailPolicy scopes failures to the consumer they belong to
-// instead of the run (see core.FailPolicy). Under Quarantine or Repair:
-// transient cursor errors (core.ConsumerError with Transient set) are
-// retried with capped exponential backoff; permanent per-consumer
-// errors, exhausted retries, kernel errors and recovered kernel panics
-// land on Results.Failed; a series with missing (NaN) readings is
-// quarantined, or — under Repair — routed through the hybrid imputer
-// (internal/impute) and demoted to quarantine only when every reading
-// is missing. Unaffected consumers produce bit-identical results to a
-// run over a dataset without the failed series.
+// instead of the run (see core.FailPolicy). Under Quarantine or Repair,
+// a per-consumer cursor error (core.ConsumerError: the cursor has moved
+// past the consumer), a kernel error and a recovered kernel panic land
+// on Results.Failed, and nothing is retried; a series with missing
+// (NaN) readings is quarantined, or — under Repair — routed through the
+// hybrid imputer (internal/impute) and demoted to quarantine only when
+// every reading is missing. Unaffected consumers produce bit-identical
+// results to a run over a dataset without the failed series.
 package exec
 
 import (
@@ -92,39 +91,6 @@ import (
 type Source interface {
 	core.PartitionedSource
 	Temperature() (*timeseries.Temperature, error)
-}
-
-// Extraction retry schedule for transient per-consumer errors under
-// Quarantine/Repair: ExtractAttempts total tries per consumer, backing
-// off exponentially from retryBase and capping at retryCap so a run
-// over a flaky source makes progress without hammering the storage.
-// ExtractAttempts is exported so fault-injection tests can choose
-// whether an injected transient error recovers or exhausts the budget.
-const (
-	ExtractAttempts = 4
-	retryBase       = 200 * time.Microsecond
-	retryCap        = 2 * time.Millisecond
-)
-
-// retryBackoff returns the sleep before retry attempt (1-based).
-func retryBackoff(attempt int) time.Duration {
-	d := retryBase << (attempt - 1)
-	if d > retryCap {
-		d = retryCap
-	}
-	return d
-}
-
-// sleepCtx sleeps for d unless ctx is cancelled first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // contain carries one run's failure-containment state: the policy and
@@ -159,56 +125,33 @@ func (c *contain) finish(out *core.Results) {
 // when a consumer was quarantined (failure recorded); (nil, err) when
 // the run must abort.
 func (c *contain) next(ctx context.Context, cur core.Cursor) (*timeseries.Series, error) {
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s, err := cur.Next()
-		if err == nil {
-			return s, nil
-		}
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		if ctx.Err() != nil {
-			// A bound cursor surfaces cancellation as its own error;
-			// report the cancellation, not a consumer failure.
-			return nil, ctx.Err()
-		}
-		if c.policy == core.FailFast {
-			return nil, err
-		}
-		ce, ok := core.AsConsumerError(err)
-		if !ok {
-			// Not scoped to one consumer: the storage layer itself is
-			// broken. Fatal under every policy.
-			return nil, err
-		}
-		if ce.Transient {
-			if attempt < ExtractAttempts {
-				if err := sleepCtx(ctx, retryBackoff(attempt)); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			// Retries exhausted. The cursor is still positioned on the
-			// failing consumer (the transient contract), so it must be
-			// able to skip past it for the run to make progress.
-			sk, ok := cur.(core.Skipper)
-			if !ok {
-				return nil, fmt.Errorf("exec: consumer %d still failing after %d attempts and cursor %T cannot skip: %w",
-					ce.ID, ExtractAttempts, cur, ce.Err)
-			}
-			if err := sk.Skip(); err != nil {
-				return nil, err
-			}
-			c.add(ce.ID, core.PhaseExtract, fmt.Errorf("transient error persisted after %d attempts: %w", ExtractAttempts, ce.Err))
-			return nil, nil
-		}
-		// Permanent: the cursor has advanced past the consumer.
-		c.add(ce.ID, core.PhaseExtract, err)
-		return nil, nil
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	s, err := cur.Next()
+	if err == nil {
+		return s, nil
+	}
+	if errors.Is(err, io.EOF) {
+		return nil, io.EOF
+	}
+	if ctx.Err() != nil {
+		// A bound cursor surfaces cancellation as its own error;
+		// report the cancellation, not a consumer failure.
+		return nil, ctx.Err()
+	}
+	if c.policy == core.FailFast {
+		return nil, err
+	}
+	ce, ok := core.AsConsumerError(err)
+	if !ok {
+		// Not scoped to one consumer: the storage layer itself is
+		// broken. Fatal under every policy.
+		return nil, err
+	}
+	// The cursor has moved past the consumer.
+	c.add(ce.ID, core.PhaseExtract, err)
+	return nil, nil
 }
 
 // countMissing returns the number of NaN readings.
@@ -333,7 +276,7 @@ func openCursors(ctx context.Context, src Source, max int, ph *core.Phases) ([]c
 		return nil, fmt.Errorf("exec: source %T opened %d partitions, more than the %d asked for", src, len(curs), max)
 	}
 	for _, cur := range curs {
-		core.BindContext(cur, ctx)
+		cur.BindContext(ctx)
 	}
 	return curs, nil
 }
@@ -750,7 +693,7 @@ func sortByID[T any](rs []T, id func(T) timeseries.ID) {
 }
 
 // fill pulls computable series off the cursor until buf is at capacity,
-// retrying and quarantining per the fail policy; drained reports that
+// quarantining per the fail policy; drained reports that
 // the cursor hit io.EOF. Before each Next it hands taker the row of
 // rows at the index the series will take in buf, if there is one: a
 // series the fail policy drops leaves its row to the next.

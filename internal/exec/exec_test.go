@@ -187,12 +187,18 @@ func TestRunPropagatesCursorError(t *testing.T) {
 	}
 }
 
-// The chaos conformance suite in cursortest cannot import exec (exec's own
-// tests import cursortest), so it pins the retry budget as a constant. Keep
-// the two in lock-step.
-func TestRetryBudgetMatchesCursortest(t *testing.T) {
-	if cursortest.RetryBudget != ExtractAttempts {
-		t.Fatalf("cursortest.RetryBudget = %d, exec.ExtractAttempts = %d; update cursortest.RetryBudget",
-			cursortest.RetryBudget, ExtractAttempts)
+// A cursor error that is not a core.ConsumerError means the storage
+// itself is broken, not one series: it ends the run under every policy,
+// not only FailFast, and nothing lands on Results.Failed.
+func TestNonConsumerErrorIsFatalUnderEveryPolicy(t *testing.T) {
+	ds := makeDataset(t, 10, 20)
+	parts := failingPartSource{ds: ds, failAt: 2}
+	for _, policy := range []core.FailPolicy{core.Quarantine, core.Repair} {
+		for _, workers := range []int{1, 4} {
+			_, err := Run(parts, core.Spec{Task: core.TaskHistogram, Workers: workers, FailPolicy: policy})
+			if !errors.Is(err, errBoom) {
+				t.Fatalf("%v W=%d: err = %v, want errBoom", policy, workers, err)
+			}
+		}
 	}
 }

@@ -245,11 +245,18 @@ type failingCursor struct {
 	series []*timeseries.Series
 	failAt int
 	i      int
+	ctx    context.Context
 }
 
 var errBoom = errors.New("boom")
 
+func (c *failingCursor) BindContext(ctx context.Context) { c.ctx = ctx }
+func (c *failingCursor) SizeHint() (int, bool)           { return len(c.series), true }
+
 func (c *failingCursor) Next() (*timeseries.Series, error) {
+	if err := core.CtxErr(c.ctx); err != nil {
+		return nil, err
+	}
 	if c.i >= c.failAt {
 		return nil, errBoom
 	}

@@ -56,11 +56,18 @@ type memSummaryCursor struct {
 	lo, i, hi int
 	summed    bool // the last move was a NextSummary that returned household i-1
 	closed    bool
+	ctx       context.Context
 }
+
+func (c *memSummaryCursor) BindContext(ctx context.Context) { c.ctx = ctx }
+func (c *memSummaryCursor) SizeHint() (int, bool)           { return c.hi - c.lo, true }
 
 // advance moves to the next household, as Next and NextSummary both do.
 func (c *memSummaryCursor) advance() (*timeseries.Series, error) {
 	c.summed = false
+	if err := core.CtxErr(c.ctx); err != nil {
+		return nil, err
+	}
 	if c.closed || c.i >= c.hi {
 		return nil, io.EOF
 	}

@@ -1,7 +1,7 @@
 // Package fault injects deterministic, seeded faults into an engine's
 // cursor stream so the failure-containment machinery (core.FailPolicy,
-// exec's retry/quarantine/repair paths, the chaos conformance suite)
-// can be exercised and benchmarked without flaky fixtures.
+// exec's quarantine and repair paths, the chaos conformance suite) can
+// be exercised and benchmarked without flaky fixtures.
 //
 // Every fault decision is a pure function of (Config.Seed, consumer ID):
 // which consumers fail, and how, does not depend on cursor order,
@@ -12,14 +12,9 @@
 //
 // The injected fault taxonomy mirrors the failure model in DESIGN.md:
 //
-//   - Transient I/O errors: Next fails with a retryable
-//     core.ConsumerError a fixed number of times, then serves the series
-//     (the cursor stays positioned on the consumer, per the transient
-//     contract). The wrapper implements core.Skipper so the pipeline
-//     can abandon a consumer whose transient error outlives the retry
-//     budget.
 //   - Permanent per-consumer errors: Next consumes the series and fails
-//     with a non-retryable core.ConsumerError.
+//     with a core.ConsumerError. No storage raises an error that a
+//     repeated read would clear, so none is injected.
 //   - Corrupt readings: a deterministic contiguous window of the
 //     consumer's readings is replaced with NaN on a private copy
 //     (engine-owned buffers are never mutated).
@@ -46,8 +41,6 @@ var nan = math.NaN()
 
 // Sentinel errors carried inside the injected core.ConsumerErrors.
 var (
-	// ErrTransient is the cause of an injected transient I/O error.
-	ErrTransient = errors.New("fault: injected transient I/O error")
 	// ErrPermanent is the cause of an injected permanent storage error.
 	ErrPermanent = errors.New("fault: injected permanent storage error")
 	// ErrTruncated is the cause reported for every consumer past the
@@ -61,8 +54,6 @@ type Kind int
 const (
 	// None: the consumer is served untouched.
 	None Kind = iota
-	// Transient: Next fails TransientTries times, then serves the series.
-	Transient
 	// Permanent: Next consumes the series and fails permanently.
 	Permanent
 	// Corrupt: a window of readings is NaN on a copy of the series.
@@ -75,8 +66,6 @@ func (k Kind) String() string {
 	switch k {
 	case None:
 		return "none"
-	case Transient:
-		return "transient"
 	case Permanent:
 		return "permanent"
 	case Corrupt:
@@ -91,8 +80,7 @@ func (k Kind) String() string {
 // Config selects fault rates and shapes. Rates are probabilities in
 // [0, 1] and are mutually exclusive per consumer: each consumer draws
 // one uniform value from splitmix64(Seed ^ id) and falls into the first
-// matching band, in the order Permanent, Transient, AllMissing,
-// Corrupt. The zero value injects nothing.
+// matching band, in the order Permanent, AllMissing, Corrupt. The zero value injects nothing.
 type Config struct {
 	// Seed drives every fault decision. Two configs with equal rates and
 	// seeds injure exactly the same consumers in exactly the same way.
@@ -100,14 +88,6 @@ type Config struct {
 
 	// Permanent is the rate of permanent per-consumer extraction errors.
 	Permanent float64
-	// Transient is the rate of transient (retryable) extraction errors.
-	Transient float64
-	// TransientTries is how many consecutive Next calls fail before a
-	// transient consumer is served. Defaults to 2 — within the
-	// pipeline's retry budget, so transient consumers recover. Set it to
-	// at least the budget (exec.ExtractAttempts) to force the
-	// exhausted-retries path instead.
-	TransientTries int
 	// AllMissing is the rate of series whose every reading becomes NaN.
 	AllMissing float64
 	// Corrupt is the rate of series that get a NaN window.
@@ -128,13 +108,6 @@ type Config struct {
 	// this config, each at its start: a test reads it at some event and
 	// again at the end to bound what a pipeline started in between.
 	Calls *atomic.Int64
-}
-
-func (c Config) tries() int {
-	if c.TransientTries <= 0 {
-		return 2
-	}
-	return c.TransientTries
 }
 
 func (c Config) corruptFrac() float64 {
@@ -176,10 +149,6 @@ func (c Config) Decide(id timeseries.ID) Kind {
 	if u < p {
 		return Permanent
 	}
-	p += c.Transient
-	if u < p {
-		return Transient
-	}
 	p += c.AllMissing
 	if u < p {
 		return AllMissing
@@ -207,16 +176,13 @@ func (c Config) Plan(ids []timeseries.ID) map[timeseries.ID]Kind {
 // given policy is expected to quarantine (Results.Failed):
 //
 //   - Permanent faults fail under Quarantine and Repair.
-//   - Transient faults fail only when TransientTries exhausts the
-//     pipeline's retry budget (retryBudget, normally
-//     exec.ExtractAttempts).
 //   - AllMissing fails under both policies (Repair demotes it).
 //   - Corrupt fails under Quarantine and is saved by Repair.
 //
 // Truncation (TruncateAfter) is order-dependent and therefore not
 // modeled here; tests using it should assert on counts. Under FailFast
 // nothing is quarantined — the first fault aborts the run.
-func (c Config) FailingIDs(ids []timeseries.ID, policy core.FailPolicy, retryBudget int) []timeseries.ID {
+func (c Config) FailingIDs(ids []timeseries.ID, policy core.FailPolicy) []timeseries.ID {
 	if policy == core.FailFast {
 		return nil
 	}
@@ -225,10 +191,6 @@ func (c Config) FailingIDs(ids []timeseries.ID, policy core.FailPolicy, retryBud
 		switch c.Decide(id) {
 		case Permanent, AllMissing:
 			out = append(out, id)
-		case Transient:
-			if c.tries() >= retryBudget {
-				out = append(out, id)
-			}
 		case Corrupt:
 			if policy == core.Quarantine {
 				out = append(out, id)

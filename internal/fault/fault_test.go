@@ -3,8 +3,10 @@ package fault_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,11 +35,11 @@ func datasetIDs(ds *timeseries.Dataset) []timeseries.ID {
 }
 
 // mixedConfig injects every fault kind at the seeded rates the
-// acceptance tests pin (~5% per kind over the dataset).
+// acceptance tests pin (5–15% per kind over the dataset).
 func mixedConfig() fault.Config {
 	return fault.Config{
-		Seed:      42,
-		Permanent: 0.05, Transient: 0.10,
+		Seed:       42,
+		Permanent:  0.15,
 		AllMissing: 0.05, Corrupt: 0.08,
 	}
 }
@@ -54,7 +56,7 @@ func TestDecideIsDeterministicAndOrderFree(t *testing.T) {
 	for _, k := range plan {
 		counts[k]++
 	}
-	for _, k := range []fault.Kind{fault.Permanent, fault.Transient, fault.AllMissing, fault.Corrupt} {
+	for _, k := range []fault.Kind{fault.Permanent, fault.AllMissing, fault.Corrupt} {
 		if counts[k] == 0 {
 			t.Errorf("kind %v never drawn over 200 consumers", k)
 		}
@@ -132,7 +134,7 @@ func TestQuarantineReportsExactlyInjectedIDs(t *testing.T) {
 	ds := makeDataset(t, 60, 14)
 	ids := datasetIDs(ds)
 	cfg := mixedConfig()
-	want := cfg.FailingIDs(ids, core.Quarantine, exec.ExtractAttempts)
+	want := cfg.FailingIDs(ids, core.Quarantine)
 	if len(want) == 0 {
 		t.Fatal("expected a non-empty quarantine set; pick a different seed")
 	}
@@ -170,7 +172,7 @@ func TestSurvivorsBitIdentical(t *testing.T) {
 	ds := makeDataset(t, 40, 14)
 	ids := datasetIDs(ds)
 	cfg := mixedConfig()
-	failing := cfg.FailingIDs(ids, core.Quarantine, exec.ExtractAttempts)
+	failing := cfg.FailingIDs(ids, core.Quarantine)
 	failSet := map[timeseries.ID]bool{}
 	for _, id := range failing {
 		failSet[id] = true
@@ -212,7 +214,7 @@ func TestRepairSavesCorruptDemotesAllMissing(t *testing.T) {
 	ds := makeDataset(t, 60, 14)
 	ids := datasetIDs(ds)
 	cfg := mixedConfig()
-	want := cfg.FailingIDs(ids, core.Repair, exec.ExtractAttempts)
+	want := cfg.FailingIDs(ids, core.Repair)
 	plan := cfg.Plan(ids)
 
 	src := fault.New(exec.NewDatasetSource(ds), cfg)
@@ -257,44 +259,27 @@ func TestFailFastAbortsOnFirstFault(t *testing.T) {
 	}
 }
 
-func TestTransientWithinBudgetRecovers(t *testing.T) {
+// An injected consumer error is not retried: the pipeline quarantines
+// the consumer at its first failing Next and reads on, so one partition
+// over n consumers that all fail takes n Nexts and the one that ends it.
+func TestConsumerErrorIsNotRetried(t *testing.T) {
 	ds := makeDataset(t, 20, 7)
-	cfg := fault.Config{Seed: 3, Transient: 1, TransientTries: exec.ExtractAttempts - 1}
+	var calls atomic.Int64
+	cfg := fault.Config{Seed: 3, Permanent: 1, Calls: &calls}
 	got, err := exec.Run(fault.New(exec.NewDatasetSource(ds), cfg),
-		core.Spec{Task: core.TaskHistogram, FailPolicy: core.Quarantine})
+		core.Spec{Task: core.TaskHistogram, Workers: 1, FailPolicy: core.Quarantine})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Failed) != 0 {
-		t.Fatalf("%d consumers failed; transient faults within budget must recover", len(got.Failed))
+	if got.Count() != 0 || len(got.Failed) != 20 {
+		t.Fatalf("count = %d, failed = %d; want 0 and 20", got.Count(), len(got.Failed))
 	}
-	if got.Count() != 20 {
-		t.Fatalf("count = %d, want 20", got.Count())
-	}
-}
-
-func TestTransientExhaustedIsSkippedAndQuarantined(t *testing.T) {
-	ds := makeDataset(t, 20, 7)
-	cfg := fault.Config{Seed: 3, Transient: 0.3, TransientTries: exec.ExtractAttempts}
-	want := cfg.FailingIDs(datasetIDs(ds), core.Quarantine, exec.ExtractAttempts)
-	if len(want) == 0 {
-		t.Fatal("expected some transient consumers; pick a different seed")
-	}
-	got, err := exec.Run(fault.New(exec.NewDatasetSource(ds), cfg),
-		core.Spec{Task: core.TaskHistogram, FailPolicy: core.Quarantine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotIDs := got.FailedIDs()
-	if len(gotIDs) != len(want) {
-		t.Fatalf("%d failed, want %d", len(gotIDs), len(want))
+	if n := calls.Load(); n != 21 {
+		t.Fatalf("%d Next calls, want 21 (one per consumer and the EOF)", n)
 	}
 	for _, f := range got.Failed {
-		if !errors.Is(f.Err, fault.ErrTransient) {
-			t.Errorf("consumer %d: cause %v, want ErrTransient", f.ID, f.Err)
-		}
-		if f.Phase != core.PhaseExtract {
-			t.Errorf("consumer %d: phase %q, want %q", f.ID, f.Phase, core.PhaseExtract)
+		if !errors.Is(f.Err, fault.ErrPermanent) || f.Phase != core.PhaseExtract {
+			t.Errorf("consumer %d: %v in phase %q, want ErrPermanent in %q", f.ID, f.Err, f.Phase, core.PhaseExtract)
 		}
 	}
 }
@@ -316,6 +301,12 @@ func TestTruncationQuarantinesTail(t *testing.T) {
 	for _, f := range got.Failed {
 		if !errors.Is(f.Err, fault.ErrTruncated) {
 			t.Errorf("consumer %d: cause %v, want ErrTruncated", f.ID, f.Err)
+		}
+		if f.Phase != core.PhaseExtract {
+			t.Errorf("consumer %d: phase %q, want %q", f.ID, f.Phase, core.PhaseExtract)
+		}
+		if want := fmt.Sprintf("consumer %d: permanent: %v", f.ID, fault.ErrTruncated); f.Err.Error() != want {
+			t.Errorf("consumer %d: error %q, want %q", f.ID, f.Err, want)
 		}
 	}
 }
@@ -361,11 +352,6 @@ func TestResetReplaysIdenticalFaults(t *testing.T) {
 				ce, ok := core.AsConsumerError(err)
 				if !ok {
 					t.Fatal(err)
-				}
-				if ce.Transient {
-					if err := cur.Skip(); err != nil {
-						t.Fatal(err)
-					}
 				}
 				failed = append(failed, ce.ID)
 				continue

@@ -55,22 +55,15 @@ func (in *Injector) Temperature() (*timeseries.Temperature, error) {
 
 var _ core.PartitionedSource = (*Injector)(nil)
 
-// Cursor injects faults into an inner cursor's stream. It implements
-// core.ContextCursor (delays and retries are cancellable), core.Skipper
-// (the pipeline can abandon a consumer whose transient fault outlives
-// the retry budget), and forwards core.SizeHinter.
+// Cursor injects faults into an inner cursor's stream. It binds its
+// context to the inner cursor too (delays are cancellable) and forwards
+// the inner cursor's SizeHint.
 type Cursor struct {
 	cfg   Config
 	inner core.Cursor
 	ctx   context.Context
 
 	served int // successful yields, for truncation accounting
-
-	// A consumer mid-transient-fault: the series is drawn from the inner
-	// cursor but withheld while failsLeft > 0, per the transient
-	// contract (the cursor stays positioned on the consumer).
-	pending   *timeseries.Series
-	failsLeft int
 }
 
 // WrapCursor wraps one cursor with fault injection under cfg. The
@@ -79,17 +72,10 @@ func WrapCursor(cur core.Cursor, cfg Config) *Cursor {
 	return &Cursor{cfg: cfg, inner: cur}
 }
 
-// BindContext implements core.ContextCursor.
+// BindContext implements core.Cursor, binding the inner cursor too.
 func (c *Cursor) BindContext(ctx context.Context) {
 	c.ctx = ctx
-	core.BindContext(c.inner, ctx)
-}
-
-func (c *Cursor) ctxErr() error {
-	if c.ctx == nil {
-		return nil
-	}
-	return c.ctx.Err()
+	c.inner.BindContext(ctx)
 }
 
 // Next implements core.Cursor, delaying, failing, corrupting, or
@@ -98,7 +84,7 @@ func (c *Cursor) Next() (*timeseries.Series, error) {
 	if c.cfg.Calls != nil {
 		c.cfg.Calls.Add(1)
 	}
-	if err := c.ctxErr(); err != nil {
+	if err := core.CtxErr(c.ctx); err != nil {
 		return nil, err
 	}
 	if c.cfg.Delay > 0 {
@@ -106,31 +92,18 @@ func (c *Cursor) Next() (*timeseries.Series, error) {
 			return nil, err
 		}
 	}
-	if c.pending != nil {
-		if c.failsLeft > 0 {
-			c.failsLeft--
-			return nil, &core.ConsumerError{ID: c.pending.ID, Transient: true, Err: ErrTransient}
-		}
-		s := c.pending
-		c.pending = nil
-		return c.serve(s)
-	}
 	s, err := c.inner.Next()
 	if err != nil {
 		return nil, err
 	}
 	if c.truncated() {
 		// The tail of the stream is gone: the inner cursor advanced, so
-		// the error is permanent and scoped to this consumer.
+		// the error is scoped to this consumer.
 		return nil, &core.ConsumerError{ID: s.ID, Err: ErrTruncated}
 	}
 	switch k := c.cfg.Decide(s.ID); k {
 	case Permanent:
 		return nil, &core.ConsumerError{ID: s.ID, Err: ErrPermanent}
-	case Transient:
-		c.pending = s
-		c.failsLeft = c.cfg.tries() - 1
-		return nil, &core.ConsumerError{ID: s.ID, Transient: true, Err: ErrTransient}
 	case Corrupt, AllMissing:
 		return c.serve(c.cfg.injure(k, s))
 	default:
@@ -163,34 +136,19 @@ func (c *Cursor) sleep(d time.Duration) error {
 	}
 }
 
-// Skip implements core.Skipper: it abandons the consumer a transient
-// fault is holding, letting the pipeline quarantine it and move on.
-func (c *Cursor) Skip() error {
-	c.pending = nil
-	c.failsLeft = 0
-	return nil
-}
-
 // Reset implements core.Cursor. Fault decisions are per-ID, so a replay
 // injures exactly the same consumers.
 func (c *Cursor) Reset() error {
-	c.pending = nil
-	c.failsLeft = 0
 	c.served = 0
 	return c.inner.Reset()
 }
 
 // Close implements core.Cursor, closing the inner cursor.
 func (c *Cursor) Close() error {
-	c.pending = nil
-	c.failsLeft = 0
 	return c.inner.Close()
 }
 
-// SizeHint forwards the inner cursor's hint.
+// SizeHint implements core.Cursor with the inner cursor's hint.
 func (c *Cursor) SizeHint() (int, bool) {
-	if h, ok := c.inner.(core.SizeHinter); ok {
-		return h.SizeHint()
-	}
-	return 0, false
+	return c.inner.SizeHint()
 }
