@@ -28,8 +28,8 @@ func fanOut(parts [][]float64) {
 			defer wg.Done()
 			t0 := time.Now()
 			work(parts[w])
-			ph.extract.wall += time.Since(t0)  // want `time measurement written to captured field ph\.extract\.wall`
-			ph.compute.wall = time.Since(t0)   // want `time measurement written to captured field ph\.compute\.wall`
+			ph.extract.wall += time.Since(t0) // want `time measurement written to captured field ph\.extract\.wall`
+			ph.compute.wall = time.Since(t0)  // want `time measurement written to captured field ph\.compute\.wall`
 		}(w)
 	}
 	wg.Wait()

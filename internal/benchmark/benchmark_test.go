@@ -2,15 +2,11 @@ package benchmark
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
-
-// memSink keeps MeasureMem's test allocation live across samples.
-var memSink []byte
 
 func smallOpts(t *testing.T) Options {
 	t.Helper()
@@ -96,42 +92,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if len(o.Scale.Consumers) == 0 || o.Seed == 0 || o.Scale.Days == 0 {
 		t.Errorf("fill did not apply defaults: %+v", o)
-	}
-}
-
-func TestTimedAndMeasureMem(t *testing.T) {
-	d, err := Timed(func() error {
-		time.Sleep(5 * time.Millisecond)
-		return nil
-	})
-	if err != nil || d < 5*time.Millisecond {
-		t.Errorf("Timed = %v, %v", d, err)
-	}
-	boom := errors.New("boom")
-	if _, err := Timed(func() error { return boom }); err != boom {
-		t.Errorf("Timed err = %v", err)
-	}
-
-	_, mem, err := MeasureMem(100*time.Microsecond, func() error {
-		memSink = make([]byte, 8<<20)
-		for i := range memSink {
-			memSink[i] = byte(i)
-		}
-		time.Sleep(3 * time.Millisecond)
-		return nil
-	})
-	memSink = nil
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mem.PeakBytes < 4<<20 {
-		t.Errorf("peak = %d, want >= 4 MiB", mem.PeakBytes)
-	}
-	if mem.Samples == 0 {
-		t.Error("no samples")
-	}
-	if _, _, err := MeasureMem(0, func() error { return boom }); err != boom {
-		t.Error("MeasureMem should propagate errors")
 	}
 }
 

@@ -45,8 +45,8 @@ func TestMeasureMemSamples(t *testing.T) {
 	if usage.Samples < 1 {
 		t.Errorf("samples = %d, want at least the final sample", usage.Samples)
 	}
-	if usage.PeakBytes <= 0 {
-		t.Errorf("peak = %d, want > 0 after allocating 64 MiB", usage.PeakBytes)
+	if usage.PeakBytes < 32<<20 {
+		t.Errorf("peak = %d, want at least half of the 64 MiB held", usage.PeakBytes)
 	}
 	if usage.AvgBytes < 0 || usage.AvgBytes > usage.PeakBytes {
 		t.Errorf("avg %d out of range [0, %d]", usage.AvgBytes, usage.PeakBytes)

@@ -11,7 +11,8 @@ import (
 // Appender accepts batches of readings forever and serves read-isolated
 // snapshots at any time ("append forever, query any time"). A live
 // query is a task run over a snapshot (exec.RunSnapshot), so storage
-// and analytics observe one ordered sequence of writes.
+// and analytics observe one ordered sequence of writes. It is the one
+// append contract: a bulk update is an Append (BatchOf) and a Checkpoint.
 //
 // Ordering contract. Within one household, readings must arrive in
 // hour order with no gaps: the first reading for a household carries
@@ -76,6 +77,17 @@ type Snapshot interface {
 	Cursor
 	PartitionedSource
 	Temperature() (*timeseries.Temperature, error)
+}
+
+// BatchOf is delta as one batch: its households in delta's order, each
+// one's readings in hour order from hour first, with delta's temperature.
+func BatchOf(delta *timeseries.Dataset, first int) (batch []Reading) {
+	for _, s := range delta.Series {
+		for i, v := range s.Readings {
+			batch = append(batch, Reading{ID: s.ID, Hour: first + i, Consumption: v, Temperature: delta.Temperature.Values[i]})
+		}
+	}
+	return batch
 }
 
 // ShardFor maps a household to one of n writer shards. Engines and

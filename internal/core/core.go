@@ -268,16 +268,3 @@ func RunReference(d *timeseries.Dataset, spec Spec) (*Results, error) {
 	}
 	return out, nil
 }
-
-// DeltaAppender is the optional engine interface for the paper's
-// future-work update workload (§3): appending new hourly readings
-// (e.g. a day's worth) to every stored series in one bulk delta.
-// Read-optimized engines may pay a high price here — measuring that
-// price is the point of the "updates" experiment. The live-ingestion
-// path is the separate Appender contract (append.go).
-type DeltaAppender interface {
-	// AppendDelta extends every stored household with the delta
-	// dataset's readings; the delta must cover exactly the stored
-	// households and include the matching new temperature values.
-	AppendDelta(delta *timeseries.Dataset) error
-}

@@ -221,6 +221,10 @@ func TestCorruptFileFailsRun(t *testing.T) {
 	}
 }
 
+// TestAppendRewritesSegments appends a day to every stored series
+// through Append and folds it with Checkpoint: the segment file is
+// replaced, not grown, and the day is visible at once through Run and
+// after a cold reattach.
 func TestAppendRewritesSegments(t *testing.T) {
 	src, ds := writeSource(t, 3, 10)
 	e := New(t.TempDir())
@@ -231,53 +235,36 @@ func TestAppendRewritesSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AppendDelta(delta); err != nil {
-		t.Fatal(err)
-	}
-	// New data visible immediately and after a cold reattach.
-	res, err := e.Run(core.Spec{Task: core.TaskHistogram})
+	before, err := os.Stat(e.path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := e.Append(core.BatchOf(delta, len(ds.Temperature.Values))); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(e.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(before, after) {
+		t.Error("Checkpoint grew the segment file in place; want a rewrite")
 	}
 	want := int64(11 * 24)
-	for _, h := range res.Histograms {
-		if h.Histogram.Total() != want {
-			t.Fatalf("consumer %d total = %d, want %d", h.ID, h.Histogram.Total(), want)
+	for _, reattach := range []bool{false, true} {
+		if reattach {
+			e.Release()
 		}
-	}
-	e.Release()
-	res, err = e.Run(core.Spec{Task: core.TaskHistogram})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Histograms[0].Histogram.Total() != want {
-		t.Error("append lost after reattach")
-	}
-	_ = ds
-}
-
-func TestAppendValidation(t *testing.T) {
-	e := New(t.TempDir())
-	if err := e.AppendDelta(&timeseries.Dataset{}); err == nil || !errors.Is(err, core.ErrNotLoaded) {
-		t.Errorf("append before load: %v", err)
-	}
-	src, _ := writeSource(t, 2, 5)
-	if _, err := e.Load(src); err != nil {
-		t.Fatal(err)
-	}
-	wrong, err := seed.Generate(seed.Config{Consumers: 3, Days: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AppendDelta(wrong); err == nil {
-		t.Error("wrong household count: want error")
-	}
-	// Missing household IDs (right count, wrong IDs).
-	bad, err := seed.Generate(seed.Config{Consumers: 2, Days: 1, Seed: 1, FirstID: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AppendDelta(bad); err == nil {
-		t.Error("unknown households: want error")
+		res, err := e.Run(core.Spec{Task: core.TaskHistogram})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range res.Histograms {
+			if h.Histogram.Total() != want {
+				t.Fatalf("reattach %v: consumer %d total = %d, want %d", reattach, h.ID, h.Histogram.Total(), want)
+			}
+		}
 	}
 }

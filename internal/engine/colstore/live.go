@@ -91,7 +91,7 @@ type liveTail struct {
 	// Snapshot: batch atomicity with respect to snapshots.
 	ingestMu sync.RWMutex
 	epoch    atomic.Uint64
-	applied  atomic.Int64 // total tail readings committed (AppendDelta guard)
+	applied  atomic.Int64 // total tail readings resident
 
 	baseN   int                   // base series length (0 without a base)
 	baseIDs map[timeseries.ID]int // base household -> consumer index
@@ -166,16 +166,6 @@ func (e *Engine) ensureLive() (*liveTail, error) {
 	}
 	e.live = lt
 	return lt, nil
-}
-
-// liveHours reports the number of tail readings currently resident.
-func (e *Engine) liveHours() int64 {
-	e.liveMu.Lock()
-	defer e.liveMu.Unlock()
-	if e.live == nil {
-		return 0
-	}
-	return e.live.applied.Load()
 }
 
 // Append implements core.Appender. It is safe for concurrent use with

@@ -209,21 +209,5 @@ func (e *Engine) CleanSplitDir() error {
 
 var _ core.Engine = (*Engine)(nil)
 
-// AppendDelta implements core.DeltaAppender by extending the underlying
-// CSV files (cheap row appends for reading-per-line files, a rewrite for
-// series-per-line files).
-func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
-	if e.src == nil {
-		return fmt.Errorf("filestore: %w", core.ErrNotLoaded)
-	}
-	temp, err := meterdata.ReadTemperature(e.src.Dir)
-	if err != nil {
-		return err
-	}
-	return meterdata.AppendToSource(e.src, delta, len(temp.Values))
-}
-
-var _ core.DeltaAppender = (*Engine)(nil)
-
 // Source returns the engine's current data source (nil before Load).
 func (e *Engine) Source() *meterdata.Source { return e.src }

@@ -189,7 +189,7 @@ func TestAppendToPartitionedSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := makeDataset(t, 3, 1)
-	if err := e.AppendDelta(delta); err != nil {
+	if err := meterdata.AppendToSource(e.Source(), delta, 10*24); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Run(core.Spec{Task: core.TaskHistogram})
@@ -214,7 +214,7 @@ func TestAppendToSeriesPerLineSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := makeDataset(t, 3, 1)
-	if err := e.AppendDelta(delta); err != nil {
+	if err := meterdata.AppendToSource(e.Source(), delta, 10*24); err != nil {
 		t.Fatal(err)
 	}
 	back, err := meterdata.ReadDataset(src)
@@ -228,12 +228,5 @@ func TestAppendToSeriesPerLineSource(t *testing.T) {
 	}
 	if len(back.Temperature.Values) != 11*24 {
 		t.Errorf("temperature has %d values", len(back.Temperature.Values))
-	}
-}
-
-func TestAppendWithoutLoad(t *testing.T) {
-	e := New()
-	if err := e.AppendDelta(&timeseries.Dataset{}); err == nil || !errors.Is(err, core.ErrNotLoaded) {
-		t.Errorf("err = %v", err)
 	}
 }

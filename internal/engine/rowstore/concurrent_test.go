@@ -1,6 +1,7 @@
 package rowstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/exec"
 	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -336,10 +338,12 @@ func TestFailedFetchLeavesPoolIntact(t *testing.T) {
 // past the walk's break, where the index phase takes over. A bad entry
 // in either place must fail extraction with a rowstore error that names
 // the entry's key, through the cursor and the pipeline alike, and leave
-// the next read of a good household bit-identical. The break here is an
-// AppendDelta: the delta's tuples follow every loaded household's. A bad
-// entry inside a clustered run is never read: the household reads
-// bit-identical, through the cursor and the pipeline.
+// the next read of a good household bit-identical. The break here is a
+// day stored at the heap's tail (appendAtTail), whose tuples follow
+// every loaded household's; it is read through a snapshot, the only view
+// of hours stored after the load. A bad entry inside a clustered run is
+// never read: the household reads bit-identical, through the cursor and
+// the pipeline.
 func TestBadIndexEntries(t *testing.T) {
 	src, ds := writeExact(t, 3, 60)
 	victim, neighbour := ds.Series[0], ds.Series[1]
@@ -354,18 +358,33 @@ func TestBadIndexEntries(t *testing.T) {
 					}
 					ref := ds
 					bad := key{ID: uint64(victim.ID)}
+					// src and run read the base, or with a day appended a
+					// snapshot; upTo is the hours a read asks for.
+					var src core.PartitionedSource = e
+					run, upTo := e.Run, basePrefix
 					switch where {
 					case "past break":
-						last, _, err := e.table.maxSeq(victim.ID)
+						_, next, _, err := e.committedLen(victim.ID)
 						if err != nil {
 							t.Fatal(err)
 						}
-						bad.Seq = last + 1
+						bad.Seq = next
 						delta := deltaFor(t, ds, 1)
-						if err := e.AppendDelta(delta); err != nil {
+						appendAtTail(t, e, delta, len(ds.Temperature.Values))
+						ref = appended(ds, delta)
+						upTo = len(ref.Temperature.Values)
+						// The snapshot builds the live state, reading the
+						// victim's temperature, before the entry goes bad.
+						snap, _, err := e.Snapshot()
+						if err != nil {
 							t.Fatal(err)
 						}
-						ref = appended(ds, delta)
+						defer snap.Close()
+						src = snap
+						run = func(spec core.Spec) (*core.Results, error) {
+							res, _, err := exec.RunSnapshot(context.Background(), e, spec)
+							return res, err
+						}
 					case "inside run":
 						bad.Seq = 1
 					}
@@ -379,12 +398,12 @@ func TestBadIndexEntries(t *testing.T) {
 					}
 					spec := core.Spec{Task: core.TaskHistogram}
 					if where == "inside run" {
-						cur, err := cursortest.Open(e)
+						cur, err := cursortest.Open(src)
 						if err != nil {
 							t.Fatal(err)
 						}
 						sameSeries(t, drainAll(t, cur), ref.Series)
-						got, err := e.Run(spec)
+						got, err := run(spec)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -404,7 +423,7 @@ func TestBadIndexEntries(t *testing.T) {
 							t.Errorf("%s: error %q does not name the index key", what, err)
 						}
 					}
-					cur, err := cursortest.Open(e)
+					cur, err := cursortest.Open(src)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -412,7 +431,7 @@ func TestBadIndexEntries(t *testing.T) {
 					_, err = cur.Next() // the victim is the first household
 					named("cursor", err)
 					for _, policy := range []core.FailPolicy{core.FailFast, core.Quarantine} {
-						res, err := e.Run(core.Spec{Task: core.TaskHistogram, FailPolicy: policy})
+						res, err := run(core.Spec{Task: core.TaskHistogram, FailPolicy: policy})
 						if err != nil {
 							named(fmt.Sprintf("pipeline, %v", policy), err)
 							continue
@@ -426,13 +445,52 @@ func TestBadIndexEntries(t *testing.T) {
 							named(fmt.Sprintf("pipeline, %v", policy), f.Err)
 						}
 					}
-					got, err := e.readSeriesShared(neighbour.ID, basePrefix, nil)
+					got, err := e.readSeriesShared(neighbour.ID, upTo, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sameSeries(t, []*timeseries.Series{got}, ref.Series[1:2])
 				})
 			}
+		}
+	}
+}
+
+// appendAtTail stores delta's hours after each household's stored
+// ones, from hour first, at the heap's tail through heap.insert and
+// index.insert: whatever room the page of a household's last tuple has,
+// the new tuples start a run of their own, so a read of the household
+// breaks there. The published prefix stays the loaded one; a snapshot
+// taken after sees the hours.
+func appendAtTail(t *testing.T, e *Engine, delta *timeseries.Dataset, first int) {
+	t.Helper()
+	tb := e.table
+	for _, s := range delta.Series {
+		_, seq, _, err := e.committedLen(s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := func(tuple []byte) error {
+			tid, err := tb.heap.insert(tuple)
+			if err != nil {
+				return err
+			}
+			seq++
+			return tb.index.insert(key{ID: uint64(s.ID), Seq: seq - 1}, tid)
+		}
+		if tb.layout == LayoutArrays {
+			err = eachChunk(s.ID, first, s.Readings, delta.Temperature.Values, store)
+		} else {
+			var buf []byte
+			for h, c := range s.Readings {
+				buf = encodeRowTuple(buf, s.ID, first+h, delta.Temperature.Values[h], c)
+				if err = store(buf); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

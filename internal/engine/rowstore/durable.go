@@ -68,7 +68,7 @@ func (e *Engine) checkpointLocked() error {
 	if err := writeMeta(e.bp, tb.meta()); err != nil {
 		return err
 	}
-	path := filepath.Join(e.dir, "table.db")
+	path := filepath.Join(e.dir, TableFileName)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {

@@ -59,7 +59,7 @@ type Engine struct {
 	// readMu is the table latch. Every cursor's Next holds it shared for
 	// one consumer, so extraction runs on as many cores as there are
 	// cursors; everything that changes pages, the tree's shape, live, pf
-	// or table (Append, Checkpoint, AppendDelta, Release, Close,
+	// or table (Append, Checkpoint, Release, Close,
 	// ensureLive, Snapshot's capture) holds it exclusively. Pages and
 	// tree are therefore frozen while any reader is inside — the latch
 	// covers a live store's B+tree descent too, no crabbing — and a pin
@@ -113,6 +113,9 @@ func WithTailBudget(readings int64) Option {
 	}
 }
 
+// TableFileName is the table file's name under the engine directory.
+const TableFileName = "table.db"
+
 // New returns a row-store engine whose storage lives under dir.
 func New(dir string, opts ...Option) *Engine {
 	e := &Engine{
@@ -157,7 +160,7 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 	if err := os.MkdirAll(e.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("rowstore: %w", err)
 	}
-	path := filepath.Join(e.dir, "table.db")
+	path := filepath.Join(e.dir, TableFileName)
 	if err := os.RemoveAll(path); err != nil {
 		return nil, fmt.Errorf("rowstore: %w", err)
 	}
@@ -250,7 +253,7 @@ func (e *Engine) Open() error {
 	if err := e.closeStorage(); err != nil {
 		return err
 	}
-	pf, err := openPagedFile(filepath.Join(e.dir, "table.db"))
+	pf, err := openPagedFile(filepath.Join(e.dir, TableFileName))
 	if err != nil {
 		return err
 	}
@@ -403,10 +406,11 @@ func (e *Engine) rangesFor(n, max int) [][2]int {
 const basePrefix = -1
 
 // readSeriesShared is the one extraction path every cursor uses: it
-// holds the table latch shared across one consumer's read, its descents,
-// heap walk and tuple decode (readSeriesInto). A base read (upTo == basePrefix) returns the published
-// prefix — live-appended tuples beyond it (see live.go) are invisible
-// until a bulk AppendDelta publishes a new length; a reopen does not —
+// holds the table latch shared across one consumer's read, its
+// descents, heap walk and tuple decode (readSeriesInto). A base read
+// (upTo == basePrefix) returns the published prefix — live-appended
+// tuples beyond it (see live.go) are invisible to it, across a
+// Checkpoint and a reopen alike, since only Load publishes a length —
 // and decodes the temperature column alongside while the engine has
 // none. A snapshot read passes the household length it captured, so
 // tuples appended after the capture are skipped. A cursor passes its
@@ -485,59 +489,6 @@ func (e *Engine) PoolStats() (hits, misses int64) {
 }
 
 var _ core.Engine = (*Engine)(nil)
-
-// AppendDelta implements core.DeltaAppender: new readings become
-// ordinary tuple inserts (cheap — the write-optimized side of the
-// trade-off). It refuses to run while live-ingested tuples exist (see
-// Append in live.go): delta hours would collide with live hours.
-func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
-	e.readMu.Lock()
-	defer e.readMu.Unlock()
-	if e.table == nil {
-		return fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
-	}
-	if e.walOn {
-		// An unreplayed log may hold live tuples the length checks below
-		// cannot see; materialize the live state (replaying the log)
-		// before deciding the delta is collision-free.
-		if _, err := e.ensureLive(); err != nil {
-			return err
-		}
-	}
-	if e.live != nil && e.live.appended > 0 {
-		return fmt.Errorf("rowstore: live tuples present; AppendDelta is unsupported after live Append")
-	}
-	if len(delta.Series) != len(e.ids) {
-		return fmt.Errorf("rowstore: delta has %d households, table has %d", len(delta.Series), len(e.ids))
-	}
-	n := len(delta.Temperature.Values)
-	for _, s := range delta.Series {
-		if len(s.Readings) != n {
-			return fmt.Errorf("rowstore: delta household %d has %d readings, temperature has %d",
-				s.ID, len(s.Readings), n)
-		}
-	}
-	for _, s := range delta.Series {
-		if err := e.table.appendReadings(s.ID, s.Readings, delta.Temperature.Values); err != nil {
-			return err
-		}
-	}
-	e.table.setSeriesLen(e.table.seriesLen + n)
-	e.temp.Store(nil)
-	e.live = nil // series lengths changed; rebuild lazily
-	if err := writeMeta(e.bp, e.table.meta()); err != nil {
-		return err
-	}
-	if e.walOn && e.wlog != nil {
-		// Bulk deltas never ride the log; a checkpoint makes them
-		// durable with the same atomic rewrite an Append fold uses.
-		e.ckptAppended = 0
-		return e.checkpointLocked()
-	}
-	return nil
-}
-
-var _ core.DeltaAppender = (*Engine)(nil)
 
 // StorageBytes returns the current size of the engine's table file.
 func (e *Engine) StorageBytes() int64 {

@@ -370,83 +370,68 @@ func deltaFor(t *testing.T, ds *timeseries.Dataset, days int) *timeseries.Datase
 	return d
 }
 
+// TestAppendExtendsEverySeries appends two days to every stored series
+// as one batch and checkpoints: through a snapshot, every appended
+// reading and temperature reads back exactly, before and after a
+// reopen, while the published prefix stays the loaded one.
 func TestAppendExtendsEverySeries(t *testing.T) {
 	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
 		t.Run(layout.String(), func(t *testing.T) {
 			src, ds := writeSource(t, 3, 10)
-			e := New(t.TempDir(), WithLayout(layout))
-			defer e.Close()
+			dir := t.TempDir()
+			e := New(dir, WithLayout(layout))
+			defer func() { e.Close() }()
 			if _, err := e.Load(src); err != nil {
 				t.Fatal(err)
 			}
 			delta := deltaFor(t, ds, 2)
-			if err := e.AppendDelta(delta); err != nil {
+			off := 10 * timeseries.HoursPerDay
+			if err := e.Append(core.BatchOf(delta, off)); err != nil {
 				t.Fatal(err)
 			}
-			// Every series must now hold 12 days and the appended values
-			// must round-trip exactly.
-			for i, want := range delta.Series {
-				s, temp, err := e.table.readSeries(ds.Series[i].ID)
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			check := func(stage string) {
+				t.Helper()
+				if e.table.seriesLen != off {
+					t.Errorf("%s: published prefix %d, want the loaded %d", stage, e.table.seriesLen, off)
+				}
+				cur, _, err := e.Snapshot()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(s.Readings) != 12*timeseries.HoursPerDay {
-					t.Fatalf("series %d has %d readings", s.ID, len(s.Readings))
+				defer cur.Close()
+				rows := drainSnap(t, cur)
+				temp, err := cur.Temperature()
+				if err != nil {
+					t.Fatal(err)
 				}
-				off := 10 * timeseries.HoursPerDay
-				for j, v := range want.Readings {
-					if s.Readings[off+j] != v {
-						t.Fatalf("series %d appended reading %d: %g vs %g", s.ID, j, s.Readings[off+j], v)
+				for i, want := range delta.Series {
+					got := rows[ds.Series[i].ID]
+					if len(got) != 12*timeseries.HoursPerDay {
+						t.Fatalf("%s: series %d has %d readings", stage, ds.Series[i].ID, len(got))
 					}
-					if temp.Values[off+j] != delta.Temperature.Values[j] {
-						t.Fatalf("series %d appended temp %d mismatch", s.ID, j)
+					for j, v := range want.Readings {
+						if got[off+j] != v {
+							t.Fatalf("%s: series %d appended reading %d: %g vs %g", stage, ds.Series[i].ID, j, got[off+j], v)
+						}
+						if temp.Values[off+j] != delta.Temperature.Values[j] {
+							t.Fatalf("%s: appended temp %d mismatch", stage, j)
+						}
 					}
 				}
 			}
-			// The append survives a close/reopen cycle (meta page updated).
-			dir := e.dir
+			check("appended")
 			if err := e.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re := New(dir)
-			if err := re.Open(); err != nil {
+			e = New(dir)
+			if err := e.Open(); err != nil {
 				t.Fatal(err)
 			}
-			defer re.Close()
-			s, _, err := re.table.readSeries(ds.Series[0].ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(s.Readings) != 12*timeseries.HoursPerDay {
-				t.Errorf("after reopen: %d readings", len(s.Readings))
-			}
+			check("reopened")
 		})
-	}
-}
-
-func TestAppendValidation(t *testing.T) {
-	src, ds := writeSource(t, 3, 5)
-	e := New(t.TempDir())
-	defer e.Close()
-	empty := New(t.TempDir())
-	defer empty.Close()
-	if err := empty.AppendDelta(&timeseries.Dataset{}); err == nil || !errors.Is(err, core.ErrNotLoaded) {
-		t.Errorf("append before load: %v", err)
-	}
-	if _, err := e.Load(src); err != nil {
-		t.Fatal(err)
-	}
-	// Wrong household count.
-	short := deltaFor(t, ds, 1)
-	short.Series = short.Series[:2]
-	if err := e.AppendDelta(short); err == nil {
-		t.Error("short delta: want error")
-	}
-	// Readings/temperature mismatch.
-	bad := deltaFor(t, ds, 1)
-	bad.Series[0].Readings = bad.Series[0].Readings[:12]
-	if err := e.AppendDelta(bad); err == nil {
-		t.Error("ragged delta: want error")
 	}
 }
 

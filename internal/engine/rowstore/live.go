@@ -26,9 +26,10 @@ import (
 // first touch from the last index entry committedLen reads, and checked
 // at the session's first insert.
 //
-// Visibility. table.seriesLen is the published base length: NewCursors
-// and Run keep reading exactly the seriesLen prefix, so the base view
-// is stable while ingestion runs. Snapshot captures the
+// Visibility. table.seriesLen is the published base length, set by Load
+// and by nothing else: NewCursors and Run keep reading exactly the
+// seriesLen prefix, so the base view is stable while ingestion runs,
+// across checkpoints and reopens. Snapshot captures the
 // per-household live lengths and serves the full committed state
 // through truncating prefix reads (readSeriesShared), so a snapshot at
 // epoch E never observes a batch committed after E.

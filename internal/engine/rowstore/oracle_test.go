@@ -199,10 +199,11 @@ func hoursOf(id timeseries.ID, from, to int) []core.Reading {
 
 // TestWalkMatchesIndexOracle reads stores through the heap walk and
 // through indexSeries in every state a household's tuples can be
-// stored in: after the bulk load, which clusters them; after
-// AppendDelta, whose hours follow every household's; after live
-// Appends, before and after a checkpoint and after a crash whose log
-// replays on reopen, which interleave households; and through a
+// stored in: after the bulk load, which clusters them; after a day
+// appended to every household in one batch, whose hours follow every
+// household's; after live Appends, before and after a checkpoint and
+// after a crash whose log replays on reopen, which interleave
+// households; and through a
 // snapshot whose prefix ends inside a run the walk reads, because the
 // last loaded household's first live hours follow its loaded ones in
 // the heap. The reads must agree bit for bit at every pool, both widths
@@ -242,7 +243,7 @@ func TestWalkMatchesIndexOracle(t *testing.T) {
 					sameBits(t, fmt.Sprintf("oracle, household %d", s.ID), cons, s.Readings)
 				}
 				checkOracle(t, e, held)
-				if err := e.AppendDelta(delta); err != nil {
+				if err := e.Append(core.BatchOf(delta, e.table.seriesLen)); err != nil {
 					t.Fatal(err)
 				}
 				checkOracle(t, e, held)

@@ -86,11 +86,11 @@ func TestPinsBalance(t *testing.T) {
 			}
 			balanced("a fetch past the end of the file")
 			victim := ds.Series[0].ID
-			last, _, err := e.table.maxSeq(victim)
+			_, next, _, err := e.committedLen(victim)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.table.index.insert(key{ID: uint64(victim), Seq: last + 1}, TID{Page: e.pf.nPages + 7}); err != nil {
+			if err := e.table.index.insert(key{ID: uint64(victim), Seq: next}, TID{Page: e.pf.nPages + 7}); err != nil {
 				t.Fatal(err)
 			}
 			balanced("an index insert")

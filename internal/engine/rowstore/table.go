@@ -81,7 +81,8 @@ type table struct {
 	layout Layout
 	heap   *heapFile
 	index  *btree
-	// seriesLen is the (uniform) number of readings per consumer.
+	// seriesLen is the (uniform) number of readings per consumer that
+	// Load stored: the published prefix, which nothing else changes.
 	seriesLen int
 	// consumers is the number of distinct households.
 	consumers int
@@ -173,72 +174,6 @@ func eachChunk(id timeseries.ID, hourOffset int, cons, temps []float64, store fu
 	return nil
 }
 
-// insertChunks stores and indexes a run of readings as array chunks
-// starting at the given hour offset and chunk sequence number.
-func (tb *table) insertChunks(id timeseries.ID, firstSeq uint64, hourOffset int, cons, temps []float64) error {
-	seq := firstSeq
-	return eachChunk(id, hourOffset, cons, temps, func(chunk []byte) error {
-		tid, err := tb.heap.insert(chunk)
-		if err != nil {
-			return err
-		}
-		k := key{ID: uint64(id), Seq: seq}
-		seq++
-		return tb.index.insert(k, tid)
-	})
-}
-
-// maxSeq returns the highest stored sequence number for a household and
-// whether any entry exists, from the greatest entry below the next
-// household's first key: one descent, whatever the household's length.
-func (tb *table) maxSeq(id timeseries.ID) (uint64, bool, error) {
-	k, _, found, err := tb.index.last(key{ID: uint64(id) + 1})
-	if err != nil || !found || k.ID != uint64(id) {
-		return 0, false, err
-	}
-	return k.Seq, true, nil
-}
-
-// appendReadings extends one household's series with new hourly data
-// (the benchmark's future-work "add a day's worth of new points"). The
-// caller must extend every household identically and then bump
-// tb.seriesLen once via setSeriesLen.
-func (tb *table) appendReadings(id timeseries.ID, cons, temps []float64) error {
-	if len(cons) != len(temps) {
-		return fmt.Errorf("rowstore: append arrays differ: %d vs %d", len(cons), len(temps))
-	}
-	switch tb.layout {
-	case LayoutRows:
-		var buf []byte
-		for i, c := range cons {
-			h := tb.seriesLen + i
-			buf = encodeRowTuple(buf, id, h, temps[i], c)
-			tid, err := tb.heap.insert(buf)
-			if err != nil {
-				return err
-			}
-			if err := tb.index.insert(key{ID: uint64(id), Seq: uint64(h)}, tid); err != nil {
-				return err
-			}
-		}
-		return nil
-	case LayoutArrays:
-		last, found, err := tb.maxSeq(id)
-		if err != nil {
-			return err
-		}
-		if !found {
-			return fmt.Errorf("rowstore: household %d not found", id)
-		}
-		return tb.insertChunks(id, last+1, tb.seriesLen, cons, temps)
-	default:
-		return fmt.Errorf("rowstore: unknown layout %v", tb.layout)
-	}
-}
-
-// setSeriesLen records the new uniform series length after appends.
-func (tb *table) setSeriesLen(n int) { tb.seriesLen = n }
-
 // readSeriesInto is the one read path. It reads one household's first
 // len(cons) hours into cons and, when temp is non-nil (of cons' length),
 // the temperature column beside it, in two phases:
@@ -249,10 +184,10 @@ func (tb *table) setSeriesLen(n int) { tb.seriesLen = n }
 //     next hour, or in the array layout its next chunk (walk). Load
 //     stores a household's tuples as one run of the heap, so a loaded
 //     household reads whole here, without its leaves.
-//   - The index. Where the run breaks first, at hours appended after the
-//     load (AppendDelta, live Append) or at a tuple that fails a check,
-//     a second descent at the first hour not read finishes through the
-//     leaf chain, a heap page's run of entries at a time (scan).
+//   - The index. Where the run breaks first, at hours live Append added
+//     after the load or at a tuple that fails a check, a second descent
+//     at the first hour not read finishes through the leaf chain, a
+//     heap page's run of entries at a time (scan).
 //
 // So a read descends at most twice, and which phase decodes a tuple
 // depends only on where it is stored. The heap page of the last tuple

@@ -123,6 +123,108 @@ func TestRunSnapshotLiveEngines(t *testing.T) {
 	}
 }
 
+// TestAppendDayCheckpointReopen adds a day to a loaded year the way the
+// updates experiment does, one Append batch and a Checkpoint, on both
+// stores (the row store in both layouts), and then reopens the store.
+// Every task over a snapshot is bit-identical to the reference over the
+// year and the day: before the checkpoint, after it and after the
+// reopen.
+func TestAppendDayCheckpointReopen(t *testing.T) {
+	const year = 365 * timeseries.HoursPerDay
+	ds := makeDataset(t, 6, 366)
+	src, err := meterdata.WriteUnpartitioned(t.TempDir(), datasetPrefix(ds, year), meterdata.FormatReadingPerLine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stored year is the text round trip of the generated one; the
+	// day is appended exact.
+	ref, err := meterdata.ReadDataset(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	day := &timeseries.Dataset{Temperature: &timeseries.Temperature{Values: ds.Temperature.Values[year:]}}
+	for i, s := range ds.Series {
+		day.Series = append(day.Series, &timeseries.Series{ID: s.ID, Readings: s.Readings[year:]})
+		ref.Series[i].Readings = append(ref.Series[i].Readings, s.Readings[year:]...)
+	}
+	ref.Temperature.Values = append(ref.Temperature.Values, day.Temperature.Values...)
+
+	type store interface {
+		liveEngine
+		Checkpoint() error
+	}
+	rowstoreIn := func(layout rowstore.Layout) func(t *testing.T, dir string, load bool) store {
+		return func(t *testing.T, dir string, load bool) store {
+			e := rowstore.New(dir, rowstore.WithLayout(layout))
+			t.Cleanup(func() { _ = e.Close() })
+			if !load {
+				if err := e.Open(); err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			if _, err := e.Load(src); err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T, dir string, load bool) store
+	}{
+		{"colstore", func(t *testing.T, dir string, load bool) store {
+			e := colstore.New(dir)
+			t.Cleanup(func() { _ = e.Release() })
+			if load {
+				if _, err := e.Load(src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return e
+		}},
+		{"rowstore_rows", rowstoreIn(rowstore.LayoutRows)},
+		{"rowstore_arrays", rowstoreIn(rowstore.LayoutArrays)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(stage string, eng store) {
+				t.Helper()
+				for _, task := range core.Tasks {
+					spec := core.Spec{Task: task, K: 3, Workers: 2}
+					got, _, err := exec.RunSnapshot(context.Background(), eng, spec)
+					if err != nil {
+						t.Fatalf("%s, %v: %v", stage, task, err)
+					}
+					want, err := core.RunReference(ref, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cursortest.CompareResults(t, got, want)
+				}
+			}
+			dir := t.TempDir()
+			eng := tc.open(t, dir, true)
+			if err := eng.Append(core.BatchOf(day, year)); err != nil {
+				t.Fatal(err)
+			}
+			check("appended", eng)
+			if err := eng.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			check("checkpointed", eng)
+			if err := eng.Release(); err != nil {
+				t.Fatal(err)
+			}
+			if c, ok := eng.(interface{ Close() error }); ok {
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("reopened", tc.open(t, dir, false))
+		})
+	}
+}
+
 // runSnapshotTasks runs every task over a snapshot of eng, which holds
 // the first n hours of ref (base of them from its load), and holds it
 // to the reference; then a day lands, and the next snapshot must hold

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# check.sh is the single verification entrypoint for the repo: build,
-# vet, the repo-native smlint analyzers, the full test suite under the
+# check.sh is the single verification entrypoint for the repo: gofmt,
+# build, vet, the repo-native smlint analyzers, the full test suite under the
 # race detector and again as 32-bit binaries, the fuzz smokes (the value
 # codec on both decode paths, the segment-file reader, the row store's
 # table file, the text parsers, write-ahead-log replay, the PAR kernel,
@@ -12,6 +12,14 @@
 # runs exactly this script; run it locally before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l . (every Go file, testdata and bench/ included, is gofmt-clean)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "gofmt: these files are not formatted:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 
 echo "== go build ./..."
 go build ./...
