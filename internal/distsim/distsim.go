@@ -26,9 +26,7 @@ package distsim
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,13 +92,6 @@ type Cluster struct {
 	transfers   atomic.Int64
 	localReads  atomic.Int64
 	remoteReads atomic.Int64
-	retries     atomic.Int64
-
-	// failure injection (see InjectFailures)
-	failMu     sync.Mutex
-	failRate   float64
-	failRng    *rand.Rand
-	maxRetries int
 }
 
 // Node is one simulated worker.
@@ -279,42 +270,14 @@ type Task struct {
 	Fn func(ctx *TaskCtx) error
 }
 
-// ErrTaskLost is returned when a task keeps hitting injected failures
-// beyond the retry budget.
-var ErrTaskLost = errors.New("distsim: task lost after retries")
-
-// InjectFailures makes each task attempt fail with the given probability
-// before its body runs (a simulated mid-task node crash). Failed
-// attempts are retried up to maxRetries times, like a MapReduce or Spark
-// scheduler re-executing lost tasks. A rate of 0 disables injection.
-func (c *Cluster) InjectFailures(rate float64, maxRetries int, seed int64) {
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
-	c.failRate = rate
-	c.maxRetries = maxRetries
-	c.failRng = rand.New(rand.NewSource(seed))
-}
-
-// attemptFails draws the injected failure decision for one attempt.
-func (c *Cluster) attemptFails() bool {
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
-	if c.failRate <= 0 || c.failRng == nil {
-		return false
-	}
-	return c.failRng.Float64() < c.failRate
-}
-
 // RunCtx executes one stage's tasks across the cluster, honouring slot
 // limits and preferring data-local placement. dispatch is the driver's
 // cost of launching one task, paid serially for the whole stage before
-// any task starts (zero for a scheduler that charges none). Injected
-// task failures (see InjectFailures) are retried, speculatively avoiding
-// the failed node; errors returned by task bodies are permanent. Tasks
-// not yet started when ctx fires are skipped, running tasks stop paying
-// modeled delays, and the ctx error wins over task errors so callers see
-// a clean context.Canceled / DeadlineExceeded; otherwise RunCtx returns
-// the first permanent error.
+// any task starts (zero for a scheduler that charges none). Each task
+// runs once. Tasks not yet started when ctx fires are skipped, running
+// tasks stop paying modeled delays, and the ctx error wins over task
+// errors so callers see a clean context.Canceled / DeadlineExceeded;
+// otherwise RunCtx returns the first task error.
 func (c *Cluster) RunCtx(ctx context.Context, dispatch time.Duration, tasks []Task) error {
 	if len(tasks) == 0 {
 		return nil
@@ -327,31 +290,16 @@ func (c *Cluster) RunCtx(ctx context.Context, dispatch time.Duration, tasks []Ta
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pref := task.PreferredNodes
-			for attempt := 0; ; attempt++ {
-				if ctx.Err() != nil {
-					return
-				}
-				node := c.acquire(pref)
-				if c.attemptFails() {
-					node.slots <- struct{}{}
-					c.retries.Add(1)
-					if attempt >= c.maxRetries {
-						errCh <- fmt.Errorf("%w: %d attempts", ErrTaskLost, attempt+1)
-						return
-					}
-					// Re-place away from the failed node.
-					pref = without(pref, node.id)
-					continue
-				}
-				tc := &TaskCtx{cluster: c, node: node, ctx: ctx}
-				err := task.Fn(tc)
-				tc.Free(tc.held)
-				node.slots <- struct{}{}
-				if err != nil {
-					errCh <- err
-				}
+			if ctx.Err() != nil {
 				return
+			}
+			node := c.acquire(task.PreferredNodes)
+			tc := &TaskCtx{cluster: c, node: node, ctx: ctx}
+			err := task.Fn(tc)
+			tc.Free(tc.held)
+			node.slots <- struct{}{}
+			if err != nil {
+				errCh <- err
 			}
 		}()
 	}
@@ -365,17 +313,6 @@ func (c *Cluster) RunCtx(ctx context.Context, dispatch time.Duration, tasks []Ta
 	default:
 		return nil
 	}
-}
-
-// without returns nodes minus the given node id.
-func without(nodes []int, id int) []int {
-	out := make([]int, 0, len(nodes))
-	for _, n := range nodes {
-		if n != id {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // acquire takes a slot, preferring the task's local nodes but falling
@@ -397,20 +334,18 @@ func (c *Cluster) acquire(preferred []int) *Node {
 	if len(preferred) > 0 && preferred[0] >= 0 {
 		start = preferred[0] % len(c.nodes)
 	}
-	for {
-		for i := 0; i < len(c.nodes); i++ {
-			n := c.nodes[(start+i)%len(c.nodes)]
-			select {
-			case <-n.slots:
-				return n
-			default:
-			}
+	for i := 0; i < len(c.nodes); i++ {
+		n := c.nodes[(start+i)%len(c.nodes)]
+		select {
+		case <-n.slots:
+			return n
+		default:
 		}
-		// Everything busy: block on the first preferred (or first) node.
-		n := c.nodes[start]
-		<-n.slots
-		return n
 	}
+	// Everything busy: block on the first preferred (or first) node.
+	n := c.nodes[start]
+	<-n.slots
+	return n
 }
 
 // Stats is a snapshot of cluster counters.
@@ -419,8 +354,6 @@ type Stats struct {
 	Transfers   int64
 	LocalReads  int64
 	RemoteReads int64
-	// TaskRetries counts injected-failure retries.
-	TaskRetries int64
 	// MemPeakPerNode is each node's peak task memory in bytes.
 	MemPeakPerNode []int64
 }
@@ -432,7 +365,6 @@ func (c *Cluster) Stats() Stats {
 		Transfers:   c.transfers.Load(),
 		LocalReads:  c.localReads.Load(),
 		RemoteReads: c.remoteReads.Load(),
-		TaskRetries: c.retries.Load(),
 	}
 	for _, n := range c.nodes {
 		s.MemPeakPerNode = append(s.MemPeakPerNode, n.memPeak.Load())
@@ -467,7 +399,6 @@ func (c *Cluster) ResetStats() {
 	c.transfers.Store(0)
 	c.localReads.Store(0)
 	c.remoteReads.Store(0)
-	c.retries.Store(0)
 	for _, n := range c.nodes {
 		n.memPeak.Store(0)
 		n.memUsed.Store(0)

@@ -3,6 +3,8 @@ package distsim
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -223,40 +225,8 @@ func TestReadBlockLocality(t *testing.T) {
 	}
 }
 
-func TestInjectedFailuresAreRetried(t *testing.T) {
-	c := testCluster(t, 4, 2)
-	c.InjectFailures(0.4, 20, 1)
-	var count atomic.Int64
-	tasks := make([]Task, 40)
-	for i := range tasks {
-		tasks[i] = Task{PreferredNodes: []int{i % 4}, Fn: func(*TaskCtx) error {
-			count.Add(1)
-			return nil
-		}}
-	}
-	if err := c.RunCtx(context.Background(), 0, tasks); err != nil {
-		t.Fatalf("tasks lost despite retries: %v", err)
-	}
-	if count.Load() != 40 {
-		t.Errorf("ran %d tasks, want 40", count.Load())
-	}
-	if c.Stats().TaskRetries == 0 {
-		t.Error("no retries recorded at 40% failure rate")
-	}
-}
-
-func TestFailuresExhaustMaxRetries(t *testing.T) {
-	c := testCluster(t, 2, 1)
-	c.InjectFailures(1.0, 3, 2) // every attempt fails
-	err := c.RunCtx(context.Background(), 0, []Task{{Fn: func(*TaskCtx) error { return nil }}})
-	if !errors.Is(err, ErrTaskLost) {
-		t.Errorf("err = %v, want ErrTaskLost", err)
-	}
-}
-
 func TestPermanentErrorsNotRetried(t *testing.T) {
 	c := testCluster(t, 2, 1)
-	c.InjectFailures(0, 5, 3)
 	var attempts atomic.Int64
 	boom := errors.New("boom")
 	err := c.RunCtx(context.Background(), 0, []Task{{Fn: func(*TaskCtx) error {
@@ -267,7 +237,73 @@ func TestPermanentErrorsNotRetried(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 	if attempts.Load() != 1 {
-		t.Errorf("permanent error retried %d times", attempts.Load())
+		t.Errorf("failing task ran %d times, want 1", attempts.Load())
+	}
+}
+
+// TestEachTaskRunsOnce: on every cluster shape each task body runs
+// exactly once, whether it succeeds or fails, and a failing task still
+// hands back its slot and its memory: afterwards a stage with one task
+// per slot, each waiting for all the others to start, can run.
+func TestEachTaskRunsOnce(t *testing.T) {
+	for _, shape := range []struct{ nodes, slots int }{{1, 1}, {2, 1}, {4, 2}, {3, 3}} {
+		t.Run(fmt.Sprintf("%dx%d", shape.nodes, shape.slots), func(t *testing.T) {
+			c := testCluster(t, shape.nodes, shape.slots)
+			boom := errors.New("boom")
+			runs := make([]atomic.Int64, 30)
+			tasks := make([]Task, len(runs))
+			for i := range tasks {
+				tasks[i] = Task{PreferredNodes: []int{i % shape.nodes}, Fn: func(ctx *TaskCtx) error {
+					runs[i].Add(1)
+					ctx.Alloc(1 << 10)
+					if i%3 == 0 {
+						return boom
+					}
+					return nil
+				}}
+			}
+			if err := runWithin(t, c, tasks); err != boom {
+				t.Errorf("err = %v, want boom", err)
+			}
+			for i := range runs {
+				if n := runs[i].Load(); n != 1 {
+					t.Errorf("task %d ran %d times, want 1", i, n)
+				}
+			}
+			if got := c.MemoryInUse(); got != 0 {
+				t.Errorf("%d bytes still accounted after the stage", got)
+			}
+
+			width := shape.nodes * shape.slots
+			var started sync.WaitGroup
+			started.Add(width)
+			wide := make([]Task, width)
+			for i := range wide {
+				wide[i] = Task{Fn: func(*TaskCtx) error {
+					started.Done()
+					started.Wait()
+					return nil
+				}}
+			}
+			if err := runWithin(t, c, wide); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// runWithin runs one stage and fails the test if it has not finished
+// within ten seconds, as a stage waiting on a lost slot never would.
+func runWithin(t *testing.T, c *Cluster, tasks []Task) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- c.RunCtx(context.Background(), 0, tasks) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("stage still running after 10 s: a slot was not handed back")
+		return nil
 	}
 }
 

@@ -47,26 +47,6 @@ func TestClusterRunRace(t *testing.T) {
 	}
 }
 
-// TestClusterRunRetriesRace drives the failure-injection path, whose
-// rng sits behind failMu while tasks race to draw from it.
-func TestClusterRunRetriesRace(t *testing.T) {
-	c, err := New(fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.InjectFailures(0.3, 50, 17)
-	tasks := make([]Task, 100)
-	for i := range tasks {
-		tasks[i] = Task{Fn: func(ctx *TaskCtx) error { return nil }}
-	}
-	if err := c.RunCtx(context.Background(), 0, tasks); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().TaskRetries == 0 {
-		t.Error("expected injected failures to cause retries")
-	}
-}
-
 // TestTransferConcurrentRace covers the batched shuffle path: parallel
 // transfers all update the shared byte/transfer counters.
 func TestTransferConcurrentRace(t *testing.T) {

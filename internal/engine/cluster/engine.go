@@ -324,8 +324,7 @@ func (x *extraction) release() {
 // grouped per input split, so the cursors' ID sets are disjoint but
 // their ranges interleave; the execution layer sorts the joined results
 // by household ID once, which restores global order. It refuses a
-// forced plan over the wrong format, and fails with dfs.ErrBlockLost
-// when an input block has no live replica.
+// forced plan over the wrong format.
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("cluster: NewCursors: max must be >= 1, got %d", max)

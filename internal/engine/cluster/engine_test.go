@@ -300,72 +300,3 @@ func TestCursorCloseFreesNodeMemory(t *testing.T) {
 		}
 	})
 }
-
-// TestSurvivesInjectedFailures runs every task with a 30% injected task
-// failure rate and a dead DFS node: results must be identical to a
-// failure-free run.
-func TestSurvivesInjectedFailures(t *testing.T) {
-	srcs, ref := makeSources(t, 5, 20)
-	for i, p := range profiles[:2] {
-		for _, format := range []string{"format1", "format2"} {
-			t.Run(p.name+"/"+format, func(t *testing.T) {
-				fs := testFS(t, 4)
-				fs.Cluster().InjectFailures(0.3, 50, int64(7+i))
-				e := p.new(fs)
-				if _, err := e.Load(srcs[format]); err != nil {
-					t.Fatal(err)
-				}
-				fs.KillNode(1 + i)
-				for _, task := range core.Tasks {
-					spec := core.Spec{Task: task, K: 3}
-					got, err := e.Run(spec)
-					if err != nil {
-						t.Fatalf("%v under failures: %v", task, err)
-					}
-					want, err := core.RunReference(ref, spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cursortest.CompareResults(t, got, want)
-				}
-				if fs.Cluster().Stats().TaskRetries == 0 {
-					t.Error("no retries happened at a 30% failure rate")
-				}
-				if got := fs.Cluster().MemoryInUse(); got != 0 {
-					t.Errorf("%d bytes still accounted after the runs", got)
-				}
-			})
-		}
-	}
-}
-
-// TestLoadAfterNodeDeath: files written after a node died are placed on
-// the survivors, so both platforms still match the reference; with every
-// replica holder dead the loss is reported, not decoded around.
-func TestLoadAfterNodeDeath(t *testing.T) {
-	srcs, ref := makeSources(t, 5, 20)
-	for _, p := range profiles[:2] {
-		fs := testFS(t, 4)
-		fs.KillNode(0)
-		e := p.new(fs)
-		if _, err := e.Load(srcs["format1"]); err != nil {
-			t.Fatal(err)
-		}
-		spec := core.Spec{Task: core.TaskThreeLine}
-		got, err := e.Run(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", p.name, err)
-		}
-		want, err := core.RunReference(ref, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cursortest.CompareResults(t, got, want)
-		for n := 1; n < 4; n++ {
-			fs.KillNode(n)
-		}
-		if _, err := e.Run(spec); !errors.Is(err, dfs.ErrBlockLost) {
-			t.Errorf("%s with every node dead: err = %v, want ErrBlockLost", p.name, err)
-		}
-	}
-}

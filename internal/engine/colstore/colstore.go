@@ -52,21 +52,15 @@ type Engine struct {
 	pager  *pager
 
 	// Durability (see live.go). walOn arms the write-ahead log under
-	// walPolicy/walFS; tailBudget (in tail readings) arms the
-	// background-checkpoint trigger on ckptC.
-	walOn      bool
-	walPolicy  wal.SyncPolicy
-	walFS      wal.FS
-	tailBudget int64
-	ckptC      chan struct{}
+	// walPolicy/walFS.
+	walOn     bool
+	walPolicy wal.SyncPolicy
+	walFS     wal.FS
 
 	// retired holds segment stores replaced by Checkpoint but kept
 	// open so outstanding snapshot cursors stay readable; detach
 	// closes them.
 	retired []*segStore
-
-	ckptErrMu sync.Mutex
-	ckptErr   error
 
 	// liveMu guards lazy creation of the live tail; the tail has its
 	// own internal locking (see live.go).
@@ -106,18 +100,6 @@ func WithWALFS(fs wal.FS) Option {
 	return func(e *Engine) { e.walFS = fs }
 }
 
-// WithTailBudget arms automatic background checkpointing: once the
-// live tail holds at least this many readings, the engine signals the
-// checkpointer goroutine (StartCheckpointer) to fold the tail into a
-// fresh segment file. Zero disables the trigger.
-func WithTailBudget(readings int64) Option {
-	return func(e *Engine) {
-		if readings > 0 {
-			e.tailBudget = readings
-		}
-	}
-}
-
 // SegmentFileName is the segment file's name under the engine
 // directory. Out-of-band writers (smgen's segments format, the scaleup
 // experiment) create it directly with NewSegmentWriter and attach via
@@ -127,9 +109,8 @@ const SegmentFileName = "segments.col"
 // New returns a column-store engine whose segment file lives under dir.
 func New(dir string, opts ...Option) *Engine {
 	e := &Engine{
-		dir:   dir,
-		path:  filepath.Join(dir, SegmentFileName),
-		ckptC: make(chan struct{}, 1),
+		dir:  dir,
+		path: filepath.Join(dir, SegmentFileName),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -218,24 +199,17 @@ func writeDataset(path string, ds *timeseries.Dataset) error {
 		_ = os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("colstore: rename segments: %w", err)
-	}
-	return syncDir(filepath.Dir(path))
+	return renameSynced(tmp, path, "rename segments")
 }
 
-// syncDir fsyncs a directory so a rename into it survives a power
-// failure — the second half of the temp-file-then-rename protocol.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("colstore: sync dir: %w", err)
+// renameSynced renames tmp over path and fsyncs the directory so the
+// rename survives a power failure. A failed rename removes tmp.
+func renameSynced(tmp, path, what string) error {
+	if err := os.Rename(tmp, path); err != nil {
+		_ = os.Remove(tmp)
+		return fmt.Errorf("colstore: %s: %w", what, err)
 	}
-	if err := d.Sync(); err != nil {
-		_ = d.Close()
-		return fmt.Errorf("colstore: sync dir: %w", err)
-	}
-	if err := d.Close(); err != nil {
+	if err := wal.OSFS.SyncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("colstore: sync dir: %w", err)
 	}
 	return nil
@@ -394,51 +368,6 @@ func (e *Engine) MetaBytes() int64 {
 
 // errCorrupt reports a malformed segment file.
 var errCorrupt = errors.New("colstore: corrupt segment file")
-
-// StartCheckpointer runs background checkpointing until ctx is
-// cancelled: whenever the live tail crosses the WithTailBudget
-// threshold, the tail is folded into a fresh segment file and the
-// write-ahead log is rewritten down to the remainders. The returned
-// channel closes when the goroutine has exited (leak-free tests wait
-// on it). Checkpoint errors are recorded for CheckpointErr — the
-// ingestion path keeps running, bounded-loss, until the next trigger
-// retries.
-func (e *Engine) StartCheckpointer(ctx context.Context) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-e.ckptC:
-				if err := e.Checkpoint(); err != nil {
-					e.ckptErrMu.Lock()
-					e.ckptErr = err
-					e.ckptErrMu.Unlock()
-				}
-			}
-		}
-	}()
-	return done
-}
-
-// CheckpointErr returns the most recent background-checkpoint failure,
-// nil if none.
-func (e *Engine) CheckpointErr() error {
-	e.ckptErrMu.Lock()
-	defer e.ckptErrMu.Unlock()
-	return e.ckptErr
-}
-
-// triggerCheckpoint signals the checkpointer without blocking; a
-// pending signal already covers the crossing.
-func (e *Engine) triggerCheckpoint() {
-	select {
-	case e.ckptC <- struct{}{}:
-	default:
-	}
-}
 
 // Crash simulates a process death for recovery tests: every file
 // handle drops with no flush, sync or checkpoint. The engine object is

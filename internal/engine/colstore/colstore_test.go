@@ -268,3 +268,55 @@ func TestAppendRewritesSegments(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedRenameLeavesNoTemp puts a directory where the segment file
+// goes, so the rename at the end of Load and of Checkpoint fails
+// (EISDIR): each call returns the error and removes its temp file.
+func TestFailedRenameLeavesNoTemp(t *testing.T) {
+	src, ds := writeSource(t, 3, 2)
+	noTemp := func(t *testing.T, dir string) {
+		t.Helper()
+		left, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(left) != 0 {
+			t.Errorf("temp files left behind: %v", left)
+		}
+	}
+	t.Run("Load", func(t *testing.T) {
+		e := New(t.TempDir())
+		if err := os.Mkdir(e.path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Load(src); err == nil {
+			t.Fatal("Load over a directory: want error")
+		}
+		noTemp(t, e.dir)
+	})
+	t.Run("Checkpoint", func(t *testing.T) {
+		e := New(t.TempDir())
+		if _, err := e.Load(src); err != nil {
+			t.Fatal(err)
+		}
+		defer e.Release()
+		delta, err := seed.Generate(seed.Config{Consumers: 3, Days: 1, Seed: 55})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Append(core.BatchOf(delta, len(ds.Temperature.Values))); err != nil {
+			t.Fatal(err)
+		}
+		// The attached store keeps its open handle on the unlinked file.
+		if err := os.Remove(e.path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(e.path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Checkpoint(); err == nil {
+			t.Fatal("Checkpoint over a directory: want error")
+		}
+		noTemp(t, e.dir)
+	})
+}

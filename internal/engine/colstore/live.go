@@ -199,11 +199,7 @@ func (e *Engine) Append(batch []core.Reading) error {
 		}
 	}
 	lt.epoch.Add(1)
-	applied := lt.applied.Load()
 	lt.ingestMu.RUnlock()
-	if e.tailBudget > 0 && applied >= e.tailBudget {
-		e.triggerCheckpoint()
-	}
 	return nil
 }
 
@@ -638,10 +634,7 @@ func (e *Engine) checkpointLocked(lt *liveTail) error {
 		_ = os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, e.path); err != nil {
-		return fmt.Errorf("colstore: checkpoint rename: %w", err)
-	}
-	if err := syncDir(e.dir); err != nil {
+	if err := renameSynced(tmp, e.path, "checkpoint rename"); err != nil {
 		return err
 	}
 

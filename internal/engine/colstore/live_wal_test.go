@@ -1,12 +1,10 @@
 package colstore
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -281,65 +279,6 @@ func TestWALCheckpointAppendSnapshotChaos(t *testing.T) {
 	cursortest.RunCheckpointChaos(t, e, ckpt, ids, 0, 72)
 }
 
-// TestWALBackgroundCheckpointTrigger: crossing the tail budget wakes the
-// background checkpointer, which folds the tail without losing a
-// reading; cancelling the context stops the goroutine.
-func TestWALBackgroundCheckpointTrigger(t *testing.T) {
-	dir := t.TempDir()
-	const budget = 100
-	e := New(dir, WithWAL(wal.SyncBatch), WithTailBudget(budget))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := e.StartCheckpointer(ctx)
-	ids := []timeseries.ID{4, 8, 15, 16}
-	const hours = 60 // 240 readings: crosses the budget at least once
-	for h := 0; h < hours; h++ {
-		if err := e.Append(hourBatch(ids, h)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The fold is asynchronous; wait for the tail to shrink below the
-	// budget (the checkpointer owns no other signal a test can join on).
-	deadline := time.After(5 * time.Second)
-	for e.liveHours() >= budget {
-		select {
-		case <-deadline:
-			t.Fatalf("background checkpoint never fired: liveHours = %d", e.liveHours())
-		default:
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if err := e.CheckpointErr(); err != nil {
-		t.Fatalf("background checkpoint error: %v", err)
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("checkpointer did not exit on context cancel")
-	}
-	// Nothing was lost across the fold.
-	cur, _, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	rows := drainSnap(t, cur)
-	for _, id := range ids {
-		got := rows[id]
-		if len(got) != hours {
-			t.Fatalf("household %d: %d hours after background checkpoint, want %d", id, len(got), hours)
-		}
-		for h, v := range got {
-			if v != liveVal(id, h) {
-				t.Fatalf("household %d hour %d: %v, want %v", id, h, v, liveVal(id, h))
-			}
-		}
-	}
-	if e.store == nil {
-		t.Fatal("no segment store after background checkpoint")
-	}
-}
-
 // TestWALTornShardTailRecovers: chopping bytes off every shard log —
 // the torn-write shape a power failure leaves — must never surface a
 // decode error; the engine reopens with each household holding a
@@ -391,5 +330,68 @@ func TestWALTornShardTailRecovers(t *testing.T) {
 				t.Fatalf("household %d hour %d: recovered %v, want %v (prefix must be bit-exact)", id, h, v, liveVal(id, h))
 			}
 		}
+	}
+}
+
+// TestWALSegmentChangesOnlyAtCheckpoint: Append never folds the tail on
+// its own. Over a loaded base, every acked Append grows the log and
+// leaves segments.col byte-identical; only Checkpoint rewrites the
+// segment, folding every hour and taking the log back to its size
+// before the first Append.
+func TestWALSegmentChangesOnlyAtCheckpoint(t *testing.T) {
+	src, ds := writeSource(t, 3, 2)
+	dir := t.TempDir()
+	e := New(dir, WithWAL(wal.SyncBatch))
+	if _, err := e.Load(src); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Release()
+	baseN := len(ds.Temperature.Values)
+	var ids []timeseries.ID
+	for _, s := range ds.Series {
+		ids = append(ids, s.ID)
+	}
+	base, err := os.ReadFile(e.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt, err := e.ensureLive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hours = 40
+	empty := lt.wlog.SizeBytes()
+	logged := empty
+	for h := baseN; h < baseN+hours; h++ {
+		if err := e.Append(hourBatch(ids, h)); err != nil {
+			t.Fatal(err)
+		}
+		size := lt.wlog.SizeBytes()
+		if size <= logged {
+			t.Fatalf("hour %d: log shrank or stood still at %d bytes (was %d)", h, size, logged)
+		}
+		logged = size
+	}
+	if got, err := os.ReadFile(e.path); err != nil || string(got) != string(base) {
+		t.Fatalf("segments.col changed before any Checkpoint (err %v)", err)
+	}
+	if got, want := e.liveHours(), int64(hours*len(ids)); got != want {
+		t.Errorf("live tail holds %d readings before Checkpoint, want %d", got, want)
+	}
+
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(e.path); err != nil || string(got) == string(base) {
+		t.Fatalf("segments.col unchanged by Checkpoint (err %v)", err)
+	}
+	if e.store.n != baseN+hours {
+		t.Errorf("store covers %d hours after Checkpoint, want %d", e.store.n, baseN+hours)
+	}
+	if got := e.liveHours(); got != 0 {
+		t.Errorf("live tail holds %d readings after Checkpoint, want 0", got)
+	}
+	if s := lt.wlog.SizeBytes(); s != empty {
+		t.Errorf("log holds %d bytes after Checkpoint, want %d as before any Append", s, empty)
 	}
 }

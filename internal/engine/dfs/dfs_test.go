@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -106,19 +107,81 @@ func TestNonSplittableFiles(t *testing.T) {
 	}
 }
 
+// TestReplication: each block gets DefaultReplication distinct
+// replicas, clamped to the node count on a smaller cluster.
 func TestReplication(t *testing.T) {
-	fs := testFS(t, 5, WithReplication(3))
-	fs.Write("f", []byte("data\n"))
-	splits, _ := fs.Splits([]string{"f"}, true)
-	if len(splits[0].PreferredNodes) != 3 {
-		t.Errorf("replicas = %v", splits[0].PreferredNodes)
+	for _, nodes := range []int{1, 2, 3, 5, 8} {
+		t.Run(fmt.Sprintf("%dnodes", nodes), func(t *testing.T) {
+			fs := testFS(t, nodes)
+			if err := fs.Write("f", []byte("data\n")); err != nil {
+				t.Fatal(err)
+			}
+			splits, err := fs.Splits([]string{"f"}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := splits[0].PreferredNodes
+			if want := min(DefaultReplication, nodes); len(got) != want {
+				t.Fatalf("replicas = %v, want %d", got, want)
+			}
+			seen := make(map[int]bool)
+			for _, n := range got {
+				if n < 0 || n >= nodes || seen[n] {
+					t.Fatalf("replicas = %v: want distinct nodes in [0, %d)", got, nodes)
+				}
+				seen[n] = true
+			}
+		})
 	}
-	// Replication clamps to node count.
-	small := testFS(t, 2, WithReplication(10))
-	small.Write("f", []byte("x\n"))
-	sp, _ := small.Splits([]string{"f"}, true)
-	if len(sp[0].PreferredNodes) != 2 {
-		t.Errorf("clamped replicas = %v", sp[0].PreferredNodes)
+}
+
+// TestPlacementRoundRobin: successive blocks, across files too, start
+// their replica runs one node further on, wrapping at the node count.
+func TestPlacementRoundRobin(t *testing.T) {
+	const nodes = 5
+	fs := testFS(t, nodes, WithBlockSize(2))
+	if err := fs.Write("a", []byte("1\n2\n3\n4\n5\n6\n7\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Write("b", []byte("8\n9\n")); err != nil {
+		t.Fatal(err)
+	}
+	splits, err := fs.Splits([]string{"a", "b"}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(splits) != 9 {
+		t.Fatalf("%d splits, want 9", len(splits))
+	}
+	for i, sp := range splits {
+		for j, n := range sp.PreferredNodes {
+			if want := (i + j) % nodes; n != want {
+				t.Fatalf("block %d replicas = %v, want a run from node %d", i, sp.PreferredNodes, i%nodes)
+			}
+		}
+	}
+}
+
+// TestSplitBlocksAreCapped: a block split's slice ends at its block, so
+// appending to it cannot overwrite the file's next block.
+func TestSplitBlocksAreCapped(t *testing.T) {
+	fs := testFS(t, 3, WithBlockSize(2))
+	data := []byte("1\n2\n3\n")
+	if err := fs.Write("f", data); err != nil {
+		t.Fatal(err)
+	}
+	splits, err := fs.Splits([]string{"f"}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range splits {
+		if c := cap(splits[i].Blocks); c != 1 {
+			t.Errorf("split %d: cap(Blocks) = %d, want 1", i, c)
+		}
+		splits[i].Blocks = append(splits[i].Blocks, Block{Data: []byte("x\n")})
+	}
+	if got := readAll(t, fs, "f"); !bytes.Equal(got, data) {
+		t.Errorf("after appending to the splits the file reads %q, want %q", got, data)
 	}
 }
 
@@ -150,8 +213,8 @@ func TestBadOptions(t *testing.T) {
 	if _, err := New(c, WithBlockSize(0)); err == nil {
 		t.Error("zero block size: want error")
 	}
-	if _, err := New(c, WithReplication(0)); err == nil {
-		t.Error("zero replication: want error")
+	if _, err := New(c, WithBlockSize(-1)); err == nil {
+		t.Error("negative block size: want error")
 	}
 }
 

@@ -2,12 +2,12 @@ package rowstore
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/wal"
 )
 
 // Crash-safe ingestion for the row store. The engine pairs a no-steal
@@ -24,23 +24,6 @@ import (
 
 // walDir is where the engine's write-ahead log lives.
 func (e *Engine) walDir() string { return filepath.Join(e.dir, "wal") }
-
-// syncDir fsyncs a directory so a rename into it survives a power
-// failure — the second half of the temp-file-then-rename protocol.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("rowstore: sync dir: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		_ = d.Close()
-		return fmt.Errorf("rowstore: sync dir: %w", err)
-	}
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("rowstore: sync dir: %w", err)
-	}
-	return nil
-}
 
 // Checkpoint folds every page dirtied since the last checkpoint into
 // the table file with an atomic rewrite and truncates the write-ahead
@@ -108,8 +91,8 @@ func (e *Engine) checkpointLocked() error {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("rowstore: checkpoint rename: %w", err)
 	}
-	if err := syncDir(e.dir); err != nil {
-		return err
+	if err := wal.OSFS.SyncDir(e.dir); err != nil {
+		return fmt.Errorf("rowstore: sync dir: %w", err)
 	}
 	// Swap the file handle under the pool; cached frames keep their
 	// page IDs (the rewrite preserved every offset) and are now clean.
@@ -123,9 +106,6 @@ func (e *Engine) checkpointLocked() error {
 	for _, fr := range e.bp.frames {
 		fr.dirty = false
 	}
-	if e.live != nil {
-		e.ckptAppended = e.live.appended
-	}
 	if err := old.close(); err != nil {
 		return err
 	}
@@ -136,49 +116,6 @@ func (e *Engine) checkpointLocked() error {
 		}
 	}
 	return nil
-}
-
-// StartCheckpointer runs background checkpointing until ctx is
-// cancelled: whenever WithTailBudget readings accumulate past the last
-// checkpoint, they are folded into the table file and the log
-// truncated. The returned channel closes when the goroutine exits.
-// Errors are recorded for CheckpointErr; ingestion keeps running until
-// the next trigger retries.
-func (e *Engine) StartCheckpointer(ctx context.Context) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-e.ckptC:
-				if err := e.Checkpoint(); err != nil {
-					e.ckptErrMu.Lock()
-					e.ckptErr = err
-					e.ckptErrMu.Unlock()
-				}
-			}
-		}
-	}()
-	return done
-}
-
-// CheckpointErr returns the most recent background-checkpoint failure,
-// nil if none.
-func (e *Engine) CheckpointErr() error {
-	e.ckptErrMu.Lock()
-	defer e.ckptErrMu.Unlock()
-	return e.ckptErr
-}
-
-// triggerCheckpoint signals the checkpointer without blocking; a
-// pending signal already covers the crossing.
-func (e *Engine) triggerCheckpoint() {
-	select {
-	case e.ckptC <- struct{}{}:
-	default:
-	}
 }
 
 // Crash simulates a process death for recovery tests: every file
@@ -198,5 +135,4 @@ func (e *Engine) Crash() {
 	e.pf, e.bp, e.table = nil, nil, nil
 	e.temp.Store(nil)
 	e.live = nil
-	e.ckptAppended = 0
 }

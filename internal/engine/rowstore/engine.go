@@ -33,20 +33,11 @@ type Engine struct {
 	// write-ahead log under walPolicy/walFS — one shard because this
 	// engine's writers already serialize on readMu — and switches the
 	// buffer pool to no-steal so the table file changes only at
-	// checkpoints. tailBudget (in live readings) arms the
-	// background-checkpoint trigger on ckptC.
-	walOn      bool
-	walPolicy  wal.SyncPolicy
-	walFS      wal.FS
-	wlog       *wal.Log
-	tailBudget int64
-	ckptC      chan struct{}
-	// ckptAppended is ls.appended at the last checkpoint; the trigger
-	// fires on the difference. Guarded by readMu.
-	ckptAppended int64
-
-	ckptErrMu sync.Mutex
-	ckptErr   error
+	// checkpoints.
+	walOn     bool
+	walPolicy wal.SyncPolicy
+	walFS     wal.FS
+	wlog      *wal.Log
 
 	pf    *pagedFile
 	bp    *bufferPool
@@ -100,19 +91,6 @@ func WithWALFS(fs wal.FS) Option {
 	return func(e *Engine) { e.walFS = fs }
 }
 
-// WithTailBudget arms automatic background checkpointing: once at
-// least this many readings have been appended since the last
-// checkpoint, the engine signals the checkpointer goroutine
-// (StartCheckpointer) to fold them into the table file. Zero disables
-// the trigger.
-func WithTailBudget(readings int64) Option {
-	return func(e *Engine) {
-		if readings > 0 {
-			e.tailBudget = readings
-		}
-	}
-}
-
 // TableFileName is the table file's name under the engine directory.
 const TableFileName = "table.db"
 
@@ -122,7 +100,6 @@ func New(dir string, opts ...Option) *Engine {
 		dir:       dir,
 		layout:    LayoutRows,
 		poolPages: DefaultPoolPages,
-		ckptC:     make(chan struct{}, 1),
 	}
 	for _, o := range opts {
 		o(e)
@@ -340,7 +317,6 @@ func (e *Engine) closeStorage() error {
 	e.pf, e.bp, e.table = nil, nil, nil
 	e.temp.Store(nil)
 	e.live = nil
-	e.ckptAppended = 0
 	return first
 }
 

@@ -56,13 +56,12 @@ import (
 // liveState tracks per-household committed lengths beyond the
 // published seriesLen. Guarded by Engine.readMu, held exclusively.
 type liveState struct {
-	epoch    uint64
-	appended int64                    // tuples inserted through live Append this session
-	lens     map[timeseries.ID]int    // household -> total committed hours
-	seqs     map[timeseries.ID]uint64 // next index sequence (LayoutArrays chunk seq)
-	hints    map[timeseries.ID]hint   // where each household's last tuple lies
-	ids      []timeseries.ID          // ascending, base + live-only households
-	temp     []float64                // full temperature column incl. live hours
+	epoch uint64
+	lens  map[timeseries.ID]int    // household -> total committed hours
+	seqs  map[timeseries.ID]uint64 // next index sequence (LayoutArrays chunk seq)
+	hints map[timeseries.ID]hint   // where each household's last tuple lies
+	ids   []timeseries.ID          // ascending, base + live-only households
+	temp  []float64                // full temperature column incl. live hours
 }
 
 // hint is the TID of a household's last tuple, whose page takes the
@@ -229,9 +228,6 @@ func (e *Engine) Append(batch []core.Reading) error {
 			return fmt.Errorf("rowstore: %w", err)
 		}
 	}
-	if e.tailBudget > 0 && ls.appended-e.ckptAppended >= e.tailBudget {
-		e.triggerCheckpoint()
-	}
 	ls.epoch++
 	return writeMeta(e.bp, e.table.meta())
 }
@@ -262,7 +258,6 @@ func (e *Engine) applyBatch(ls *liveState, batch []core.Reading) error {
 		}
 		ls.seqs[runID] = seq
 		ls.lens[runID] = runStart + len(runCons)
-		ls.appended += int64(len(runCons))
 		runCons, runTemps = runCons[:0], runTemps[:0]
 		return nil
 	}
@@ -313,7 +308,6 @@ func (e *Engine) applyBatch(ls *liveState, batch []core.Reading) error {
 				return err
 			}
 			ls.lens[r.ID] = r.Hour + 1
-			ls.appended++
 		case LayoutArrays:
 			if r.ID != runID || len(runCons) == 0 || r.Hour != runStart+len(runCons) {
 				if err := flushRun(); err != nil {

@@ -1,11 +1,10 @@
 package rowstore
 
 import (
-	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 
 	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/meterdata"
@@ -239,79 +238,6 @@ func TestWALTornShardTailRecovers(t *testing.T) {
 	}
 }
 
-// TestWALBackgroundCheckpointTrigger: crossing the tail budget wakes
-// the background checkpointer, which truncates the log down to the
-// post-fold remainder; a crash afterwards still recovers everything.
-func TestWALBackgroundCheckpointTrigger(t *testing.T) {
-	src, ds := writeSource(t, 4, 1)
-	dir := t.TempDir()
-	const budget = 50
-	e := New(dir, WithWAL(wal.SyncBatch), WithTailBudget(budget))
-	if _, err := e.Load(src); err != nil {
-		t.Fatal(err)
-	}
-	var ids []timeseries.ID
-	for _, s := range ds.Series {
-		ids = append(ids, s.ID)
-	}
-	baseN := len(ds.Temperature.Values)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := e.StartCheckpointer(ctx)
-	const hours = 100 // 400 readings: crosses the budget repeatedly
-	for h := baseN; h < baseN+hours; h++ {
-		if err := e.Append(hourBatch(ids, h)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// After the last fold at most budget readings remain unfolded, so
-	// the log settles below the byte cost of budget readings (28 bytes
-	// each plus per-record framing); converging there proves a
-	// checkpoint ran after (or at) the final budget crossing.
-	limit := int64(8 + (budget/len(ids)+1)*(8+4+len(ids)*28))
-	deadline := time.After(5 * time.Second)
-	for e.wlog.SizeBytes() > limit {
-		select {
-		case <-deadline:
-			t.Fatalf("background checkpoint never folded the log: %d bytes, limit %d", e.wlog.SizeBytes(), limit)
-		default:
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if err := e.CheckpointErr(); err != nil {
-		t.Fatalf("background checkpoint error: %v", err)
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("checkpointer did not exit on context cancel")
-	}
-	cur, _, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := drainSnap(t, cur)
-	cur.Close()
-	e.Crash()
-
-	re := New(dir, WithWAL(wal.SyncBatch))
-	defer re.Close()
-	if err := re.Open(); err != nil {
-		t.Fatal(err)
-	}
-	cur2, _, err := re.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur2.Close()
-	sameRows(t, drainSnap(t, cur2), want)
-	for _, id := range ids {
-		if got := len(want[id]); got != baseN+hours {
-			t.Fatalf("household %d: %d hours before crash, want %d", id, got, baseN+hours)
-		}
-	}
-}
-
 // TestWALCheckpointAppendSnapshotChaos races Checkpoint against
 // concurrent Appends and Snapshots under -race, for both layouts:
 // epochs stay monotonic across folds and every snapshot stays a
@@ -408,6 +334,45 @@ func TestWALTableFileChangesOnlyAtCheckpoint(t *testing.T) {
 			}
 			if got, err := os.ReadFile(path); err != nil || string(got) == string(base) {
 				t.Fatalf("Checkpoint left table.db as it was (err %v)", err)
+			}
+		})
+	}
+}
+
+// TestFailedRenameLeavesNoTemp puts a directory where the table file
+// goes, so the checkpoint's rename fails (EISDIR): Checkpoint returns
+// the error, removes its temp file and leaves the log untruncated.
+func TestFailedRenameLeavesNoTemp(t *testing.T) {
+	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
+		t.Run(layout.String(), func(t *testing.T) {
+			e, dir, ids, baseN := loadWAL(t, layout)
+			defer e.Crash()
+			for h := baseN; h < baseN+24; h++ {
+				if err := e.Append(hourBatch(ids, h)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			logged := e.wlog.SizeBytes()
+			// The engine keeps its open handle on the unlinked file.
+			path := filepath.Join(dir, TableFileName)
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Mkdir(path, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Checkpoint(); err == nil || !strings.Contains(err.Error(), "checkpoint rename") {
+				t.Fatalf("Checkpoint over a directory: err = %v, want the rename's error", err)
+			}
+			left, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(left) != 0 {
+				t.Errorf("temp files left behind: %v", left)
+			}
+			if got := e.wlog.SizeBytes(); got != logged {
+				t.Errorf("log holds %d bytes after the failed checkpoint, want %d", got, logged)
 			}
 		})
 	}

@@ -583,8 +583,7 @@ func (l *Log) Rewrite(shard int, batches [][]core.Reading) error {
 	return nil
 }
 
-// SizeBytes is the total size of all shard files — the engine's
-// tail-size budget trigger reads it to decide when to checkpoint.
+// SizeBytes is the total size of all shard files.
 func (l *Log) SizeBytes() int64 {
 	var total int64
 	for _, sh := range l.shards {

@@ -78,11 +78,15 @@ go test -race -run 'Chaos|Cancel|Fault|Warm' ./...
 # atomicity (a batch that breaks the append contract leaves no trace
 # in a snapshot, and commits once without its bad reading) and the row
 # store's first touch after a reopen (TestRecoveryFirstTouchDescends:
-# one index descent per household, not a scan of its range), raced.
-# Same rationale as the chaos step: a durability, atomicity or
-# recovery-cost regression fails under its own name.
-echo "== go test -race -run 'Recovery|Crash|WAL|AppendAtomicity' ./... (crash recovery + wal + append atomicity)"
-go test -race -run 'Recovery|Crash|WAL|AppendAtomicity' ./...
+# one index descent per household, not a scan of its range), raced,
+# and every Checkpoint test: explicit Checkpoint racing Append,
+# Snapshot and open partitions is the engines' only concurrent
+# checkpoint (with RunCheckpointChaos), so a fold that loses a reading
+# or races a reader fails here too. Same rationale as the chaos step:
+# a durability, atomicity or recovery-cost regression fails under its
+# own name.
+echo "== go test -race -run 'Recovery|Crash|WAL|AppendAtomicity|Checkpoint' ./... (crash recovery + wal + append atomicity + checkpoint)"
+go test -race -run 'Recovery|Crash|WAL|AppendAtomicity|Checkpoint' ./...
 
 echo "== go test -race ./..."
 go test -race ./...
