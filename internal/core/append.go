@@ -90,10 +90,12 @@ func BatchOf(delta *timeseries.Dataset, first int) (batch []Reading) {
 	return batch
 }
 
-// ShardFor maps a household to one of n writer shards. Engines and
-// callers share this one partitioning function (the stream processor's
-// per-worker fan-out uses it too), so a batch pre-split by shard lands
-// on disjoint engine-internal shard locks.
+// ShardFor maps a household to one of n writer shards: callers that
+// split households among concurrent writers (the stream processor's
+// per-worker fan-out, the snapshot-isolation suite) share this one
+// partitioning function, so every household has exactly one writer.
+// The engines themselves do not shard; each orders its writers on one
+// lock.
 func ShardFor(id timeseries.ID, n int) int {
 	if n <= 1 {
 		return 0

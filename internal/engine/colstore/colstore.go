@@ -82,10 +82,10 @@ func WithMemBudget(bytes int64) Option {
 	}
 }
 
-// WithWAL arms the write-ahead log: every Append is framed into a
-// per-shard log under <dir>/wal before it is acked, with the given
-// fsync policy, and replayed through the idempotent append path on
-// reopen. See internal/wal for the format and policy semantics.
+// WithWAL arms the write-ahead log: every Append is framed into one
+// log, <dir>/wal/wal-000.log, before it is applied and acked, with the
+// given fsync policy, and replayed through the idempotent append path
+// on reopen. See internal/wal for the format and policy semantics.
 func WithWAL(policy wal.SyncPolicy) Option {
 	return func(e *Engine) {
 		e.walOn = true
@@ -149,7 +149,7 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 	if e.walOn {
 		// The fresh base replaces whatever state an old log belonged
 		// to; replaying it would corrupt the new dataset.
-		if err := wal.Clear(e.walDir(), liveShards, e.walFS); err != nil {
+		if err := wal.Clear(e.walDir(), 1, e.walFS); err != nil {
 			return nil, fmt.Errorf("colstore: %w", err)
 		}
 	}

@@ -17,20 +17,17 @@ import (
 
 // Live ingestion (core.Appender). The read-optimized segment file never
 // grows in place; instead each household accumulates an in-memory tail
-// beyond the immutable base segment. Tails are sharded across
-// independently locked maps so concurrent writers on disjoint
-// households (core.ShardFor) never contend, and a tail seals every
-// completed day into a compressed colcodec block — the same encoding
-// SegmentWriter uses — so resident cost stays near the on-disk ratio.
-// Checkpoint folds base + tails into a fresh segment file through
-// SegmentWriter, making the tail durable.
+// beyond the immutable base segment. The tails live in one map under
+// one mutex, and a tail seals every completed day into a compressed
+// colcodec block — the same encoding SegmentWriter uses — so resident
+// cost stays near the on-disk ratio. Checkpoint folds base + tails into
+// a fresh segment file through SegmentWriter, making the tail durable.
 //
-// Isolation. Writers share ingestMu.RLock (their mutual exclusion is
-// the per-shard locks, which a writer takes for every shard its batch
-// touches, in ascending order, and holds while it checks the whole
-// batch and then applies it); Snapshot takes ingestMu exclusively, so
-// it waits out in-flight batches and can never observe half a batch,
-// and a batch the check refuses leaves nothing behind.
+// Isolation. Writers share ingestMu.RLock and serialize on mu, which a
+// writer holds while it checks the whole batch, logs it and applies it;
+// Snapshot takes ingestMu exclusively, so it waits out in-flight
+// batches and can never observe half a batch, and a batch the check
+// refuses leaves nothing behind.
 // Captured tail state stays valid forever because tails are
 // append-only: an append writes beyond every captured slice length (or
 // reallocates), and sealing a day swaps in a fresh open slice rather
@@ -38,20 +35,20 @@ import (
 //
 // Durability. Without WithWAL the tail lives in memory only: Release,
 // Load and OpenExisting drop it, and Checkpoint is the only way to
-// keep appended data. With WithWAL armed, every batch is framed into a
-// per-shard write-ahead log (internal/wal) before Append acks — under
-// the shard lock, so log order equals apply order — and replayed
-// through this same idempotent apply path on reopen. Duplicates in the
-// log (retried batches are re-logged whole) fall into the r.Hour <
-// expected no-op, so recovery is bit-exact with a no-crash run over
-// the acked prefix. Checkpoint folds the common prefix of every
-// household into a fresh segment file (temp file + fsync + rename +
-// dir fsync) and rewrites the log down to the unfolded remainders.
-
-// liveShards is the number of independently locked tail maps. Sixteen
-// comfortably exceeds the writer counts the ingest benchmark drives
-// (Workers:4) while keeping the snapshot sweep trivial.
-const liveShards = 16
+// keep appended data. With WithWAL armed, every batch is framed whole
+// into one write-ahead log (internal/wal, the single file
+// wal/wal-000.log) under mu before it is applied, so log order equals
+// apply order and a batch whose log write fails is not applied at all;
+// after mu is released one group Commit makes it durable before Append
+// acks. On reopen the log is replayed through the same idempotent
+// apply. Duplicates in the log (retried batches are re-logged whole)
+// fall into the r.Hour < expected no-op, so recovery is bit-exact with
+// a no-crash run over the acked prefix. Checkpoint folds the common
+// prefix of every household into a fresh segment file (temp file +
+// fsync + rename + dir fsync) and rewrites the log down to the unfolded
+// remainders. A log directory written by a build that kept one log per
+// writer shard (wal-000.log to wal-015.log) must be checkpointed by
+// that build before this one opens it: only wal-000.log is read.
 
 // dayHours is the sealing granularity: one compressed block per
 // completed day, mirroring the hourly-readings-per-day layout the
@@ -78,17 +75,10 @@ func (ls *liveSeries) hours() int {
 	return ls.base + dayHours*len(ls.sealed) + len(ls.open)
 }
 
-type liveShard struct {
-	mu     sync.Mutex
-	m      map[timeseries.ID]*liveSeries
-	enc    colcodec.Encoder
-	logBuf []core.Reading // WAL framing scratch, reused per batch
-}
-
 // liveTail is the engine's live-ingestion state.
 type liveTail struct {
 	// ingestMu is share-locked by writers and exclusively locked by
-	// Snapshot: batch atomicity with respect to snapshots.
+	// Snapshot and Checkpoint: batch atomicity with respect to both.
 	ingestMu sync.RWMutex
 	epoch    atomic.Uint64
 	applied  atomic.Int64 // total tail readings resident
@@ -96,14 +86,15 @@ type liveTail struct {
 	baseN   int                   // base series length (0 without a base)
 	baseIDs map[timeseries.ID]int // base household -> consumer index
 
-	shards [liveShards]liveShard
-
-	// wlog, when non-nil, is the armed write-ahead log. Shard si's
-	// batches frame into log shard si under the shard lock.
-	wlog *wal.Log
-
-	tempMu   sync.Mutex
+	// mu is the writers' mutual exclusion: it guards the tails, the
+	// encoder, the temperature tail and the log's record order.
+	mu       sync.Mutex
+	m        map[timeseries.ID]*liveSeries
+	enc      colcodec.Encoder
 	tempTail []float64 // temperature beyond the base column; append-only
+
+	// wlog, when non-nil, is the armed write-ahead log.
+	wlog *wal.Log
 }
 
 // ensureLive lazily builds the live tail, attaching the base segment
@@ -122,7 +113,7 @@ func (e *Engine) ensureLive() (*liveTail, error) {
 			}
 		}
 	}
-	lt := &liveTail{}
+	lt := &liveTail{m: make(map[timeseries.ID]*liveSeries)}
 	if e.store != nil {
 		lt.baseN = e.store.n
 		lt.baseIDs = make(map[timeseries.ID]int, e.store.consumers)
@@ -130,13 +121,10 @@ func (e *Engine) ensureLive() (*liveTail, error) {
 			lt.baseIDs[id] = i
 		}
 	}
-	for i := range lt.shards {
-		lt.shards[i].m = make(map[timeseries.ID]*liveSeries)
-	}
 	if e.walOn {
 		lg, err := wal.Open(wal.Options{
 			Dir:    e.walDir(),
-			Shards: liveShards,
+			Shards: 1,
 			Policy: e.walPolicy,
 			FS:     e.walFS,
 		})
@@ -147,16 +135,10 @@ func (e *Engine) ensureLive() (*liveTail, error) {
 		// idempotent apply path live writes take. Readings already in
 		// the base (a checkpoint outran the log rewrite) fall into the
 		// duplicate no-op; the epoch is untouched — it restarts at the
-		// reopened state's zero, per the core.Appender contract.
-		err = lg.Replay(func(shard int, batch []core.Reading) error {
-			if err := lt.extendTemp(batch); err != nil {
-				return err
-			}
-			sh := &lt.shards[shard]
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			_, _, err := lt.applyShard(shard, batch, false)
-			return err
+		// reopened state's zero, per the core.Appender contract. No
+		// writer can see lt yet, so mu is not needed.
+		err = lg.Replay(func(_ int, batch []core.Reading) error {
+			return lt.apply(batch)
 		})
 		if err != nil {
 			_ = lg.Close()
@@ -169,89 +151,59 @@ func (e *Engine) ensureLive() (*liveTail, error) {
 }
 
 // Append implements core.Appender. It is safe for concurrent use with
-// itself and Snapshot; writers whose batches touch disjoint shards
-// (pre-split with core.ShardFor) proceed in parallel. With the WAL
-// armed, the batch is framed into the per-shard log before Append
-// returns, and — under SyncBatch/SyncAlways — group-committed to disk,
-// so a nil return means the batch survives a crash.
+// itself and Snapshot; writers serialize on the tail's mutex. With the
+// WAL armed, the batch is framed into the log before it is applied,
+// and — under SyncBatch/SyncAlways — group-committed to disk before
+// Append returns, so a nil return means the batch survives a crash.
 func (e *Engine) Append(batch []core.Reading) error {
 	lt, err := e.ensureLive()
 	if err != nil {
 		return err
 	}
 	lt.ingestMu.RLock()
-	seqs, logged, err := lt.applyBatch(batch)
+	defer lt.ingestMu.RUnlock()
+	seq, err := lt.logAndApply(batch)
 	if err != nil {
-		lt.ingestMu.RUnlock()
 		return err
 	}
-	// Group commit outside the shard locks: concurrent writers on one
-	// shard share the leader's fsync instead of serializing on it.
+	// Group commit outside mu: concurrent writers share the leader's
+	// fsync instead of serializing on it.
 	if lt.wlog != nil {
-		for s := range logged {
-			if !logged[s] {
-				continue
-			}
-			if err := lt.wlog.Commit(s, seqs[s]); err != nil {
-				lt.ingestMu.RUnlock()
-				return err
-			}
+		if err := lt.wlog.Commit(0, seq); err != nil {
+			return fmt.Errorf("colstore: %w", err)
 		}
 	}
 	lt.epoch.Add(1)
-	lt.ingestMu.RUnlock()
 	return nil
 }
 
-// applyBatch checks the whole batch against the ordering and
-// temperature contracts and only then applies it, so a refused batch
-// changes nothing a snapshot could see. It holds the batch's shard
-// locks, taken in ascending order as every writer takes them, across
-// the check and the apply: no other writer moves the batch's households
-// in between, and the temperature column only grows meanwhile, so the
-// apply cannot fail a check the batch passed. The caller holds
-// ingestMu shared.
-func (lt *liveTail) applyBatch(batch []core.Reading) (seqs [liveShards]uint64, logged [liveShards]bool, err error) {
-	var present [liveShards]bool
-	for i := range batch {
-		present[core.ShardFor(batch[i].ID, liveShards)] = true
+// logAndApply checks the whole batch against the ordering and
+// temperature contracts, frames it into the log and only then applies
+// it, all under mu, so a refused batch or a failed log write changes
+// nothing a snapshot could see, and the apply cannot fail a check the
+// batch passed. The whole batch is logged, redelivered readings
+// included: a batch whose first attempt applied but failed to commit
+// must land in the log again when the caller retries and gets its ack.
+// The returned seq is the one the caller must Commit before acking.
+// The caller holds ingestMu shared.
+func (lt *liveTail) logAndApply(batch []core.Reading) (seq uint64, err error) {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	if err := core.CheckBatch(batch, lt.committedHours, lt.baseN+len(lt.tempTail)); err != nil {
+		return 0, fmt.Errorf("colstore: %w", err)
 	}
-	for s := range present {
-		if present[s] {
-			lt.shards[s].mu.Lock()
+	if lt.wlog != nil && len(batch) > 0 {
+		if seq, err = lt.wlog.Append(0, batch); err != nil {
+			return 0, fmt.Errorf("colstore: %w", err)
 		}
 	}
-	defer func() {
-		for s := range present {
-			if present[s] {
-				lt.shards[s].mu.Unlock()
-			}
-		}
-	}()
-	lt.tempMu.Lock()
-	temp := lt.baseN + len(lt.tempTail)
-	lt.tempMu.Unlock()
-	if err := core.CheckBatch(batch, lt.committedHours, temp); err != nil {
-		return seqs, logged, fmt.Errorf("colstore: %w", err)
-	}
-	if err := lt.extendTemp(batch); err != nil {
-		return seqs, logged, err
-	}
-	for s := range present {
-		if !present[s] {
-			continue
-		}
-		if seqs[s], logged[s], err = lt.applyShard(s, batch, true); err != nil {
-			return seqs, logged, err
-		}
-	}
-	return seqs, logged, nil
+	return seq, lt.apply(batch)
 }
 
 // committedHours is a household's committed hours, its base column
-// included. The caller holds the household's shard lock.
+// included. The caller holds mu.
 func (lt *liveTail) committedHours(id timeseries.ID) int {
-	if ls := lt.shards[core.ShardFor(id, liveShards)].m[id]; ls != nil {
+	if ls := lt.m[id]; ls != nil {
 		return ls.hours()
 	}
 	if _, ok := lt.baseIDs[id]; ok {
@@ -260,97 +212,56 @@ func (lt *liveTail) committedHours(id timeseries.ID) int {
 	return 0
 }
 
-// extendTemp grows the shared temperature column to cover the batch.
-// A reading at an hour the column already covers is a no-op (shared
-// column, idempotent redelivery); a reading beyond the next hour is a
-// gap — unreachable for callers honoring the per-household contiguity
-// contract, since no household can be ahead of the column.
-func (lt *liveTail) extendTemp(batch []core.Reading) error {
-	lt.tempMu.Lock()
-	defer lt.tempMu.Unlock()
+// apply applies the batch in batch order: it grows the shared
+// temperature column to cover each reading and appends each fresh
+// reading to its household's tail. Redelivered hours (below the
+// household's next expected hour) are skipped, making retried batches
+// apply exactly once, and a reading at an hour the temperature column
+// already covers leaves the column as it is. Its own checks are the
+// ones WAL replay relies on; a live Append has passed core.CheckBatch
+// already. The caller holds mu, or owns lt alone.
+func (lt *liveTail) apply(batch []core.Reading) error {
+	var applied int64
+	defer func() { lt.applied.Add(applied) }()
 	for i := range batch {
 		r := &batch[i]
 		if r.Hour < 0 {
 			return fmt.Errorf("colstore: negative hour %d for household %d", r.Hour, r.ID)
 		}
-		n := lt.baseN + len(lt.tempTail)
-		switch {
-		case r.Hour < n:
-			// temperature for this hour is already stored
+		switch n := lt.baseN + len(lt.tempTail); {
 		case r.Hour == n:
 			lt.tempTail = append(lt.tempTail, r.Temperature)
-		default:
+		case r.Hour > n:
 			return fmt.Errorf("colstore: temperature gap: reading at hour %d, column covers %d", r.Hour, n)
 		}
-	}
-	return nil
-}
-
-// applyShard applies the batch's readings belonging to shard si, in
-// batch order; the caller holds the shard's lock. Redelivered hours
-// (below the household's next expected hour) are skipped, making
-// retried batches apply exactly once. Its own checks are the ones WAL
-// replay relies on; a live Append has passed core.CheckBatch already.
-//
-// With logIt set and the WAL armed, the shard's slice of the batch is
-// framed into log shard si before the lock is released — including
-// redelivered readings, deliberately: a batch whose first attempt
-// applied in memory but failed to reach the log must still land in the
-// log when the caller retries and gets its ack, or the ack would
-// promise durability the log cannot deliver. Replay skips the
-// duplicates just like this loop does. The returned seq is meaningful
-// only when logged is true; the caller must Commit it before acking.
-func (lt *liveTail) applyShard(si int, batch []core.Reading, logIt bool) (seq uint64, logged bool, err error) {
-	sh := &lt.shards[si]
-	logIt = logIt && lt.wlog != nil
-	sh.logBuf = sh.logBuf[:0]
-	var applied int64
-	for i := range batch {
-		r := &batch[i]
-		if core.ShardFor(r.ID, liveShards) != si {
-			continue
-		}
-		if logIt {
-			sh.logBuf = append(sh.logBuf, *r)
-		}
-		ls := sh.m[r.ID]
+		ls := lt.m[r.ID]
 		if ls == nil {
 			if r.ID <= 0 {
-				return 0, false, fmt.Errorf("colstore: household id must be positive, got %d", r.ID)
+				return fmt.Errorf("colstore: household id must be positive, got %d", r.ID)
 			}
 			ls = &liveSeries{id: r.ID}
 			if _, ok := lt.baseIDs[r.ID]; ok {
 				ls.base = lt.baseN
 			}
-			sh.m[r.ID] = ls
+			lt.m[r.ID] = ls
 		}
 		expected := ls.hours()
 		if r.Hour < expected {
 			continue // duplicate redelivery: already committed
 		}
 		if r.Hour > expected {
-			return 0, false, fmt.Errorf("colstore: household %d: gap at hour %d, expected %d", r.ID, r.Hour, expected)
+			return fmt.Errorf("colstore: household %d: gap at hour %d, expected %d", r.ID, r.Hour, expected)
 		}
 		ls.open = append(ls.open, r.Consumption)
 		applied++
 		if len(ls.open) == dayHours {
-			ls.sealed = append(ls.sealed, sealedDay{payload: sh.enc.AppendValues(nil, ls.open)})
+			ls.sealed = append(ls.sealed, sealedDay{payload: lt.enc.AppendValues(nil, ls.open)})
 			// A fresh slice, not a truncation: snapshots captured the
 			// old day's header and keep reading it.
 			ls.open = nil
 		}
 	}
-	lt.applied.Add(applied)
-	if logIt && len(sh.logBuf) > 0 {
-		// Under the shard lock: the log's record order is exactly the
-		// in-memory apply order for this shard.
-		seq, err = lt.wlog.Append(si, sh.logBuf)
-		if err != nil {
-			return 0, false, err
-		}
-		logged = true
-	}
-	return seq, logged, nil
+	return nil
 }
 
 // snapItem is one household's captured state: an optional base segment
@@ -379,11 +290,9 @@ func (e *Engine) Snapshot() (core.Snapshot, core.Epoch, error) {
 	// captured tail state must pair with the base it grew on.
 	st, pg := e.store, e.pager
 	ep := core.Epoch(lt.epoch.Load())
-	tails := make(map[timeseries.ID]*snapItem)
-	for si := range lt.shards {
-		for id, ls := range lt.shards[si].m {
-			tails[id] = &snapItem{id: id, cons: -1, sealed: ls.sealed, open: ls.open}
-		}
+	tails := make(map[timeseries.ID]*snapItem, len(lt.m))
+	for id, ls := range lt.m {
+		tails[id] = &snapItem{id: id, cons: -1, sealed: ls.sealed, open: ls.open}
 	}
 	nTemp := lt.baseN + len(lt.tempTail)
 	temp := make([]float64, 0, nTemp)
@@ -539,25 +448,18 @@ type ckptSeries struct {
 }
 
 // checkpointLocked is Checkpoint's body; the caller holds ingestMu
-// exclusively, so shard maps, the temperature tail and e.store are all
+// exclusively, so the tails, the temperature tail and e.store are all
 // frozen.
 func (e *Engine) checkpointLocked(lt *liveTail) error {
 	st := e.store
 	// Collect every household and its total hours; the fold cut is
 	// the minimum, so the new base stays rectangular.
 	var items []ckptSeries
-	byID := make(map[timeseries.ID]*liveSeries)
-	for si := range lt.shards {
-		for id, ls := range lt.shards[si].m {
-			byID[id] = ls
-		}
-	}
 	cut := -1
 	if st != nil {
-		items = make([]ckptSeries, 0, st.consumers+len(byID))
+		items = make([]ckptSeries, 0, st.consumers+len(lt.m))
 		for _, id := range st.ids {
-			ls := byID[id]
-			delete(byID, id)
+			ls := lt.m[id]
 			h := st.n
 			if ls != nil {
 				h = ls.hours()
@@ -568,7 +470,10 @@ func (e *Engine) checkpointLocked(lt *liveTail) error {
 			}
 		}
 	}
-	for id, ls := range byID {
+	for id, ls := range lt.m {
+		if _, ok := lt.baseIDs[id]; ok {
+			continue // collected with the base households above
+		}
 		items = append(items, ckptSeries{id: id, ls: ls})
 		if h := ls.hours(); cut < 0 || h < cut {
 			cut = h
@@ -648,7 +553,7 @@ func (e *Engine) checkpointLocked(lt *liveTail) error {
 	}
 
 	// Rebuild the tail in place (writers blocked on ingestMu resume
-	// against the same liveTail): fresh shard maps hold only the
+	// against the same liveTail): a fresh map holds only the
 	// remainders, re-sealed at day granularity. The epoch keeps
 	// counting — snapshots stay monotonic across the fold.
 	lt.baseN = cut
@@ -657,25 +562,22 @@ func (e *Engine) checkpointLocked(lt *liveTail) error {
 		lt.baseIDs[id] = i
 	}
 	var remReadings int64
-	for i := range lt.shards {
-		lt.shards[i].m = make(map[timeseries.ID]*liveSeries)
-	}
+	lt.m = make(map[timeseries.ID]*liveSeries)
 	for i := range items {
 		it := &items[i]
 		if len(it.rem) == 0 {
 			continue
 		}
-		sh := &lt.shards[core.ShardFor(it.id, liveShards)]
 		ls := &liveSeries{id: it.id, base: cut}
 		rem := it.rem
 		for len(rem) >= dayHours {
-			ls.sealed = append(ls.sealed, sealedDay{payload: sh.enc.AppendValues(nil, rem[:dayHours])})
+			ls.sealed = append(ls.sealed, sealedDay{payload: lt.enc.AppendValues(nil, rem[:dayHours])})
 			rem = rem[dayHours:]
 		}
 		if len(rem) > 0 {
 			ls.open = append([]float64(nil), rem...)
 		}
-		sh.m[it.id] = ls
+		lt.m[it.id] = ls
 		remReadings += int64(len(it.rem))
 	}
 	lt.tempTail = append([]float64(nil), fullTemp[cut:]...)
@@ -686,7 +588,7 @@ func (e *Engine) checkpointLocked(lt *liveTail) error {
 	// over the new base and every folded reading lands in the
 	// duplicate no-op.
 	if lt.wlog != nil {
-		var batches [liveShards][][]core.Reading
+		var batches [][]core.Reading
 		for i := range items {
 			it := &items[i]
 			if len(it.rem) == 0 {
@@ -701,14 +603,9 @@ func (e *Engine) checkpointLocked(lt *liveTail) error {
 					Temperature: fullTemp[cut+j],
 				}
 			}
-			si := core.ShardFor(it.id, liveShards)
-			batches[si] = append(batches[si], b)
+			batches = append(batches, b)
 		}
-		for si := range batches {
-			if err := lt.wlog.Rewrite(si, batches[si]); err != nil {
-				return err
-			}
-		}
+		return lt.wlog.Rewrite(0, batches)
 	}
 	return nil
 }

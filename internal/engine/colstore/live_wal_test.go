@@ -1,11 +1,16 @@
 package colstore
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/timeseries"
 	"github.com/smartmeter/smartbench/internal/wal"
@@ -279,7 +284,7 @@ func TestWALCheckpointAppendSnapshotChaos(t *testing.T) {
 	cursortest.RunCheckpointChaos(t, e, ckpt, ids, 0, 72)
 }
 
-// TestWALTornShardTailRecovers: chopping bytes off every shard log —
+// TestWALTornShardTailRecovers: chopping bytes off the log's tail —
 // the torn-write shape a power failure leaves — must never surface a
 // decode error; the engine reopens with each household holding a
 // bit-exact prefix of what was appended.
@@ -299,8 +304,8 @@ func TestWALTornShardTailRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(logs) == 0 {
-		t.Fatal("no shard logs on disk")
+	if len(logs) != 1 || filepath.Base(logs[0]) != "wal-000.log" {
+		t.Fatalf("log files on disk: %v, want the one wal-000.log", logs)
 	}
 	for _, p := range logs {
 		fi, err := os.Stat(p)
@@ -317,7 +322,7 @@ func TestWALTornShardTailRecovers(t *testing.T) {
 	re := New(dir, WithWAL(wal.SyncBatch))
 	cur, _, err := re.Snapshot()
 	if err != nil {
-		t.Fatalf("reopen over torn shard tails: %v", err)
+		t.Fatalf("reopen over a torn log tail: %v", err)
 	}
 	defer cur.Close()
 	rows := drainSnap(t, cur)
@@ -394,4 +399,155 @@ func TestWALSegmentChangesOnlyAtCheckpoint(t *testing.T) {
 	if s := lt.wlog.SizeBytes(); s != empty {
 		t.Errorf("log holds %d bytes after Checkpoint, want %d as before any Append", s, empty)
 	}
+}
+
+// logProbeFS wraps the real filesystem under the write-ahead log: it
+// counts the writes and fsyncs of the files it opens, and while fail is
+// set a write stores half its bytes and fails.
+type logProbeFS struct {
+	wal.FS
+	writes, syncs atomic.Int64
+	fail          atomic.Bool
+}
+
+func (p *logProbeFS) OpenAppend(path string) (wal.File, error) {
+	f, err := p.FS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return &logProbeFile{File: f, p: p}, nil
+}
+
+func (p *logProbeFS) Create(path string) (wal.File, error) {
+	f, err := p.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &logProbeFile{File: f, p: p}, nil
+}
+
+type logProbeFile struct {
+	wal.File
+	p *logProbeFS
+}
+
+func (f *logProbeFile) Write(b []byte) (int, error) {
+	f.p.writes.Add(1)
+	if f.p.fail.Load() {
+		n, _ := f.File.Write(b[:len(b)/2])
+		return n, errors.New("injected log write failure")
+	}
+	return f.File.Write(b)
+}
+
+func (f *logProbeFile) Sync() error {
+	f.p.syncs.Add(1)
+	return f.File.Sync()
+}
+
+func householdIDs(n int) []timeseries.ID {
+	ids := make([]timeseries.ID, n)
+	for i := range ids {
+		ids[i] = timeseries.ID(i + 1)
+	}
+	return ids
+}
+
+// TestWALOneWriteOneFsyncPerAppend: under SyncBatch, one acked Append
+// is one log write and one fsync, however many households its batch
+// spans.
+func TestWALOneWriteOneFsyncPerAppend(t *testing.T) {
+	for _, n := range []int{1, 40} {
+		t.Run(fmt.Sprintf("households=%d", n), func(t *testing.T) {
+			fs := &logProbeFS{FS: wal.OSFS}
+			e := New(t.TempDir(), WithWAL(wal.SyncBatch), WithWALFS(fs))
+			defer e.Release()
+			if _, err := e.ensureLive(); err != nil {
+				t.Fatal(err)
+			}
+			ids := householdIDs(n)
+			for h := 0; h < 3; h++ {
+				w0, s0 := fs.writes.Load(), fs.syncs.Load()
+				if err := e.Append(hourBatch(ids, h)); err != nil {
+					t.Fatal(err)
+				}
+				if w, s := fs.writes.Load()-w0, fs.syncs.Load()-s0; w != 1 || s != 1 {
+					t.Fatalf("hour %d: one Append over %d households made %d log writes and %d fsyncs, want 1 and 1", h, n, w, s)
+				}
+			}
+		})
+	}
+}
+
+// snapState is what a snapshot shows: every household's readings, the
+// epoch and the temperature column.
+type snapState struct {
+	rows  map[timeseries.ID][]float64
+	epoch core.Epoch
+	temp  []float64
+}
+
+func takeSnap(t *testing.T, e *Engine) snapState {
+	t.Helper()
+	cur, ep, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	temp, err := cur.Temperature()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snapState{rows: drainSnap(t, cur), epoch: ep, temp: temp.Values}
+}
+
+func sameSnap(t *testing.T, got, want snapState) {
+	t.Helper()
+	if got.epoch != want.epoch {
+		t.Fatalf("epoch %d, want %d", got.epoch, want.epoch)
+	}
+	if !slices.Equal(got.temp, want.temp) {
+		t.Fatalf("temperature covers %d hours, want %d (or values differ)", len(got.temp), len(want.temp))
+	}
+	sameRows(t, got.rows, want.rows)
+}
+
+// TestWALFailedLogWriteAppliesNothing: a batch whose log write fails is
+// not applied at all (the snapshot after the failed Append is the one
+// before it), a retry applies it exactly once, and a reopen replays
+// exactly what the snapshots showed.
+func TestWALFailedLogWriteAppliesNothing(t *testing.T) {
+	fs := &logProbeFS{FS: wal.OSFS}
+	dir := t.TempDir()
+	e := New(dir, WithWAL(wal.SyncBatch), WithWALFS(fs))
+	ids := householdIDs(40)
+	const hours = 30
+	for h := 0; h < hours; h++ {
+		if err := e.Append(hourBatch(ids, h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := takeSnap(t, e)
+
+	fs.fail.Store(true)
+	if err := e.Append(hourBatch(ids, hours)); err == nil {
+		t.Fatal("Append acked a batch whose log write failed")
+	}
+	fs.fail.Store(false)
+	sameSnap(t, takeSnap(t, e), before)
+
+	if err := e.Append(hourBatch(ids, hours)); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	want := snapState{rows: make(map[timeseries.ID][]float64), epoch: before.epoch + 1, temp: append(slices.Clone(before.temp), liveTemp(hours))}
+	for id, row := range before.rows {
+		want.rows[id] = append(slices.Clone(row), liveVal(id, hours))
+	}
+	sameSnap(t, takeSnap(t, e), want)
+
+	e.Crash()
+	re := New(dir, WithWAL(wal.SyncBatch), WithWALFS(fs))
+	defer re.Release()
+	want.epoch = 0
+	sameSnap(t, takeSnap(t, re), want)
 }

@@ -21,10 +21,12 @@ import (
 // so its sweep only requires consistent (possibly shorter) prefixes.
 // Each policy is swept with no block cache and with one of two blocks
 // (the checkpointed base holds one block of at most `hours` rows per
-// household).
+// household). The script runs 80 hours so that SyncOff, whose disk
+// operations are little more than one log write per batch, still
+// reaches the harness's floor of crash points.
 func TestRecoverySweep(t *testing.T) {
 	ids := []timeseries.ID{1, 2, 3, 4, 5, 6}
-	const hours = 40
+	const hours = 80
 	for _, tc := range []struct {
 		name    string
 		policy  wal.SyncPolicy

@@ -12,10 +12,12 @@ import (
 // Live ingestion (core.Appender). New readings become ordinary tuple
 // inserts through the same heap/B+tree machinery as the bulk loader.
 // The whole batch is applied while holding readMu, the table latch,
-// exclusively, which makes writers serial (deliberately contrasting
-// colstore's sharded tail: this engine models one heap and one index
-// every writer inserts into) and makes batches atomic with respect to
-// snapshots and readers, who hold the same latch shared, for free.
+// exclusively, which makes writers serial through the log's fsync too
+// (colstore's writers hold their tail mutex only while they log and
+// apply, and share a group commit after it; this engine models one heap
+// and one index every writer inserts into) and makes batches atomic
+// with respect to snapshots and readers, who hold the same latch
+// shared, for free.
 //
 // Placement. A household's live tuple goes on the heap page of its last
 // tuple while that page has room, and on a fresh page chained at the

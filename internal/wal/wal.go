@@ -1,10 +1,10 @@
 // Package wal implements the write-ahead log that makes live
-// ingestion crash-safe. Engines append each committed batch to a
-// per-shard log file before acking Append; on reopen the log is
-// replayed through the engine's idempotent append path, so the
-// recovered state is bit-exact with a no-crash run over the acked
-// prefix. Checkpoints rewrite the log down to the readings that are
-// not yet folded into the base segment.
+// ingestion crash-safe. Engines append each batch to the log before
+// acking Append; on reopen the log is replayed through the engine's
+// idempotent append path, so the recovered state is bit-exact with a
+// no-crash run over the acked prefix. Checkpoints rewrite the log down
+// to the readings that are not yet folded into the base segment. Both
+// engines open one shard, the file wal-000.log.
 //
 // File format. Each shard owns one file, wal-NNN.log:
 //
@@ -23,7 +23,7 @@
 // Durability policies. SyncAlways fsyncs inside Append (every batch is
 // durable before it is acked). SyncBatch acks after the write and makes
 // Commit a group commit: one leader fsyncs on behalf of every batch
-// written before it grabbed the file, so concurrent shard writers share
+// written before it grabbed the file, so concurrent writers share
 // fsyncs. SyncOff never fsyncs — the log bounds loss to the OS page
 // cache but forfeits power-failure durability.
 //
@@ -191,7 +191,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 type Options struct {
 	// Dir holds one wal-NNN.log per shard. Created if absent.
 	Dir string
-	// Shards is the number of log files (one per engine writer shard).
+	// Shards is the number of log files. Both engines open one.
 	Shards int
 	// Policy is the fsync policy. Zero value is SyncBatch.
 	Policy SyncPolicy
@@ -244,6 +244,10 @@ type shardLog struct {
 	syncing  bool
 	failErr  error
 	failEnd  uint64
+	// broken is set when a failed write left a torn record that could
+	// not be truncated away; Append refuses every batch until Rewrite
+	// replaces the file.
+	broken error
 
 	buf []byte // encode scratch, reused across Appends
 }
@@ -434,20 +438,30 @@ func (l *Log) Stats() ReplayStats {
 	return l.stats
 }
 
-// Append writes one batch to the shard's log. Under SyncAlways it is
-// durable when Append returns; under SyncBatch the caller must Commit
-// the returned sequence number before acking the batch.
+// Append writes one batch to the shard's log as one record. Under
+// SyncAlways it is durable when Append returns; under SyncBatch the
+// caller must Commit the returned sequence number before acking the
+// batch. A failed write leaves no part of its record behind: the file
+// is cut back to the last whole record, and if that cut fails too, the
+// shard refuses every later Append until Rewrite replaces its file.
 func (l *Log) Append(shard int, batch []core.Reading) (uint64, error) {
 	sh := l.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if sh.broken != nil {
+		return 0, sh.broken
+	}
 	if len(batch) > 0 {
 		sh.buf = encodeRecord(sh.buf[:0], batch)
-		n, err := sh.f.Write(sh.buf)
-		sh.size += int64(n)
-		if err != nil {
+		if _, err := sh.f.Write(sh.buf); err != nil {
+			// Replay stops at a torn record, so one left here would
+			// hide every record written after it.
+			if terr := sh.f.Truncate(sh.size); terr != nil {
+				sh.broken = fmt.Errorf("wal: shard %d refuses appends: a failed write could not be cut back: %w", shard, terr)
+			}
 			return 0, fmt.Errorf("wal: append shard %d: %w", shard, err)
 		}
+		sh.size += int64(len(sh.buf))
 		sh.writeSeq++
 	}
 	if l.policy == SyncAlways {
@@ -577,6 +591,7 @@ func (l *Log) Rewrite(shard int, batches [][]core.Reading) error {
 	// wait for batches appended after this point.
 	sh.syncSeq = sh.writeSeq
 	sh.failErr = nil
+	sh.broken = nil
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("wal: rewrite close old shard %d: %w", shard, err)
 	}

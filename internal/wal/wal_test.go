@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -421,4 +422,165 @@ func TestParsePolicy(t *testing.T) {
 	if _, err := ParsePolicy("nope"); err == nil {
 		t.Fatal("ParsePolicy accepted garbage")
 	}
+}
+
+// tearingFS wraps another FS; while tear is set, a file's Write writes
+// the first half of its bytes and fails (a short write), and while
+// failTruncate is set, Truncate fails too.
+type tearingFS struct {
+	inner        FS
+	tear         atomic.Bool
+	failTruncate atomic.Bool
+}
+
+func (c *tearingFS) MkdirAll(dir string) error { return c.inner.MkdirAll(dir) }
+
+func (c *tearingFS) OpenAppend(path string) (File, error) {
+	f, err := c.inner.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return &tearingFile{File: f, fs: c}, nil
+}
+
+func (c *tearingFS) Create(path string) (File, error) {
+	f, err := c.inner.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &tearingFile{File: f, fs: c}, nil
+}
+
+func (c *tearingFS) Rename(oldPath, newPath string) error { return c.inner.Rename(oldPath, newPath) }
+func (c *tearingFS) Remove(path string) error             { return c.inner.Remove(path) }
+func (c *tearingFS) SyncDir(dir string) error             { return c.inner.SyncDir(dir) }
+
+type tearingFile struct {
+	File
+	fs *tearingFS
+}
+
+var errInjected = errors.New("injected write failure")
+
+func (c *tearingFile) Write(p []byte) (int, error) {
+	if !c.fs.tear.Load() {
+		return c.File.Write(p)
+	}
+	n, err := c.File.Write(p[:len(p)/2])
+	if err != nil {
+		return n, err
+	}
+	return n, errInjected
+}
+
+func (c *tearingFile) Truncate(size int64) error {
+	if c.fs.failTruncate.Load() {
+		return errInjected
+	}
+	return c.File.Truncate(size)
+}
+
+// appendCommit appends and commits one batch on shard 0.
+func appendCommit(l *Log, batch []core.Reading) error {
+	seq, err := l.Append(0, batch)
+	if err != nil {
+		return err
+	}
+	return l.Commit(0, seq)
+}
+
+// TestShortWriteKeepsLaterBatches: a write that fails after writing half
+// its record must not take the batches acked after it down with it. The
+// torn record is cut away, so a reopen replays every acked batch and
+// truncates nothing.
+func TestShortWriteKeepsLaterBatches(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncBatch, SyncAlways, SyncOff} {
+		t.Run(policy.String(), func(t *testing.T) {
+			fs := &tearingFS{inner: OSFS}
+			dir := t.TempDir()
+			l, err := Open(Options{Dir: dir, Shards: 1, Policy: policy, FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := [][]core.Reading{mkBatch(1, 0, 10)}
+			if err := appendCommit(l, acked[0]); err != nil {
+				t.Fatal(err)
+			}
+			fs.tear.Store(true)
+			if err := appendCommit(l, mkBatch(1, 10, 10)); !errors.Is(err, errInjected) {
+				t.Fatalf("torn write: Append returned %v, want the write's error", err)
+			}
+			fs.tear.Store(false)
+			for _, b := range [][]core.Reading{mkBatch(1, 10, 10), mkBatch(2, 0, 3)} {
+				if err := appendCommit(l, b); err != nil {
+					t.Fatalf("append after a torn write: %v", err)
+				}
+				acked = append(acked, b)
+			}
+			l.Drop()
+
+			r, err := Open(Options{Dir: dir, Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if st := r.Stats(); st.TruncatedBytes != 0 {
+				t.Errorf("reopen truncated %d bytes, want 0", st.TruncatedBytes)
+			}
+			got := collect(t, r, 1)[0]
+			if len(got) != len(acked) {
+				t.Fatalf("replayed %d batches, want the %d acked", len(got), len(acked))
+			}
+			for i := range acked {
+				sameReadings(t, got[i], acked[i])
+			}
+		})
+	}
+}
+
+// TestShortWriteUncutRefusesAppends: when the torn record cannot be
+// cut away either, the shard refuses every later Append, so nothing is
+// acked that replay would drop; a Rewrite replaces the file and lifts
+// the refusal.
+func TestShortWriteUncutRefusesAppends(t *testing.T) {
+	fs := &tearingFS{inner: OSFS}
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, Shards: 1, Policy: SyncBatch, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := mkBatch(1, 0, 4)
+	if err := appendCommit(l, first); err != nil {
+		t.Fatal(err)
+	}
+	fs.tear.Store(true)
+	fs.failTruncate.Store(true)
+	if err := appendCommit(l, mkBatch(1, 4, 4)); err == nil {
+		t.Fatal("torn write acked")
+	}
+	fs.tear.Store(false)
+	fs.failTruncate.Store(false)
+	if err := appendCommit(l, mkBatch(1, 4, 4)); err == nil {
+		t.Fatal("Append acked behind a torn record that replay stops at")
+	}
+	if err := l.Rewrite(0, [][]core.Reading{first}); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendCommit(l, mkBatch(1, 4, 4)); err != nil {
+		t.Fatalf("append after Rewrite: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(Options{Dir: dir, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got := collect(t, r, 1)[0]
+	if len(got) != 2 {
+		t.Fatalf("replayed %d batches, want 2", len(got))
+	}
+	sameReadings(t, got[0], first)
+	sameReadings(t, got[1], mkBatch(1, 4, 4))
 }
